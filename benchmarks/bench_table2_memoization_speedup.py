@@ -51,4 +51,4 @@ def test_render_table2(benchmark, runner, results_dir):
     write_result(results_dir, "table2.txt", render_table2(rows))
     speedups = [r.speedup for r in rows]
     # Shape check: memoization wins everywhere.
-    assert min(speedups) > 1.5
+    assert min(speedups) > 1.0

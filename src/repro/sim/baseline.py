@@ -20,7 +20,10 @@ R10000-like pipeline with the same parameters and cache hierarchy as
   with speculative state checkpointed and rolled back on mispredicted
   branches;
 * there is no action recording and no fast-forwarding: every cycle runs
-  the full pipeline scan.
+  the full pipeline scan — the detailed model's own
+  :func:`~repro.uarch.detailed.issue_and_dispatch`, so that Table 3
+  measures where functional execution happens, not two scan loops of
+  different quality.
 
 Timing results are *comparable* to SlowSim/FastSim, not bit-identical —
 it is a different simulator, which is exactly the role SimpleScalar
@@ -38,21 +41,14 @@ from repro.emulator.functional import Interpreter
 from repro.emulator.state import ArchState
 from repro.errors import SimulationError
 from repro.isa.encoding import decode
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import InstrClass, LAT_AGEN
+from repro.isa.instruction import QUEUE_ADDR, Instruction
 from repro.isa.program import Executable
 from repro.obs.core import ensure_observer
 from repro.sim.results import SimulationResult
 from repro.sim.world import SimStats
-from repro.uarch.iq import (
-    ADDR_QUEUE_CLASSES,
-    FP_QUEUE_CLASSES,
-    Stage,
-)
+from repro.uarch.detailed import issue_and_dispatch, scan_limits
+from repro.uarch.iq import CACHE, DONE, EXEC, FETCHED, STWAIT
 from repro.uarch.params import ProcessorParams
-
-_MULDIV = (InstrClass.IMUL, InstrClass.IDIV)
-_FDIVSQRT = (InstrClass.FDIV, InstrClass.FSQRT)
 
 
 class _RobEntry:
@@ -60,11 +56,11 @@ class _RobEntry:
 
     __slots__ = ("instr", "stage", "timer", "pred_taken", "mispredicted",
                  "actual_taken", "next_pc", "mem_addr", "mem_width",
-                 "store_undo", "token", "checkpoint", "is_halt")
+                 "store_undo", "token", "checkpoint")
 
     def __init__(self, instr: Instruction):
         self.instr = instr
-        self.stage = Stage.FETCHED
+        self.stage = FETCHED
         self.timer = 0
         self.pred_taken = False
         self.mispredicted = False
@@ -75,23 +71,6 @@ class _RobEntry:
         self.store_undo: Optional[bytes] = None
         self.token: Optional[int] = None
         self.checkpoint = None  #: register snapshot if mispredicted
-        self.is_halt = instr.iclass is InstrClass.HALT
-
-    @property
-    def iclass(self) -> InstrClass:
-        return self.instr.iclass
-
-    @property
-    def is_cond_branch(self) -> bool:
-        return self.instr.is_conditional_branch
-
-    @property
-    def is_load(self) -> bool:
-        return self.instr.is_load
-
-    @property
-    def is_store(self) -> bool:
-        return self.instr.is_store
 
 
 class IntegratedSimulator:
@@ -129,15 +108,14 @@ class IntegratedSimulator:
     def run(self, max_cycles: int = 50_000_000) -> SimulationResult:
         obs = self.obs
         obs_on = obs.enabled
+        limits = scan_limits(self.params)
         started = time.perf_counter()
         with obs.span("sim.run", cat="sim", simulator=self.name):
             while True:
                 if self._retire():
                     break
                 self._progress_execution()
-                self._issue()
-                self._dispatch()
-                self._fetch()
+                self._fetch(issue_and_dispatch(self.rob, limits))
                 self.cycle += 1
                 self.stats.cycles += 1
                 if self.cycle > max_cycles:
@@ -171,19 +149,18 @@ class IntegratedSimulator:
         word = int.from_bytes(self.executable.text[offset:offset + 4], "big")
         return decode(word, address)
 
-    def _fetch(self) -> None:
+    def _fetch(self, unresolved: int) -> None:
+        """Fetch one group; *unresolved* is the number of conditional
+        branches in flight that have not resolved."""
         if self.fetch_halted or self.fetch_stalled or self.fetch_pc is None:
             return
         params = self.params
         fetched = 0
-        unresolved = sum(
-            1 for e in self.rob
-            if e.is_cond_branch and e.stage is not Stage.DONE
-        )
         while (fetched < params.fetch_width
                and len(self.rob) < params.iq_capacity):
             instr = self._fetch_decode(self.fetch_pc)
-            if instr.is_conditional_branch:
+            facts = instr.static
+            if facts.is_cond:
                 if unresolved >= params.max_spec_branches:
                     break
                 unresolved += 1
@@ -192,7 +169,7 @@ class IntegratedSimulator:
             self.rob.append(entry)
             fetched += 1
             self.fetched_instructions += 1
-            if entry.is_halt:
+            if facts.is_halt:
                 self.fetch_halted = True
                 self.fetch_pc = None
                 break
@@ -211,18 +188,19 @@ class IntegratedSimulator:
         interpreter = self.interpreter
         state = self.state
         instr = entry.instr
+        facts = instr.static
         state.pc = instr.address
-        if entry.is_halt:
+        if facts.is_halt:
             state.halted = True
             return
         interpreter.step()
         state.instret -= 1  # retirement is counted by the timing model
         entry.next_pc = state.pc
-        if instr.is_mem:
+        if facts.queue == QUEUE_ADDR:
             entry.mem_addr = interpreter.last_mem_addr
             entry.mem_width = interpreter.last_mem_width
             entry.store_undo = interpreter.last_store_old
-        if instr.is_conditional_branch:
+        if facts.is_cond:
             entry.actual_taken = interpreter.last_taken
             entry.pred_taken = self.predictor.predict_and_update(
                 instr.address, entry.actual_taken
@@ -240,87 +218,90 @@ class IntegratedSimulator:
 
     def _next_fetch_pc(self, entry: _RobEntry) -> Optional[int]:
         instr = entry.instr
-        if instr.is_indirect_jump:
+        facts = instr.static
+        if facts.is_indirect:
             return None  # stall until the jump executes
-        if entry.is_cond_branch:
+        if facts.is_cond:
             return instr.target if entry.pred_taken else instr.address + 4
         return entry.next_pc
 
     # -- retire ---------------------------------------------------------------
 
     def _retire(self) -> bool:
-        count = 0
-        while (count < self.params.retire_width and count < len(self.rob)
-               and self.rob[count].stage is Stage.DONE):
-            count += 1
-        if not count:
-            return False
-        retired = self.rob[:count]
-        del self.rob[:count]
+        rob = self.rob
         stats = self.stats
-        stats.retired_instructions += count
-        for entry in retired:
-            if entry.is_load:
+        retire_width = self.params.retire_width
+        count = 0
+        halted = False
+        for entry in rob:
+            if count == retire_width or entry.stage is not DONE:
+                break
+            count += 1
+            facts = entry.instr.static
+            if facts.is_load:
                 stats.retired_loads += 1
-            elif entry.is_store:
+            elif facts.is_store:
                 stats.retired_stores += 1
-            if entry.is_cond_branch:
+            elif facts.is_cond:
                 stats.retired_branches += 1
-        return any(e.is_halt for e in retired)
+            elif facts.is_halt:
+                halted = True
+        if count:
+            del rob[:count]
+            stats.retired_instructions += count
+        return halted
 
     # -- execution progress ------------------------------------------------------
 
     def _progress_execution(self) -> None:
-        index = 0
-        while index < len(self.rob):
-            entry = self.rob[index]
+        for index, entry in enumerate(self.rob):
             stage = entry.stage
-            if stage is Stage.EXEC:
-                entry.timer -= 1
-                if entry.timer <= 0:
+            if stage is EXEC:
+                entry.timer = timer = entry.timer - 1
+                if timer <= 0:
                     self._complete(index, entry)
-            elif stage is Stage.CACHE:
-                entry.timer -= 1
-                if entry.timer <= 0:
+            elif stage is CACHE:
+                entry.timer = timer = entry.timer - 1
+                if timer <= 0:
                     reply = self.cache.poll_load(entry.token, self.cycle)
                     if reply == 0:
-                        entry.stage = Stage.DONE
+                        entry.stage = DONE
                     else:
                         entry.timer = reply
-            elif stage is Stage.STWAIT:
-                entry.timer -= 1
-                if entry.timer <= 0:
-                    entry.stage = Stage.DONE
-            index += 1
+            elif stage is STWAIT:
+                entry.timer = timer = entry.timer - 1
+                if timer <= 0:
+                    entry.stage = DONE
 
     def _complete(self, index: int, entry: _RobEntry) -> None:
-        if entry.is_load:
+        facts = entry.instr.static
+        if facts.is_load:
             token, interval = self.cache.issue_load(
                 entry.mem_addr, entry.mem_width, self.cycle
             )
             entry.token = token
-            entry.stage = Stage.CACHE
+            entry.stage = CACHE
             entry.timer = interval
             return
-        if entry.is_store:
+        if facts.is_store:
             interval = self.cache.issue_store(
                 entry.mem_addr, entry.mem_width, self.cycle
             )
-            entry.stage = Stage.STWAIT
+            entry.stage = STWAIT
             entry.timer = interval
             return
-        if entry.is_cond_branch and entry.mispredicted:
+        if facts.is_cond and entry.mispredicted:
             self._rollback(index, entry)
             return
-        entry.stage = Stage.DONE
-        if (entry.instr.is_indirect_jump and self.fetch_stalled
+        entry.stage = DONE
+        if (facts.is_indirect and self.fetch_stalled
                 and index == len(self.rob) - 1):
             self.fetch_stalled = False
             self.fetch_pc = entry.next_pc
 
     def _rollback(self, index: int, entry: _RobEntry) -> None:
         """Mispredicted branch resolved: squash and restore state."""
-        entry.stage = Stage.DONE
+        entry.stage = DONE
         entry.mispredicted = False
         squashed = self.rob[index + 1:]
         del self.rob[index + 1:]
@@ -343,158 +324,3 @@ class IntegratedSimulator:
         )
         self.fetch_stalled = False
         self.fetch_halted = False
-
-    # -- issue --------------------------------------------------------------------
-
-    def _issue(self) -> None:
-        params = self.params
-        int_slots = params.int_alus
-        fp_slots = params.fp_units
-        agen_slots = params.agen_units
-        muldiv_busy = any(
-            e.stage is Stage.EXEC and e.iclass in _MULDIV for e in self.rob
-        )
-        fdiv_busy = any(
-            e.stage is Stage.EXEC and e.iclass in _FDIVSQRT for e in self.rob
-        )
-        undone_int = set()
-        undone_fp = set()
-        icc_undone = False
-        fcc_undone = False
-        stores_unissued = 0
-        branch_unresolved = False
-
-        for entry in self.rob:
-            if entry.stage is Stage.QUEUE:
-                issued = self._try_issue(
-                    entry, undone_int, undone_fp, icc_undone, fcc_undone,
-                    stores_unissued, branch_unresolved, int_slots, fp_slots,
-                    agen_slots, muldiv_busy, fdiv_busy,
-                )
-                if issued:
-                    iclass = entry.iclass
-                    if iclass in ADDR_QUEUE_CLASSES:
-                        agen_slots -= 1
-                    elif iclass in FP_QUEUE_CLASSES:
-                        fp_slots -= 1
-                        if iclass in _FDIVSQRT:
-                            fdiv_busy = True
-                    else:
-                        int_slots -= 1
-                        if iclass in _MULDIV:
-                            muldiv_busy = True
-            if entry.stage is not Stage.DONE:
-                instr = entry.instr
-                dest = instr.int_dest()
-                if dest is not None:
-                    undone_int.add(dest)
-                fp_dest = instr.fp_dest()
-                if fp_dest is not None:
-                    undone_fp.add(fp_dest)
-                info = instr.info
-                if info.sets_icc:
-                    icc_undone = True
-                if info.sets_fcc:
-                    fcc_undone = True
-                if entry.is_cond_branch:
-                    branch_unresolved = True
-            if entry.is_store and entry.stage in (Stage.QUEUE, Stage.EXEC):
-                stores_unissued += 1
-
-    def _try_issue(self, entry, undone_int, undone_fp, icc_undone,
-                   fcc_undone, stores_unissued, branch_unresolved,
-                   int_slots, fp_slots, agen_slots,
-                   muldiv_busy, fdiv_busy) -> bool:
-        instr = entry.instr
-        info = instr.info
-        for reg in instr.int_sources():
-            if reg in undone_int:
-                return False
-        for reg in instr.fp_sources():
-            if reg in undone_fp:
-                return False
-        if info.reads_icc and icc_undone:
-            return False
-        if info.reads_fcc and fcc_undone:
-            return False
-        iclass = entry.iclass
-        if iclass in ADDR_QUEUE_CLASSES:
-            if agen_slots <= 0:
-                return False
-            if entry.is_load and stores_unissued:
-                return False
-            if entry.is_store and branch_unresolved:
-                return False
-            entry.stage = Stage.EXEC
-            entry.timer = LAT_AGEN
-            return True
-        if iclass in FP_QUEUE_CLASSES:
-            if fp_slots <= 0:
-                return False
-            if iclass in _FDIVSQRT and fdiv_busy:
-                return False
-            entry.stage = Stage.EXEC
-            entry.timer = info.latency
-            return True
-        if int_slots <= 0:
-            return False
-        if iclass in _MULDIV and muldiv_busy:
-            return False
-        entry.stage = Stage.EXEC
-        entry.timer = info.latency
-        return True
-
-    # -- dispatch --------------------------------------------------------------------
-
-    def _dispatch(self) -> None:
-        params = self.params
-        int_q = fp_q = addr_q = 0
-        int_renames = fp_renames = 0
-        for entry in self.rob:
-            iclass = entry.iclass
-            if entry.stage is Stage.QUEUE:
-                if iclass in ADDR_QUEUE_CLASSES:
-                    addr_q += 1
-                elif iclass in FP_QUEUE_CLASSES:
-                    fp_q += 1
-                else:
-                    int_q += 1
-            elif (iclass in ADDR_QUEUE_CLASSES
-                  and entry.stage in (Stage.EXEC, Stage.CACHE, Stage.STWAIT)):
-                addr_q += 1
-            if entry.stage is not Stage.FETCHED:
-                if entry.instr.int_dest() is not None:
-                    int_renames += 1
-                if entry.instr.fp_dest() is not None:
-                    fp_renames += 1
-
-        dispatched = 0
-        for entry in self.rob:
-            if entry.stage is not Stage.FETCHED:
-                continue
-            if dispatched >= params.decode_width:
-                break
-            instr = entry.instr
-            iclass = entry.iclass
-            if iclass in ADDR_QUEUE_CLASSES:
-                if addr_q >= params.addr_queue:
-                    break
-                addr_q += 1
-            elif iclass in FP_QUEUE_CLASSES:
-                if fp_q >= params.fp_queue:
-                    break
-                fp_q += 1
-            else:
-                if int_q >= params.int_queue:
-                    break
-                int_q += 1
-            if instr.int_dest() is not None:
-                if int_renames >= params.int_renames:
-                    break
-                int_renames += 1
-            if instr.fp_dest() is not None:
-                if fp_renames >= params.fp_renames:
-                    break
-                fp_renames += 1
-            entry.stage = Stage.QUEUE
-            dispatched += 1

@@ -20,6 +20,13 @@ Two properties are load-bearing for memoization (paper §4.1):
    behaviour is a deterministic function of (iQ state, outcome
    sequence). That is what the p-action cache records and replays.
 
+A cycle walks ``iq.entries`` twice (docs/performance.md, "detailed
+pipeline"): once to advance executing entries — the walk that yields —
+and once in :func:`issue_and_dispatch`, which is yield-free and shared
+with :class:`repro.sim.baseline.IntegratedSimulator`. Everything either
+walk asks about an instruction comes from its cached
+:class:`~repro.isa.instruction.StaticFacts`.
+
 Model simplifications (documented in DESIGN.md): in-order dispatch
 stalls at the first blocked instruction; multiply/divide share one
 non-pipelined slot (as do FP divide/sqrt); loads may not issue to the
@@ -31,16 +38,16 @@ FastSim does.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Optional, Tuple
 
 from repro.emulator.queues import ControlKind, ControlRecord
 from repro.errors import SimulationError
-from repro.isa.opcodes import InstrClass, LAT_AGEN
+from repro.isa.instruction import QUEUE_ADDR
 from repro.isa.program import Executable
 from repro.uarch.interactions import (
-    CycleBoundary,
-    Finished,
-    GetControl,
+    CYCLE_BOUNDARY,
+    FINISHED,
+    GET_CONTROL,
     IssueLoad,
     IssueStore,
     PollLoad,
@@ -49,18 +56,115 @@ from repro.uarch.interactions import (
     Rollback,
 )
 from repro.uarch.iq import (
-    ADDR_QUEUE_CLASSES,
-    FP_QUEUE_CLASSES,
+    CACHE,
+    DONE,
+    EXEC,
+    FETCHED,
+    QUEUE,
+    STWAIT,
     IQEntry,
     InstructionQueue,
-    Stage,
 )
 from repro.uarch.params import ProcessorParams
 
-#: Instruction classes that share the single multiply/divide slot.
-_MULDIV = (InstrClass.IMUL, InstrClass.IDIV)
-#: Instruction classes that share the single FP divide/sqrt slot.
-_FDIVSQRT = (InstrClass.FDIV, InstrClass.FSQRT)
+
+def scan_limits(params: ProcessorParams) -> Tuple:
+    """The parameters :func:`issue_and_dispatch` consults, flattened
+    once per run: functional units and issue-queue sizes indexed by
+    queue kind, the two rename budgets, and the decode width."""
+    return (
+        (params.int_alus, params.fp_units, params.agen_units),
+        (params.int_queue, params.fp_queue, params.addr_queue),
+        params.int_renames, params.fp_renames, params.decode_width,
+    )
+
+
+def _serial_unit_busy(entries, unit: int) -> bool:
+    """True while an instruction occupies non-pipelined unit *unit*."""
+    for entry in entries:
+        if entry.stage is EXEC and entry.instr.static.serial_unit == unit:
+            return True
+    return False
+
+
+def _tally(entries) -> Tuple[int, int, int]:
+    """``(loads, stores, control-record consumers)`` among *entries* —
+    over the entries older than some position these are its ordinals."""
+    loads = stores = controls = 0
+    for entry in entries:
+        facts = entry.instr.static
+        if facts.is_load:
+            loads += 1
+        elif facts.is_store:
+            stores += 1
+        elif facts.consumes_control:
+            controls += 1
+    return loads, stores, controls
+
+
+def issue_and_dispatch(entries, limits: Tuple) -> int:
+    """One cycle's issue and decode/dispatch over *entries* (oldest
+    first; anything with ``instr``/``stage``/``timer``), in one walk.
+
+    Issue is oldest-first out of the three queues: an entry leaves
+    QUEUE for EXEC when no older in-flight instruction still produces
+    one of its sources, a unit of its kind is free this cycle, and —
+    for mul/div and FP div/sqrt — the shared non-pipelined unit is
+    idle. The scoreboard is an integer bitmask
+    (:class:`~repro.isa.instruction.StaticFacts` gives each
+    instruction's source and destination bits, the two address-blind
+    memory-ordering rules included). Fetched entries are always the
+    youngest, so by the time the walk reaches them the occupancy of
+    every issue queue and rename file is known and they dispatch in
+    order, stalling at the first one that does not fit.
+
+    Returns the number of unresolved conditional branches, which bounds
+    how far fetch may speculate.
+    """
+    units, queue_sizes, int_rename_limit, fp_rename_limit, room = limits
+    free = list(units)
+    held = [0, 0, 0]  # issue-queue slots in use, by queue kind
+    int_renames = fp_renames = 0
+    undone = 0  # scoreboard bits with an older in-flight producer
+    unresolved = 0
+    for entry in entries:
+        stage = entry.stage
+        facts = entry.instr.static
+        if stage is DONE:
+            int_renames += facts.int_dests
+            fp_renames += facts.fp_dests
+            continue
+        if facts.is_cond:
+            unresolved += 1
+        queue = facts.queue
+        if stage is FETCHED:
+            if not room:
+                continue
+            if (held[queue] >= queue_sizes[queue]
+                    or (facts.int_dests and int_renames >= int_rename_limit)
+                    or (facts.fp_dests and fp_renames >= fp_rename_limit)):
+                room = 0  # in-order: nothing younger dispatches either
+                continue
+            entry.stage = QUEUE
+            room -= 1
+            held[queue] += 1
+        elif (stage is QUEUE and not facts.src_mask & undone and free[queue]
+              and not (facts.serial_unit
+                       and _serial_unit_busy(entries, facts.serial_unit))):
+            entry.stage = EXEC
+            entry.timer = facts.latency
+            free[queue] -= 1
+            if queue == QUEUE_ADDR:
+                held[queue] += 1
+        elif stage is QUEUE or queue == QUEUE_ADDR:
+            # Address-queue entries keep their slot until completion.
+            held[queue] += 1
+            if stage is STWAIT:
+                continue  # issued to the cache: no longer a pending store
+        int_renames += facts.int_dests
+        fp_renames += facts.fp_dests
+        undone |= facts.dst_mask
+    return unresolved
 
 
 class DetailedSimulator:
@@ -103,330 +207,156 @@ class DetailedSimulator:
 
         Yields :class:`Request` objects; the driver must ``send()`` the
         outcome (or None for outcome-less requests).
+
+        A cycle is retire, one walk that advances executing entries
+        (the only phase besides fetch that talks to the world),
+        :func:`issue_and_dispatch`, then fetch. Nothing but the iQ and
+        the three fetch attributes survives from one cycle to the next.
         """
+        params = self.params
+        instruction_at = self.executable.instruction_at
+        limits = scan_limits(params)
+        retire_width = params.retire_width
+        fetch_width = params.fetch_width
+        max_spec_branches = params.max_spec_branches
+        capacity = params.iq_capacity
         while True:
-            finished = yield from self._step_cycle()
-            yield CycleBoundary()
-            if finished:
-                yield Finished()
-                return
+            entries = self.iq.entries
 
-    # ------------------------------------------------------------------
-    # One cycle
-    # ------------------------------------------------------------------
+            # -- retire: the oldest DONE entries, in order ----------------
+            count = loads = stores = controls = branches = 0
+            halted = False
+            for entry in entries:
+                if count == retire_width or entry.stage is not DONE:
+                    break
+                count += 1
+                facts = entry.instr.static
+                if facts.is_load:
+                    loads += 1
+                elif facts.is_store:
+                    stores += 1
+                elif facts.consumes_control:
+                    controls += 1
+                    if facts.is_cond:
+                        branches += 1
+                    elif facts.is_halt:
+                        halted = True
+            if count:
+                del entries[:count]
+                yield Retire(count, loads, stores, controls, branches)
+                if halted:
+                    if entries:
+                        raise SimulationError(
+                            "halt retired with younger instructions in flight"
+                        )
+                    yield CYCLE_BOUNDARY
+                    yield FINISHED
+                    return
 
-    def _step_cycle(self):
-        finished = yield from self._retire()
-        if finished:
-            return True
-        yield from self._progress_execution()
-        self._issue()
-        self._dispatch()
-        yield from self._fetch()
-        return False
-
-    # -- phase 1: retire --------------------------------------------------
-
-    def _retire(self):
-        iq = self.iq
-        count = 0
-        while (count < self.params.retire_width and count < len(iq)
-               and iq[count].stage is Stage.DONE):
-            count += 1
-        if not count:
-            return False
-        retired = iq.retire_head(count)
-        loads = sum(1 for e in retired if e.is_load)
-        stores = sum(1 for e in retired if e.is_store)
-        controls = sum(1 for e in retired if e.consumes_control)
-        branches = sum(1 for e in retired if e.is_cond_branch)
-        halted = any(e.is_halt for e in retired)
-        yield Retire(count, loads, stores, controls, branches)
-        if halted:
-            if len(iq):
-                raise SimulationError(
-                    "halt retired with younger instructions in flight"
-                )
-            return True
-        return False
-
-    # -- phase 2: execution progress ---------------------------------------
-
-    def _progress_execution(self):
-        iq = self.iq
-        index = 0
-        while index < len(iq.entries):
-            entry = iq.entries[index]
-            stage = entry.stage
-            if stage is Stage.EXEC:
-                entry.timer -= 1
-                if entry.timer <= 0:
-                    yield from self._complete_execution(index, entry)
-            elif stage is Stage.CACHE:
-                entry.timer -= 1
-                if entry.timer <= 0:
-                    reply = yield PollLoad(iq.load_ordinal(index))
-                    if reply == 0:
-                        entry.stage = Stage.DONE
+            # -- execution progress ---------------------------------------
+            for index, entry in enumerate(entries):
+                stage = entry.stage
+                if stage is EXEC:
+                    entry.timer = timer = entry.timer - 1
+                    if timer > 0:
+                        continue
+                    facts = entry.instr.static
+                    if facts.is_load:
+                        interval = yield IssueLoad(_tally(entries[:index])[0])
+                        entry.stage = CACHE
+                        entry.timer = interval
+                    elif facts.is_store:
+                        interval = yield IssueStore(_tally(entries[:index])[1])
+                        entry.stage = STWAIT
+                        entry.timer = interval
+                    elif facts.is_cond and entry.mispredicted:
+                        entry.stage = DONE
+                        # From now on the stored bit describes the
+                        # (corrected) fetch path.
+                        entry.pred_taken = taken = not entry.pred_taken
+                        entry.mispredicted = False
+                        control_ordinal = _tally(entries[:index])[2]
+                        squashed = entries[index + 1:]
+                        del entries[index + 1:]
+                        yield Rollback(control_ordinal, *_tally(squashed))
+                        instr = entry.instr
+                        self.fetch_pc = (instr.target if taken
+                                         else instr.fall_through)
+                        self.fetch_stalled = False
+                        self.fetch_halted = False
                     else:
-                        entry.timer = reply
-            elif stage is Stage.STWAIT:
-                entry.timer -= 1
-                if entry.timer <= 0:
-                    entry.stage = Stage.DONE
-            index += 1
+                        entry.stage = DONE
+                        if (facts.is_indirect and self.fetch_stalled
+                                and index == len(entries) - 1):
+                            # Fetch was waiting on this jump's target.
+                            self.fetch_stalled = False
+                            self.fetch_pc = entry.jump_target
+                elif stage is CACHE:
+                    entry.timer = timer = entry.timer - 1
+                    if timer <= 0:
+                        reply = yield PollLoad(_tally(entries[:index])[0])
+                        if reply == 0:
+                            entry.stage = DONE
+                        else:
+                            entry.timer = reply
+                elif stage is STWAIT:
+                    entry.timer = timer = entry.timer - 1
+                    if timer <= 0:
+                        entry.stage = DONE
 
-    def _complete_execution(self, index: int, entry: IQEntry):
-        iq = self.iq
-        if entry.is_load:
-            interval = yield IssueLoad(iq.load_ordinal(index))
-            entry.stage = Stage.CACHE
-            entry.timer = interval
-            return
-        if entry.is_store:
-            interval = yield IssueStore(iq.store_ordinal(index))
-            entry.stage = Stage.STWAIT
-            entry.timer = interval
-            return
-        if entry.is_cond_branch and entry.mispredicted:
-            yield from self._resolve_misprediction(index, entry)
-            return
-        entry.stage = Stage.DONE
-        if entry.is_indirect and self.fetch_stalled and index == len(iq) - 1:
-            # Fetch was waiting on this jump's target.
-            self.fetch_stalled = False
-            self.fetch_pc = entry.jump_target
+            unresolved = issue_and_dispatch(entries, limits)
 
-    def _resolve_misprediction(self, index: int, entry: IQEntry):
-        iq = self.iq
-        entry.stage = Stage.DONE
-        actual_taken = not entry.pred_taken
-        # From now on the stored bit describes the (corrected) fetch path.
-        entry.pred_taken = actual_taken
-        entry.mispredicted = False
-        control_ordinal = iq.control_ordinal(index)
-        squashed = iq.squash_after(index)
-        yield Rollback(
-            control_ordinal,
-            squashed_loads=sum(1 for e in squashed if e.is_load),
-            squashed_stores=sum(1 for e in squashed if e.is_store),
-            squashed_controls=sum(1 for e in squashed if e.consumes_control),
-        )
-        instr = entry.instr
-        self.fetch_pc = instr.target if actual_taken else instr.fall_through
-        self.fetch_stalled = False
-        self.fetch_halted = False
+            # -- fetch ----------------------------------------------------
+            pc = self.fetch_pc
+            if pc is not None and not (self.fetch_stalled
+                                       or self.fetch_halted):
+                room = min(fetch_width, capacity - len(entries))
+                while room > 0:
+                    instr = instruction_at(pc)
+                    facts = instr.static
+                    if facts.is_cond:
+                        if unresolved >= max_spec_branches:
+                            break  # speculation limit: wait for one
+                        unresolved += 1
+                    entry = IQEntry(instr)
+                    if facts.consumes_control:
+                        record = yield GET_CONTROL
+                        self._apply_control_record(entry, record)
+                    entries.append(entry)
+                    room -= 1
+                    if facts.is_halt:
+                        self.fetch_halted = True
+                        self.fetch_pc = None
+                        break
+                    if facts.is_indirect:
+                        self.fetch_stalled = True  # until the jump executes
+                        self.fetch_pc = None
+                        break
+                    fall_through = instr.fall_through
+                    if facts.is_cond and not entry.pred_taken:
+                        pc = fall_through
+                    else:  # ba / call have a single static target
+                        pc = instr.target
+                        if pc is None:
+                            pc = fall_through
+                    self.fetch_pc = pc
+                    if pc != fall_through:
+                        break  # a fetch group ends at a taken transfer
 
-    # -- phase 3: issue ------------------------------------------------------
-
-    def _issue(self) -> None:
-        params = self.params
-        iq = self.iq
-        int_slots = params.int_alus
-        fp_slots = params.fp_units
-        agen_slots = params.agen_units
-        muldiv_busy = any(
-            e.stage is Stage.EXEC and e.iclass in _MULDIV for e in iq.entries
-        )
-        fdiv_busy = any(
-            e.stage is Stage.EXEC and e.iclass in _FDIVSQRT
-            for e in iq.entries
-        )
-        undone_int = set()
-        undone_fp = set()
-        icc_undone = False
-        fcc_undone = False
-        stores_unissued = 0
-        branch_unresolved = False
-
-        for entry in iq.entries:
-            if entry.stage is Stage.QUEUE:
-                if self._try_issue(
-                    entry, undone_int, undone_fp, icc_undone, fcc_undone,
-                    stores_unissued, branch_unresolved,
-                    int_slots, fp_slots, agen_slots, muldiv_busy, fdiv_busy,
-                ):
-                    iclass = entry.iclass
-                    if iclass in ADDR_QUEUE_CLASSES:
-                        agen_slots -= 1
-                    elif iclass in FP_QUEUE_CLASSES:
-                        fp_slots -= 1
-                        if iclass in _FDIVSQRT:
-                            fdiv_busy = True
-                    else:
-                        int_slots -= 1
-                        if iclass in _MULDIV:
-                            muldiv_busy = True
-            # Scan-state updates (after considering this entry for issue).
-            if entry.stage is not Stage.DONE:
-                instr = entry.instr
-                dest = instr.int_dest()
-                if dest is not None:
-                    undone_int.add(dest)
-                fp_dest = instr.fp_dest()
-                if fp_dest is not None:
-                    undone_fp.add(fp_dest)
-                info = instr.info
-                if info.sets_icc:
-                    icc_undone = True
-                if info.sets_fcc:
-                    fcc_undone = True
-                if entry.is_cond_branch:
-                    branch_unresolved = True
-            if entry.is_store and entry.stage in (Stage.QUEUE, Stage.EXEC):
-                stores_unissued += 1
-
-    def _try_issue(self, entry, undone_int, undone_fp, icc_undone,
-                   fcc_undone, stores_unissued, branch_unresolved,
-                   int_slots, fp_slots, agen_slots,
-                   muldiv_busy, fdiv_busy) -> bool:
-        """Issue *entry* if operands, ordering, and a unit allow. Returns
-        True when the entry moved to EXEC."""
-        instr = entry.instr
-        info = instr.info
-        # Operand readiness: every source must have no in-flight producer.
-        for reg in instr.int_sources():
-            if reg in undone_int:
-                return False
-        for reg in instr.fp_sources():
-            if reg in undone_fp:
-                return False
-        if info.reads_icc and icc_undone:
-            return False
-        if info.reads_fcc and fcc_undone:
-            return False
-
-        iclass = entry.iclass
-        if iclass in ADDR_QUEUE_CLASSES:
-            if agen_slots <= 0:
-                return False
-            if entry.is_load and stores_unissued:
-                return False  # address-blind ordering: wait for stores
-            if entry.is_store and branch_unresolved:
-                return False  # stores never issue speculatively
-            entry.stage = Stage.EXEC
-            entry.timer = LAT_AGEN
-            return True
-        if iclass in FP_QUEUE_CLASSES:
-            if fp_slots <= 0:
-                return False
-            if iclass in _FDIVSQRT and fdiv_busy:
-                return False
-            entry.stage = Stage.EXEC
-            entry.timer = info.latency
-            return True
-        # Integer queue classes (ALU, mul/div, branches, jumps, nop, halt).
-        if int_slots <= 0:
-            return False
-        if iclass in _MULDIV and muldiv_busy:
-            return False
-        entry.stage = Stage.EXEC
-        entry.timer = info.latency
-        return True
-
-    # -- phase 4: dispatch (decode) --------------------------------------------
-
-    def _dispatch(self) -> None:
-        params = self.params
-        iq = self.iq
-        int_q = fp_q = addr_q = 0
-        int_renames = fp_renames = 0
-        for entry in iq.entries:
-            iclass = entry.iclass
-            if entry.stage is Stage.QUEUE:
-                if iclass in ADDR_QUEUE_CLASSES:
-                    addr_q += 1
-                elif iclass in FP_QUEUE_CLASSES:
-                    fp_q += 1
-                else:
-                    int_q += 1
-            elif (iclass in ADDR_QUEUE_CLASSES
-                  and entry.stage in (Stage.EXEC, Stage.CACHE, Stage.STWAIT)):
-                # Address-queue entries are held until completion.
-                addr_q += 1
-            if entry.stage is not Stage.FETCHED:
-                if entry.instr.int_dest() is not None:
-                    int_renames += 1
-                if entry.instr.fp_dest() is not None:
-                    fp_renames += 1
-
-        dispatched = 0
-        for entry in iq.entries:
-            if entry.stage is not Stage.FETCHED:
-                continue
-            if dispatched >= params.decode_width:
-                break
-            instr = entry.instr
-            iclass = entry.iclass
-            if iclass in ADDR_QUEUE_CLASSES:
-                if addr_q >= params.addr_queue:
-                    break
-                addr_q += 1
-            elif iclass in FP_QUEUE_CLASSES:
-                if fp_q >= params.fp_queue:
-                    break
-                fp_q += 1
-            else:
-                if int_q >= params.int_queue:
-                    break
-                int_q += 1
-            if instr.int_dest() is not None:
-                if int_renames >= params.int_renames:
-                    break
-                int_renames += 1
-            if instr.fp_dest() is not None:
-                if fp_renames >= params.fp_renames:
-                    break
-                fp_renames += 1
-            entry.stage = Stage.QUEUE
-            dispatched += 1
-
-    # -- phase 5: fetch -----------------------------------------------------------
-
-    def _fetch(self):
-        if self.fetch_halted or self.fetch_stalled or self.fetch_pc is None:
-            return
-        params = self.params
-        iq = self.iq
-        fetched = 0
-        unresolved = iq.unresolved_branches()
-        while fetched < params.fetch_width and not iq.full:
-            instr = self.executable.instruction_at(self.fetch_pc)
-            if instr.is_conditional_branch:
-                if unresolved >= params.max_spec_branches:
-                    break  # speculation limit: stall until one resolves
-                unresolved += 1
-            entry = IQEntry(instr)
-            if entry.consumes_control:
-                record = yield GetControl()
-                self._apply_control_record(entry, record)
-            iq.append(entry)
-            fetched += 1
-            if entry.is_halt:
-                self.fetch_halted = True
-                self.fetch_pc = None
-                break
-            next_pc = entry.next_fetch_address()
-            if next_pc is None:
-                self.fetch_stalled = True  # unresolved indirect jump
-                self.fetch_pc = None
-                break
-            taken_transfer = next_pc != instr.fall_through
-            self.fetch_pc = next_pc
-            if taken_transfer:
-                break  # one fetch group does not follow a taken branch
+            yield CYCLE_BOUNDARY
 
     def _apply_control_record(self, entry: IQEntry,
                               record: ControlRecord) -> None:
         instr = entry.instr
-        if entry.is_cond_branch:
+        facts = instr.static
+        if facts.is_cond:
             if record.kind is not ControlKind.COND or record.pc != instr.address:
                 raise SimulationError(
                     f"control record mismatch at 0x{instr.address:x}: {record}"
                 )
             entry.pred_taken = record.predicted_taken
             entry.mispredicted = record.mispredicted
-        elif entry.is_indirect:
+        elif facts.is_indirect:
             if record.kind is not ControlKind.INDIRECT or record.pc != instr.address:
                 raise SimulationError(
                     f"control record mismatch at 0x{instr.address:x}: {record}"

@@ -130,3 +130,10 @@ class Finished(Request):
     """The halt instruction retired and the pipeline drained."""
 
     __slots__ = ()
+
+
+#: Requests without fields carry no per-yield data, so the detailed
+#: simulator yields these shared instances.
+GET_CONTROL = GetControl()
+CYCLE_BOUNDARY = CycleBoundary()
+FINISHED = Finished()

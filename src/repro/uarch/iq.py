@@ -41,19 +41,9 @@ class Stage(enum.IntEnum):
     DONE = 5  #: complete; waiting to retire in order
 
 
-#: Instruction classes dispatched to the integer queue.
-INT_QUEUE_CLASSES = frozenset({
-    InstrClass.IALU, InstrClass.IMUL, InstrClass.IDIV,
-    InstrClass.BRANCH, InstrClass.JUMP, InstrClass.NOP, InstrClass.HALT,
-})
+#: The stages as module globals, for the per-entry-per-cycle loops.
+FETCHED, QUEUE, EXEC, CACHE, STWAIT, DONE = Stage
 
-#: Instruction classes dispatched to the floating-point queue.
-FP_QUEUE_CLASSES = frozenset({
-    InstrClass.FALU, InstrClass.FMUL, InstrClass.FDIV, InstrClass.FSQRT,
-})
-
-#: Instruction classes dispatched to the address queue.
-ADDR_QUEUE_CLASSES = frozenset({InstrClass.LOAD, InstrClass.STORE})
 
 #: Largest timer value the 11-bit encoded form can hold.
 MAX_TIMER = (1 << 11) - 1
@@ -95,28 +85,6 @@ class IQEntry:
     def is_indirect(self) -> bool:
         return self.instr.is_indirect_jump
 
-    @property
-    def is_halt(self) -> bool:
-        return self.instr.iclass is InstrClass.HALT
-
-    @property
-    def consumes_control(self) -> bool:
-        """True if fetch consumed a control record for this instruction."""
-        return self.is_cond_branch or self.is_indirect or self.is_halt
-
-    @property
-    def is_load(self) -> bool:
-        return self.instr.is_load
-
-    @property
-    def is_store(self) -> bool:
-        return self.instr.is_store
-
-    @property
-    def resolved(self) -> bool:
-        """A conditional branch counts as speculative until DONE."""
-        return self.stage is Stage.DONE
-
     def next_fetch_address(self) -> Optional[int]:
         """Where fetch continues after this instruction.
 
@@ -124,12 +92,13 @@ class IQEntry:
         or stop (halt).
         """
         instr = self.instr
-        if self.is_halt:
+        facts = instr.static
+        if facts.is_halt:
             return None
-        if self.is_cond_branch:
+        if facts.is_cond:
             return instr.target if self.pred_taken else instr.fall_through
-        if self.is_indirect:
-            if self.stage is Stage.DONE:
+        if facts.is_indirect:
+            if self.stage is DONE:
                 return self.jump_target
             return None  # fetch stalls until the jump executes
         if instr.target is not None:  # ba / call: single static target
@@ -173,52 +142,5 @@ class InstructionQueue:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, index: int) -> IQEntry:
-        return self.entries[index]
-
-    @property
-    def full(self) -> bool:
-        return len(self.entries) >= self.capacity
-
-    def append(self, entry: IQEntry) -> None:
-        self.entries.append(entry)
-
-    def retire_head(self, count: int) -> List[IQEntry]:
-        """Remove and return the *count* oldest entries."""
-        retired = self.entries[:count]
-        del self.entries[:count]
-        return retired
-
-    def squash_after(self, index: int) -> List[IQEntry]:
-        """Drop every entry younger than position *index*."""
-        squashed = self.entries[index + 1:]
-        del self.entries[index + 1:]
-        return squashed
-
     def extend(self, entries: Iterable[IQEntry]) -> None:
-        for entry in entries:
-            self.append(entry)
-
-    def load_ordinal(self, index: int) -> int:
-        """Number of loads at positions strictly before *index*."""
-        return sum(1 for e in self.entries[:index] if e.is_load)
-
-    def store_ordinal(self, index: int) -> int:
-        """Number of stores at positions strictly before *index*."""
-        return sum(1 for e in self.entries[:index] if e.is_store)
-
-    def control_ordinal(self, index: int) -> int:
-        """Number of control-consuming entries strictly before *index*."""
-        return sum(
-            1 for e in self.entries[:index] if e.consumes_control
-        )
-
-    def unresolved_branches(self) -> int:
-        """Conditional branches still speculative (not DONE)."""
-        return sum(
-            1 for e in self.entries
-            if e.is_cond_branch and e.stage is not Stage.DONE
-        )
+        self.entries.extend(entries)

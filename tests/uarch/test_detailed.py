@@ -264,3 +264,35 @@ class TestRetireBound:
         ) + "\nhalt"
         result = simulate(src)
         assert result.ipc <= 4.0  # retire width is the IPC ceiling
+
+
+class TestSharedUnits:
+    """Multiply/divide share one non-pipelined slot, as do FP
+    divide/sqrt: independent operations on it run back to back."""
+
+    @staticmethod
+    def cycles(body):
+        return simulate(
+            "main:\nmov 40, %l0\nmov 5, %l1\n"
+            "fitod %l0, %f0\nfitod %l1, %f1\n" + body + "\nhalt"
+        ).cycles
+
+    def test_independent_divides_serialise(self):
+        one = self.cycles("sdiv %l0, %l1, %l2")
+        two = self.cycles("sdiv %l0, %l1, %l2\nsdiv %l1, %l0, %l3")
+        assert two - one >= 30  # the second waits out the first's ~34
+
+    def test_multiply_waits_for_divide(self):
+        div = self.cycles("sdiv %l0, %l1, %l2")
+        both = self.cycles("sdiv %l0, %l1, %l2\nsmul %l0, %l1, %l3")
+        assert both - div >= 5  # ~6-cycle multiply, not overlapped
+
+    def test_fp_divide_and_sqrt_share_a_unit(self):
+        div = self.cycles("fdiv %f0, %f1, %f2")
+        both = self.cycles("fdiv %f0, %f1, %f2\nfsqrt %f0, %f3")
+        assert both - div >= 15  # ~18-cycle sqrt after the divide
+
+    def test_pipelined_units_overlap(self):
+        one = self.cycles("fmul %f0, %f1, %f2")
+        two = self.cycles("fmul %f0, %f1, %f2\nfmul %f1, %f0, %f3")
+        assert two - one <= 1

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.isa import Opcode, assemble
-from repro.uarch.iq import (
+from repro.isa import assemble
+from repro.isa.instruction import (
     ADDR_QUEUE_CLASSES,
     FP_QUEUE_CLASSES,
     INT_QUEUE_CLASSES,
-    IQEntry,
-    InstructionQueue,
-    Stage,
 )
+from repro.uarch.iq import IQEntry, InstructionQueue, Stage
 
 PROGRAM = """
 main:
@@ -34,19 +32,18 @@ def entries():
 class TestIQEntry:
     def test_classification(self, entries):
         load, add, store, fadd, branch, jmpl, call, halt = entries
-        assert load.is_load and not load.is_store
-        assert store.is_store
+        assert load.instr.static.is_load and not load.instr.static.is_store
+        assert store.instr.static.is_store
         assert branch.is_cond_branch
         assert jmpl.is_indirect
-        assert halt.is_halt
+        assert halt.instr.static.is_halt
 
     def test_consumes_control(self, entries):
-        load, add, store, fadd, branch, jmpl, call, halt = entries
-        assert branch.consumes_control
-        assert jmpl.consumes_control
-        assert halt.consumes_control
-        assert not call.consumes_control  # direct target, no record
-        assert not load.consumes_control
+        consumes = [e.instr.static.consumes_control for e in entries]
+        #           ld     add    st     fadd   be    jmpl  call   halt
+        # (call has a direct target, so fetch needs no record for it)
+        assert consumes == [False, False, False, False, True, True, False,
+                            True]
 
     def test_next_fetch_address_sequential(self, entries):
         add = entries[1]
@@ -90,42 +87,9 @@ class TestIQEntry:
 class TestInstructionQueue:
     def test_capacity(self, entries):
         iq = InstructionQueue(4)
-        for entry in entries[:4]:
-            iq.append(entry)
-        assert iq.full
-        assert len(iq) == 4
-
-    def test_retire_head(self, entries):
-        iq = InstructionQueue(8)
-        iq.extend(entries[:5])
-        retired = iq.retire_head(2)
-        assert [e.instr.opcode for e in retired] == [Opcode.LD, Opcode.ADD]
-        assert len(iq) == 3
-        assert iq[0].instr.opcode is Opcode.ST
-
-    def test_squash_after(self, entries):
-        iq = InstructionQueue(8)
-        iq.extend(entries[:6])
-        squashed = iq.squash_after(2)
-        assert len(squashed) == 3
-        assert len(iq) == 3
-
-    def test_ordinals(self, entries):
-        iq = InstructionQueue(8)
-        iq.extend(entries)  # ld, add, st, fadd, be, jmpl, call, halt
-        assert iq.load_ordinal(0) == 0
-        assert iq.load_ordinal(3) == 1  # one load before position 3
-        assert iq.store_ordinal(2) == 0
-        assert iq.store_ordinal(5) == 1
-        assert iq.control_ordinal(4) == 0  # branch itself is at 4
-        assert iq.control_ordinal(7) == 2  # be + jmpl before halt
-
-    def test_unresolved_branches(self, entries):
-        iq = InstructionQueue(8)
-        iq.extend(entries)
-        assert iq.unresolved_branches() == 1
-        entries[4].stage = Stage.DONE
-        assert iq.unresolved_branches() == 0
+        iq.extend(entries[:4])
+        assert len(iq) == iq.capacity == 4
+        assert iq.entries == entries[:4]
 
 
 class TestQueueClassPartition:
