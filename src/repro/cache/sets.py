@@ -7,7 +7,7 @@ never *what* it is.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.params import CacheLevelParams
 
@@ -30,10 +30,10 @@ class TagArray:
         self._set_mask = params.num_sets - 1
         if params.num_sets & self._set_mask:
             raise ValueError(f"{params.name}: set count must be a power of two")
-        self._sets: List[List[_Way]] = [
-            [_Way() for _ in range(params.associativity)]
-            for _ in range(params.num_sets)
-        ]
+        #: set index -> ways, materialised on first touch: a run visits
+        #: a few hundred of the (tens of thousands of) sets, and a set
+        #: nobody has touched is all ``tag=None, lru=0`` by definition.
+        self._sets: Dict[int, List[_Way]] = {}
         self._clock = 0  #: monotonically increasing LRU stamp
         self.hits = 0
         self.misses = 0
@@ -46,9 +46,13 @@ class TagArray:
         return address & ~(self.params.line_size - 1)
 
     def _locate(self, line_addr: int) -> Tuple[List[_Way], int]:
-        index = (line_addr >> self._line_shift) & self._set_mask
         tag = line_addr >> self._line_shift
-        return self._sets[index], tag
+        index = tag & self._set_mask
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = [
+                _Way() for _ in range(self.params.associativity)]
+        return ways, tag
 
     # ------------------------------------------------------------------
 

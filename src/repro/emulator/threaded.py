@@ -1,18 +1,31 @@
-"""Threaded-code front-end: superblock decode into pre-bound closures.
+"""Direct-execution front-end: basic blocks as generated Python functions.
 
 FastSim's front-end is EEL-rewritten *direct execution*: straight-line
 target code runs at native speed and only control transfers return to
 the simulator. The interpreter in :mod:`repro.emulator.functional` pays
 a dictionary dispatch, an observation-field reset, and a bounds check
 per instruction instead. This module is the closest host-portable
-analogue of the rewriting step: maximal straight-line blocks are
-decoded **once** into a list of argument-free closures ("threaded
-code") with every operand — register indices, immediates, bound memory
-accessors, the record queues — resolved at decode time. Running a block
-is then just ``for op in ops: op()`` plus one batched PC/instret
-update.
+analogue of the rewriting step: each maximal straight-line block is
+translated **once** into the source of one Python function —
+``regs[3] = (regs[1] + 8) & 4294967295`` — compiled through the
+process-wide code cache (:mod:`repro.codecache`, shared with chain
+compilation) and executed into the block cache's namespace. Running a
+block is then one call plus one batched PC/instret update. ``compile()``
+is the one real cost (tens of microseconds per instruction), so a block
+earns it: until its :data:`COMPILE_AFTER`-th run its op steps the
+reference interpreter instead (:meth:`BlockCache._cold`).
 
-Equivalence contract (what makes this invisible to everything above):
+What is folded at decode time: register indices, ``%g0`` (reads are the
+literal ``0``, writes are dropped), immediates (masked or
+sign-extended exactly as :class:`Interpreter` would, then constant-
+folded by ``compile()``), shift counts, access widths and alignment
+masks, ``sethi`` values and ``call`` link addresses. Loads and stores
+are inlined down to the page ``bytearray``: ``page_of(a >> 12)``,
+``struct`` ``unpack_from``/``pack_into`` at ``a & 4095``.
+
+Equivalence contract (what makes this invisible to everything above;
+``tests/emulator/test_threaded.py`` diffs every clause against
+:meth:`Interpreter.step`, which stays the reference path):
 
 * Blocks contain no control *events* — conditional branches, ``jmpl``,
   and ``halt`` terminate decoding; ``halt`` executes through the
@@ -26,15 +39,28 @@ Equivalence contract (what makes this invisible to everything above):
   decode-time-constant link, INDIRECT record); a misaligned runtime
   target falls back to the step path so the canonical error is raised
   from unchanged state. Statically-resolved transfers are **folded
-  through**: ``ba`` and
-  ``call`` continue decoding at their (compile-time) target and ``bn``
-  at its fall-through, because none of them records a control event —
-  the frontend's step path would simply loop past them. A folded
-  ``call`` writes its link register from a decode-time constant
-  (``address + 4``), never from the live PC.
-* Thunks append the same :class:`LoadRecord`/:class:`StoreRecord`
-  entries (pre-store bytes captured before the write) the step path
-  would.
+  through**: ``ba`` and ``call`` continue decoding at their
+  (compile-time) target and ``bn`` at its fall-through, because none
+  of them records a control event — the frontend's step path would
+  simply loop past them. A folded ``call`` writes its link register
+  from a decode-time constant (``address + 4``), never from the live
+  PC.
+* Register values are unsigned 32-bit (the :class:`ArchState`
+  invariant), so ``and``/``or``/``xor``/``srl`` results need no mask
+  and ``smul`` multiplies the unsigned views: the low 32 bits of a
+  product do not depend on the signedness of its factors.
+* A memory access appends the same :class:`LoadRecord` /
+  :class:`StoreRecord` (pre-store bytes captured before the write) the
+  step path would, and touches pages in the same order: a missing page
+  is allocated by the real :meth:`Memory._page`, including for a load
+  whose destination is ``%g0``.
+* Faults are raised by the real code, never re-implemented: a
+  misaligned address calls :meth:`Memory.read_width` /
+  :meth:`Memory.write_width`, ``sdiv`` calls :func:`alu.int_sdiv`. The
+  exception propagates out of the block function before the batched
+  commit, so a mid-block fault leaves PC and instret at the block's
+  first instruction (effects of the instructions before the faulting
+  one are applied, as on the step path).
 * Nothing inside a block reads PC or instret at runtime (folded
   ``call`` links a decode-time constant), so both advance in one batch
   at block end; checkpoints are only taken at control events, which
@@ -43,21 +69,25 @@ Equivalence contract (what makes this invisible to everything above):
   budget; otherwise the caller falls back to per-instruction stepping
   so budget exhaustion raises at exactly the same instruction.
 
-The closure environment is sound across rollbacks because every
-container it binds is mutated in place: ``ArchState.restore_registers``
-assigns ``regs[:]``/``fregs[:]`` and ``RecordQueues.truncate`` uses
-``del list[n:]`` — list identities never change.
+The namespace a block function runs in is sound across rollbacks
+because every container it binds is mutated in place:
+``ArchState.restore_registers`` assigns ``regs[:]``/``fregs[:]`` and
+deletes ``output[n:]``, ``RecordQueues.truncate`` uses ``del list[n:]``,
+and memory is restored byte-wise into the existing pages — list, dict
+and ``bytearray`` identities never change.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import codecache
 from repro.emulator import alu
 from repro.emulator.functional import Interpreter, _clamp_float32
 from repro.emulator.queues import LoadRecord, StoreRecord
-from repro.emulator.state import to_signed
+from repro.emulator.state import FCC_EQ, FCC_GT, FCC_LT, FCC_UO
 from repro.errors import EmulationError
 from repro.isa.opcodes import Format, Opcode
 
@@ -69,54 +99,303 @@ _MASK32 = 0xFFFF_FFFF
 #: still commits PC/instret once per run, at block end).
 MAX_BLOCK = 256
 
-#: Control *events* end a block: conditional branches and ``jmpl``
-#: become fused terminator descriptors, ``halt`` stays on the step
-#: path — see ``_decode``.
-
-_Thunk = Callable[[], None]
-#: ``(ops, n_instructions, end_pc, terminator)`` — *terminator* is None
-#: or a fused control-event descriptor the frontend evaluates in place
-#: of a generic ``step()``:
+#: ``(ops, n_instructions, end_pc, terminator)`` — *ops* holds the one
+#: generated block function (none when the block has no effect beyond
+#: PC/instret); *terminator* is None or a fused control-event
+#: descriptor the frontend evaluates in place of a generic ``step()``:
 #: ``(TERM_COND, condition_fn, uses_fcc, address, target, fall_through)``
 #: for a conditional branch,
 #: ``(TERM_JMPL, address, rs1, rs2, imm, rd, link)`` for an indirect
 #: jump (*link* is the decode-time constant ``address + 4``).
-_Block = Tuple[Tuple[_Thunk, ...], int, int, Optional[tuple]]
+_Block = Tuple[Tuple[Callable[[], None], ...], int, int, Optional[tuple]]
 
 TERM_COND = 0
 TERM_JMPL = 1
 
-_SIMPLE_ALU = {
-    Opcode.ADD: alu.int_add,
-    Opcode.SUB: alu.int_sub,
-    Opcode.AND: alu.int_and,
-    Opcode.OR: alu.int_or,
-    Opcode.XOR: alu.int_xor,
-    Opcode.SLL: alu.int_sll,
-    Opcode.SRL: alu.int_srl,
-    Opcode.SRA: alu.int_sra,
-    Opcode.SMUL: alu.int_smul,
-    Opcode.SDIV: alu.int_sdiv,
+#: A block is compiled on its COMPILE_AFTER-th run and stepped through
+#: :meth:`Interpreter.step` before that: ``compile()`` of a block costs
+#: about as much as this many runs of it save. Measured over the 18
+#: suite programs (``tiny`` and ``test`` scale alike): 31-40 us of
+#: ``compile()`` per block instruction — an inlined load, store or
+#: ``subcc`` compiles in 30-60 us, an ``add`` in 5 — against 1.2-1.5 us
+#: saved per instruction per run (step path 2.3 us, generated 0.8-1.1).
+#: A run-once initialisation block never pays for a compile, a loop
+#: body pays for it within a few dozen iterations; at most the cost of
+#: one compile is lost either way. (Summed over 18 fork-per-job ``tiny``
+#: runs: 728 ms compiling at first sight, 695-706 ms for 16-40, 715 ms
+#: never compiling; at ``test`` scale 1545 / 1578-1604 / n.a.)
+COMPILE_AFTER = 26
+
+#: First line of every generated block function.
+BLOCK_HEADER = "def _blk():\n"
+
+#: Name -> attribute path (rooted at the frontend's ``state`` or
+#: ``queues``) each block cache resolves once and places in the
+#: namespace its block functions run in.
+BLOCK_BINDINGS = {
+    "state": "state",
+    "regs": "state.regs",
+    "fregs": "state.fregs",
+    "out": "state.output.append",
+    "page_of": "state.memory._pages.get",
+    "new_page": "state.memory._page",
+    "read_width": "state.memory.read_width",
+    "write_width": "state.memory.write_width",
+    "lq": "queues.loads.append",
+    "sq": "queues.stores.append",
 }
 
-_LOGICAL_CC = {
-    Opcode.ANDCC: alu.int_and,
-    Opcode.ORCC: alu.int_or,
-    Opcode.XORCC: alu.int_xor,
+#: Process-constant names of the same namespace: record classes, the
+#: real fault-raising/rounding helpers, big-endian page accessors
+#: (``old<w>`` reads *w* pre-store bytes as ``bytes``), and the three
+#: builtins generated code uses. Together with :data:`BLOCK_BINDINGS`
+#: and :data:`BLOCK_LOCALS` this is every name a block may mention
+#: (``__builtins__`` is emptied) — the flow lint's codegen audit fails
+#: on any other.
+BLOCK_HELPERS = {
+    "LoadRecord": LoadRecord,
+    "StoreRecord": StoreRecord,
+    "int_sdiv": alu.int_sdiv,
+    "fp_div": Interpreter._fp_div,
+    "clamp32": _clamp_float32,
+    "sqrt": math.sqrt,
+    "nan": math.nan,
+    "inf": math.inf,
+    "abs": abs,
+    "int": int,
+    "float": float,
+    "ld4": struct.Struct(">I").unpack_from,
+    "ldh": struct.Struct(">h").unpack_from,
+    "lduh": struct.Struct(">H").unpack_from,
+    "ldf": struct.Struct(">f").unpack_from,
+    "lddf": struct.Struct(">d").unpack_from,
+    "st4": struct.Struct(">I").pack_into,
+    "st2": struct.Struct(">H").pack_into,
+    "stf": struct.Struct(">f").pack_into,
+    "stdf": struct.Struct(">d").pack_into,
+    "old1": struct.Struct("1s").unpack_from,
+    "old2": struct.Struct("2s").unpack_from,
+    "old4": struct.Struct("4s").unpack_from,
+    "old8": struct.Struct("8s").unpack_from,
+}
+
+#: Temporaries a block function may assign.
+BLOCK_LOCALS = ("a", "b", "r", "p", "o", "v")
+
+#: The only attributes generated code touches.
+BLOCK_STATE_ATTRS = ("icc", "fcc")
+
+#: Every line shape the emitter can produce, as ``str.format``
+#: templates (exposed, like ``memo.compile.SEG_TEMPLATES``, so the flow
+#: lint can audit the emitter and tests can inject a mutation).
+#: ``{a}``/``{b}`` are operand expressions — ``regs[i]``, ``0`` for
+#: ``%g0``, or a folded immediate — and ``{d}``/``{s}``/``{t}`` are
+#: register indices.
+BLOCK_TEMPLATES = {
+    # Integer ALU, destination not %g0.
+    "add": " regs[{d}] = ({a} + {b}) & 4294967295",
+    "sub": " regs[{d}] = ({a} - {b}) & 4294967295",
+    "and": " regs[{d}] = {a} & {b}",
+    "or": " regs[{d}] = {a} | {b}",
+    "xor": " regs[{d}] = {a} ^ {b}",
+    "sll": " regs[{d}] = ({a} << ({b} & 31)) & 4294967295",
+    "srl": " regs[{d}] = {a} >> ({b} & 31)",
+    "sra": (" regs[{d}] = ((({a} ^ 2147483648) - 2147483648)"
+            " >> ({b} & 31)) & 4294967295"),
+    "smul": " regs[{d}] = ({a} * {b}) & 4294967295",
+    "sdiv": " regs[{d}] = int_sdiv({a}, {b})",
+    "sdiv_discard": " int_sdiv({a}, {b})",
+    "const": " regs[{d}] = {k}",
+    # Condition-code forms: operand temporaries (registers only;
+    # immediates and %g0 stay literals), result, optional write, icc.
+    # ``subcc``: r == 0 means a == b, whose icc is exactly Z.
+    "cc_bind": " {n} = regs[{s}]",
+    "cc_add": " r = ({a} + {b}) & 4294967295",
+    "cc_sub": " r = ({a} - {b}) & 4294967295",
+    "cc_and": " r = {a} & {b}",
+    "cc_or": " r = {a} | {b}",
+    "cc_xor": " r = {a} ^ {b}",
+    "cc_write": " regs[{d}] = r",
+    "icc_add": (" state.icc = (r >> 28 & 8 | (not r) << 2"
+                " | (~({a} ^ {b}) & ({a} ^ r)) >> 30 & 2"
+                " | ({a} + {b}) >> 32)"),
+    "icc_sub": (" state.icc = (r >> 28 & 8"
+                " | (({a} ^ {b}) & ({a} ^ r)) >> 30 & 2"
+                " | ({a} < {b})) if r else 4"),
+    "icc_logical": " state.icc = r >> 28 & 8 if r else 4",
+    # Memory: effective address, alignment fault through the real
+    # accessor, page (allocated on first touch), access, record.
+    "ea": " a = ({a} + {b}) & 4294967295",
+    "load_fault": " if a & {m}: read_width(a, {w})",
+    "store_fault": " if a & {m}: write_width(a, 0, {w})",
+    "page": " p = page_of(a >> 12) or new_page(a)",
+    "ld": " regs[{d}] = ld4(p, a & 4095)[0]",
+    "ldb": " regs[{d}] = ((p[a & 4095] ^ 128) - 128) & 4294967295",
+    "ldub": " regs[{d}] = p[a & 4095]",
+    "ldh": " regs[{d}] = ldh(p, a & 4095)[0] & 4294967295",
+    "lduh": " regs[{d}] = lduh(p, a & 4095)[0]",
+    "ldf": " fregs[{d}] = ldf(p, a & 4095)[0]",
+    "lddf": " fregs[{d}] = lddf(p, a & 4095)[0]",
+    "load_record": " lq(LoadRecord(a, {w}))",
+    "store_old": " o = a & 4095\n v = old{w}(p, o)[0]",
+    "st": " st4(p, o, {a})",
+    "stb": " p[o] = {a} & 255",
+    "sth": " st2(p, o, {a} & 65535)",
+    "stf": " stf(p, o, clamp32(fregs[{s}]))",
+    "stdf": " stdf(p, o, fregs[{s}])",
+    "store_record": " sq(StoreRecord(a, {w}, v))",
+    # Floating point.
+    "fadd": " fregs[{d}] = fregs[{s}] + fregs[{t}]",
+    "fsub": " fregs[{d}] = fregs[{s}] - fregs[{t}]",
+    "fmul": " fregs[{d}] = fregs[{s}] * fregs[{t}]",
+    "fdiv": (" b = fregs[{t}]\n"
+             " fregs[{d}] = fregs[{s}] / b if b else fp_div(fregs[{s}], b)"),
+    "fsqrt": " v = fregs[{s}]\n fregs[{d}] = sqrt(v) if v >= 0 else nan",
+    "fneg": " fregs[{d}] = -fregs[{s}]",
+    "fabs": " fregs[{d}] = abs(fregs[{s}])",
+    "fmov": " fregs[{d}] = fregs[{s}]",
+    "fcmp": (" a = fregs[{s}]\n b = fregs[{t}]\n"
+             f" state.fcc = {FCC_EQ} if a == b else {FCC_LT} if a < b"
+             f" else {FCC_GT} if a > b else {FCC_UO}"),
+    "fitod": " fregs[{d}] = float(({a} ^ 2147483648) - 2147483648)",
+    "fdtoi": (" v = fregs[{s}]\n"
+              " regs[{d}] = int(v) & 4294967295 if abs(v) < inf else 0"),
+    "out": " out({a})",
+}
+
+_ALU = {
+    Opcode.ADD: "add", Opcode.SUB: "sub", Opcode.AND: "and",
+    Opcode.OR: "or", Opcode.XOR: "xor", Opcode.SLL: "sll",
+    Opcode.SRL: "srl", Opcode.SRA: "sra", Opcode.SMUL: "smul",
+    Opcode.SDIV: "sdiv",
+}
+
+#: opcode -> (result shape, icc shape)
+_ALU_CC = {
+    Opcode.ADDCC: ("cc_add", "icc_add"),
+    Opcode.SUBCC: ("cc_sub", "icc_sub"),
+    Opcode.ANDCC: ("cc_and", "icc_logical"),
+    Opcode.ORCC: ("cc_or", "icc_logical"),
+    Opcode.XORCC: ("cc_xor", "icc_logical"),
+}
+
+_LOADS = {
+    Opcode.LD: "ld", Opcode.LDB: "ldb", Opcode.LDUB: "ldub",
+    Opcode.LDH: "ldh", Opcode.LDUH: "lduh", Opcode.LDF: "ldf",
+    Opcode.LDDF: "lddf",
+}
+
+_STORES = {
+    Opcode.ST: "st", Opcode.STB: "stb", Opcode.STH: "sth",
+    Opcode.STF: "stf", Opcode.STDF: "stdf",
 }
 
 _FP_BINARY = {
-    Opcode.FADD: lambda a, b: a + b,
-    Opcode.FSUB: lambda a, b: a - b,
-    Opcode.FMUL: lambda a, b: a * b,
-    Opcode.FDIV: Interpreter._fp_div,
+    Opcode.FADD: "fadd", Opcode.FSUB: "fsub", Opcode.FMUL: "fmul",
+    Opcode.FDIV: "fdiv", Opcode.FCMP: "fcmp",
 }
 
 _FP_UNARY = {
-    Opcode.FNEG: lambda a: -a,
-    Opcode.FABS: abs,
-    Opcode.FMOV: lambda a: a,
+    Opcode.FSQRT: "fsqrt", Opcode.FNEG: "fneg", Opcode.FABS: "fabs",
+    Opcode.FMOV: "fmov",
 }
+
+
+def block_source(lines: List[str]) -> str:
+    """The source of the block function whose body is *lines*."""
+    return BLOCK_HEADER + "\n".join(lines) + "\n"
+
+
+def _reg(index: Optional[int]) -> str:
+    """Operand expression for integer register *index* (``%g0`` is 0)."""
+    return f"regs[{index}]" if index else "0"
+
+
+def emit_instruction(instr, lines: List[str]) -> bool:
+    """Append the source lines for one straight-line instruction.
+
+    Returns False for an opcode the emitter does not model (the block
+    ends before it). An instruction with no effect beyond PC/instret
+    (``nop``, a non-faulting ALU result discarded into ``%g0``) emits
+    nothing.
+    """
+    templates = BLOCK_TEMPLATES
+    opcode = instr.opcode
+    rd = instr.rd
+    imm = instr.imm
+    a = _reg(instr.rs1)
+
+    shape = _ALU.get(opcode)
+    if shape is not None:
+        b = str(imm & _MASK32) if imm is not None else _reg(instr.rs2)
+        if rd:
+            lines.append(templates[shape].format(d=rd, a=a, b=b))
+        elif opcode is Opcode.SDIV:
+            lines.append(templates["sdiv_discard"].format(a=a, b=b))
+        return True
+
+    shapes = _ALU_CC.get(opcode)
+    if shapes is not None:
+        b = str(imm & _MASK32) if imm is not None else _reg(instr.rs2)
+        if shapes[1] != "icc_logical":
+            # The flag expressions read each operand several times.
+            if instr.rs1:
+                lines.append(templates["cc_bind"].format(n="a", s=instr.rs1))
+                a = "a"
+            if imm is None and instr.rs2:
+                lines.append(templates["cc_bind"].format(n="b", s=instr.rs2))
+                b = "b"
+        lines.append(templates[shapes[0]].format(a=a, b=b))
+        if rd:
+            lines.append(templates["cc_write"].format(d=rd))
+        lines.append(templates[shapes[1]].format(a=a, b=b))
+        return True
+
+    shape = _LOADS.get(opcode) or _STORES.get(opcode)
+    if shape is not None:
+        width = instr.access_width
+        # The *signed* immediate is added before masking, exactly like
+        # ``Interpreter._effective_address``.
+        b = str(imm) if imm is not None else _reg(instr.rs2)
+        lines.append(templates["ea"].format(a=a, b=b))
+        if instr.is_load:
+            if width > 1:
+                lines.append(templates["load_fault"].format(
+                    m=width - 1, w=width))
+            lines.append(templates["page"])
+            if instr.fd is not None:
+                lines.append(templates[shape].format(d=instr.fd))
+            elif rd:
+                lines.append(templates[shape].format(d=rd))
+            lines.append(templates["load_record"].format(w=width))
+        else:
+            if width > 1:
+                lines.append(templates["store_fault"].format(
+                    m=width - 1, w=width))
+            lines.append(templates["page"])
+            lines.append(templates["store_old"].format(w=width))
+            lines.append(templates[shape].format(a=_reg(rd), s=instr.fd))
+            lines.append(templates["store_record"].format(w=width))
+        return True
+
+    shape = _FP_BINARY.get(opcode) or _FP_UNARY.get(opcode)
+    if shape is not None:
+        lines.append(templates[shape].format(
+            d=instr.fd, s=instr.fs1, t=instr.fs2))
+    elif opcode is Opcode.SETHI:
+        if rd:
+            lines.append(templates["const"].format(
+                d=rd, k=(imm << 13) & _MASK32))
+    elif opcode is Opcode.FITOD:
+        lines.append(templates["fitod"].format(d=instr.fd, a=a))
+    elif opcode is Opcode.FDTOI:
+        if rd:
+            lines.append(templates["fdtoi"].format(d=rd, s=instr.fs1))
+    elif opcode is Opcode.OUT:
+        lines.append(templates["out"].format(a=a))
+    elif opcode is not Opcode.NOP:
+        return False
+    return True
 
 
 class BlockCache:
@@ -125,11 +404,18 @@ class BlockCache:
     def __init__(self, interpreter: Interpreter, queues):
         self._interpreter = interpreter
         self._executable = interpreter.executable
-        self._state = interpreter.state
-        # The queues outlive every rollback — ``truncate`` deletes in
-        # place — so the bound append methods stay valid forever.
-        self._loads_append = queues.loads.append
-        self._stores_append = queues.stores.append
+        # Everything bound here outlives every rollback (see the module
+        # docstring), so block functions can keep using it forever.
+        roots = {"state": interpreter.state, "queues": queues}
+        namespace: Dict[str, object] = {"__builtins__": {}}
+        namespace.update(BLOCK_HELPERS)
+        for name, path in BLOCK_BINDINGS.items():
+            root, *attrs = path.split(".")
+            value = roots[root]
+            for attr in attrs:
+                value = getattr(value, attr)
+            namespace[name] = value
+        self._namespace = namespace
         self._blocks: Dict[int, _Block] = {}
         self.blocks_decoded = 0
         self.block_runs = 0
@@ -147,26 +433,6 @@ class BlockCache:
             self.blocks_decoded += 1
         return block
 
-    def run_from(self, pc: int, budget: int) -> int:
-        """Run the block starting at *pc* if one exists and fits *budget*.
-
-        Returns the number of instructions executed (0 when the next
-        instruction is a control transfer, undecodable, or the block
-        would overrun the budget — the caller steps instead). The
-        fused-branch terminator, if any, is *not* executed here.
-        """
-        ops, count, end_pc, _term = self.block_at(pc)
-        if not count or count > budget:
-            return 0
-        for op in ops:
-            op()
-        state = self._state
-        state.pc = end_pc
-        state.instret += count
-        self.block_runs += 1
-        self.threaded_instructions += count
-        return count
-
     def stats(self) -> Dict[str, int]:
         """Host-side effectiveness counters (never canonical)."""
         return {
@@ -181,7 +447,7 @@ class BlockCache:
     def _decode(self, start_pc: int) -> _Block:
         """Decode the maximal straight-line block starting at *start_pc*."""
         executable = self._executable
-        ops: List[_Thunk] = []
+        lines: List[str] = []
         count = 0
         term = None
         pc = start_pc
@@ -217,7 +483,9 @@ class BlockCache:
                 # Direct call: the link value is the decode-time
                 # constant ``address + 4``; decoding continues in the
                 # callee. (``jmpl`` returns stay control events.)
-                ops.append(self._call_thunk(instr))
+                if instr.rd:
+                    lines.append(BLOCK_TEMPLATES["const"].format(
+                        d=instr.rd, k=(instr.address + 4) & _MASK32))
                 count += 1
                 pc = instr.target
                 continue
@@ -233,305 +501,58 @@ class BlockCache:
                         instr.imm, instr.rd,
                         (instr.address + 4) & _MASK32)
                 break
-            if opcode is Opcode.HALT:
+            if opcode is Opcode.HALT or not emit_instruction(instr, lines):
                 break
-            thunk = self._thunk(instr)
-            if thunk is _UNSUPPORTED:
-                break
-            if thunk is not None:
-                ops.append(thunk)
             count += 1
             pc += 4
-        return tuple(ops), count, pc, term
+        ops = (self._cold(start_pc, count, lines),) if lines else ()
+        return ops, count, pc, term
 
-    def _call_thunk(self, instr) -> _Thunk:
-        regs = self._state.regs
-        rd = instr.rd
-        link = (instr.address + 4) & _MASK32
+    def _cold(self, start_pc: int, count: int,
+              lines: List[str]) -> Callable[[], None]:
+        """The block's op until it has earned its ``compile()``.
+
+        Runs the block as *count* calls of the reference
+        :meth:`Interpreter.step` (appending the records the frontend's
+        step path would), with PC/instret put back to the block's
+        start afterwards — the caller commits them in one batch, and a
+        mid-block fault leaves them uncommitted, exactly as for a
+        generated function. The :data:`COMPILE_AFTER`-th run compiles
+        the block, replaces this op in the cache, and runs the
+        generated function instead.
+        """
+        interpreter = self._interpreter
+        state = interpreter.state
+        step = interpreter.step
+        loads_append = self._namespace["lq"]
+        stores_append = self._namespace["sq"]
+        runs = 0
 
         def run() -> None:
-            if rd:
-                regs[rd] = link
+            nonlocal runs
+            runs += 1
+            if runs >= COMPILE_AFTER:
+                block = codecache.load(
+                    block_source(lines), "<repro.threaded block>",
+                    "_blk", self._namespace)
+                self._blocks[start_pc] = (
+                    ((block,),) + self._blocks[start_pc][1:])
+                block()
+                return
+            instret = state.instret
+            try:
+                for _ in range(count):
+                    instr = step()
+                    if instr.is_load:
+                        loads_append(LoadRecord(
+                            interpreter.last_mem_addr,
+                            interpreter.last_mem_width))
+                    elif instr.is_store:
+                        stores_append(StoreRecord(
+                            interpreter.last_mem_addr,
+                            interpreter.last_mem_width,
+                            interpreter.last_store_old))
+            finally:
+                state.pc = start_pc
+                state.instret = instret
         return run
-
-    def _thunk(self, instr) -> Optional[_Thunk]:
-        """Build the pre-bound closure for one straight-line instruction.
-
-        Returns None for instructions with no state effect beyond
-        PC/instret (``nop``), and :data:`_UNSUPPORTED` for opcodes the
-        threaded path does not model (the block ends before them).
-        """
-        state = self._state
-        regs = state.regs
-        fregs = state.fregs
-        opcode = instr.opcode
-        rs1 = instr.rs1
-        rs2 = instr.rs2
-        rd = instr.rd
-        imm = instr.imm
-
-        if opcode is Opcode.NOP:
-            return None
-
-        fn = _SIMPLE_ALU.get(opcode)
-        if fn is not None:
-            if imm is not None:
-                k = imm & _MASK32
-
-                def run() -> None:
-                    result = fn(regs[rs1] if rs1 else 0, k)
-                    if rd:
-                        regs[rd] = result & _MASK32
-            else:
-
-                def run() -> None:
-                    result = fn(regs[rs1] if rs1 else 0,
-                                regs[rs2] if rs2 else 0)
-                    if rd:
-                        regs[rd] = result & _MASK32
-            return run
-
-        if opcode is Opcode.ADDCC or opcode is Opcode.SUBCC:
-            subtract = opcode is Opcode.SUBCC
-            set_icc = state.set_icc_sub if subtract else state.set_icc_add
-            k = imm & _MASK32 if imm is not None else None
-
-            def run() -> None:
-                a = regs[rs1] if rs1 else 0
-                b = k if k is not None else (regs[rs2] if rs2 else 0)
-                result = ((a - b) if subtract else (a + b)) & _MASK32
-                if rd:
-                    regs[rd] = result
-                set_icc(a, b, result)
-            return run
-
-        fn = _LOGICAL_CC.get(opcode)
-        if fn is not None:
-            set_icc = state.set_icc_logical
-            k = imm & _MASK32 if imm is not None else None
-
-            def run() -> None:
-                result = fn(regs[rs1] if rs1 else 0,
-                            k if k is not None else (regs[rs2] if rs2 else 0))
-                if rd:
-                    regs[rd] = result & _MASK32
-                set_icc(result)
-            return run
-
-        if opcode is Opcode.SETHI:
-            value = (imm << 13) & _MASK32
-
-            def run() -> None:
-                if rd:
-                    regs[rd] = value
-            return run
-
-        if instr.is_load:
-            return self._load_thunk(instr)
-        if instr.is_store:
-            return self._store_thunk(instr)
-
-        fn = _FP_BINARY.get(opcode)
-        if fn is not None:
-            fs1, fs2, fd = instr.fs1, instr.fs2, instr.fd
-
-            def run() -> None:
-                fregs[fd] = fn(fregs[fs1], fregs[fs2])
-            return run
-
-        fn = _FP_UNARY.get(opcode)
-        if fn is not None:
-            fs1, fd = instr.fs1, instr.fd
-
-            def run() -> None:
-                fregs[fd] = fn(fregs[fs1])
-            return run
-
-        if opcode is Opcode.FSQRT:
-            fs1, fd = instr.fs1, instr.fd
-
-            def run() -> None:
-                value = fregs[fs1]
-                fregs[fd] = math.sqrt(value) if value >= 0 else math.nan
-            return run
-
-        if opcode is Opcode.FCMP:
-            fs1, fs2 = instr.fs1, instr.fs2
-            fp_compare = alu.fp_compare
-
-            def run() -> None:
-                state.fcc = fp_compare(fregs[fs1], fregs[fs2])
-            return run
-
-        if opcode is Opcode.FITOD:
-            fd = instr.fd
-
-            def run() -> None:
-                fregs[fd] = float(to_signed(regs[rs1] if rs1 else 0))
-            return run
-
-        if opcode is Opcode.FDTOI:
-            fs1 = instr.fs1
-
-            def run() -> None:
-                value = fregs[fs1]
-                if value != value or value in (math.inf, -math.inf):
-                    truncated = 0
-                else:
-                    truncated = int(value)
-                if rd:
-                    regs[rd] = truncated & _MASK32
-            return run
-
-        if opcode is Opcode.OUT:
-            output_append = state.output.append
-
-            def run() -> None:
-                output_append(regs[rs1] if rs1 else 0)
-            return run
-
-        return _UNSUPPORTED
-
-    def _load_thunk(self, instr) -> _Thunk:
-        state = self._state
-        regs = state.regs
-        fregs = state.fregs
-        memory = state.memory
-        loads_append = self._loads_append
-        opcode = instr.opcode
-        rs1, rs2, rd, fd = instr.rs1, instr.rs2, instr.rd, instr.fd
-        imm = instr.imm
-
-        # The *signed* immediate is added before masking, exactly like
-        # ``Interpreter._effective_address``.
-        def ea() -> int:
-            base = regs[rs1] if rs1 else 0
-            if imm is not None:
-                return (base + imm) & _MASK32
-            return (base + (regs[rs2] if rs2 else 0)) & _MASK32
-
-        if opcode is Opcode.LD:
-            read_word = memory.read_word
-
-            def run() -> None:
-                address = ea()
-                if rd:
-                    regs[rd] = read_word(address) & _MASK32
-                loads_append(LoadRecord(address, 4))
-        elif opcode is Opcode.LDB:
-            read_byte = memory.read_byte
-
-            def run() -> None:
-                address = ea()
-                value = read_byte(address)
-                if value & 0x80:
-                    value |= 0xFFFFFF00
-                if rd:
-                    regs[rd] = value & _MASK32
-                loads_append(LoadRecord(address, 1))
-        elif opcode is Opcode.LDUB:
-            read_byte = memory.read_byte
-
-            def run() -> None:
-                address = ea()
-                if rd:
-                    regs[rd] = read_byte(address) & _MASK32
-                loads_append(LoadRecord(address, 1))
-        elif opcode is Opcode.LDH:
-            read_half = memory.read_half
-
-            def run() -> None:
-                address = ea()
-                value = read_half(address)
-                if value & 0x8000:
-                    value |= 0xFFFF0000
-                if rd:
-                    regs[rd] = value & _MASK32
-                loads_append(LoadRecord(address, 2))
-        elif opcode is Opcode.LDUH:
-            read_half = memory.read_half
-
-            def run() -> None:
-                address = ea()
-                if rd:
-                    regs[rd] = read_half(address) & _MASK32
-                loads_append(LoadRecord(address, 2))
-        elif opcode is Opcode.LDF:
-            read_float = memory.read_float
-
-            def run() -> None:
-                address = ea()
-                fregs[fd] = read_float(address)
-                loads_append(LoadRecord(address, 4))
-        else:  # LDDF
-            read_double = memory.read_double
-
-            def run() -> None:
-                address = ea()
-                fregs[fd] = read_double(address)
-                loads_append(LoadRecord(address, 8))
-        return run
-
-    def _store_thunk(self, instr) -> _Thunk:
-        state = self._state
-        regs = state.regs
-        fregs = state.fregs
-        memory = state.memory
-        stores_append = self._stores_append
-        read_bytes = memory.read_bytes
-        opcode = instr.opcode
-        rs1, rs2, rd, fd = instr.rs1, instr.rs2, instr.rd, instr.fd
-        imm = instr.imm
-        width = instr.access_width
-
-        def ea() -> int:
-            base = regs[rs1] if rs1 else 0
-            if imm is not None:
-                return (base + imm) & _MASK32
-            return (base + (regs[rs2] if rs2 else 0)) & _MASK32
-
-        if opcode is Opcode.ST:
-            write_word = memory.write_word
-
-            def run() -> None:
-                address = ea()
-                old = read_bytes(address, 4)
-                write_word(address, regs[rd] if rd else 0)
-                stores_append(StoreRecord(address, 4, old))
-        elif opcode is Opcode.STB:
-            write_byte = memory.write_byte
-
-            def run() -> None:
-                address = ea()
-                old = read_bytes(address, 1)
-                write_byte(address, regs[rd] if rd else 0)
-                stores_append(StoreRecord(address, 1, old))
-        elif opcode is Opcode.STH:
-            write_half = memory.write_half
-
-            def run() -> None:
-                address = ea()
-                old = read_bytes(address, 2)
-                write_half(address, regs[rd] if rd else 0)
-                stores_append(StoreRecord(address, 2, old))
-        elif opcode is Opcode.STF:
-            write_float = memory.write_float
-
-            def run() -> None:
-                address = ea()
-                old = read_bytes(address, 4)
-                write_float(address, _clamp_float32(fregs[fd]))
-                stores_append(StoreRecord(address, 4, old))
-        else:  # STDF
-            write_double = memory.write_double
-
-            def run() -> None:
-                address = ea()
-                old = read_bytes(address, 8)
-                write_double(address, fregs[fd])
-                stores_append(StoreRecord(address, 8, old))
-        return run
-
-
-#: Sentinel: opcode the threaded path does not model — end the block.
-_UNSUPPORTED = object()

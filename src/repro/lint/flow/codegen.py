@@ -1,28 +1,37 @@
-"""Turbo codegen contracts (flow family 3).
+"""Codegen contracts (flow family 3).
 
-``repro.memo.compile`` generates Python at runtime and ``exec``\\ s it
-on the replay hot path. A code generator is the one part of the
-simulator a source-level lint cannot see — unless the lint *runs* it.
-This family compiles representative action chains (every node kind,
-guards, terminals, inlined and table keys), captures the generated
+``repro.memo.compile`` (replay segments) and
+``repro.emulator.threaded`` (the frontend's basic blocks) generate
+Python at runtime and ``exec`` it on the hot path. A code generator is
+the one part of the simulator a source-level lint cannot see — unless
+the lint *runs* it. This family compiles representative action chains
+(every node kind, guards, terminals, inlined and table keys) and one
+basic block per straight-line opcode (register, immediate,
+``%g0``-source and ``%g0``-destination forms), captures the generated
 source, parses it, and enforces the contract that keeps compiled
-replay bit-identical to interpreted replay:
+replay bit-identical to interpreted replay and generated blocks
+identical to ``Interpreter.step()``:
 
 ``flow/codegen-name`` (error)
-    Generated code references a name outside the whitelist: the
-    segment parameters (``world``/``R``/``K``/``ctl_a``), the world
-    binding aliases, and the two reply locals (``r``/``rec``). Any
-    other name is smuggled state.
+    Generated code references a name outside the whitelist. Segments:
+    the parameters (``world``/``R``/``K``/``ctl_a``), the world binding
+    aliases, and the two reply locals (``r``/``rec``). Blocks: the
+    emitter's namespace table (``BLOCK_BINDINGS`` + ``BLOCK_HELPERS``)
+    and its temporaries (``BLOCK_LOCALS``). Any other name is smuggled
+    state.
 
 ``flow/codegen-attr`` (error)
     Generated code accesses an attribute other than ``world.<m>`` for
-    a sanctioned world method, or ``rec.outcome_key``. The attribute
-    surface *is* the side-effect surface.
+    a sanctioned world method or ``rec.outcome_key`` (segments),
+    ``state.icc`` / ``state.fcc`` (blocks). The attribute surface *is*
+    the side-effect surface.
 
 ``flow/codegen-shape`` (error)
-    A generated statement deviates from the five allowed shapes
-    (binding, reply call, effect call, guard, return). New shapes mean
-    the emitter grew behavior the contract never reviewed.
+    A generated segment statement deviates from the five allowed
+    shapes (binding, reply call, effect call, guard, return), or a
+    block statement is anything but an assignment, a call, or an
+    ``if`` around those. New shapes mean the emitter grew behavior the
+    contract never reviewed.
 
 ``flow/codegen-drift`` (error)
     The emitter's :data:`~repro.memo.compile.WORLD_BINDINGS` table and
@@ -125,6 +134,31 @@ def build_audit_chains():
     return chains
 
 
+def build_audit_blocks():
+    """One basic block per straight-line opcode.
+
+    Returns ``[(mnemonic, [Instruction, ...])]``; each block holds the
+    opcode in register, immediate, ``%g0``-source and
+    ``%g0``-destination form, produced by the real decoder so the
+    operand fields are exactly what the frontend would see.
+    """
+    from repro.isa.encoding import decode
+    from repro.isa.opcodes import Format, Opcode, opcode_info
+
+    control = (Format.BRANCH, Format.CALL, Format.JMPL)
+    # (rd, rs1, low 14 bits: rs2, or the i-bit and an immediate)
+    forms = ((3, 1, 2), (3, 1, (1 << 13) | 5), (3, 0, 2), (0, 1, 2))
+    blocks = []
+    for opcode in Opcode:
+        info = opcode_info(opcode)
+        if info.fmt in control or opcode is Opcode.HALT:
+            continue
+        blocks.append((info.mnemonic, [
+            decode(opcode << 24 | rd << 19 | rs1 << 14 | low, 0x1000)
+            for rd, rs1, low in forms]))
+    return blocks
+
+
 def interpreter_world_calls(session) -> Set[str]:
     """World methods the interpreted replay loop calls, derived
     statically from the session's parsed ``engine`` module."""
@@ -151,6 +185,8 @@ def interpreter_world_calls(session) -> Set[str]:
 class _GeneratedSourceAuditor:
     """Parses one captured segment source and checks the contract."""
 
+    kind = "chain"
+
     def __init__(self, path: str, label: str, source: str,
                  world_methods: Set[str], aliases: Set[str]):
         self.path = path
@@ -164,7 +200,7 @@ class _GeneratedSourceAuditor:
         self.findings.append(Finding(
             path=self.path, line=line, col=1, rule=rule,
             severity=Severity.ERROR,
-            message=f"[chain '{self.label}'] {message}",
+            message=f"[{self.kind} '{self.label}'] {message}",
         ))
 
     def audit(self) -> List[Finding]:
@@ -194,7 +230,7 @@ class _GeneratedSourceAuditor:
                     self._emit(
                         RULE_NAME,
                         f"generated code references name "
-                        f"'{node.id}' outside the segment whitelist",
+                        f"'{node.id}' outside the {self.kind} whitelist",
                         node.lineno,
                     )
 
@@ -258,6 +294,52 @@ class _GeneratedSourceAuditor:
         )
 
 
+class _BlockSourceAuditor(_GeneratedSourceAuditor):
+    """The same audit for one generated basic block: names from the
+    block emitter's namespace table, ``state.icc``/``state.fcc`` the
+    only attributes."""
+
+    kind = "block"
+
+    def __init__(self, path: str, label: str, source: str, emitter):
+        super().__init__(path, label, source, set(), set())
+        self.allowed_names = (set(emitter.BLOCK_BINDINGS)
+                              | set(emitter.BLOCK_HELPERS)
+                              | set(emitter.BLOCK_LOCALS))
+        self.state_attrs = frozenset(emitter.BLOCK_STATE_ATTRS)
+
+    def _check_attrs(self, fn: ast.FunctionDef) -> None:
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Attribute):
+                continue
+            base = node.value
+            if not (isinstance(base, ast.Name) and base.id == "state"
+                    and node.attr in self.state_attrs):
+                self._emit(
+                    RULE_ATTR,
+                    f"generated code accesses .{node.attr}; only "
+                    "state.icc / state.fcc are sanctioned",
+                    node.lineno,
+                )
+
+    def _check_shape(self, statement: ast.stmt) -> None:
+        if isinstance(statement, ast.Assign):
+            return
+        if (isinstance(statement, ast.Expr)
+                and isinstance(statement.value, ast.Call)):
+            return
+        if isinstance(statement, ast.If) and not statement.orelse:
+            for inner in statement.body:
+                self._check_shape(inner)
+            return
+        self._emit(
+            RULE_SHAPE,
+            f"generated statement shape {type(statement).__name__} is "
+            "outside the block contract (assignment / call / if)",
+            getattr(statement, "lineno", 1),
+        )
+
+
 def _template_aliases(template: str) -> Set[str]:
     """Names a SEG_TEMPLATES entry references outside its fields.
 
@@ -282,14 +364,34 @@ def _template_aliases(template: str) -> Set[str]:
 
 @register_project
 class CodegenContractChecker(ProjectChecker):
-    """Flow family 3: audit the turbo emitter's generated source and
-    cross-check it against the interpreter's side-effect set."""
+    """Flow family 3: audit the generated source of the turbo emitter
+    (cross-checked against the interpreter's side-effect set) and of
+    the frontend's block emitter."""
 
     name = "flow-codegen"
     rules = (RULE_NAME, RULE_ATTR, RULE_SHAPE, RULE_DRIFT)
 
     def check(self, session) -> Iterator[Finding]:
-        compile_module = session.compile_module()
+        yield from self._check_segments(session)
+        yield from self._check_blocks(session)
+
+    def _check_blocks(self, session) -> Iterator[Finding]:
+        module = session.emitter_module("emulator.threaded")
+        if module is None:
+            return  # package has no block emitter; nothing to audit
+        from repro.emulator import threaded as emitter
+
+        for label, instructions in build_audit_blocks():
+            lines: List[str] = []
+            for instr in instructions:
+                emitter.emit_instruction(instr, lines)
+            if lines:
+                yield from _BlockSourceAuditor(
+                    module.path, label, emitter.block_source(lines),
+                    emitter).audit()
+
+    def _check_segments(self, session) -> Iterator[Finding]:
+        compile_module = session.emitter_module("memo.compile")
         if compile_module is None:
             return  # package has no turbo emitter; nothing to audit
         path = compile_module.path

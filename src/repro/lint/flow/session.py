@@ -110,10 +110,12 @@ class FlowSession:
             self._effects = EffectTable(self.callgraph)
         return self._effects
 
-    def compile_module(self) -> Optional[ModuleInfo]:
-        """The package's turbo emitter module, if it has one."""
+    def emitter_module(self, suffix: str) -> Optional[ModuleInfo]:
+        """The package's code-emitting module named ``*suffix`` (the
+        turbo emitter ``memo.compile``, the block emitter
+        ``emulator.threaded``), if it has one."""
         for name in sorted(self.modgraph.modules):
-            if name.endswith("memo.compile"):
+            if name.endswith(suffix):
                 return self.modgraph.modules[name]
         return None
 

@@ -101,6 +101,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro import codecache
 from repro.memo.actions import (
     AdvanceNode,
     ControlNode,
@@ -178,16 +179,6 @@ class TurboConfig:
         if isinstance(value, TurboConfig):
             return value
         return TurboConfig(enabled=bool(value))
-
-
-#: Process-wide generated-source → code-object cache. Structurally
-#: identical chains (the common case when a persistent worker re-runs
-#: the same workload, or a persisted cache re-warms) compile to
-#: byte-identical source, so the CPython ``compile()`` step — the
-#: expensive half of segment compilation — runs once per distinct
-#: shape. Only immutable code objects are shared; each segment still
-#: ``exec``s into a private namespace, so nothing leaks between runs.
-_CODE_CACHE: dict = {}
 
 
 class _CtlSlot:
@@ -499,15 +490,12 @@ def compile_segment(head: Node, generation: int,
             name=name, target=WORLD_BINDINGS[name])
     source += "\n".join(lines) + ("\n" if lines else "")
     source += SEG_TEMPLATES["epilogue"]
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = compile(source, "<repro.turbo segment>", "exec")
-        _CODE_CACHE[source] = code
-    namespace: dict = {}
-    exec(code, namespace)  # noqa: S102
+    # Structurally identical chains generate byte-identical source and
+    # share one code object (see repro.codecache).
+    fn = codecache.load(source, "<repro.turbo segment>", "_seg")
 
     return CompiledSegment(
-        namespace["_seg"], tuple(nodes), tuple(requests), tuple(keys),
+        fn, tuple(nodes), tuple(requests), tuple(keys),
         n_actions, n_configs, n_ctl, cycles, instructions, last_blob,
         tuple(log_since), sets_anchor, trailing,
         (nodes[-1], last_key), node, tuple(exit_meta),

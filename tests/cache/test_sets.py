@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import sets as sets_module
 from repro.cache.params import CacheLevelParams
 from repro.cache.sets import TagArray
 
@@ -101,6 +102,47 @@ class TestInvalidate:
 
     def test_invalidate_absent(self):
         assert small_cache().invalidate(0x1000) is False
+
+
+class TestLazySets:
+    """Sets materialise on first touch; an untouched set behaves as
+    the all-invalid set it is."""
+
+    @pytest.fixture
+    def ways_built(self, monkeypatch):
+        built = []
+
+        class CountingWay(sets_module._Way):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(sets_module, "_Way", CountingWay)
+        return built
+
+    def test_construction_allocates_no_ways(self, ways_built):
+        tags = small_cache(assoc=2, sets=1024)
+        assert ways_built == []
+        tags.fill(0x1000)
+        assert len(ways_built) == 2     # one set, not 1024
+
+    def test_untouched_set_is_all_invalid(self):
+        tags = small_cache(assoc=2, sets=4, line=32)
+        tags.fill(0x000)                        # set 0 only
+        assert tags.contains(0x020) is False    # set 1
+        assert tags.probe(0x040) is False       # set 2
+        assert tags.probe_line(0x040) is None
+        assert tags.invalidate(0x060) is False  # set 3
+        tags.set_dirty(0x060)                   # no line to mark
+        assert (tags.hits, tags.misses, tags.evictions) == (0, 2, 0)
+        # Fresh ways are free: filling a set to its associativity
+        # evicts nothing, the next fill evicts the LRU line, clean.
+        assert tags.fill(0x020) is None
+        assert tags.fill(0x0A0) is None
+        assert tags.fill(0x120) == (0x020, False)
+        assert tags.contains(0x000)
 
 
 class TestParamValidation:

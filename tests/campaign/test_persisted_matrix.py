@@ -1,7 +1,7 @@
 """The PR-10 byte-identity matrix.
 
 Every host-side speed layer this package stacks — chain compilation
-(turbo), persisted compiled segments, threaded-code frontend dispatch,
+(turbo), persisted compiled segments, the generated-block frontend,
 the direct-mapped L1 filter — and every executor backend must produce
 the same canonical campaign document, byte for byte:
 
@@ -9,9 +9,11 @@ the same canonical campaign document, byte for byte:
         x {L1 filter on, L1 filter off}
         x {fork, subprocess, queue}
 
-The reference is the serial, turbo-off, filter-off run — the slowest,
-most-interpreted configuration — so every cell proves the whole stack
-against the plain interpreted loop.
+The reference is the serial, turbo-off, filter-off run with the
+frontend on the pure ``Interpreter.step()`` path — the slowest,
+most-interpreted configuration — and every cell runs the frontend's
+generated blocks, so each of the 18 proves the whole stack, direct
+execution included, against the plain interpreted loops.
 """
 
 import os
@@ -27,19 +29,20 @@ FILTERS = (True, False)
 MODES = ("turbo-off", "cold", "persisted-warm")
 
 
-def _jobs(turbo: bool, l1_filter: bool):
+def _jobs(turbo: bool, l1_filter: bool, threaded_frontend: bool = True):
     return tuple(
         Job(workload, "fast", "tiny", turbo=turbo,
             turbo_threshold=THRESHOLD if turbo else None,
-            l1_filter=l1_filter)
+            l1_filter=l1_filter, threaded_frontend=threaded_frontend)
         for workload in ("compress", "li")
     )
 
 
 @pytest.fixture(scope="module")
 def reference():
-    outcome = run_jobs(_jobs(turbo=False, l1_filter=False), workers=0,
-                       name="matrix")
+    outcome = run_jobs(_jobs(turbo=False, l1_filter=False,
+                             threaded_frontend=False),
+                       workers=0, name="matrix")
     assert outcome.ok
     return outcome.canonical_json()
 

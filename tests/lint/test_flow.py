@@ -5,8 +5,9 @@ The fixture package under ``fixtures/flowpkg`` seeds exactly one
 violation per flow rule in places no path-based allowlist would ever
 scope (see its ``__init__`` docstring); the real tree must come back
 self-clean; and the codegen family must demonstrably catch injected
-emitter mutations — a patched template or bindings table produces
-exactly one finding of the expected rule.
+emitter mutations — a patched template or bindings table (of the turbo
+segment emitter or of the frontend's block emitter) produces exactly
+one finding of the expected rule.
 """
 
 import os
@@ -22,9 +23,11 @@ from repro.lint.flow.codegen import (
     RULE_NAME,
     RULE_SHAPE,
     CodegenContractChecker,
+    build_audit_blocks,
     build_audit_chains,
     interpreter_world_calls,
 )
+from repro.emulator import threaded
 from repro.lint.runner import lint_flow
 from repro.memo import compile as compiler
 
@@ -204,6 +207,33 @@ class TestCodegenContracts:
         # Drift at the table level *and* the smuggled name in the
         # generated source itself — two independent tripwires.
         assert rules == [RULE_DRIFT, RULE_NAME]
+
+    def test_block_template_mutation_is_caught(self, repro_session):
+        """The frontend's block emitter is audited like the turbo one:
+        a template smuggling a free name, reaching for an attribute
+        other than state.icc/state.fcc, or growing a new statement
+        shape yields findings of exactly that rule, on the emitter's file."""
+        for mutation, rule in (
+                (" regs[{d}] = _leak({a} + {b})", RULE_NAME),
+                (" regs[{d}] = ({a} + {b} + state.pc) & 4294967295",
+                 RULE_ATTR),
+                (" while {a}: regs[{d}] = {b}", RULE_SHAPE)):
+            with mock.patch.dict(threaded.BLOCK_TEMPLATES,
+                                 {"add": mutation}):
+                findings = self._codegen_findings(repro_session)
+            # One finding per generated line of the mutated shape.
+            assert {f.rule for f in findings} == {rule}, mutation
+            assert all("[block 'add']" in f.message for f in findings)
+            assert all(f.path.endswith(
+                os.path.join("emulator", "threaded.py"))
+                for f in findings)
+
+    def test_audit_blocks_cover_every_straight_line_opcode(self):
+        labels = {label for label, _instrs in build_audit_blocks()}
+        assert {"add", "subcc", "sdiv", "ldb", "stdf", "fdiv", "fcmp",
+                "fitod", "fdtoi", "sethi", "out", "nop"} <= labels
+        assert not labels & {"ba", "bne", "call", "jmpl", "halt"}
+        assert len(labels) == 41
 
     def test_drift_findings_anchor_at_the_bindings_table(self, repro_session):
         with mock.patch.dict(compiler.WORLD_BINDINGS, {
