@@ -40,6 +40,10 @@ class Bus:
         self.transfers += 1
         return self._next_free
 
+    def reset(self) -> None:
+        """Forget the occupancy timeline; traffic counters stay."""
+        self._next_free = 0
+
     def next_free(self) -> int:
         """The first cycle at which the bus is idle."""
         return self._next_free

@@ -29,7 +29,6 @@ memoization relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cache.bus import Bus
@@ -45,18 +44,6 @@ READY = 0
 #: power of two; sized so the filter itself stays resident in the host
 #: CPU's cache while covering far more lines than a hot loop touches.
 FILTER_SIZE = 256
-
-
-@dataclass
-class _LoadRequest:
-    token: int
-    address: int
-    width: int
-    issue_time: int
-    ready_time: int
-    l1_hit: bool
-    l2_hit: bool
-    polls: int = 0
 
 
 class CacheStats:
@@ -97,8 +84,14 @@ class MemorySystem:
         self.l2_mshrs = MSHRFile(self.params.l2.mshrs)
         self.bus = Bus(self.params.bus_width)
         self.stats = CacheStats()
-        self._loads: Dict[int, _LoadRequest] = {}
-        self._next_token = 0
+        #: Outstanding loads: caller's key (the world's absolute lQ
+        #: index, the baseline's own counter) -> cycle the data is ready.
+        self._ready: Dict[int, int] = {}
+        self._l1_line_mask = ~(self.params.l1.line_size - 1)
+        self._l2_line_mask = ~(self.params.l2.line_size - 1)
+        self._l1_line_shift = self.params.l1.line_size.bit_length() - 1
+        self._hit_latency = self.params.l1_hit_latency
+        self._hit_interval = max(1, self._hit_latency)
         #: Completion times of stores occupying store-buffer slots.
         self._store_slots: List[int] = []
         #: DEW-style direct-mapped load filter: ``slot -> (line, way)``
@@ -121,19 +114,18 @@ class MemorySystem:
     # Loads
     # ------------------------------------------------------------------
 
-    def issue_load(self, address: int, width: int, now: int):
-        """Begin a load. Returns ``(token, interval)``.
-
-        *interval* is the shortest number of cycles before the data
-        could be available; the caller must poll after waiting it.
-        """
-        self.stats.loads += 1
-        params = self.params
-        line = self.l1.line_address(address)
+    def issue_load(self, key: int, address: int, now: int) -> int:
+        """Begin the load the caller names *key*; returns the shortest
+        number of cycles before the data could be available. The caller
+        polls the same key after waiting it; the key stays outstanding
+        until a poll reports :data:`READY` or it is cancelled."""
+        stats = self.stats
+        stats.loads += 1
+        line = address & self._l1_line_mask
 
         slot = -1
         if self._filter_enabled:
-            slot = (line >> self.l1._line_shift) & self._filter_mask
+            slot = (line >> self._l1_line_shift) & self._filter_mask
             entry = self._filter[slot]
             if entry is not None and entry[0] == line:
                 # Filtered hit: the line is proven present with no
@@ -142,12 +134,10 @@ class MemorySystem:
                 # release_completed is unobservable — every other MSHR
                 # reader releases first (at a time >= now).
                 self.filter_hits += 1
-                self.stats.l1_load_hits += 1
+                stats.l1_load_hits += 1
                 self.l1.touch(entry[1])
-                ready = now + params.l1_hit_latency
-                request = self._remember(address, width, now, ready,
-                                         l1_hit=True, l2_hit=True)
-                return request.token, max(1, ready - now)
+                self._ready[key] = now + self._hit_latency
+                return self._hit_interval
             self.filter_misses += 1
 
         self.l1_mshrs.release_completed(now)
@@ -156,63 +146,59 @@ class MemorySystem:
         inflight = self.l1_mshrs.lookup(line)
         if inflight is not None and inflight > now:
             # The line is already being fetched: merge with that fill.
-            self.stats.l1_load_misses += 1
-            completion = self.l1_mshrs.merge(line)
-            request = self._remember(address, width, now, completion,
-                                     l1_hit=False, l2_hit=True)
-            return request.token, max(1, completion - now)
+            stats.l1_load_misses += 1
+            self._ready[key] = completion = self.l1_mshrs.merge(line)
+            return max(1, completion - now)
 
         way = self.l1.probe_line(line)
         if way is not None:
-            self.stats.l1_load_hits += 1
+            stats.l1_load_hits += 1
             if slot >= 0:
                 self._filter[slot] = (line, way)
-            ready = now + params.l1_hit_latency
-            request = self._remember(address, width, now, ready,
-                                     l1_hit=True, l2_hit=True)
-            return request.token, max(1, ready - now)
+            self._ready[key] = now + self._hit_latency
+            return self._hit_interval
 
         # L1 miss: wait for a free MSHR if necessary, then access L2.
-        self.stats.l1_load_misses += 1
+        stats.l1_load_misses += 1
         start = self.l1_mshrs.next_slot_time(now)
-        ready, l2_hit = self._fetch_line_from_l2(line, start)
+        self._ready[key] = ready = self._fetch_line_from_l2(line, start)
         self.l1_mshrs.allocate(line, ready)
         self._fill_l1(line)
-        request = self._remember(address, width, now, ready,
-                                 l1_hit=False, l2_hit=l2_hit)
         # First reply is optimistic: it assumes the L2 will hit. The
         # poll after this interval discovers any additional delay.
-        optimistic = min(ready, start + params.l2_hit_latency)
-        return request.token, max(1, optimistic - now)
+        optimistic = min(ready, start + self.params.l2_hit_latency)
+        return max(1, optimistic - now)
 
-    def poll_load(self, token: int, now: int) -> int:
+    def poll_load(self, key: int, now: int) -> int:
         """Check a load previously issued.
 
         Returns :data:`READY` (0) when the data is available, else the
         number of further cycles to wait.
         """
         try:
-            request = self._loads[token]
+            ready = self._ready[key]
         except KeyError:
-            raise SimulationError(f"unknown load token {token}") from None
-        request.polls += 1
-        if now >= request.ready_time:
-            del self._loads[token]
+            raise SimulationError(
+                f"poll for load {key} which was never issued"
+            ) from None
+        if now >= ready:
+            del self._ready[key]
             return READY
-        return request.ready_time - now
+        return ready - now
 
     def reset_timing(self) -> None:
         """Forget in-flight timing state; keep cache contents and stats.
 
         Sampled simulation restarts simulated time at each measurement
         window; pending fills, store-buffer slots, and bus reservations
-        from the previous window's clock domain must not leak in.
-        """
-        self._loads.clear()
+        from the previous window's clock domain must not leak in — nor
+        outstanding load keys: each window's fresh world restarts its
+        lQ indices at 0, so a stale key would alias a new load."""
+        self._ready.clear()
         self._store_slots.clear()
-        self.l1_mshrs._inflight.clear()
-        self.l2_mshrs._inflight.clear()
-        self.bus._next_free = 0
+        self.l1_mshrs.clear()
+        self.l2_mshrs.clear()
+        self.bus.reset()
 
     def warm_access(self, address: int, is_store: bool = False) -> None:
         """Functionally warm the tag arrays (no timing, MSHRs, bus, or
@@ -235,90 +221,93 @@ class MemorySystem:
             self.l1.invalidate(evicted[0])
             self._filter_invalidate(evicted[0])
 
-    def cancel_load(self, token: int) -> None:
+    def cancel_load(self, key: int) -> None:
         """Forget an issued load (squashed wrong-path instruction).
 
         The line fill it triggered still completes — as in hardware —
         only the reply bookkeeping is dropped.
         """
-        self._loads.pop(token, None)
+        self._ready.pop(key, None)
 
-    def _remember(self, address: int, width: int, now: int, ready: int,
-                  l1_hit: bool, l2_hit: bool) -> _LoadRequest:
-        token = self._next_token
-        self._next_token += 1
-        request = _LoadRequest(token, address, width, now, ready,
-                               l1_hit, l2_hit)
-        self._loads[token] = request
-        return request
+    def cancel_loads_from(self, first_key: int) -> None:
+        """:meth:`cancel_load` every outstanding key >= *first_key*
+        (keys ordered like the lQ: a rollback squashes its tail)."""
+        ready = self._ready
+        for key in [key for key in ready if key >= first_key]:
+            del ready[key]
 
     # ------------------------------------------------------------------
     # Stores
     # ------------------------------------------------------------------
 
     def issue_store(self, address: int, width: int, now: int) -> int:
-        """Begin a store. Returns the interval until it is accepted.
-
-        Acceptance means the store owns a store-buffer slot; the
-        pipeline treats it as complete after this interval. The
-        write-through traffic drains in the background.
-        """
-        self.stats.stores += 1
-        params = self.params
+        """Begin a store. Returns the interval until it is accepted:
+        the store then owns a store-buffer slot and the pipeline treats
+        it as complete; the write-through traffic drains in the
+        background."""
+        stats = self.stats
+        stats.stores += 1
         start = self._store_slot_time(now)
 
         # Write-through, no-write-allocate L1.
-        if self.l1.probe(address):
-            self.stats.l1_store_hits += 1
+        if self.l1.probe_line(address & self._l1_line_mask) is not None:
+            stats.l1_store_hits += 1
         else:
-            self.stats.l1_store_misses += 1
+            stats.l1_store_misses += 1
 
         # The word travels to L2 over the bus.
         transfer_done = self.bus.reserve(start, width)
-        line = self.l2.line_address(address)
-        self.l2_mshrs.release_completed(now)
-        inflight = self.l2_mshrs.lookup(line)
+        line = address & self._l2_line_mask
+        l2_mshrs = self.l2_mshrs
+        inflight = None
+        if len(l2_mshrs):
+            l2_mshrs.release_completed(now)
+            inflight = l2_mshrs.lookup(line)
         if inflight is not None and inflight > now:
-            completion = max(self.l2_mshrs.merge(line), transfer_done)
+            completion = max(l2_mshrs.merge(line), transfer_done)
             self.l2.set_dirty(line)
-        elif self.l2.probe(address):
-            self.stats.l2_hits += 1
-            self.l2.set_dirty(line)
-            completion = transfer_done
         else:
-            # Write-allocate into the write-back L2: fetch the line from
-            # memory, then merge the store's bytes.
-            self.stats.l2_misses += 1
-            completion = self._fetch_line_from_memory(line, transfer_done)
-            self._fill_l2(line, dirty=True)
-            if not self.l2_mshrs.full:
-                self.l2_mshrs.allocate(line, completion)
+            way = self.l2.probe_line(line)
+            if way is not None:
+                stats.l2_hits += 1
+                way.dirty = True
+                completion = transfer_done
+            else:
+                # Write-allocate into the write-back L2: fetch the line
+                # from memory, then merge the store's bytes.
+                stats.l2_misses += 1
+                completion = self._fetch_line_from_memory(line,
+                                                          transfer_done)
+                self._fill_l2(line, dirty=True)
+                if not l2_mshrs.full:
+                    l2_mshrs.allocate(line, completion)
 
         self._store_slots.append(completion)
         return max(1, start - now + 1)
 
     def _store_slot_time(self, now: int) -> int:
         """Earliest cycle a store-buffer slot is free."""
-        self._store_slots = [t for t in self._store_slots if t > now]
-        if len(self._store_slots) < self.params.store_buffer:
+        slots = self._store_slots
+        if slots:
+            self._store_slots = slots = [t for t in slots if t > now]
+        if len(slots) < self.params.store_buffer:
             return now
         self.stats.store_buffer_stalls += 1
-        return min(self._store_slots)
+        return min(slots)
 
     # ------------------------------------------------------------------
     # Line movement
     # ------------------------------------------------------------------
 
-    def _fetch_line_from_l2(self, line: int, start: int):
-        """Schedule an L1 fill from L2. Returns (ready_cycle, l2_hit)."""
+    def _fetch_line_from_l2(self, line: int, start: int) -> int:
+        """Schedule an L1 fill from L2; returns the cycle it is ready."""
         params = self.params
         self.l2_mshrs.release_completed(start)
         inflight = self.l2_mshrs.lookup(line)
         if inflight is not None and inflight > start:
             # L2 is already fetching this line from memory.
-            ready = self.bus.reserve(self.l2_mshrs.merge(line),
-                                     params.l1.line_size)
-            return ready, False
+            return self.bus.reserve(self.l2_mshrs.merge(line),
+                                    params.l1.line_size)
         if self.l2.probe(line):
             self.stats.l2_hits += 1
             # L2 access pipeline, then the line crosses the bus.
@@ -327,14 +316,13 @@ class MemorySystem:
             )
             ready = self.bus.reserve(max(start, access_done),
                                      params.l1.line_size)
-            return max(ready, start + params.l2_hit_latency), True
+            return max(ready, start + params.l2_hit_latency)
         self.stats.l2_misses += 1
         mem_start = self.l2_mshrs.next_slot_time(start)
         fill_done = self._fetch_line_from_memory(line, mem_start)
         self._fill_l2(line, dirty=False)
         self.l2_mshrs.allocate(line, fill_done)
-        ready = self.bus.reserve(fill_done, params.l1.line_size)
-        return ready, False
+        return self.bus.reserve(fill_done, params.l1.line_size)
 
     def _fetch_line_from_memory(self, line: int, start: int) -> int:
         """Schedule a DRAM access for *line*; returns the fill cycle."""
@@ -362,7 +350,7 @@ class MemorySystem:
 
     def _filter_invalidate(self, line: int) -> None:
         """Exact invalidation: clear the filter slot iff it names *line*."""
-        slot = (line >> self.l1._line_shift) & self._filter_mask
+        slot = (line >> self._l1_line_shift) & self._filter_mask
         entry = self._filter[slot]
         if entry is not None and entry[0] == line:
             self._filter[slot] = None
@@ -380,4 +368,4 @@ class MemorySystem:
 
     @property
     def outstanding_loads(self) -> int:
-        return len(self._loads)
+        return len(self._ready)

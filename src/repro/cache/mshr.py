@@ -35,6 +35,10 @@ class MSHRFile:
     def full(self) -> bool:
         return len(self._inflight) >= self.capacity
 
+    def clear(self) -> None:
+        """Drop every in-flight fill (a new clock domain begins)."""
+        self._inflight.clear()
+
     def lookup(self, line_addr: int) -> Optional[int]:
         """Completion cycle of an in-flight fill for *line_addr*, or None."""
         return self._inflight.get(line_addr)

@@ -14,37 +14,44 @@ identical to ``Interpreter.step()``:
 
 ``flow/codegen-name`` (error)
     Generated code references a name outside the whitelist. Segments:
-    the parameters (``world``/``R``/``K``/``ctl_a``), the world binding
-    aliases, and the two reply locals (``r``/``rec``). Blocks: the
-    emitter's namespace table (``BLOCK_BINDINGS`` + ``BLOCK_HELPERS``)
-    and its temporaries (``BLOCK_LOCALS``). Any other name is smuggled
-    state.
+    the parameters (``world``/``R``/``K``/``ctl_a``), the entry
+    bindings (``WORLD_BINDINGS``) and four temporaries
+    (``i``/``s``/``r``/``rec``). Blocks: the emitter's namespace table
+    (``BLOCK_BINDINGS`` + ``BLOCK_HELPERS``) and its temporaries
+    (``BLOCK_LOCALS``). Any other name is smuggled state.
 
 ``flow/codegen-attr`` (error)
-    Generated code accesses an attribute other than ``world.<m>`` for
-    a sanctioned world method or ``rec.outcome_key`` (segments),
-    ``state.icc`` / ``state.fcc`` (blocks). The attribute surface *is*
-    the side-effect surface.
+    Segments replay against the world's *state*: they read
+    ``world.cycle/lq_base/sq_base/_lq/_sq``, call ``world.get_control``
+    / ``world.rollback`` and the cache-port methods the ``World``
+    wrappers themselves call — exactly the ``WORLD_BINDINGS`` targets —
+    plus ``rec.outcome_key`` and a queue record's ``address``/``width``.
+    Any other attribute, and **any assignment to an attribute** (the
+    engine settles clock, cursors and statistics at the exit), is a
+    finding. Blocks: ``state.icc`` / ``state.fcc`` only. The attribute
+    surface *is* the side-effect surface.
 
 ``flow/codegen-shape`` (error)
-    A generated segment statement deviates from the five allowed
-    shapes (binding, reply call, effect call, guard, return), or a
-    block statement is anything but an assignment, a call, or an
-    ``if`` around those. New shapes mean the emitter grew behavior the
+    A generated segment statement deviates from the allowed shapes
+    (binding, temporary, reply call, effect call, guard, return), a
+    cache-port call's clock argument is not ``c + <const>``, or a block
+    statement is anything but an assignment, a call, or an ``if``
+    around those. New shapes mean the emitter grew behavior the
     contract never reviewed.
 
 ``flow/codegen-drift`` (error)
-    The emitter's :data:`~repro.memo.compile.WORLD_BINDINGS` table and
-    the interpreted replay loop's world-call set have diverged, or a
-    :data:`~repro.memo.compile.SEG_TEMPLATES` entry references an
-    alias the bindings table does not define. Compiled and interpreted
-    replay must perform the same world calls — drift here is how
-    "bit-identical with turbo on or off" silently stops being true.
+    :data:`~repro.memo.compile.WORLD_BINDINGS` has diverged from what
+    it stands in for — the cache-port calls and world reads of
+    ``World.issue_load/poll_load/issue_store`` (:data:`FOLDED_WRAPPERS`)
+    and the interpreted replay loop's world calls, less those deferred
+    to the exit (:data:`EXIT_CONTRACT`) — or a
+    :data:`~repro.memo.compile.SEG_TEMPLATES` entry references an alias
+    the table does not define. Drift here is how "bit-identical with
+    turbo on or off" silently stops being true.
 
-The interpreter side is derived *statically* from the session's module
-graph (the ``world.<method>(...)`` calls inside
-``FastForwardEngine._replay``), so the cross-check needs no live
-engine and works on fixture packages too.
+Both reference sides are derived *statically* from the session's module
+graph (``FastForwardEngine._replay`` and the three ``World`` wrappers),
+so the cross-check needs no live engine and works on fixture packages.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from __future__ import annotations
 import ast
 import re
 import textwrap
-from typing import Iterator, List, Set
+from typing import Dict, Iterator, List, Set, Tuple
 
 #: A ``str.format`` replacement field inside a SEG_TEMPLATES entry.
 _FORMAT_FIELD_RE = re.compile(r"\{[^{}]*\}")
@@ -68,12 +75,27 @@ RULE_DRIFT = "flow/codegen-drift"
 #: Parameters of every generated segment function.
 SEG_PARAMS = ("world", "R", "K", "ctl_a")
 
-#: Locals generated code may bind (world aliases come from
-#: WORLD_BINDINGS at check time; these are the reply captures).
-REPLY_LOCALS = ("r", "rec")
+#: Temporaries generated code may bind beside the WORLD_BINDINGS
+#: aliases: absolute lQ index, sQ record, and the two reply captures.
+SEG_LOCALS = ("i", "s", "r", "rec")
 
-#: The one non-world method generated code may call on a reply.
-REPLY_METHODS = frozenset({"outcome_key"})
+#: Attributes generated code may read off a non-world object: the
+#: control record's key method and a queue record's fields.
+RECORD_READS = frozenset({"rec.outcome_key", "s.address", "s.width",
+                          "lq[i].address"})
+
+#: World wrappers a segment inlines: it calls their cache-port callee
+#: directly, with the cursor and clock they would have read folded in.
+FOLDED_WRAPPERS = ("issue_load", "poll_load", "issue_store")
+
+#: World methods a segment never calls because their whole effect is a
+#: compile-time constant the engine applies at every exit.
+EXIT_CONTRACT = frozenset({"advance_cycles", "retire"})
+
+#: A cache-port call's clock argument: entry clock + cycles so far.
+_CLOCK_RE = re.compile(r"c \+ \d+")
+
+_PORT_PREFIX = "world.cache."
 
 
 def build_audit_chains():
@@ -96,9 +118,10 @@ def build_audit_chains():
 
     chains = []
 
-    # 1. Linear fusion: advances fuse, retire/rollback emit requests.
+    # 1. Linear folding: advances and retires emit nothing; the
+    #    rollback's control ordinal absorbs the retired controls.
     a1, a2 = AdvanceNode(3), AdvanceNode(2)
-    retire = RetireNode(4, 1, 1, 0, 1)
+    retire = RetireNode(4, 1, 1, 1, 1)
     rollback = RollbackNode(2, 1, 0, 0)
     end = EndNode(0)
     a1.next, a2.next, retire.next, rollback.next = a2, retire, rollback, end
@@ -168,18 +191,31 @@ def interpreter_world_calls(session) -> Set[str]:
         fn = session.callgraph.functions[qualname]
         for statement in fn.cfg.statements():
             for node in ast.walk(statement):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id == "world"):
-                    methods.add(func.attr)
-                elif (isinstance(func, ast.Attribute)
-                        and isinstance(func.value, ast.Attribute)
-                        and func.value.attr == "world"):
-                    methods.add(func.attr)
+                if isinstance(node, ast.Call):
+                    owner, _, method = ast.unparse(
+                        node.func).rpartition(".")
+                    if owner in ("world", "self.world"):
+                        methods.add(method)
     return methods
+
+
+def world_wrapper_surface(session) -> Tuple[Set[str], Set[str]]:
+    """``(cache-port methods called, world attributes read)`` by the
+    :data:`FOLDED_WRAPPERS`, derived statically from ``World``'s source
+    in the session (both empty when the package has no ``World``)."""
+    port: Set[str] = set()
+    reads: Set[str] = set()
+    for wrapper in FOLDED_WRAPPERS:
+        for qualname in session.callgraph.match_suffix("World." + wrapper):
+            fn = session.callgraph.functions[qualname]
+            for node in ast.walk(fn.node):
+                if isinstance(node, ast.Attribute):
+                    parts = ast.unparse(node).split(".")
+                    if parts[:2] == ["self", "cache"]:
+                        port.update(parts[2:3])
+                    elif parts[0] == "self" and len(parts) == 2:
+                        reads.add(parts[1])
+    return port, reads - {"cache"}
 
 
 class _GeneratedSourceAuditor:
@@ -188,12 +224,15 @@ class _GeneratedSourceAuditor:
     kind = "chain"
 
     def __init__(self, path: str, label: str, source: str,
-                 world_methods: Set[str], aliases: Set[str]):
+                 bindings: Dict[str, str]):
         self.path = path
         self.label = label
         self.source = source
-        self.world_methods = world_methods
-        self.allowed_names = set(SEG_PARAMS) | set(REPLY_LOCALS) | aliases
+        self.allowed_attrs = set(bindings.values()) | RECORD_READS
+        self.port_aliases = {alias for alias, target in bindings.items()
+                             if target.startswith(_PORT_PREFIX)}
+        self.allowed_names = (set(SEG_PARAMS) | set(SEG_LOCALS)
+                              | set(bindings))
         self.findings: List[Finding] = []
 
     def _emit(self, rule: str, message: str, line: int = 1) -> None:
@@ -235,45 +274,59 @@ class _GeneratedSourceAuditor:
                     )
 
     def _check_attrs(self, fn: ast.FunctionDef) -> None:
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Attribute):
-                continue
-            base = node.value
-            if isinstance(base, ast.Name) and base.id == "world":
-                if node.attr not in self.world_methods:
-                    self._emit(
-                        RULE_ATTR,
-                        f"generated code binds world.{node.attr}, "
-                        "which interpreted replay never calls",
-                        node.lineno,
-                    )
-            elif isinstance(base, ast.Name) and base.id == "rec":
-                if node.attr not in REPLY_METHODS:
-                    self._emit(
-                        RULE_ATTR,
-                        f"generated code accesses rec.{node.attr}; "
-                        "only outcome_key() is sanctioned",
-                        node.lineno,
-                    )
-            else:
+        attributes = [node for node in ast.walk(fn)
+                      if isinstance(node, ast.Attribute)]
+        # ``world.cache`` inside ``world.cache.issue_load`` is judged
+        # as part of the chain it belongs to.
+        inner = {id(node.value) for node in attributes}
+        for node in attributes:
+            if (id(node) not in inner
+                    and ast.unparse(node) not in self.allowed_attrs):
                 self._emit(
                     RULE_ATTR,
-                    "generated code contains an attribute access "
-                    "outside world.<method> / rec.outcome_key",
+                    f"generated code accesses {ast.unparse(node)}, "
+                    f"outside the {self.kind} contract's attribute "
+                    "surface",
                     node.lineno,
                 )
 
     def _check_shape(self, statement: ast.stmt) -> None:
         line = getattr(statement, "lineno", 1)
+        for node in ast.walk(statement):
+            # A cache-port call's last argument is ``c + <constant>``.
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in self.port_aliases
+                    and not (node.args and _CLOCK_RE.fullmatch(
+                        ast.unparse(node.args[-1])))):
+                self._emit(
+                    RULE_SHAPE,
+                    f"cache-port call {ast.unparse(node)} does not "
+                    "pass 'c + <cycles so far>' as its clock: the "
+                    "access would replay at the wrong cycle",
+                    line,
+                )
         if isinstance(statement, ast.Assign):
+            target = statement.targets[0]
+            if isinstance(target, (ast.Attribute, ast.Subscript)):
+                self._emit(
+                    RULE_ATTR,
+                    f"generated code assigns {ast.unparse(target)}; a "
+                    "segment never writes world or queue state (the "
+                    "engine settles clock, cursors and statistics at "
+                    "the exit)",
+                    line,
+                )
+                return
             if (len(statement.targets) == 1
-                    and isinstance(statement.targets[0], ast.Name)
+                    and isinstance(target, ast.Name)
                     and isinstance(statement.value,
-                                   (ast.Attribute, ast.Call))):
-                return  # binding or reply-capture call
+                                   (ast.Attribute, ast.Call, ast.BinOp,
+                                    ast.Subscript))):
+                return  # binding, index/record temporary, reply call
         elif isinstance(statement, ast.Expr):
             if isinstance(statement.value, ast.Call):
-                return  # effect call (w_adv/w_ret/w_rb/ctl_a)
+                return  # effect call (w_rb/ctl_a)
         elif isinstance(statement, ast.If):
             test = statement.test
             if (isinstance(test, ast.Compare)
@@ -288,8 +341,8 @@ class _GeneratedSourceAuditor:
         self._emit(
             RULE_SHAPE,
             f"generated statement shape {type(statement).__name__} is "
-            "outside the segment contract (binding / reply call / "
-            "effect call / guard / return)",
+            "outside the segment contract (binding / temporary / reply "
+            "call / effect call / guard / return)",
             line,
         )
 
@@ -302,25 +355,12 @@ class _BlockSourceAuditor(_GeneratedSourceAuditor):
     kind = "block"
 
     def __init__(self, path: str, label: str, source: str, emitter):
-        super().__init__(path, label, source, set(), set())
+        super().__init__(path, label, source, {})
         self.allowed_names = (set(emitter.BLOCK_BINDINGS)
                               | set(emitter.BLOCK_HELPERS)
                               | set(emitter.BLOCK_LOCALS))
-        self.state_attrs = frozenset(emitter.BLOCK_STATE_ATTRS)
-
-    def _check_attrs(self, fn: ast.FunctionDef) -> None:
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Attribute):
-                continue
-            base = node.value
-            if not (isinstance(base, ast.Name) and base.id == "state"
-                    and node.attr in self.state_attrs):
-                self._emit(
-                    RULE_ATTR,
-                    f"generated code accesses .{node.attr}; only "
-                    "state.icc / state.fcc are sanctioned",
-                    node.lineno,
-                )
+        self.allowed_attrs = {f"state.{attr}"
+                              for attr in emitter.BLOCK_STATE_ATTRS}
 
     def _check_shape(self, statement: ast.stmt) -> None:
         if isinstance(statement, ast.Assign):
@@ -344,8 +384,8 @@ def _template_aliases(template: str) -> Set[str]:
     """Names a SEG_TEMPLATES entry references outside its fields.
 
     Format fields are substituted with a dummy literal so the template
-    parses as the statement it will expand to (``w_ret(R[{index}])``
-    becomes ``w_ret(R[0])``); any :class:`ast.Name` left is an alias
+    parses as the statement it will expand to (``w_rb(R[{index}])``
+    becomes ``w_rb(R[0])``); any :class:`ast.Name` left is an alias
     the template hardcodes. Templates whose fields *are* the statement
     structure (the ``bind`` line) do not parse and contribute nothing
     — their aliases come straight from ``WORLD_BINDINGS``.
@@ -397,65 +437,56 @@ class CodegenContractChecker(ProjectChecker):
         path = compile_module.path
         from repro.memo import compile as compiler
 
-        world_methods = set(
-            target.split(".", 1)[1]
-            for target in compiler.WORLD_BINDINGS.values()
-            if target.startswith("world.")
-        )
-        yield from self._check_drift(session, path, compiler,
-                                     world_methods)
-        aliases = set(compiler.WORLD_BINDINGS)
+        bindings = dict(compiler.WORLD_BINDINGS)
+        yield from self._check_drift(session, path, compiler, bindings)
         for label, head, _count in build_audit_chains():
             segment = compiler.compile_segment(head, generation=0,
                                                capture_source=True)
             auditor = _GeneratedSourceAuditor(
-                path, label, segment.source, world_methods, aliases)
+                path, label, segment.source, bindings)
             yield from auditor.audit()
 
     def _check_drift(self, session, path: str, compiler,
-                     world_methods: Set[str]) -> Iterator[Finding]:
+                     bindings: Dict[str, str]) -> Iterator[Finding]:
         line = self._bindings_line(session, path)
+
+        def drift(message: str) -> Finding:
+            return Finding(path=path, line=line, col=1, rule=RULE_DRIFT,
+                           severity=Severity.ERROR, message=message)
+
         interp = interpreter_world_calls(session)
-        if interp:
-            for method in sorted(world_methods - interp):
-                yield Finding(
-                    path=path, line=line, col=1, rule=RULE_DRIFT,
-                    severity=Severity.ERROR,
-                    message=(
-                        f"WORLD_BINDINGS exposes world.{method} but "
-                        "the interpreted replay loop never calls it; "
-                        "compiled and interpreted replay must share "
-                        "one side-effect surface"
-                    ),
-                )
-            for method in sorted(interp - world_methods):
-                yield Finding(
-                    path=path, line=line, col=1, rule=RULE_DRIFT,
-                    severity=Severity.ERROR,
-                    message=(
-                        f"interpreted replay calls world.{method} but "
-                        "WORLD_BINDINGS cannot emit it; a chain "
-                        "containing that action would compile to a "
-                        "segment with different effects"
-                    ),
-                )
+        port, reads = world_wrapper_surface(session)
+        folded = set(FOLDED_WRAPPERS) | EXIT_CONTRACT
+        bound = set(bindings.values())
+        expected = ({f"world.{name}" for name in reads | interp - folded}
+                    | {_PORT_PREFIX + method for method in port})
+        if interp and port:
+            for targets, message in (
+                (bound - expected,
+                 "WORLD_BINDINGS exposes {}, which neither the World "
+                 "load/store wrappers nor the interpreted replay loop "
+                 "use"),
+                (expected - bound,
+                 "replay uses {} but WORLD_BINDINGS cannot emit it; a "
+                 "segment would skip that access or effect"),
+                ({f"world.{name}" for name in folded - interp},
+                 "the emitter folds {}, which the interpreted replay "
+                 "loop never calls"),
+            ):
+                for target in sorted(targets):
+                    yield drift(message.format(target) + "; compiled "
+                                "and interpreted replay must share one "
+                                "surface")
         # Every alias a template mentions must be bindable.
-        bindable = set(compiler.WORLD_BINDINGS) | set(SEG_PARAMS) | set(
-            REPLY_LOCALS)
+        bindable = set(bindings) | set(SEG_PARAMS) | set(SEG_LOCALS)
         for key in sorted(compiler.SEG_TEMPLATES):
             for name in sorted(
                     _template_aliases(compiler.SEG_TEMPLATES[key])):
                 if name not in bindable:
-                    yield Finding(
-                        path=path, line=line, col=1, rule=RULE_DRIFT,
-                        severity=Severity.ERROR,
-                        message=(
-                            f"SEG_TEMPLATES['{key}'] references "
-                            f"'{name}', which WORLD_BINDINGS does not "
-                            "define and the segment signature does "
-                            "not provide"
-                        ),
-                    )
+                    yield drift(
+                        f"SEG_TEMPLATES['{key}'] references '{name}', "
+                        "which WORLD_BINDINGS does not define and the "
+                        "segment signature does not provide")
 
     @staticmethod
     def _bindings_line(session, path: str) -> int:

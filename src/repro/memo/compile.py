@@ -40,25 +40,44 @@ loops become one segment replayed per iteration), or the
 Why replay is faster
 --------------------
 
-* consecutive :class:`AdvanceNode` deltas are **fused** into a single
-  ``world.advance_cycles`` per outcome-to-outcome gap (legal because
-  ``retire``/``rollback`` never read the cycle counter, while the
-  cycle-sensitive outcome calls always see a fully advanced clock);
-* consecutive :class:`RetireNode` requests are likewise **fused** into
-  one pre-built ``Retire`` per gap — ``retire`` only *adds* to the
-  queue cursors and statistics, and everything that reads a cursor
-  (outcome calls, ``rollback``) is a flush barrier, so the fused call
-  leaves exactly the interpreter's world state at every guard;
-* ``Retire``/``Rollback`` request objects are pre-built;
-* per-node statistics, touches and configuration bookkeeping collapse
-  into per-segment constants applied once;
-* chain-log entries for loads and stores are static (on a guard hit
-  the logged reply *is* the edge key); only control records are
-  captured at runtime (:class:`_CtlSlot` patches them into the log
-  template on demand);
-* the ``max_cycles`` abort check runs once per segment — the replay is
-  skipped (interpreted instead) when the segment's total could cross
-  the limit, so the interpreter raises at the exact same advance.
+A replayed action should cost "a few native instructions", so segments
+replay against the world's *state*, not through its methods:
+
+* :class:`AdvanceNode` and :class:`RetireNode` emit **no code**. Their
+  only effect is adding compile-time constants to the clock, the queue
+  cursors and the statistics, and nothing inside a segment reads
+  statistics — so the compiler carries a running cycle offset and
+  running retire totals, the generated function reads ``c =
+  world.cycle``, ``lb = world.lq_base``, ``sb = world.sq_base`` once at
+  entry, and every reader gets ``entry value + constant``;
+* load and store outcomes call the **cache port directly** with those
+  constants folded in (``i = lb + 2; r = c_il(i, lq[i].address, c +
+  14)``) — the calls ``World.issue_load/poll_load/issue_store`` make,
+  minus the wrapper. The port methods are bound per segment *call*,
+  never at compile time, so whoever wraps them sees every access;
+* ``get_control`` stays a world call (the frontend never reads the
+  world's clock or cursors), and a :class:`RollbackNode` is a pre-built
+  ``Rollback`` whose control ordinal already includes the controls
+  retired so far — ``cf_base`` is still its entry value, so
+  :meth:`World.rollback` runs unchanged;
+* **exit contract**: every way out — full replay, guard miss, dynamic
+  terminal — carries ``(cycles, Retire totals)`` in its record
+  (:attr:`CompiledSegment.cycles` / ``retired``, or :data:`ExitMeta`)
+  and the engine applies them with one ``world.advance_cycles`` + one
+  ``world.retire`` *before* it reads ``world.cycle``:
+  interpreter-identical world state at every exit;
+* per-node statistics, touches, configuration bookkeeping and static
+  chain-log entries collapse into per-segment constants; only control
+  records are captured at runtime (:class:`_CtlSlot`);
+* the ``max_cycles`` abort check runs once per segment — a segment
+  whose total could cross the limit is interpreted instead, so the
+  abort raises at the exact same advance.
+
+An exception raised *inside* a segment (frontend instruction budget,
+fetch past the frontend, poll of an unissued load) leaves
+``world.cycle`` and the cursors at their segment-entry values, where
+the interpreter would have advanced them node by node. No handler in
+``src/`` reads a :class:`World` after a ``SimulationError``.
 
 Touch semantics under replacement policies
 ------------------------------------------
@@ -85,12 +104,13 @@ at its next use and the head re-warms toward recompilation. Replay
 never walks stale pointers, and a guard can never miss an edge that
 exists: adding an edge bumps the generation first.
 
-Because a valid segment performs exactly the interpreter's world calls
-in the same order at the same cycles, and reconstructs the same
-statistics, chain log and resync inputs, simulated results are
-bit-identical with compilation on or off — asserted for every suite
-workload by ``tests/memo/test_turbo.py`` and benchmarked by
-``benchmarks/bench_replay_hot_loop.py`` (see docs/performance.md).
+Because a valid segment hands the cache port and the frontend exactly
+the interpreter's requests in the same order at the same cycles, and
+reconstructs the same statistics, chain log and resync inputs,
+simulated results are bit-identical with compilation on or off —
+asserted for every suite workload by ``tests/memo/test_turbo.py`` and
+``tests/memo/test_fold.py``, and measured by
+``python3 bench/run.py --workload fast-warm`` (see docs/performance.md).
 Segments are derived state: they are never persisted (FSPC stores only
 nodes) and never counted in the modelled cache size.
 """
@@ -98,6 +118,7 @@ nodes) and never counted in the modelled cache size.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -123,41 +144,45 @@ DEFAULT_COMPILE_THRESHOLD = 8
 MAX_SEGMENT_NODES = 512
 
 #: Signature of every generated segment function. ``world`` is the
-#: live world adapter, ``R`` the pre-built request tuple, ``K`` the
+#: live world adapter, ``R`` the pre-built ``Rollback`` tuple, ``K`` the
 #: non-inlinable key tuple, ``ctl_a`` the control-record collector.
 SEG_HEADER = "def _seg(world, R, K, ctl_a):\n"
 
-#: Local alias -> world attribute each generated binding line caches.
-#: The values are, by construction, exactly the world methods the
-#: interpreted replay loop (:meth:`FastForwardEngine._replay`) calls —
-#: the flow lint's codegen checker cross-checks this table against the
-#: interpreter source so compiler/interpreter drift is a lint error.
+#: Local -> world expression each generated entry line reads, once per
+#: segment call: the clock, cursors and queues every folded constant is
+#: relative to, the two world methods a segment still calls, and the
+#: cache-port methods the ``World`` load/store wrappers themselves call
+#: (the flow lint cross-checks this table against those wrappers and
+#: the interpreted replay loop, so drift is a lint error).
 WORLD_BINDINGS = {
-    "w_adv": "world.advance_cycles", "w_ret": "world.retire",
-    "w_rb": "world.rollback", "w_get": "world.get_control",
-    "w_il": "world.issue_load", "w_pl": "world.poll_load",
-    "w_st": "world.issue_store",
+    "c": "world.cycle", "lb": "world.lq_base", "sb": "world.sq_base",
+    "lq": "world._lq", "sq": "world._sq",
+    "w_get": "world.get_control", "w_rb": "world.rollback",
+    "c_il": "world.cache.issue_load", "c_pl": "world.cache.poll_load",
+    "c_st": "world.cache.issue_store",
 }
 
 #: Every line shape :func:`compile_segment` can emit, as
-#: ``str.format`` templates. Exposed as a module constant so the flow
-#: lint can audit the emitter (and tests can inject a mutation to
-#: prove the audit bites). Generated code never contains any other
-#: statement shape.
+#: ``str.format`` templates — a module constant so the flow lint can
+#: audit the emitter and tests can inject mutations. ``{index}`` is a
+#: queue ordinal plus the loads/stores retired so far in the segment,
+#: ``{cycles}`` the cycles advanced so far.
 SEG_TEMPLATES = {
     "bind": "    {name} = {target}\n",
-    "advance": "    w_adv({delta})",
-    "retire": "    w_ret(R[{index}])",
     "rollback": "    w_rb(R[{index}])",
     "control_call": "    rec = w_get()",
     "control_log": "    ctl_a(rec)",
-    "load_issue": "    r = w_il({ordinal})",
-    "load_poll": "    r = w_pl({ordinal})",
-    "store_issue": "    r = w_st({ordinal})",
+    "load_issue": ("    i = lb + {index}; "
+                   "r = c_il(i, lq[i].address, c + {cycles})"),
+    "load_poll": "    r = c_pl(lb + {index}, c + {cycles})",
+    "store_issue": ("    s = sq[sb + {index}]; "
+                    "r = c_st(s.address, s.width, c + {cycles})"),
     "guard": "    if {test} != {key}: return ({index}, {ret})",
     "terminal": "    return ({index}, {ret})",
     "epilogue": "    return None\n",
 }
+
+_NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 @dataclass(frozen=True)
@@ -191,12 +216,14 @@ class _CtlSlot:
 
 
 #: One guard's side-exit reconstruction record:
-#: (node, is_control, actions_incl, visited_nodes, cycles_applied,
-#:  instructions_before, configs_before, last_blob_or_None,
+#: (node, is_control, actions_incl, visited_nodes, cycles_before,
+#:  retired_before, configs_before, last_blob_or_None,
 #:  log_template). ``actions_incl`` and ``visited_nodes`` count the
 #: failing node itself — the interpreter books an outcome before
-#: checking its edge table.
-ExitMeta = Tuple[Node, bool, int, int, int, int, int,
+#: checking its edge table. ``cycles_before`` and ``retired_before``
+#: (the fused ``Retire`` of every covered RetireNode up to here) are
+#: what the engine still owes the world at this exit.
+ExitMeta = Tuple[Node, bool, int, int, int, Retire, int,
                  Optional[bytes], Tuple]
 
 
@@ -212,13 +239,13 @@ class CompiledSegment:
         "fn",           #: generated straight-line replay function
         "source",       #: generated source (capture_source=True only)
         "nodes",        #: tuple of covered nodes, traversal order
-        "requests",     #: tuple of pre-built Retire/Rollback requests
+        "requests",     #: tuple of pre-built Rollback requests
         "keys",         #: tuple of non-inlinable expected edge keys
         "n_actions",    #: covered action-node count (excl. configs)
         "n_configs",    #: covered configuration-node count
         "n_ctl",        #: control records captured per full replay
-        "cycles",       #: total fused advance delta
-        "instructions", #: total retired instruction count
+        "cycles",       #: total advance delta, owed at a full replay
+        "retired",      #: fused Retire totals, owed likewise
         "last_blob",    #: blob of the last covered config (or None)
         "log_tail",     #: log entries after the last covered config
         "sets_anchor",  #: segment contains an anchor-setting node
@@ -233,7 +260,7 @@ class CompiledSegment:
     )
 
     def __init__(self, fn, nodes, requests, keys, n_actions, n_configs,
-                 n_ctl, cycles, instructions, last_blob, log_tail,
+                 n_ctl, cycles, retired, last_blob, log_tail,
                  sets_anchor, trailing_delta, last_attach, end,
                  exit_meta, guard_keys, has_terminal, generation,
                  source=None):
@@ -246,7 +273,7 @@ class CompiledSegment:
         self.n_configs = n_configs
         self.n_ctl = n_ctl
         self.cycles = cycles
-        self.instructions = instructions
+        self.retired = retired
         self.last_blob = last_blob
         self.log_tail = log_tail
         self.sets_anchor = sets_anchor
@@ -302,18 +329,17 @@ def compile_segment(head: Node, generation: int,
     never needs it, so by default it is dropped after ``compile()``).
     """
     nodes: List[Node] = []
-    requests: List[object] = []
+    requests: List[Rollback] = []
     keys: List[object] = []
     guard_keys: List[object] = []
     lines: List[str] = []
     exit_meta: List[ExitMeta] = []
     seen: set = set()  # nodes hash by identity; compile-time only
-    used = set()  # world method bindings the generated code needs
 
-    pending = 0          # accumulated advance delta not yet emitted
-    applied = 0          # advance cycles emitted so far
-    cycles = 0
-    instructions = 0
+    cycles = 0           # advance deltas so far: the clock readers' offset
+    # Fused retires so far: the cursor readers' offsets, and as a
+    # request what each exit owes the world.
+    retired = Retire(0, 0, 0, 0, 0)
     n_actions = 0
     n_configs = 0
     n_ctl = 0
@@ -323,26 +349,6 @@ def compile_segment(head: Node, generation: int,
     trailing = 0
     last_key = None      # edge key that reached the *next* node
 
-    pending_ret: Optional[List[int]] = None  # fused retire field sums
-
-    def flush_retires() -> None:
-        nonlocal pending_ret
-        if pending_ret is not None:
-            used.add("w_ret")
-            requests.append(Retire(*pending_ret))
-            lines.append(SEG_TEMPLATES["retire"].format(
-                index=len(requests) - 1))
-            pending_ret = None
-
-    def flush() -> None:
-        nonlocal pending, applied
-        flush_retires()
-        if pending:
-            used.add("w_adv")
-            lines.append(SEG_TEMPLATES["advance"].format(delta=pending))
-            applied += pending
-            pending = 0
-
     def key_expr(key) -> str:
         lit = _literal(key)
         if lit is not None:
@@ -350,40 +356,30 @@ def compile_segment(head: Node, generation: int,
         keys.append(key)
         return f"K[{len(keys) - 1}]"
 
-    def guard(node: Node, test_expr: str, ret_expr: str, key,
-              is_control: bool) -> None:
-        # Interpreted replay logs the outcome *before* checking the
-        # edge table, so the failing node is part of the exit state;
-        # controls hand back the record (the log value, from which the
-        # engine recomputes the edge key), loads/stores the raw reply.
-        guard_keys.append(key)
+    def exit_record(node: Node, is_control: bool) -> int:
+        # The interpreter books an outcome before checking its edges,
+        # so the exiting node counts.
         exit_meta.append((
-            node, is_control, n_actions + 1, len(nodes) + 1, applied,
-            instructions, n_configs, last_blob, tuple(log_since),
+            node, is_control, n_actions + 1, len(nodes) + 1, cycles,
+            retired, n_configs, last_blob, tuple(log_since),
         ))
-        lines.append(SEG_TEMPLATES["guard"].format(
-            test=test_expr, key=key_expr(key),
-            index=len(exit_meta) - 1, ret=ret_expr,
-        ))
+        return len(exit_meta) - 1
 
     def outcome_call(kind, node) -> Tuple[str, str]:
-        """Emit the world call for an outcome node; return (expr, ret)."""
+        """Emit the call for an outcome node; return (test expr, ret):
+        controls hand back the record (the log value, from which the
+        engine recomputes the edge key), loads/stores the raw reply."""
         if kind is ControlNode:
-            used.add("w_get")
             lines.append(SEG_TEMPLATES["control_call"])
             return "rec.outcome_key()", "rec"
         if kind is LoadIssueNode:
-            used.add("w_il")
-            lines.append(SEG_TEMPLATES["load_issue"].format(
-                ordinal=node.ordinal))
+            template, base = "load_issue", retired.loads
         elif kind is LoadPollNode:
-            used.add("w_pl")
-            lines.append(SEG_TEMPLATES["load_poll"].format(
-                ordinal=node.ordinal))
+            template, base = "load_poll", retired.loads
         else:  # StoreIssueNode
-            used.add("w_st")
-            lines.append(SEG_TEMPLATES["store_issue"].format(
-                ordinal=node.ordinal))
+            template, base = "store_issue", retired.stores
+        lines.append(SEG_TEMPLATES[template].format(
+            index=base + node.ordinal, cycles=cycles))
         return "r", "r"
 
     has_terminal = False
@@ -392,32 +388,24 @@ def compile_segment(head: Node, generation: int,
            and node not in seen):
         kind = node.__class__
         if kind is AdvanceNode:
-            pending += node.delta
             cycles += node.delta
             trailing += node.delta
         elif kind is RetireNode:
-            if pending_ret is None:
-                pending_ret = [node.count, node.loads, node.stores,
-                               node.controls, node.branches]
-            else:
-                pending_ret[0] += node.count
-                pending_ret[1] += node.loads
-                pending_ret[2] += node.stores
-                pending_ret[3] += node.controls
-                pending_ret[4] += node.branches
-            instructions += node.count
+            retired = Retire(retired.count + node.count,
+                             retired.loads + node.loads,
+                             retired.stores + node.stores,
+                             retired.controls + node.controls,
+                             retired.branches + node.branches)
             log_since.append((node, None))
             sets_anchor = True
             trailing = 0
         elif kind is RollbackNode:
-            # Rollback reads the control cursor retires advance: apply
-            # every pending retire before it, exactly as interpreted.
-            flush_retires()
-            used.add("w_rb")
-            requests.append(Rollback(node.control_ordinal,
-                                     node.squashed_loads,
-                                     node.squashed_stores,
-                                     node.squashed_controls))
+            # The world's cf_base is still its segment-entry value:
+            # fold in the controls retired since.
+            requests.append(Rollback(
+                node.control_ordinal + retired.controls,
+                node.squashed_loads, node.squashed_stores,
+                node.squashed_controls))
             lines.append(SEG_TEMPLATES["rollback"].format(
                 index=len(requests) - 1))
             log_since.append((node, None))
@@ -436,12 +424,14 @@ def compile_segment(head: Node, generation: int,
             continue
         elif node.is_outcome and len(node.edges) == 1:
             ((key, successor),) = node.edges.items()
-            flush()
             test, ret = outcome_call(kind, node)
             is_control = kind is ControlNode
-            guard(node, test, ret, key, is_control)
+            guard_keys.append(key)
+            lines.append(SEG_TEMPLATES["guard"].format(
+                test=test, key=key_expr(key),
+                index=exit_record(node, is_control), ret=ret,
+            ))
             if is_control:
-                used.add("ctl_a")
                 lines.append(SEG_TEMPLATES["control_log"])
                 log_since.append((node, _CtlSlot(n_ctl)))
                 n_ctl += 1
@@ -457,19 +447,12 @@ def compile_segment(head: Node, generation: int,
             continue
         elif node.is_outcome:
             # Multi-edge outcome: a dynamic terminal. The compiled
-            # code performs the world call and hands the reply back;
-            # the engine does the edge lookup itself — exactly the
-            # interpreter's outcome processing, with the preceding run
-            # compiled instead of dispatched.
-            flush()
+            # code performs the call and hands the reply back; the
+            # engine does the edge lookup itself, as the interpreter
+            # would.
             _, ret = outcome_call(kind, node)
-            exit_meta.append((
-                node, kind is ControlNode, n_actions + 1,
-                len(nodes) + 1, applied, instructions, n_configs,
-                last_blob, tuple(log_since),
-            ))
             lines.append(SEG_TEMPLATES["terminal"].format(
-                index=len(exit_meta) - 1, ret=ret))
+                index=exit_record(node, kind is ControlNode), ret=ret))
             nodes.append(node)
             n_actions += 1
             has_terminal = True
@@ -482,21 +465,21 @@ def compile_segment(head: Node, generation: int,
         n_actions += 1
         last_key = None
         node = node.next
-    flush()
 
+    body = "\n".join(lines) + ("\n" if lines else "")
+    used = set(_NAME_RE.findall(body))
     source = SEG_HEADER
-    for name in sorted(used & set(WORLD_BINDINGS)):
-        source += SEG_TEMPLATES["bind"].format(
-            name=name, target=WORLD_BINDINGS[name])
-    source += "\n".join(lines) + ("\n" if lines else "")
-    source += SEG_TEMPLATES["epilogue"]
+    for name, target in sorted(WORLD_BINDINGS.items()):
+        if name in used:
+            source += SEG_TEMPLATES["bind"].format(name=name, target=target)
+    source += body + SEG_TEMPLATES["epilogue"]
     # Structurally identical chains generate byte-identical source and
     # share one code object (see repro.codecache).
     fn = codecache.load(source, "<repro.turbo segment>", "_seg")
 
     return CompiledSegment(
         fn, tuple(nodes), tuple(requests), tuple(keys),
-        n_actions, n_configs, n_ctl, cycles, instructions, last_blob,
+        n_actions, n_configs, n_ctl, cycles, retired, last_blob,
         tuple(log_since), sets_anchor, trailing,
         (nodes[-1], last_key), node, tuple(exit_meta),
         tuple(guard_keys), has_terminal, generation,
@@ -555,7 +538,7 @@ def segment_digest(segment: CompiledSegment) -> bytes:
                 upd(repr(guard_keys[j]).encode("ascii"))
                 j += 1
     upd(segment.cycles.to_bytes(8, "big"))
-    upd(segment.instructions.to_bytes(8, "big"))
+    upd(segment.retired.count.to_bytes(8, "big"))
     return h.digest()
 
 

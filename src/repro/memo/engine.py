@@ -99,10 +99,6 @@ def run_signature(executable: Executable, params) -> bytes:
     return digest.digest()
 
 
-#: Backwards-compatible private alias (pre-campaign name).
-_run_signature = run_signature
-
-
 #: Matching (request type, node type) pairs for resync verification.
 _REQUEST_FOR_NODE = {
     ControlNode: GetControl,
@@ -424,14 +420,19 @@ class FastForwardEngine:
                     result = seg.fn(world, seg.requests, seg.keys,
                                     ctl_append)
                     if result is None:
-                        # Full replay: apply the per-segment constants.
+                        # Full replay: settle the folded clock and
+                        # retires, then the per-segment constants.
+                        if seg.cycles:
+                            world.advance_cycles(seg.cycles)
+                        if seg.retired.count:  # else all fields are 0
+                            world.retire(seg.retired)
                         clock = cache.touch_clock + len(seg.nodes)
                         cache.touch_clock = clock
                         seg.touched_at = clock
                         memo.actions_replayed += seg.n_actions
                         memo.configs_replayed += seg.n_configs
                         memo.replayed_cycles += seg.cycles
-                        memo.replayed_instructions += seg.instructions
+                        memo.replayed_instructions += seg.retired.count
                         chain_length += seg.n_actions
                         if seg.n_configs:
                             last_blob = seg.last_blob
@@ -457,8 +458,14 @@ class FastForwardEngine:
                     # generation — so the lookup below misses and this
                     # is exactly the interpreter's fall-back).
                     gid, actual = result
-                    (xnode, is_control, n_act, visited, cyc, instr,
+                    (xnode, is_control, n_act, visited, cyc, retired,
                      n_cfg, xblob, template) = seg.exit_meta[gid]
+                    # Settle what was folded up to this exit.
+                    if cyc:
+                        world.advance_cycles(cyc)
+                    if retired.count:
+                        world.retire(retired)
+                        memo.replayed_instructions += retired.count
                     if visited == len(seg.nodes):
                         # Full traversal (terminal): batched touch.
                         clock = cache.touch_clock + visited
@@ -472,7 +479,6 @@ class FastForwardEngine:
                     memo.actions_replayed += n_act
                     memo.configs_replayed += n_cfg
                     memo.replayed_cycles += cyc
-                    memo.replayed_instructions += instr
                     chain_length += n_act
                     if xblob is not None:
                         last_blob = xblob

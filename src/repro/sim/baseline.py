@@ -94,6 +94,7 @@ class IntegratedSimulator:
         self.state = ArchState.boot(executable)
         self.interpreter = Interpreter(executable, self.state)
         self.cache = MemorySystem(self.params.memory)
+        self._next_token = 0  #: cache key of the next issued load
         self.stats = SimStats()
         self.rob: List[_RobEntry] = []
         self.fetch_pc: Optional[int] = executable.entry
@@ -276,10 +277,10 @@ class IntegratedSimulator:
     def _complete(self, index: int, entry: _RobEntry) -> None:
         facts = entry.instr.static
         if facts.is_load:
-            token, interval = self.cache.issue_load(
-                entry.mem_addr, entry.mem_width, self.cycle
-            )
-            entry.token = token
+            entry.token = token = self._next_token
+            self._next_token = token + 1
+            interval = self.cache.issue_load(token, entry.mem_addr,
+                                             self.cycle)
             entry.stage = CACHE
             entry.timer = interval
             return

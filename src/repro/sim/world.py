@@ -109,7 +109,6 @@ class World:
         self.sq_base = 0
         self.cf_base = 0
         self.cf_fetched = 0
-        self._tokens: Dict[int, int] = {}  # absolute lQ index -> cache token
         # Hot-path aliases: the frontend queues are append-only lists
         # truncated in place (``del list[n:]``), so their identities are
         # stable for the lifetime of the world.
@@ -152,33 +151,19 @@ class World:
     # -- memory ------------------------------------------------------------
 
     def issue_load(self, ordinal: int) -> int:
-        """Issue the load with iQ ordinal *ordinal* to the cache."""
+        """Issue the load with iQ ordinal *ordinal* to the cache. Its
+        cache key is its absolute lQ index."""
         index = self.lq_base + ordinal
-        record = self._lq[index]
-        token, interval = self.cache.issue_load(
-            record.address, record.width, self.cycle
-        )
-        self._tokens[index] = token
-        return interval
+        return self.cache.issue_load(index, self._lq[index].address,
+                                     self.cycle)
 
     def poll_load(self, ordinal: int) -> int:
         """Poll a previously issued load; 0 = ready."""
-        index = self.lq_base + ordinal
-        try:
-            token = self._tokens[index]
-        except KeyError:
-            raise SimulationError(
-                f"poll for load {index} which was never issued"
-            ) from None
-        reply = self.cache.poll_load(token, self.cycle)
-        if reply == 0:
-            del self._tokens[index]
-        return reply
+        return self.cache.poll_load(self.lq_base + ordinal, self.cycle)
 
     def issue_store(self, ordinal: int) -> int:
         """Issue the store with iQ ordinal *ordinal* to the cache."""
-        index = self.sq_base + ordinal
-        record = self._sq[index]
+        record = self._sq[self.sq_base + ordinal]
         return self.cache.issue_store(record.address, record.width, self.cycle)
 
     # -- retirement and rollback ---------------------------------------------
@@ -200,11 +185,7 @@ class World:
         control_index = self.cf_base + request.control_ordinal
         record = self._cf[control_index]
         # Cancel cache bookkeeping for squashed (wrong-path) loads.
-        squashed_tokens = [
-            index for index in self._tokens if index >= record.lq_len
-        ]
-        for index in squashed_tokens:
-            self.cache.cancel_load(self._tokens.pop(index))
+        self.cache.cancel_loads_from(record.lq_len)
         self.frontend.rollback_to(control_index)
         self.cf_fetched = control_index + 1
         self._ensure_frontend_ahead()

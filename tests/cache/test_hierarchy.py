@@ -1,4 +1,10 @@
-"""Tests for the non-blocking memory system (issue/poll interface)."""
+"""Tests for the non-blocking memory system (keyed issue/poll port).
+
+The caller names each load with a key of its own choosing and gets the
+interval back; the port keeps one ``key -> ready cycle`` table.
+"""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,16 +27,13 @@ def tiny_params(**overrides):
     return MemorySystemParams(**defaults)
 
 
-def complete_load(mem, address, now, width=4):
+_keys = itertools.count(1000)
+
+
+def complete_load(mem, address, now):
     """Issue a load and poll to completion; returns the ready cycle."""
-    token, interval = mem.issue_load(address, width, now)
-    t = now + interval
-    for _ in range(64):
-        reply = mem.poll_load(token, t)
-        if reply == READY:
-            return t
-        t += reply
-    raise AssertionError("load never completed")
+    key = next(_keys)
+    return next_ready(mem, key, now + mem.issue_load(key, address, now))
 
 
 class TestLoadLatencies:
@@ -59,59 +62,55 @@ class TestLoadLatencies:
         """First reply is the optimistic L2-hit interval; the poll then
         reveals the extra memory latency (paper §4.1's example)."""
         mem = MemorySystem()
-        token, interval = mem.issue_load(0x1000, 4, 0)
+        interval = mem.issue_load(7, 0x1000, 0)
         assert interval == mem.params.l2_hit_latency
-        second = mem.poll_load(token, interval)
+        second = mem.poll_load(7, interval)
         assert second > 0  # not ready yet: it also missed in L2
-        assert mem.poll_load(token, interval + second) == READY
+        assert mem.poll_load(7, interval + second) == READY
+        assert mem.outstanding_loads == 0
 
     def test_interval_always_positive(self):
         mem = MemorySystem()
         for i in range(50):
-            token, interval = mem.issue_load(0x2000 + i * 4, 4, i * 3)
-            assert interval >= 1
+            assert mem.issue_load(i, 0x2000 + i * 4, i * 3) >= 1
 
 
 class TestMshrBehaviour:
     def test_merge_into_inflight_fill(self):
         mem = MemorySystem()
-        token_a, _ = mem.issue_load(0x1000, 4, 0)
-        token_b, interval_b = mem.issue_load(0x1004, 4, 1)  # same line
+        mem.issue_load(0, 0x1000, 0)
+        mem.issue_load(1, 0x1004, 1)  # same line
         assert mem.l1_mshrs.merges == 1
         # Both become ready at the same fill time.
-        ready_a = next_ready(mem, token_a, 0)
-        ready_b = next_ready(mem, token_b, 1)
-        assert ready_a == ready_b
+        assert next_ready(mem, 0, 0) == next_ready(mem, 1, 1)
 
     def test_mshr_capacity_stalls(self):
         params = tiny_params()
         mem = MemorySystem(params)
         # 8 misses to distinct lines fill the MSHRs.
         for i in range(8):
-            mem.issue_load(0x10000 + i * 32, 4, 0)
-        token, interval = mem.issue_load(0x20000, 4, 0)
+            mem.issue_load(i, 0x10000 + i * 32, 0)
+        mem.issue_load(8, 0x20000, 0)
         assert mem.l1_mshrs.full_stalls >= 1
         # The 9th miss cannot be ready before the first fill returns.
-        first_fill = min(
-            r.ready_time for r in mem._loads.values()
-            if r.token != token
-        )
-        assert next_ready(mem, token, 0) > first_fill - 1
+        first_fill = min(next_ready(mem, i, 0) for i in range(8))
+        assert next_ready(mem, 8, 0) > first_fill - 1
 
     def test_distinct_lines_overlap(self):
         """Non-blocking: two misses to different lines overlap in time."""
         mem = MemorySystem()
         t_serial_estimate = 2 * (mem.params.memory_latency + 10)
-        token_a, _ = mem.issue_load(0x1000, 4, 0)
-        token_b, _ = mem.issue_load(0x2000, 4, 1)
-        ready_b = next_ready(mem, token_b, 1)
+        mem.issue_load(0, 0x1000, 0)
+        mem.issue_load(1, 0x2000, 1)
+        ready_b = next_ready(mem, 1, 1)
         assert ready_b < t_serial_estimate  # overlapped, not serialised
 
 
-def next_ready(mem, token, now):
+def next_ready(mem, key, now):
+    """Poll *key* from cycle *now* until ready; returns that cycle."""
     t = now
     for _ in range(64):
-        reply = mem.poll_load(token, t)
+        reply = mem.poll_load(key, t)
         if reply == READY:
             return t
         t += reply
@@ -185,11 +184,93 @@ class TestStatsAndDeterminism:
         assert trace(MemorySystem()) == trace(MemorySystem())
 
     def test_unknown_token_raises(self):
-        with pytest.raises(SimulationError):
+        """Polling a key that is not outstanding is the caller's bug;
+        the message names the load (it used to come from World)."""
+        with pytest.raises(
+                SimulationError,
+                match="poll for load 99 which was never issued"):
             MemorySystem().poll_load(99, 0)
 
 
+class TestKeyedPort:
+    def test_ready_poll_retires_the_key(self):
+        mem = MemorySystem()
+        complete_load(mem, 0x1000, 0)
+        interval = mem.issue_load(5, 0x1000, 100)
+        assert mem.outstanding_loads == 1
+        assert mem.poll_load(5, 100 + interval) == READY
+        assert mem.outstanding_loads == 0
+        with pytest.raises(SimulationError, match="load 5 "):
+            mem.poll_load(5, 200)
+
+    def test_early_poll_keeps_the_key(self):
+        mem = MemorySystem()
+        mem.issue_load(5, 0x1000, 0)
+        assert mem.poll_load(5, 1) > 0
+        assert mem.outstanding_loads == 1
+
+    def test_key_reuse_after_cancel(self):
+        """A rollback frees lQ indices the right path issues again: the
+        new load's timing must not inherit the cancelled one's."""
+        mem = MemorySystem()
+        mem.issue_load(3, 0x1000, 0)       # cold miss, far-away ready
+        mem.cancel_load(3)
+        assert mem.outstanding_loads == 0
+        with pytest.raises(SimulationError):
+            mem.poll_load(3, 10_000)
+        complete_load(mem, 0x8000, 500)    # some other line, now hot
+        assert mem.issue_load(3, 0x8000, 600) == mem.params.l1_hit_latency
+        assert mem.poll_load(3, 600 + mem.params.l1_hit_latency) == READY
+
+    def test_cancel_is_idempotent_and_ignores_unknown_keys(self):
+        mem = MemorySystem()
+        mem.cancel_load(42)
+        mem.issue_load(1, 0x1000, 0)
+        mem.cancel_load(1)
+        mem.cancel_load(1)
+        assert mem.outstanding_loads == 0
+
+    def test_cancel_loads_from_boundary(self):
+        mem = MemorySystem()
+        for key in (4, 5, 6, 7, 9):
+            mem.issue_load(key, 0x1000 + key * 64, 0)
+        mem.cancel_loads_from(6)           # 6 itself goes, 5 stays
+        assert sorted(mem._ready) == [4, 5]
+        mem.cancel_loads_from(6)           # nothing left at or above
+        mem.cancel_loads_from(100)
+        assert sorted(mem._ready) == [4, 5]
+        mem.cancel_loads_from(0)
+        assert mem.outstanding_loads == 0
+
+    def test_cancelled_fill_still_completes(self):
+        """Only the reply bookkeeping is dropped: a later load to the
+        squashed load's line merges with / hits on its fill."""
+        mem = MemorySystem()
+        mem.issue_load(0, 0x1000, 0)
+        mem.cancel_loads_from(0)
+        assert mem.issue_load(0, 0x1004, 1) >= 1
+        assert mem.l1_mshrs.merges == 1
+
+    def test_reset_timing_clears_keys_and_clock_state(self):
+        mem = MemorySystem()
+        mem.issue_load(0, 0x1000, 50)
+        mem.issue_store(0x9000, 4, 50)
+        mem.reset_timing()
+        assert mem.outstanding_loads == 0
+        assert len(mem.l1_mshrs) == 0 and len(mem.l2_mshrs) == 0
+        assert mem.bus.next_free() == 0 and not mem._store_slots
+        # Contents and statistics survive.
+        assert mem.l1.contains(0x1000) and mem.stats.loads == 1
+
+
 class TestMSHRFile:
+    def test_clear_drops_inflight_keeps_counters(self):
+        mshrs = MSHRFile(2)
+        mshrs.allocate(0x100, 10)
+        mshrs.clear()
+        assert len(mshrs) == 0 and mshrs.allocations == 1
+        mshrs.allocate(0x100, 12)  # no duplicate: the old fill is gone
+
     def test_allocate_and_release(self):
         mshrs = MSHRFile(2)
         mshrs.allocate(0x100, 10)

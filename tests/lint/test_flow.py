@@ -24,8 +24,11 @@ from repro.lint.flow.codegen import (
     RULE_SHAPE,
     CodegenContractChecker,
     build_audit_blocks,
+    EXIT_CONTRACT,
+    FOLDED_WRAPPERS,
     build_audit_chains,
     interpreter_world_calls,
+    world_wrapper_surface,
 )
 from repro.emulator import threaded
 from repro.lint.runner import lint_flow
@@ -162,16 +165,38 @@ class TestCodegenContracts:
         assert compiler.compile_segment(head, generation=0).source is None
 
     def test_interpreter_and_bindings_share_one_surface(self, repro_session):
-        expected = {target.split(".", 1)[1]
-                    for target in compiler.WORLD_BINDINGS.values()}
-        assert interpreter_world_calls(repro_session) == expected
+        """What a segment calls, folds or defers is exactly what the
+        interpreter calls; what it binds of the cache port and reads of
+        the world is exactly what the World wrappers call and read."""
+        targets = set(compiler.WORLD_BINDINGS.values())
+        port, reads = world_wrapper_surface(repro_session)
+        assert port == {"issue_load", "poll_load", "issue_store"}
+        assert reads == {"cycle", "lq_base", "sq_base", "_lq", "_sq"}
+        assert {t for t in targets if t.startswith("world.cache.")} == {
+            f"world.cache.{method}" for method in port}
+        world_attrs = {t.split(".", 1)[1] for t in targets
+                       if not t.startswith("world.cache.")}
+        assert world_attrs - reads == {"get_control", "rollback"}
+        assert interpreter_world_calls(repro_session) == (
+            (world_attrs - reads) | set(FOLDED_WRAPPERS) | EXIT_CONTRACT)
 
     def test_clean_emitter_produces_no_findings(self, repro_session):
         assert self._codegen_findings(repro_session) == []
 
+    def test_generated_segments_fold_advance_and_retire(self):
+        """No audited chain's source mentions the folded calls, and the
+        request tuple holds rollbacks only."""
+        for label, head, _count in build_audit_chains():
+            segment = compiler.compile_segment(
+                head, generation=0, capture_source=True)
+            assert "advance_cycles" not in segment.source, label
+            assert "retire" not in segment.source, label
+            assert all(type(request).__name__ == "Rollback"
+                       for request in segment.requests), label
+
     def test_template_mutation_smuggling_a_name_is_caught(self, repro_session):
         with mock.patch.dict(compiler.SEG_TEMPLATES, {
-                "retire": "    w_ret(R[{index}]); _leak(R)"}):
+                "rollback": "    w_rb(R[{index}]); _leak(R)"}):
             rules = sorted(
                 f.rule for f in self._codegen_findings(repro_session))
         # Both tripwires: the table-level alias check and the audit of
@@ -181,15 +206,39 @@ class TestCodegenContracts:
     def test_template_mutation_touching_a_new_attr_is_caught(
             self, repro_session):
         with mock.patch.dict(compiler.SEG_TEMPLATES, {
-                "retire": "    w_ret(world.snoop)"}):
+                "rollback": "    w_rb(world.snoop)"}):
             rules = [f.rule for f in self._codegen_findings(repro_session)]
         assert rules == [RULE_ATTR]
 
     def test_template_mutation_changing_shape_is_caught(self, repro_session):
         with mock.patch.dict(compiler.SEG_TEMPLATES, {
-                "retire": "    if R: w_ret(R[{index}])"}):
+                "rollback": "    if R: w_rb(R[{index}])"}):
             rules = [f.rule for f in self._codegen_findings(repro_session)]
         assert rules == [RULE_SHAPE]
+
+    def test_template_writing_the_world_clock_is_caught(self, repro_session):
+        """The fold's first law: a segment never assigns world state."""
+        with mock.patch.dict(compiler.SEG_TEMPLATES, {
+                "control_log": "    ctl_a(rec); world.cycle = c"}):
+            findings = self._codegen_findings(repro_session)
+        assert [f.rule for f in findings] == [RULE_ATTR]
+        assert "assigns world.cycle" in findings[0].message
+
+    def test_template_calling_world_retire_is_caught(self, repro_session):
+        """...nor calls a method whose effect the exit contract owns."""
+        with mock.patch.dict(compiler.SEG_TEMPLATES, {
+                "rollback": "    w_rb(R[{index}]); world.retire(R[{index}])"}):
+            findings = self._codegen_findings(repro_session)
+        assert [f.rule for f in findings] == [RULE_ATTR]
+        assert "world.retire" in findings[0].message
+
+    def test_template_dropping_the_clock_term_is_caught(self, repro_session):
+        """A cache access without ``c +`` replays at the wrong cycle."""
+        with mock.patch.dict(compiler.SEG_TEMPLATES, {
+                "load_poll": "    r = c_pl(lb + {index}, {cycles})"}):
+            findings = self._codegen_findings(repro_session)
+        assert [f.rule for f in findings] == [RULE_SHAPE]
+        assert "c_pl(lb + 0, 1)" in findings[0].message
 
     def test_bindings_drift_from_interpreter_is_caught(self, repro_session):
         with mock.patch.dict(compiler.WORLD_BINDINGS, {
@@ -198,10 +247,25 @@ class TestCodegenContracts:
         assert [f.rule for f in findings] == [RULE_DRIFT]
         assert "world.hack" in findings[0].message
 
+    def test_bindings_drift_from_world_wrappers_is_caught(
+            self, repro_session):
+        """Binding a cache method no wrapper calls, or losing one a
+        wrapper does call, is wrapper/emitter drift."""
+        with mock.patch.dict(compiler.WORLD_BINDINGS, {
+                "c_x": "world.cache.warm_access"}):
+            findings = self._codegen_findings(repro_session)
+        assert [f.rule for f in findings] == [RULE_DRIFT]
+        assert "world.cache.warm_access" in findings[0].message
+        with mock.patch.dict(compiler.WORLD_BINDINGS, {
+                "c_pl": "world.cache.issue_load"}):
+            findings = self._codegen_findings(repro_session)
+        assert RULE_DRIFT in {f.rule for f in findings}
+        assert any("cache.poll_load" in f.message for f in findings)
+
     def test_template_referencing_unbindable_alias_is_caught(
             self, repro_session):
         with mock.patch.dict(compiler.SEG_TEMPLATES, {
-                "retire": "    w_bogus(R[{index}])"}):
+                "rollback": "    w_bogus(R[{index}])"}):
             rules = sorted(
                 f.rule for f in self._codegen_findings(repro_session))
         # Drift at the table level *and* the smuggled name in the

@@ -9,13 +9,17 @@ a recording stub world.
 
 import pytest
 
+from repro.emulator.queues import LoadRecord, StoreRecord
 from repro.memo.actions import (
     AdvanceNode,
     ConfigNode,
     ControlNode,
     EndNode,
     LoadIssueNode,
+    LoadPollNode,
     RetireNode,
+    RollbackNode,
+    StoreIssueNode,
 )
 from repro.memo.compile import (
     DEFAULT_COMPILE_THRESHOLD,
@@ -29,6 +33,7 @@ from repro.memo.pcache import PActionCache
 from repro.memo.policies import make_policy
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
+from repro.uarch.interactions import Retire
 from repro.workloads.suite import WORKLOAD_ORDER, load_workload
 
 #: Compile on the first traversal — tests want segments engaged
@@ -211,38 +216,56 @@ class TestGraphGeneration:
         assert cache.graph_generation == before + 1
 
 
+class FakePort:
+    """Recording stand-in for the keyed cache port."""
+
+    def __init__(self, calls, replies):
+        self.calls = calls
+        self.replies = replies
+
+    def issue_load(self, key, address, now):
+        self.calls.append(("issue_load", key, address, now))
+        return self.replies.pop(0)
+
+    def poll_load(self, key, now):
+        self.calls.append(("poll_load", key, now))
+        return self.replies.pop(0)
+
+    def issue_store(self, address, width, now):
+        self.calls.append(("issue_store", address, width, now))
+        return self.replies.pop(0)
+
+
 class FakeWorld:
-    """Recording stub with the engine's world call surface."""
+    """Recording stub with the surface a compiled segment replays
+    against: entry clock and cursors, the two frontend queues, the
+    cache port, and the two world calls that stay calls. A segment must
+    leave every attribute as it found it — settling clock and cursors
+    is the engine's job (the exit contract)."""
+
+    CYCLE, LQ_BASE, SQ_BASE = 100, 10, 20
 
     def __init__(self, replies=(), controls=()):
         self.calls = []
-        self.replies = list(replies)
+        self.cycle = self.CYCLE
+        self.lq_base = self.LQ_BASE
+        self.sq_base = self.SQ_BASE
+        # Record k of a queue has address 0x1000/0x2000 + 8k.
+        self._lq = [LoadRecord(0x1000 + 8 * k, 4) for k in range(32)]
+        self._sq = [StoreRecord(0x2000 + 8 * k, 8, b"") for k in range(32)]
+        self.cache = FakePort(self.calls, list(replies))
         self.controls = list(controls)
-
-    def advance_cycles(self, delta):
-        self.calls.append(("advance", delta))
-
-    def retire(self, request):
-        self.calls.append(("retire", request.count))
 
     def rollback(self, request):
         self.calls.append(("rollback", request.control_ordinal))
 
-    def issue_load(self, ordinal):
-        self.calls.append(("issue_load", ordinal))
-        return self.replies.pop(0)
-
-    def poll_load(self, ordinal):
-        self.calls.append(("poll_load", ordinal))
-        return self.replies.pop(0)
-
-    def issue_store(self, ordinal):
-        self.calls.append(("issue_store", ordinal))
-        return self.replies.pop(0)
-
     def get_control(self):
         self.calls.append(("get_control",))
         return self.controls.pop(0)
+
+    def untouched(self):
+        return (self.cycle, self.lq_base, self.sq_base) == (
+            self.CYCLE, self.LQ_BASE, self.SQ_BASE)
 
 
 def linear_chain():
@@ -258,17 +281,21 @@ def linear_chain():
 class TestCompileSegment:
     def test_fusion_and_completion(self):
         head, retire, load, end = linear_chain()
-        seg = compile_segment(head, 7)
+        seg = compile_segment(head, 7, capture_source=True)
         world = FakeWorld(replies=[5])
         ctl = []
         assert seg.fn(world, seg.requests, seg.keys, ctl.append) is None
-        # Advances are deferred past the clock-insensitive retire and
-        # fused into one call right before the cycle-sensitive load;
-        # the trailing delta is flushed at the end.
-        assert world.calls == [("retire", 3), ("advance", 3),
-                               ("issue_load", 0), ("advance", 4)]
+        # Advances and the retire emitted nothing: the load is the only
+        # call, keyed by entry cursor + the one load retired before it,
+        # at entry clock + the three cycles advanced before it.
+        assert world.calls == [("issue_load", 11, 0x1000 + 8 * 11, 103)]
+        assert world.untouched()
+        assert "advance_cycles" not in seg.source
+        assert "retire" not in seg.source
+        # What the engine owes the world at the full-replay exit.
         assert seg.cycles == 7
-        assert seg.instructions == 3
+        assert seg.retired == Retire(3, 1, 0, 0, 1)
+        assert seg.requests == ()
         assert seg.n_actions == 5
         assert seg.n_configs == 0
         assert seg.end is end
@@ -284,26 +311,56 @@ class TestCompileSegment:
         gid, actual = seg.fn(world, seg.requests, seg.keys, [].append)
         assert actual == 9
         # Nothing past the failing guard executed.
-        assert world.calls == [("retire", 3), ("advance", 3),
-                               ("issue_load", 0)]
-        (node, is_control, n_act, visited, cyc, instr, n_cfg, blob,
+        assert world.calls == [("issue_load", 11, 0x1000 + 8 * 11, 103)]
+        assert world.untouched()
+        (node, is_control, n_act, visited, cyc, retired, n_cfg, blob,
          template) = seg.exit_meta[gid]
         assert node is load and not is_control
         assert n_act == 4 and visited == 4  # failing node included
-        assert cyc == 3 and instr == 3 and n_cfg == 0 and blob is None
+        # Owed at this exit: the cycles and retires *before* the guard.
+        assert cyc == 3 and retired == Retire(3, 1, 0, 0, 1)
+        assert n_cfg == 0 and blob is None
         # The log template ends *before* the failing outcome — the
         # engine appends (node, actual) itself.
         assert [entry[0] for entry in template] == [head.next]
+
+    def test_cursor_and_clock_offsets_accumulate(self):
+        """Each reader sees entry value + everything folded before it:
+        loads/stores by their own retire field, the rollback's control
+        ordinal by the retired controls."""
+        a1, r1 = AdvanceNode(2), RetireNode(5, 2, 1, 1, 0)
+        poll, a2 = LoadPollNode(1), AdvanceNode(3)
+        r2, store = RetireNode(2, 0, 2, 1, 1), StoreIssueNode(0)
+        rollback, end = RollbackNode(1, 0, 0, 0), EndNode(1)
+        a1.next, r1.next, a2.next, r2.next = r1, poll, r2, store
+        poll.edges[0] = a2
+        store.edges[1] = rollback
+        rollback.next = end
+        seg = compile_segment(a1, 0)
+        world = FakeWorld(replies=[0, 1])
+        assert seg.fn(world, seg.requests, seg.keys, [].append) is None
+        assert world.calls == [
+            ("poll_load", 10 + 2 + 1, 102),
+            ("issue_store", 0x2000 + 8 * (20 + 3 + 0), 8, 105),
+            ("rollback", 1 + 2),
+        ]
+        assert world.untouched()
+        assert seg.cycles == 5 and seg.retired == Retire(7, 2, 3, 2, 1)
+        # The first guard's exit owes only what preceded it.
+        assert seg.exit_meta[0][4:6] == (2, Retire(5, 2, 1, 1, 0))
+        assert seg.exit_meta[1][4:6] == (5, Retire(7, 2, 3, 2, 1))
 
     def test_config_passthrough_and_anchor_delta(self):
         a1, config = AdvanceNode(2), ConfigNode(bytes(12), 12)
         a2, end = AdvanceNode(1), EndNode(1)
         a1.next, config.next, a2.next = config, a2, end
-        seg = compile_segment(a1, 0)
+        seg = compile_segment(a1, 0, capture_source=True)
         world = FakeWorld()
         assert seg.fn(world, seg.requests, seg.keys, [].append) is None
-        # Advances fuse straight through the configuration…
-        assert world.calls == [("advance", 3)]
+        # Advances fold straight through the configuration: the
+        # function body is empty and reads nothing of the world…
+        assert world.calls == [] and "world." not in seg.source
+        assert seg.cycles == 3 and seg.retired == Retire(0, 0, 0, 0, 0)
         # …and the anchor is reconstructed from the trailing delta:
         # log_anchor = world.cycle - trailing == the cycle at the config.
         assert seg.n_configs == 1 and seg.last_blob == bytes(12)
@@ -341,7 +398,8 @@ class TestCompileSegment:
         world = FakeWorld(replies=[6])
         gid, actual = seg.fn(world, seg.requests, seg.keys, [].append)
         assert (gid, actual) == (0, 6)
-        assert world.calls == [("issue_load", 2)]
+        assert world.calls == [("issue_load", 12, 0x1000 + 8 * 12, 100)]
+        assert seg.exit_meta[0][4:6] == (0, Retire(0, 0, 0, 0, 0))
 
     def test_loop_closes_at_revisit(self):
         a1, retire = AdvanceNode(1), RetireNode(1, 0, 0, 0, 0)

@@ -84,6 +84,37 @@ class TestEstimationQuality:
         assert result.measured_instructions < exact.instructions
 
 
+class TestWindowIsolation:
+    def test_windows_do_not_inherit_outstanding_load_keys(self):
+        """Each window opens a fresh world whose lQ indices restart at
+        0 over the *shared* memory system. A window that stops with
+        loads in flight must not leave their keys behind: a stale key
+        would alias the next window's load of the same index (its poll
+        would find a ready cycle from another clock domain, and a poll
+        of a load never issued would no longer be an error)."""
+        sim = SamplingSimulator(load_workload("swim", "tiny"),
+                                period=250, window=60, warmup=15)
+        memory = sim.memory_system
+        reset_timing = memory.reset_timing
+        left_behind = []
+
+        def checked_reset():
+            left_behind.append(memory.outstanding_loads)
+            reset_timing()
+            assert memory.outstanding_loads == 0
+            assert len(memory.l1_mshrs) == 0 and len(memory.l2_mshrs) == 0
+            assert memory.bus.next_free() == 0
+            with pytest.raises(SimulationError, match="never issued"):
+                memory.poll_load(0, 0)
+
+        memory.reset_timing = checked_reset
+        sim.run()
+        assert len(left_behind) >= 2
+        # The reset had something to clear: some window did stop with
+        # loads outstanding.
+        assert any(left_behind)
+
+
 class TestSpeed:
     def test_sampling_faster_than_detailed(self):
         exe = load_workload("compress", "tiny")
