@@ -40,6 +40,7 @@ __all__ = [
     "CampaignRunner",
     "Job",
     "PolicySpec",
+    "HostOptions",
     "FastSim",
     "SlowSim",
     "IntegratedSimulator",
@@ -68,6 +69,7 @@ def __getattr__(name):
         "CampaignResult": ("repro.campaign.engine", "CampaignResult"),
         "Job": ("repro.campaign.jobs", "Job"),
         "PolicySpec": ("repro.campaign.jobs", "PolicySpec"),
+        "HostOptions": ("repro.options", "HostOptions"),
         "FastSim": ("repro.sim.fastsim", "FastSim"),
         "SlowSim": ("repro.sim.slowsim", "SlowSim"),
         "IntegratedSimulator": ("repro.sim.baseline", "IntegratedSimulator"),

@@ -1,13 +1,4 @@
-"""Experiment regeneration: the paper's tables and figures.
-
-.. deprecated::
-    Constructing :class:`SuiteRunner` directly from this package is
-    deprecated; use :func:`repro.api.suite_runner` (or the
-    :func:`repro.api.simulate` / :func:`repro.api.run_campaign` entry
-    points) instead. The class re-exported here warns on construction.
-"""
-
-import warnings
+"""Experiment regeneration: the paper's tables and figures."""
 
 from repro.analysis.export import export_all, export_json, save_json
 from repro.analysis.figures import (
@@ -37,8 +28,7 @@ from repro.analysis.mixes import (
     render_mix_table,
     workload_mix,
 )
-from repro.analysis.runner import NativeRun
-from repro.analysis.runner import SuiteRunner as _SuiteRunnerImpl
+from repro.analysis.runner import NativeRun, SuiteRunner
 from repro.analysis.sweeps import (
     SweepPoint,
     best_variant,
@@ -55,20 +45,6 @@ from repro.analysis.tables import (
     table4,
     table5,
 )
-
-class SuiteRunner(_SuiteRunnerImpl):
-    """Deprecated construction shim — see :func:`repro.api.suite_runner`."""
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "constructing SuiteRunner directly is deprecated; use "
-            "repro.api.suite_runner(...) or the repro.api.simulate / "
-            "repro.api.run_campaign entry points",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-
 
 __all__ = [
     "SuiteRunner",

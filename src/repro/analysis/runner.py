@@ -14,28 +14,19 @@ anything itself: every measurement flows through
 (:meth:`SuiteRunner.prefetch` / :meth:`SuiteRunner.run_all`). Passing
 ``cache_dir`` warm-starts FastSim runs from the shared on-disk p-action
 cache store. Progress goes through one
-:class:`~repro.campaign.progress.ProgressSink` (the old ``verbose`` /
-``progress=callable`` arguments are adapted onto it).
-
-Prefer constructing runners through :func:`repro.api.suite_runner`;
-direct construction of the :class:`SuiteRunner` re-exported from
-``repro.analysis`` is deprecated.
+:class:`~repro.campaign.progress.ProgressSink` (``verbose=True`` is
+shorthand for a :class:`~repro.campaign.progress.TextSink`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.campaign.cachedir import make_store
 from repro.campaign.engine import Campaign, CampaignRunner
 from repro.campaign.jobs import Job, JobResult, NativeRun, PolicySpec
-from repro.campaign.progress import (
-    CallbackSink,
-    NullSink,
-    ProgressSink,
-    TextSink,
-)
+from repro.campaign.progress import NullSink, ProgressSink, TextSink
 from repro.campaign.worker import execute_job, simulate_executable
 from repro.memo.policies import ReplacementPolicy
 from repro.sim.results import SimulationResult
@@ -58,8 +49,6 @@ class SuiteRunner:
     scale: str = "test"
     params: Optional[ProcessorParams] = None
     verbose: bool = False
-    #: Legacy progress callback; adapted onto ``sink`` when given.
-    progress: Optional[Callable[[str], None]] = None
     #: Worker processes for batch methods (0 = serial, in-process).
     workers: int = 0
     #: Shared p-action cache directory for warm-started FastSim runs.
@@ -83,12 +72,7 @@ class SuiteRunner:
 
     def __post_init__(self) -> None:
         if self.sink is None:
-            if self.progress is not None:
-                self.sink = CallbackSink(self.progress)
-            elif self.verbose:
-                self.sink = TextSink()
-            else:
-                self.sink = NullSink()
+            self.sink = TextSink() if self.verbose else NullSink()
         self._store = make_store(self.cache_dir, self.shared_cache_dir)
 
     def _log(self, message: str) -> None:

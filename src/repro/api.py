@@ -28,20 +28,21 @@ This facade is the supported way in::
 
 ``run_campaign`` *is* ``submit_campaign(...).result()`` — the blocking
 form is a thin shim over the submit/await split, so both produce
-byte-identical merged payloads by construction, and every existing
-``run_campaign`` signature keeps working (mirroring the
-:class:`~repro.analysis.SuiteRunner` treatment: the legacy entry point
-stays supported while new code targets the richer one).
+byte-identical merged payloads by construction.
+
+Host-side speed and audit knobs travel as one value,
+``host=HostOptions(...)`` (:mod:`repro.options`): they change host
+time only, never a job key, a cache signature or canonical output.
 
 Everything here is re-exported lazily from the top-level ``repro``
 namespace (``repro.simulate``, ``repro.run_campaign``,
-``repro.submit_campaign``). Direct construction of
-:class:`repro.analysis.SuiteRunner` is deprecated;
-:func:`suite_runner` builds the memoizing facade without the warning.
+``repro.submit_campaign``). :func:`suite_runner` builds the memoizing
+table/figure facade (:class:`repro.analysis.SuiteRunner`).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.campaign.backends import ExecutorBackend
@@ -61,11 +62,13 @@ from repro.campaign.progress import ProgressSink, TeeSink, make_sink
 from repro.campaign.worker import simulate_executable
 from repro.isa.program import Executable
 from repro.memo.policies import ReplacementPolicy
+from repro.options import HostOptions
 from repro.sim.results import SimulationResult
 from repro.uarch.params import ProcessorParams
 from repro.workloads.suite import WORKLOAD_ORDER, WORKLOADS, load_workload
 
 __all__ = [
+    "HostOptions",
     "simulate",
     "run_campaign",
     "submit_campaign",
@@ -107,12 +110,7 @@ def simulate(
     cache_dir: Optional[str] = None,
     shared_cache_dir: Optional[str] = None,
     obs=None,
-    audit_every: Optional[int] = None,
-    audit_seed: int = 0,
-    turbo: bool = True,
-    turbo_threshold: Optional[int] = None,
-    threaded_frontend: bool = True,
-    l1_filter: bool = True,
+    host: HostOptions = HostOptions(),
     backend: Optional[str] = None,
 ) -> SimulationResult:
     """Simulate one program under one engine; returns the result.
@@ -125,15 +123,11 @@ def simulate(
     p-action cache store. *obs* is an optional
     :class:`repro.obs.Observer`; telemetry is off (and free) without
     one, and never changes simulated results either way — see
-    docs/observability.md. *audit_every* (``fast`` only) enables the
-    :class:`~repro.guard.GuardedEngine`'s online replay audits —
-    results stay bit-identical to an unguarded run; see
-    docs/robustness.md. *turbo* / *turbo_threshold* (``fast`` only)
-    control chain compilation of hot replay paths — on by default,
-    bit-identical either way; see docs/performance.md.
-    *threaded_frontend* / *l1_filter* (``fast`` only) toggle the
-    host-side frontend/memory-hierarchy speed layers for ablation —
-    also on by default and bit-identical either way. With
+    docs/observability.md. *host* (``fast`` only) is a
+    :class:`~repro.options.HostOptions`: chain compilation, the
+    frontend/memory-hierarchy speed layers and online replay audits —
+    results are bit-identical under every value; see
+    docs/performance.md and docs/robustness.md. With
     *shared_cache_dir* (requires *cache_dir*), warm-start reads
     through a two-tier store — local dir first, then the shared tier,
     promoting byte-exact hits locally; see docs/distributed.md.
@@ -157,12 +151,10 @@ def simulate(
             )
         outcome = run_campaign(
             jobs=[Job(workload=exe_or_name, simulator=engine,
-                      scale=scale, params=params, policy=policy)],
+                      scale=scale, params=params, policy=policy,
+                      host=host)],
             workers=1, cache_dir=cache_dir,
             shared_cache_dir=shared_cache_dir, obs=obs,
-            audit_every=audit_every, audit_seed=audit_seed,
-            turbo=turbo, turbo_threshold=turbo_threshold,
-            threaded_frontend=threaded_frontend, l1_filter=l1_filter,
             backend=backend, name=f"simulate-{exe_or_name}",
         )
         job_result = outcome.results[0]
@@ -177,9 +169,7 @@ def simulate(
     store = make_store(cache_dir, shared_cache_dir, obs=obs)
     result, _ = simulate_executable(
         executable, engine, params=params, policy=policy, store=store,
-        obs=obs, audit_every=audit_every, audit_seed=audit_seed,
-        turbo=turbo, turbo_threshold=turbo_threshold,
-        threaded_frontend=threaded_frontend, l1_filter=l1_filter,
+        obs=obs, host=host,
     )
     return result
 
@@ -193,15 +183,10 @@ def _build_campaign(
     jobs: Optional[Sequence[Job]],
     name: str,
     backend: Union[str, ExecutorBackend, None],
-    audit_every: Optional[int],
-    audit_seed: int,
-    turbo: bool,
-    turbo_threshold: Optional[int],
-    threaded_frontend: bool = True,
-    l1_filter: bool = True,
+    host: Optional[HostOptions],
 ) -> Campaign:
     """The campaign both entry points build — grid or explicit jobs,
-    with audit/turbo overrides applied to the ``fast`` simulate jobs."""
+    with *host* (when given) imposed on the ``fast`` simulate jobs."""
     campaign_backend = backend if isinstance(backend, str) else "fork"
     if jobs is not None:
         campaign = Campaign(jobs=tuple(jobs), name=name,
@@ -214,30 +199,13 @@ def _build_campaign(
             include_native=include_native, name=name,
             backend=campaign_backend,
         )
-    overrides = {}
-    if audit_every is not None:
-        overrides.update(audit_every=audit_every, audit_seed=audit_seed)
-    if not turbo:
-        overrides.update(turbo=False)
-    if turbo_threshold is not None:
-        overrides.update(turbo_threshold=turbo_threshold)
-    if not threaded_frontend:
-        overrides.update(threaded_frontend=False)
-    if not l1_filter:
-        overrides.update(l1_filter=False)
-    if overrides:
-        from dataclasses import replace
-
-        campaign = Campaign(
-            jobs=tuple(
-                replace(job, **overrides)
-                if job.simulator == "fast" and job.kind == "simulate"
-                else job
-                for job in campaign.jobs
-            ),
-            name=campaign.name,
-            backend=campaign.backend,
-        )
+    if host is not None:
+        campaign = replace(campaign, jobs=tuple(
+            replace(job, host=host)
+            if job.simulator == "fast" and job.kind == "simulate"
+            else job
+            for job in campaign.jobs
+        ))
     return campaign
 
 
@@ -257,12 +225,7 @@ def submit_campaign(
     progress: Union[ProgressSink, str, None] = None,
     name: str = "campaign",
     obs=None,
-    audit_every: Optional[int] = None,
-    audit_seed: int = 0,
-    turbo: bool = True,
-    turbo_threshold: Optional[int] = None,
-    threaded_frontend: bool = True,
-    l1_filter: bool = True,
+    host: Optional[HostOptions] = None,
     backend: Union[str, ExecutorBackend, None] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
@@ -292,8 +255,7 @@ def submit_campaign(
     """
     campaign = _build_campaign(
         workloads, simulators, scale, params, include_native, jobs,
-        name, backend, audit_every, audit_seed, turbo, turbo_threshold,
-        threaded_frontend=threaded_frontend, l1_filter=l1_filter,
+        name, backend, host,
     )
     if isinstance(progress, str):
         sink = make_sink(progress)
@@ -328,12 +290,7 @@ def run_campaign(
     progress: Union[ProgressSink, str, None] = None,
     name: str = "campaign",
     obs=None,
-    audit_every: Optional[int] = None,
-    audit_seed: int = 0,
-    turbo: bool = True,
-    turbo_threshold: Optional[int] = None,
-    threaded_frontend: bool = True,
-    l1_filter: bool = True,
+    host: Optional[HostOptions] = None,
     backend: Union[str, ExecutorBackend, None] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
@@ -357,29 +314,25 @@ def run_campaign(
     :meth:`~repro.campaign.engine.CampaignResult.canonical_json`.
     *obs* is an optional :class:`repro.obs.Observer`; the runner traces
     job lifecycles through it (and, on the serial ``workers=0`` path,
-    the simulations themselves). *audit_every* turns on online replay
-    audits for every ``fast`` job (see docs/robustness.md) without
-    changing canonical output. *turbo* / *turbo_threshold* control
-    chain compilation for every ``fast`` job (on by default) — also
-    without changing canonical output (docs/performance.md).
+    the simulations themselves). *host*, when given, replaces the
+    :class:`~repro.options.HostOptions` of every ``fast`` job (chain
+    compilation, speed layers, online replay audits — none of which
+    changes canonical output); ``None`` leaves each job's own value.
     """
     handle = submit_campaign(
         workloads, simulators, scale=scale, params=params,
         include_native=include_native, jobs=jobs, workers=workers,
         cache_dir=cache_dir, shared_cache_dir=shared_cache_dir,
         timeout=timeout, retries=retries, progress=progress, name=name,
-        obs=obs, audit_every=audit_every, audit_seed=audit_seed,
-        turbo=turbo, turbo_threshold=turbo_threshold,
-        threaded_frontend=threaded_frontend, l1_filter=l1_filter,
-        backend=backend,
+        obs=obs, host=host, backend=backend,
         journal=journal, resume=resume, hang_after=hang_after,
     )
     return handle.result()
 
 
 def suite_runner(scale: str = "test", **kwargs):
-    """Build the memoizing table/figure runner without the deprecation
-    warning (accepts the same keywords as ``SuiteRunner``)."""
+    """Build the memoizing table/figure runner (accepts the same
+    keywords as :class:`repro.analysis.SuiteRunner`)."""
     from repro.analysis.runner import SuiteRunner
 
     return SuiteRunner(scale=scale, **kwargs)

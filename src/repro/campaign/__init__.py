@@ -66,7 +66,6 @@ from repro.campaign.jobs import (
     SIMULATORS,
 )
 from repro.campaign.progress import (
-    CallbackSink,
     JsonlSink,
     NullSink,
     ProgressSink,
@@ -117,7 +116,6 @@ __all__ = [
     "TextSink",
     "JsonlSink",
     "NullSink",
-    "CallbackSink",
     "make_sink",
     "execute_job",
     "register_job_kind",

@@ -66,12 +66,12 @@ def main() -> int:
         except EOFError:
             return 0
         job = envelope["job"]
-        plan = envelope.get("plan")
+        plan = envelope["plan"]
         if plan is not None:
             faults.install_plan(plan)
         else:
             faults.clear_plan()
-        interval = envelope.get("heartbeat")
+        interval = envelope["heartbeat"]
         stop = threading.Event()
         beater = None
         if interval is not None:
@@ -79,13 +79,13 @@ def main() -> int:
                                       args=(interval, stop), daemon=True)
             beater.start()
         try:
-            # Protocol v2 keys; absent on a v1 parent, and None unless
-            # the parent observer is live (the zero-overhead contract).
+            # telemetry is None unless the parent observer is live
+            # (the zero-overhead contract).
             result = execute_attempt(
                 job, envelope["store"],
-                telemetry=envelope.get("telemetry"),
+                telemetry=envelope["telemetry"],
                 worker=f"spawn-{os.getpid()}",
-                attempt=envelope.get("attempt", 1),
+                attempt=envelope["attempt"],
             )
         except BaseException as exc:  # the frame must go out or the
             # parent treats this worker as crashed — report what we can.

@@ -307,11 +307,6 @@ class CampaignRunner:
         self._telemetry: List[Dict[str, object]] = []
         self._cancel = threading.Event()
 
-    @property
-    def cache_dir(self) -> Optional[str]:
-        """The local cache tier's directory (compat accessor)."""
-        return self.store_spec.cache_dir
-
     # ------------------------------------------------------------------
 
     def cancel(self) -> None:

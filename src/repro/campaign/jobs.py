@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.memo.policies import ReplacementPolicy, make_policy
 from repro.obs.schema import JOB_METRICS_SCHEMA, SCHEMA_KEY
+from repro.options import HostOptions
 from repro.sim.results import SimulationResult
 from repro.uarch.params import ProcessorParams
 
@@ -90,31 +91,11 @@ class Job:
     #: Executor registered in :mod:`repro.campaign.worker`. The default
     #: runs a simulator; tests register fault-injecting kinds.
     kind: str = "simulate"
-    #: Online replay auditing (``fast`` jobs only): sample every Nth
-    #: replay episode through :class:`repro.guard.engine.GuardedEngine`.
-    #: None disables guarding. Deliberately **not** part of the key:
-    #: auditing must never change canonical results, so a guarded and
-    #: an unguarded run of the same coordinates are the same
-    #: measurement.
-    audit_every: Optional[int] = None
-    audit_seed: int = 0
-    #: Chain compilation of hot replay paths (``fast`` jobs only):
-    #: True (the default) compiles action chains traversed more than a
-    #: threshold number of times (:mod:`repro.memo.compile`), False
-    #: forces the interpreted replay loop. ``turbo_threshold``
-    #: overrides the compile threshold. Like ``audit_every``,
-    #: deliberately **not** part of the key: compilation must never
-    #: change canonical results, so a compiled and an interpreted run
-    #: of the same coordinates are the same measurement.
-    turbo: bool = True
-    turbo_threshold: Optional[int] = None
-    #: Host-side speed layers (``fast`` jobs only): threaded-code
-    #: dispatch in the speculative frontend and the direct-mapped L1
-    #: filter in the memory hierarchy. Both on by default; exposed for
-    #: ablation benchmarks. Like ``turbo``, deliberately **not** part
-    #: of the key — neither may ever change canonical results.
-    threaded_frontend: bool = True
-    l1_filter: bool = True
+    #: Host-side speed and audit knobs (``fast`` jobs only). Never read
+    #: by :attr:`key`, :meth:`JobResult.canonical` or ``run_signature``:
+    #: none of them may change canonical results, so two jobs that
+    #: differ only here are the same measurement.
+    host: HostOptions = HostOptions()
     #: Always None. The executor backend is a campaign-level placement
     #: decision (:attr:`repro.campaign.engine.Campaign.backend`), never
     #: a per-job one: jobs are the unit of *measurement*, backends the

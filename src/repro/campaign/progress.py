@@ -9,8 +9,6 @@ speak to a single :class:`ProgressSink`:
 * :class:`JsonlSink` — one JSON object per event (machine-readable,
   suitable for build logs and dashboards);
 * :class:`NullSink` — silence;
-* :class:`CallbackSink` — adapts a legacy ``Callable[[str], None]``
-  progress callback;
 * :class:`ObsSink` — mirrors events into a :class:`repro.obs.Observer`
   (instant trace events + job-outcome counters/histograms);
 * :class:`TeeSink` — fans one event stream out to several sinks.
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
 
 
 class ProgressSink:
@@ -97,16 +95,6 @@ class JsonlSink(ProgressSink):
         record["event"] = kind
         print(json.dumps(record, sort_keys=True, default=str),
               file=stream, flush=True)
-
-
-class CallbackSink(ProgressSink):
-    """Adapts the legacy ``progress=callable`` suite-runner argument."""
-
-    def __init__(self, callback: Callable[[str], None]):
-        self.callback = callback
-
-    def emit(self, kind: str, **fields: object) -> None:
-        self.callback(_render_text(kind, fields))
 
 
 class ObsSink(ProgressSink):

@@ -7,12 +7,12 @@ This module provides the pieces the engine composes into crash-safety
 * **The campaign journal** — a durable, append-only record of engine
   decisions (:class:`CampaignJournal` writes, :func:`read_journal`
   replays). Records are schema-stamped dicts
-  (``repro.campaign/journal/v1``) pickled and CRC-framed exactly like
-  FSPC v2 node records (big-endian u32 length + payload + u32 CRC32),
-  with one header and **no whole-file trailer**: every append is
-  self-contained and fsync'd, so a SIGKILL mid-write leaves a readable
-  prefix plus at most one torn tail frame, which the reader drops and
-  counts. ``CampaignRunner(resume=...)`` replays the journal,
+  (``repro.campaign/journal/v1``), pickled, in an open-ended
+  :mod:`repro.framing` container (FSCJ): the shared preamble, then one
+  CRC-framed record per append and **no whole-file trailer** — every
+  append is self-contained and fsync'd, so a SIGKILL mid-write leaves
+  a readable prefix plus at most one torn tail frame, which the reader
+  drops and counts. ``CampaignRunner(resume=...)`` replays the journal,
   re-verifies the recorded job keys against the current campaign, and
   skips completed jobs — producing output byte-identical to an
   uninterrupted run because recorded :class:`JobResult` payloads
@@ -33,11 +33,10 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro import framing
 from repro.errors import CampaignError
 from repro.obs.schema import JOURNAL_SCHEMA, stamp
 
@@ -54,13 +53,9 @@ __all__ = [
     "verify_resume",
 ]
 
-#: Journal file preamble, FSPC-v2 style: magic, u32 sentinel (never a
-#: valid record length, so the formats stay self-distinguishing), u16
-#: format version.
 JOURNAL_MAGIC = b"FSCJ"
 _JOURNAL_VERSION = 1
-_HEADER = JOURNAL_MAGIC + struct.pack(">IH", 0xFFFFFFFF, _JOURNAL_VERSION)
-_LENGTH = struct.Struct(">I")
+_HEADER = framing.preamble(JOURNAL_MAGIC, _JOURNAL_VERSION)
 
 #: Outcome statuses that are terminal for a job and safe to skip on
 #: resume ("cancelled" re-runs: it records that the job never ran).
@@ -148,10 +143,8 @@ class CampaignJournal:
         """Durably append one schema-stamped record; returns it."""
         record = stamp(JOURNAL_SCHEMA,
                        {"kind": kind, "seq": self._seq, **fields})
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        self._stream.write(_LENGTH.pack(len(payload)))
-        self._stream.write(payload)
-        self._stream.write(_LENGTH.pack(zlib.crc32(payload) & 0xFFFFFFFF))
+        self._stream.write(framing.frame(
+            pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)))
         self._sync()
         self._seq += 1
         return record
@@ -213,32 +206,18 @@ def read_journal(path: str) -> JournalReplay:
     if not data.startswith(_HEADER):
         raise CampaignError(
             f"{path}: not a campaign journal (bad magic/version)")
-    offset = len(_HEADER)
-    total = len(data)
-    while offset < total:
-        if offset + _LENGTH.size > total:
-            replay.torn_records += 1
-            break
-        (length,) = _LENGTH.unpack_from(data, offset)
-        end = offset + _LENGTH.size + length + _LENGTH.size
-        if end > total:
-            replay.torn_records += 1
-            break
-        payload = data[offset + _LENGTH.size:end - _LENGTH.size]
-        (crc,) = _LENGTH.unpack_from(data, end - _LENGTH.size)
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            replay.torn_records += 1
-            break
+    payloads, intact = framing.Reader(data, pos=len(_HEADER)).frames(
+        None, strict=False)
+    replay.torn_records = 0 if intact else 1
+    for payload in payloads:
         try:
             record = pickle.loads(payload)
         except Exception:
-            replay.torn_records += 1
-            break
+            record = None
         if not isinstance(record, dict):
-            replay.torn_records += 1
+            replay.torn_records = 1
             break
         replay.records.append(record)
-        offset = end
     for record in replay.records:
         kind = record.get("kind")
         if kind == "campaign-open":

@@ -30,8 +30,8 @@ from repro.campaign.cachedir import CacheStore, StoreSpec
 from repro.campaign.jobs import Job, JobResult, NativeRun
 from repro.emulator.functional import Interpreter
 from repro.guard import faults
-from repro.memo.compile import TurboConfig
 from repro.memo.engine import run_signature
+from repro.options import HostOptions
 from repro.sim.fastsim import FastSim
 from repro.uarch.params import ProcessorParams
 from repro.workloads.suite import load_workload
@@ -75,12 +75,7 @@ def simulate_executable(
     policy=None,
     store: Optional[CacheStore] = None,
     obs=None,
-    audit_every: Optional[int] = None,
-    audit_seed: int = 0,
-    turbo: bool = True,
-    turbo_threshold: Optional[int] = None,
-    threaded_frontend: bool = True,
-    l1_filter: bool = True,
+    host: HostOptions = HostOptions(),
 ):
     """Run one simulator over *executable*; returns (result, metrics).
 
@@ -90,16 +85,10 @@ def simulate_executable(
     eviction behaviour is part of the experiment, so it must start from
     the same (cold) cache every time. *obs* is an
     :class:`~repro.obs.Observer` (or None — telemetry off); observers
-    read simulation state and never influence results. *audit_every*
-    (``fast`` only) routes the run through the
-    :class:`~repro.guard.engine.GuardedEngine`, which samples replay
-    episodes and re-verifies them against a fresh detailed simulator.
-    *turbo* / *turbo_threshold* control chain compilation of hot
-    replay paths (``fast`` only; on by default) — canonical results
-    are bit-identical either way, see docs/performance.md.
-    *threaded_frontend* / *l1_filter* toggle the host-side frontend
-    and memory-hierarchy speed layers (``fast`` only; on by default;
-    never change canonical results). When warm-starting with turbo on,
+    read simulation state and never influence results. *host* holds
+    the host-side speed and audit knobs (``fast`` only; see
+    :class:`~repro.options.HostOptions`) — canonical results are
+    bit-identical under every value. When warm-starting with turbo on,
     the compiled-segment archive persisted next to the p-cache
     (``.fsseg``, :mod:`repro.memo.segstore`) is loaded and installed so
     the run skips segment re-warm-up, and the run's own live segments
@@ -128,23 +117,15 @@ def simulate_executable(
                 injected = faults.apply_memory_faults(pcache, plan)
                 if injected:
                     metrics["faults_injected"] = injected
-        turbo_cfg = (
-            TurboConfig(enabled=bool(turbo), threshold=turbo_threshold)
-            if turbo_threshold is not None else turbo
-        )
         seg_archive = None
-        if (pcache is not None and bool(turbo)
-                and hasattr(store, "load_segments")):
+        if pcache is not None and host.turbo:
             # Segments only install against the graph they were captured
             # from, so a cold p-cache makes the archive useless — skip
             # the read entirely.
             seg_archive = store.load_segments(signature)
         sim = FastSim(executable, params=params, policy=policy,
-                      pcache=pcache, obs=obs,
-                      audit_every=audit_every, audit_seed=audit_seed,
-                      turbo=turbo_cfg,
-                      threaded_frontend=threaded_frontend,
-                      l1_filter=l1_filter, segstore=seg_archive)
+                      pcache=pcache, obs=obs, segstore=seg_archive,
+                      **host.fastsim_kwargs())
         result = sim.run()
         table = sim.pcache.turbo
         if sim.engine.turbo.enabled and table is not None:
@@ -152,7 +133,7 @@ def simulate_executable(
             metrics["turbo"] = table.snapshot()
         if sim.segstore_stats is not None:
             metrics["segstore"] = dict(sim.segstore_stats)
-        if audit_every is not None:
+        if host.audit_every is not None:
             metrics["audits"] = sim.engine.audits
             metrics["audit_divergences"] = sim.engine.divergences
             if sim.engine.reports:
@@ -165,8 +146,7 @@ def simulate_executable(
             )
             if obs is not None and metrics["cache_saved"]:
                 obs.counter("campaign.cache_saves")
-            if (sim.engine.turbo.enabled and table is not None
-                    and hasattr(store, "store_segments")):
+            if sim.engine.turbo.enabled and table is not None:
                 from repro.memo.segstore import capture
 
                 metrics["segments_saved"] = store.store_segments(
@@ -205,13 +185,7 @@ def _simulate(job: Job, store: Optional[CacheStore],
     policy = job.policy.build() if job.policy is not None else None
     result, metrics = simulate_executable(
         executable, job.simulator, params=job.params, policy=policy,
-        store=store, obs=obs,
-        audit_every=getattr(job, "audit_every", None),
-        audit_seed=getattr(job, "audit_seed", 0),
-        turbo=getattr(job, "turbo", True),
-        turbo_threshold=getattr(job, "turbo_threshold", None),
-        threaded_frontend=getattr(job, "threaded_frontend", True),
-        l1_filter=getattr(job, "l1_filter", True),
+        store=store, obs=obs, host=job.host,
     )
     if store is not None and store.quarantined:
         metrics["cache_quarantined"] = list(store.quarantined)
@@ -279,24 +253,22 @@ def execute_job(job: Job, store: Optional[CacheStore] = None,
     return outcome
 
 
-def execute_attempt(job: Job, store_spec=None, telemetry=None,
+def execute_attempt(job: Job, store_spec: StoreSpec, telemetry=None,
                     worker: object = None, attempt: int = 1) -> JobResult:
     """Run one attempt, optionally under a worker-side collector.
 
-    The single path every backend worker drives. *store_spec* is a
-    :class:`~repro.campaign.cachedir.StoreSpec` (a plain
-    cache-directory string is also accepted for compatibility).
-    *telemetry* is a :class:`~repro.obs.worker.TelemetrySpec` or None —
-    the disabled path costs exactly this one ``is None`` test and
-    ships nothing. When set, the attempt runs against a local
+    The single path every backend worker drives. *store_spec* is the
+    :class:`~repro.campaign.cachedir.StoreSpec` recipe the worker
+    builds its own store handles from. *telemetry* is a
+    :class:`~repro.obs.worker.TelemetrySpec` or None — the disabled
+    path costs exactly this one ``is None`` test and ships nothing.
+    When set, the attempt runs against a local
     :class:`~repro.obs.worker.WorkerCollector` (same observer surface
     as the serial path — memo spans, sampled series, cache-tier
     counters — collected locally), wrapped in a ``worker.job`` span
     labelled *worker*, and the rendered blob rides back on
     ``result.telemetry`` for the engine to merge.
     """
-    if not isinstance(store_spec, StoreSpec):
-        store_spec = StoreSpec(cache_dir=store_spec or None)
     if telemetry is None:
         return execute_job(job, store_spec.build())
     collector = telemetry.collector(worker if worker is not None
@@ -310,17 +282,16 @@ def execute_attempt(job: Job, store_spec=None, telemetry=None,
     return result
 
 
-def child_main(connection, job: Job, store_spec=None, telemetry=None,
-               attempt: int = 1, heartbeat=None) -> None:
+def child_main(connection, job: Job, store_spec: StoreSpec,
+               telemetry=None, attempt: int = 1, heartbeat=None) -> None:
     """Worker-process entry: execute one job, send the result back.
 
     *store_spec* is a :class:`~repro.campaign.cachedir.StoreSpec` (the
     fork backend ships the recipe; the child builds its own store
-    handles) — a plain cache-directory string is also accepted for
-    compatibility with older callers. *telemetry* (a
-    :class:`~repro.obs.worker.TelemetrySpec`, shipped only when the
-    parent observer is live) makes the child collect its own deep
-    telemetry and attach the blob to the result crossing the pipe.
+    handles). *telemetry* (a :class:`~repro.obs.worker.TelemetrySpec`,
+    shipped only when the parent observer is live) makes the child
+    collect its own deep telemetry and attach the blob to the result
+    crossing the pipe.
     *heartbeat* (seconds, or None) makes a daemon thread interleave
     :data:`~repro.campaign.supervise.HEARTBEAT` sentinels with the
     result on the same pipe, under a send lock, so the parent's

@@ -55,8 +55,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from typing import List, Optional
 
+from repro.options import HostOptions
 from repro.workloads.suite import WORKLOAD_ORDER, WORKLOADS, load_workload
 
 
@@ -101,56 +103,37 @@ def _obs_options() -> argparse.ArgumentParser:
     return parent
 
 
-def _guard_options() -> argparse.ArgumentParser:
+def _host_options() -> argparse.ArgumentParser:
+    """One flag per :class:`HostOptions` field (``--no-<name>`` for the
+    on-by-default layers, ``--<name> N`` for the rest), plus ``--guard``."""
     parent = argparse.ArgumentParser(add_help=False)
+    for knob in fields(HostOptions):
+        flag = knob.name.replace("_", "-")
+        text = knob.metadata["help"]
+        if isinstance(knob.default, bool):
+            parent.add_argument(f"--no-{flag}", dest=knob.name,
+                                action="store_false",
+                                default=knob.default,
+                                help=f"do not {text}; bit-identical "
+                                     "either way")
+        else:
+            parent.add_argument(f"--{flag}", dest=knob.name, type=int,
+                                metavar="N", default=knob.default,
+                                help=text)
     parent.add_argument("--guard", action="store_true",
                         help="audit every replay episode against "
                              "detailed re-execution (shorthand for "
                              "--audit-every 1)")
-    parent.add_argument("--audit-every", type=int, metavar="N",
-                        help="audit every Nth replay episode "
-                             "(deterministically sampled; see "
-                             "docs/robustness.md)")
-    parent.add_argument("--audit-seed", type=int, default=0,
-                        help="seed for audit sampling phase "
-                             "(default 0)")
     return parent
 
 
-def _turbo_options() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_mutually_exclusive_group()
-    group.add_argument("--turbo", dest="turbo", action="store_true",
-                       default=True,
-                       help="compile hot replay chains to flat "
-                            "segments (the default; bit-identical to "
-                            "the interpreted loop)")
-    group.add_argument("--no-turbo", dest="turbo", action="store_false",
-                       help="force the interpreted replay loop")
-    parent.add_argument("--turbo-threshold", type=int, metavar="N",
-                        help="traversals before a chain is compiled "
-                             "(default 8; see docs/performance.md)")
-    parent.add_argument("--no-threaded-frontend",
-                        dest="threaded_frontend", action="store_false",
-                        default=True,
-                        help="disable threaded-code dispatch in the "
-                             "speculative frontend (ablation; "
-                             "bit-identical either way)")
-    parent.add_argument("--no-l1-filter", dest="l1_filter",
-                        action="store_false", default=True,
-                        help="disable the direct-mapped L1 filter in "
-                             "the memory hierarchy (ablation; "
-                             "bit-identical either way)")
-    return parent
-
-
-def _effective_audit(args: argparse.Namespace):
-    """Resolve --guard/--audit-every to an audit_every value (or None)."""
-    if getattr(args, "audit_every", None) is not None:
-        return args.audit_every
-    if getattr(args, "guard", False):
-        return 1
-    return None
+def _host_from_args(args: argparse.Namespace) -> HostOptions:
+    """The :class:`HostOptions` a parsed command line asks for."""
+    host = HostOptions(**{knob.name: getattr(args, knob.name)
+                          for knob in fields(HostOptions)})
+    if args.guard and host.audit_every is None:
+        host = replace(host, audit_every=1)
+    return host
 
 
 def _pool_options() -> argparse.ArgumentParser:
@@ -193,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite = _suite_options()
     pool = _pool_options()
     obs = _obs_options()
-    guard = _guard_options()
-    turbo = _turbo_options()
+    host = _host_options()
 
     commands.add_parser("list", parents=[quiet],
                         help="show the workload suite")
@@ -202,14 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the processor model")
 
     run = commands.add_parser("run",
-                              parents=[scale, quiet, obs, guard, turbo],
+                              parents=[scale, quiet, obs, host],
                               help="simulate one workload under all "
                                    "simulators")
     run.add_argument("workload", help="workload name")
 
     campaign = commands.add_parser(
         "campaign",
-        parents=[scale, suite, quiet, pool, obs, guard, turbo],
+        parents=[scale, suite, quiet, pool, obs, host],
         help="run a parallel simulation campaign",
     )
     campaign.add_argument(
@@ -333,13 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", default="text",
                       choices=["text", "json", "sarif"],
                       dest="lint_format", help="report format")
-    lint.add_argument("--strict", action="store_true",
-                      help="apply record/replay-path rules to every "
-                           "module")
-    lint.add_argument("--flow", action="store_true",
-                      help="whole-program flow analysis (call-graph "
-                           "reachability, taint, effects, codegen "
-                           "contracts)")
+    # The two ways to scope the record/replay-path rules — everywhere,
+    # or by computed reachability — are alternatives.
+    scope = lint.add_mutually_exclusive_group()
+    scope.add_argument("--strict", action="store_true",
+                       help="apply record/replay-path rules to every "
+                            "module")
+    scope.add_argument("--flow", action="store_true",
+                       help="whole-program flow analysis over "
+                            "directories (call-graph reachability "
+                            "scopes the strict rules; taint, effects, "
+                            "codegen contracts on top)")
     lint.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="lint files on N worker processes")
     lint.add_argument("--baseline", metavar="FILE",
@@ -462,13 +448,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"workload {args.workload} [{args.scale}]: "
           f"{len(executable.text) // 4} static instructions")
     obs = _make_obs(args)
-    audit_every = _effective_audit(args)
+    host = _host_from_args(args)
     fast = simulate(args.workload, engine="fast", scale=args.scale,
-                    obs=obs, audit_every=audit_every,
-                    audit_seed=args.audit_seed, turbo=args.turbo,
-                    turbo_threshold=args.turbo_threshold,
-                    threaded_frontend=args.threaded_frontend,
-                    l1_filter=args.l1_filter)
+                    obs=obs, host=host)
     slow = simulate(args.workload, engine="slow", scale=args.scale,
                     obs=obs)
     base = simulate(args.workload, engine="baseline", scale=args.scale,
@@ -477,9 +459,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  {result.summary()}")
     exact = "yes" if fast.timing_equal(slow) else "NO (bug!)"
     print(f"  FastSim == SlowSim cycle-exact: {exact}")
-    if audit_every is not None:
-        print(f"  replay audits: every {audit_every} episode(s), "
-              f"seed {args.audit_seed}")
+    if host.audit_every is not None:
+        print(f"  replay audits: every {host.audit_every} episode(s), "
+              f"seed {host.audit_seed}")
     print(f"  memoization speedup: "
           f"{slow.host_seconds / fast.host_seconds:.1f}x "
           f"(detailed fraction "
@@ -511,12 +493,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         progress=progress,
         name=f"suite-{args.scale}",
         obs=obs,
-        audit_every=_effective_audit(args),
-        audit_seed=args.audit_seed,
-        turbo=args.turbo,
-        turbo_threshold=args.turbo_threshold,
-        threaded_frontend=args.threaded_frontend,
-        l1_filter=args.l1_filter,
+        host=_host_from_args(args),
         journal=args.journal,
         resume=args.resume,
         hang_after=args.hang_after,

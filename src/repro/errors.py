@@ -12,7 +12,10 @@ more specific subclasses below::
     ├── SimulationError         timing simulator inconsistency
     ├── ConfigCodecError        μ-arch configuration (de)code failure
     ├── MemoizationError        p-action cache structural violation
-    │   └── PCacheCorruptError  persisted cache failed integrity checks
+    │   ├── PCacheCorruptError  persisted cache failed integrity checks
+    │   └── SegStoreCorruptError  segment archive failed integrity checks
+    ├── CorruptRecordError      CRC-framed file damage, with offset and
+    │                           record (also a base of the two above)
     ├── CampaignError           campaign orchestration failure
     │   └── PoisonedJobError    job quarantined after crashing workers
     └── WorkloadError           invalid workload parameters
@@ -70,52 +73,44 @@ class MemoizationError(ReproError):
     """Raised for p-action cache structural violations."""
 
 
-class PCacheCorruptError(MemoizationError):
+class CorruptRecordError(ReproError):
+    """A CRC-framed file (:mod:`repro.framing`) failed its integrity
+    checks — truncation, bit rot, bad checksums, unknown tags.
+
+    ``offset`` is the byte offset where the damage was found (or -1
+    when unknown) and ``record`` the zero-based record index (or -1 for
+    header/trailer damage); both are appended to the message.
+    """
+
+    def __init__(self, message: str, offset: int = -1, record: int = -1):
+        self.offset = offset
+        self.record = record
+        where = []
+        if record >= 0:
+            where.append(f"record {record}")
+        if offset >= 0:
+            where.append(f"offset {offset}")
+        if where:
+            message = f"{message} ({', '.join(where)})"
+        super().__init__(message)
+
+
+class PCacheCorruptError(CorruptRecordError, MemoizationError):
     """A persisted p-action cache failed its integrity checks.
 
-    Raised by :mod:`repro.memo.persist` for any damaged input —
-    truncation, bit rot, bad checksums, unknown tags — naming where the
-    damage was found. ``offset`` is the byte offset in the stream (or
-    -1 when unknown) and ``record`` the zero-based node-record index
-    (or -1 for header/trailer damage).
+    The only exception :mod:`repro.memo.persist` lets escape for
+    damaged input; ``record`` is the node-record index.
     """
 
-    def __init__(self, message: str, offset: int = -1, record: int = -1):
-        self.offset = offset
-        self.record = record
-        where = []
-        if record >= 0:
-            where.append(f"record {record}")
-        if offset >= 0:
-            where.append(f"offset {offset}")
-        if where:
-            message = f"{message} ({', '.join(where)})"
-        super().__init__(message)
 
-
-class SegStoreCorruptError(MemoizationError):
+class SegStoreCorruptError(CorruptRecordError, MemoizationError):
     """A persisted compiled-segment archive failed its integrity checks.
 
-    Raised by :mod:`repro.memo.segstore` for any damaged input —
-    truncation, bit rot, bad checksums, unknown tags. Unlike a corrupt
-    p-action cache, a corrupt segment archive is *never* fatal to a
-    run: the caller counts it as a miss and segments recompile from the
+    Raised by :mod:`repro.memo.segstore`. Unlike a corrupt p-action
+    cache, a corrupt segment archive is *never* fatal to a run: the
+    caller counts it as a miss and segments recompile from the
     (independently checked) graph, so output cannot be affected.
-    ``offset``/``record`` locate the damage like
-    :class:`PCacheCorruptError`.
     """
-
-    def __init__(self, message: str, offset: int = -1, record: int = -1):
-        self.offset = offset
-        self.record = record
-        where = []
-        if record >= 0:
-            where.append(f"record {record}")
-        if offset >= 0:
-            where.append(f"offset {offset}")
-        if where:
-            message = f"{message} ({', '.join(where)})"
-        super().__init__(message)
 
 
 class CampaignError(ReproError):

@@ -44,7 +44,7 @@ import json
 import multiprocessing
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.campaign.cachedir import QUARANTINE_SUFFIX, reset_breakers
@@ -57,6 +57,7 @@ from repro.guard.faults import (
     inject_disk_faults,
     install_plan,
 )
+from repro.options import HostOptions
 
 #: Default workload subset — small enough for CI, varied enough to
 #: exercise loads, stores, branches, and rollbacks.
@@ -244,20 +245,14 @@ def run_chaos(
     fault_dir = shared_dir if tiered else cache_dir
 
     def build_campaign(audited: bool) -> Campaign:
-        from dataclasses import replace
-
         campaign = Campaign.grid(names, simulators=("fast",),
                                  scale=scale, name=f"chaos-{scale}")
         if not audited:
             return campaign
-        return Campaign(
-            jobs=tuple(
-                replace(job, audit_every=audit_every,
-                        audit_seed=audit_seed)
-                for job in campaign.jobs
-            ),
-            name=campaign.name,
-        )
+        host = HostOptions(audit_every=audit_every,
+                           audit_seed=audit_seed)
+        return replace(campaign, jobs=tuple(
+            replace(job, host=host) for job in campaign.jobs))
 
     # 1. Clean cold serial baseline — the ground truth.
     sink.log("chaos: baseline (cold, serial, unguarded)")

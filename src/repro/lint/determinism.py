@@ -76,12 +76,6 @@ ENTROPY_CALLS = frozenset({
     ("os", "urandom"), ("uuid", "uuid1"), ("uuid", "uuid4"),
 })
 
-# Back-compat aliases (the tables predate the flow session, which
-# shares them interprocedurally and needed them public).
-_GLOBAL_RNG_FUNCS = GLOBAL_RNG_FUNCS
-_CLOCK_CALLS = CLOCK_CALLS
-_ENTROPY_CALLS = ENTROPY_CALLS
-
 #: Rules that fire only with strict scoping: on record/replay-path
 #: modules in per-file mode, or inside computed replay-reachable
 #: functions in ``--flow`` mode. ``det/unseeded-random`` fires
@@ -269,7 +263,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         resolved = self._resolve_call(node)
         if resolved is not None:
             module, attr = resolved
-            if module == "random" and attr in _GLOBAL_RNG_FUNCS:
+            if module == "random" and attr in GLOBAL_RNG_FUNCS:
                 self._emit(
                     node, "det/unseeded-random", Severity.ERROR,
                     f"call to the shared global RNG random.{attr}(); "
@@ -282,13 +276,13 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     "random.Random() constructed without a seed draws "
                     "from OS entropy; pass an explicit seed",
                 )
-            elif module == "secrets" or resolved in _ENTROPY_CALLS:
+            elif module == "secrets" or resolved in ENTROPY_CALLS:
                 self._emit(
                     node, "det/unseeded-random", Severity.ERROR,
                     f"{module}.{attr}() reads OS entropy and can never "
                     "replay identically",
                 )
-            elif self.context.strict and resolved in _CLOCK_CALLS:
+            elif self.context.strict and resolved in CLOCK_CALLS:
                 self._emit(
                     node, "det/time-dependent", Severity.ERROR,
                     f"{module}.{attr}() reads a host clock inside the "

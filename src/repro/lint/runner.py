@@ -246,11 +246,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--format", choices=("text", "json", "sarif"), default="text",
         help="report format (default: text)",
     )
-    parser.add_argument(
+    # The two ways to scope the record/replay-path rules — everywhere,
+    # or by computed reachability — are alternatives.
+    scope = parser.add_mutually_exclusive_group()
+    scope.add_argument(
         "--strict", action="store_true",
         help="apply record/replay-path-only rules to every module",
     )
-    parser.add_argument(
+    scope.add_argument(
         "--flow", action="store_true",
         help=(
             "whole-program analysis: build a flow session per "

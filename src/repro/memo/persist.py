@@ -6,28 +6,16 @@ prefixes, repeated CI runs) can start fully warm. This module
 serialises the configuration→action graph to a flat record stream and
 back.
 
-Two on-disk formats exist (all integers big-endian):
+The on-disk format (``.fspc``, FSPC version 2) is a sealed
+:mod:`repro.framing` container — preamble, CRC-checked header, one
+CRC-framed record per node, SHA-256 trailer — holding:
 
-**v2 (current, integrity-checked)** — written by :func:`write_pcache`:
-
-* preamble: magic ``FSPC``, u32 sentinel ``0xFFFFFFFF``, u16 format
-  version (2);
-* header: u32 node count, u16 binding-signature length, signature
-  bytes, u32 CRC32 over every preceding byte (preamble included);
-* one framed record per node: u32 payload length, the payload (the
-  node encoding described below), u32 CRC32 over the payload;
-* trailer: the SHA-256 digest (32 bytes) of every preceding byte.
-
-**v1 (legacy, un-checksummed)** — magic followed directly by the u32
-node count (which is capped far below the v2 sentinel, so the two
-formats are self-distinguishing), u16 signature length, signature, and
-bare node payloads. v1 files are still readable; new files are always
-written as v2 unless ``version=1`` is forced (used by compat tests).
-
-Node payloads are identical in both formats: a type tag, the node's
-fields, then either the outcome-edge table (keys encoded by type tag)
-or the single-successor index (``0xFFFFFFFF`` = none). Nodes are
-identified by dense index.
+* header fields: u32 node count, u16 binding-signature length, the
+  signature bytes;
+* one record per node: a type tag, the node's fields, then either the
+  outcome-edge table (keys encoded by type tag) or the
+  single-successor index (``0xFFFFFFFF`` = none). Nodes are identified
+  by dense index.
 
 Damaged input raises :class:`~repro.errors.PCacheCorruptError` — and
 only that (raw ``struct.error`` / ``EOFError`` from decode internals
@@ -46,12 +34,11 @@ against the wrong binary or machine model.
 
 from __future__ import annotations
 
-import hashlib
 import io
-import zlib
 from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 from repro.errors import MemoizationError, PCacheCorruptError
+from repro.framing import DECODE_ERRORS, Reader, write_sealed
 from repro.memo.actions import (
     AdvanceNode,
     ConfigNode,
@@ -68,17 +55,13 @@ from repro.memo.pcache import PActionCache
 from repro.uarch.config_codec import config_size_bytes
 
 MAGIC = b"FSPC"
-#: Current on-disk format version.
+#: Current on-disk format version (version 1, un-framed and
+#: un-checksummed, is no longer read).
 FORMAT_VERSION = 2
-#: Marker after the magic that distinguishes versioned (v2+) files
-#: from legacy v1 files, whose node count occupies the same bytes.
-_VERSION_SENTINEL = 0xFFFFFFFF
 _NONE = 0xFFFFFFFF
 #: Sanity bound for one framed record payload (a node encoding is tens
 #: of bytes; the largest possible edge table is well under this).
 _MAX_RECORD_BYTES = 1 << 24
-#: SHA-256 digest size (the v2 whole-file trailer).
-_TRAILER_BYTES = 32
 
 _NODE_TAGS = {
     ConfigNode: 0,
@@ -97,14 +80,9 @@ _TAG_NODES = {tag: cls for cls, tag in _NODE_TAGS.items()}
 _KEY_INT = 0
 _KEY_TUPLE = 1
 
-#: Exceptions a damaged payload can trip inside the node decoder. Only
-#: :class:`PCacheCorruptError` may escape this module for bad input.
-_DECODE_ERRORS = (IndexError, ValueError, KeyError, TypeError,
-                  EOFError, OverflowError, MemoryError)
-
 
 # ---------------------------------------------------------------------------
-# Low-level encode helpers (shared by both format versions)
+# Node encoding
 # ---------------------------------------------------------------------------
 
 def _write_u32(stream: BinaryIO, value: int) -> None:
@@ -137,7 +115,7 @@ def _write_key(stream: BinaryIO, key) -> None:
 
 
 def _encode_record(node: Node, index_of: Dict[int, int]) -> bytes:
-    """One node's payload bytes (format-independent)."""
+    """One node's record payload."""
     stream = io.BytesIO()
     kind = type(node)
     stream.write(bytes([_NODE_TAGS[kind]]))
@@ -202,96 +180,22 @@ def _collect_nodes(cache: PActionCache) -> List[Node]:
 # Writing
 # ---------------------------------------------------------------------------
 
-def write_pcache(cache: PActionCache, stream: BinaryIO,
-                 version: int = FORMAT_VERSION) -> None:
-    """Serialise *cache* (including its program binding) to *stream*.
-
-    *version* selects the on-disk format: 2 (default, integrity
-    checked) or 1 (the legacy un-checksummed layout, kept so the
-    compat reader stays honest under test).
-    """
-    if version not in (1, 2):
-        raise MemoizationError(f"unsupported FSPC version {version}")
+def write_pcache(cache: PActionCache, stream: BinaryIO) -> None:
+    """Serialise *cache* (including its program binding) to *stream*."""
     nodes = _collect_nodes(cache)
     index_of: Dict[int, int] = {id(n): i for i, n in enumerate(nodes)}
     signature = cache._bound_program or b""
-
-    if version == 1:
-        stream.write(MAGIC)
-        _write_u32(stream, len(nodes))
-        stream.write(len(signature).to_bytes(2, "big"))
-        stream.write(signature)
-        for node in nodes:
-            stream.write(_encode_record(node, index_of))
-        return
-
-    digest = hashlib.sha256()
-
-    def out(chunk: bytes) -> None:
-        digest.update(chunk)
-        stream.write(chunk)
-
-    header = io.BytesIO()
-    header.write(MAGIC)
-    _write_u32(header, _VERSION_SENTINEL)
-    header.write(FORMAT_VERSION.to_bytes(2, "big"))
-    _write_u32(header, len(nodes))
-    header.write(len(signature).to_bytes(2, "big"))
-    header.write(signature)
-    header_bytes = header.getvalue()
-    out(header_bytes)
-    out(zlib.crc32(header_bytes).to_bytes(4, "big"))
-    for node in nodes:
-        payload = _encode_record(node, index_of)
-        out(len(payload).to_bytes(4, "big"))
-        out(payload)
-        out(zlib.crc32(payload).to_bytes(4, "big"))
-    stream.write(digest.digest())
+    fields = b"".join((len(nodes).to_bytes(4, "big"),
+                       len(signature).to_bytes(2, "big"), signature))
+    write_sealed(stream, MAGIC, FORMAT_VERSION, fields,
+                 (_encode_record(node, index_of) for node in nodes))
 
 
 # ---------------------------------------------------------------------------
 # Reading
 # ---------------------------------------------------------------------------
 
-class _Reader:
-    """Bounded reads over an in-memory buffer, tracking the offset."""
-
-    def __init__(self, data: bytes, record: int = -1):
-        self.data = data
-        self.pos = 0
-        #: Record index attached to errors (-1 = header/structure).
-        self.record = record
-
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def corrupt(self, message: str) -> PCacheCorruptError:
-        return PCacheCorruptError(message, offset=self.pos,
-                                  record=self.record)
-
-    def read(self, count: int) -> bytes:
-        chunk = self.data[self.pos:self.pos + count]
-        if len(chunk) != count:
-            raise self.corrupt(
-                f"truncated: wanted {count} bytes, {len(chunk)} left"
-            )
-        self.pos += count
-        return chunk
-
-    def u8(self) -> int:
-        return self.read(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.read(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.read(4), "big")
-
-    def i32(self) -> int:
-        return int.from_bytes(self.read(4), "big", signed=True)
-
-
-def _read_key(reader: _Reader):
+def _read_key(reader: Reader):
     tag = reader.u8()
     if tag == _KEY_INT:
         return reader.i32()
@@ -314,7 +218,7 @@ def _read_key(reader: _Reader):
 _Link = Union[int, List[Tuple[object, int]]]
 
 
-def _parse_record(reader: _Reader) -> Tuple[Node, _Link]:
+def _parse_record(reader: Reader) -> Tuple[Node, _Link]:
     """Decode one node payload positioned at *reader*."""
     tag = reader.u8()
     kind = _TAG_NODES.get(tag)
@@ -393,128 +297,6 @@ def _link_up(nodes: List[Optional[Node]], links: List[Optional[_Link]],
     return cache
 
 
-def _read_v1(reader: _Reader, strict: bool) -> PActionCache:
-    """The legacy path: no checksums, best-effort prefix salvage."""
-    count = reader.u32()
-    if count > _MAX_RECORD_BYTES:
-        raise reader.corrupt(f"implausible node count {count}")
-    sig_len = reader.u16()
-    signature = reader.read(sig_len)
-    nodes: List[Optional[Node]] = []
-    links: List[Optional[_Link]] = []
-    for index in range(count):
-        reader.record = index
-        try:
-            node, link = _parse_record(reader)
-        except PCacheCorruptError:
-            if strict:
-                raise
-            # v1 records are unframed: once one is damaged the stream
-            # position is untrustworthy, so keep only the valid prefix.
-            nodes.extend([None] * (count - index))
-            links.extend([None] * (count - index))
-            break
-        nodes.append(node)
-        links.append(link)
-    return _link_up(nodes, links, signature)
-
-
-def _read_v2(reader: _Reader, strict: bool) -> PActionCache:
-    """The integrity-checked path: CRC framing + whole-file digest."""
-    version = reader.u16()
-    if version != FORMAT_VERSION:
-        raise reader.corrupt(f"unsupported FSPC format version {version}")
-    count = reader.u32()
-    if count > _MAX_RECORD_BYTES:
-        raise reader.corrupt(f"implausible node count {count}")
-    sig_len = reader.u16()
-    signature = reader.read(sig_len)
-    stored_crc = reader.u32()
-    actual_crc = zlib.crc32(reader.data[: reader.pos - 4])
-    if stored_crc != actual_crc and strict:
-        raise PCacheCorruptError("header CRC mismatch",
-                                 offset=reader.pos - 4, record=-1)
-
-    nodes: List[Optional[Node]] = []
-    links: List[Optional[_Link]] = []
-    framing_lost = False
-    for index in range(count):
-        reader.record = index
-        if framing_lost:
-            nodes.append(None)
-            links.append(None)
-            continue
-        record_start = reader.pos
-        try:
-            payload_len = reader.u32()
-            if payload_len > _MAX_RECORD_BYTES or (
-                    payload_len + 4 > reader.remaining()):
-                raise reader.corrupt(
-                    f"implausible record length {payload_len}"
-                )
-            payload = reader.read(payload_len)
-            stored = reader.u32()
-        except PCacheCorruptError:
-            if strict:
-                raise
-            framing_lost = True
-            nodes.append(None)
-            links.append(None)
-            continue
-        if zlib.crc32(payload) != stored:
-            if strict:
-                raise PCacheCorruptError(
-                    "record CRC mismatch", offset=record_start,
-                    record=index,
-                )
-            # Framing is intact (the length field parsed and the bytes
-            # were there), so drop just this record and carry on.
-            nodes.append(None)
-            links.append(None)
-            continue
-        body = _Reader(payload, record=index)
-        try:
-            node, link = _parse_record(body)
-        except PCacheCorruptError as exc:
-            if strict:
-                raise PCacheCorruptError(
-                    f"undecodable record despite valid CRC: {exc}",
-                    offset=record_start, record=index,
-                )
-            nodes.append(None)
-            links.append(None)
-            continue
-        nodes.append(node)
-        links.append(link)
-
-    reader.record = -1
-    if not framing_lost:
-        trailer_start = reader.pos
-        try:
-            stored_digest = reader.read(_TRAILER_BYTES)
-        except PCacheCorruptError:
-            if strict:
-                raise
-            stored_digest = None
-        if stored_digest is not None:
-            actual = hashlib.sha256(reader.data[:trailer_start]).digest()
-            if stored_digest != actual and strict:
-                raise PCacheCorruptError(
-                    "whole-file digest mismatch", offset=trailer_start,
-                    record=-1,
-                )
-            if reader.remaining() and strict:
-                # The digest is the last thing a writer emits; bytes
-                # after it mean the file was appended to or spliced.
-                raise PCacheCorruptError(
-                    f"{reader.remaining()} trailing bytes after the "
-                    "whole-file digest", offset=reader.pos, record=-1,
-                )
-    elif strict:  # pragma: no cover - strict raised inside the loop
-        raise reader.corrupt("record framing lost")
-    return _link_up(nodes, links, signature)
-
-
 def read_pcache(stream: BinaryIO,
                 strict: bool = True) -> PActionCache:
     """Deserialise a cache written by :func:`write_pcache`.
@@ -525,34 +307,41 @@ def read_pcache(stream: BinaryIO,
     damaged records are dropped and links into them severed, which the
     replay engine handles exactly like a pruned chain.
     """
-    data = stream.read()
-    reader = _Reader(data)
+    reader = Reader(stream.read(), PCacheCorruptError)
     try:
-        magic = reader.read(4)
-        if magic != MAGIC:
-            raise PCacheCorruptError("not a p-action cache file",
-                                     offset=0)
-        marker = reader.u32()
-        if marker == _VERSION_SENTINEL:
-            return _read_v2(reader, strict)
-        reader.pos -= 4  # the marker was v1's node count
-        return _read_v1(reader, strict)
-    except PCacheCorruptError:
-        raise
-    except _DECODE_ERRORS as exc:
+        reader.preamble(MAGIC, FORMAT_VERSION, "p-action cache file")
+        count = reader.u32()
+        if count > _MAX_RECORD_BYTES:
+            raise reader.corrupt(f"implausible node count {count}")
+        signature = reader.read(reader.u16())
+        reader.header_crc(strict)
+        payloads, _ = reader.frames(count, strict, _MAX_RECORD_BYTES)
+        nodes: List[Optional[Node]] = []
+        links: List[Optional[_Link]] = []
+        for index, payload in enumerate(payloads):
+            node = link = None
+            if payload is not None:
+                try:
+                    node, link = _parse_record(
+                        Reader(payload, PCacheCorruptError, index))
+                except PCacheCorruptError as exc:
+                    if strict:
+                        raise PCacheCorruptError(
+                            f"undecodable record despite valid CRC: {exc}",
+                            record=index)
+            nodes.append(node)
+            links.append(link)
+        return _link_up(nodes, links, signature)
+    except DECODE_ERRORS as exc:
         # Belt and braces: no decoder internals may leak for bad input.
-        raise PCacheCorruptError(
-            f"undecodable p-action cache: {type(exc).__name__}: {exc}",
-            offset=reader.pos, record=reader.record,
-        )
+        raise reader.undecodable("p-action cache", exc)
 
 
 def save_pcache(cache: PActionCache,
-                path: Union[str, "io.PathLike"],
-                version: int = FORMAT_VERSION) -> None:
-    """Write *cache* to *path* (current format unless overridden)."""
+                path: Union[str, "io.PathLike"]) -> None:
+    """Write *cache* to *path*."""
     with open(path, "wb") as stream:
-        write_pcache(cache, stream, version=version)
+        write_pcache(cache, stream)
 
 
 def load_pcache(path: Union[str, "io.PathLike"],

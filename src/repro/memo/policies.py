@@ -10,7 +10,7 @@ The paper investigates four ways of bounding the p-action cache:
 * **generational GC** — ditto, but nodes that survive a collection are
   promoted and minor collections only sweep the young generation.
 
-The paper's finding — reproduced by ``benchmarks/bench_gc_policies.py``
+The paper's finding — reproduced by ``fastsim-repro gc-study``
 — is that the collectors are "almost always worse than simply
 flushing", because collections are infrequent and little of the cache
 survives them.

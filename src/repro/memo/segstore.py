@@ -29,15 +29,13 @@ head re-warms normally), never a wrong replay. The speed win is real
 anyway: the warm-up thresholds vanish, and structurally identical
 source hits the process-wide code cache in :mod:`repro.memo.compile`.
 
-On-disk format (``.fsseg``, all integers big-endian) mirrors FSPC v2:
+On-disk format (``.fsseg``, FSSG version 1): a sealed
+:mod:`repro.framing` container — the same preamble, CRC-checked
+header, CRC-framed records and SHA-256 trailer as FSPC — holding:
 
-* preamble: magic ``FSSG``, u32 sentinel ``0xFFFFFFFF``, u16 version;
-* header: u32 p-cache node count (binding: an archive only installs
-  against a graph of the same shape), u32 record count, u32 CRC32 over
-  every preceding byte;
-* one framed record per segment: u32 payload length, payload
-  (u32 head index + 32-byte digest), u32 CRC32 over the payload;
-* trailer: SHA-256 of every preceding byte.
+* header fields: u32 p-cache node count (binding: an archive only
+  installs against a graph of the same shape), u32 record count;
+* one 36-byte record per segment: u32 head index + 32-byte digest.
 
 Damaged input raises :class:`~repro.errors.SegStoreCorruptError`
 (strict) or salvages CRC-valid records (``strict=False``); campaign
@@ -47,30 +45,23 @@ like a corrupt ``.fspc``.
 
 from __future__ import annotations
 
-import hashlib
 import io
-import zlib
 from typing import BinaryIO, Dict, List, Tuple, Union
 
 from repro.errors import SegStoreCorruptError
+from repro.framing import DECODE_ERRORS, Reader, write_sealed
 from repro.memo.compile import compile_segment, revalidate, segment_digest
 from repro.memo.pcache import PActionCache
 from repro.memo.persist import _collect_nodes
 
 MAGIC = b"FSSG"
 FORMAT_VERSION = 1
-_VERSION_SENTINEL = 0xFFFFFFFF
-#: SHA-256 digest size (per-record chain digest and whole-file trailer).
+#: SHA-256 digest size (the per-record chain digest).
 _DIGEST_BYTES = 32
 #: Sanity bound for one framed record payload.
 _MAX_RECORD_BYTES = 1 << 16
 #: Sanity bound for the record count.
 _MAX_RECORDS = 1 << 24
-
-#: Exceptions a damaged payload can trip inside the decoder; only
-#: :class:`SegStoreCorruptError` may escape this module for bad input.
-_DECODE_ERRORS = (IndexError, ValueError, KeyError, TypeError,
-                  EOFError, OverflowError, MemoryError)
 
 #: One persisted segment: (head-node index, structural chain digest).
 SegmentRecord = Tuple[int, bytes]
@@ -172,32 +163,16 @@ def install(archive: SegmentArchive, cache: PActionCache) -> Dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Writing
+# Writing / reading
 # ---------------------------------------------------------------------------
 
 def write_segments(archive: SegmentArchive, stream: BinaryIO) -> None:
     """Serialise *archive* to *stream* (format described above)."""
-    digest = hashlib.sha256()
-
-    def out(chunk: bytes) -> None:
-        digest.update(chunk)
-        stream.write(chunk)
-
-    header = io.BytesIO()
-    header.write(MAGIC)
-    header.write(_VERSION_SENTINEL.to_bytes(4, "big"))
-    header.write(FORMAT_VERSION.to_bytes(2, "big"))
-    header.write(archive.node_count.to_bytes(4, "big"))
-    header.write(len(archive.records).to_bytes(4, "big"))
-    header_bytes = header.getvalue()
-    out(header_bytes)
-    out(zlib.crc32(header_bytes).to_bytes(4, "big"))
-    for head_index, chain_digest in archive.records:
-        payload = head_index.to_bytes(4, "big") + chain_digest
-        out(len(payload).to_bytes(4, "big"))
-        out(payload)
-        out(zlib.crc32(payload).to_bytes(4, "big"))
-    stream.write(digest.digest())
+    fields = (archive.node_count.to_bytes(4, "big")
+              + len(archive.records).to_bytes(4, "big"))
+    write_sealed(stream, MAGIC, FORMAT_VERSION, fields,
+                 (head_index.to_bytes(4, "big") + chain_digest
+                  for head_index, chain_digest in archive.records))
 
 
 def dumps(archive: SegmentArchive) -> bytes:
@@ -207,44 +182,7 @@ def dumps(archive: SegmentArchive) -> bytes:
     return stream.getvalue()
 
 
-# ---------------------------------------------------------------------------
-# Reading
-# ---------------------------------------------------------------------------
-
-class _Reader:
-    """Bounded reads over an in-memory buffer, tracking the offset."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        #: Record index attached to errors (-1 = header/structure).
-        self.record = -1
-
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def corrupt(self, message: str) -> SegStoreCorruptError:
-        return SegStoreCorruptError(message, offset=self.pos,
-                                    record=self.record)
-
-    def read(self, count: int) -> bytes:
-        chunk = self.data[self.pos:self.pos + count]
-        if len(chunk) != count:
-            raise self.corrupt(
-                f"truncated: wanted {count} bytes, {len(chunk)} left"
-            )
-        self.pos += count
-        return chunk
-
-    def u16(self) -> int:
-        return int.from_bytes(self.read(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.read(4), "big")
-
-
-def read_segments(stream_or_bytes: Union[BinaryIO, bytes],
-                  strict: bool = True) -> SegmentArchive:
+def loads(data: bytes, strict: bool = True) -> SegmentArchive:
     """Deserialise an archive written by :func:`write_segments`.
 
     With ``strict=True`` any integrity violation raises
@@ -253,116 +191,35 @@ def read_segments(stream_or_bytes: Union[BinaryIO, bytes],
     safe, because install recompiles and digest-checks every record
     against the live graph anyway.
     """
-    if isinstance(stream_or_bytes, (bytes, bytearray)):
-        data = bytes(stream_or_bytes)
-    else:
-        data = stream_or_bytes.read()
-    reader = _Reader(data)
+    reader = Reader(bytes(data), SegStoreCorruptError)
     try:
-        return _read(reader, strict)
-    except SegStoreCorruptError:
-        raise
-    except _DECODE_ERRORS as exc:
-        raise SegStoreCorruptError(
-            f"undecodable segment archive: {type(exc).__name__}: {exc}",
-            offset=reader.pos, record=reader.record,
-        )
-
-
-def loads(data: bytes, strict: bool = True) -> SegmentArchive:
-    """Deserialise an archive from bytes."""
-    return read_segments(data, strict=strict)
-
-
-def _read(reader: _Reader, strict: bool) -> SegmentArchive:
-    magic = reader.read(4)
-    if magic != MAGIC:
-        raise SegStoreCorruptError("not a segment archive", offset=0)
-    marker = reader.u32()
-    if marker != _VERSION_SENTINEL:
-        raise reader.corrupt(f"bad version sentinel 0x{marker:08x}")
-    version = reader.u16()
-    if version != FORMAT_VERSION:
-        raise reader.corrupt(f"unsupported FSSG format version {version}")
-    node_count = reader.u32()
-    record_count = reader.u32()
-    if record_count > _MAX_RECORDS:
-        raise reader.corrupt(f"implausible record count {record_count}")
-    stored_crc = reader.u32()
-    actual_crc = zlib.crc32(reader.data[: reader.pos - 4])
-    if stored_crc != actual_crc and strict:
-        raise SegStoreCorruptError("header CRC mismatch",
-                                   offset=reader.pos - 4, record=-1)
-
-    records: List[SegmentRecord] = []
-    framing_lost = False
-    for index in range(record_count):
-        reader.record = index
-        record_start = reader.pos
-        try:
-            payload_len = reader.u32()
-            if payload_len > _MAX_RECORD_BYTES or (
-                    payload_len + 4 > reader.remaining()):
-                raise reader.corrupt(
-                    f"implausible record length {payload_len}"
-                )
-            payload = reader.read(payload_len)
-            stored = reader.u32()
-        except SegStoreCorruptError:
-            if strict:
-                raise
-            framing_lost = True
-            break
-        if zlib.crc32(payload) != stored:
-            if strict:
-                raise SegStoreCorruptError(
-                    "record CRC mismatch", offset=record_start,
-                    record=index,
-                )
-            continue
-        if len(payload) != 4 + _DIGEST_BYTES:
-            if strict:
+        reader.preamble(MAGIC, FORMAT_VERSION, "segment archive")
+        node_count = reader.u32()
+        record_count = reader.u32()
+        if record_count > _MAX_RECORDS:
+            raise reader.corrupt(
+                f"implausible record count {record_count}")
+        reader.header_crc(strict)
+        payloads, _ = reader.frames(record_count, strict,
+                                    _MAX_RECORD_BYTES)
+        records: List[SegmentRecord] = []
+        for index, payload in enumerate(payloads):
+            if payload is None:
+                continue
+            if len(payload) == 4 + _DIGEST_BYTES:
+                records.append((int.from_bytes(payload[:4], "big"),
+                                payload[4:]))
+            elif strict:
                 raise SegStoreCorruptError(
                     f"bad record payload size {len(payload)}",
-                    offset=record_start, record=index,
-                )
-            continue
-        head_index = int.from_bytes(payload[:4], "big")
-        records.append((head_index, payload[4:]))
-
-    reader.record = -1
-    if not framing_lost:
-        trailer_start = reader.pos
-        try:
-            stored_digest = reader.read(_DIGEST_BYTES)
-        except SegStoreCorruptError:
-            if strict:
-                raise
-            stored_digest = None
-        if stored_digest is not None:
-            actual = hashlib.sha256(reader.data[:trailer_start]).digest()
-            if stored_digest != actual and strict:
-                raise SegStoreCorruptError(
-                    "whole-file digest mismatch", offset=trailer_start,
-                    record=-1,
-                )
-            if reader.remaining() and strict:
-                raise SegStoreCorruptError(
-                    f"{reader.remaining()} trailing bytes after the "
-                    "whole-file digest", offset=reader.pos, record=-1,
-                )
-    return SegmentArchive(node_count, records)
-
-
-def save_segments(archive: SegmentArchive,
-                  path: Union[str, "io.PathLike"]) -> None:
-    """Write *archive* to *path*."""
-    with open(path, "wb") as stream:
-        write_segments(archive, stream)
+                    record=index)
+        return SegmentArchive(node_count, records)
+    except DECODE_ERRORS as exc:
+        raise reader.undecodable("segment archive", exc)
 
 
 def load_segments(path: Union[str, "io.PathLike"],
                   strict: bool = True) -> SegmentArchive:
-    """Read an archive from *path*; see :func:`read_segments`."""
+    """Read an archive from *path*; see :func:`loads`."""
     with open(path, "rb") as stream:
-        return read_segments(stream, strict=strict)
+        return loads(stream.read(), strict=strict)

@@ -1,7 +1,8 @@
 """Tests for the table/figure regeneration machinery.
 
 Runs on a two-workload subset at tiny scale so the full suite stays
-fast; the real paper-scale runs live in benchmarks/.
+fast; the paper-scale runs are the ``fastsim-repro table2…5`` commands
+(EXPERIMENTS.md).
 """
 
 import pytest
@@ -68,7 +69,8 @@ class TestTable2:
             assert row.slow_slowdown > 0 and row.fast_slowdown > 0
             # At tiny scale warm-up dominates and host timing is noisy,
             # so only sanity-check the ratio here; the real >1 speedup
-            # claim is asserted at benchmark scale in benchmarks/.
+            # claim is measured at benchmark scale by ``bench/run.py``
+            # (the ``paper.table2.*`` rows).
             assert row.speedup > 0.3
             assert row.speedup == pytest.approx(
                 row.slow_slowdown / row.fast_slowdown, rel=1e-6
@@ -84,7 +86,7 @@ class TestTable3:
     def test_rows(self, runner):
         rows = table3(runner, SUBSET)
         for row in rows:
-            # Sanity at noisy tiny scale; strong claims live in benchmarks/.
+            # Sanity at noisy tiny scale; strong claims are in EXPERIMENTS.md.
             assert row.fast_kinsts > row.slow_kinsts * 0.5
             assert row.fast_vs_baseline > 0.5
             assert row.cycles > 0

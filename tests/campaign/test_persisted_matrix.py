@@ -21,6 +21,7 @@ import os
 import pytest
 
 from repro.campaign import Job, run_jobs
+from repro.options import HostOptions
 
 THRESHOLD = 2  # compile on the second traversal: tiny runs still fire
 
@@ -31,9 +32,9 @@ MODES = ("turbo-off", "cold", "persisted-warm")
 
 def _jobs(turbo: bool, l1_filter: bool, threaded_frontend: bool = True):
     return tuple(
-        Job(workload, "fast", "tiny", turbo=turbo,
-            turbo_threshold=THRESHOLD if turbo else None,
-            l1_filter=l1_filter, threaded_frontend=threaded_frontend)
+        Job(workload, "fast", "tiny", host=HostOptions(
+            turbo=turbo, turbo_threshold=THRESHOLD if turbo else None,
+            l1_filter=l1_filter, threaded_frontend=threaded_frontend))
         for workload in ("compress", "li")
     )
 

@@ -1,5 +1,5 @@
-"""ProgressSink tests — one protocol for text, JSON-lines, and legacy
-callback progress, shared by the campaign engine and the suite runner."""
+"""ProgressSink tests — one protocol for text and JSON-lines progress,
+shared by the campaign engine and the suite runner."""
 
 import io
 import json
@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.campaign import (
-    CallbackSink,
     Job,
     JsonlSink,
     NullSink,
@@ -15,7 +14,7 @@ from repro.campaign import (
     make_sink,
     run_jobs,
 )
-from repro.campaign.progress import ObsSink, TeeSink
+from repro.campaign.progress import ObsSink, ProgressSink, TeeSink
 from repro.obs.core import NULL_OBS, make_observer
 
 
@@ -36,11 +35,6 @@ class TestSinks:
         record = json.loads(stream.getvalue())
         assert record == {"event": "job-start", "key": "a:fast:tiny",
                           "attempt": 1}
-
-    def test_callback_adapts_legacy_str_callback(self):
-        lines = []
-        CallbackSink(lines.append).emit("log", message="running foo...")
-        assert lines == ["running foo..."]
 
     def test_null_sink_drops_everything(self):
         NullSink().emit("job-ok", key="x")  # must not raise
@@ -124,11 +118,15 @@ class TestEngineEvents:
 
 
 class TestSuiteRunnerRouting:
-    def test_legacy_progress_callback_still_works(self):
+    def test_runner_log_lines_reach_a_custom_sink(self):
         from repro.api import suite_runner
 
+        class Collector(ProgressSink):
+            def emit(self, kind, **fields):
+                lines.append(fields.get("message", kind))
+
         lines = []
-        runner = suite_runner(scale="tiny", progress=lines.append)
+        runner = suite_runner(scale="tiny", sink=Collector())
         runner.run("compress", "fast")
         assert any("compress" in line for line in lines)
 

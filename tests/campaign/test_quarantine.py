@@ -8,7 +8,7 @@ from repro.branch import NotTakenPredictor
 from repro.campaign.cachedir import QUARANTINE_SUFFIX, CacheStore
 from repro.campaign.engine import Campaign, CampaignRunner
 from repro.campaign.jobs import Job
-from repro.campaign.progress import CallbackSink
+from repro.campaign.progress import TextSink
 from repro.memo.engine import run_signature
 from repro.sim.fastsim import FastSim
 from repro.uarch.params import ProcessorParams
@@ -40,14 +40,14 @@ class TestQuarantine:
         path = root / (signature.hex() + ".fspc")
         _corrupt_file(path)
 
-        lines = []
-        store = CacheStore(root, sink=CallbackSink(lines.append))
+        stream = io.StringIO()
+        store = CacheStore(root, sink=TextSink(stream))
         assert store.load(signature) is None
         assert not path.exists()
         assert path.with_suffix(".fspc" + QUARANTINE_SUFFIX).exists()
         assert store.quarantined == [signature.hex() + ".fspc"]
         assert any("WARNING:" in line and "cache-quarantined" in line
-                   for line in lines)
+                   for line in stream.getvalue().splitlines())
 
     def test_quarantine_counts_in_obs(self, populated):
         from repro.obs import make_observer

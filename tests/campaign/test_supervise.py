@@ -98,35 +98,8 @@ class TestJournal:
         assert record["seq"] == 1
         assert read_journal(path).terminal == "campaign-end"
 
-    def test_torn_tail_drops_only_the_last_frame(self, tmp_path):
-        """A SIGKILL mid-append leaves a partial frame; the reader must
-        keep every record before it and count exactly one torn frame."""
-        path = str(tmp_path / "c.journal")
-        with CampaignJournal(path) as journal:
-            journal.append("campaign-open", name="j", backend="fork",
-                           jobs=[])
-            journal.append("attempt", key="a", attempt=1)
-        size = os.path.getsize(path)
-        with open(path, "r+b") as stream:
-            stream.truncate(size - 3)  # tear the CRC off the tail
-        replay = read_journal(path)
-        assert [r["kind"] for r in replay.records] == ["campaign-open"]
-        assert replay.torn_records == 1
-        assert replay.terminal is None
-
-    def test_corrupt_payload_stops_replay(self, tmp_path):
-        path = str(tmp_path / "c.journal")
-        with CampaignJournal(path) as journal:
-            journal.append("campaign-open", name="j", backend="fork",
-                           jobs=[])
-        with open(path, "r+b") as stream:
-            stream.seek(-6, os.SEEK_END)
-            byte = stream.read(1)
-            stream.seek(-6, os.SEEK_END)
-            stream.write(bytes([byte[0] ^ 0xFF]))
-        replay = read_journal(path)
-        assert replay.records == []
-        assert replay.torn_records == 1
+    # Torn tails and damaged frames: tests/test_framing.py, with the
+    # other two users of the container.
 
     def test_non_journal_file_rejected(self, tmp_path):
         path = str(tmp_path / "not-a-journal")

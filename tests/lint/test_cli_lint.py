@@ -63,6 +63,21 @@ class TestCliLint:
         assert cli_main(["lint", "--strict", str(clock)]) == 1
         assert "det/time-dependent" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("entry", [
+        lambda argv: cli_main(["lint"] + argv), lint_main,
+    ], ids=["fastsim-repro", "fastsim-lint"])
+    def test_strict_with_flow_is_a_usage_error(self, entry, tree, capsys):
+        """``--flow`` used to drop ``--strict`` silently, so a file with
+        a set iteration and a clock read came back clean."""
+        hazards = tree / "hazards.py"
+        hazards.write_text("import time\nfor x in set([1, 2]):\n"
+                           "    print(time.time())\n")
+        with pytest.raises(SystemExit) as exc:
+            entry(["--strict", "--flow", str(hazards)])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert entry(["--strict", str(hazards)]) == 1
+
     def test_missing_path_is_usage_error(self, tree, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["lint", str(tree / "does-not-exist.py")])

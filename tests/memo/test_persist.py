@@ -1,6 +1,7 @@
 """Tests for p-action cache persistence."""
 
 import io
+import os
 
 import pytest
 
@@ -96,6 +97,25 @@ class TestErrors:
         blob = buffer.getvalue()
         with pytest.raises(PCacheCorruptError):
             read_pcache(io.BytesIO(blob[: len(blob) // 2]))
+
+    def test_unversioned_file_is_unsupported_and_quarantined(self, tmp_path):
+        """FSPC v1 (magic, then the node count where the sentinel now
+        sits) is no longer read: it is damage like any other."""
+        from repro.campaign.cachedir import QUARANTINE_SUFFIX, CacheStore
+        from repro.errors import PCacheCorruptError
+
+        v1 = b"FSPC" + (0).to_bytes(4, "big") + (0).to_bytes(2, "big")
+        with pytest.raises(PCacheCorruptError, match="unsupported"):
+            read_pcache(io.BytesIO(v1))
+        with pytest.raises(PCacheCorruptError, match="unsupported"):
+            read_pcache(io.BytesIO(v1), strict=False)
+        store = CacheStore(tmp_path)
+        signature = b"\x11" * 32
+        with open(store.path_for(signature), "wb") as stream:
+            stream.write(v1)
+        assert store.load(signature) is None
+        assert os.path.exists(store.path_for(signature)
+                              + QUARANTINE_SUFFIX)
 
     def test_empty_cache_round_trips(self):
         from repro.memo.pcache import PActionCache

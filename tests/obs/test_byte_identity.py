@@ -13,6 +13,7 @@ from repro.isa import assemble
 from repro.obs.chrome import chrome_trace
 from repro.obs.core import make_observer
 from repro.obs.schema import validate_chrome_trace
+from repro.options import HostOptions
 from repro.sim.baseline import IntegratedSimulator
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
@@ -139,10 +140,11 @@ class TestDistributedIdentityMatrix:
     def jobs(turbo):
         # turbo_threshold=2 makes chain compilation actually fire at
         # tiny scale, so the turbo-on cells exercise the compiled loop.
+        host = HostOptions(turbo=turbo,
+                           turbo_threshold=2 if turbo else None)
         return (
-            Job("compress", "fast", "tiny", turbo=turbo,
-                turbo_threshold=2 if turbo else None),
-            Job("compress", "slow", "tiny", turbo=turbo),
+            Job("compress", "fast", "tiny", host=host),
+            Job("compress", "slow", "tiny", host=host),
         )
 
     @staticmethod

@@ -1,11 +1,9 @@
 """Facade API tests: ``repro.api`` and the lazy top-level re-exports."""
 
-import warnings
-
 import pytest
 
 import repro
-from repro.api import run_campaign, simulate, suite_runner
+from repro.api import run_campaign, simulate
 from repro.isa.assembler import assemble
 
 
@@ -92,24 +90,3 @@ class TestTopLevelExports:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.not_a_real_symbol
-
-
-class TestDeprecation:
-    def test_direct_suite_runner_construction_warns(self):
-        from repro.analysis import SuiteRunner
-
-        with pytest.warns(DeprecationWarning, match="suite_runner"):
-            SuiteRunner(scale="tiny")
-
-    def test_facade_constructor_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            runner = suite_runner(scale="tiny")
-        assert runner.scale == "tiny"
-
-    def test_shim_still_functions(self):
-        from repro.analysis import SuiteRunner
-
-        with pytest.warns(DeprecationWarning):
-            runner = SuiteRunner(scale="tiny", verbose=False)
-        assert runner.run("compress", "fast").cycles > 0

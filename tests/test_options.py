@@ -1,0 +1,147 @@
+"""``HostOptions`` — host knobs change host time and nothing else.
+
+Everything here iterates ``dataclasses.fields(HostOptions)``, so a
+knob added tomorrow is covered the day it is added: it must stay out of
+``Job.key``, the run signature, the canonical document and the ``.fspc``
+bytes; it must reach ``FastSim``; and it must have a CLI flag.
+"""
+
+import dataclasses
+import inspect
+import os
+import pickle
+
+import pytest
+
+from repro.api import run_campaign
+from repro.campaign import Job
+from repro.cli import _host_from_args, build_parser
+from repro.memo.compile import TurboConfig
+from repro.options import HostOptions
+from repro.sim.fastsim import FastSim
+
+KNOBS = dataclasses.fields(HostOptions)
+KNOB_IDS = [knob.name for knob in KNOBS]
+WORKLOADS = ("compress", "mgrid")
+
+
+def _variant(knob) -> HostOptions:
+    """Defaults, except a valid non-default value for *knob*."""
+    if isinstance(knob.default, bool):
+        value = not knob.default
+    else:
+        value = (knob.default or 0) + 2
+    return dataclasses.replace(HostOptions(), **{knob.name: value})
+
+
+def _run(host, cache_dir):
+    """(job keys, canonical document, {file name: bytes} of the .fspc
+    files) for the two workloads under *host*. The file name is the
+    run signature in hex."""
+    jobs = [Job(name, "fast", "tiny", host=host) for name in WORKLOADS]
+    outcome = run_campaign(jobs=jobs, workers=0, cache_dir=str(cache_dir),
+                           progress="silent")
+    assert outcome.ok
+    files = {}
+    for name in sorted(os.listdir(cache_dir)):
+        if name.endswith(".fspc"):
+            with open(os.path.join(cache_dir, name), "rb") as stream:
+                files[name] = stream.read()
+    assert len(files) == len(WORKLOADS)
+    return [job.key for job in jobs], outcome.canonical_json(), files
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    return _run(HostOptions(), tmp_path_factory.mktemp("default"))
+
+
+class TestNeverAKeyOrAFile:
+    @pytest.mark.parametrize("knob", KNOBS, ids=KNOB_IDS)
+    def test_knob_changes_no_key_signature_payload_or_pcache(
+            self, knob, default_run, tmp_path):
+        assert _run(_variant(knob), tmp_path) == default_run
+
+    def test_jobs_differing_only_in_host_are_one_measurement(self):
+        plain = Job("compress", "fast", "tiny")
+        for knob in KNOBS:
+            assert Job("compress", "fast", "tiny",
+                       host=_variant(knob)).key == plain.key
+
+
+class TestOneConsumer:
+    def test_keywords_are_fastsim_parameters(self):
+        accepted = set(inspect.signature(FastSim.__init__).parameters)
+        assert set(HostOptions().fastsim_kwargs()) <= accepted
+
+    @pytest.mark.parametrize("knob", KNOBS, ids=KNOB_IDS)
+    def test_every_knob_reaches_fastsim(self, knob):
+        assert (_variant(knob).fastsim_kwargs()
+                != HostOptions().fastsim_kwargs())
+
+    def test_threshold_folds_into_turbo(self):
+        kwargs = HostOptions(turbo=False,
+                             turbo_threshold=3).fastsim_kwargs()
+        assert kwargs["turbo"] == TurboConfig(enabled=False, threshold=3)
+        assert HostOptions(turbo=False).fastsim_kwargs()["turbo"] is False
+
+    def test_frozen_and_picklable(self):
+        host = HostOptions(audit_every=4, l1_filter=False)
+        assert pickle.loads(pickle.dumps(host)) == host
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            host.turbo = False
+
+
+class TestCliFlags:
+    @staticmethod
+    def _parse(command, flags):
+        argv = {"run": ["run", "compress"], "campaign": ["campaign"]}
+        return _host_from_args(
+            build_parser().parse_args(argv[command] + flags))
+
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    @pytest.mark.parametrize("knob", KNOBS, ids=KNOB_IDS)
+    def test_generated_flag_round_trips(self, knob, command):
+        wanted = _variant(knob)
+        flag = knob.name.replace("_", "-")
+        if isinstance(knob.default, bool):
+            flags = [f"--no-{flag}"]
+        else:
+            flags = [f"--{flag}", str(getattr(wanted, knob.name))]
+        assert self._parse(command, flags) == wanted
+
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    def test_no_flags_is_the_default(self, command):
+        assert self._parse(command, []) == HostOptions()
+
+    def test_guard_is_audit_every_one(self):
+        assert self._parse("run", ["--guard"]).audit_every == 1
+        assert self._parse(
+            "run", ["--guard", "--audit-every", "3"]).audit_every == 3
+
+    def test_positive_turbo_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "compress", "--turbo"])
+
+
+class TestCampaignOverride:
+    CUSTOM = HostOptions(turbo=False, audit_every=2)
+
+    def _jobs(self):
+        return [Job("compress", "fast", "tiny", host=self.CUSTOM),
+                Job("compress", "slow", "tiny")]
+
+    def test_host_none_leaves_each_jobs_own_value(self):
+        outcome = run_campaign(jobs=self._jobs(), workers=0, host=None,
+                               progress="silent")
+        assert [r.job.host for r in outcome.results] == [
+            self.CUSTOM, HostOptions()]
+        assert outcome.results[0].metrics["audits"] > 0
+
+    def test_host_replaces_the_fast_jobs_value_only(self):
+        imposed = HostOptions(l1_filter=False)
+        outcome = run_campaign(jobs=self._jobs(), workers=0,
+                               host=imposed, progress="silent")
+        assert [r.job.host for r in outcome.results] == [
+            imposed, HostOptions()]
+        assert "audits" not in outcome.results[0].metrics
