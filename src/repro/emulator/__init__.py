@@ -11,13 +11,7 @@ from repro.emulator.checkpoint import BQ_CAPACITY, BranchCheckpointQueue
 from repro.emulator.frontend import SpeculativeFrontend
 from repro.emulator.functional import Interpreter, run_program
 from repro.emulator.memory import Memory
-from repro.emulator.queues import (
-    ControlKind,
-    ControlRecord,
-    LoadRecord,
-    RecordQueues,
-    StoreRecord,
-)
+from repro.emulator.queues import ControlKind, ControlRecord, RecordQueues
 from repro.emulator.state import ArchState
 
 __all__ = [
@@ -30,7 +24,5 @@ __all__ = [
     "BQ_CAPACITY",
     "ControlKind",
     "ControlRecord",
-    "LoadRecord",
-    "StoreRecord",
     "RecordQueues",
 ]

@@ -105,23 +105,6 @@ _FCC_CONDITIONS = {
 }
 
 
-def branch_condition(opcode: Opcode):
-    """Return ``(condition_fn, uses_fcc)`` for a conditional branch.
-
-    The threaded front-end binds the condition function at decode time
-    so a fused branch terminator evaluates exactly the predicate
-    :func:`branch_taken` would. Returns None for non-conditional
-    opcodes (``ba``/``bn`` and non-branches).
-    """
-    condition = _ICC_CONDITIONS.get(opcode)
-    if condition is not None:
-        return condition, False
-    condition = _FCC_CONDITIONS.get(opcode)
-    if condition is not None:
-        return condition, True
-    return None
-
-
 def branch_taken(opcode: Opcode, icc: int, fcc: int) -> bool:
     """Evaluate a conditional branch against the condition codes."""
     condition = _ICC_CONDITIONS.get(opcode)

@@ -29,55 +29,41 @@ class BranchCheckpointQueue:
     def __init__(self, capacity: int = BQ_CAPACITY):
         self.capacity = capacity
         self._checkpoints: Dict[int, tuple] = {}
-        #: High-water mark, reported in simulation statistics.
-        self.max_occupancy = 0
 
     def __len__(self) -> int:
         return len(self._checkpoints)
 
     def save(self, control_index: int, state: ArchState,
              corrected_pc: int) -> None:
-        """Checkpoint *state* with the PC forced to the corrected target."""
-        if len(self._checkpoints) >= self.capacity:
+        """Checkpoint *state* with the PC forced to the corrected target
+        so a restore resumes on the right path (``state.pc`` itself is
+        not read). The tuple is what :meth:`ArchState.restore_registers`
+        takes, built directly: one copy of each register file."""
+        checkpoints = self._checkpoints
+        if len(checkpoints) >= self.capacity:
             raise SimulationError(
                 f"bQ overflow: more than {self.capacity} outstanding "
                 "mispredicted branches"
             )
-        snapshot = state.snapshot_registers()
-        # Replace the snapshot PC with the corrected branch target so a
-        # restore resumes on the right path.
-        snapshot = snapshot[:4] + (corrected_pc,) + snapshot[5:]
-        self._checkpoints[control_index] = snapshot
-        self.max_occupancy = max(self.max_occupancy, len(self._checkpoints))
+        checkpoints[control_index] = (
+            state.regs[:], state.fregs[:], state.icc, state.fcc,
+            corrected_pc, len(state.output), state.instret,
+        )
 
     def restore(self, control_index: int, state: ArchState) -> None:
         """Restore checkpoint *control_index* and drop younger ones."""
+        checkpoints = self._checkpoints
         try:
-            snapshot = self._checkpoints.pop(control_index)
+            snapshot = checkpoints.pop(control_index)
         except KeyError:
             raise SimulationError(
                 f"no bQ checkpoint for control record {control_index}"
             ) from None
         state.restore_registers(snapshot)
         state.halted = False  # a wrong path may have executed halt
-        for index in self._younger(control_index):
-            del self._checkpoints[index]
-
-    def discard(self, control_index: int) -> None:
-        """Drop the checkpoint for a resolved, *confirmed* misprediction.
-
-        Not used in the normal flow (mispredictions always restore), but
-        exposed for pipeline-drain cleanup at simulation end.
-        """
-        self._checkpoints.pop(control_index, None)
-
-    def discard_younger(self, control_index: int) -> None:
-        """Drop checkpoints strictly younger than *control_index*."""
-        for index in self._younger(control_index):
-            del self._checkpoints[index]
-
-    def _younger(self, control_index: int) -> List[int]:
-        return [i for i in self._checkpoints if i > control_index]
+        if checkpoints:
+            for index in [i for i in checkpoints if i > control_index]:
+                del checkpoints[index]
 
     def outstanding(self) -> List[int]:
         """Control-record indices with live checkpoints, oldest first."""

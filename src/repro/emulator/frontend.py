@@ -23,19 +23,11 @@ when fetch needs a control record that does not exist yet.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.branch.predictor import BranchPredictor
 from repro.emulator.checkpoint import BQ_CAPACITY, BranchCheckpointQueue
 from repro.emulator.functional import Interpreter
-from repro.emulator.threaded import TERM_COND, BlockCache
-from repro.emulator.queues import (
-    ControlKind,
-    ControlRecord,
-    LoadRecord,
-    RecordQueues,
-    StoreRecord,
-)
+from repro.emulator.threaded import BlockCache
+from repro.emulator.queues import ControlKind, ControlRecord, RecordQueues
 from repro.errors import SimulationError
 from repro.isa.program import Executable
 
@@ -57,33 +49,22 @@ class SpeculativeFrontend:
         the sampling simulator to alternate functional skipping with
         detailed measurement windows.
 
-        *threaded* (default on) runs straight-line code through the
-        threaded-code block dispatcher (:mod:`repro.emulator.threaded`)
-        instead of per-instruction ``step()`` dispatch. Control events,
-        records, and every canonical result are byte-identical either
-        way — the knob exists for ablation benchmarks."""
+        *threaded* (default on) runs each hot block and the control
+        event that ends it as one generated function
+        (:mod:`repro.emulator.threaded`) instead of per-instruction
+        ``step()`` dispatch. Control events, records, and every
+        canonical result are byte-identical either way — the knob
+        exists for ablation benchmarks."""
         self.executable = executable
         self.predictor = predictor
         self.interpreter = Interpreter(executable, state)
         self.queues = RecordQueues()
         self.bq = BranchCheckpointQueue(bq_capacity)
         self.max_instructions = max_instructions
-        self.threaded = bool(threaded)
-        self._blocks = (BlockCache(self.interpreter, self.queues)
-                        if self.threaded else None)
-        # Pre-bound hot-path references: every object here is
-        # identity-stable for the lifetime of the frontend (queues are
-        # truncated in place, state/predictor/bq never replaced), so
-        # run_one_event — called once per control event — skips the
-        # attribute chase and bound-method allocation per call.
-        self._block_at = (self._blocks.block_at
-                          if self._blocks is not None else None)
-        self._step = self.interpreter.step
-        self._loads = self.queues.loads
-        self._stores = self.queues.stores
-        self._controls = self.queues.controls
-        self._controls_append = self.queues.controls.append
-        self._bq_save = self.bq.save
+        # Generated code binds the state, queues, predictor and bQ of
+        # this frontend: all four are identity-stable for its lifetime
+        # (queues are truncated in place, the others never replaced).
+        self._blocks = BlockCache(self) if threaded else None
         #: Total instructions functionally executed, wrong paths included.
         self.executed_instructions = 0
         #: Instructions undone by misprediction rollbacks.
@@ -106,190 +87,101 @@ class SpeculativeFrontend:
     def run_one_event(self) -> ControlRecord:
         """Execute up to (and including) the next control event.
 
-        Appends load/store records for every memory instruction passed,
-        appends and returns the new control record. At a mispredicted
-        conditional branch, checkpoints state and diverts execution down
-        the predicted path before returning.
+        Appends an ``lQ``/``sQ`` entry for every memory instruction
+        passed, appends and returns the new control record. At a
+        mispredicted conditional branch, checkpoints state and diverts
+        execution down the predicted path before returning.
         """
         interpreter = self.interpreter
         state = interpreter.state
-        queues = self.queues
         if state.halted:
             # The program halted at the previous event; every further
             # request sees a HALT record (fetch will stop consuming).
-            record = ControlRecord(
-                ControlKind.HALT, state.pc,
-                lq_len=len(queues.loads), sq_len=len(queues.stores),
-            )
-            queues.controls.append(record)
-            return record
+            return self._record(ControlKind.HALT, state.pc)
 
-        # Hot loop: every attribute consulted per iteration is hoisted
-        # into a local; the executed-instruction counter lives in a
-        # local and is written back at every exit (including the budget
-        # raise), so observers always see it current.
-        blocks = self._blocks
-        block_at = self._block_at
-        step = self._step
-        loads = self._loads
-        stores = self._stores
-        controls = self._controls
-        controls_append = self._controls_append
-        # ``predict_and_update`` stays a direct attribute call at its
-        # two call sites (not pre-bound like the rest): the flow lint's
-        # replay-reachability resolves the predictor layer through
-        # those call edges.
-        predictor = self.predictor
-        bq_save = self._bq_save
+        # The executed-instruction counter lives in a local and is
+        # written back at every exit (including the budget raise), so
+        # observers always see it current. Nothing else is hoisted: the
+        # common call is one trip through the threaded branch below.
+        cache = self._blocks
         executed = self.executed_instructions
         limit = self.max_instructions
         try:
             while True:
-                if block_at is not None:
-                    # Threaded fast path: run the straight-line block at
-                    # the current PC in one shot. Blocks never contain
-                    # control events and only run when they fit the
-                    # remaining budget, so the step path below sees
-                    # exactly the state (and raises exactly the errors)
-                    # it always did.
-                    ops, count, end_pc, term = block_at(state.pc)
-                    if count:
-                        if count <= limit - executed:
-                            for op in ops:
-                                op()
+                if cache is not None:
+                    # Threaded fast path: the block at the current PC,
+                    # and when it is hot the control event that ends it,
+                    # in one call. It only runs when all of it fits the
+                    # remaining budget; otherwise the step path below
+                    # re-executes it one instruction at a time, so it
+                    # sees exactly the state (and raises exactly the
+                    # errors) it always did.
+                    fn, count, end_pc, fused = (
+                        cache.blocks.get(state.pc) or cache.decode(state.pc))
+                    if count + fused <= limit - executed:
+                        if fused:
+                            # A fault in the body propagates from here
+                            # with no effect of the event applied.
+                            record = fn()
+                            executed += count
+                            if count:
+                                cache.block_runs += 1
+                                cache.threaded_instructions += count
+                            if record is not None:
+                                executed += 1
+                                cache.fused_branches += 1
+                                return record
+                        elif fn is not None and fn():
+                            continue  # just compiled: dispatch again
+                        elif count:
                             state.pc = end_pc
                             state.instret += count
                             executed += count
-                            blocks.block_runs += 1
-                            blocks.threaded_instructions += count
-                        else:
-                            # Over budget: the step path re-executes the
-                            # block one instruction at a time so the
-                            # budget raise lands on the exact
-                            # instruction. We are not at the branch, so
-                            # the terminator must not run.
-                            term = None
-                    if term is not None and executed < limit:
-                        if term[0] == TERM_COND:
-                            # Fused conditional branch: evaluate the
-                            # decode-time-bound condition and run the
-                            # same predictor/record/checkpoint sequence
-                            # as the step path below — without the
-                            # generic dispatch. PC lands on the
-                            # *correct* target first (that is what the
-                            # checkpoint saves), then diverts down the
-                            # predicted path on a mispredict.
-                            _, cond, uses_fcc, address, target, fall = term
-                            actual_taken = (cond(state.fcc) if uses_fcc
-                                            else cond(state.icc))
-                            state.pc = target if actual_taken else fall
-                            state.instret += 1
-                            executed += 1
-                            blocks.fused_branches += 1
-                            predicted_taken = predictor.predict_and_update(
-                                address, actual_taken)
-                            record = ControlRecord(
-                                ControlKind.COND, address, actual_taken,
-                                predicted_taken, 0,
-                                len(loads), len(stores),
-                            )
-                            control_index = len(controls)
-                            controls_append(record)
-                            if predicted_taken != actual_taken:
-                                bq_save(control_index, state, state.pc)
-                                state.pc = (target if predicted_taken
-                                            else fall)
-                            return record
-                        # Fused indirect jump (jmpl): compute the
-                        # dynamic target, link the decode-time constant
-                        # ``address + 4``, record INDIRECT. A
-                        # misaligned target falls through to the step
-                        # path, which raises the canonical error from
-                        # unchanged state.
-                        _, address, rs1, rs2, imm, rd, link = term
-                        regs = state.regs
-                        base = regs[rs1] if rs1 else 0
-                        if imm is not None:
-                            target = (base + imm) & 0xFFFF_FFFF
-                        else:
-                            target = (base + (regs[rs2] if rs2 else 0)) \
-                                & 0xFFFF_FFFF
-                        if target % 4 == 0:
-                            if rd:
-                                regs[rd] = link
-                            state.pc = target
-                            state.instret += 1
-                            executed += 1
-                            record = ControlRecord(
-                                ControlKind.INDIRECT, address, True,
-                                False, target, len(loads), len(stores),
-                            )
-                            controls_append(record)
-                            return record
+                            cache.block_runs += 1
+                            cache.threaded_instructions += count
                 if executed >= limit:
                     raise SimulationError(
                         f"frontend exceeded {limit} instructions"
                     )
-                instr = step()
+                instr = interpreter.step()
                 executed += 1
 
-                if instr.is_load:
-                    loads.append(
-                        LoadRecord(interpreter.last_mem_addr,
-                                   interpreter.last_mem_width)
-                    )
-                elif instr.is_store:
-                    stores.append(
-                        StoreRecord(
-                            interpreter.last_mem_addr,
-                            interpreter.last_mem_width,
-                            interpreter.last_store_old,
-                        )
-                    )
-
+                self.queues.log_access(instr, interpreter)
                 if instr.is_conditional_branch:
-                    # (Inlined _record_conditional — one call site, on
-                    # the hottest event path.)
                     actual_taken = interpreter.last_taken
-                    predicted_taken = predictor.predict_and_update(
+                    # (An attribute call, not a pre-bound one: the flow
+                    # lint resolves the predictor layer through it.)
+                    predicted_taken = self.predictor.predict_and_update(
                         instr.address, actual_taken)
-                    record = ControlRecord(
-                        ControlKind.COND, instr.address, actual_taken,
-                        predicted_taken, 0, len(loads), len(stores),
-                    )
-                    control_index = len(queues.controls)
-                    controls_append(record)
+                    record = self._record(ControlKind.COND, instr.address,
+                                          actual_taken, predicted_taken)
                     if predicted_taken != actual_taken:
                         # Checkpoint with PC at the *correct*
                         # destination, then divert execution down the
                         # predicted (wrong) path.
-                        corrected_pc = state.pc
-                        self.bq.save(control_index, state, corrected_pc)
+                        self.bq.save(len(self.queues.controls) - 1, state,
+                                     state.pc)
                         state.pc = (instr.target if predicted_taken
                                     else instr.fall_through)
                     return record
                 if instr.is_indirect_jump:
-                    record = ControlRecord(
-                        ControlKind.INDIRECT,
-                        instr.address,
-                        taken=True,
-                        target=interpreter.last_target,
-                        lq_len=len(loads),
-                        sq_len=len(stores),
-                    )
-                    queues.controls.append(record)
-                    return record
+                    return self._record(ControlKind.INDIRECT, instr.address,
+                                        True, target=interpreter.last_target)
                 if state.halted:
-                    record = ControlRecord(
-                        ControlKind.HALT,
-                        instr.address,
-                        lq_len=len(loads),
-                        sq_len=len(stores),
-                    )
-                    queues.controls.append(record)
-                    return record
+                    return self._record(ControlKind.HALT, instr.address)
         finally:
             self.executed_instructions = executed
+
+    def _record(self, kind: ControlKind, pc: int, taken: bool = False,
+                predicted_taken: bool = False,
+                target: int = 0) -> ControlRecord:
+        """Append (and return) the step path's record of a control event
+        at the current queue lengths."""
+        queues = self.queues
+        record = ControlRecord(kind, pc, taken, predicted_taken, target,
+                               len(queues.loads), len(queues.stores))
+        queues.controls.append(record)
+        return record
 
     # ------------------------------------------------------------------
 
@@ -310,32 +202,19 @@ class SpeculativeFrontend:
             raise SimulationError(
                 f"control record {control_index} was not mispredicted"
             )
-        memory = self.interpreter.state.memory
-        for store in reversed(queues.stores[record.sq_len:]):
-            memory.load_bytes(store.address, store.old_bytes)
-        instret_before = self.interpreter.state.instret
-        self.bq.restore(control_index, self.interpreter.state)
-        self.squashed_instructions += (
-            instret_before - self.interpreter.state.instret
-        )
+        state = self.interpreter.state
+        state.memory.undo_stores(queues.stores, queues.store_olds,
+                                 record.sq_len)
+        instret_before = state.instret
+        self.bq.restore(control_index, state)
+        self.squashed_instructions += instret_before - state.instret
         queues.truncate(control_index + 1, record.lq_len, record.sq_len)
         self.rollbacks += 1
 
     # ------------------------------------------------------------------
 
     def frontend_stats(self) -> dict:
-        """Host-side dispatcher counters (never canonical)."""
-        if self._blocks is None:
-            return {"blocks_decoded": 0, "block_runs": 0,
-                    "threaded_instructions": 0, "fused_branches": 0}
-        return self._blocks.stats()
-
-    def control(self, index: int) -> Optional[ControlRecord]:
-        """Return control record *index* if recorded, else None."""
-        return self.queues.control(index)
-
-    def load(self, index: int) -> LoadRecord:
-        return self.queues.loads[index]
-
-    def store(self, index: int) -> StoreRecord:
-        return self.queues.stores[index]
+        """Host-side dispatcher counters (never canonical; all zero on
+        the reference path)."""
+        return {name: getattr(self._blocks, name, 0)
+                for name in BlockCache.STATS}

@@ -74,6 +74,18 @@ class Memory:
             offset += chunk
             remaining -= chunk
 
+    def undo_stores(self, addresses, old_bytes, keep: int) -> None:
+        """Put back ``old_bytes[i]`` at ``addresses[i]`` for every *i*
+        from the end down to *keep* — the ``sQ`` rollback log, youngest
+        store first. Each entry was captured by an aligned access, so
+        it lies within one page, and that page exists."""
+        pages = self._pages
+        for i in range(len(addresses) - 1, keep - 1, -1):
+            address = addresses[i]
+            data = old_bytes[i]
+            offset = address & PAGE_MASK
+            pages[address >> PAGE_SHIFT][offset:offset + len(data)] = data
+
     def read_bytes(self, address: int, length: int) -> bytes:
         """Read *length* raw bytes starting at *address*."""
         out = bytearray()

@@ -21,7 +21,7 @@ record, after restoring pre-store values in reverse order.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import List
 
 
 class ControlKind(enum.IntEnum):
@@ -32,14 +32,6 @@ class ControlKind(enum.IntEnum):
     HALT = 2  #: program executed ``halt``
 
 
-# The three record types below are plain __slots__ classes rather than
-# (frozen) dataclasses: they are allocated once per executed memory /
-# control instruction on the frontend's hottest path, and a frozen
-# dataclass pays one object.__setattr__ per field. Treat instances as
-# immutable — queues are append-only and truncate-on-rollback; nothing
-# may mutate a record after construction.
-
-
 class ControlRecord:
     """One control-flow event recorded by the frontend.
 
@@ -47,14 +39,27 @@ class ControlRecord:
     frontend was executing* (which may itself be a wrong path).
     ``lq_len``/``sq_len`` snapshot the queue lengths at the event, which
     is what rollback truncates to.
+
+    ``outcome_key`` is the hashable key describing this record for
+    p-action cache edges: two records with equal keys cause identical
+    subsequent simulator behaviour from the same configuration, because
+    the fetch path is a function of (kind, predicted direction,
+    misprediction flag, indirect target) plus static code. It is filled
+    once, at construction — a generated event function passes it
+    (a branch's from a decode-time constant the records share), every
+    other constructor leaves it to the formula below.
+
+    A plain ``__slots__`` class, not a frozen dataclass (which pays one
+    ``object.__setattr__`` per field): one is allocated per control
+    event on the frontend's hottest path. Treat instances as immutable.
     """
 
     __slots__ = ("kind", "pc", "taken", "predicted_taken", "target",
-                 "lq_len", "sq_len")
+                 "lq_len", "sq_len", "outcome_key")
 
     def __init__(self, kind: ControlKind, pc: int, taken: bool = False,
                  predicted_taken: bool = False, target: int = 0,
-                 lq_len: int = 0, sq_len: int = 0):
+                 lq_len: int = 0, sq_len: int = 0, outcome_key=None):
         self.kind = kind
         self.pc = pc
         self.taken = taken
@@ -63,6 +68,14 @@ class ControlRecord:
         self.target = target
         self.lq_len = lq_len
         self.sq_len = sq_len
+        if outcome_key is None:
+            if kind is ControlKind.COND:
+                outcome_key = (int(kind), pc, taken, predicted_taken)
+            elif kind is ControlKind.INDIRECT:
+                outcome_key = (int(kind), pc, target)
+            else:
+                outcome_key = (int(kind), pc)
+        self.outcome_key = outcome_key
 
     def __repr__(self) -> str:
         return (f"ControlRecord(kind={self.kind!r}, pc={self.pc:#x}, "
@@ -78,67 +91,42 @@ class ControlRecord:
             self.taken != self.predicted_taken
         )
 
-    def outcome_key(self):
-        """Hashable key describing this record for p-action cache edges.
-
-        Two records with equal keys cause identical subsequent simulator
-        behaviour from the same configuration: the fetch path is a
-        function of (kind, predicted direction, misprediction flag,
-        indirect target) plus static code.
-        """
-        if self.kind is ControlKind.COND:
-            return (int(self.kind), self.pc, self.taken, self.predicted_taken)
-        if self.kind is ControlKind.INDIRECT:
-            return (int(self.kind), self.pc, self.target)
-        return (int(self.kind), self.pc)
-
-
-class LoadRecord:
-    """Effective address + width of one executed load."""
-
-    __slots__ = ("address", "width")
-
-    def __init__(self, address: int, width: int):
-        self.address = address
-        self.width = width
-
-    def __repr__(self) -> str:
-        return f"LoadRecord(address={self.address:#x}, width={self.width})"
-
-
-class StoreRecord:
-    """Effective address, width, and pre-store bytes of one executed store."""
-
-    __slots__ = ("address", "width", "old_bytes")
-
-    def __init__(self, address: int, width: int, old_bytes: bytes):
-        self.address = address
-        self.width = width
-        self.old_bytes = old_bytes
-
-    def __repr__(self) -> str:
-        return (f"StoreRecord(address={self.address:#x}, "
-                f"width={self.width}, old_bytes={self.old_bytes!r})")
-
 
 class RecordQueues:
-    """The three append-only (truncate-on-rollback) frontend queues."""
+    """The frontend queues: append-only, truncated on rollback.
 
-    __slots__ = ("loads", "stores", "controls")
+    ``lQ`` and ``sQ`` are flat parallel lists indexed by append
+    position, not record objects: ``loads[i]`` is the effective address
+    of the i-th load (its width is a static fact of the instruction);
+    the i-th store is ``stores[i]`` (address), ``store_widths[i]`` and
+    ``store_olds[i]`` (the pre-store ``bytes``, the rollback log) —
+    three lists that always have the same length.
+    """
+
+    __slots__ = ("loads", "stores", "store_widths", "store_olds",
+                 "controls")
 
     def __init__(self) -> None:
-        self.loads: List[LoadRecord] = []
-        self.stores: List[StoreRecord] = []
+        self.loads: List[int] = []
+        self.stores: List[int] = []
+        self.store_widths: List[int] = []
+        self.store_olds: List[bytes] = []
         self.controls: List[ControlRecord] = []
 
-    def control(self, index: int) -> Optional[ControlRecord]:
-        """Return control record *index*, or None if not yet recorded."""
-        if index < len(self.controls):
-            return self.controls[index]
-        return None
+    def log_access(self, instr, interpreter) -> None:
+        """Append the entry for *instr*, which *interpreter* just
+        stepped, if it was a load or a store."""
+        if instr.is_load:
+            self.loads.append(interpreter.last_mem_addr)
+        elif instr.is_store:
+            self.stores.append(interpreter.last_mem_addr)
+            self.store_widths.append(interpreter.last_mem_width)
+            self.store_olds.append(interpreter.last_store_old)
 
     def truncate(self, control_len: int, lq_len: int, sq_len: int) -> None:
         """Discard wrong-path entries after a misprediction rollback."""
         del self.controls[control_len:]
         del self.loads[lq_len:]
         del self.stores[sq_len:]
+        del self.store_widths[sq_len:]
+        del self.store_olds[sq_len:]

@@ -9,11 +9,16 @@ analogue of the rewriting step: each maximal straight-line block is
 translated **once** into the source of one Python function —
 ``regs[3] = (regs[1] + 8) & 4294967295`` — compiled through the
 process-wide code cache (:mod:`repro.codecache`, shared with chain
-compilation) and executed into the block cache's namespace. Running a
-block is then one call plus one batched PC/instret update. ``compile()``
-is the one real cost (tens of microseconds per instruction), so a block
-earns it: until its :data:`COMPILE_AFTER`-th run its op steps the
-reference interpreter instead (:meth:`BlockCache._cold`).
+compilation) and executed into the block cache's namespace. A block
+that ends in a conditional branch or a ``jmpl`` carries that control
+event *in the same function* (an **event function**): body, branch
+condition, predictor call, control record, checkpoint on a mispredict
+and the PC/instret commit are one call that returns the record.
+``compile()`` is the one real cost (tens of microseconds per
+instruction), so a block earns it: until its :data:`COMPILE_AFTER`-th
+run its body steps the reference interpreter instead
+(:meth:`BlockCache._cold`) and its terminator goes through the
+frontend's ordinary ``step()`` path.
 
 What is folded at decode time: register indices, ``%g0`` (reads are the
 literal ``0``, writes are dropped), immediates (masked or
@@ -27,47 +32,52 @@ Equivalence contract (what makes this invisible to everything above;
 ``tests/emulator/test_threaded.py`` diffs every clause against
 :meth:`Interpreter.step`, which stays the reference path):
 
-* Blocks contain no control *events* — conditional branches, ``jmpl``,
-  and ``halt`` terminate decoding; ``halt`` executes through the
-  ordinary :meth:`Interpreter.step` path. A conditional branch becomes
-  a **fused terminator**: its condition function (from
-  :func:`repro.emulator.alu.branch_condition` — the same predicate
-  ``branch_taken`` evaluates) plus target/fall-through are bound at
-  decode time, and the frontend runs the identical predictor call,
-  control record, and checkpoint logic it always did, just without
-  the generic dispatch. ``jmpl`` fuses the same way (dynamic target,
-  decode-time-constant link, INDIRECT record); a misaligned runtime
-  target falls back to the step path so the canonical error is raised
-  from unchanged state. Statically-resolved transfers are **folded
-  through**: ``ba`` and ``call`` continue decoding at their
-  (compile-time) target and ``bn`` at its fall-through, because none
-  of them records a control event — the frontend's step path would
-  simply loop past them. A folded ``call`` writes its link register
-  from a decode-time constant (``address + 4``), never from the live
-  PC.
+* A block holds at most one control *event*, as its last instruction —
+  conditional branches, ``jmpl`` and ``halt`` terminate decoding, and
+  ``halt`` goes through the ordinary :meth:`Interpreter.step` path. A
+  conditional branch becomes the **event tail** (:func:`emit_event`):
+  its condition inline (:data:`BRANCH_CONDITIONS`, the predicates of
+  :func:`repro.emulator.alu.branch_taken`), then exactly what the step
+  path does — ``instret``, ``predict_and_update``, one
+  :class:`ControlRecord` with the queue lengths after the body, the
+  append, and on a mispredict the checkpoint holding the
+  *correct*-path PC before PC goes down the predicted path. ``jmpl``
+  fuses the same way (dynamic target, decode-time link, INDIRECT
+  record); on a misaligned target the function commits the body only
+  and returns None, so the step path raises the canonical error. There
+  are no superblocks: the world keeps the frontend exactly one event
+  ahead of fetch, so fusing further would run wrong paths further.
+  Statically-resolved transfers are **folded through**: ``ba`` and
+  ``call`` continue decoding at their target and ``bn`` at its
+  fall-through, because none of them records a control event. A folded
+  ``call`` links a decode-time constant (``address + 4``), never the
+  live PC.
 * Register values are unsigned 32-bit (the :class:`ArchState`
   invariant), so ``and``/``or``/``xor``/``srl`` results need no mask
   and ``smul`` multiplies the unsigned views: the low 32 bits of a
   product do not depend on the signedness of its factors.
-* A memory access appends the same :class:`LoadRecord` /
-  :class:`StoreRecord` (pre-store bytes captured before the write) the
-  step path would, and touches pages in the same order: a missing page
+* A memory access appends the same flat ``lQ``/``sQ`` entries (address;
+  address, width and the pre-store ``bytes`` captured before the write)
+  the step path would, and touches pages in the same order: a missing page
   is allocated by the real :meth:`Memory._page`, including for a load
   whose destination is ``%g0``.
 * Faults are raised by the real code, never re-implemented: a
   misaligned address calls :meth:`Memory.read_width` /
   :meth:`Memory.write_width`, ``sdiv`` calls :func:`alu.int_sdiv`. The
   exception propagates out of the block function before the batched
-  commit, so a mid-block fault leaves PC and instret at the block's
-  first instruction (effects of the instructions before the faulting
-  one are applied, as on the step path).
-* Nothing inside a block reads PC or instret at runtime (folded
+  commit and before any effect of an event tail (predictor table,
+  ``controls``, ``bQ``, PC and instret untouched), so a mid-block
+  fault leaves PC and instret at the block's first instruction
+  (effects of the instructions before the faulting one are applied, as
+  on the step path).
+* Nothing inside a block body reads PC or instret at runtime (folded
   ``call`` links a decode-time constant), so both advance in one batch
-  at block end; checkpoints are only taken at control events, which
-  sit outside blocks.
+  at block end; the only checkpoint is the event tail's, after that
+  batch.
 * A block only runs when it fits the caller's remaining instruction
-  budget; otherwise the caller falls back to per-instruction stepping
-  so budget exhaustion raises at exactly the same instruction.
+  budget — an event function when body *and* terminator fit; otherwise
+  the caller falls back to per-instruction stepping so budget
+  exhaustion raises at exactly the same instruction.
 
 The namespace a block function runs in is sound across rollbacks
 because every container it binds is mutated in place:
@@ -86,7 +96,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import codecache
 from repro.emulator import alu
 from repro.emulator.functional import Interpreter, _clamp_float32
-from repro.emulator.queues import LoadRecord, StoreRecord
+from repro.emulator.queues import ControlKind, ControlRecord
 from repro.emulator.state import FCC_EQ, FCC_GT, FCC_LT, FCC_UO
 from repro.errors import EmulationError
 from repro.isa.opcodes import Format, Opcode
@@ -99,18 +109,14 @@ _MASK32 = 0xFFFF_FFFF
 #: still commits PC/instret once per run, at block end).
 MAX_BLOCK = 256
 
-#: ``(ops, n_instructions, end_pc, terminator)`` — *ops* holds the one
-#: generated block function (none when the block has no effect beyond
-#: PC/instret); *terminator* is None or a fused control-event
-#: descriptor the frontend evaluates in place of a generic ``step()``:
-#: ``(TERM_COND, condition_fn, uses_fcc, address, target, fall_through)``
-#: for a conditional branch,
-#: ``(TERM_JMPL, address, rs1, rs2, imm, rd, link)`` for an indirect
-#: jump (*link* is the decode-time constant ``address + 4``).
-_Block = Tuple[Tuple[Callable[[], None], ...], int, int, Optional[tuple]]
-
-TERM_COND = 0
-TERM_JMPL = 1
+#: ``(fn, n_instructions, end_pc, fused)``. Not *fused*: *fn* runs the
+#: body only (None: nothing to run) and the caller commits PC/instret;
+#: a true return value means *fn* ran nothing but replaced this entry
+#: with compiled code — look the block up again. *fused*: *fn* is an
+#: event function — body, the control event at *end_pc*, both commits —
+#: returning the event's :class:`ControlRecord` (None: a misaligned
+#: ``jmpl`` target; the body is committed and the step path raises).
+_Block = Tuple[Optional[Callable[[], object]], int, int, bool]
 
 #: A block is compiled on its COMPILE_AFTER-th run and stepped through
 #: :meth:`Interpreter.step` before that: ``compile()`` of a block costs
@@ -129,9 +135,8 @@ COMPILE_AFTER = 26
 #: First line of every generated block function.
 BLOCK_HEADER = "def _blk():\n"
 
-#: Name -> attribute path (rooted at the frontend's ``state`` or
-#: ``queues``) each block cache resolves once and places in the
-#: namespace its block functions run in.
+#: Name -> attribute path from the frontend, which each block cache
+#: resolves once and places in the namespace its block functions run in.
 BLOCK_BINDINGS = {
     "state": "state",
     "regs": "state.regs",
@@ -143,18 +148,28 @@ BLOCK_BINDINGS = {
     "write_width": "state.memory.write_width",
     "lq": "queues.loads.append",
     "sq": "queues.stores.append",
+    "sqw": "queues.store_widths.append",
+    "sqo": "queues.store_olds.append",
+    "loads": "queues.loads",
+    "stores": "queues.stores",
+    "controls": "queues.controls",
+    "cq": "queues.controls.append",
+    "predict": "predictor.predict_and_update",
+    "bqs": "bq.save",
 }
 
-#: Process-constant names of the same namespace: record classes, the
-#: real fault-raising/rounding helpers, big-endian page accessors
-#: (``old<w>`` reads *w* pre-store bytes as ``bytes``), and the three
-#: builtins generated code uses. Together with :data:`BLOCK_BINDINGS`
-#: and :data:`BLOCK_LOCALS` this is every name a block may mention
-#: (``__builtins__`` is emptied) — the flow lint's codegen audit fails
-#: on any other.
+#: Process-constant names of the same namespace: the control record
+#: and its two generated kinds, the real fault-raising/rounding
+#: helpers, big-endian page accessors (``old<w>`` reads *w* pre-store
+#: bytes as ``bytes``), and the four builtins generated code uses.
+#: With :data:`BLOCK_BINDINGS` and :data:`BLOCK_LOCALS`, every name a
+#: block may mention (``__builtins__`` is emptied; the flow lint's
+#: codegen audit fails on any other).
 BLOCK_HELPERS = {
-    "LoadRecord": LoadRecord,
-    "StoreRecord": StoreRecord,
+    "ControlRecord": ControlRecord,
+    "COND": ControlKind.COND,
+    "INDIRECT": ControlKind.INDIRECT,
+    "len": len,
     "int_sdiv": alu.int_sdiv,
     "fp_div": Interpreter._fp_div,
     "clamp32": _clamp_float32,
@@ -179,11 +194,17 @@ BLOCK_HELPERS = {
     "old8": struct.Struct("8s").unpack_from,
 }
 
-#: Temporaries a block function may assign.
-BLOCK_LOCALS = ("a", "b", "r", "p", "o", "v")
+#: Temporaries a block function may assign (an event tail's direction
+#: ``t`` and record ``rec``; it reuses ``p`` for the prediction).
+BLOCK_LOCALS = ("a", "b", "r", "p", "o", "v", "t", "rec")
 
-#: The only attributes generated code touches.
+#: The only attributes generated code touches — plus the two only an
+#: event tail may write, and the names only it may mention: a *body*
+#: never sees the control queue, the predictor or the ``bQ``.
 BLOCK_STATE_ATTRS = ("icc", "fcc")
+EVENT_STATE_ATTRS = ("pc", "instret")
+EVENT_NAMES = ("t", "rec", "loads", "stores", "controls", "cq", "predict",
+               "bqs", "ControlRecord", "COND", "INDIRECT", "len")
 
 #: Every line shape the emitter can produce, as ``str.format``
 #: templates (exposed, like ``memo.compile.SEG_TEMPLATES``, so the flow
@@ -236,14 +257,14 @@ BLOCK_TEMPLATES = {
     "lduh": " regs[{d}] = lduh(p, a & 4095)[0]",
     "ldf": " fregs[{d}] = ldf(p, a & 4095)[0]",
     "lddf": " fregs[{d}] = lddf(p, a & 4095)[0]",
-    "load_record": " lq(LoadRecord(a, {w}))",
+    "load_record": " lq(a)",
     "store_old": " o = a & 4095\n v = old{w}(p, o)[0]",
     "st": " st4(p, o, {a})",
     "stb": " p[o] = {a} & 255",
     "sth": " st2(p, o, {a} & 65535)",
     "stf": " stf(p, o, clamp32(fregs[{s}]))",
     "stdf": " stdf(p, o, fregs[{s}])",
-    "store_record": " sq(StoreRecord(a, {w}, v))",
+    "store_record": " sq(a)\n sqw({w})\n sqo(v)",
     # Floating point.
     "fadd": " fregs[{d}] = fregs[{s}] + fregs[{t}]",
     "fsub": " fregs[{d}] = fregs[{s}] - fregs[{t}]",
@@ -261,6 +282,56 @@ BLOCK_TEMPLATES = {
     "fdtoi": (" v = fregs[{s}]\n"
               " regs[{d}] = int(v) & 4294967295 if abs(v) < inf else 0"),
     "out": " out({a})",
+    # Event tails (see emit_event). The record's last argument is its
+    # outcome key: for a branch one of four tuples in a nested constant
+    # (``{keys}``, folded by ``compile()``), so a record holds a shared
+    # key rather than one more tuple of its own.
+    "event_cond": (
+        " t = {cond}\n"
+        " state.instret += {size}\n"
+        " p = predict({pc}, t)\n"
+        " rec = ControlRecord(COND, {pc}, t, p, 0, len(loads),"
+        " len(stores), {keys}[t][p])\n"
+        " cq(rec)\n"
+        " if p != t:"
+        " bqs(len(controls) - 1, state, {target} if t else {fall})\n"
+        " state.pc = {target} if p else {fall}\n"
+        " return rec"),
+    "event_jmpl": (
+        " a = ({a} + {b}) & 4294967295\n"
+        " if a & 3:\n"
+        "  state.pc = {pc}\n"
+        "  state.instret += {count}\n"
+        "  return None\n"
+        "{link}"
+        " state.pc = a\n"
+        " state.instret += {size}\n"
+        " rec = ControlRecord(INDIRECT, {pc}, True, False, a, len(loads),"
+        " len(stores), ({kind}, {pc}, a))\n"
+        " cq(rec)\n"
+        " return rec"),
+}
+
+#: Conditional-branch opcode -> its condition as an expression that
+#: yields a real ``bool`` (icc bits: N=8 Z=4 V=2 C=1; ``&`` and ``^``
+#: bind tighter than comparisons and ``not``).
+BRANCH_CONDITIONS = {
+    Opcode.BE: "state.icc & 4 != 0",
+    Opcode.BNE: "not state.icc & 4",
+    Opcode.BG: ("not (state.icc & 4"
+                " or (state.icc >> 3 ^ state.icc >> 1) & 1)"),
+    Opcode.BLE: ("(state.icc & 4"
+                 " or (state.icc >> 3 ^ state.icc >> 1) & 1) != 0"),
+    Opcode.BGE: "not (state.icc >> 3 ^ state.icc >> 1) & 1",
+    Opcode.BL: "(state.icc >> 3 ^ state.icc >> 1) & 1 != 0",
+    Opcode.BGU: "not state.icc & 5",
+    Opcode.BLEU: "state.icc & 5 != 0",
+    Opcode.FBE: f"state.fcc == {FCC_EQ}",
+    Opcode.FBNE: f"state.fcc != {FCC_EQ}",
+    Opcode.FBL: f"state.fcc == {FCC_LT}",
+    Opcode.FBLE: f"state.fcc in ({FCC_EQ}, {FCC_LT})",
+    Opcode.FBG: f"state.fcc == {FCC_GT}",
+    Opcode.FBGE: f"state.fcc in ({FCC_EQ}, {FCC_GT})",
 }
 
 _ALU = {
@@ -398,25 +469,57 @@ def emit_instruction(instr, lines: List[str]) -> bool:
     return True
 
 
-class BlockCache:
-    """Decoded-block cache + executor for one interpreter instance."""
+def emit_event(instr, count: int, lines: List[str]) -> bool:
+    """Append the event tail for terminator *instr*, reached after
+    *count* straight-line instructions; False when *instr* is not a
+    control event the emitter fuses (the step path runs it)."""
+    address = instr.address
+    condition = BRANCH_CONDITIONS.get(instr.opcode)
+    if condition is not None:
+        keys = tuple(tuple((int(ControlKind.COND), address, taken, predicted)
+                           for predicted in (False, True))
+                     for taken in (False, True))
+        lines.append(BLOCK_TEMPLATES["event_cond"].format(
+            cond=condition, size=count + 1, pc=address, keys=keys,
+            target=instr.target, fall=instr.fall_through))
+        return True
+    if instr.opcode is Opcode.JMPL:
+        imm = instr.imm
+        link = (BLOCK_TEMPLATES["const"].format(
+            d=instr.rd, k=(address + 4) & _MASK32) + "\n"
+            if instr.rd else "")
+        lines.append(BLOCK_TEMPLATES["event_jmpl"].format(
+            a=_reg(instr.rs1),
+            b=str(imm) if imm is not None else _reg(instr.rs2),
+            pc=address, count=count, size=count + 1, link=link,
+            kind=int(ControlKind.INDIRECT)))
+        return True
+    return False
 
-    def __init__(self, interpreter: Interpreter, queues):
-        self._interpreter = interpreter
-        self._executable = interpreter.executable
+
+class BlockCache:
+    """Decoded-block cache + executor for one speculative frontend."""
+
+    #: Host-side effectiveness counters (never canonical).
+    STATS = ("blocks_decoded", "block_runs", "threaded_instructions",
+             "fused_branches")
+
+    def __init__(self, frontend):
+        self._interpreter = frontend.interpreter
+        self._executable = frontend.executable
+        self._queues = frontend.queues
         # Everything bound here outlives every rollback (see the module
         # docstring), so block functions can keep using it forever.
-        roots = {"state": interpreter.state, "queues": queues}
         namespace: Dict[str, object] = {"__builtins__": {}}
         namespace.update(BLOCK_HELPERS)
         for name, path in BLOCK_BINDINGS.items():
-            root, *attrs = path.split(".")
-            value = roots[root]
-            for attr in attrs:
+            value = frontend
+            for attr in path.split("."):
                 value = getattr(value, attr)
             namespace[name] = value
         self._namespace = namespace
-        self._blocks: Dict[int, _Block] = {}
+        #: start PC -> block; the frontend calls :meth:`decode` on a miss.
+        self.blocks: Dict[int, _Block] = {}
         self.blocks_decoded = 0
         self.block_runs = 0
         self.threaded_instructions = 0
@@ -424,32 +527,14 @@ class BlockCache:
 
     # ------------------------------------------------------------------
 
-    def block_at(self, pc: int) -> _Block:
-        """Return (decoding on first sight) the block starting at *pc*."""
-        block = self._blocks.get(pc)
-        if block is None:
-            block = self._decode(pc)
-            self._blocks[pc] = block
-            self.blocks_decoded += 1
-        return block
-
-    def stats(self) -> Dict[str, int]:
-        """Host-side effectiveness counters (never canonical)."""
-        return {
-            "blocks_decoded": self.blocks_decoded,
-            "block_runs": self.block_runs,
-            "threaded_instructions": self.threaded_instructions,
-            "fused_branches": self.fused_branches,
-        }
-
-    # ------------------------------------------------------------------
-
-    def _decode(self, start_pc: int) -> _Block:
-        """Decode the maximal straight-line block starting at *start_pc*."""
+    def decode(self, start_pc: int) -> _Block:
+        """Decode (and cache) the maximal straight-line block starting
+        at *start_pc*, with the control event that ends it if the
+        emitter fuses one."""
         executable = self._executable
         lines: List[str] = []
+        tail: List[str] = []
         count = 0
-        term = None
         pc = start_pc
         while count < MAX_BLOCK and executable.contains_text(pc):
             try:
@@ -460,11 +545,7 @@ class BlockCache:
             if instr.info.fmt is Format.BRANCH:
                 # ``ba``/``bn`` are statically resolved (no record, no
                 # predictor): fold through. A conditional branch ends
-                # the block; its condition function is bound here so
-                # the frontend can evaluate it as a *fused terminator*
-                # (same predicate, predictor call, record, and
-                # checkpoint as the step path — minus the generic
-                # dispatch).
+                # the block as its event tail.
                 if opcode is Opcode.BA:
                     count += 1
                     pc = instr.target
@@ -473,11 +554,7 @@ class BlockCache:
                     count += 1
                     pc += 4
                     continue
-                condition = alu.branch_condition(opcode)
-                if condition is not None:
-                    term = (TERM_COND, condition[0], condition[1],
-                            instr.address, instr.target,
-                            instr.fall_through)
+                emit_event(instr, count, tail)
                 break
             if opcode is Opcode.CALL:
                 # Direct call: the link value is the decode-time
@@ -490,69 +567,58 @@ class BlockCache:
                 pc = instr.target
                 continue
             if opcode is Opcode.JMPL:
-                # Indirect jump: a control event, but with no predictor
-                # or checkpoint involvement — the frontend can fuse it
-                # too. The link value is the decode-time constant
-                # ``address + 4`` (what ``state.pc + 4`` evaluates to
-                # when the step path reaches it). A misaligned runtime
-                # target falls back to the step path for the canonical
-                # error.
-                term = (TERM_JMPL, instr.address, instr.rs1, instr.rs2,
-                        instr.imm, instr.rd,
-                        (instr.address + 4) & _MASK32)
+                # An event too (no predictor, no checkpoint); it links
+                # ``address + 4``, the step path's ``state.pc + 4``.
+                emit_event(instr, count, tail)
                 break
             if opcode is Opcode.HALT or not emit_instruction(instr, lines):
                 break
             count += 1
             pc += 4
-        ops = (self._cold(start_pc, count, lines),) if lines else ()
-        return ops, count, pc, term
+        # An event block always gets an op — a bare branch has no body
+        # line, but its run counter is what earns the compile.
+        fn = (self._cold(start_pc, count, pc, lines, tail)
+              if lines or tail else None)
+        block = self.blocks[start_pc] = (fn, count, pc, False)
+        self.blocks_decoded += 1
+        return block
 
-    def _cold(self, start_pc: int, count: int,
-              lines: List[str]) -> Callable[[], None]:
+    def _cold(self, start_pc: int, count: int, end_pc: int,
+              lines: List[str], tail: List[str]) -> Callable[[], bool]:
         """The block's op until it has earned its ``compile()``.
 
-        Runs the block as *count* calls of the reference
-        :meth:`Interpreter.step` (appending the records the frontend's
-        step path would), with PC/instret put back to the block's
-        start afterwards — the caller commits them in one batch, and a
-        mid-block fault leaves them uncommitted, exactly as for a
-        generated function. The :data:`COMPILE_AFTER`-th run compiles
-        the block, replaces this op in the cache, and runs the
-        generated function instead.
+        Runs the body as *count* calls of the reference
+        :meth:`Interpreter.step` (appending the queue entries the
+        frontend's step path would), with PC/instret put back to the
+        block's start afterwards — the caller commits them in one
+        batch, and a mid-block fault leaves them uncommitted, exactly
+        as for a generated function. The event in *tail* is left to
+        the frontend's step path. The :data:`COMPILE_AFTER`-th run
+        executes nothing: it compiles body and tail into one function,
+        replaces this cache entry and returns True.
         """
         interpreter = self._interpreter
         state = interpreter.state
         step = interpreter.step
-        loads_append = self._namespace["lq"]
-        stores_append = self._namespace["sq"]
+        log_access = self._queues.log_access
         runs = 0
 
-        def run() -> None:
+        def run() -> bool:
             nonlocal runs
             runs += 1
             if runs >= COMPILE_AFTER:
-                block = codecache.load(
-                    block_source(lines), "<repro.threaded block>",
-                    "_blk", self._namespace)
-                self._blocks[start_pc] = (
-                    ((block,),) + self._blocks[start_pc][1:])
-                block()
-                return
+                self.blocks[start_pc] = (
+                    codecache.load(block_source(lines + tail),
+                                   "<repro.threaded block>", "_blk",
+                                   self._namespace),
+                    count, end_pc, bool(tail))
+                return True
             instret = state.instret
             try:
                 for _ in range(count):
-                    instr = step()
-                    if instr.is_load:
-                        loads_append(LoadRecord(
-                            interpreter.last_mem_addr,
-                            interpreter.last_mem_width))
-                    elif instr.is_store:
-                        stores_append(StoreRecord(
-                            interpreter.last_mem_addr,
-                            interpreter.last_mem_width,
-                            interpreter.last_store_old))
+                    log_access(step(), interpreter)
             finally:
                 state.pc = start_pc
                 state.instret = instret
+            return False
         return run

@@ -495,7 +495,7 @@ class GuardedEngine(FastForwardEngine):
 
             if kind is ControlNode:
                 record = world.get_control()
-                outcome_key = record.outcome_key()
+                outcome_key = record.outcome_key
                 memo.actions_replayed += 1
                 chain_length += 1
                 segment_actions += 1

@@ -5,9 +5,10 @@
 Python at runtime and ``exec`` it on the hot path. A code generator is
 the one part of the simulator a source-level lint cannot see — unless
 the lint *runs* it. This family compiles representative action chains
-(every node kind, guards, terminals, inlined and table keys) and one
+(every node kind, guards, terminals, inlined and table keys), one
 basic block per straight-line opcode (register, immediate,
-``%g0``-source and ``%g0``-destination forms), captures the generated
+``%g0``-source and ``%g0``-destination forms) and one event function
+per conditional-branch opcode and for ``jmpl``, captures the generated
 source, parses it, and enforces the contract that keeps compiled
 replay bit-identical to interpreted replay and generated blocks
 identical to ``Interpreter.step()``:
@@ -15,29 +16,36 @@ identical to ``Interpreter.step()``:
 ``flow/codegen-name`` (error)
     Generated code references a name outside the whitelist. Segments:
     the parameters (``world``/``R``/``K``/``ctl_a``), the entry
-    bindings (``WORLD_BINDINGS``) and four temporaries
-    (``i``/``s``/``r``/``rec``). Blocks: the emitter's namespace table
+    bindings (``WORLD_BINDINGS``) and three temporaries
+    (``i``/``r``/``rec``). Blocks: the emitter's namespace table
     (``BLOCK_BINDINGS`` + ``BLOCK_HELPERS``) and its temporaries
-    (``BLOCK_LOCALS``). Any other name is smuggled state.
+    (``BLOCK_LOCALS``) — less ``EVENT_NAMES`` (control queue, predictor,
+    ``bQ``, record class) anywhere but in an event tail. Any other name
+    is smuggled state.
 
 ``flow/codegen-attr`` (error)
     Segments replay against the world's *state*: they read
-    ``world.cycle/lq_base/sq_base/_lq/_sq``, call ``world.get_control``
-    / ``world.rollback`` and the cache-port methods the ``World``
-    wrappers themselves call — exactly the ``WORLD_BINDINGS`` targets —
-    plus ``rec.outcome_key`` and a queue record's ``address``/``width``.
-    Any other attribute, and **any assignment to an attribute** (the
-    engine settles clock, cursors and statistics at the exit), is a
-    finding. Blocks: ``state.icc`` / ``state.fcc`` only. The attribute
-    surface *is* the side-effect surface.
+    ``world.cycle/lq_base/sq_base/_lq/_sq/_sqw``, call
+    ``world.get_control`` / ``world.rollback`` and the cache-port
+    methods the ``World`` wrappers themselves call — exactly the
+    ``WORLD_BINDINGS`` targets — plus ``rec.outcome_key``; the flat
+    queues are read as ``lq[i]`` / ``sq[i]`` / ``sqw[i]`` and in no
+    other way. Any other attribute, and **any assignment to an
+    attribute** (the engine settles clock, cursors and statistics at
+    the exit), is a finding. Blocks: ``state.icc`` / ``state.fcc``
+    only, plus ``state.pc`` / ``state.instret`` in an event tail — a
+    body that touches either would commit before it can fault. The
+    attribute surface *is* the side-effect surface.
 
 ``flow/codegen-shape`` (error)
     A generated segment statement deviates from the allowed shapes
     (binding, temporary, reply call, effect call, guard, return), a
-    cache-port call's clock argument is not ``c + <const>``, or a block
-    statement is anything but an assignment, a call, or an ``if``
-    around those. New shapes mean the emitter grew behavior the
-    contract never reviewed.
+    cache-port call's clock argument is not ``c + <const>``, a queue
+    alias is used other than as ``<alias>[i]``, or a block statement is
+    anything but an assignment, a call, or an ``if`` around those (an
+    event tail may also ``+=`` and must ``return`` only as the last
+    statement of its block). New shapes mean the emitter grew behavior
+    the contract never reviewed.
 
 ``flow/codegen-drift`` (error)
     :data:`~repro.memo.compile.WORLD_BINDINGS` has diverged from what
@@ -76,13 +84,15 @@ RULE_DRIFT = "flow/codegen-drift"
 SEG_PARAMS = ("world", "R", "K", "ctl_a")
 
 #: Temporaries generated code may bind beside the WORLD_BINDINGS
-#: aliases: absolute lQ index, sQ record, and the two reply captures.
-SEG_LOCALS = ("i", "s", "r", "rec")
+#: aliases: absolute queue index and the two reply captures.
+SEG_LOCALS = ("i", "r", "rec")
 
 #: Attributes generated code may read off a non-world object: the
-#: control record's key method and a queue record's fields.
-RECORD_READS = frozenset({"rec.outcome_key", "s.address", "s.width",
-                          "lq[i].address"})
+#: control record's key slot.
+RECORD_READS = frozenset({"rec.outcome_key"})
+
+#: The only expressions a flat-queue alias may appear in.
+QUEUE_READS = frozenset({"lq[i]", "sq[i]", "sqw[i]"})
 
 #: World wrappers a segment inlines: it calls their cache-port callee
 #: directly, with the cursor and clock they would have read folded in.
@@ -158,27 +168,36 @@ def build_audit_chains():
 
 
 def build_audit_blocks():
-    """One basic block per straight-line opcode.
+    """One basic block per straight-line opcode, one event function per
+    conditional-branch opcode and one for ``jmpl``.
 
-    Returns ``[(mnemonic, [Instruction, ...])]``; each block holds the
-    opcode in register, immediate, ``%g0``-source and
-    ``%g0``-destination form, produced by the real decoder so the
+    Returns ``[(mnemonic, [Instruction, ...])]``. A straight-line block
+    holds the opcode in register, immediate, ``%g0``-source and
+    ``%g0``-destination form; an event block is a load and a store
+    ended by the terminator — all produced by the real decoder so the
     operand fields are exactly what the frontend would see.
     """
+    from repro.emulator.threaded import BRANCH_CONDITIONS
     from repro.isa.encoding import decode
     from repro.isa.opcodes import Format, Opcode, opcode_info
 
+    def at(address, opcode, rd, rs1, low):
+        return decode(opcode << 24 | rd << 19 | rs1 << 14 | low, address)
+
     control = (Format.BRANCH, Format.CALL, Format.JMPL)
-    # (rd, rs1, low 14 bits: rs2, or the i-bit and an immediate)
+    # (rd, rs1, low 14 bits: rs2, or the i-bit and an immediate); to a
+    # branch the same bits are just a displacement.
     forms = ((3, 1, 2), (3, 1, (1 << 13) | 5), (3, 0, 2), (0, 1, 2))
+    body = [at(0x1000, Opcode.LD, *forms[1]), at(0x1004, Opcode.ST, *forms[1])]
     blocks = []
     for opcode in Opcode:
         info = opcode_info(opcode)
-        if info.fmt in control or opcode is Opcode.HALT:
-            continue
-        blocks.append((info.mnemonic, [
-            decode(opcode << 24 | rd << 19 | rs1 << 14 | low, 0x1000)
-            for rd, rs1, low in forms]))
+        if opcode in BRANCH_CONDITIONS or opcode is Opcode.JMPL:
+            blocks.append((info.mnemonic,
+                           body + [at(0x1008, opcode, *forms[1])]))
+        elif info.fmt not in control and opcode is not Opcode.HALT:
+            blocks.append((info.mnemonic,
+                           [at(0x1000, opcode, *form) for form in forms]))
     return blocks
 
 
@@ -255,17 +274,20 @@ class _GeneratedSourceAuditor:
             self._emit(RULE_SHAPE,
                        "generated module must be exactly one function")
             return self.findings
-        fn = tree.body[0]
-        self._check_names(fn)
-        self._check_attrs(fn)
-        for statement in fn.body:
-            self._check_shape(statement)
+        self._audit_function(tree.body[0])
         return self.findings
 
-    def _check_names(self, fn: ast.FunctionDef) -> None:
-        for node in ast.walk(fn):
+    def _audit_function(self, fn: ast.FunctionDef) -> None:
+        self._check_names(fn, self.allowed_names)
+        self._check_attrs(fn, self.allowed_attrs)
+        self._check_queue_reads(fn)
+        for statement in fn.body:
+            self._check_shape(statement)
+
+    def _check_names(self, tree: ast.AST, allowed: Set[str]) -> None:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                if node.id not in self.allowed_names:
+                if node.id not in allowed:
                     self._emit(
                         RULE_NAME,
                         f"generated code references name "
@@ -273,15 +295,33 @@ class _GeneratedSourceAuditor:
                         node.lineno,
                     )
 
-    def _check_attrs(self, fn: ast.FunctionDef) -> None:
-        attributes = [node for node in ast.walk(fn)
+    def _check_queue_reads(self, fn: ast.FunctionDef) -> None:
+        """A flat-queue alias is only ever indexed by ``i``."""
+        aliases = {read.partition("[")[0] for read in QUEUE_READS}
+        reads = {id(node.value) for node in ast.walk(fn)
+                 if isinstance(node, ast.Subscript)
+                 and ast.unparse(node) in QUEUE_READS}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Name) and node.id in aliases
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in reads):
+                self._emit(
+                    RULE_SHAPE,
+                    f"queue alias '{node.id}' is used other than as "
+                    f"'{node.id}[i]': a segment reads one entry of a "
+                    "flat queue, at the index it computed",
+                    node.lineno,
+                )
+
+    def _check_attrs(self, tree: ast.AST, allowed: Set[str]) -> None:
+        attributes = [node for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute)]
         # ``world.cache`` inside ``world.cache.issue_load`` is judged
         # as part of the chain it belongs to.
         inner = {id(node.value) for node in attributes}
         for node in attributes:
             if (id(node) not in inner
-                    and ast.unparse(node) not in self.allowed_attrs):
+                    and ast.unparse(node) not in allowed):
                 self._emit(
                     RULE_ATTR,
                     f"generated code accesses {ast.unparse(node)}, "
@@ -348,34 +388,58 @@ class _GeneratedSourceAuditor:
 
 
 class _BlockSourceAuditor(_GeneratedSourceAuditor):
-    """The same audit for one generated basic block: names from the
+    """The same audit for one generated block function: names from the
     block emitter's namespace table, ``state.icc``/``state.fcc`` the
-    only attributes."""
+    only attributes — and, from the first line of its event *tail* on,
+    the emitter's ``EVENT_NAMES`` / ``EVENT_STATE_ATTRS`` too."""
 
     kind = "block"
 
-    def __init__(self, path: str, label: str, source: str, emitter):
-        super().__init__(path, label, source, {})
+    def __init__(self, path: str, label: str, emitter,
+                 lines: List[str], tail: List[str]):
+        super().__init__(path, label, emitter.block_source(lines + tail),
+                         {})
+        # Line 1 is the header; a template may span several lines.
+        self.tail_line = 2 + sum(line.count("\n") + 1 for line in lines)
         self.allowed_names = (set(emitter.BLOCK_BINDINGS)
                               | set(emitter.BLOCK_HELPERS)
                               | set(emitter.BLOCK_LOCALS))
-        self.allowed_attrs = {f"state.{attr}"
-                              for attr in emitter.BLOCK_STATE_ATTRS}
+        self.body_names = self.allowed_names - set(emitter.EVENT_NAMES)
+        self.body_attrs = {f"state.{attr}"
+                           for attr in emitter.BLOCK_STATE_ATTRS}
+        self.allowed_attrs = self.body_attrs | {
+            f"state.{attr}" for attr in emitter.EVENT_STATE_ATTRS}
 
-    def _check_shape(self, statement: ast.stmt) -> None:
+    def _audit_function(self, fn: ast.FunctionDef) -> None:
+        for statement in fn.body:
+            in_tail = statement.lineno >= self.tail_line
+            self._check_names(statement, self.allowed_names if in_tail
+                              else self.body_names)
+            self._check_attrs(statement, self.allowed_attrs if in_tail
+                              else self.body_attrs)
+            self._check_block_shape(statement, in_tail,
+                                    statement is fn.body[-1])
+
+    def _check_block_shape(self, statement: ast.stmt, in_tail: bool,
+                           last: bool) -> None:
         if isinstance(statement, ast.Assign):
             return
         if (isinstance(statement, ast.Expr)
                 and isinstance(statement.value, ast.Call)):
             return
+        if in_tail and (isinstance(statement, ast.AugAssign)
+                        or last and isinstance(statement, ast.Return)):
+            return
         if isinstance(statement, ast.If) and not statement.orelse:
             for inner in statement.body:
-                self._check_shape(inner)
+                self._check_block_shape(inner, in_tail,
+                                        inner is statement.body[-1])
             return
         self._emit(
             RULE_SHAPE,
             f"generated statement shape {type(statement).__name__} is "
-            "outside the block contract (assignment / call / if)",
+            "outside the block contract (assignment / call / if; in an "
+            "event tail also '+=' and a closing return)",
             getattr(statement, "lineno", 1),
         )
 
@@ -406,7 +470,7 @@ def _template_aliases(template: str) -> Set[str]:
 class CodegenContractChecker(ProjectChecker):
     """Flow family 3: audit the generated source of the turbo emitter
     (cross-checked against the interpreter's side-effect set) and of
-    the frontend's block emitter."""
+    the frontend's block and event emitter."""
 
     name = "flow-codegen"
     rules = (RULE_NAME, RULE_ATTR, RULE_SHAPE, RULE_DRIFT)
@@ -423,12 +487,13 @@ class CodegenContractChecker(ProjectChecker):
 
         for label, instructions in build_audit_blocks():
             lines: List[str] = []
-            for instr in instructions:
-                emitter.emit_instruction(instr, lines)
-            if lines:
+            tail: List[str] = []
+            for count, instr in enumerate(instructions):
+                if not emitter.emit_instruction(instr, lines):
+                    emitter.emit_event(instr, count, tail)
+            if lines or tail:
                 yield from _BlockSourceAuditor(
-                    module.path, label, emitter.block_source(lines),
-                    emitter).audit()
+                    module.path, label, emitter, lines, tail).audit()
 
     def _check_segments(self, session) -> Iterator[Finding]:
         compile_module = session.emitter_module("memo.compile")

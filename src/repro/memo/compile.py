@@ -51,8 +51,8 @@ replay against the world's *state*, not through its methods:
   world.cycle``, ``lb = world.lq_base``, ``sb = world.sq_base`` once at
   entry, and every reader gets ``entry value + constant``;
 * load and store outcomes call the **cache port directly** with those
-  constants folded in (``i = lb + 2; r = c_il(i, lq[i].address, c +
-  14)``) — the calls ``World.issue_load/poll_load/issue_store`` make,
+  constants folded in (``i = lb + 2; r = c_il(i, lq[i], c + 14)``) —
+  the calls ``World.issue_load/poll_load/issue_store`` make,
   minus the wrapper. The port methods are bound per segment *call*,
   never at compile time, so whoever wraps them sees every access;
 * ``get_control`` stays a world call (the frontend never reads the
@@ -77,7 +77,8 @@ An exception raised *inside* a segment (frontend instruction budget,
 fetch past the frontend, poll of an unissued load) leaves
 ``world.cycle`` and the cursors at their segment-entry values, where
 the interpreter would have advanced them node by node. No handler in
-``src/`` reads a :class:`World` after a ``SimulationError``.
+``src/`` reads a :class:`World` after a ``SimulationError``
+(``tests/test_exception_contract.py`` holds the tree to that).
 
 Touch semantics under replacement policies
 ------------------------------------------
@@ -156,7 +157,7 @@ SEG_HEADER = "def _seg(world, R, K, ctl_a):\n"
 #: the interpreted replay loop, so drift is a lint error).
 WORLD_BINDINGS = {
     "c": "world.cycle", "lb": "world.lq_base", "sb": "world.sq_base",
-    "lq": "world._lq", "sq": "world._sq",
+    "lq": "world._lq", "sq": "world._sq", "sqw": "world._sqw",
     "w_get": "world.get_control", "w_rb": "world.rollback",
     "c_il": "world.cache.issue_load", "c_pl": "world.cache.poll_load",
     "c_st": "world.cache.issue_store",
@@ -172,11 +173,10 @@ SEG_TEMPLATES = {
     "rollback": "    w_rb(R[{index}])",
     "control_call": "    rec = w_get()",
     "control_log": "    ctl_a(rec)",
-    "load_issue": ("    i = lb + {index}; "
-                   "r = c_il(i, lq[i].address, c + {cycles})"),
+    "load_issue": "    i = lb + {index}; r = c_il(i, lq[i], c + {cycles})",
     "load_poll": "    r = c_pl(lb + {index}, c + {cycles})",
-    "store_issue": ("    s = sq[sb + {index}]; "
-                    "r = c_st(s.address, s.width, c + {cycles})"),
+    "store_issue": ("    i = sb + {index}; "
+                    "r = c_st(sq[i], sqw[i], c + {cycles})"),
     "guard": "    if {test} != {key}: return ({index}, {ret})",
     "terminal": "    return ({index}, {ret})",
     "epilogue": "    return None\n",
@@ -371,7 +371,7 @@ def compile_segment(head: Node, generation: int,
         engine recomputes the edge key), loads/stores the raw reply."""
         if kind is ControlNode:
             lines.append(SEG_TEMPLATES["control_call"])
-            return "rec.outcome_key()", "rec"
+            return "rec.outcome_key", "rec"
         if kind is LoadIssueNode:
             template, base = "load_issue", retired.loads
         elif kind is LoadPollNode:

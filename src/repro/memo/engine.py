@@ -280,7 +280,7 @@ class FastForwardEngine:
                 record = world.get_control()
                 send = record
                 if attach is not None:
-                    attach = (node, record.outcome_key())
+                    attach = (node, record.outcome_key)
             elif kind is IssueLoad:
                 node = LoadIssueNode(request.ordinal)
                 record_node(node)
@@ -487,7 +487,7 @@ class FastForwardEngine:
                         chain_log.extend(patch_log(template, ctl))
                     chain_log.append((xnode, actual))
                     log_anchor = world.cycle
-                    edge_key = (actual.outcome_key() if is_control
+                    edge_key = (actual.outcome_key if is_control
                                 else actual)
                     successor = xnode.edges.get(edge_key)
                     if successor is None:
@@ -563,7 +563,7 @@ class FastForwardEngine:
 
             if kind is ControlNode:
                 record = world.get_control()
-                outcome_key = record.outcome_key()
+                outcome_key = record.outcome_key
                 memo.actions_replayed += 1
                 chain_length += 1
                 chain_log.append((node, record))

@@ -115,6 +115,7 @@ class World:
         queues = self.frontend.queues
         self._lq = queues.loads
         self._sq = queues.stores
+        self._sqw = queues.store_widths
         self._cf = queues.controls
         # Prime the frontend: one control event ahead of fetch.
         self._ensure_frontend_ahead()
@@ -154,8 +155,7 @@ class World:
         """Issue the load with iQ ordinal *ordinal* to the cache. Its
         cache key is its absolute lQ index."""
         index = self.lq_base + ordinal
-        return self.cache.issue_load(index, self._lq[index].address,
-                                     self.cycle)
+        return self.cache.issue_load(index, self._lq[index], self.cycle)
 
     def poll_load(self, ordinal: int) -> int:
         """Poll a previously issued load; 0 = ready."""
@@ -163,8 +163,9 @@ class World:
 
     def issue_store(self, ordinal: int) -> int:
         """Issue the store with iQ ordinal *ordinal* to the cache."""
-        record = self._sq[self.sq_base + ordinal]
-        return self.cache.issue_store(record.address, record.width, self.cycle)
+        index = self.sq_base + ordinal
+        return self.cache.issue_store(self._sq[index], self._sqw[index],
+                                      self.cycle)
 
     # -- retirement and rollback ---------------------------------------------
 

@@ -43,7 +43,7 @@ class GetControl(Request):
     needed so it stays one event ahead of fetch).
 
     Outcome: the :class:`~repro.emulator.queues.ControlRecord`; the
-    p-action edge key is ``record.outcome_key()``.
+    p-action edge key is ``record.outcome_key``.
     """
 
     __slots__ = ()

@@ -70,33 +70,28 @@ class TestCapacity:
         with pytest.raises(SimulationError, match="bQ overflow"):
             bq.save(2, state, 0)
 
-    def test_max_occupancy_tracked(self):
-        bq = BranchCheckpointQueue()
-        state = make_state(1)
-        bq.save(0, state, 0)
-        bq.save(1, state, 0)
-        bq.restore(1, state)
-        bq.restore(0, state)
-        assert bq.max_occupancy == 2
-
-    def test_discard_frees_slot(self):
+    def test_restore_frees_slot(self):
         bq = BranchCheckpointQueue(capacity=1)
         state = make_state(1)
         bq.save(0, state, 0)
-        bq.discard(0)
+        bq.restore(0, state)
         bq.save(1, state, 0)  # must not overflow
         assert len(bq) == 1
 
-    def test_discard_younger(self):
-        bq = BranchCheckpointQueue()
-        state = make_state(1)
-        for index in (1, 3, 5):
-            bq.save(index, state, 0)
-        bq.discard_younger(3)
-        assert bq.outstanding() == [1, 3]
-
 
 class TestIsolation:
+    def test_checkpoint_is_the_snapshot_with_the_corrected_pc(self):
+        """``save`` builds the tuple directly; it must stay the one
+        ``ArchState.snapshot_registers`` / ``restore_registers`` define."""
+        bq = BranchCheckpointQueue()
+        state = make_state(3)
+        state.icc, state.fcc, state.instret = 9, 2, 41
+        state.fregs[2] = -1.5
+        bq.save(7, state, corrected_pc=0x2468)
+        snapshot = state.snapshot_registers()
+        assert bq._checkpoints[7] == (
+            snapshot[:4] + (0x2468,) + snapshot[5:])
+
     def test_snapshot_not_aliased(self):
         """Mutating state after save must not corrupt the checkpoint."""
         bq = BranchCheckpointQueue()

@@ -150,15 +150,16 @@ class TestRecords:
                 frontend.rollback_to(len(frontend.queues.controls) - 1)
         assert len(frontend.queues.stores) == 8
         assert len(frontend.queues.loads) == 1
-        widths = {s.width for s in frontend.queues.stores}
-        assert widths == {4}
+        assert frontend.queues.store_widths == [4] * 8
+        buf = exe.symbols["buf"]
+        assert frontend.queues.stores == [buf + 4 * k for k in range(8)]
+        assert frontend.queues.loads == [buf + 28]
 
     def test_store_records_capture_old_bytes(self):
         exe = assemble(STORE_HEAVY)
         frontend = SpeculativeFrontend(exe, AlwaysTakenPredictor())
         frontend.run_one_event()
-        first_store = frontend.queues.stores[0]
-        assert first_store.old_bytes == bytes(4)  # .space is zeroed
+        assert frontend.queues.store_olds[0] == bytes(4)  # .space is zeroed
 
     def test_indirect_jump_record(self):
         exe = assemble(NESTED_CALLS)

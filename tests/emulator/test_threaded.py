@@ -5,7 +5,8 @@ generated Python functions; ``step()`` is the reference path. Two
 frontends — ``threaded=True`` and ``threaded=False`` — run every
 program here in lockstep under the same predictor and the same forced
 rollbacks, and after *every* control event and every rollback the
-complete architectural state, the allocated memory pages and the new
+complete architectural state, the allocated memory pages, the
+predictor's tables, the ``bQ`` checkpoints and the new
 ``lQ``/``sQ``/control records must be equal. Every test runs at three
 compile thresholds (see ``compile_after``).
 """
@@ -20,14 +21,16 @@ from repro.branch import (
     BimodalPredictor,
     NotTakenPredictor,
 )
-from repro.emulator import threaded
+from repro.emulator import alu, threaded
 from repro.emulator.frontend import SpeculativeFrontend
 from repro.emulator.queues import ControlKind
+from repro.emulator.state import ArchState
 from repro.emulator.threaded import emit_instruction
 from repro.errors import EmulationError, MemoryFault, SimulationError
 from repro.isa import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Format, Opcode, opcode_info
+from repro.isa.registers import LINK_REG
 from repro.workloads import WORKLOAD_ORDER, load_workload
 from repro.workloads.fuzz import random_program
 
@@ -44,13 +47,29 @@ def compile_after(request, monkeypatch):
     return request.param
 
 
+def _packed(fregs):
+    # Packed, so that NaN compares equal to NaN and -0.0 differs from 0.0.
+    return struct.pack(f">{len(fregs)}d", *fregs)
+
+
+def _side_state(frontend):
+    """What a control event touches beside the architectural state: the
+    predictor's tables and counters, and the checkpoint tuples."""
+    return {
+        "predictor": {name: list(value) if isinstance(value, list) else value
+                      for name, value in vars(frontend.predictor).items()},
+        "bq": {index: (regs, _packed(fregs), *rest)
+               for index, (regs, fregs, *rest)
+               in frontend.bq._checkpoints.items()},
+    }
+
+
 def _snapshot(frontend):
     state = frontend.state
     return {
+        **_side_state(frontend),
         "regs": list(state.regs),
-        # Packed, so that NaN compares equal to NaN and -0.0 differs
-        # from 0.0.
-        "fregs": struct.pack(f">{len(state.fregs)}d", *state.fregs),
+        "fregs": _packed(state.fregs),
         "icc": state.icc, "fcc": state.fcc, "pc": state.pc,
         "instret": state.instret, "halted": state.halted,
         "output": list(state.output),
@@ -62,12 +81,23 @@ def _snapshot(frontend):
 
 def _records(frontend, start):
     queues = frontend.queues
-    loads = [(r.address, r.width) for r in queues.loads[start[0]:]]
-    stores = [(r.address, r.width, r.old_bytes)
-              for r in queues.stores[start[1]:]]
-    assert all(type(old) is bytes for _a, _w, old in stores)
+    loads = queues.loads[start[0]:]
+    # The three sQ lists are one queue: never of different lengths.
+    assert (len(queues.stores) == len(queues.store_widths)
+            == len(queues.store_olds))
+    stores = list(zip(queues.stores, queues.store_widths,
+                      queues.store_olds))[start[1]:]
+    assert all(type(old) is bytes and len(old) == width
+               for _a, width, old in stores)
     controls = [(r.kind, r.pc, r.taken, r.predicted_taken, r.target,
-                 r.lq_len, r.sq_len) for r in queues.controls[start[2]:]]
+                 r.lq_len, r.sq_len, r.outcome_key)
+                for r in queues.controls[start[2]:]]
+    for kind, pc, taken, predicted, target, *_rest, key in controls:
+        # The key is a slot now; this is the method it replaced.
+        assert key == {ControlKind.COND: (0, pc, taken, predicted),
+                       ControlKind.INDIRECT: (1, pc, target),
+                       ControlKind.HALT: (2, pc)}[kind]
+        assert type(taken) is bool and type(predicted) is bool
     lengths = (len(queues.loads), len(queues.stores), len(queues.controls))
     return lengths, loads, stores, controls
 
@@ -96,7 +126,9 @@ def lockstep(exe, predictor_cls=BimodalPredictor, rollback_delay=1,
     outstanding = []
     pending = 0
     for _ in range(200_000):
-        record = [f.run_one_event() for f in fronts][0]
+        record, reference = [f.run_one_event() for f in fronts]
+        assert fronts[0].queues.controls[-1] is record
+        assert record.outcome_key == reference.outcome_key
         compare()
         index = len(fronts[0].queues.controls) - 1
         if record.mispredicted:
@@ -339,13 +371,13 @@ def test_fuzz_program_matches_step_path(seed, delay, predictor_cls):
 # Faults, budget and first-touch pages
 # ---------------------------------------------------------------------------
 
-def _fault_pair(source, **kwargs):
+def _fault_pair(source, predictor_cls=NotTakenPredictor, **kwargs):
     """Run both paths into an exception; return the frontends and the
     exceptions."""
     exe = assemble(source)
     fronts, errors = [], []
     for flag in (True, False):
-        frontend = SpeculativeFrontend(exe, NotTakenPredictor(),
+        frontend = SpeculativeFrontend(exe, predictor_cls(),
                                        threaded=flag, **kwargs)
         with pytest.raises(Exception) as info:
             for _ in range(100):
@@ -473,11 +505,10 @@ block:
     threaded, stepped = lockstep(exe)
     pages = {base for base, _ in threaded.state.memory.pages()}
     assert {0x40000000, 0x40001000, 0x50000000, 0x60000000} <= pages
-    first, second = threaded.queues.stores
-    assert (first.address, first.width, first.old_bytes) == (
-        0x40000100, 4, b"\x00\x00\x00\x00")
-    assert (second.address, second.width, second.old_bytes) == (
-        0x40001100, 1, b"\x00")
+    queues = threaded.queues
+    assert queues.stores == [0x40000100, 0x40001100]
+    assert queues.store_widths == [4, 1]
+    assert queues.store_olds == [b"\x00\x00\x00\x00", b"\x00"]
     assert threaded.state.memory.read_word(0x40000100) == 7
     assert threaded.state.regs[20] == 0
 
@@ -505,3 +536,379 @@ buf: .word 0, 99
     threaded, _stepped = lockstep(exe, AlwaysTakenPredictor, 2)
     assert threaded.state.output == [15]
     assert threaded.rollbacks > 0
+
+
+# ---------------------------------------------------------------------------
+# Event functions: the block and the control event that ends it, fused
+# ---------------------------------------------------------------------------
+
+def test_branch_condition_templates_match_the_alu_predicates():
+    """Exhaustive: every conditional branch, every icc and fcc value —
+    and the result is a real bool (it is stored in the record and in
+    its outcome key)."""
+    conditional = {op for op in Opcode
+                   if opcode_info(op).fmt is Format.BRANCH} - {Opcode.BA,
+                                                               Opcode.BN}
+    assert set(threaded.BRANCH_CONDITIONS) == conditional
+    for opcode, expression in threaded.BRANCH_CONDITIONS.items():
+        uses_fcc = opcode.name.startswith("F")
+        assert ("state.fcc" in expression) == uses_fcc
+        assert ("state.icc" in expression) != uses_fcc
+        for value in range(4 if uses_fcc else 16):
+            state = ArchState()
+            # The other code is set to what would flip a mixed-up read.
+            state.icc, state.fcc = (15 - value, value) if uses_fcc else (
+                value, 3 - value % 4)
+            taken = eval(expression, {"__builtins__": {}, "state": state})
+            assert type(taken) is bool, (opcode, value)
+            assert taken == alu.branch_taken(opcode, state.icc, state.fcc)
+
+
+#: Forty iterations: every block and event below is generated code for
+#: the last dozen at the shipped threshold too. A data-dependent inner
+#: branch, loads and stores before each event, wrong paths that store.
+EVENT_LOOP = """
+main:
+    set buf, %l0
+    mov 40, %l1
+    clr %l3
+loop:
+    ld [%l0], %l2
+    add %l2, %l1, %l2
+    st %l2, [%l0]
+    and %l1, 3, %l4
+    tst %l4
+    be skip                  ! taken every fourth iteration
+    add %l3, 1, %l3
+    st %l3, [%l0 + 4]
+skip:
+    subcc %l1, 1, %l1
+    bne loop
+    out %l3
+    ld [%l0], %l5
+    out %l5
+    halt
+    .data
+buf: .word 0, 0
+"""
+
+
+@pytest.mark.parametrize("predictor_cls", [BimodalPredictor,
+                                           NotTakenPredictor,
+                                           AlwaysTakenPredictor])
+@pytest.mark.parametrize("delay", [0, 1, 3])
+def test_hot_events_match_step_path(predictor_cls, delay):
+    exe = assemble(EVENT_LOOP)
+    fast, slow = lockstep(exe, predictor_cls, delay)
+    assert fast.state.output == [30, 820]
+    stats = fast.frontend_stats()
+    # Only generated events count; the reference frontend has none.
+    assert 0 < stats["fused_branches"] < len(fast.queues.controls) + (
+        fast.rollbacks * 4)
+    assert slow.frontend_stats()["fused_branches"] == 0
+    assert any(fused for _fn, _count, _end, fused
+               in fast._blocks.blocks.values())
+
+
+def test_bare_branch_events_match_step_path():
+    """Blocks of no instructions at all before their branch: the event
+    function is the tail alone, and still earns its compile by runs."""
+    exe = assemble("""
+main:
+    mov 40, %l1
+    clr %l3
+loop:
+    subcc %l1, 1, %l1
+    bg first                 ! an event after a body...
+first:
+    bl never                 ! ...then three bare branches in a row
+    bne second
+second:
+    be done
+    ba loop
+never:
+    add %l3, 100, %l3
+done:
+    out %l3
+    halt
+""")
+    fast, _slow = lockstep(exe, BimodalPredictor, 1)
+    assert fast.state.output == [0]
+    bare = [block for block in fast._blocks.blocks.values()
+            if block[1] == 0 and block[3]]
+    assert len(bare) >= 3
+    # A bare event runs no block: block_runs counts bodies only.
+    stats = fast.frontend_stats()
+    assert stats["fused_branches"] > stats["block_runs"] > 0
+
+
+JMPL_LOOP = """
+main:
+    set table, %l0
+    mov 40, %l1
+    clr %l3
+loop:
+    and %l1, 1, %l4
+    sll %l4, 2, %l4
+    ld [%l0 + %l4], %l5      ! even or odd handler
+    jmpl [%l5 + {skew}], %ra ! a body, a dynamic target and a link
+back:
+    subcc %l1, 1, %l1
+    bne loop
+    out %l3
+    halt
+even:
+    add %l3, 1, %l3
+    jmpl [%ra], %g0          ! bare, no link
+odd:
+    add %l3, 100, %l3
+    st %ra, [%sp - 8]
+    ret
+    .data
+table: .word even, odd
+"""
+
+
+def test_fused_jmpl_matches_step_path():
+    exe = assemble(JMPL_LOOP.format(skew="%g0"))
+    fast, _slow = lockstep(exe, BimodalPredictor, 2)
+    assert fast.state.output == [20 * 101]
+    assert fast.state.regs[LINK_REG] == exe.symbols["back"]
+
+
+def test_fused_jmpl_misaligned_target_falls_back_to_the_step_path():
+    """Register skew: 0 for the first 32 trips, then 2. The hot event
+    function commits its body and hands the jump to ``step()``, which
+    raises the canonical error — from the very state the reference
+    frontend is in."""
+    source = JMPL_LOOP.format(skew="%l6").replace(
+        "loop:\n", "loop:\n    add %l7, 1, %l7\n"
+        "    srl %l7, 5, %l6\n    sll %l6, 1, %l6\n", 1)
+    (fast, slow), errors = _fault_pair(source, AlwaysTakenPredictor)
+    assert type(errors[0]) is EmulationError
+    assert "misaligned jump target" in str(errors[0])
+    # The jump that faulted was generated code, run many times before.
+    symbols = assemble(source).symbols
+    assert fast._blocks.blocks[symbols["loop"]][3:] == (True,)
+    assert fast.frontend_stats()["fused_branches"] >= 5
+    assert _snapshot(fast) == _snapshot(slow)
+    assert _records(fast, (0, 0, 0)) == _records(slow, (0, 0, 0))
+    assert fast.state.pc == symbols["back"] - 4
+
+
+HOT_BUDGET = """
+main:
+    set buf, %l0
+    mov 60, %l1
+loop:
+    ld [%l0], %l2
+    add %l2, %l1, %l2
+    st %l2, [%l0]
+    subcc %l1, 1, %l1
+    bne loop
+    halt
+    .data
+buf: .word 0
+"""
+
+
+@pytest.mark.parametrize("offset", range(-1, 6))
+def test_over_budget_hot_event_raises_on_the_same_instruction(offset):
+    """The budget runs out somewhere in the 36th trip round a loop whose
+    event function has been generated code for a while: before it,
+    inside the body, exactly on the branch (``offset == 4``: the body
+    fits, ``count + 1`` does not) and on the first instruction after."""
+    budget = 3 + 35 * 5 + offset
+    (fast, slow), errors = _fault_pair(
+        HOT_BUDGET, AlwaysTakenPredictor, max_instructions=budget)
+    assert isinstance(errors[0], SimulationError)
+    assert _snapshot(fast) == _snapshot(slow)
+    assert _records(fast, (0, 0, 0)) == _records(slow, (0, 0, 0))
+    assert fast.executed_instructions == budget
+    assert fast.frontend_stats()["fused_branches"] >= 5
+
+
+HOT_FAULT = """
+main:
+    set buf, %l0
+    mov 60, %l1
+    mov 7, %l2
+    tst %l0
+    be loop                  ! not taken, predicted taken: a checkpoint
+loop:
+    add %l3, 1, %l3
+    srl %l3, 5, %l5          ! 0 for 31 trips, then 1
+    add %l0, %l5, %l6
+    xor %l5, 1, %l7
+    {fault}
+    add %l3, 0, %l4          ! never reached on the faulting trip
+    subcc %l1, 1, %l1
+    bne loop
+    halt
+    .data
+    .align 8
+buf: .space 16
+"""
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("ld [%l6], %l2", MemoryFault), ("ldh [%l6], %l2", MemoryFault),
+    ("lddf [%l6], %f2", MemoryFault), ("ldf [%l6], %f2", MemoryFault),
+    ("ld [%l6], %g0", MemoryFault),
+    ("st %l2, [%l6]", MemoryFault), ("sth %l2, [%l6]", MemoryFault),
+    ("stf %f1, [%l6]", MemoryFault), ("stdf %f1, [%l6]", MemoryFault),
+    ("sdiv %l2, %l7, %l2", EmulationError),
+])
+def test_fault_in_the_body_of_a_hot_event_applies_nothing_of_the_event(
+        fault, error):
+    """The twin of the segment contract: an exception inside an event
+    function leaves everything the *event* would have touched — the
+    predictor table, ``controls``, the bQ, PC and instret — as the
+    reference frontend has it when ``step()`` raises."""
+    source = HOT_FAULT.format(fault=fault)
+    (fast, slow), errors = _fault_pair(source, AlwaysTakenPredictor)
+    assert type(errors[0]) is error
+    assert fast.frontend_stats()["fused_branches"] >= 5     # it was hot
+    assert len(fast.bq) == 1      # the entry mispredict, never resolved
+    assert _side_state(fast) == _side_state(slow)
+    assert _records(fast, (0, 0, 0)) == _records(slow, (0, 0, 0))
+    assert fast.state.regs == slow.state.regs
+    assert fast.state.regs[20] == 31                        # %l4
+    # Neither the body's batch nor the branch was committed; the step
+    # path stands on the faulting instruction, four further on.
+    assert fast.state.pc == assemble(source).symbols["loop"]
+    assert slow.state.pc == fast.state.pc + 16
+    assert fast.state.instret == slow.state.instret - 4
+    assert fast.executed_instructions == slow.executed_instructions - 4
+
+
+# ---------------------------------------------------------------------------
+# Flat lQ/sQ: rollback through parallel lists
+# ---------------------------------------------------------------------------
+
+WRONG_PATH_STORES = """
+main:
+    set buf, %l0
+    set 0x70000100, %l4      ! a page nothing on the right path touches
+    set 0x01020304, %l2
+    lddf [%l0 + 24], %f2
+    mov 40, %l1
+loop:
+    subcc %l1, 1, %l1
+    bne loop                 ! wrong path (predicted not taken): below
+    st %l1, [%l0]            ! two stores to one address
+    st %l2, [%l0]
+    stb %l2, [%l0 + 9]
+    sth %l2, [%l0 + 10]
+    stdf %f2, [%l0 + 16]
+    st %l2, [%l4]            ! first touch of its page
+    ld [%l0], %l5
+    tst %l5
+    be done
+done:
+    halt
+    .data
+    .align 8
+buf:
+    .word 0xAABBCCDD, 0x11111111, 0x22222222, 0x33333333
+    .double 0.0, 2.5
+"""
+
+
+def test_rollback_undoes_wrong_path_stores_youngest_first():
+    exe = assemble(WRONG_PATH_STORES)
+    buf = exe.symbols["buf"]
+    for flag in (True, False):
+        frontend = SpeculativeFrontend(exe, NotTakenPredictor(),
+                                       threaded=flag)
+        memory = frontend.state.memory
+        for trip in range(39):
+            assert frontend.run_one_event().mispredicted
+            before = memory.read_bytes(buf, 40)
+            lengths = [len(frontend.queues.loads),
+                       len(frontend.queues.stores)]
+            wrong = frontend.run_one_event()           # ``be done``
+            assert wrong.sq_len == lengths[1] + 6
+            queues = frontend.queues
+            assert queues.stores[-6:] == [buf, buf, buf + 9, buf + 10,
+                                          buf + 16, 0x70000100]
+            assert queues.store_widths[-6:] == [4, 4, 1, 2, 8, 4]
+            # The second store to ``buf`` logged what the first wrote...
+            assert queues.store_olds[-6] == b"\xaa\xbb\xcc\xdd"
+            assert queues.store_olds[-5] == (39 - trip).to_bytes(4, "big")
+            assert memory.read_word(buf) == 0x01020304
+            assert memory.read_word(0x70000100) == 0x01020304
+            frontend.rollback_to(len(queues.controls) - 2)
+            # ...and undoing both, youngest first, restores the oldest.
+            assert memory.read_bytes(buf, 40) == before
+            assert memory.read_word(0x70000100) == 0
+            assert [len(queues.loads), len(queues.stores),
+                    len(queues.store_widths),
+                    len(queues.store_olds)] == lengths + lengths[1:] * 2
+        assert not frontend.run_one_event().mispredicted   # the exit
+        assert frontend.run_one_event().kind is ControlKind.COND
+        assert frontend.run_one_event().kind is ControlKind.HALT
+        assert memory.read_bytes(buf + 8, 4) == b"\x22\x04\x03\x04"
+        assert memory.read_double(buf + 16) == 2.5
+
+
+@pytest.mark.parametrize("delay", [0, 1, 2])
+def test_wrong_path_stores_match_step_path(delay):
+    lockstep(assemble(WRONG_PATH_STORES), NotTakenPredictor, delay)
+
+
+# ---------------------------------------------------------------------------
+# The suite must notice: each mutated event tail fails lockstep
+# ---------------------------------------------------------------------------
+
+def _record_built_before_the_body(lines):
+    """``block_source`` with the record's queue lengths read first."""
+    *body, tail = lines
+    if "ControlRecord(COND" not in tail:
+        return threaded.BLOCK_HEADER + "\n".join(lines) + "\n"
+    tail = tail.replace("len(loads)", "L").replace("len(stores)", "S")
+    return (threaded.BLOCK_HEADER + " L = len(loads)\n S = len(stores)\n"
+            + "\n".join(body + [tail]) + "\n")
+
+
+_COND = threaded.BLOCK_TEMPLATES["event_cond"]
+
+EVENT_MUTATIONS = {
+    "target and fall-through swapped": _COND.replace(
+        "{target}", "{x}").replace("{fall}", "{target}").replace(
+        "{x}", "{fall}"),
+    "checkpoint taken after the PC is diverted": _COND.replace(
+        " if p != t:"
+        " bqs(len(controls) - 1, state, {target} if t else {fall})\n"
+        " state.pc = {target} if p else {fall}\n",
+        " state.pc = {target} if p else {fall}\n"
+        " if p != t: bqs(len(controls) - 1, state, state.pc)\n"),
+    "checkpoint filed under the next record's index": _COND.replace(
+        "bqs(len(controls) - 1,", "bqs(len(controls),"),
+    "checkpoint taken before instret is committed": _COND.replace(
+        " state.instret += {size}\n", "").replace(
+        " return rec", " state.instret += {size}\n return rec"),
+    "predictor called twice": _COND.replace(
+        " p = predict({pc}, t)\n", " predict({pc}, t)\n"
+        " p = predict({pc}, t)\n"),
+    "key table indexed the wrong way round": _COND.replace(
+        "[t][p]", "[p][t]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_MUTATIONS))
+def test_mutated_event_tail_fails_lockstep(name, monkeypatch):
+    assert EVENT_MUTATIONS[name] != _COND
+    exe = assemble(EVENT_LOOP)
+    lockstep(exe, BimodalPredictor, 1)
+    monkeypatch.setitem(threaded.BLOCK_TEMPLATES, "event_cond",
+                        EVENT_MUTATIONS[name])
+    with pytest.raises(AssertionError):
+        lockstep(exe, BimodalPredictor, 1)
+
+
+def test_record_built_before_the_body_fails_lockstep(monkeypatch):
+    monkeypatch.setattr(threaded, "block_source",
+                        _record_built_before_the_body)
+    with pytest.raises(AssertionError):
+        lockstep(assemble(EVENT_LOOP), BimodalPredictor, 1)

@@ -31,6 +31,7 @@ from repro.lint.flow.codegen import (
     world_wrapper_surface,
 )
 from repro.emulator import threaded
+from repro.isa.opcodes import opcode_info
 from repro.lint.runner import lint_flow
 from repro.memo import compile as compiler
 
@@ -171,7 +172,8 @@ class TestCodegenContracts:
         targets = set(compiler.WORLD_BINDINGS.values())
         port, reads = world_wrapper_surface(repro_session)
         assert port == {"issue_load", "poll_load", "issue_store"}
-        assert reads == {"cycle", "lq_base", "sq_base", "_lq", "_sq"}
+        assert reads == {"cycle", "lq_base", "sq_base", "_lq", "_sq",
+                         "_sqw"}
         assert {t for t in targets if t.startswith("world.cache.")} == {
             f"world.cache.{method}" for method in port}
         world_attrs = {t.split(".", 1)[1] for t in targets
@@ -293,11 +295,63 @@ class TestCodegenContracts:
                 for f in findings)
 
     def test_audit_blocks_cover_every_straight_line_opcode(self):
-        labels = {label for label, _instrs in build_audit_blocks()}
+        """...and one event function per conditional branch and jmpl."""
+        blocks = dict(build_audit_blocks())
+        labels = set(blocks)
         assert {"add", "subcc", "sdiv", "ldb", "stdf", "fdiv", "fcmp",
                 "fitod", "fdtoi", "sethi", "out", "nop"} <= labels
-        assert not labels & {"ba", "bne", "call", "jmpl", "halt"}
-        assert len(labels) == 41
+        events = {opcode_info(op).mnemonic
+                  for op in threaded.BRANCH_CONDITIONS} | {"jmpl"}
+        assert {"bne", "bleu", "fbge", "jmpl"} <= events <= labels
+        assert not labels & {"ba", "bn", "call", "halt"}
+        assert len(labels) == 41 + 15 and len(events) == 15
+        for label in sorted(events):
+            *body, terminator = blocks[label]
+            lines = []
+            assert all(threaded.emit_instruction(i, lines) for i in body)
+            assert threaded.emit_event(terminator, len(body), lines), label
+
+    def test_event_tail_mutations_are_caught(self, repro_session):
+        """The event tail is the only place PC, instret, the control
+        queue, the predictor and the bQ may be touched, and it returns
+        exactly once, last."""
+        cond = threaded.BLOCK_TEMPLATES["event_cond"]
+        for key, mutation, rule in (
+                # A body line that commits the PC before it can fault...
+                ("ea", " state.pc = 0\n a = ({a} + {b}) & 4294967295",
+                 RULE_ATTR),
+                # ...or that appends to ``controls``.
+                ("load_record", " lq(a)\n cq(a)", RULE_NAME),
+                # A tail that returns early, or reads a new attribute.
+                ("event_cond",
+                 cond.replace(" cq(rec)\n", " return rec\n cq(rec)\n"),
+                 RULE_SHAPE),
+                ("event_cond", cond.replace(", state, {target}",
+                                            ", state.memory, {target}"),
+                 RULE_ATTR)):
+            with mock.patch.dict(threaded.BLOCK_TEMPLATES,
+                                 {key: mutation}):
+                findings = self._codegen_findings(repro_session)
+            assert findings and {f.rule for f in findings} == {rule}, key
+            assert all(f.path.endswith(
+                os.path.join("emulator", "threaded.py"))
+                for f in findings)
+
+    def test_segment_reading_a_record_field_is_caught(self, repro_session):
+        """The queues are flat: ``lq[i]`` *is* the address."""
+        with mock.patch.dict(compiler.SEG_TEMPLATES, {
+                "load_issue": "    i = lb + {index}; "
+                              "r = c_il(i, lq[i].address, c + {cycles})"}):
+            findings = self._codegen_findings(repro_session)
+        assert [f.rule for f in findings] == [RULE_ATTR]
+        assert "lq[i].address" in findings[0].message
+        # ...and is read at the index the segment computed, only.
+        with mock.patch.dict(compiler.SEG_TEMPLATES, {
+                "store_issue": "    i = sb + {index}; "
+                               "r = c_st(sq[i], sqw[0], c + {cycles})"}):
+            findings = self._codegen_findings(repro_session)
+        assert [f.rule for f in findings] == [RULE_SHAPE]
+        assert "'sqw[i]'" in findings[0].message
 
     def test_drift_findings_anchor_at_the_bindings_table(self, repro_session):
         with mock.patch.dict(compiler.WORLD_BINDINGS, {

@@ -9,7 +9,6 @@ a recording stub world.
 
 import pytest
 
-from repro.emulator.queues import LoadRecord, StoreRecord
 from repro.memo.actions import (
     AdvanceNode,
     ConfigNode,
@@ -238,7 +237,7 @@ class FakePort:
 
 class FakeWorld:
     """Recording stub with the surface a compiled segment replays
-    against: entry clock and cursors, the two frontend queues, the
+    against: entry clock and cursors, the flat frontend queues, the
     cache port, and the two world calls that stay calls. A segment must
     leave every attribute as it found it — settling clock and cursors
     is the engine's job (the exit contract)."""
@@ -250,9 +249,11 @@ class FakeWorld:
         self.cycle = self.CYCLE
         self.lq_base = self.LQ_BASE
         self.sq_base = self.SQ_BASE
-        # Record k of a queue has address 0x1000/0x2000 + 8k.
-        self._lq = [LoadRecord(0x1000 + 8 * k, 4) for k in range(32)]
-        self._sq = [StoreRecord(0x2000 + 8 * k, 8, b"") for k in range(32)]
+        # Entry k of a queue has address 0x1000/0x2000 + 8k; store k
+        # has width 1 + k % 8, so a wrong index shows in either field.
+        self._lq = [0x1000 + 8 * k for k in range(32)]
+        self._sq = [0x2000 + 8 * k for k in range(32)]
+        self._sqw = [1 + k % 8 for k in range(32)]
         self.cache = FakePort(self.calls, list(replies))
         self.controls = list(controls)
 
@@ -341,7 +342,7 @@ class TestCompileSegment:
         assert seg.fn(world, seg.requests, seg.keys, [].append) is None
         assert world.calls == [
             ("poll_load", 10 + 2 + 1, 102),
-            ("issue_store", 0x2000 + 8 * (20 + 3 + 0), 8, 105),
+            ("issue_store", 0x2000 + 8 * (20 + 3 + 0), 1 + 23 % 8, 105),
             ("rollback", 1 + 2),
         ]
         assert world.untouched()
@@ -370,10 +371,7 @@ class TestCompileSegment:
     def test_control_records_captured_at_runtime(self):
         class Record:
             def __init__(self, key):
-                self.key = key
-
-            def outcome_key(self):
-                return self.key
+                self.outcome_key = key
 
         control, end = ControlNode(), EndNode(1)
         follow = AdvanceNode(1)
