@@ -34,8 +34,6 @@ __all__ = [
     "Opcode",
     "simulate",
     "run_campaign",
-    "submit_campaign",
-    "CampaignHandle",
     "Campaign",
     "CampaignRunner",
     "Job",
@@ -62,8 +60,6 @@ def __getattr__(name):
     lazy = {
         "simulate": ("repro.api", "simulate"),
         "run_campaign": ("repro.api", "run_campaign"),
-        "submit_campaign": ("repro.api", "submit_campaign"),
-        "CampaignHandle": ("repro.campaign.handle", "CampaignHandle"),
         "Campaign": ("repro.campaign.engine", "Campaign"),
         "CampaignRunner": ("repro.campaign.engine", "CampaignRunner"),
         "CampaignResult": ("repro.campaign.engine", "CampaignResult"),

@@ -53,9 +53,6 @@ class SuiteRunner:
     workers: int = 0
     #: Shared p-action cache directory for warm-started FastSim runs.
     cache_dir: Optional[str] = None
-    #: Optional shared (remote-style) cache tier layered under
-    #: ``cache_dir`` — see docs/distributed.md.
-    shared_cache_dir: Optional[str] = None
     #: Per-job timeout / retry budget for the parallel path.
     timeout: Optional[float] = None
     retries: int = 2
@@ -73,7 +70,7 @@ class SuiteRunner:
     def __post_init__(self) -> None:
         if self.sink is None:
             self.sink = TextSink() if self.verbose else NullSink()
-        self._store = make_store(self.cache_dir, self.shared_cache_dir)
+        self._store = make_store(self.cache_dir)
 
     def _log(self, message: str) -> None:
         self.sink.log(message)
@@ -145,7 +142,6 @@ class SuiteRunner:
                 workers=self.workers, cache_dir=self.cache_dir,
                 timeout=self.timeout, retries=self.retries,
                 sink=self.sink, obs=self.obs, backend=self.backend,
-                shared_cache_dir=self.shared_cache_dir,
             )
             outcome = runner.run(Campaign(
                 jobs=tuple(jobs), name=f"suite-{self.scale}"

@@ -1,5 +1,4 @@
-"""The documented entry points: ``simulate``, ``run_campaign``, and
-the submit/await pair ``submit_campaign`` / :class:`CampaignHandle`.
+"""The documented entry points: ``simulate`` and ``run_campaign``.
 
 This facade is the supported way in::
 
@@ -16,28 +15,18 @@ This facade is the supported way in::
     )
     print(campaign["compress:fast:tiny"].result.summary())
 
-    # The same campaign, submitted instead of awaited: queue it, watch
-    # progress, block only when the result is needed.
-    handle = api.submit_campaign(
-        workloads=["compress", "go"], scale="tiny", workers=4,
-        backend="queue", cache_dir=".fastsim-cache",
-        shared_cache_dir="/shared/fastsim-cache",
-    )
-    print(handle.progress())        # {"jobs": 6, "ok": 2, ...}
-    campaign = handle.result(timeout=600)
-
-``run_campaign`` *is* ``submit_campaign(...).result()`` — the blocking
-form is a thin shim over the submit/await split, so both produce
-byte-identical merged payloads by construction.
+``run_campaign`` blocks: the engine runs on the calling thread, so an
+interrupt unwinds through it and stops the workers (a journaled run is
+then resumed with ``resume=``).
 
 Host-side speed and audit knobs travel as one value,
 ``host=HostOptions(...)`` (:mod:`repro.options`): they change host
 time only, never a job key, a cache signature or canonical output.
 
 Everything here is re-exported lazily from the top-level ``repro``
-namespace (``repro.simulate``, ``repro.run_campaign``,
-``repro.submit_campaign``). :func:`suite_runner` builds the memoizing
-table/figure facade (:class:`repro.analysis.SuiteRunner`).
+namespace (``repro.simulate``, ``repro.run_campaign``).
+:func:`suite_runner` builds the memoizing table/figure facade
+(:class:`repro.analysis.SuiteRunner`).
 """
 
 from __future__ import annotations
@@ -45,20 +34,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.campaign.backends import ExecutorBackend
 from repro.campaign.engine import (
     Campaign,
     CampaignResult,
     CampaignRunner,
 )
-from repro.campaign.handle import (
-    CampaignHandle,
-    EventStream,
-    ProgressCounter,
-)
 from repro.campaign.jobs import Job, PolicySpec
 from repro.campaign.cachedir import make_store
-from repro.campaign.progress import ProgressSink, TeeSink, make_sink
+from repro.campaign.progress import ProgressSink, make_sink
 from repro.campaign.worker import simulate_executable
 from repro.isa.program import Executable
 from repro.memo.policies import ReplacementPolicy
@@ -71,8 +54,6 @@ __all__ = [
     "HostOptions",
     "simulate",
     "run_campaign",
-    "submit_campaign",
-    "CampaignHandle",
     "suite_runner",
 ]
 
@@ -108,10 +89,8 @@ def simulate(
     params: Optional[ProcessorParams] = None,
     policy: Optional[Union[PolicySpec, ReplacementPolicy]] = None,
     cache_dir: Optional[str] = None,
-    shared_cache_dir: Optional[str] = None,
     obs=None,
     host: HostOptions = HostOptions(),
-    backend: Optional[str] = None,
 ) -> SimulationResult:
     """Simulate one program under one engine; returns the result.
 
@@ -127,46 +106,12 @@ def simulate(
     :class:`~repro.options.HostOptions`: chain compilation, the
     frontend/memory-hierarchy speed layers and online replay audits —
     results are bit-identical under every value; see
-    docs/performance.md and docs/robustness.md. With
-    *shared_cache_dir* (requires *cache_dir*), warm-start reads
-    through a two-tier store — local dir first, then the shared tier,
-    promoting byte-exact hits locally; see docs/distributed.md.
-    *backend* routes the run through a one-job campaign on the named
-    executor backend (``fast`` suite workloads only — backends place
-    jobs by workload name); results are byte-identical to the
-    in-process path, which ``backend=None`` (the default) keeps using.
+    docs/performance.md and docs/robustness.md.
     """
-    if backend is not None:
-        if (not isinstance(exe_or_name, str)
-                or exe_or_name not in WORKLOADS):
-            raise ValueError(
-                "backend= places jobs by suite workload name; pass "
-                f"one of {list(WORKLOAD_ORDER)} (or drop backend= to "
-                "simulate an Executable or file in-process)"
-            )
-        if isinstance(policy, ReplacementPolicy):
-            raise ValueError(
-                "backend= cannot ship a live ReplacementPolicy across "
-                "a placement boundary; pass a declarative PolicySpec"
-            )
-        outcome = run_campaign(
-            jobs=[Job(workload=exe_or_name, simulator=engine,
-                      scale=scale, params=params, policy=policy,
-                      host=host)],
-            workers=1, cache_dir=cache_dir,
-            shared_cache_dir=shared_cache_dir, obs=obs,
-            backend=backend, name=f"simulate-{exe_or_name}",
-        )
-        job_result = outcome.results[0]
-        if not job_result.ok:
-            raise RuntimeError(
-                f"{job_result.key}: {job_result.error}"
-            )
-        return job_result.result
     executable = _resolve_executable(exe_or_name, scale)
     if isinstance(policy, PolicySpec):
         policy = policy.build()
-    store = make_store(cache_dir, shared_cache_dir, obs=obs)
+    store = make_store(cache_dir, obs=obs)
     result, _ = simulate_executable(
         executable, engine, params=params, policy=policy, store=store,
         obs=obs, host=host,
@@ -182,12 +127,12 @@ def _build_campaign(
     include_native: bool,
     jobs: Optional[Sequence[Job]],
     name: str,
-    backend: Union[str, ExecutorBackend, None],
+    backend: Optional[str],
     host: Optional[HostOptions],
 ) -> Campaign:
-    """The campaign both entry points build — grid or explicit jobs,
+    """The campaign :func:`run_campaign` runs — grid or explicit jobs,
     with *host* (when given) imposed on the ``fast`` simulate jobs."""
-    campaign_backend = backend if isinstance(backend, str) else "fork"
+    campaign_backend = backend if backend is not None else "fork"
     if jobs is not None:
         campaign = Campaign(jobs=tuple(jobs), name=name,
                             backend=campaign_backend)
@@ -209,71 +154,6 @@ def _build_campaign(
     return campaign
 
 
-def submit_campaign(
-    workloads: Optional[Iterable[str]] = None,
-    simulators: Sequence[str] = ("fast", "slow", "baseline"),
-    *,
-    scale: str = "test",
-    params: Optional[ProcessorParams] = None,
-    include_native: bool = False,
-    jobs: Optional[Sequence[Job]] = None,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    shared_cache_dir: Optional[str] = None,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    progress: Union[ProgressSink, str, None] = None,
-    name: str = "campaign",
-    obs=None,
-    host: Optional[HostOptions] = None,
-    backend: Union[str, ExecutorBackend, None] = None,
-    journal: Optional[str] = None,
-    resume: Optional[str] = None,
-    hang_after: Optional[float] = None,
-) -> CampaignHandle:
-    """Submit a campaign for background execution; returns a handle.
-
-    Accepts exactly what :func:`run_campaign` accepts and starts the
-    run on a background thread immediately. The returned
-    :class:`~repro.campaign.handle.CampaignHandle` awaits the merged
-    result (``handle.result(timeout=...)``), reports live job counts
-    (``handle.progress()``), streams schema-stamped live events
-    (``handle.events()`` — replay-then-live, SSE-ready; see
-    docs/observability.md), requests early termination
-    (``handle.cancel()`` — unfinished jobs come back
-    ``status="cancelled"``), and exposes host-side diagnostics
-    (``handle.metrics()``). ``handle.result()`` is byte-for-byte the
-    payload the blocking form returns, because the blocking form *is*
-    submit-then-await. *backend* picks the executor backend (``fork``,
-    ``subprocess``, ``queue`` — see docs/distributed.md);
-    *shared_cache_dir* (with *cache_dir* as the local tier) warm-starts
-    through a two-tier read-through/write-back store. *journal* makes
-    the engine keep a durable crash journal at that path; *resume*
-    replays one, skipping jobs already completed (byte-identical merge
-    — see docs/robustness.md § Crash-safe campaigns); *hang_after*
-    (seconds) arms worker hang detection via heartbeats.
-    """
-    campaign = _build_campaign(
-        workloads, simulators, scale, params, include_native, jobs,
-        name, backend, host,
-    )
-    if isinstance(progress, str):
-        sink = make_sink(progress)
-    else:
-        sink = progress
-    counter = ProgressCounter()
-    events = EventStream()
-    sink = (TeeSink(counter, events) if sink is None
-            else TeeSink(sink, counter, events))
-    runner = CampaignRunner(
-        workers=workers, cache_dir=cache_dir, timeout=timeout,
-        retries=retries, sink=sink, obs=obs, backend=backend,
-        shared_cache_dir=shared_cache_dir,
-        journal=journal, resume=resume, hang_after=hang_after,
-    )
-    return CampaignHandle(campaign, runner, counter, events)
-
-
 def run_campaign(
     workloads: Optional[Iterable[str]] = None,
     simulators: Sequence[str] = ("fast", "slow", "baseline"),
@@ -284,32 +164,27 @@ def run_campaign(
     jobs: Optional[Sequence[Job]] = None,
     workers: int = 1,
     cache_dir: Optional[str] = None,
-    shared_cache_dir: Optional[str] = None,
     timeout: Optional[float] = None,
     retries: int = 2,
     progress: Union[ProgressSink, str, None] = None,
     name: str = "campaign",
     obs=None,
     host: Optional[HostOptions] = None,
-    backend: Union[str, ExecutorBackend, None] = None,
+    backend: Optional[str] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
     hang_after: Optional[float] = None,
 ) -> CampaignResult:
     """Execute a simulation campaign; returns merged results.
 
-    The blocking form of :func:`submit_campaign` — literally
-    submit-then-await, so the payload is byte-identical to
-    ``submit_campaign(...).result()``. Either pass explicit *jobs*, or
-    let the workload × simulator grid be built from *workloads*
-    (default: the full 18-workload suite) and *simulators*.
-    ``workers=0`` runs serially in-process; ``workers>=1`` shards
-    across the selected executor *backend* (``fork`` — the default —
-    ``subprocess``, or ``queue``; see docs/distributed.md) with
-    per-job *timeout* and bounded *retries*. *progress* is a
-    :class:`~repro.campaign.progress.ProgressSink` or one of ``"text"``
-    / ``"jsonl"`` / ``"silent"``. With *shared_cache_dir*, warm-start
-    reads through a two-tier store (*cache_dir* is the local tier).
+    Either pass explicit *jobs*, or let the workload × simulator grid
+    be built from *workloads* (default: the full 18-workload suite)
+    and *simulators*. ``workers=0`` runs serially in-process;
+    ``workers>=1`` shards across the selected executor *backend*
+    (``fork`` — the default — ``subprocess``, or ``queue``; see
+    docs/distributed.md) with per-job *timeout* and bounded *retries*.
+    *progress* is a :class:`~repro.campaign.progress.ProgressSink` or
+    one of ``"text"`` / ``"jsonl"`` / ``"silent"``.
     Merged results are deterministic: see
     :meth:`~repro.campaign.engine.CampaignResult.canonical_json`.
     *obs* is an optional :class:`repro.obs.Observer`; the runner traces
@@ -318,16 +193,24 @@ def run_campaign(
     :class:`~repro.options.HostOptions` of every ``fast`` job (chain
     compilation, speed layers, online replay audits — none of which
     changes canonical output); ``None`` leaves each job's own value.
+    *journal* makes the engine keep a durable crash journal at that
+    path; *resume* replays one, skipping jobs already completed
+    (byte-identical merge — see docs/robustness.md § Crash-safe
+    campaigns); *hang_after* (seconds) arms worker hang detection via
+    heartbeats. The engine runs on the calling thread: an interrupt
+    tears the workers down and closes the journal on its way out.
     """
-    handle = submit_campaign(
-        workloads, simulators, scale=scale, params=params,
-        include_native=include_native, jobs=jobs, workers=workers,
-        cache_dir=cache_dir, shared_cache_dir=shared_cache_dir,
-        timeout=timeout, retries=retries, progress=progress, name=name,
-        obs=obs, host=host, backend=backend,
+    campaign = _build_campaign(
+        workloads, simulators, scale, params, include_native, jobs,
+        name, backend, host,
+    )
+    sink = make_sink(progress) if isinstance(progress, str) else progress
+    runner = CampaignRunner(
+        workers=workers, cache_dir=cache_dir, timeout=timeout,
+        retries=retries, sink=sink, obs=obs, backend=backend,
         journal=journal, resume=resume, hang_after=hang_after,
     )
-    return handle.result()
+    return runner.run(campaign)
 
 
 def suite_runner(scale: str = "test", **kwargs):

@@ -11,16 +11,12 @@ object:
   :class:`ExecutorBackend` (``fork`` / ``subprocess`` / ``queue``)
   with per-job timeout, bounded retry + backoff, and crash isolation
   on the process-based backends;
-* :class:`CampaignHandle` — the submit/await form
-  (:func:`repro.api.submit_campaign`): background execution with
-  ``result(timeout=)`` / ``progress()`` / ``cancel()`` / ``metrics()``;
 * :class:`CampaignResult` — deterministically merged results
-  (byte-identical across worker counts, backends, and cache tierings)
-  plus JSON-lines metrics;
-* :class:`CacheStore` / :class:`TieredCacheStore` — shared on-disk
-  p-action caches content-addressed by binding signature (optionally
-  a local tier reading through to a shared one), so repeated
-  campaigns start warm on every placement;
+  (byte-identical across worker counts, backends, and cache
+  temperatures) plus JSON-lines metrics;
+* :class:`CacheStore` — the shared on-disk p-action cache directory,
+  content-addressed by binding signature, so repeated campaigns start
+  warm on every backend;
 * :class:`ProgressSink` — one progress protocol (text / JSON-lines /
   silent) shared with the suite runner;
 * :class:`CampaignJournal` / :func:`read_journal` /
@@ -32,7 +28,7 @@ object:
 
 See ``docs/campaign.md`` for the engine's semantics and the cache
 directory layout, and ``docs/distributed.md`` for the backend
-capability matrix and tier semantics.
+capability matrix.
 """
 
 from repro.campaign.backends import (
@@ -44,12 +40,8 @@ from repro.campaign.backends import (
 )
 from repro.campaign.cachedir import (
     CacheStore,
-    CircuitBreaker,
     StoreSpec,
-    TieredCacheStore,
     make_store,
-    reset_breakers,
-    shared_tier_breaker,
 )
 from repro.campaign.engine import (
     Campaign,
@@ -57,7 +49,6 @@ from repro.campaign.engine import (
     CampaignRunner,
     run_jobs,
 )
-from repro.campaign.handle import CampaignHandle, ProgressCounter
 from repro.campaign.jobs import (
     Job,
     JobResult,
@@ -91,16 +82,10 @@ __all__ = [
     "Campaign",
     "CampaignResult",
     "CampaignRunner",
-    "CampaignHandle",
-    "ProgressCounter",
     "run_jobs",
     "CacheStore",
-    "TieredCacheStore",
     "StoreSpec",
     "make_store",
-    "CircuitBreaker",
-    "shared_tier_breaker",
-    "reset_breakers",
     "CampaignJournal",
     "JournalReplay",
     "read_journal",

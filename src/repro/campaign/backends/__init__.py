@@ -7,21 +7,21 @@ capability matrix and when to pick which):
 * ``fork`` — today's default: one forked child per job attempt, full
   crash isolation, inherits test-registered kinds and fault plans;
 * ``subprocess`` — persistent spawn-isolated workers driven over a
-  stdio job protocol (the stepping stone to SSH placement);
+  stdio job protocol;
 * ``queue`` — in-process work-stealing threads with per-worker deques
   and steal-on-idle.
 
 Selection is campaign-level only (``Campaign.backend``,
-``repro.api.run_campaign(backend=…)``, CLI ``--backend``); per-job
-overrides are rejected, and the backend — like ``turbo`` — is
+``repro.api.run_campaign(backend=…)``, CLI ``--backend``); a job has
+no backend of its own, and the backend — like ``turbo`` — is
 excluded from every cache key, because it must never change canonical
 output: merged :class:`~repro.campaign.engine.CampaignResult` bytes
-are identical across backends, worker counts, and cache tierings.
+are identical across backends, worker counts, and cache temperatures.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Optional, Tuple
 
 from repro.campaign.backends.base import (
     Attempt,
@@ -72,15 +72,11 @@ def validate_backend(name: str) -> str:
     return name
 
 
-def make_backend(
-    backend: Union[str, ExecutorBackend, None],
-) -> ExecutorBackend:
-    """Build an executor backend from a name (or pass an instance
-    through). ``None`` selects :data:`DEFAULT_BACKEND`."""
+def make_backend(backend: Optional[str]) -> ExecutorBackend:
+    """Build an executor backend from its registered name. ``None``
+    selects :data:`DEFAULT_BACKEND`."""
     if backend is None:
         backend = DEFAULT_BACKEND
-    if isinstance(backend, ExecutorBackend):
-        return backend
     backend_class = _LOADERS[validate_backend(backend)]()
     return backend_class()
 

@@ -87,10 +87,6 @@ class BackendContext:
     timeout: Optional[float] = None
     obs: object = None
     sink: object = None
-    #: Multiprocessing context (fork where available); process-based
-    #: backends take their Process/Pipe primitives from here so tests
-    #: can substitute.
-    mp_context: object = None
     #: Worker-side telemetry recipe
     #: (:class:`~repro.obs.worker.TelemetrySpec`) the backend ships to
     #: each attempt, or None when observability is off — the

@@ -63,16 +63,13 @@ class ForkBackend(ExecutorBackend):
 
     def start(self, context: BackendContext) -> None:
         self._context = context
-        mp_context = context.mp_context
-        if mp_context is None:
-            # fork keeps test-registered job kinds (and any installed
-            # fault plan) visible in workers and makes per-job process
-            # spawn cheap.
-            try:
-                mp_context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX hosts
-                mp_context = multiprocessing.get_context()
-        self._mp = mp_context
+        # fork keeps test-registered job kinds (and any installed
+        # fault plan) visible in workers and makes per-job process
+        # spawn cheap.
+        try:
+            self._mp = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX hosts
+            self._mp = multiprocessing.get_context()
 
     def capacity(self) -> int:
         return self._context.workers
@@ -161,7 +158,7 @@ class ForkBackend(ExecutorBackend):
         return outcomes
 
     def shutdown(self) -> None:
-        for slot in self._slots:  # pragma: no cover - interrupt path
+        for slot in self._slots:  # interrupt path
             slot.process.terminate()
             slot.process.join()
             slot.connection.close()

@@ -29,34 +29,6 @@ preventing every later run from tripping over it), counted in the
 ``guard.cache_quarantined`` obs metric, and reported through the
 progress sink as a ``cache-quarantined`` event (a WARNING line in
 text mode) — see docs/robustness.md.
-
-Two-tier layout
----------------
-
-:class:`TieredCacheStore` layers a fast **local** directory over a
-**shared** remote-style store (an NFS/rsync'd/object-store-mounted
-directory): reads go local-first and *read through* to the shared tier
-(promoting hits into the local dir byte-for-byte), writes land locally
-and are *written back* to the shared tier. One worker's miss therefore
-warms every placement — the enabling property for executor backends
-that span processes and, eventually, hosts (docs/distributed.md).
-Corruption in either tier quarantines in that tier and falls back to
-the next one (or to a cold run); the canonical output is byte-identical
-regardless, which ``fastsim-repro chaos --tiered`` drills end-to-end.
-
-The shared tier additionally sits behind a **circuit breaker**
-(:class:`CircuitBreaker`): a storage outage (NFS server gone, mount
-wedged) would otherwise charge every job a fresh round of I/O errors.
-After ``threshold`` consecutive shared-tier failures the breaker
-opens — shared operations short-circuit to a miss, the campaign
-degrades to local-only caching, and a ``cache-breaker-open`` WARNING
-progress event plus ``cache.breaker_*`` counters record the
-degradation. After ``cooldown`` seconds one half-open probe is let
-through; success closes the breaker again. Breaker state is
-process-wide per shared root (module registry), so it persists across
-the per-attempt store instances built from :class:`StoreSpec` —
-exactly what the persistent ``subprocess`` workers and the ``queue``
-backend's threads need (see docs/robustness.md).
 """
 
 from __future__ import annotations
@@ -64,9 +36,8 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.errors import MemoizationError
 from repro.memo import segstore
@@ -85,96 +56,6 @@ QUARANTINE_SUFFIX = ".bad"
 #: Process-wide monotonic counter making temp names unique per writer
 #: even when one process writes from many threads (the queue backend).
 _TEMP_SEQUENCE = itertools.count()
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker (closed → open → half-open).
-
-    Thread-safe; shared by every store instance pointing at one shared
-    root (see :func:`shared_tier_breaker`). ``allow`` gates an
-    operation, ``record_success`` / ``record_failure`` report how it
-    went. While open, all calls are refused until *cooldown* seconds
-    have passed, then exactly one probe is admitted at a time
-    (half-open): its success closes the breaker, its failure re-opens
-    it for another cooldown.
-    """
-
-    def __init__(self, threshold: int = 3, cooldown: float = 5.0):
-        if threshold < 1:
-            raise ValueError("breaker threshold must be >= 1")
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._state = "closed"
-        self._opened_at = 0.0
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def allow(self, now: float) -> bool:
-        """Whether an operation may proceed at time *now*."""
-        with self._lock:
-            if self._state == "closed":
-                return True
-            if (self._state == "open"
-                    and now - self._opened_at >= self.cooldown):
-                self._state = "half-open"
-                self._probing = True
-                return True
-            if self._state == "half-open" and not self._probing:
-                self._probing = True
-                return True
-            return False
-
-    def record_success(self) -> bool:
-        """Report success; True when this closed an open breaker."""
-        with self._lock:
-            self._failures = 0
-            self._probing = False
-            if self._state != "closed":
-                self._state = "closed"
-                return True
-            return False
-
-    def record_failure(self, now: float) -> bool:
-        """Report a failure; True when this *opened* the breaker."""
-        with self._lock:
-            self._failures += 1
-            self._probing = False
-            if (self._state == "half-open"
-                    or self._failures >= self.threshold):
-                newly = self._state != "open"
-                self._state = "open"
-                self._opened_at = now
-                return newly
-            return False
-
-
-#: Process-wide breaker per shared-tier root: campaign attempts build
-#: short-lived store instances from a StoreSpec, but outage state must
-#: outlive them or the breaker would never accumulate failures.
-_BREAKERS: Dict[str, CircuitBreaker] = {}
-_BREAKERS_LOCK = threading.Lock()
-
-
-def shared_tier_breaker(root: Union[str, "os.PathLike"]) -> CircuitBreaker:
-    """The process-wide breaker guarding the shared tier at *root*."""
-    key = os.path.abspath(os.fspath(root))
-    with _BREAKERS_LOCK:
-        breaker = _BREAKERS.get(key)
-        if breaker is None:
-            breaker = _BREAKERS[key] = CircuitBreaker()
-        return breaker
-
-
-def reset_breakers() -> None:
-    """Forget all breaker state (tests and fresh chaos drills)."""
-    with _BREAKERS_LOCK:
-        _BREAKERS.clear()
 
 
 class CacheStore:
@@ -313,16 +194,13 @@ class CacheStore:
                 os.unlink(temp_path)
         return True
 
-    # -- raw byte transfer (tier promotion / write-back) ---------------
-
     def read_bytes(self, signature: bytes,
                    suffix: str = _SUFFIX) -> Optional[bytes]:
         """The persisted file's raw bytes, or None when missing.
 
-        No integrity check happens here — the receiving tier's
-        :meth:`load` re-validates, and a corrupt transfer quarantines
-        there exactly like a corrupt local write would. *suffix*
-        selects the p-cache file (default) or its ``.fsseg`` sibling.
+        No integrity check happens here (:meth:`load` is the validating
+        reader). *suffix* selects the p-cache file (default) or its
+        ``.fsseg`` sibling.
         """
         try:
             path = os.path.join(self.root, signature.hex() + suffix)
@@ -330,29 +208,6 @@ class CacheStore:
                 return stream.read()
         except OSError:
             return None
-
-    def write_bytes(self, signature: bytes, data: bytes,
-                    suffix: str = _SUFFIX) -> None:
-        """Atomically install raw persisted bytes for *signature*.
-
-        Used for byte-exact tier promotion and write-back: copying the
-        file instead of re-serialising guarantees both tiers hold
-        identical bytes for one binding.
-        """
-        temp_path = self._temp_path(signature)
-        try:
-            with open(temp_path, "wb") as stream:
-                stream.write(data)
-            os.replace(temp_path,
-                       os.path.join(self.root, signature.hex() + suffix))
-        finally:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-
-    def has(self, signature: bytes, suffix: str = _SUFFIX) -> bool:
-        """Whether a persisted file exists for *signature* (no parse)."""
-        return os.path.exists(
-            os.path.join(self.root, signature.hex() + suffix))
 
     def entries(self) -> List[str]:
         """Hex signatures currently persisted, sorted."""
@@ -370,201 +225,6 @@ class CacheStore:
         )
 
 
-class TieredCacheStore:
-    """A local read-through/write-back dir over a shared store.
-
-    Duck-typed to :class:`CacheStore` where the campaign engine and
-    workers care (``load`` / ``store`` / ``quarantined`` / ``entries``
-    / ``total_bytes``). Tier traffic is counted per instance
-    (:attr:`tier_stats`, surfaced in per-job metrics records as
-    ``cache_tier``) and in obs counters (``cache.tier_local_hits``,
-    ``cache.tier_shared_hits``, ``cache.tier_misses``,
-    ``cache.tier_promotions``, ``cache.tier_writebacks``).
-
-    Every shared-tier operation goes through the process-wide
-    :class:`CircuitBreaker` for the shared root (plus the shared-tier
-    outage fault injector when a plan is armed): I/O failures count
-    toward opening it, and while it is open shared reads degrade to
-    misses and write-backs are skipped — the local tier and the
-    byte-identical merged output are unaffected. Breaker traffic is
-    counted in ``tier_stats`` (``breaker_failures`` /
-    ``breaker_short_circuits`` / ``breaker_opened``) and
-    ``cache.breaker_*`` obs counters.
-    """
-
-    def __init__(self, local: Union[str, "os.PathLike", CacheStore],
-                 shared: Union[str, "os.PathLike", CacheStore],
-                 obs=None, sink=None):
-        self.obs = ensure_observer(obs)
-        self.sink = sink
-        self.local = (local if isinstance(local, CacheStore)
-                      else CacheStore(local, obs=obs, sink=sink))
-        self.shared = (shared if isinstance(shared, CacheStore)
-                       else CacheStore(shared, obs=obs, sink=sink))
-        self.breaker = shared_tier_breaker(self.shared.root)
-        self.tier_stats: Dict[str, int] = {
-            "local_hits": 0, "shared_hits": 0, "misses": 0,
-            "promotions": 0, "writebacks": 0,
-            "seg_local_hits": 0, "seg_shared_hits": 0, "seg_misses": 0,
-            "seg_promotions": 0, "seg_writebacks": 0,
-            "breaker_failures": 0, "breaker_short_circuits": 0,
-            "breaker_opened": 0,
-        }
-
-    def _count(self, stat: str) -> None:
-        self.tier_stats[stat] += 1
-        if self.obs.enabled:
-            self.obs.counter(f"cache.tier_{stat}")
-
-    def _count_breaker(self, stat: str) -> None:
-        self.tier_stats[f"breaker_{stat}"] += 1
-        if self.obs.enabled:
-            self.obs.counter(f"cache.breaker_{stat}")
-
-    def _shared_call(self, func: Callable[[], object], default=None):
-        """Run one shared-tier operation behind the circuit breaker.
-
-        Injected outages (``FaultPlan.shared_outage_after``) and real
-        I/O errors both count as failures; either way the caller gets
-        *default* back and the campaign carries on local-only. Note
-        that errors *inside* ``CacheStore.load`` are already absorbed
-        by quarantine — the breaker sees raw byte transfer and
-        existence checks, plus everything the fault injector raises.
-        """
-        now = time.monotonic()  # repro-lint: disable=det/time-dependent
-        if not self.breaker.allow(now):
-            self._count_breaker("short_circuits")
-            return default
-        try:
-            from repro.guard import faults
-
-            plan = faults.active_plan()
-            if plan is not None:
-                faults.maybe_shared_outage(plan)
-            value = func()
-        except OSError as exc:
-            self._count_breaker("failures")
-            if self.breaker.record_failure(now):
-                self._count_breaker("opened")
-                if self.obs.enabled:
-                    self.obs.event("cache.breaker-open", cat="cache",
-                                   error=str(exc))
-                if self.sink is not None:
-                    self.sink.emit(
-                        "cache-breaker-open", tier="shared",
-                        error=str(exc),
-                        cooldown_seconds=self.breaker.cooldown)
-            return default
-        if self.breaker.record_success():
-            if self.obs.enabled:
-                self.obs.event("cache.breaker-closed", cat="cache")
-            if self.sink is not None:
-                self.sink.emit("cache-breaker-closed", tier="shared")
-        return value
-
-    @property
-    def root(self) -> str:
-        """The local tier's directory (what single-tier callers see)."""
-        return self.local.root
-
-    @property
-    def quarantined(self) -> List[str]:
-        """Files quarantined in either tier by this instance."""
-        return list(self.local.quarantined) + list(self.shared.quarantined)
-
-    def path_for(self, signature: bytes) -> str:
-        return self.local.path_for(signature)
-
-    def load(self, signature: bytes) -> Optional[PActionCache]:
-        """Local-first read-through load with byte-exact promotion.
-
-        A shared-tier hit is copied into the local dir *as bytes*, so
-        the promoted file is identical to what every other placement
-        promotes. Corruption quarantines in whichever tier served the
-        bytes and falls through (shared, then cold).
-        """
-        cache = self.local.load(signature)
-        if cache is not None:
-            self._count("local_hits")
-            return cache
-        cache = self._shared_call(lambda: self.shared.load(signature))
-        if cache is not None:
-            self._count("shared_hits")
-            data = self._shared_call(
-                lambda: self.shared.read_bytes(signature))
-            if data is not None:
-                self.local.write_bytes(signature, data)
-                self._count("promotions")
-            return cache
-        self._count("misses")
-        return None
-
-    def load_segments(self, signature: bytes):
-        """Local-first read-through segment load, like :meth:`load`.
-
-        A shared-tier archive is promoted into the local dir byte-for-
-        byte; corruption quarantines in whichever tier served the bytes
-        and falls through. Counted separately (``seg_*`` tier stats) so
-        the p-cache hit-rate numbers stay undiluted.
-        """
-        archive = self.local.load_segments(signature)
-        if archive is not None:
-            self._count("seg_local_hits")
-            return archive
-        archive = self._shared_call(
-            lambda: self.shared.load_segments(signature))
-        if archive is not None:
-            self._count("seg_shared_hits")
-            data = self._shared_call(
-                lambda: self.shared.read_bytes(signature, _SEG_SUFFIX))
-            if data is not None:
-                self.local.write_bytes(signature, data, _SEG_SUFFIX)
-                self._count("seg_promotions")
-            return archive
-        self._count("seg_misses")
-        return None
-
-    def store(self, signature: bytes, cache: PActionCache,
-              known_nodes: int = 0) -> bool:
-        """Write locally, then write the same bytes back to the shared
-        tier (skipped only when the local write itself was skipped and
-        the shared tier already holds the binding)."""
-        saved = self.local.store(signature, cache, known_nodes)
-        wrote = self._shared_call(
-            lambda: self._write_back(signature, saved), default=False)
-        if wrote:
-            self._count("writebacks")
-        return saved
-
-    def store_segments(self, signature: bytes, archive) -> bool:
-        """Write the archive locally, then byte-exact write-back."""
-        saved = self.local.store_segments(signature, archive)
-        wrote = self._shared_call(
-            lambda: self._write_back(signature, saved, _SEG_SUFFIX),
-            default=False)
-        if wrote:
-            self._count("seg_writebacks")
-        return saved
-
-    def _write_back(self, signature: bytes, saved: bool,
-                    suffix: str = _SUFFIX) -> bool:
-        """The shared half of :meth:`store`; runs behind the breaker."""
-        if saved or not self.shared.has(signature, suffix):
-            data = self.local.read_bytes(signature, suffix)
-            if data is not None:
-                self.shared.write_bytes(signature, data, suffix)
-                return True
-        return False
-
-    def entries(self) -> List[str]:
-        """Hex signatures reachable through either tier, sorted."""
-        return sorted(set(self.local.entries())
-                      | set(self.shared.entries()))
-
-    def total_bytes(self) -> int:
-        return self.local.total_bytes() + self.shared.total_bytes()
-
-
 @dataclass(frozen=True)
 class StoreSpec:
     """A picklable recipe for a cache store.
@@ -572,37 +232,23 @@ class StoreSpec:
     Jobs cross process boundaries (fork pipes, the subprocess stdio
     protocol), so workers receive the *description* of the store and
     build their own instance — exactly like :class:`PolicySpec` for
-    replacement policies. ``cache_dir`` alone builds a flat
-    :class:`CacheStore`; adding ``shared_dir`` builds a
-    :class:`TieredCacheStore` with ``cache_dir`` as the local tier.
-    Both None means no store (always-cold runs).
+    replacement policies. ``cache_dir`` None means no store
+    (always-cold runs).
     """
 
     cache_dir: Optional[str] = None
-    shared_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.shared_dir and not self.cache_dir:
-            raise ValueError(
-                "a shared cache tier needs a local tier: pass "
-                "cache_dir alongside shared_dir"
-            )
 
     def __bool__(self) -> bool:
         return self.cache_dir is not None
 
-    def build(self, obs=None, sink=None):
+    def build(self, obs=None, sink=None) -> Optional[CacheStore]:
         """Instantiate the described store (or None)."""
         if not self.cache_dir:
             return None
-        if self.shared_dir:
-            return TieredCacheStore(self.cache_dir, self.shared_dir,
-                                    obs=obs, sink=sink)
         return CacheStore(self.cache_dir, obs=obs, sink=sink)
 
 
-def make_store(cache_dir: Optional[str] = None,
-               shared_dir: Optional[str] = None, obs=None, sink=None):
+def make_store(cache_dir: Optional[str] = None, obs=None,
+               sink=None) -> Optional[CacheStore]:
     """One-call convenience over :class:`StoreSpec`."""
-    return StoreSpec(cache_dir=cache_dir,
-                     shared_dir=shared_dir).build(obs=obs, sink=sink)
+    return StoreSpec(cache_dir=cache_dir).build(obs=obs, sink=sink)

@@ -18,10 +18,10 @@ Result merging is deterministic: :class:`CampaignResult` holds job
 results in campaign order, keyed by :attr:`Job.key`, so the merged
 output is byte-identical no matter which backend ran the jobs or which
 workers finished first — ``workers=1`` and ``workers=N``, ``fork`` and
-``queue``, flat and tiered caches all produce the same
+``queue``, cold and warm caches all produce the same
 :meth:`CampaignResult.canonical_json`. Host-dependent measurements
-(wall times, retries, memoization hit counts under warm-start, tier
-hit rates, steal counts) are deliberately kept out of the canonical
+(wall times, retries, memoization hit counts under warm-start, steal
+counts) are deliberately kept out of the canonical
 payload and emitted as JSON lines / backend metrics instead
 (:meth:`CampaignResult.metrics_jsonl`,
 :attr:`CampaignRunner.backend_metrics`).
@@ -30,20 +30,23 @@ The engine owns scheduling *policy* (order, retries, deadlines,
 merge); backends own placement *mechanism* — see
 :mod:`repro.campaign.backends.base` for the boundary and
 docs/distributed.md for the capability matrix. Warm state lives on
-disk in the shared :class:`~repro.campaign.cachedir.CacheStore` (or a
-:class:`~repro.campaign.cachedir.TieredCacheStore` when a shared tier
-is configured), not in worker memory, so it survives worker recycling,
-entire campaigns, and placement changes.
+disk in the shared :class:`~repro.campaign.cachedir.CacheStore`, not
+in worker memory, so it survives worker recycling, entire campaigns,
+and placement changes.
+
+:meth:`CampaignRunner.run` runs on the caller's thread. An interrupt
+(or any other exception) unwinds through ``backend.shutdown()`` and the
+journal's ``close()``, so no worker outlives it; a journaled run is
+resumed with ``resume=`` as after any other death.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.backends import (
     BackendContext,
@@ -78,10 +81,9 @@ class Campaign:
 
     ``backend`` names the executor backend the campaign should run on
     (``fork`` / ``subprocess`` / ``queue``). It is campaign-level by
-    design: per-job backend overrides are rejected (see
-    :class:`~repro.campaign.jobs.Job`), and the backend is excluded
-    from job cache keys because — like ``turbo`` — it must never
-    change canonical results.
+    design — a :class:`~repro.campaign.jobs.Job` has no backend field —
+    and is excluded from job cache keys because, like ``turbo``, it
+    must never change canonical results.
     """
 
     jobs: Tuple[Job, ...]
@@ -165,8 +167,8 @@ class CampaignResult:
     def canonical_dict(self) -> Dict[str, object]:
         """Host-independent merged payload, in campaign order.
 
-        Deliberately excludes the backend, worker count, and cache
-        tiering — placement is invisible in canonical output.
+        Deliberately excludes the backend and worker count —
+        placement is invisible in canonical output.
         """
         return {
             "format_version": FORMAT_VERSION,
@@ -227,10 +229,6 @@ class _Pending:
     ready_at: float = 0.0
 
 
-class CampaignCancelled(RuntimeError):
-    """Raised internally to unwind a cancelled campaign run."""
-
-
 class CampaignRunner:
     """Executes campaigns; see the module docstring for semantics."""
 
@@ -242,10 +240,8 @@ class CampaignRunner:
         retries: int = 2,
         backoff: float = 0.25,
         sink: Optional[ProgressSink] = None,
-        mp_context: Optional[object] = None,
         obs=None,
-        backend: Union[str, ExecutorBackend, None] = None,
-        shared_cache_dir: Optional[str] = None,
+        backend: Optional[str] = None,
         journal: Optional[str] = None,
         resume: Optional[str] = None,
         hang_after: Optional[float] = None,
@@ -265,8 +261,7 @@ class CampaignRunner:
                 "journal and resume must name the same file when both "
                 "are given (a resumed run keeps appending in place)")
         self.workers = workers
-        self.store_spec = StoreSpec(cache_dir=cache_dir,
-                                    shared_dir=shared_cache_dir)
+        self.store_spec = StoreSpec(cache_dir=cache_dir)
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -291,36 +286,21 @@ class CampaignRunner:
         self.obs = ensure_observer(obs)
         #: Backend override; None defers to ``Campaign.backend``.
         self.backend = backend
-        if isinstance(backend, str):
+        if backend is not None:
             validate_backend(backend)
         self.sink = sink if sink is not None else NullSink()
         if self.obs.enabled:
             # Telemetry rides the same event stream the progress sinks
             # see; job lifecycle becomes instants + outcome metrics.
             self.sink = TeeSink(self.sink, ObsSink(self.obs))
-        self._mp = mp_context
         #: Mechanism counters of the backend that ran the last
         #: campaign (forks/steals/respawns/…) — host diagnostics.
         self.backend_metrics: Dict[str, object] = {}
         #: Worker telemetry blobs collected during the current run
         #: (observed backend paths only), merged after the run.
         self._telemetry: List[Dict[str, object]] = []
-        self._cancel = threading.Event()
 
     # ------------------------------------------------------------------
-
-    def cancel(self) -> None:
-        """Ask a run in progress (possibly on another thread) to stop.
-
-        Jobs not yet finished come back ``status="cancelled"``; jobs
-        already merged keep their results. Idempotent; harmless when
-        nothing is running.
-        """
-        self._cancel.set()
-
-    def _check_cancelled(self) -> None:
-        if self._cancel.is_set():
-            raise CampaignCancelled()
 
     def run(self, campaign: Campaign) -> CampaignResult:
         """Execute every job; merged results come back in job order.
@@ -335,7 +315,6 @@ class CampaignRunner:
         """
         backend_name = (self.backend if self.backend is not None
                         else campaign.backend)
-        self._cancel.clear()
         self.backend_metrics = {}
         self._telemetry = []
         self._crash_counts = {}
@@ -349,9 +328,7 @@ class CampaignRunner:
                 if self._journal.records_written == 0:
                     self._journal.append(
                         "campaign-open", name=campaign.name,
-                        backend=(backend_name
-                                 if isinstance(backend_name, str)
-                                 else backend_name.name),
+                        backend=backend_name,
                         jobs=[job.key for job in campaign.jobs],
                     )
                 else:
@@ -361,9 +338,7 @@ class CampaignRunner:
             self.sink.emit(
                 "campaign-start", name=campaign.name, jobs=len(campaign),
                 workers=self.workers, cache_dir=self.store_spec.cache_dir,
-                shared_cache_dir=self.store_spec.shared_dir,
-                backend=(backend_name if isinstance(backend_name, str)
-                         else backend_name.name),
+                backend=backend_name,
             )
             for index in sorted(resumed):
                 replayed = resumed[index]
@@ -394,26 +369,16 @@ class CampaignRunner:
                 workers=self.workers,
                 backend_metrics=dict(self.backend_metrics),
             )
-            for result in outcome.results:
-                # One event per job in merge (campaign) order — the
-                # ordered completion feed handle.events() subscribers and
-                # SSE bridges consume.
-                self.sink.emit(
-                    "job-merged", key=result.key, status=result.status,
-                    attempts=result.attempts, worker=result.worker,
-                )
             self.sink.emit(
                 "campaign-end", name=campaign.name, jobs=len(campaign),
                 failed=len(outcome.failed), wall_seconds=round(wall, 3),
             )
             if self._journal is not None:
                 # Terminal record: distinguishes a run that *finished*
-                # (even cancelled — jobs not run are recorded as such)
-                # from a journal cut short by a crash.
+                # from a journal cut short by a crash or an interrupt.
                 self._journal.append(
-                    "campaign-cancelled" if self._cancel.is_set()
-                    else "campaign-end",
-                    name=campaign.name, failed=len(outcome.failed),
+                    "campaign-end", name=campaign.name,
+                    failed=len(outcome.failed),
                 )
             return outcome
         finally:
@@ -467,15 +432,6 @@ class CampaignRunner:
             if position in resumed:
                 results.append(resumed[position])
                 continue
-            if self._cancel.is_set():
-                results.extend(
-                    resumed.get(late_position)
-                    or self._cancelled_result(campaign.jobs[late_position])
-                    for late_position in range(position, len(campaign))
-                )
-                self.sink.emit("campaign-cancelled", name=campaign.name,
-                               remaining=len(campaign) - position)
-                break
             self.sink.emit("job-start", key=job.key, attempt=1)
             if self._journal is not None:
                 self._journal.append("attempt", key=job.key, attempt=1)
@@ -489,7 +445,7 @@ class CampaignRunner:
 
     # -- backend pool path ----------------------------------------------
 
-    def _run_backend(self, campaign: Campaign, backend_name,
+    def _run_backend(self, campaign: Campaign, backend_name: str,
                      resumed: Optional[Dict[int, JobResult]] = None,
                      ) -> List[JobResult]:
         resumed = resumed or {}
@@ -497,7 +453,6 @@ class CampaignRunner:
         backend.start(BackendContext(
             workers=self.workers, store_spec=self.store_spec,
             timeout=self.timeout, obs=self.obs, sink=self.sink,
-            mp_context=self._mp,
             telemetry=TelemetrySpec.from_observer(self.obs),
             hang_after=self.hang_after,
         ))
@@ -510,17 +465,11 @@ class CampaignRunner:
         finished: Dict[int, JobResult] = dict(resumed)
         try:
             while pending or in_flight:
-                self._check_cancelled()
                 now = time.monotonic()  # repro-lint: disable=det/time-dependent
                 self._launch_ready(backend, pending, in_flight, now)
                 self._wait(backend, pending, in_flight, now)
                 now = time.monotonic()  # repro-lint: disable=det/time-dependent
                 self._collect(backend, pending, in_flight, finished, now)
-        except CampaignCancelled:
-            self.sink.emit(
-                "campaign-cancelled", name=campaign.name,
-                remaining=len(campaign.jobs) - len(finished),
-            )
         finally:
             backend.shutdown()
             counters = backend.metrics()
@@ -534,15 +483,7 @@ class CampaignRunner:
             for name in sorted(counters):
                 self.obs.counter(f"backend.{backend.name}.{name}",
                                  int(counters[name]))
-        return [
-            finished.get(i) if finished.get(i) is not None
-            else self._cancelled_result(job)
-            for i, job in enumerate(campaign.jobs)
-        ]
-
-    def _cancelled_result(self, job: Job) -> JobResult:
-        return JobResult(job=job, status="cancelled",
-                         error="cancelled before completion")
+        return [finished[i] for i in range(len(campaign.jobs))]
 
     def _launch_ready(self, backend: ExecutorBackend,
                       pending: List[_Pending],
@@ -588,8 +529,6 @@ class CampaignRunner:
                 # The tiny floor keeps the loop from spinning in the
                 # window where it cannot.
                 timeout = 0.02
-        if self._cancel.is_set():
-            return
         backend.wait(timeout)
 
     def _collect(self, backend: ExecutorBackend,
@@ -695,7 +634,6 @@ def run_jobs(
     sink: Optional[ProgressSink] = None,
     name: str = "campaign",
     backend: str = "fork",
-    shared_cache_dir: Optional[str] = None,
     journal: Optional[str] = None,
     resume: Optional[str] = None,
     hang_after: Optional[float] = None,
@@ -704,7 +642,6 @@ def run_jobs(
     runner = CampaignRunner(
         workers=workers, cache_dir=cache_dir, timeout=timeout,
         retries=retries, sink=sink,
-        shared_cache_dir=shared_cache_dir,
         journal=journal, resume=resume, hang_after=hang_after,
     )
     return runner.run(Campaign(jobs=tuple(jobs), name=name,

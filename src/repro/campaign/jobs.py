@@ -96,25 +96,12 @@ class Job:
     #: none of them may change canonical results, so two jobs that
     #: differ only here are the same measurement.
     host: HostOptions = HostOptions()
-    #: Always None. The executor backend is a campaign-level placement
-    #: decision (:attr:`repro.campaign.engine.Campaign.backend`), never
-    #: a per-job one: jobs are the unit of *measurement*, backends the
-    #: unit of *mechanism*, and letting them mix would invite cache
-    #: keys (and canonical output) to vary with placement. The field
-    #: exists only to catch the mistake with a clear error.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind == "simulate" and self.simulator not in SIMULATORS:
             raise ValueError(
                 f"unknown simulator {self.simulator!r}; "
                 f"choose from {SIMULATORS}"
-            )
-        if self.backend is not None:
-            raise ValueError(
-                "backend is a campaign-level setting, not a per-job "
-                "override: pass Campaign(backend=...) / "
-                "run_campaign(backend=...) / --backend instead"
             )
 
     @property
@@ -138,7 +125,7 @@ class JobResult:
     """Outcome of one job, including retry and timing metrics."""
 
     job: Job
-    status: str  #: "ok" | "failed" | "cancelled" | "poisoned"
+    status: str  #: "ok" | "failed" | "poisoned"
     attempts: int = 1
     #: Wall-clock seconds of the successful attempt's execution.
     host_seconds: float = 0.0

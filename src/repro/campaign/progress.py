@@ -53,10 +53,9 @@ def _render_text(kind: str, fields: dict) -> str:
     if kind == "log":
         return str(fields.get("message", ""))
     parts = []
-    if kind in ("cache-quarantined", "cache-breaker-open",
-                "job-poisoned"):
-        # Cache rot, a tripped shared-tier breaker, and a quarantined
-        # poison job must be visible to operators, not silent.
+    if kind in ("cache-quarantined", "job-poisoned"):
+        # Cache rot and a quarantined poison job must be visible to
+        # operators, not silent.
         parts.append("WARNING:")
     parts.append(kind)
     key = fields.get("key")

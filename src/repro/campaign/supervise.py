@@ -25,7 +25,7 @@ This module provides the pieces the engine composes into crash-safety
 
 * **Seeded retry jitter** — :func:`retry_delay` spreads the engine's
   exponential backoff deterministically per ``(job_key, attempt)`` so
-  many workers retrying one shared-tier failure don't synchronize.
+  many workers retrying after one common failure don't synchronize.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ _JOURNAL_VERSION = 1
 _HEADER = framing.preamble(JOURNAL_MAGIC, _JOURNAL_VERSION)
 
 #: Outcome statuses that are terminal for a job and safe to skip on
-#: resume ("cancelled" re-runs: it records that the job never ran).
+#: resume; any other status in a journal (e.g. "cancelled", which
+#: records that the job never ran) re-runs.
 TERMINAL_STATUSES = ("ok", "failed", "poisoned")
 
 
@@ -88,7 +89,7 @@ def retry_delay(backoff: float, job_key: str, attempt: int) -> float:
     the jitter factor in ``[1.0, 1.5)`` is drawn from a SHA-256 of
     ``job_key`` and *attempt*, so it is identical across runs and
     hosts (asserted in tests) while de-synchronizing distinct jobs
-    that fail simultaneously (e.g. on one shared-tier outage).
+    that fail simultaneously (e.g. on one full disk).
     """
     base = backoff * (2 ** (attempt - 1))
     digest = hashlib.sha256(

@@ -189,11 +189,6 @@ def _simulate(job: Job, store: Optional[CacheStore],
     )
     if store is not None and store.quarantined:
         metrics["cache_quarantined"] = list(store.quarantined)
-    tier_stats = getattr(store, "tier_stats", None)
-    if tier_stats is not None:
-        # Host diagnostics: tier hit rates vary with cache temperature
-        # and never enter canonical output.
-        metrics["cache_tier"] = dict(tier_stats)
     return JobResult(job=job, status="ok", result=result, metrics=metrics)
 
 
@@ -264,7 +259,7 @@ def execute_attempt(job: Job, store_spec: StoreSpec, telemetry=None,
     path costs exactly this one ``is None`` test and ships nothing.
     When set, the attempt runs against a local
     :class:`~repro.obs.worker.WorkerCollector` (same observer surface
-    as the serial path — memo spans, sampled series, cache-tier
+    as the serial path — memo spans, sampled series, quarantine
     counters — collected locally), wrapped in a ``worker.job`` span
     labelled *worker*, and the rendered blob rides back on
     ``result.telemetry`` for the engine to merge.

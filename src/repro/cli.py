@@ -11,14 +11,12 @@ Subcommands (``fastsim-repro <command> --help`` for each)::
     campaign                  parallel campaign over the suite
                               (--workers/--cache-dir/--timeout/--retries,
                               --backend {fork,subprocess,queue},
-                              --shared-cache-dir for a two-tier cache,
                               --guard/--audit-every,
                               --no-turbo/--turbo-threshold)
     chaos                     deterministic fault-injection drill:
                               prove a fault-riddled warm campaign is
                               byte-identical to a clean cold run
-                              (--backend, --tiered to corrupt a shared
-                              cache tier instead of a flat one)
+                              (--backend, --hang, --resume-drill)
     mix                       dynamic instruction-mix table
     trace WORKLOAD            per-cycle pipeline dump (--cycles N)
     profile WORKLOAD          pipeline utilization report
@@ -39,10 +37,9 @@ Subcommands (``fastsim-repro <command> --help`` for each)::
 
 Table/figure commands accept ``--workers N`` to shard the underlying
 measurements across a campaign worker pool (placed by ``--backend``)
-and ``--cache-dir DIR`` (plus optional ``--shared-cache-dir DIR``) to
-warm-start FastSim runs; common options are ``--scale
-{tiny,test,train}`` and ``--workloads a,b,c``. See docs/distributed.md
-for the backend capability matrix and cache-tier semantics.
+and ``--cache-dir DIR`` to warm-start FastSim runs; common options are
+``--scale {tiny,test,train}`` and ``--workloads a,b,c``. See
+docs/distributed.md for the backend capability matrix.
 
 ``run``, ``campaign``, and the table/figure commands also accept
 ``--obs`` (enable telemetry; off by default and free when off),
@@ -143,11 +140,6 @@ def _pool_options() -> argparse.ArgumentParser:
     parent.add_argument("--cache-dir",
                         help="shared p-action cache directory "
                              "(warm-starts FastSim runs)")
-    parent.add_argument("--shared-cache-dir", metavar="DIR",
-                        help="shared (remote-style) cache tier layered "
-                             "under --cache-dir: reads fall through to "
-                             "it, writes are copied back "
-                             "(see docs/distributed.md)")
     parent.add_argument("--timeout", type=float,
                         help="per-job timeout in seconds "
                              "(parallel runs only)")
@@ -237,10 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="executor backend for the chaotic run "
                             "(queue refuses the crash injection: no "
                             "process isolation)")
-    chaos.add_argument("--tiered", action="store_true",
-                       help="run the drill against a two-tier cache "
-                            "and corrupt the SHARED tier (proves "
-                            "quarantine + re-run, not divergence)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="fault-plan seed (default 0)")
     chaos.add_argument("--disk-bit-flips", type=int, default=1,
@@ -256,12 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "supervisor must detect the silent worker "
                             "and replace it (heartbeat hang "
                             "detection)")
-    chaos.add_argument("--shared-outage", action="store_true",
-                       help="fail shared-cache-tier operations; the "
-                            "tiered store's circuit breaker must trip "
-                            "and the run degrade to local-only "
-                            "(requires --tiered and a non-fork "
-                            "backend)")
     chaos.add_argument("--resume-drill", action="store_true",
                        help="run the engine-kill drill instead: kill "
                             "the journaled engine mid-campaign, "
@@ -376,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
-
-
 def _selected(args: argparse.Namespace) -> Optional[List[str]]:
     if not getattr(args, "workloads", None):
         return None
@@ -441,14 +419,18 @@ def _cmd_params() -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace,
+             parser: argparse.ArgumentParser) -> int:
     from repro.api import simulate
 
+    try:
+        host = _host_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     executable = load_workload(args.workload, args.scale)
     print(f"workload {args.workload} [{args.scale}]: "
           f"{len(executable.text) // 4} static instructions")
     obs = _make_obs(args)
-    host = _host_from_args(args)
     fast = simulate(args.workload, engine="fast", scale=args.scale,
                     obs=obs, host=host)
     slow = simulate(args.workload, engine="slow", scale=args.scale,
@@ -470,7 +452,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
+def _cmd_campaign(args: argparse.Namespace,
+                  parser: argparse.ArgumentParser) -> int:
     from repro.api import run_campaign
 
     simulators = [s.strip() for s in args.simulators.split(",")
@@ -479,25 +462,29 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     simulators = [s for s in simulators if s != "native"]
     progress = "silent" if args.quiet else args.progress
     obs = _make_obs(args)
-    result = run_campaign(
-        workloads=_selected(args),
-        simulators=simulators,
-        scale=args.scale,
-        include_native=native,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        shared_cache_dir=args.shared_cache_dir,
-        timeout=args.timeout,
-        retries=args.retries,
-        backend=args.backend,
-        progress=progress,
-        name=f"suite-{args.scale}",
-        obs=obs,
-        host=_host_from_args(args),
-        journal=args.journal,
-        resume=args.resume,
-        hang_after=args.hang_after,
-    )
+    try:
+        result = run_campaign(
+            workloads=_selected(args),
+            simulators=simulators,
+            scale=args.scale,
+            include_native=native,
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            timeout=args.timeout,
+            retries=args.retries,
+            backend=args.backend,
+            progress=progress,
+            name=f"suite-{args.scale}",
+            obs=obs,
+            host=_host_from_args(args),
+            journal=args.journal,
+            resume=args.resume,
+            hang_after=args.hang_after,
+        )
+    except ValueError as exc:
+        # HostOptions / CampaignRunner reject out-of-range option
+        # values before any job runs: a usage error, not a traceback.
+        parser.error(str(exc))
     if args.out:
         with open(args.out, "w") as stream:
             stream.write(result.canonical_json())
@@ -573,9 +560,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             work_dir=args.work_dir,
             sink=sink,
             backend=args.backend,
-            tiered=args.tiered,
             hang=args.hang,
-            shared_outage=args.shared_outage,
         )
     except ValueError as exc:
         print(f"chaos: {exc}", file=sys.stderr)
@@ -800,7 +785,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         verbose=not args.quiet,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        shared_cache_dir=args.shared_cache_dir,
         timeout=args.timeout,
         retries=args.retries,
         obs=obs,
@@ -824,15 +808,16 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "params":
         return _cmd_params()
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, parser)
     if args.command == "campaign":
-        return _cmd_campaign(args)
+        return _cmd_campaign(args, parser)
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "mix":

@@ -13,8 +13,8 @@ bit-identical invariant in depth:
   un-audited wrong numbers);
 * :mod:`repro.guard.faults` — seeded, deterministic fault injectors
   (disk bit-flips/truncation, in-memory node corruption, forced
-  divergence, worker crashes/hangs, engine kills, shared-tier
-  outages) behind a :class:`FaultPlan`;
+  divergence, worker crashes/hangs, engine kills) behind a
+  :class:`FaultPlan`;
 * :mod:`repro.guard.chaos` — the end-to-end chaos drills: prove a
   fault-riddled warm campaign produces output byte-identical to a
   clean cold run (the ``fastsim-repro chaos`` CLI), and prove a
@@ -41,7 +41,6 @@ from repro.guard.faults import (
     maybe_crash,
     maybe_hang,
     maybe_kill_engine,
-    maybe_shared_outage,
 )
 
 __all__ = [
@@ -60,5 +59,4 @@ __all__ = [
     "maybe_crash",
     "maybe_hang",
     "maybe_kill_engine",
-    "maybe_shared_outage",
 ]

@@ -26,16 +26,14 @@ Everything is seeded; the same arguments injure the same bytes and the
 drill passes or fails reproducibly. The CI ``chaos`` job runs this via
 ``fastsim-repro chaos`` (see docs/robustness.md).
 
-Two further drills ride on the same machinery: ``hang=True`` wedges
+One further drill rides on the same machinery: ``hang=True`` wedges
 one worker mid-job (heartbeats stop; the supervisor must detect and
-replace it), ``shared_outage=True`` fails shared-cache-tier
-operations (the :class:`~repro.campaign.cachedir.TieredCacheStore`
-circuit breaker must trip and degrade to local-only) — both still
-demanding byte-identical output. :func:`run_resume_drill` is the
-engine-kill counterpart: it SIGKILLs the campaign *engine*
-mid-campaign (via :func:`~repro.guard.faults.maybe_kill_engine`),
-resumes from the durable journal, and ``cmp``s the merged document
-against a clean cold run.
+replace it) — still demanding byte-identical output.
+:func:`run_resume_drill` is the engine-kill counterpart: it SIGKILLs
+the campaign *engine* mid-campaign (via
+:func:`~repro.guard.faults.maybe_kill_engine`), resumes from the
+durable journal, and ``cmp``s the merged document against a clean cold
+run.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.campaign.cachedir import QUARANTINE_SUFFIX, reset_breakers
+from repro.campaign.cachedir import QUARANTINE_SUFFIX
 from repro.campaign.engine import Campaign, CampaignRunner
 from repro.campaign.progress import NullSink, ProgressSink
 from repro.guard.faults import (
@@ -75,9 +73,6 @@ class ChaosReport:
     crash_job: str
     crashed: bool
     backend: str = "fork"
-    #: Whether the drill corrupted a shared cache tier (two-tier mode)
-    #: rather than a flat store.
-    tiered: bool = False
     disk_faults: List[Dict[str, object]] = field(default_factory=list)
     memory_faults: List[str] = field(default_factory=list)
     quarantined: List[str] = field(default_factory=list)
@@ -95,10 +90,6 @@ class ChaosReport:
     #: whether it actually fired (marker file seen).
     hang_job: str = ""
     hung: bool = False
-    #: Whether a shared-tier outage was injected, and how many times
-    #: job stores reported newly opening the circuit breaker.
-    shared_outage: bool = False
-    breaker_opened: int = 0
 
     @property
     def ok(self) -> bool:
@@ -110,16 +101,14 @@ class ChaosReport:
                 and (self.divergences > 0
                      or not self.expected_divergence)
                 and (self.crashed or not self.crash_job)
-                and (self.hung or not self.hang_job)
-                and (self.breaker_opened > 0 or not self.shared_outage))
+                and (self.hung or not self.hang_job))
 
     def render(self) -> str:
         lines = [
             f"chaos drill: {'PASS' if self.ok else 'FAIL'}",
             f"  jobs                 {self.jobs} "
             f"({self.failed} failed), workers={self.workers}, "
-            f"backend={self.backend}"
-            + (", tiered cache" if self.tiered else ""),
+            f"backend={self.backend}",
             f"  canonical identical  {self.identical}",
             f"  disk faults          {len(self.disk_faults)} "
             f"({', '.join(sorted({str(f['kind']) for f in self.disk_faults}))})"
@@ -137,8 +126,6 @@ class ChaosReport:
             status = "hung+replaced" if self.hung else "NO HANG"
             lines.append(f"  worker hang          {self.hang_job} "
                          f"({status})")
-        if self.shared_outage:
-            lines.append(f"  breaker opened       {self.breaker_opened}")
         return "\n".join(lines)
 
 
@@ -149,8 +136,6 @@ def _collect_guard_metrics(report: ChaosReport, results) -> None:
         report.audits += int(metrics.get("audits", 0))
         for label in metrics.get("faults_injected", ()):
             report.memory_faults.append(f"{job_result.key}:{label}")
-        cache_tier = metrics.get("cache_tier") or {}
-        report.breaker_opened += int(cache_tier.get("breaker_opened", 0))
 
 
 def run_chaos(
@@ -168,9 +153,7 @@ def run_chaos(
     sink: Optional[ProgressSink] = None,
     obs=None,
     backend: str = "fork",
-    tiered: bool = False,
     hang: bool = False,
-    shared_outage: bool = False,
 ) -> ChaosReport:
     """Run the deterministic chaos drill; returns a :class:`ChaosReport`.
 
@@ -181,11 +164,7 @@ def run_chaos(
     caller. It also requires a process-isolated *backend* — the
     ``queue`` backend runs jobs on caller threads, so the injected
     ``os._exit`` would take the drill itself down (pass
-    ``crash=False`` to drill the queue backend). With *tiered*, the
-    drill records caches through a two-tier store and corrupts the
-    **shared** tier: the chaotic run starts with a fresh local tier,
-    so every warm read falls through to the injured shared files,
-    which must quarantine and re-run — not diverge. Disk faults must
+    ``crash=False`` to drill the queue backend). Disk faults must
     leave at least one persisted cache intact or the forced divergence
     has no warm chain to corrupt. Any installed :class:`FaultPlan` is
     cleared on exit.
@@ -193,13 +172,7 @@ def run_chaos(
     *hang* additionally wedges the last job's first attempt (the
     worker goes silent mid-job); the chaotic runner supervises with a
     short ``hang_after`` budget and must detect, replace, and retry —
-    any backend works. *shared_outage* (requires *tiered*) fails
-    shared-tier operations after the first one; the tiered store's
-    circuit breaker must trip (``breaker_opened``) and the campaign
-    degrade to local-only with identical canonical output. It needs a
-    backend whose workers live long enough to accumulate consecutive
-    failures — per-attempt forked workers never do, so ``fork`` is
-    rejected.
+    any backend works.
     """
     if workers < 1:
         raise ValueError("chaos needs a worker pool (workers >= 1); "
@@ -209,18 +182,6 @@ def run_chaos(
             "the queue backend has no process isolation — the "
             "injected crash would kill the drill itself; pass "
             "crash=False (--no-crash) or a process-isolated backend"
-        )
-    if shared_outage and not tiered:
-        raise ValueError(
-            "shared_outage drills the shared cache tier's circuit "
-            "breaker; it requires tiered=True"
-        )
-    if shared_outage and backend == "fork":
-        raise ValueError(
-            "per-attempt forked workers reset the outage/breaker "
-            "state every job, so the breaker can never accumulate "
-            "its consecutive-failure threshold; use the queue or "
-            "subprocess backend for shared_outage"
         )
     names = list(workloads) if workloads else list(DEFAULT_WORKLOADS)
     if force_divergence and disk_bit_flips + disk_truncations >= len(names):
@@ -236,13 +197,6 @@ def run_chaos(
     cache_dir = os.path.join(work_dir, "pcache")
     scratch = os.path.join(work_dir, "scratch")
     os.makedirs(scratch, exist_ok=True)
-    # Two-tier mode: caches are recorded through local+shared tiers,
-    # the SHARED tier is injured, and the chaotic run gets a fresh
-    # local tier so every warm read must fall through to the damage.
-    shared_dir = os.path.join(work_dir, "shared-pcache") if tiered else None
-    chaos_cache_dir = (os.path.join(work_dir, "pcache-chaotic")
-                       if tiered else cache_dir)
-    fault_dir = shared_dir if tiered else cache_dir
 
     def build_campaign(audited: bool) -> Campaign:
         campaign = Campaign.grid(names, simulators=("fast",),
@@ -260,12 +214,9 @@ def run_chaos(
                               obs=obs).run(build_campaign(False))
     baseline_json = baseline.canonical_json()
 
-    # 2. Populate the shared cache store (write-back fills the shared
-    # tier in two-tier mode).
-    sink.log("chaos: recording persisted caches"
-             + (" (tiered)" if tiered else ""))
-    CampaignRunner(workers=0, cache_dir=cache_dir,
-                   shared_cache_dir=shared_dir, sink=sink,
+    # 2. Populate the shared cache store.
+    sink.log("chaos: recording persisted caches")
+    CampaignRunner(workers=0, cache_dir=cache_dir, sink=sink,
                    obs=obs).run(build_campaign(False))
 
     jobs = build_campaign(False).jobs
@@ -278,35 +229,23 @@ def run_chaos(
         force_divergence=force_divergence,
         crash_job=crash_job,
         hang_job=hang_job,
-        shared_outage_after=1 if shared_outage else -1,
         scratch=scratch,
     )
 
     # 3. Injure the store and arm the in-process injectors.
-    disk_faults = inject_disk_faults(fault_dir, plan)
-    sink.log(f"chaos: injected {len(disk_faults)} disk faults"
-             + (" into the shared tier" if tiered else ""))
-    reset_breakers()
+    disk_faults = inject_disk_faults(cache_dir, plan)
+    sink.log(f"chaos: injected {len(disk_faults)} disk faults")
     install_plan(plan)
     try:
         # 4. The fault-riddled warm, guarded, parallel run.
-        # The subprocess outage drill funnels every job through one
-        # persistent worker: the breaker needs a single process to see
-        # the full run of consecutive shared-tier failures, and jobs
-        # spread across a pool would each contribute only a couple.
-        chaos_workers = (1 if shared_outage and backend == "subprocess"
-                         else workers)
-        sink.log(f"chaos: warm guarded campaign (workers={chaos_workers}, "
+        sink.log(f"chaos: warm guarded campaign (workers={workers}, "
                  f"backend={backend})")
         chaotic = CampaignRunner(
-            workers=chaos_workers, cache_dir=chaos_cache_dir,
-            shared_cache_dir=shared_dir, sink=sink, obs=obs,
-            backend=backend,
-            hang_after=1.5 if hang else None,
+            workers=workers, cache_dir=cache_dir, sink=sink, obs=obs,
+            backend=backend, hang_after=1.5 if hang else None,
         ).run(build_campaign(True))
     finally:
         clear_plan()
-        reset_breakers()
     chaos_json = chaotic.canonical_json()
 
     # 5. Verdict.
@@ -320,7 +259,7 @@ def run_chaos(
             scratch, "crashed-" + crash_job.replace(":", "_"))),
         disk_faults=disk_faults,
         quarantined=sorted(
-            name for name in os.listdir(fault_dir)
+            name for name in os.listdir(cache_dir)
             if name.endswith(QUARANTINE_SUFFIX)
         ),
         baseline_json=baseline_json,
@@ -328,11 +267,9 @@ def run_chaos(
         expected_divergence=force_divergence,
         expected_disk_damage=disk_bit_flips + disk_truncations > 0,
         backend=backend,
-        tiered=tiered,
         hang_job=hang_job,
         hung=bool(hang_job) and os.path.exists(os.path.join(
             scratch, "hung-" + hang_job.replace(":", "_"))),
-        shared_outage=shared_outage,
     )
     _collect_guard_metrics(report, chaotic.results)
     if obs is not None and getattr(obs, "enabled", False):
@@ -359,11 +296,8 @@ def main_json(report: ChaosReport) -> str:
         "crash_job": report.crash_job,
         "crashed": report.crashed,
         "backend": report.backend,
-        "tiered": report.tiered,
         "hang_job": report.hang_job,
         "hung": report.hung,
-        "shared_outage": report.shared_outage,
-        "breaker_opened": report.breaker_opened,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

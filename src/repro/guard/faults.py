@@ -24,10 +24,7 @@ still produces canonical output byte-identical to a clean cold run
   ``hang_seconds``, exercising the supervisor's hang detection and
   worker replacement;
 * **engine kill** — die mid-campaign after N merged outcomes
-  (:func:`maybe_kill_engine`), exercising the journal + resume path;
-* **shared-tier outage** — fail every shared-cache-tier operation
-  after the first N (:func:`maybe_shared_outage`), exercising the
-  :class:`~repro.campaign.cachedir.TieredCacheStore` circuit breaker.
+  (:func:`maybe_kill_engine`), exercising the journal + resume path.
 
 Everything is driven by a :class:`FaultPlan` installed process-wide
 with :func:`install_plan`. Campaign workers are forked, so a plan
@@ -96,9 +93,6 @@ class FaultPlan:
     #: Kill the campaign *engine* (``os._exit``) after this many
     #: outcomes have been merged and journaled; 0 disables.
     kill_engine_after: int = 0
-    #: Fail every shared-cache-tier operation after the first N in
-    #: this process (simulated storage outage); -1 disables.
-    shared_outage_after: int = -1
     #: Directory for the crash-once / hang-once marker files.
     scratch: str = ""
 
@@ -111,20 +105,9 @@ _ACTIVE: Optional[FaultPlan] = None
 
 
 def install_plan(plan: FaultPlan) -> None:
-    """Activate *plan* for this process and all workers forked later.
-
-    Re-installing the *same* plan is a no-op that preserves per-process
-    fault state: persistent workers (the subprocess backend) arm the
-    plan once per envelope, and the shared-outage op counter must keep
-    running across jobs or a long outage would look like a series of
-    one-op blips and the circuit breaker could never accumulate its
-    consecutive-failure threshold.
-    """
-    global _ACTIVE, _SHARED_OPS
-    if plan == _ACTIVE:
-        return
+    """Activate *plan* for this process and all workers forked later."""
+    global _ACTIVE
     _ACTIVE = plan
-    _SHARED_OPS = 0
 
 
 def active_plan() -> Optional[FaultPlan]:
@@ -134,9 +117,8 @@ def active_plan() -> Optional[FaultPlan]:
 
 def clear_plan() -> None:
     """Deactivate fault injection."""
-    global _ACTIVE, _SHARED_OPS, _HANG_ACTIVE
+    global _ACTIVE, _HANG_ACTIVE
     _ACTIVE = None
-    _SHARED_OPS = 0
     _HANG_ACTIVE = False
 
 
@@ -370,26 +352,3 @@ def maybe_kill_engine(merged_outcomes: int, plan: FaultPlan) -> None:
     if merged_outcomes >= plan.kill_engine_after:
         os._exit(ENGINE_KILL_EXIT_CODE)
 
-
-# ----------------------------------------------------------------------
-# Shared-tier outage
-# ----------------------------------------------------------------------
-
-_SHARED_OPS = 0
-
-
-def maybe_shared_outage(plan: FaultPlan) -> None:
-    """Raise OSError for shared-tier ops past the plan's budget.
-
-    The counter is per-process (reset by :func:`install_plan` /
-    :func:`clear_plan`): with the fork backend every attempt sees a
-    fresh budget, which keeps the drill deterministic per attempt.
-    """
-    global _SHARED_OPS
-    if plan.shared_outage_after < 0:
-        return
-    _SHARED_OPS += 1
-    if _SHARED_OPS > plan.shared_outage_after:
-        raise OSError(
-            f"injected shared-tier outage (op {_SHARED_OPS}, budget "
-            f"{plan.shared_outage_after})")

@@ -50,7 +50,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.schema import (
     CAMPAIGN_METRICS_SCHEMA,
-    EVENT_SCHEMA,
     JOB_METRICS_SCHEMA,
     JOB_METRICS_SCHEMA_V2,
     METRIC_SCHEMA,
@@ -79,7 +78,6 @@ from repro.obs.worker import (
 __all__ = [
     "CAMPAIGN_METRICS_SCHEMA",
     "Counter",
-    "EVENT_SCHEMA",
     "Gauge",
     "Histogram",
     "JOB_METRICS_SCHEMA",

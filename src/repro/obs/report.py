@@ -14,7 +14,7 @@ campaign wants:
 * memo effectiveness: final hit ratio per job (the
   ``memo.hit_ratio@<job>`` sampled series the telemetry merge
   namespaces) plus encode/resync counters;
-* turbo chain-compilation counters and tiered-cache hit rates;
+* turbo chain-compilation counters;
 * reliability: retries, steals, crashes, timeouts.
 
 Everything here is **read-only rendering of host-side diagnostics**;
@@ -263,20 +263,6 @@ def _turbo_section(data: ReportData, lines: List[str]) -> None:
             )
 
 
-def _cache_section(data: ReportData, lines: List[str]) -> None:
-    tiers = _prefixed(data.counters, "cache.tier_")
-    if not tiers:
-        return
-    lines.append("")
-    lines.append("cache tiers:")
-    hits = (tiers.get("cache.tier_local_hits", 0)
-            + tiers.get("cache.tier_shared_hits", 0))
-    lookups = hits + tiers.get("cache.tier_misses", 0)
-    for name in sorted(tiers):
-        lines.append(f"  {name:38s} {tiers[name]}")
-    lines.append(f"  {'hit rate':38s} {_ratio(hits, lookups).strip()}")
-
-
 def _reliability_section(data: ReportData, lines: List[str]) -> None:
     entries: Dict[str, int] = {}
     retries = sum(int(record.get("retries") or 0) for record in data.jobs)
@@ -312,7 +298,6 @@ def render(data: ReportData) -> str:
     _worker_section(data, lines, wall)
     _memo_section(data, lines)
     _turbo_section(data, lines)
-    _cache_section(data, lines)
     _reliability_section(data, lines)
     if not data.jobs and not data.counters and not data.campaigns \
             and not data.lanes:

@@ -45,9 +45,6 @@ JOB_METRICS_SCHEMA_V2 = "repro.campaign/job-metrics/v2"
 #: wall time, worker count, and the executor backend's mechanism
 #: counters (forks/steals/respawns) under ``"backend"``.
 CAMPAIGN_METRICS_SCHEMA = "repro.campaign/campaign-metrics/v1"
-#: One live campaign event from :meth:`CampaignHandle.events`
-#: (SSE-ready; see docs/observability.md).
-EVENT_SCHEMA = "repro.campaign/event/v1"
 #: One durable campaign-journal record (CRC-framed on disk, written at
 #: submit/attempt/outcome/merge boundaries; replayed by
 #: ``CampaignRunner(resume=...)`` — see docs/robustness.md).
@@ -97,10 +94,6 @@ _REQUIRED: Dict[str, Dict[str, tuple]] = {
         "wall_seconds": _NUMBER,
         "workers": (int,),
         "backend": (dict,),
-    },
-    EVENT_SCHEMA: {
-        "event": (str,),
-        "seq": (int,),
     },
     JOURNAL_SCHEMA: {
         "kind": (str,),

@@ -42,6 +42,12 @@ class HostOptions:
               "docs/robustness.md)")
     audit_seed: int = _knob(0, "seed for the audit sampling phase")
 
+    def __post_init__(self) -> None:
+        if self.turbo_threshold is not None and self.turbo_threshold < 1:
+            raise ValueError("turbo threshold must be >= 1")
+        if self.audit_every is not None and self.audit_every < 1:
+            raise ValueError("audit_every must be >= 1")
+
     def fastsim_kwargs(self) -> Dict[str, object]:
         """The keywords :class:`~repro.sim.fastsim.FastSim` takes: one
         per field, with the compile threshold folded into ``turbo``."""

@@ -6,18 +6,25 @@ worker subprocesses without any pickling of callables.
 """
 
 import json
+import multiprocessing
 import os
+import signal
+import threading
+import time
 
 import pytest
 
+from repro.api import run_campaign
 from repro.campaign import (
     Campaign,
     CampaignRunner,
     Job,
     JobResult,
+    read_journal,
     register_job_kind,
     run_jobs,
 )
+from repro.campaign.progress import ProgressSink
 
 JOBS = tuple(
     Job(workload, simulator, "tiny")
@@ -172,3 +179,86 @@ class TestRunnerValidation:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             CampaignRunner(retries=-1)
+
+
+_JOB_THREADS = []
+
+
+def _record_thread(job, store):
+    _JOB_THREADS.append(threading.current_thread())
+    return JobResult(job=job, status="ok")
+
+
+register_job_kind("test-record-thread", _record_thread)
+
+
+class _InterruptingSink(ProgressSink):
+    """Records event kinds; sends this process one SIGINT on the
+    *nth* ``job-start`` (``nth=0``: never)."""
+
+    def __init__(self, nth):
+        self.nth = nth
+        self.kinds = []
+
+    def emit(self, kind, **fields):
+        self.kinds.append(kind)
+        if kind == "job-start" and self.kinds.count(kind) == self.nth:
+            os.kill(os.getpid(), signal.SIGINT)
+
+
+def _open_files():
+    fd_dir = "/proc/self/fd"
+    return {os.path.realpath(os.path.join(fd_dir, fd))
+            for fd in os.listdir(fd_dir)}
+
+
+class TestBlockingCaller:
+    def test_serial_jobs_run_on_the_callers_thread(self):
+        del _JOB_THREADS[:]
+        threads_before = threading.active_count()
+        outcome = run_campaign(
+            jobs=[Job(workload=f"t{i}", kind="test-record-thread")
+                  for i in range(3)],
+            workers=0, name="inline")
+        assert outcome.ok
+        assert _JOB_THREADS == [threading.current_thread()] * 3
+        assert threading.active_count() == threads_before
+
+    def _assert_stopped(self, sink):
+        assert multiprocessing.active_children() == []
+        assert not [thread.name for thread in threading.enumerate()
+                    if thread.name.startswith("campaign-")]
+        seen = len(sink.kinds)
+        time.sleep(1.0)
+        assert len(sink.kinds) == seen, sink.kinds[seen:]
+
+    def test_interrupt_stops_the_campaign(self):
+        """Ctrl-C during ``run_campaign`` reaches the engine: the
+        in-flight worker is torn down and nothing runs on behind the
+        ``KeyboardInterrupt`` the caller sees."""
+        sink = _InterruptingSink(nth=1)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(jobs=JOBS, workers=1, progress=sink,
+                         name="interrupt")
+        self._assert_stopped(sink)
+        assert "campaign-end" not in sink.kinds
+
+    def test_interrupted_journal_is_closed_and_resumes(self, tmp_path):
+        journal = str(tmp_path / "c.journal")
+        sink = _InterruptingSink(nth=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(jobs=JOBS, workers=1, progress=sink,
+                         journal=journal, name="interrupt")
+        self._assert_stopped(sink)
+        assert journal not in _open_files()
+        replay = read_journal(journal)
+        assert replay.terminal is None
+        assert replay.torn_records == 0
+        assert replay.completed == 1
+        resumed_sink = _InterruptingSink(nth=0)
+        resumed = run_campaign(jobs=JOBS, workers=1, resume=journal,
+                               progress=resumed_sink, name="interrupt")
+        assert resumed_sink.kinds.count("job-resumed") == 1
+        clean = run_jobs(JOBS, workers=0, name="interrupt")
+        assert resumed.canonical_json() == clean.canonical_json()
+        assert read_journal(journal).terminal == "campaign-end"

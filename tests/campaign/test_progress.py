@@ -110,11 +110,11 @@ class TestEngineEvents:
                   for line in stream.getvalue().splitlines()]
         kinds = [event["event"] for event in events]
         assert kinds == ["campaign-start", "job-start", "job-ok",
-                         "job-merged", "campaign-end"]
+                         "campaign-end"]
         assert events[0]["workers"] == 1
         assert events[2]["cycles"] > 0
-        assert events[3]["key"] == "compress:fast:tiny"
-        assert events[4]["failed"] == 0
+        assert events[2]["key"] == "compress:fast:tiny"
+        assert events[3]["failed"] == 0
 
 
 class TestSuiteRunnerRouting:

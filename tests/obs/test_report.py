@@ -35,11 +35,6 @@ def sample_records():
         stamp(METRIC_SCHEMA, {"kind": "counter",
                               "name": "turbo.segments_compiled",
                               "value": 4}),
-        stamp(METRIC_SCHEMA, {"kind": "counter",
-                              "name": "cache.tier_local_hits",
-                              "value": 6}),
-        stamp(METRIC_SCHEMA, {"kind": "counter",
-                              "name": "cache.tier_misses", "value": 2}),
         stamp(METRIC_SCHEMA, {
             "kind": "series", "name": "memo.hit_ratio@compress:fast:tiny",
             "dropped": 0, "samples": [[256, 0.25], [512, 0.75]],
@@ -88,9 +83,6 @@ class TestRender:
         assert "hit ratio compress:fast:tiny" in text
         assert "75.0%" in text
         assert "turbo.segments_compiled" in text
-        assert "cache.tier_local_hits" in text
-        assert "hit rate" in text  # 6 hits / 8 lookups
-        assert "75.0%" in text
         assert "retries" in text and "crashes" in text
 
     def test_empty_input_degrades_gracefully(self, tmp_path):

@@ -140,14 +140,6 @@ class TestNewCampaignSchemas:
         assert validate_record(record) == []
         assert validate_record(dict(record, jobs="two"))
 
-    def test_event_record(self):
-        from repro.obs.schema import EVENT_SCHEMA
-
-        record = stamp(EVENT_SCHEMA, {"event": "job-merged", "seq": 3,
-                                      "key": "compress:fast:tiny"})
-        assert validate_record(record) == []
-        assert validate_record(dict(record, seq="three"))
-
 
 class TestChromeTraceValidation:
     def document(self):

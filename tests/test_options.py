@@ -6,6 +6,7 @@ knob added tomorrow is covered the day it is added: it must stay out of
 bytes; it must reach ``FastSim``; and it must have a CLI flag.
 """
 
+import base64
 import dataclasses
 import inspect
 import os
@@ -15,7 +16,7 @@ import pytest
 
 from repro.api import run_campaign
 from repro.campaign import Job
-from repro.cli import _host_from_args, build_parser
+from repro.cli import _host_from_args, build_parser, main
 from repro.memo.compile import TurboConfig
 from repro.options import HostOptions
 from repro.sim.fastsim import FastSim
@@ -145,3 +146,61 @@ class TestCampaignOverride:
         assert [r.job.host for r in outcome.results] == [
             imposed, HostOptions()]
         assert "audits" not in outcome.results[0].metrics
+
+
+#: ``Job("compress", "fast", "tiny", host=HostOptions(turbo_threshold=0))``
+#: pickled (protocol 2) by the commit before ``HostOptions`` validated
+#: its values and before ``Job`` lost its always-None ``backend`` field.
+_OLD_JOB_PICKLE = base64.b64decode(
+    "gAJjcmVwcm8uY2FtcGFpZ24uam9icwpKb2IKcQApgXEBfXECKFgIAAAAd29y"
+    "a2xvYWRxA1gIAAAAY29tcHJlc3NxBFgJAAAAc2ltdWxhdG9ycQVYBAAAAGZh"
+    "c3RxBlgFAAAAc2NhbGVxB1gEAAAAdGlueXEIWAYAAABwYXJhbXNxCU5YBgAA"
+    "AHBvbGljeXEKTlgHAAAAdmFyaWFudHELWAAAAABxDFgEAAAAa2luZHENWAgA"
+    "AABzaW11bGF0ZXEOWAQAAABob3N0cQ9jcmVwcm8ub3B0aW9ucwpIb3N0T3B0"
+    "aW9ucwpxECmBcRF9cRIoWAUAAAB0dXJib3ETiFgPAAAAdHVyYm9fdGhyZXNo"
+    "b2xkcRRLAFgRAAAAdGhyZWFkZWRfZnJvbnRlbmRxFYhYCQAAAGwxX2ZpbHRl"
+    "cnEWiFgLAAAAYXVkaXRfZXZlcnlxF05YCgAAAGF1ZGl0X3NlZWRxGEsAdWJY"
+    "BwAAAGJhY2tlbmRxGU51Yi4="
+)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field", ["turbo_threshold", "audit_every"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_values_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=">= 1"):
+            HostOptions(**{field: value})
+
+    def test_journaled_jobs_from_older_runs_still_load(self):
+        """Unpickling runs no ``__post_init__``: a journal written
+        before the checks existed replays, stray field and all."""
+        job = pickle.loads(_OLD_JOB_PICKLE)
+        assert job == dataclasses.replace(
+            Job("compress", "fast", "tiny"), host=job.host)
+        assert job.key == "compress:fast:tiny"
+        assert job.host.turbo_threshold == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "-1"],
+        ["--retries", "-1"],
+        ["--hang-after", "0"],
+        ["--journal", "a.journal", "--resume", "b.journal"],
+        ["--turbo-threshold", "0"],
+        ["--audit-every", "0"],
+    ], ids=lambda flags: flags[0])
+    def test_bad_campaign_value_is_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["campaign", "--scale", "tiny", "--workloads",
+                  "compress", "--simulators", "fast", "--quiet"] + flags)
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert "FAILED" not in captured.out
+
+    def test_bad_run_value_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "compress", "--scale", "tiny",
+                  "--turbo-threshold", "0"])
+        assert caught.value.code == 2
+        assert "turbo threshold must be >= 1" in capsys.readouterr().err

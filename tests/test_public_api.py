@@ -74,3 +74,48 @@ class TestSubpackageSurfaces:
 
         for name in emulator.__all__:
             assert hasattr(emulator, name), name
+
+
+class TestOneHostOneBlockingCaller:
+    """The campaign layer has one store and one (blocking) caller; the
+    shared cache tier, the submit/await handle and the per-simulation
+    backend are gone from every signature and export list."""
+
+    def test_entry_points_lost_the_parked_parameters(self):
+        import dataclasses
+        import inspect
+
+        import repro.api as api
+        from repro.analysis import SuiteRunner
+        from repro.campaign import CampaignRunner, run_jobs
+
+        signatures = {
+            "simulate": set(inspect.signature(api.simulate).parameters),
+            "run_campaign":
+                set(inspect.signature(api.run_campaign).parameters),
+            "CampaignRunner":
+                set(inspect.signature(CampaignRunner).parameters),
+            "run_jobs": set(inspect.signature(run_jobs).parameters),
+            "SuiteRunner":
+                {field.name for field in dataclasses.fields(SuiteRunner)},
+        }
+        for name, parameters in signatures.items():
+            assert not parameters & {"shared_cache_dir", "mp_context"}, name
+        assert "backend" not in signatures["simulate"]
+        assert "backend" in signatures["run_campaign"]
+
+    def test_deleted_names_are_not_exported(self):
+        import repro.api
+        import repro.campaign
+        import repro.obs
+
+        deleted = {
+            "submit_campaign", "CampaignHandle", "EventStream",
+            "ProgressCounter", "EVENT_SCHEMA", "TieredCacheStore",
+            "CircuitBreaker", "shared_tier_breaker", "reset_breakers",
+            "CampaignCancelled",
+        }
+        for module in (repro, repro.api, repro.campaign, repro.obs):
+            assert not deleted & set(module.__all__), module.__name__
+            for name in deleted:
+                assert not hasattr(module, name), (module.__name__, name)
