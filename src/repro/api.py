@@ -43,6 +43,7 @@ from repro.campaign.jobs import Job, PolicySpec
 from repro.campaign.cachedir import make_store
 from repro.campaign.progress import ProgressSink, make_sink
 from repro.campaign.worker import simulate_executable
+from repro.errors import CampaignUsageError
 from repro.isa.program import Executable
 from repro.memo.policies import ReplacementPolicy
 from repro.options import HostOptions
@@ -199,17 +200,24 @@ def run_campaign(
     campaigns); *hang_after* (seconds) arms worker hang detection via
     heartbeats. The engine runs on the calling thread: an interrupt
     tears the workers down and closes the journal on its way out.
+    Whatever refuses the campaign before a job runs — an option value
+    out of range, a *resume* file that is not this campaign's journal —
+    raises :class:`~repro.errors.CampaignUsageError` (a ``ValueError``).
     """
-    campaign = _build_campaign(
-        workloads, simulators, scale, params, include_native, jobs,
-        name, backend, host,
-    )
-    sink = make_sink(progress) if isinstance(progress, str) else progress
-    runner = CampaignRunner(
-        workers=workers, cache_dir=cache_dir, timeout=timeout,
-        retries=retries, sink=sink, obs=obs, backend=backend,
-        journal=journal, resume=resume, hang_after=hang_after,
-    )
+    try:
+        campaign = _build_campaign(
+            workloads, simulators, scale, params, include_native, jobs,
+            name, backend, host,
+        )
+        sink = (make_sink(progress) if isinstance(progress, str)
+                else progress)
+        runner = CampaignRunner(
+            workers=workers, cache_dir=cache_dir, timeout=timeout,
+            retries=retries, sink=sink, obs=obs, backend=backend,
+            journal=journal, resume=resume, hang_after=hang_after,
+        )
+    except ValueError as exc:
+        raise CampaignUsageError(str(exc)) from exc
     return runner.run(campaign)
 
 

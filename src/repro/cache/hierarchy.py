@@ -25,6 +25,15 @@ happen eagerly at issue time with in-flight lines guarded by MSHR
 completion times, a standard simplification that keeps behaviour a
 deterministic function of the request sequence — the property
 memoization relies on.
+
+On the path a warm run takes each port method is a **leaf** — it makes
+no Python-level call. A filter-hit load stamps the remembered way
+itself; a store that finds a free slot, no L2 fill in flight and its
+line in L2 walks both sets, reserves the bus and keeps the slot bounds
+in place, on the ``TagArray`` / ``Bus`` / ``MSHRFile`` objects' own
+fields. Their methods remain the specification: miss, merge, fill and
+write-back paths call them, and ``tests/cache/test_flat_ports.py``
+drives a port assembled from them alone in lockstep with this one.
 """
 
 from __future__ import annotations
@@ -92,8 +101,11 @@ class MemorySystem:
         self._l1_line_shift = self.params.l1.line_size.bit_length() - 1
         self._hit_latency = self.params.l1_hit_latency
         self._hit_interval = max(1, self._hit_latency)
-        #: Completion times of stores occupying store-buffer slots.
+        #: Completion times of stores occupying store-buffer slots, and
+        #: their min / max while there are any (see ``issue_store``).
         self._store_slots: List[int] = []
+        self._slot_first = self._slot_last = 0
+        self._bus_width = self.params.bus_width
         #: DEW-style direct-mapped load filter: ``slot -> (line, way)``
         #: short-circuiting repeated same-line L1 load hits before the
         #: full MSHR + set lookup. Invariant: an entry exists only for a
@@ -135,7 +147,10 @@ class MemorySystem:
                 # reader releases first (at a time >= now).
                 self.filter_hits += 1
                 stats.l1_load_hits += 1
-                self.l1.touch(entry[1])
+                l1 = self.l1
+                l1._clock = clock = l1._clock + 1
+                entry[1].lru = clock
+                l1.hits += 1
                 self._ready[key] = now + self._hit_latency
                 return self._hit_interval
             self.filter_misses += 1
@@ -196,6 +211,7 @@ class MemorySystem:
         lQ indices at 0, so a stale key would alias a new load."""
         self._ready.clear()
         self._store_slots.clear()
+        self._slot_first = self._slot_last = 0
         self.l1_mshrs.clear()
         self.l2_mshrs.clear()
         self.bus.reset()
@@ -233,8 +249,9 @@ class MemorySystem:
         """:meth:`cancel_load` every outstanding key >= *first_key*
         (keys ordered like the lQ: a rollback squashes its tail)."""
         ready = self._ready
-        for key in [key for key in ready if key >= first_key]:
-            del ready[key]
+        if ready:
+            for key in [key for key in ready if key >= first_key]:
+                del ready[key]
 
     # ------------------------------------------------------------------
     # Stores
@@ -247,34 +264,78 @@ class MemorySystem:
         background."""
         stats = self.stats
         stats.stores += 1
-        start = self._store_slot_time(now)
+        # Earliest cycle a store-buffer slot is free. ``_slot_first`` /
+        # ``_slot_last`` are the min / max of a non-empty ``slots``, so
+        # the common cases (every slot expired, none expired) never
+        # walk it; only a partial expiry filters, and refreshes the min.
+        slots = self._store_slots
+        start = now
+        if slots:
+            if self._slot_last <= now:
+                slots.clear()
+            else:
+                if self._slot_first <= now:
+                    slots[:] = [t for t in slots if t > now]
+                    self._slot_first = min(slots)
+                if len(slots) >= self.params.store_buffer:
+                    stats.store_buffer_stalls += 1
+                    start = self._slot_first
 
-        # Write-through, no-write-allocate L1.
-        if self.l1.probe_line(address & self._l1_line_mask) is not None:
-            stats.l1_store_hits += 1
+        # Write-through, no-write-allocate L1: ``probe_line`` in place.
+        l1 = self.l1
+        tag = address >> self._l1_line_shift
+        ways = l1._sets.get(tag & l1._set_mask)
+        if ways is None:
+            ways = l1._locate(address & self._l1_line_mask)[0]
+        for way in ways:
+            if way.tag == tag:
+                l1._clock = clock = l1._clock + 1
+                way.lru = clock
+                l1.hits += 1
+                stats.l1_store_hits += 1
+                break
         else:
+            l1.misses += 1
             stats.l1_store_misses += 1
 
-        # The word travels to L2 over the bus.
-        transfer_done = self.bus.reserve(start, width)
+        # The word travels to L2 over the bus: ``Bus.reserve`` in place.
+        bus = self.bus
+        transfer_done = bus._next_free
+        if transfer_done < start:
+            transfer_done = start
+        beats = 1 if width <= self._bus_width else bus.cycles_for(width)
+        bus._next_free = transfer_done = transfer_done + beats
+        bus.busy_cycles += beats
+        bus.transfers += 1
+
         line = address & self._l2_line_mask
         l2_mshrs = self.l2_mshrs
         inflight = None
-        if len(l2_mshrs):
+        if l2_mshrs._inflight:
             l2_mshrs.release_completed(now)
             inflight = l2_mshrs.lookup(line)
         if inflight is not None and inflight > now:
             completion = max(l2_mshrs.merge(line), transfer_done)
             self.l2.set_dirty(line)
         else:
-            way = self.l2.probe_line(line)
-            if way is not None:
-                stats.l2_hits += 1
-                way.dirty = True
-                completion = transfer_done
+            l2 = self.l2
+            tag = address >> l2._line_shift
+            ways = l2._sets.get(tag & l2._set_mask)
+            if ways is None:
+                ways = l2._locate(line)[0]
+            for way in ways:
+                if way.tag == tag:
+                    l2._clock = clock = l2._clock + 1
+                    way.lru = clock
+                    l2.hits += 1
+                    stats.l2_hits += 1
+                    way.dirty = True
+                    completion = transfer_done
+                    break
             else:
                 # Write-allocate into the write-back L2: fetch the line
                 # from memory, then merge the store's bytes.
+                l2.misses += 1
                 stats.l2_misses += 1
                 completion = self._fetch_line_from_memory(line,
                                                           transfer_done)
@@ -282,18 +343,14 @@ class MemorySystem:
                 if not l2_mshrs.full:
                     l2_mshrs.allocate(line, completion)
 
-        self._store_slots.append(completion)
-        return max(1, start - now + 1)
-
-    def _store_slot_time(self, now: int) -> int:
-        """Earliest cycle a store-buffer slot is free."""
-        slots = self._store_slots
-        if slots:
-            self._store_slots = slots = [t for t in slots if t > now]
-        if len(slots) < self.params.store_buffer:
-            return now
-        self.stats.store_buffer_stalls += 1
-        return min(slots)
+        if not slots:
+            self._slot_first = self._slot_last = completion
+        elif completion < self._slot_first:
+            self._slot_first = completion
+        elif completion > self._slot_last:
+            self._slot_last = completion
+        slots.append(completion)
+        return start - now + 1
 
     # ------------------------------------------------------------------
     # Line movement

@@ -85,13 +85,6 @@ class TagArray:
         self.misses += 1
         return None
 
-    def touch(self, way: _Way) -> None:
-        """Refresh LRU + count a hit for a way a filter already proved
-        present — byte-for-byte the bookkeeping of a :meth:`probe` hit."""
-        self._clock += 1
-        way.lru = self._clock
-        self.hits += 1
-
     def contains(self, address: int) -> bool:
         """Hit/miss check without touching LRU or statistics."""
         ways, tag = self._locate(self.line_address(address))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro import framing
-from repro.errors import CampaignError
+from repro.errors import CampaignUsageError
 from repro.obs.schema import JOURNAL_SCHEMA, stamp
 
 __all__ = [
@@ -195,9 +195,9 @@ class JournalReplay:
 def read_journal(path: str) -> JournalReplay:
     """Replay a campaign journal, tolerating a torn tail.
 
-    Raises :class:`CampaignError` only for files that are not journals
-    at all (wrong magic); damage *after* the header is expected crash
-    evidence and degrades to a shorter replay.
+    Raises :class:`CampaignUsageError` only for files that are not
+    journals at all (wrong magic); damage *after* the header is expected
+    crash evidence and degrades to a shorter replay.
     """
     replay = JournalReplay(path=path)
     with open(path, "rb") as stream:
@@ -205,7 +205,7 @@ def read_journal(path: str) -> JournalReplay:
     if not data:
         return replay
     if not data.startswith(_HEADER):
-        raise CampaignError(
+        raise CampaignUsageError(
             f"{path}: not a campaign journal (bad magic/version)")
     payloads, intact = framing.Reader(data, pos=len(_HEADER)).frames(
         None, strict=False)
@@ -239,15 +239,15 @@ def verify_resume(replay: JournalReplay, name: str,
                   job_keys: Sequence[str]) -> None:
     """Check a journal actually belongs to the campaign being resumed.
 
-    Raises :class:`CampaignError` naming the first mismatch — resuming
-    a different campaign's journal would silently merge foreign
-    results. An empty journal (crash before the open record) passes:
+    Raises :class:`CampaignUsageError` naming the first mismatch —
+    resuming a different campaign's journal would silently merge
+    foreign results. An empty journal (crash before the open record) passes:
     resuming it is just a fresh run.
     """
     if replay.name is None:
         return
     if replay.name != name:
-        raise CampaignError(
+        raise CampaignUsageError(
             f"{replay.path}: journal records campaign "
             f"{replay.name!r}, not {name!r}")
     current = list(job_keys)
@@ -263,11 +263,11 @@ def verify_resume(replay: JournalReplay, name: str,
             detail.append(f"extra {extra}")
         if not detail:
             detail.append("job order changed")
-        raise CampaignError(
+        raise CampaignUsageError(
             f"{replay.path}: journal does not match campaign "
             f"{name!r} ({'; '.join(detail)})")
     stale = sorted(set(replay.outcomes) - set(current))
     if stale:
-        raise CampaignError(
+        raise CampaignUsageError(
             f"{replay.path}: journal has outcomes for unknown jobs "
             f"{stale}")

@@ -455,6 +455,7 @@ def _cmd_run(args: argparse.Namespace,
 def _cmd_campaign(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> int:
     from repro.api import run_campaign
+    from repro.errors import CampaignUsageError
 
     simulators = [s.strip() for s in args.simulators.split(",")
                   if s.strip()]
@@ -462,6 +463,10 @@ def _cmd_campaign(args: argparse.Namespace,
     simulators = [s for s in simulators if s != "native"]
     progress = "silent" if args.quiet else args.progress
     obs = _make_obs(args)
+    try:
+        host = _host_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         result = run_campaign(
             workloads=_selected(args),
@@ -476,14 +481,15 @@ def _cmd_campaign(args: argparse.Namespace,
             progress=progress,
             name=f"suite-{args.scale}",
             obs=obs,
-            host=_host_from_args(args),
+            host=host,
             journal=args.journal,
             resume=args.resume,
             hang_after=args.hang_after,
         )
-    except ValueError as exc:
-        # HostOptions / CampaignRunner reject out-of-range option
-        # values before any job runs: a usage error, not a traceback.
+    except CampaignUsageError as exc:
+        # Refused before any job ran (an option value out of range, a
+        # --resume file that is not this campaign's journal): a usage
+        # error, not a traceback. Anything raised later propagates.
         parser.error(str(exc))
     if args.out:
         with open(args.out, "w") as stream:

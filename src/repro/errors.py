@@ -117,6 +117,13 @@ class CampaignError(ReproError):
     """Raised for campaign orchestration failures (journal/resume)."""
 
 
+class CampaignUsageError(CampaignError, ValueError):
+    """The campaign was refused before any job ran: an option value out
+    of range, or a ``resume`` file that is not this campaign's journal.
+    The CLI reports it as a usage error (one ``error:`` line, exit 2).
+    """
+
+
 class PoisonedJobError(CampaignError):
     """A job was quarantined after crashing its workers repeatedly.
 

@@ -61,14 +61,15 @@ replay against the world's *state*, not through its methods:
   retired so far — ``cf_base`` is still its entry value, so
   :meth:`World.rollback` runs unchanged;
 * **exit contract**: every way out — full replay, guard miss, dynamic
-  terminal — carries ``(cycles, Retire totals)`` in its record
-  (:attr:`CompiledSegment.cycles` / ``retired``, or :data:`ExitMeta`)
-  and the engine applies them with one ``world.advance_cycles`` + one
-  ``world.retire`` *before* it reads ``world.cycle``:
-  interpreter-identical world state at every exit;
+  terminal — is an :data:`ExitMeta` record carrying ``(cycles, Retire
+  totals)`` (:attr:`CompiledSegment.full_exit`, or ``exit_meta[i]``),
+  and the engine's one settle block applies them with one
+  ``world.advance_cycles`` + one ``world.retire`` *before* it reads
+  ``world.cycle``: interpreter-identical world state at every exit;
 * per-node statistics, touches, configuration bookkeeping and static
   chain-log entries collapse into per-segment constants; only control
-  records are captured at runtime (:class:`_CtlSlot`);
+  records are captured at runtime (:class:`_CtlSlot`), and the log is
+  patched together (:func:`patch_log`) only if something reads it;
 * the ``max_cycles`` abort check runs once per segment — a segment
   whose total could cross the limit is interpreted instead, so the
   abort raises at the exact same advance.
@@ -253,6 +254,7 @@ class CompiledSegment:
         "last_attach",  #: (last covered node, edge key or None)
         "end",          #: successor of the segment at compile time
         "exit_meta",    #: per-guard/terminal ExitMeta tuple
+        "full_exit",    #: full replay as an ExitMeta (no exit node)
         "guard_keys",   #: expected edge key per guard, walk order
         "has_terminal", #: segment ends in a dynamic multi-edge outcome
         "generation",   #: cache.graph_generation when compiled
@@ -281,6 +283,8 @@ class CompiledSegment:
         self.last_attach = last_attach
         self.end = end
         self.exit_meta = exit_meta
+        self.full_exit = (None, False, n_actions, len(nodes), cycles,
+                          retired, n_configs, last_blob, log_tail)
         self.guard_keys = guard_keys
         self.has_terminal = has_terminal
         self.generation = generation

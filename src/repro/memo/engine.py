@@ -32,6 +32,18 @@ Because record and replay drive the same world methods in the same
 order at the same cycle numbers, all simulated statistics are
 bit-identical with and without memoization; the test suite asserts this
 for every workload.
+
+**What replay does not do.** A warm run leaves almost every compiled
+segment through its dynamic terminal onto a configuration, so that path
+builds only what is read: pure-sum statistics ride in locals and reach
+``memo`` before an observer samples, before a fall-back and at the end;
+a segment exit hands its chain-log share over unbuilt and
+``patch_log`` runs only for a reader (resync, or the interpreter about
+to append node-at-a-time) — a configuration drops it; the configuration
+an exit lands on is stepped in the exit path. What later steps compare
+stays eager and exact: the world's clock and cursors, touch stamps,
+``log_anchor``, ``came_from`` (docs/performance.md, tier 2a). An
+exception leaves the locals unsettled; the run is over.
 """
 
 from __future__ import annotations
@@ -110,6 +122,31 @@ _REQUEST_FOR_NODE = {
 }
 
 
+def _build_log(chain_log: List[Tuple[Node, object]],
+               parts: List[Tuple]) -> None:
+    """Append to *chain_log* what the segment exits in *parts* logged,
+    then empty *parts*: per exit, its template with the control records
+    captured on that call patched in, then the exit node's own reply
+    (a full replay has no exit node)."""
+    for template, ctl, xnode, actual in parts:
+        chain_log.extend(patch_log(template, ctl))
+        if xnode is not None:
+            chain_log.append((xnode, actual))
+    parts.clear()
+
+
+def _settle(memo: MemoStats, table: Optional[SegmentTable], actions: int,
+            configs: int, cycles: int, instructions: int,
+            replays: int) -> None:
+    """Write the replay loop's local counters back where readers look."""
+    memo.actions_replayed = actions
+    memo.configs_replayed = configs
+    memo.replayed_cycles = cycles
+    memo.replayed_instructions = instructions
+    if table is not None:
+        table.segment_replays = replays
+
+
 class FastForwardEngine:
     """Memoized simulation: detailed recording + fast-forward replay."""
 
@@ -135,9 +172,6 @@ class FastForwardEngine:
         self.turbo = TurboConfig.resolve(turbo)
         if self.turbo.enabled and self.cache.turbo is None:
             self.cache.turbo = SegmentTable(self.turbo.threshold)
-        #: Reusable buffer for control records captured by compiled
-        #: segment replays (patched into chain-log templates).
-        self._ctl_records: List = []
         self.memo = MemoStats()
         self.max_cycles = 0
         # Observability hooks. ``obs`` resolves to the module-level
@@ -351,6 +385,13 @@ class FastForwardEngine:
         collections at record-mode configuration boundaries, guard
         invalidations inside audited episodes), so the structural
         generation is read once per episode.
+
+        The loop materialises nothing it will not read (module
+        docstring): the four replay counters and ``segment_replays``
+        live in locals until an observer samples or the loop ends — its
+        only way out — and ``parts`` holds the chain log segment exits
+        left unbuilt; it is non-empty only between a segment exit and
+        the next dispatch.
         """
         world = self.world
         cache = self.cache
@@ -358,30 +399,34 @@ class FastForwardEngine:
         obs = self.obs
         obs_on = self._obs_on
         memo.replay_episodes += 1
-        chain_length = 0
+        entry_actions = actions = memo.actions_replayed
+        configs = memo.configs_replayed
+        cycles = memo.replayed_cycles
+        instructions = memo.replayed_instructions
         chain_log: List[Tuple[Node, object]] = []
+        parts: List[Tuple] = []
         last_blob: Optional[bytes] = None
         log_anchor = world.cycle
         position: Optional[Node] = entry
         came_from: Optional[AttachPoint] = None
+        finished = False
 
         table = cache.turbo if self.turbo.enabled else None
         turbo_on = table is not None
         fast = False
+        replays = 0
         if turbo_on:
             graph_gen = cache.graph_generation
             threshold = table.threshold
             max_cycles = self.max_cycles
-            ctl: List = self._ctl_records
-            ctl_append = ctl.append
+            replays = table.segment_replays
 
         while True:
             node = position
             if node is None:
-                # Chain pruned by a replacement policy: re-record it.
-                self._end_chain(chain_length)
-                return self._resync(last_blob, chain_log, came_from,
-                                    log_anchor)
+                # A reply without an edge, or a chain pruned by a
+                # replacement policy: re-record from ``came_from``.
+                break
 
             if fast and node.can_head:
                 seg = node.seg
@@ -395,7 +440,7 @@ class FastForwardEngine:
                         node.seg = seg
                         if obs_on:
                             obs.counter("turbo.segments_compiled")
-                elif seg is not None and seg.generation != graph_gen:
+                elif seg.generation != graph_gen:
                     # Something in the graph changed since compilation.
                     # Usually it changed elsewhere: a cheap structural
                     # re-walk revives the segment; otherwise discard
@@ -416,103 +461,102 @@ class FastForwardEngine:
                 # the exact advance the interpreter would have raised.
                 if (seg is not None
                         and world.cycle + seg.cycles <= max_cycles):
-                    ctl.clear()
+                    ctl: List = []
                     result = seg.fn(world, seg.requests, seg.keys,
-                                    ctl_append)
-                    if result is None:
-                        # Full replay: settle the folded clock and
-                        # retires, then the per-segment constants.
-                        if seg.cycles:
-                            world.advance_cycles(seg.cycles)
-                        if seg.retired.count:  # else all fields are 0
-                            world.retire(seg.retired)
-                        clock = cache.touch_clock + len(seg.nodes)
-                        cache.touch_clock = clock
-                        seg.touched_at = clock
-                        memo.actions_replayed += seg.n_actions
-                        memo.configs_replayed += seg.n_configs
-                        memo.replayed_cycles += seg.cycles
-                        memo.replayed_instructions += seg.retired.count
-                        chain_length += seg.n_actions
-                        if seg.n_configs:
-                            last_blob = seg.last_blob
-                            chain_log = patch_log(seg.log_tail, ctl)
-                        elif seg.log_tail:
-                            chain_log.extend(
-                                patch_log(seg.log_tail, ctl)
-                            )
-                        if seg.sets_anchor:
-                            log_anchor = world.cycle - seg.trailing_delta
-                        came_from = seg.last_attach
-                        table.segment_replays += 1
-                        if obs_on:
-                            obs.counter("turbo.segment_replays")
-                            obs.sample_cycle(world.cycle, self)
-                        position = seg.end
-                        continue
-                    # Early return: either the segment's dynamic
+                                    ctl.append)
+                    # Every way out settles through this one block. A
+                    # full replay is the exit record without an exit
+                    # node; the others are the segment's dynamic
                     # terminal (a multi-edge outcome whose edge is
                     # looked up here, exactly like the interpreter) or
                     # a guard miss (within one generation the reply
                     # cannot have an edge — adding one bumps the
                     # generation — so the lookup below misses and this
                     # is exactly the interpreter's fall-back).
-                    gid, actual = result
+                    if result is None:
+                        actual = None
+                        meta = seg.full_exit
+                    else:
+                        gid, actual = result
+                        meta = seg.exit_meta[gid]
                     (xnode, is_control, n_act, visited, cyc, retired,
-                     n_cfg, xblob, template) = seg.exit_meta[gid]
-                    # Settle what was folded up to this exit.
+                     n_cfg, xblob, template) = meta
+                    # What was folded up to this exit: the world first.
                     if cyc:
                         world.advance_cycles(cyc)
-                    if retired.count:
+                        cycles += cyc
+                    if retired.count:  # else all fields are 0
                         world.retire(retired)
-                        memo.replayed_instructions += retired.count
+                        instructions += retired.count
                     if visited == len(seg.nodes):
-                        # Full traversal (terminal): batched touch.
+                        # Full traversal: batched touch.
                         clock = cache.touch_clock + visited
                         cache.touch_clock = clock
                         seg.touched_at = clock
                     else:
-                        # Rare partial traversal: touch the visited
-                        # prefix exactly as the interpreter would.
+                        # Rare guard miss: touch the visited prefix
+                        # exactly as the interpreter would.
                         for touched in seg.nodes[:visited]:
                             cache.touch(touched)
-                    memo.actions_replayed += n_act
-                    memo.configs_replayed += n_cfg
-                    memo.replayed_cycles += cyc
-                    chain_length += n_act
+                    actions += n_act
+                    configs += n_cfg
+                    if xnode is None:
+                        successor = seg.end
+                    else:
+                        edge_key = (actual.outcome_key if is_control
+                                    else actual)
+                        successor = xnode.edges.get(edge_key)
+                    if successor is None and xnode is not None:
+                        table.side_exits += 1
+                        counter = "turbo.side_exits"
+                    else:
+                        replays += 1
+                        counter = "turbo.segment_replays"
+                    if obs_on:
+                        _settle(memo, table, actions, configs, cycles,
+                                instructions, replays)
+                        obs.counter(counter)
+                        obs.sample_cycle(world.cycle, self)
+                    if successor.__class__ is ConfigNode:
+                        # The configuration the exit lands on, stepped
+                        # here: one iteration of the interpreter's
+                        # ConfigNode branch. Nothing will read the log
+                        # this exit closes, so it is never built.
+                        cache.touch_clock = clock = cache.touch_clock + 1
+                        successor.touch_gen = clock
+                        configs += 1
+                        if chain_log:
+                            chain_log = []
+                        if parts:
+                            parts = []
+                        last_blob = successor.blob
+                        log_anchor = world.cycle
+                        came_from = (successor, None)
+                        position = successor.next
+                        continue
                     if xblob is not None:
                         last_blob = xblob
-                        chain_log = patch_log(template, ctl)
+                        chain_log = []
+                        parts = []
+                    parts.append((template, ctl, xnode, actual))
+                    if xnode is not None:
+                        log_anchor = world.cycle
+                        came_from = (xnode, edge_key)
                     else:
-                        chain_log.extend(patch_log(template, ctl))
-                    chain_log.append((xnode, actual))
-                    log_anchor = world.cycle
-                    edge_key = (actual.outcome_key if is_control
-                                else actual)
-                    successor = xnode.edges.get(edge_key)
-                    if successor is None:
-                        table.side_exits += 1
-                        if obs_on:
-                            obs.counter("turbo.side_exits")
-                            obs.sample_cycle(world.cycle, self)
-                        self._end_chain(chain_length)
-                        return self._resync(last_blob, chain_log,
-                                            (xnode, edge_key),
-                                            log_anchor)
-                    came_from = (xnode, edge_key)
-                    table.segment_replays += 1
-                    if obs_on:
-                        obs.counter("turbo.segment_replays")
-                        obs.sample_cycle(world.cycle, self)
+                        if seg.sets_anchor:
+                            log_anchor = world.cycle - seg.trailing_delta
+                        came_from = seg.last_attach
                     position = successor
                     continue
                 fast = False  # interpret the rest of this cold region
+                if parts:
+                    _build_log(chain_log, parts)
 
             cache.touch(node)
             kind = type(node)
 
             if kind is ConfigNode:
-                memo.configs_replayed += 1
+                configs += 1
                 chain_log = []
                 last_blob = node.blob
                 log_anchor = world.cycle
@@ -523,15 +567,16 @@ class FastForwardEngine:
 
             if kind is AdvanceNode:
                 world.advance_cycles(node.delta)
-                memo.replayed_cycles += node.delta
+                cycles += node.delta
                 if obs_on:
+                    _settle(memo, table, actions, configs, cycles,
+                            instructions, replays)
                     obs.sample_cycle(world.cycle, self)
                 if world.cycle > self.max_cycles:
                     raise SimulationError(
                         f"exceeded {self.max_cycles} simulated cycles"
                     )
-                memo.actions_replayed += 1
-                chain_length += 1
+                actions += 1
                 came_from = (node, None)
                 position = node.next
                 continue
@@ -539,9 +584,8 @@ class FastForwardEngine:
             if kind is RetireNode:
                 world.retire(Retire(node.count, node.loads, node.stores,
                                     node.controls, node.branches))
-                memo.replayed_instructions += node.count
-                memo.actions_replayed += 1
-                chain_length += 1
+                instructions += node.count
+                actions += 1
                 chain_log.append((node, None))
                 log_anchor = world.cycle
                 came_from = (node, None)
@@ -553,8 +597,7 @@ class FastForwardEngine:
                                         node.squashed_loads,
                                         node.squashed_stores,
                                         node.squashed_controls))
-                memo.actions_replayed += 1
-                chain_length += 1
+                actions += 1
                 chain_log.append((node, None))
                 log_anchor = world.cycle
                 came_from = (node, None)
@@ -562,54 +605,41 @@ class FastForwardEngine:
                 continue
 
             if kind is ControlNode:
-                record = world.get_control()
-                outcome_key = record.outcome_key
-                memo.actions_replayed += 1
-                chain_length += 1
-                chain_log.append((node, record))
-                log_anchor = world.cycle
-                successor = node.edges.get(outcome_key)
-                if successor is None:
-                    self._end_chain(chain_length)
-                    return self._resync(last_blob, chain_log,
-                                        (node, outcome_key), log_anchor)
-                came_from = (node, outcome_key)
-                position = successor
-                fast = turbo_on
-                continue
-
-            if kind in (LoadIssueNode, LoadPollNode, StoreIssueNode):
-                if kind is LoadIssueNode:
-                    reply = world.issue_load(node.ordinal)
-                elif kind is LoadPollNode:
-                    reply = world.poll_load(node.ordinal)
-                else:
-                    reply = world.issue_store(node.ordinal)
-                memo.actions_replayed += 1
-                chain_length += 1
-                chain_log.append((node, reply))
-                log_anchor = world.cycle
-                successor = node.edges.get(reply)
-                if successor is None:
-                    self._end_chain(chain_length)
-                    return self._resync(last_blob, chain_log,
-                                        (node, reply), log_anchor)
-                came_from = (node, reply)
-                position = successor
-                fast = turbo_on
-                continue
-
-            if kind is EndNode:
+                reply = world.get_control()
+                edge_key = reply.outcome_key
+            elif kind is LoadIssueNode:
+                edge_key = reply = world.issue_load(node.ordinal)
+            elif kind is LoadPollNode:
+                edge_key = reply = world.poll_load(node.ordinal)
+            elif kind is StoreIssueNode:
+                edge_key = reply = world.issue_store(node.ordinal)
+            elif kind is EndNode:
                 world.advance_cycles(node.delta)
-                memo.replayed_cycles += node.delta
-                memo.actions_replayed += 1
-                chain_length += 1
-                self._end_chain(chain_length)
-                return ("finished",)
+                cycles += node.delta
+                actions += 1
+                finished = True
+                break
+            else:  # pragma: no cover
+                raise SimulationError(
+                    f"unknown node {node!r} in p-action cache"
+                )
+            # An outcome: booked, logged, then its edge followed — a
+            # reply without one ends fast-forwarding at the loop top.
+            actions += 1
+            chain_log.append((node, reply))
+            log_anchor = world.cycle
+            came_from = (node, edge_key)
+            position = node.edges.get(edge_key)
+            fast = turbo_on
 
-            raise SimulationError(  # pragma: no cover
-                f"unknown node {node!r} in p-action cache"
-            )
+        _settle(memo, table, actions, configs, cycles, instructions,
+                replays)
+        self._end_chain(actions - entry_actions)
+        if finished:
+            return ("finished",)
+        if parts:
+            _build_log(chain_log, parts)
+        return self._resync(last_blob, chain_log, came_from, log_anchor)
 
     # ------------------------------------------------------------------
     # Fall-back: resynchronise a fresh detailed simulator

@@ -11,7 +11,12 @@ constant`` cycles and leave settling the world to the engine
 * :class:`TestForcedExits` — every way out of a compiled segment is
   forced in turn and the whole world, plus everything the engine hands
   to resync, is compared with interpreted replay stopped at the same
-  node.
+  node;
+* :class:`TestLazyExit` — the exit path builds the chain log only where
+  it is read and keeps its counters in locals: the n-th fall-back of a
+  bounded run, every observer sample, and the number of ``patch_log``
+  calls say it hands over exactly what the interpreter would, and no
+  more often.
 """
 
 import dataclasses
@@ -21,9 +26,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.branch import BimodalPredictor, NotTakenPredictor
 from repro.isa import assemble
+from repro.memo import engine as engine_module
 from repro.memo.compile import TurboConfig
 from repro.memo.engine import FastForwardEngine
 from repro.memo.pcache import PActionCache
+from repro.memo.persist import _collect_nodes
+from repro.memo.policies import make_policy
+from repro.obs.core import NullObserver
 from repro.sim.world import World
 from repro.uarch.params import ProcessorParams
 from repro.workloads.fuzz import random_program
@@ -94,12 +103,14 @@ class _StopAtResync(FastForwardEngine):
         raise _Stopped
 
 
-def stop_state(executable, pcache, turbo):
-    """Replay *pcache* from the first instruction until the first
-    fall-back; everything observable at that point."""
+def stop_state(executable, pcache, turbo, engine_cls=_StopAtResync,
+               policy=None):
+    """Replay *pcache* from the first instruction until *engine_cls*
+    stops (the first fall-back); everything observable at that point."""
     params = ProcessorParams.r10k()
     world = World(executable, params, BimodalPredictor())
-    engine = _StopAtResync(executable, world, pcache=pcache, turbo=turbo)
+    engine = engine_cls(executable, world, pcache=pcache, turbo=turbo,
+                        policy=policy)
     with pytest.raises(_Stopped):
         engine.run()
     memo = dataclasses.asdict(engine.memo)
@@ -116,6 +127,49 @@ def stop_state(executable, pcache, turbo):
         "touch_clock": pcache.touch_clock,
         "handed": engine.handed,
     }
+
+
+def patch_log_calls(monkeypatch):
+    """Count the engine's ``patch_log`` calls from here on: the list
+    grows by one template per call."""
+    calls = []
+    real = engine_module.patch_log
+
+    def counted(template, ctl):
+        calls.append(template)
+        return real(template, ctl)
+
+    monkeypatch.setattr(engine_module, "patch_log", counted)
+    return calls
+
+
+def touched_nodes(monkeypatch):
+    """Every node handed to ``PActionCache.touch`` from here on — the
+    interpreter touches each node it enters; compiled segments stamp
+    theirs in bulk."""
+    touched = []
+    real = PActionCache.touch
+
+    def counted(self, node):
+        touched.append(node)
+        real(self, node)
+
+    monkeypatch.setattr(PActionCache, "touch", counted)
+    return touched
+
+
+def build_log_spans(monkeypatch):
+    """Record how many segment exits each built log spans (the number
+    of unbuilt parts ``_build_log`` is handed), from here on."""
+    spans = []
+    real = engine_module._build_log
+
+    def counted(chain_log, parts):
+        spans.append(len(parts))
+        real(chain_log, parts)
+
+    monkeypatch.setattr(engine_module, "_build_log", counted)
+    return spans
 
 
 def segment_exits(pcache):
@@ -148,7 +202,8 @@ class TestForcedExits:
     world reply. Every exit of every compiled segment takes its turn."""
 
     @pytest.mark.parametrize("name", ["compress", "li", "mgrid", "perl"])
-    def test_every_exit_matches_interpreted_replay(self, name):
+    def test_every_exit_matches_interpreted_replay(self, name,
+                                                   monkeypatch):
         executable = load_workload(name, "tiny")
         params = ProcessorParams.r10k()
         pcache = PActionCache()
@@ -158,6 +213,7 @@ class TestForcedExits:
                               pcache=pcache, turbo=EAGER).run()
         exits = segment_exits(pcache)
         assert len(exits) > 20
+        spans = build_log_spans(monkeypatch)
         kinds = set()
         for node in exits:
             saved = node.edges
@@ -169,9 +225,12 @@ class TestForcedExits:
                 table = pcache.turbo
                 side_exits = table.side_exits
                 touch_clock = pcache.touch_clock
+                built = patch_log_calls(monkeypatch)
                 compiled = stop_state(executable, pcache, EAGER)
-                # The stop really was a compiled segment's exit.
+                # The stop really was a compiled segment's exit, and
+                # the log it handed to resync was built for it.
                 assert table.side_exits == side_exits + 1
+                assert len(built) >= 1
                 pcache.touch_clock = touch_clock
                 interpreted = stop_state(executable, pcache, NO_TURBO)
             finally:
@@ -182,3 +241,147 @@ class TestForcedExits:
             kinds.add(type(node).__name__)
         assert kinds == {"ControlNode", "LoadIssueNode", "LoadPollNode",
                          "StoreIssueNode"}
+        # Not every exit carries a configuration: some of these logs
+        # grew by one unbuilt part per segment exit and were built in
+        # one go at the fall-back.
+        assert max(spans) >= (2 if name in ("compress", "li") else 1)
+
+
+class _StopAtNthResync(_StopAtResync):
+    """Lets the fall-backs before the ``stop_at``-th resync and record
+    on, then captures that one — naming nodes by their place in the
+    graph walk FSPC serialisation uses, so runs over *separate* but
+    equal p-caches compare."""
+
+    stop_at = 1
+    fallbacks = 0
+
+    def _resync(self, blob, chain_log, attach, log_anchor):
+        self.fallbacks += 1
+        if self.fallbacks < self.stop_at:
+            return FastForwardEngine._resync(self, blob, chain_log,
+                                             attach, log_anchor)
+        place = {id(node): index for index, node
+                 in enumerate(_collect_nodes(self.cache))}
+        self.handed = (
+            blob,
+            [(place[id(node)], repr(value)) for node, value in chain_log],
+            None if attach is None else (place[id(attach[0])], attach[1]),
+            log_anchor)
+        raise _Stopped
+
+
+class _MemoSampler(NullObserver):
+    """An observer that keeps ``engine.memo`` as it finds it at every
+    replay-mode ``sample_cycle``."""
+
+    enabled = True
+
+    def __init__(self):
+        self.samples = []
+
+    def sample_cycle(self, cycle, engine, iq_len=None):
+        if iq_len is None:  # replay: no iQ exists
+            memo = dataclasses.asdict(engine.memo)
+            del memo["chain_lengths"]
+            self.samples.append((cycle, engine.world.cycle, memo))
+
+
+class TestLazyExit:
+    @pytest.mark.parametrize("stop_at", [2, 5])
+    @pytest.mark.parametrize("kind", ["flush", "copying-gc"])
+    @pytest.mark.parametrize("name", ["compress", "li"])
+    def test_nth_fallback_of_a_bounded_run(self, name, kind, stop_at,
+                                           monkeypatch):
+        """Under a 0.35x bound a warm run is many short episodes:
+        collections drop segments between them, regions recompile, and
+        a log can span several segment exits without a configuration.
+        At the n-th fall-back compiled and interpreted replay — each
+        over its own, identically grown p-cache — agree on everything."""
+        executable = load_workload(name, "tiny")
+        params = ProcessorParams.r10k()
+        probe = PActionCache()
+        FastForwardEngine(executable,
+                          World(executable, params, BimodalPredictor()),
+                          pcache=probe).run()
+        limit = max(int(probe.peak_bytes * 0.35), 512)
+        spans = build_log_spans(monkeypatch)
+        engine_cls = type("Stop", (_StopAtNthResync,),
+                          {"stop_at": stop_at})
+        states = {}
+        for turbo in (EAGER, NO_TURBO):
+            pcache = PActionCache()
+            policy = make_policy(kind, limit_bytes=limit)
+            FastForwardEngine(
+                executable, World(executable, params, BimodalPredictor()),
+                pcache=pcache, policy=policy, turbo=turbo).run()
+            assert pcache.collections > 0  # the bound bit
+            states[turbo.enabled] = stop_state(
+                executable, pcache, turbo, engine_cls, policy)
+            states[turbo.enabled]["collections"] = pcache.collections
+        assert states[True] == states[False]
+        assert states[True]["memo"]["replay_episodes"] >= stop_at
+        assert spans and all(spans)  # compiled replay handed logs over
+
+    @pytest.mark.parametrize("name", ["compress", "mgrid"])
+    def test_observer_sees_settled_counters(self, name):
+        """The four replay counters ride in locals; every sample must
+        find them written back. The clock law holds at each sample of
+        either tier; at a cycle both tiers sample, the compiled run has
+        counted up to its exit node — between what the interpreter had
+        counted when it reached that cycle and when it left it."""
+        executable = load_workload(name, "tiny")
+        params = ProcessorParams.r10k()
+        sampled, finals = {}, {}
+        for turbo in (EAGER, NO_TURBO):
+            pcache = PActionCache()
+            for _ in range(2):
+                observer = _MemoSampler()
+                engine = FastForwardEngine(
+                    executable,
+                    World(executable, params, BimodalPredictor()),
+                    pcache=pcache, turbo=turbo, obs=observer)
+                engine.run()
+            sampled[turbo.enabled] = observer.samples
+            finals[turbo.enabled] = dataclasses.asdict(engine.memo)
+            for cycle, world_cycle, memo in observer.samples:
+                assert cycle == world_cycle
+                assert (memo["replayed_cycles"] + memo["detailed_cycles"]
+                        == cycle)
+        assert finals[True] == finals[False]
+        # The interpreter samples once per advance, so once per cycle
+        # value; ``after[c]`` is its sample at the next cycle it visits.
+        interpreted = sampled[False]
+        before = {cycle: memo for cycle, _, memo in interpreted}
+        after = {cycle: memo for (cycle, _, _), (_, _, memo)
+                 in zip(interpreted, interpreted[1:])}
+        shared = [(memo, before[cycle], after[cycle])
+                  for cycle, _, memo in sampled[True] if cycle in after]
+        assert len(shared) > 20
+        for compiled, low, high in shared:
+            assert compiled["replayed_cycles"] == low["replayed_cycles"]
+            assert compiled["replay_episodes"] == low["replay_episodes"]
+            for counter in ("actions_replayed", "configs_replayed",
+                            "replayed_instructions"):
+                assert low[counter] <= compiled[counter] <= high[counter]
+
+    @pytest.mark.parametrize("name", ["compress", "tomcatv"])
+    def test_log_is_built_only_for_the_interpreter(self, name,
+                                                   monkeypatch):
+        """Third pass over one p-cache at threshold 1: nothing compiles,
+        nothing falls back — so the only reader of a chain log is the
+        interpreter, entering a node a segment exit led to."""
+        executable = load_workload(name, "tiny")
+        _, pcache = port_streams(executable, EAGER)
+        compiled = pcache.turbo.segments_compiled
+        built = patch_log_calls(monkeypatch)
+        touched = touched_nodes(monkeypatch)
+        params = ProcessorParams.r10k()
+        engine = FastForwardEngine(
+            executable, World(executable, params, BimodalPredictor()),
+            pcache=pcache, turbo=EAGER)
+        memo = engine.run()
+        assert pcache.turbo.segments_compiled == compiled
+        assert memo.detailed_cycles == 0 and memo.replay_episodes == 1
+        assert pcache.turbo.segment_replays > 100
+        assert len(built) <= sum(not node.is_config for node in touched)

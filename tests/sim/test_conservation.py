@@ -4,8 +4,8 @@ Bit-identity tests compare one simulator with another; a bug both share
 (or a fold that mis-settles the world the same way on every path)
 passes them. These laws hold for *any* correct run, whatever produced
 it, and are checked on the live world after every run of the matrix
-{SlowSim, FastSim interpreted, compiled, bounded ``flush``,
-persisted-warm}:
+{SlowSim, FastSim interpreted, compiled (threshold 1), audited every
+third episode, bounded ``flush``, persisted-warm}:
 
 * one clock: ``world.cycle == stats.cycles == result.cycles``;
 * cursors are retirement counts: ``lq_base/sq_base/cf_base ==
@@ -53,6 +53,14 @@ def run_compiled(executable, **kwargs):
             for _ in range(2)]
 
 
+def run_audited(executable, **kwargs):
+    """Every third episode replays under the guard's lockstep audit,
+    the others through compiled segments: both settle one ``memo``."""
+    cache = PActionCache()
+    return [FastSim(executable, pcache=cache, turbo=EAGER, audit_every=3,
+                    **kwargs) for _ in range(3)]
+
+
 def run_bounded(executable, **kwargs):
     probe = FastSim(executable, **kwargs)
     probe.run()
@@ -79,6 +87,7 @@ MODES = {
     "slow": run_slow,
     "interpreted": run_interpreted,
     "compiled": run_compiled,
+    "audited-every-3": run_audited,
     "bounded-flush": run_bounded,
     "persisted-warm": run_persisted_warm,
 }

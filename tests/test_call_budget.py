@@ -1,0 +1,192 @@
+"""A call budget that needs no clock.
+
+Python-level calls are what the replay path pays for in fixed costs,
+and under ``sys.setprofile`` they are a count that repeats exactly from
+run to run (CPython 3.11 counts a comprehension as a frame, which is
+the point: a list rebuilt per store shows). Two budgets:
+
+* **the ports** — on its common path a ``MemorySystem`` port is a leaf:
+  a filter-hit load and its poll, a store that finds a free slot and an
+  L2-resident line, a cancel with nothing outstanding each make *zero*
+  nested Python-level calls; misses, merges and a partial slot expiry
+  still go through the helpers, and every reply is what the reference
+  port assembled from those helpers gives
+  (``tests/cache/test_flat_ports.py``);
+* **the whole run** — a warm replay builds its chain log only for the
+  interpreter, and its calls per retired instruction stay within 5 % of
+  what the change that introduced this file measured.
+
+Run with ``-s`` to see the per-layer call table.
+"""
+
+import collections
+import os
+import sys
+
+import pytest
+
+import repro
+from repro.cache.hierarchy import MemorySystem
+from repro.memo.compile import TurboConfig
+from repro.memo.pcache import PActionCache
+from repro.sim.fastsim import FastSim
+from repro.workloads.suite import load_workload
+from tests.cache.test_flat_ports import ReferencePort
+from tests.memo.test_fold import patch_log_calls, touched_nodes
+
+ROOT = os.path.dirname(repro.__file__) + os.sep
+
+
+class CallCounter:
+    """Counts Python-level calls while active; ``by_layer`` keys are
+    the first directory (or module) under ``repro/``."""
+
+    def __init__(self):
+        self.total = 0
+        self.by_layer = collections.Counter()
+
+    def _profile(self, frame, event, arg):
+        if event == "call" and frame.f_code is not _EXIT:
+            self.total += 1
+            filename = frame.f_code.co_filename
+            if filename.startswith(ROOT):
+                filename = filename[len(ROOT):].split(os.sep)[0]
+            else:  # generated code ("<repro.turbo segment>"), stdlib
+                filename = os.path.basename(filename)
+            self.by_layer[filename] += 1
+
+    def __enter__(self):
+        sys.setprofile(self._profile)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
+
+
+_EXIT = CallCounter.__exit__.__code__  # runs with the profiler still on
+
+
+def nested_calls(port, method, *args):
+    """(reply, Python-level calls made from inside the port method)."""
+    with CallCounter() as counter:
+        reply = getattr(port, method)(*args)
+    return reply, counter.total - 1  # the port method's own frame
+
+
+class Lockstepped:
+    """A flat port and the reference, driven with the same requests."""
+
+    def __init__(self):
+        self.flat = MemorySystem()
+        self.reference = ReferencePort(self.flat.params)
+
+    def call(self, method, *args):
+        reply, nested = nested_calls(self.flat, method, *args)
+        assert reply == getattr(self.reference, method)(*args)
+        assert self.flat.stats == self.reference.stats
+        return nested
+
+
+class TestPortsAreLeaves:
+    LINE = 0x4000
+
+    def warmed(self):
+        """Both levels hold ``LINE``; nothing is in flight."""
+        ports = Lockstepped()
+        assert ports.call("issue_load", 0, self.LINE, 0) > 0   # miss
+        ports.call("poll_load", 0, 500)
+        assert ports.call("issue_load", 1, self.LINE, 600) > 0  # probe hit
+        ports.call("poll_load", 1, 700)
+        return ports
+
+    def test_filter_hit_loads_and_their_polls(self):
+        ports = self.warmed()
+        for n in range(50):
+            now = 1000 + 3 * n
+            assert ports.call("issue_load", 10 + n,
+                              self.LINE + 4 * (n % 8), now) == 0
+            assert ports.call("poll_load", 10 + n, now + 1) == 0
+        assert ports.flat.filter_hits == 50
+
+    def test_stores_that_find_the_previous_slot_expired(self):
+        ports = self.warmed()
+        for n in range(50):  # L1 hit, L2 hit, one expired slot
+            assert ports.call("issue_store", self.LINE + 8, 4,
+                              1000 + 10 * n) == 0
+        # The L1 does not allocate on a store miss, the L2 does — through
+        # the fill helpers, as does retiring that fill's MSHR later.
+        other = self.LINE + 0x2000
+        assert ports.call("issue_store", other, 8, 2000) > 0
+        assert ports.call("issue_store", other, 8, 2500) > 0
+        for n in range(50):  # L1 miss, L2 hit, one expired slot
+            assert ports.call("issue_store", other, 8, 3000 + 10 * n) == 0
+        assert ports.flat.stats.l1_store_misses == 52
+        assert ports.flat.stats.store_buffer_stalls == 0
+
+    def test_eight_stores_in_one_cycle_and_the_stall_after_them(self):
+        ports = self.warmed()
+        for n in range(8):  # inside the buffer's capacity
+            assert ports.call("issue_store", self.LINE + 4 * n, 4,
+                              1000) == 0
+        assert ports.flat.stats.store_buffer_stalls == 0
+        # The ninth waits for the earliest slot — still a leaf: the
+        # slot minimum is kept beside the list.
+        assert ports.call("issue_store", self.LINE, 4, 1000) == 0
+        assert ports.flat.stats.store_buffer_stalls == 1
+
+    def test_cancel_with_nothing_outstanding(self):
+        ports = self.warmed()
+        assert ports.call("cancel_loads_from", 0) == 0
+
+    def test_uncommon_paths_still_go_through_the_helpers(self):
+        ports = self.warmed()
+        other = self.LINE + 0x100
+        assert ports.call("issue_load", 5, other, 1000) > 0       # miss
+        assert ports.call("issue_load", 6, other + 4, 1001) > 0   # merge
+        assert ports.call("cancel_loads_from", 6) > 0  # one outstanding
+        # Partial expiry: three slots complete at 2001..2003; at 2002
+        # one has expired and two have not, so the list is filtered.
+        for n in range(3):
+            ports.call("issue_store", self.LINE, 4, 2000)
+        assert ports.call("issue_store", self.LINE, 4, 2002) == 1
+        assert sorted(ports.flat._store_slots) == sorted(
+            ports.reference._store_slots)
+        # An L2 miss allocates through the fill helpers.
+        assert ports.call("issue_store", 0x900000, 4, 3000) > 0
+
+
+#: Python-level calls per retired instruction of a warm third pass at
+#: ``test`` scale and compile threshold 1, as measured when the budget
+#: was set (the commit before: compress 3.0368, tomcatv 3.3476).
+MEASURED = {"compress": 2.3015, "tomcatv": 2.1417}
+EAGER = TurboConfig(threshold=1)
+
+
+@pytest.mark.parametrize("name", sorted(MEASURED))
+def test_warm_run_call_budget(name, monkeypatch):
+    executable = load_workload(name, "test")
+    pcache = PActionCache()
+    for _ in range(2):  # record, then compile along a full replay
+        FastSim(executable, pcache=pcache, turbo=EAGER).run()
+    compiled = pcache.turbo.segments_compiled
+
+    # Each counting wrapper is one extra frame per call it wraps.
+    built = patch_log_calls(monkeypatch)
+    touched = touched_nodes(monkeypatch)
+    sim = FastSim(executable, pcache=pcache, turbo=EAGER)
+    with CallCounter() as counter:
+        result = sim.run()
+    monkeypatch.undo()
+
+    assert result.memo.detailed_instructions == 0
+    assert pcache.turbo.segments_compiled == compiled
+    # The chain log is built for the interpreter and for nobody else:
+    # no more often than it enters a node that is not a configuration.
+    assert len(built) <= sum(not node.is_config for node in touched)
+    calls = counter.total - len(built) - len(touched)
+    per_instruction = calls / result.instructions
+    print(f"\n{name}: {calls} calls / {result.instructions} retired = "
+          f"{per_instruction:.4f} (budget {1.05 * MEASURED[name]:.4f})")
+    for layer, count in counter.by_layer.most_common(12):
+        print(f"  {layer:28s} {count:8d}")
+    assert per_instruction <= 1.05 * MEASURED[name]

@@ -15,8 +15,9 @@ import pickle
 import pytest
 
 from repro.api import run_campaign
-from repro.campaign import Job
+from repro.campaign import Job, worker
 from repro.cli import _host_from_args, build_parser, main
+from repro.errors import CampaignUsageError
 from repro.memo.compile import TurboConfig
 from repro.options import HostOptions
 from repro.sim.fastsim import FastSim
@@ -204,3 +205,66 @@ class TestValidation:
                   "--turbo-threshold", "0"])
         assert caught.value.code == 2
         assert "turbo threshold must be >= 1" in capsys.readouterr().err
+
+
+class TestResumeRefusal:
+    """A ``--resume`` file that is not this campaign's journal is found
+    before any job runs and reported like a bad option value; what goes
+    wrong *while* jobs run is never turned into a usage error."""
+
+    CAMPAIGN = ["campaign", "--scale", "tiny", "--simulators", "fast",
+                "--workers", "0", "--quiet"]
+
+    def _journal(self, tmp_path, *flags):
+        path = str(tmp_path / "campaign.journal")
+        assert main(self.CAMPAIGN + ["--journal", path, *flags]) == 0
+        return path
+
+    def _refused(self, capsys, path, *flags):
+        with pytest.raises(SystemExit) as caught:
+            main(self.CAMPAIGN + ["--resume", path, *flags])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "FAILED" not in captured.out
+        return captured.err
+
+    def test_file_that_is_no_journal(self, tmp_path, capsys):
+        path = tmp_path / "garbage"
+        path.write_bytes(b"garbage")
+        err = self._refused(capsys, str(path), "--workloads", "compress")
+        assert "error:" in err and "not a campaign journal" in err
+
+    def test_journal_of_another_campaign(self, tmp_path, capsys):
+        path = self._journal(tmp_path, "--workloads", "compress")
+        err = self._refused(capsys, path, "--workloads", "go")
+        assert "does not match campaign" in err
+        assert "go:fast:tiny" in err
+
+    def test_job_order_changed(self, tmp_path, capsys):
+        path = self._journal(tmp_path, "--workloads", "compress,go")
+        err = self._refused(capsys, path, "--workloads", "go,compress")
+        assert "job order changed" in err
+
+    def test_refusal_is_typed_for_library_callers(self, tmp_path):
+        path = tmp_path / "garbage"
+        path.write_bytes(b"garbage")
+        with pytest.raises(CampaignUsageError, match="not a campaign"):
+            run_campaign(["compress"], ("fast",), scale="tiny",
+                         workers=0, resume=str(path))
+        with pytest.raises(CampaignUsageError, match="workers"):
+            run_campaign(["compress"], ("fast",), scale="tiny",
+                         workers=-1)
+
+    def test_value_error_inside_a_job_is_a_failed_job(self, monkeypatch,
+                                                      capsys):
+        """Serial campaigns run job code on the calling thread: its
+        ``ValueError`` is that job's failure (exit 1), not exit 2."""
+        def broken(job, store):
+            raise ValueError("boom inside the job")
+
+        monkeypatch.setitem(worker._JOB_KINDS, "simulate", broken)
+        assert main(self.CAMPAIGN + ["--workloads", "compress"]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED: ValueError: boom inside the job" in captured.out
+        assert "error:" not in captured.err
