@@ -27,11 +27,10 @@ from repro.campaign.cachedir import make_store
 from repro.campaign.engine import Campaign, CampaignRunner
 from repro.campaign.jobs import Job, JobResult, NativeRun, PolicySpec
 from repro.campaign.progress import NullSink, ProgressSink, TextSink
-from repro.campaign.worker import execute_job, simulate_executable
-from repro.memo.policies import ReplacementPolicy
+from repro.campaign.worker import execute_job
 from repro.sim.results import SimulationResult
 from repro.uarch.params import ProcessorParams
-from repro.workloads.suite import WORKLOAD_ORDER, get_workload, load_workload
+from repro.workloads.suite import WORKLOAD_ORDER, get_workload
 
 SIMULATORS = ("fast", "slow", "baseline")
 
@@ -103,24 +102,12 @@ class SuiteRunner:
         return self._native[name]
 
     def run(self, name: str, simulator: str,
-            policy: Optional[object] = None) -> SimulationResult:
+            policy: Optional[PolicySpec] = None) -> SimulationResult:
         """Simulate workload *name* under *simulator*.
 
         Runs with a policy are never cached (the policy is part of the
-        experiment). *policy* may be a declarative
-        :class:`~repro.campaign.jobs.PolicySpec` or, for backwards
-        compatibility, a live
-        :class:`~repro.memo.policies.ReplacementPolicy` instance (run
-        in-process so callers can inspect the instance afterwards).
+        experiment).
         """
-        if isinstance(policy, ReplacementPolicy):
-            self._log(f"running {name} [{self.scale}] "
-                      f"under {simulator}...")
-            result, _ = simulate_executable(
-                load_workload(name, self.scale), simulator,
-                params=self.params, policy=policy, obs=self.obs,
-            )
-            return result
         key = (name, simulator)
         if policy is None and key in self._results:
             return self._results[key]

@@ -1,51 +1,24 @@
 """Command-line interface: ``fastsim-repro``.
 
-Subcommands (``fastsim-repro <command> --help`` for each)::
+``fastsim-repro --help`` lists the commands and ``fastsim-repro
+<command> --help`` each command's own options; the parser is the
+command table. Each subparser carries its handler
+(``set_defaults(handler=...)``), so :func:`main` is parse-then-call.
 
-    list                      show the workload suite
-    params                    print the processor model (paper Table 1)
-    run WORKLOAD              simulate one workload under all simulators
-                              (--guard / --audit-every N for online
-                              replay audits; --no-turbo /
-                              --turbo-threshold N for chain compilation)
-    campaign                  parallel campaign over the suite
-                              (--workers/--cache-dir/--timeout/--retries,
-                              --backend {fork,subprocess,queue},
-                              --guard/--audit-every,
-                              --no-turbo/--turbo-threshold)
-    chaos                     deterministic fault-injection drill:
-                              prove a fault-riddled warm campaign is
-                              byte-identical to a clean cold run
-                              (--backend, --hang, --resume-drill)
-    mix                       dynamic instruction-mix table
-    trace WORKLOAD            per-cycle pipeline dump (--cycles N)
-    profile WORKLOAD          pipeline utilization report
-    asm FILE.s                assemble to an .fsx binary (--output)
-    disasm FILE.fsx           disassemble an .fsx binary
-    run-binary FILE.fsx       simulate an assembled binary with FastSim
-    calibrate                 host-speed calibration report
-    lint [PATH...]            determinism/memo-safety lint (--format
-                              json, --strict; default path src/repro)
-    lint-asm FILE.s [...]     static checks on assembly programs
-    obs FILE.jsonl [...]      validate schema-stamped telemetry streams
-    trace-export FILE.jsonl   convert a trace-event stream to Chrome
-                              trace JSON (chrome://tracing / Perfetto)
-    table2 | table3 | table4 | table5
-                              regenerate a paper table
-    figure7                   regenerate the cache-limit sweep
-    gc-study                  regenerate the GC-policy comparison
+Option groups shared between commands: ``--scale {tiny,test,train}``
+and ``--workloads a,b,c`` on everything that runs the suite;
+``--workers N`` / ``--backend`` / ``--cache-dir DIR`` on ``campaign``
+and the table/figure commands (docs/distributed.md); one flag per
+:class:`~repro.options.HostOptions` field on ``run`` and ``campaign``
+(docs/performance.md, docs/robustness.md); ``--obs`` / ``--obs-out
+BASE`` / ``--obs-sample N`` for telemetry, off by default and free
+when off (docs/observability.md). ``lint`` takes its flags from
+:func:`repro.lint.runner.add_arguments` (docs/lint.md).
 
-Table/figure commands accept ``--workers N`` to shard the underlying
-measurements across a campaign worker pool (placed by ``--backend``)
-and ``--cache-dir DIR`` to warm-start FastSim runs; common options are
-``--scale {tiny,test,train}`` and ``--workloads a,b,c``. See
-docs/distributed.md for the backend capability matrix.
-
-``run``, ``campaign``, and the table/figure commands also accept
-``--obs`` (enable telemetry; off by default and free when off),
-``--obs-out BASE`` (write ``BASE.trace.json`` + ``BASE.metrics.jsonl``),
-and ``--obs-sample N`` (sampling period in simulated cycles). See
-docs/observability.md.
+A name that resolves to nothing — an unknown workload, an unreadable
+or malformed program file, an option value out of range — is a usage
+error: one ``error:`` line, exit 2. Anything raised once a simulation
+is running propagates.
 """
 
 from __future__ import annotations
@@ -55,8 +28,26 @@ import sys
 from dataclasses import fields, replace
 from typing import List, Optional
 
+from repro.lint import runner as lint_runner
 from repro.options import HostOptions
 from repro.workloads.suite import WORKLOAD_ORDER, WORKLOADS, load_workload
+
+#: Paper table / figure commands: name -> (help text, the
+#: :mod:`repro.analysis` function that measures it, its renderer).
+_TABLES = {
+    "table2": ("FastSim vs SlowSim performance",
+               "table2", "render_table2"),
+    "table3": ("FastSim vs the integrated baseline",
+               "table3", "render_table3"),
+    "table4": ("detailed vs replayed instructions",
+               "table4", "render_table4"),
+    "table5": ("p-action cache statistics",
+               "table5", "render_table5"),
+    "figure7": ("speedup vs cache-size limit",
+                "figure7", "render_figure7"),
+    "gc-study": ("GC replacement-policy comparison",
+                 "gc_policy_study", "render_policy_study"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +58,14 @@ def _scale_options() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--scale", default="test",
                         choices=["tiny", "test", "train"])
+    return parent
+
+
+def _workload_argument() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("workload", choices=WORKLOAD_ORDER,
+                        metavar="workload",
+                        help="workload name (see `list`)")
     return parent
 
 
@@ -161,8 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fastsim-repro",
         description="FastSim (ASPLOS '98) reproduction driver",
     )
+    # Handlers report a name that resolves to nothing through this.
+    parser.set_defaults(usage_error=parser.error)
     commands = parser.add_subparsers(dest="command", metavar="command",
                                      required=True)
+    workload = _workload_argument()
     scale = _scale_options()
     quiet = _quiet_option()
     suite = _suite_options()
@@ -170,22 +172,20 @@ def build_parser() -> argparse.ArgumentParser:
     obs = _obs_options()
     host = _host_options()
 
-    commands.add_parser("list", parents=[quiet],
-                        help="show the workload suite")
-    commands.add_parser("params", parents=[quiet],
-                        help="print the processor model")
+    def command(name, handler, parents, help):
+        sub = commands.add_parser(name, parents=parents + [quiet],
+                                  help=help)
+        sub.set_defaults(handler=handler)
+        return sub
 
-    run = commands.add_parser("run",
-                              parents=[scale, quiet, obs, host],
-                              help="simulate one workload under all "
-                                   "simulators")
-    run.add_argument("workload", help="workload name")
+    command("list", _cmd_list, [], "show the workload suite")
+    command("params", _cmd_params, [], "print the processor model")
+    command("run", _cmd_run, [workload, scale, obs, host],
+            "simulate one workload under all simulators")
 
-    campaign = commands.add_parser(
-        "campaign",
-        parents=[scale, suite, quiet, pool, obs, host],
-        help="run a parallel simulation campaign",
-    )
+    campaign = command("campaign", _cmd_campaign,
+                       [scale, suite, pool, obs, host],
+                       "run a parallel simulation campaign")
     campaign.add_argument(
         "--simulators", default="fast,slow,baseline",
         help="comma-separated simulators "
@@ -216,11 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
              "SECONDS is presumed hung and replaced (distinct from "
              "--timeout deadline expiry)")
 
-    chaos = commands.add_parser(
-        "chaos", parents=[scale, suite, quiet],
-        help="deterministic fault-injection drill (byte-identical "
-             "output under disk corruption, forced divergence, and a "
-             "worker crash)")
+    chaos = command(
+        "chaos", _cmd_chaos, [scale, suite],
+        "deterministic fault-injection drill (byte-identical output "
+        "under disk corruption, forced divergence, and a worker crash)")
     chaos.add_argument("--workers", type=int, default=2,
                        help="worker processes for the chaotic run "
                             "(default 2; must be >= 1)")
@@ -259,84 +258,48 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json", dest="chaos_json", metavar="FILE",
                        help="write the machine-readable drill summary")
 
-    commands.add_parser("mix", parents=[scale, suite, quiet],
-                        help="dynamic instruction-mix table")
+    command("mix", _cmd_mix, [scale, suite],
+            "dynamic instruction-mix table")
 
-    trace = commands.add_parser("trace", parents=[scale, quiet],
-                                help="per-cycle pipeline dump")
-    trace.add_argument("workload", help="workload name")
+    trace = command("trace", _cmd_trace, [workload, scale],
+                    "per-cycle pipeline dump")
     trace.add_argument("--cycles", type=int, default=20,
                        help="cycles to trace")
 
-    profile = commands.add_parser("profile", parents=[scale, quiet],
-                                  help="pipeline utilization report")
-    profile.add_argument("workload", help="workload name")
+    command("profile", _cmd_profile, [workload, scale],
+            "pipeline utilization report")
 
-    asm = commands.add_parser("asm", parents=[quiet],
-                              help="assemble a .s source file")
+    asm = command("asm", _cmd_asm, [], "assemble a .s source file")
     asm.add_argument("source", help="assembly source file")
     asm.add_argument("--output", "-o", help="output .fsx path")
 
-    disasm = commands.add_parser("disasm", parents=[quiet],
-                                 help="disassemble an .fsx binary")
+    disasm = command("disasm", _cmd_disasm, [],
+                     "disassemble an .fsx binary")
     disasm.add_argument("binary", help=".fsx file")
 
-    run_binary = commands.add_parser(
-        "run-binary", parents=[quiet],
-        help="simulate an assembled binary with FastSim")
+    run_binary = command("run-binary", _cmd_run_binary, [],
+                         "simulate an assembled binary with FastSim")
     run_binary.add_argument("binary", help=".fsx file")
 
-    commands.add_parser("calibrate", parents=[quiet],
-                        help="host-speed calibration")
+    command("calibrate", _cmd_calibrate, [], "host-speed calibration")
 
-    lint = commands.add_parser(
-        "lint", parents=[quiet],
-        help="determinism & memo-safety lint")
-    lint.add_argument("paths", nargs="*",
-                      help="files/directories (default src/repro)")
-    lint.add_argument("--format", default="text",
-                      choices=["text", "json", "sarif"],
-                      dest="lint_format", help="report format")
-    # The two ways to scope the record/replay-path rules — everywhere,
-    # or by computed reachability — are alternatives.
-    scope = lint.add_mutually_exclusive_group()
-    scope.add_argument("--strict", action="store_true",
-                       help="apply record/replay-path rules to every "
-                            "module")
-    scope.add_argument("--flow", action="store_true",
-                       help="whole-program flow analysis over "
-                            "directories (call-graph reachability "
-                            "scopes the strict rules; taint, effects, "
-                            "codegen contracts on top)")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="lint files on N worker processes")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="subtract findings accepted by FILE")
-    lint.add_argument("--write-baseline", metavar="FILE",
-                      dest="write_baseline",
-                      help="accept current findings into FILE")
+    lint_runner.add_arguments(command(
+        "lint", lint_runner.run, [],
+        "determinism & memo-safety lint (no paths: the whole-program "
+        "gate; FILE.s: the assembly checks)"))
 
-    lint_asm = commands.add_parser(
-        "lint-asm", parents=[quiet],
-        help="static checks on assembly programs")
-    lint_asm.add_argument("paths", nargs="+", metavar="file.s",
-                          help="assembly sources")
-    lint_asm.add_argument("--format", default="text",
-                          choices=["text", "json", "sarif"],
-                          dest="lint_format", help="report format")
-
-    obs_cmd = commands.add_parser(
-        "obs", parents=[quiet],
-        help="validate telemetry files, or `obs report` a dashboard")
+    obs_cmd = command(
+        "obs", _cmd_obs, [],
+        "validate telemetry files, or `obs report` a dashboard")
     obs_cmd.add_argument("files", nargs="+", metavar="FILE.jsonl",
                          help="metric / trace-event / job-metrics "
                               "streams (or Chrome trace JSON); prefix "
                               "with `report` to render the campaign "
                               "dashboard instead of validating")
 
-    trace_export = commands.add_parser(
-        "trace-export", parents=[quiet],
-        help="convert a trace-event .jsonl stream to Chrome trace JSON")
+    trace_export = command(
+        "trace-export", _cmd_trace_export, [],
+        "convert a trace-event .jsonl stream to Chrome trace JSON")
     trace_export.add_argument("input", metavar="FILE.jsonl",
                               help="stream written by a JSON-lines "
                                    "trace sink")
@@ -344,17 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="output path (default: input with "
                                    "a .trace.json suffix)")
 
-    for name, description in (
-        ("table2", "FastSim vs SlowSim performance"),
-        ("table3", "FastSim vs the integrated baseline"),
-        ("table4", "detailed vs replayed instructions"),
-        ("table5", "p-action cache statistics"),
-        ("figure7", "speedup vs cache-size limit"),
-        ("gc-study", "GC replacement-policy comparison"),
-    ):
-        commands.add_parser(name,
-                            parents=[scale, suite, quiet, pool, obs],
-                            help=description)
+    for name, (description, _, _) in _TABLES.items():
+        command(name, _cmd_tables, [scale, suite, pool, obs], description)
     return parser
 
 
@@ -364,9 +318,8 @@ def _selected(args: argparse.Namespace) -> Optional[List[str]]:
     names = [n.strip() for n in args.workloads.split(",") if n.strip()]
     for name in names:
         if name not in WORKLOADS:
-            raise SystemExit(
-                f"unknown workload {name!r}; choose from {WORKLOAD_ORDER}"
-            )
+            args.usage_error(
+                f"unknown workload {name!r}; choose from {WORKLOAD_ORDER}")
     return names
 
 
@@ -403,7 +356,7 @@ def _finish_obs(obs, args: argparse.Namespace) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_list() -> int:
+def _cmd_list(_args: argparse.Namespace) -> int:
     print(f"{'name':10s} {'SPEC95':14s} {'cat':4s} description")
     for name in WORKLOAD_ORDER:
         w = WORKLOADS[name]
@@ -412,21 +365,20 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_params() -> int:
+def _cmd_params(_args: argparse.Namespace) -> int:
     from repro.uarch.params import ProcessorParams
 
     print(ProcessorParams.r10k().describe())
     return 0
 
 
-def _cmd_run(args: argparse.Namespace,
-             parser: argparse.ArgumentParser) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import simulate
 
     try:
         host = _host_from_args(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.usage_error(str(exc))
     executable = load_workload(args.workload, args.scale)
     print(f"workload {args.workload} [{args.scale}]: "
           f"{len(executable.text) // 4} static instructions")
@@ -452,8 +404,7 @@ def _cmd_run(args: argparse.Namespace,
     return 0
 
 
-def _cmd_campaign(args: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> int:
+def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.api import run_campaign
     from repro.errors import CampaignUsageError
 
@@ -466,7 +417,7 @@ def _cmd_campaign(args: argparse.Namespace,
     try:
         host = _host_from_args(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.usage_error(str(exc))
     try:
         result = run_campaign(
             workloads=_selected(args),
@@ -490,7 +441,7 @@ def _cmd_campaign(args: argparse.Namespace,
         # Refused before any job ran (an option value out of range, a
         # --resume file that is not this campaign's journal): a usage
         # error, not a traceback. Anything raised later propagates.
-        parser.error(str(exc))
+        args.usage_error(str(exc))
     if args.out:
         with open(args.out, "w") as stream:
             stream.write(result.canonical_json())
@@ -604,12 +555,28 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_binary(args: argparse.Namespace):
+    """The ``.fsx`` executable a command names; one that cannot be
+    read or decoded is a usage error."""
+    from repro.errors import EncodingError
+    from repro.isa.objfile import load_executable
+
+    try:
+        return load_executable(args.binary)
+    except (OSError, EncodingError) as exc:
+        args.usage_error(f"cannot load {args.binary}: {exc}")
+
+
 def _cmd_asm(args: argparse.Namespace) -> int:
+    from repro.errors import AssemblerError
     from repro.isa.assembler import assemble
     from repro.isa.objfile import save_executable
 
-    with open(args.source) as handle:
-        executable = assemble(handle.read(), name=args.source)
+    try:
+        with open(args.source) as handle:
+            executable = assemble(handle.read(), name=args.source)
+    except (OSError, AssemblerError) as exc:
+        args.usage_error(str(exc))  # both name the file
     output = args.output or args.source.rsplit(".", 1)[0] + ".fsx"
     save_executable(executable, output)
     print(f"wrote {output}: {len(executable.text) // 4} instructions, "
@@ -619,86 +586,25 @@ def _cmd_asm(args: argparse.Namespace) -> int:
 
 def _cmd_disasm(args: argparse.Namespace) -> int:
     from repro.isa.disasm import disassemble
-    from repro.isa.objfile import load_executable
 
-    executable = load_executable(args.binary)
-    print(disassemble(executable.instructions()))
+    print(disassemble(_load_binary(args).instructions()))
     return 0
 
 
 def _cmd_run_binary(args: argparse.Namespace) -> int:
     from repro.api import simulate
 
-    result = simulate(args.binary, engine="fast")
+    result = simulate(_load_binary(args), engine="fast")
     print(result.summary())
     print(f"output: {result.output}")
     return 0
 
 
-def _cmd_calibrate() -> int:
+def _cmd_calibrate(_args: argparse.Namespace) -> int:
     from repro.analysis.calibrate import calibrate, render_calibration
 
     print(render_calibration(calibrate()))
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.lint import (
-        apply_baseline,
-        exit_code,
-        lint_flow,
-        lint_paths,
-        load_baseline,
-        report,
-        save_baseline,
-    )
-
-    def usage_error(message: str) -> "SystemExit":
-        # Usage and I/O problems exit 2 so CI can tell "findings"
-        # (1) from "the lint never ran" (see docs/lint.md).
-        print(message, file=sys.stderr)
-        return SystemExit(2)
-
-    paths = list(args.paths)
-    if args.command == "lint-asm":
-        for path in paths:
-            if not path.endswith(".s"):
-                raise usage_error(f"lint-asm expects .s files: {path}")
-    elif not paths:
-        paths = ["src/repro"]
-    strict = getattr(args, "strict", False)
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise usage_error("--jobs must be >= 1")
-    try:
-        if getattr(args, "flow", False):
-            findings = lint_flow(paths, jobs=jobs)
-        else:
-            findings = lint_paths(paths, strict=True if strict else None,
-                                  jobs=jobs)
-    except FileNotFoundError as exc:
-        raise usage_error(f"no such path: {exc}")
-    except OSError as exc:
-        raise usage_error(f"cannot lint: {exc}")
-    if getattr(args, "write_baseline", None):
-        save_baseline(args.write_baseline, findings)
-        print(f"baseline: accepted {len(findings)} finding(s) into "
-              f"{args.write_baseline}")
-        return 0
-    if getattr(args, "baseline", None):
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError,
-                json_module.JSONDecodeError) as exc:
-            raise usage_error(str(exc))
-        findings, absorbed = apply_baseline(findings, baseline)
-        if absorbed:
-            print(f"baseline: {absorbed} accepted finding(s) hidden",
-                  file=sys.stderr)
-    print(report(findings, args.lint_format))
-    return exit_code(findings)
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -769,22 +675,10 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        figure7,
-        gc_policy_study,
-        render_figure7,
-        render_policy_study,
-        render_table2,
-        render_table3,
-        render_table4,
-        render_table5,
-        table2,
-        table3,
-        table4,
-        table5,
-    )
+    from repro import analysis
     from repro.api import suite_runner
 
+    names = _selected(args)
     obs = _make_obs(args)
     runner = suite_runner(
         scale=args.scale,
@@ -796,57 +690,16 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         obs=obs,
         backend=args.backend,
     )
-    names = _selected(args)
-    if args.command == "table2":
-        print(render_table2(table2(runner, names)))
-    elif args.command == "table3":
-        print(render_table3(table3(runner, names)))
-    elif args.command == "table4":
-        print(render_table4(table4(runner, names)))
-    elif args.command == "table5":
-        print(render_table5(table5(runner, names)))
-    elif args.command == "figure7":
-        print(render_figure7(figure7(runner, names)))
-    elif args.command == "gc-study":
-        print(render_policy_study(gc_policy_study(runner, names)))
+    _, measure, render = _TABLES[args.command]
+    print(getattr(analysis, render)(
+        getattr(analysis, measure)(runner, names)))
     _finish_obs(obs, args)
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "params":
-        return _cmd_params()
-    if args.command == "run":
-        return _cmd_run(args, parser)
-    if args.command == "campaign":
-        return _cmd_campaign(args, parser)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "mix":
-        return _cmd_mix(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "asm":
-        return _cmd_asm(args)
-    if args.command == "disasm":
-        return _cmd_disasm(args)
-    if args.command == "run-binary":
-        return _cmd_run_binary(args)
-    if args.command == "calibrate":
-        return _cmd_calibrate()
-    if args.command in ("lint", "lint-asm"):
-        return _cmd_lint(args)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    if args.command == "trace-export":
-        return _cmd_trace_export(args)
-    return _cmd_tables(args)
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 def _main_guarded(argv: Optional[List[str]] = None) -> int:

@@ -21,10 +21,11 @@ flow session (project)    :mod:`repro.lint.flow` (taint, effects,
 The per-file families above see one module at a time; the flow session
 parses the whole package, computes replay reachability from the call
 graph, and layers interprocedural checkers on top (docs/lint.md,
-"Two tiers").
+"One scope rule").
 
-Entry points: ``fastsim-repro lint`` / ``fastsim-repro lint-asm``
-(CLI), the ``fastsim-lint`` console script, or programmatically::
+Entry points: ``fastsim-repro lint`` (CLI), the ``fastsim-lint``
+console script and ``python -m repro.lint`` — one driver,
+:mod:`repro.lint.runner` — or programmatically::
 
     from repro.lint import lint_source
     findings = lint_source(code, path="repro/memo/engine.py")
@@ -37,12 +38,10 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.registry import (
     CHECKERS,
     PROJECT_CHECKERS,
-    REPLAY_PATH_SUFFIXES,
     Checker,
     LintContext,
     ProjectChecker,
     all_rules,
-    is_replay_path,
     register,
     register_project,
     run_checkers,
@@ -53,14 +52,6 @@ from repro.lint.suppress import (
     suppressions_for,
 )
 from repro.lint.asmlint import ASM_RULES, lint_asm_source
-from repro.lint.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    make_baseline,
-    save_baseline,
-)
-from repro.lint.reporters import render_sarif, validate_sarif
 from repro.lint.runner import (
     discover,
     exit_code,
@@ -81,31 +72,22 @@ __all__ = [
     "LintContext",
     "PROJECT_CHECKERS",
     "ProjectChecker",
-    "REPLAY_PATH_SUFFIXES",
     "Severity",
     "all_rules",
-    "apply_baseline",
     "apply_suppressions",
     "discover",
     "exit_code",
     "file_suppressions_for",
-    "fingerprint",
-    "is_replay_path",
     "lint_asm_file",
     "lint_asm_source",
     "lint_file",
     "lint_flow",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "main",
-    "make_baseline",
-    "render_sarif",
     "report",
     "register",
     "register_project",
     "run_checkers",
-    "save_baseline",
     "suppressions_for",
-    "validate_sarif",
 ]

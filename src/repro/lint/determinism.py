@@ -9,6 +9,10 @@ pass and the replay pass, poisons the recorded action chains.
 Rules
 -----
 
+The checker emits every rule on every module; which findings of the
+*strict scope only* rules survive is decided afterwards, in one place
+(:func:`in_strict_scope`).
+
 ``det/unseeded-random`` (everywhere)
     Module-level ``random`` functions (``random.random()``,
     ``random.choice(...)``, a bare ``from random import randint``),
@@ -16,29 +20,29 @@ Rules
     sources (``os.urandom``, ``uuid.uuid4``, ``secrets``). Simulation
     inputs must flow from an explicit ``random.Random(seed)``.
 
-``det/time-dependent`` (record/replay path only)
+``det/time-dependent`` (strict scope only)
     Wall/CPU-clock reads (``time.time``, ``perf_counter``,
     ``datetime.now``, …). Host time differs between record and replay.
 
-``det/id-dependent`` (record/replay path only)
+``det/id-dependent`` (strict scope only)
     ``id(...)`` — CPython addresses differ run to run, so an ``id``
     must never reach an outcome key, edge table, or statistic.
     Exempt: id() used purely as an identity *key* (set membership,
     dict subscript/key) — both runs see the same partition even
     though the raw addresses differ (:func:`identity_key_uses`).
 
-``det/salted-hash`` (record/replay path only)
+``det/salted-hash`` (strict scope only)
     Builtin ``hash(...)`` — string hashing is salted per process
     (``PYTHONHASHSEED``), the classic cross-run nondeterminism.
 
-``det/set-iteration`` (record/replay path only)
+``det/set-iteration`` (strict scope only)
     Iterating a set (directly, via a local assigned from a set
     expression, or via ``list``/``tuple`` conversion). Set order is
     arbitrary, so it may differ between the recording run and a replay
     that reconstructed an equal set. ``sorted(...)`` wrapping is the
     sanctioned fix.
 
-``det/dict-value-iteration`` (record/replay path only)
+``det/dict-value-iteration`` (strict scope only)
     Iterating ``.values()`` / ``.keys()`` / ``.items()``. Two dicts
     that compare equal (as memoized configurations do) may still have
     different insertion orders, so iteration order is not part of the
@@ -48,7 +52,8 @@ Rules
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple
+import sys
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Checker, LintContext, register
@@ -76,10 +81,9 @@ ENTROPY_CALLS = frozenset({
     ("os", "urandom"), ("uuid", "uuid1"), ("uuid", "uuid4"),
 })
 
-#: Rules that fire only with strict scoping: on record/replay-path
-#: modules in per-file mode, or inside computed replay-reachable
-#: functions in ``--flow`` mode. ``det/unseeded-random`` fires
-#: everywhere and is deliberately absent.
+#: Rules that count only inside the strict scope (see
+#: :func:`in_strict_scope`). ``det/unseeded-random`` counts everywhere
+#: and is deliberately absent.
 STRICT_ONLY_RULES = frozenset({
     "det/time-dependent",
     "det/id-dependent",
@@ -87,6 +91,22 @@ STRICT_ONLY_RULES = frozenset({
     "det/set-iteration",
     "det/dict-value-iteration",
 })
+
+#: The strict scope that covers a whole file.
+EVERYWHERE = ((1, sys.maxsize),)
+
+
+def in_strict_scope(findings: Iterable[Finding],
+                    spans: Sequence[Tuple[int, int]]) -> List[Finding]:
+    """The one scope rule: a :data:`STRICT_ONLY_RULES` finding is kept
+    only on a line inside *spans*, inclusive ``(first, last)`` pairs.
+    The driver passes the replay-reachable function spans of a flow
+    session, :data:`EVERYWHERE` for loose files under ``--strict``,
+    and nothing otherwise."""
+    return [finding for finding in findings
+            if finding.rule not in STRICT_ONLY_RULES
+            or any(first <= finding.line <= last for first, last in spans)]
+
 
 #: Set-method calls that yield a new (unordered) set.
 _SET_PRODUCING_METHODS = frozenset({
@@ -282,14 +302,14 @@ class _DeterminismVisitor(ast.NodeVisitor):
                     f"{module}.{attr}() reads OS entropy and can never "
                     "replay identically",
                 )
-            elif self.context.strict and resolved in CLOCK_CALLS:
+            elif resolved in CLOCK_CALLS:
                 self._emit(
                     node, "det/time-dependent", Severity.ERROR,
                     f"{module}.{attr}() reads a host clock inside the "
                     "record/replay path; host time differs between "
                     "record and replay",
                 )
-        if self.context.strict and isinstance(node.func, ast.Name):
+        if isinstance(node.func, ast.Name):
             if node.func.id == "id" and id(node) not in self.absolved_ids:
                 self._emit(
                     node, "det/id-dependent", Severity.ERROR,
@@ -308,8 +328,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
     # -- iteration ------------------------------------------------------
 
     def _check_iteration(self, iter_node: ast.AST) -> None:
-        if not self.context.strict:
-            return
         if _is_set_expr(iter_node, self._set_locals):
             self._emit(
                 iter_node, "det/set-iteration", Severity.WARNING,
@@ -344,8 +362,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
     visit_GeneratorExp = _visit_comprehension
 
     def visit_Starred(self, node: ast.Starred) -> None:
-        if self.context.strict and _is_set_expr(node.value,
-                                                self._set_locals):
+        if _is_set_expr(node.value, self._set_locals):
             self._emit(
                 node, "det/set-iteration", Severity.WARNING,
                 "unpacking a set in the record/replay path; order is "
@@ -375,8 +392,7 @@ def _flag_conversions(visitor: _DeterminismVisitor,
                 )
             self.generic_visit(node)
 
-    if visitor.context.strict:
-        _Conversions().visit(tree)
+    _Conversions().visit(tree)
 
 
 @register

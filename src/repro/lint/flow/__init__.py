@@ -10,26 +10,21 @@ package once and layers interprocedural analyses on top:
 module          builds
 ==============  ======================================================
 ``modgraph``    parsed module set + ``repro.*`` import resolution
-``cfg``         per-function control-flow graphs
-``callgraph``   project-wide call graph (type-informed dispatch)
+``callgraph``   project-wide call graph (type-informed dispatch),
+                function spans, source-order statement walk
 ``taint``       replay reachability + nondeterminism taint
-``effects``     transitive attribute read/write sets vs the manifest
+``effects``     attribute writes on the replay path vs the manifest
 ``codegen``     turbo emitter contract audit (generated-source lint)
 ``session``     orchestration: :class:`FlowSession`
 ==============  ======================================================
 
-The session's replay-reachability computation replaces the hardcoded
-``REPLAY_PATH_SUFFIXES`` allowlist: in ``--flow`` runs, strict
-determinism rules apply to exactly the functions reachable from the
-record/replay entry points, repo-wide (see docs/lint.md).
+In a flow session the strict determinism rules apply to exactly the
+functions reachable from the record/replay entry points, repo-wide
+(see docs/lint.md, "One scope rule").
 """
 
 # Importing the checker modules registers the project families.
 from repro.lint.flow import codegen, effects, taint  # noqa: F401
-from repro.lint.flow.session import (
-    FlowSession,
-    REPLAY_ENTRY_SUFFIXES,
-    run_flow_checkers,
-)
+from repro.lint.flow.session import FlowSession, REPLAY_ENTRY_SUFFIXES
 
-__all__ = ["FlowSession", "REPLAY_ENTRY_SUFFIXES", "run_flow_checkers"]
+__all__ = ["FlowSession", "REPLAY_ENTRY_SUFFIXES"]

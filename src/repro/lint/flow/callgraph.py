@@ -29,12 +29,38 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
-from repro.lint.flow.cfg import CFG, build_cfg, function_span
 from repro.lint.flow.modgraph import ModuleGraph, ModuleInfo
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITION_NODES = _FUNCTION_NODES + (ast.ClassDef,)
+
+
+def function_span(function: ast.AST) -> Tuple[int, int]:
+    """Inclusive (first, last) source line of *function*, decorators
+    included."""
+    first = function.lineno
+    if function.decorator_list:
+        first = min(first, function.decorator_list[0].lineno)
+    return first, function.end_lineno
+
+
+def statements(node: ast.AST) -> Iterator[ast.stmt]:
+    """Every statement under *node* (a function) in source order: a
+    compound statement first, then its blocks, then what follows it.
+    A nested ``def`` / ``class`` is yielded whole — its body belongs
+    to the enclosing function, and ``ast.walk`` of it reaches it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            yield child
+            if not isinstance(child, _DEFINITION_NODES):
+                yield from statements(child)
+        elif not isinstance(child, ast.expr):
+            # ``except`` handlers and ``match`` cases hold blocks too.
+            yield from statements(child)
 
 
 @dataclass
@@ -65,13 +91,6 @@ class FunctionInfo:
     return_types: Set[str] = field(default_factory=set)
     #: resolved callee qualnames per call expression (id(Call) keyed).
     call_targets: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
-    _cfg: Optional[CFG] = None
-
-    @property
-    def cfg(self) -> CFG:
-        if self._cfg is None:
-            self._cfg = build_cfg(self.node)
-        return self._cfg
 
 
 class CallGraph:
@@ -270,7 +289,7 @@ class CallGraph:
                 env[arg.arg] = types
         # One deterministic pass over the statements: locals assigned
         # from constructors or annotated-return calls.
-        for statement in fn.cfg.statements():
+        for statement in statements(fn.node):
             for node in ast.walk(statement):
                 if isinstance(node, ast.Assign):
                     types = self.expr_types(fn, env, node.value)
@@ -330,7 +349,7 @@ class CallGraph:
                 continue
             cls = self.classes[fn.owner]
             env = self.function_env(fn)
-            for statement in fn.cfg.statements():
+            for statement in statements(fn.node):
                 for node in ast.walk(statement):
                     value = None
                     target = None
@@ -374,7 +393,7 @@ class CallGraph:
             fn = self.functions[qualname]
             env = self.function_env(fn)
             edges = self.edges.setdefault(qualname, set())
-            for statement in fn.cfg.statements():
+            for statement in statements(fn.node):
                 for node in ast.walk(statement):
                     if not isinstance(node, ast.Call):
                         continue
@@ -437,7 +456,7 @@ class CallGraph:
         for qualname in sorted(self.functions):
             fn = self.functions[qualname]
             env = self.function_env(fn)
-            for statement in fn.cfg.statements():
+            for statement in statements(fn.node):
                 for node in ast.walk(statement):
                     if not isinstance(node, ast.Call):
                         continue

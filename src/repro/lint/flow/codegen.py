@@ -208,13 +208,11 @@ def interpreter_world_calls(session) -> Set[str]:
     for qualname in session.callgraph.match_suffix(
             "FastForwardEngine._replay"):
         fn = session.callgraph.functions[qualname]
-        for statement in fn.cfg.statements():
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Call):
-                    owner, _, method = ast.unparse(
-                        node.func).rpartition(".")
-                    if owner in ("world", "self.world"):
-                        methods.add(method)
+        for node in ast.walk(fn.node):
+            if isinstance(node, ast.Call):
+                owner, _, method = ast.unparse(node.func).rpartition(".")
+                if owner in ("world", "self.world"):
+                    methods.add(method)
     return methods
 
 

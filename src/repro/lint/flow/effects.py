@@ -12,11 +12,11 @@ that the configuration codec does not serialize lets two distinct
 pipeline states collide on one cache key.
 
 This family infers attribute **effects** interprocedurally: for every
-function, the attribute reads and writes performed on any expression
-whose inferred static type is a manifest class (parameter annotations,
+function, the attribute writes performed on any expression whose
+inferred static type is a manifest class (parameter annotations,
 constructor assignments, typed ``self`` attributes — see
-:mod:`repro.lint.flow.callgraph`), closed transitively over call
-edges.
+:mod:`repro.lint.flow.callgraph`), checked in every function the
+replay path reaches.
 
 ``flow/unmanifested-write`` (error)
     A replay-reachable function writes an attribute of a manifest
@@ -29,10 +29,14 @@ edges.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.flow.callgraph import CallGraph, FunctionInfo
+from repro.lint.flow.callgraph import (
+    CallGraph,
+    FunctionInfo,
+    statements,
+)
 from repro.lint.memosafety import allowed_fields
 from repro.lint.registry import ProjectChecker, register_project
 
@@ -59,13 +63,10 @@ def _write_targets(statement: ast.stmt) -> List[ast.expr]:
 
 
 class EffectTable:
-    """Per-function attribute read/write sets on manifest classes."""
+    """Per-function attribute writes on manifest classes."""
 
     def __init__(self, graph: CallGraph):
         self.graph = graph
-        #: qualname -> {class bare name -> attr set}
-        self.reads: Dict[str, Dict[str, Set[str]]] = {}
-        self.writes: Dict[str, Dict[str, Set[str]]] = {}
         #: qualname -> write effects with their AST nodes (for findings)
         self.write_sites: Dict[str, List[Effect]] = {}
         for qualname in sorted(graph.functions):
@@ -83,42 +84,14 @@ class EffectTable:
 
     def _collect(self, fn: FunctionInfo) -> None:
         env = self.graph.function_env(fn)
-        reads: Dict[str, Set[str]] = {}
-        writes: Dict[str, Set[str]] = {}
         sites: List[Effect] = []
-        for statement in fn.cfg.statements():
-            written = set()
+        for statement in statements(fn.node):
             for target in _write_targets(statement):
                 if not isinstance(target, ast.Attribute):
                     continue
-                written.add(id(target))
                 for bare in self._manifest_classes(fn, env, target.value):
-                    writes.setdefault(bare, set()).add(target.attr)
                     sites.append((target.attr, bare, target))
-            for node in ast.walk(statement):
-                if (isinstance(node, ast.Attribute)
-                        and id(node) not in written):
-                    for bare in self._manifest_classes(fn, env,
-                                                       node.value):
-                        reads.setdefault(bare, set()).add(node.attr)
-        self.reads[fn.qualname] = reads
-        self.writes[fn.qualname] = writes
         self.write_sites[fn.qualname] = sites
-
-    def transitive_writes(self, qualname: str) -> Dict[str, Set[str]]:
-        """Write sets of *qualname* including everything it calls."""
-        merged: Dict[str, Set[str]] = {}
-        seen: Set[str] = set()
-        stack = [qualname]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for bare, attrs in self.writes.get(current, {}).items():
-                merged.setdefault(bare, set()).update(attrs)
-            stack.extend(self.graph.edges.get(current, ()))
-        return merged
 
 
 def _is_dunder(attr: str) -> bool:

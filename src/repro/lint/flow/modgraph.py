@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Directory names never descended into.
 _SKIP_DIRS = frozenset({
@@ -48,30 +48,23 @@ class ModuleGraph:
         self.by_path = {info.path: info for info in modules.values()}
 
     @classmethod
-    def build(cls, root: str, package: Optional[str] = None,
-              paths: Optional[List[str]] = None) -> "ModuleGraph":
-        """Parse the package rooted at directory *root*.
-
-        *package* defaults to the root directory's basename. *paths*
-        restricts parsing to an explicit file list (the runner passes
-        its discovered files so the session and the per-file lint see
-        the same tree); otherwise the root is walked.
-        """
+    def build(cls, root: str,
+              package: Optional[str] = None) -> "ModuleGraph":
+        """Parse every ``.py`` file under the package rooted at
+        directory *root*. *package* defaults to the root directory's
+        basename."""
         root = os.path.abspath(root)
         if package is None:
             package = os.path.basename(root.rstrip(os.sep))
         modules: Dict[str, ModuleInfo] = {}
-        if paths is None:
-            paths = []
-            for dirpath, dirs, files in os.walk(root):
-                dirs[:] = sorted(d for d in dirs if d not in _SKIP_DIRS)
-                for name in sorted(files):
-                    if name.endswith(".py"):
-                        paths.append(os.path.join(dirpath, name))
+        paths = []
+        for dirpath, dirs, files in os.walk(root):
+            dirs[:] = sorted(d for d in dirs if d not in _SKIP_DIRS)
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    paths.append(os.path.join(dirpath, name))
         for path in paths:
-            relative = os.path.relpath(os.path.abspath(path), root)
-            if relative.startswith(".."):
-                continue  # outside the package root
+            relative = os.path.relpath(path, root)
             parts = relative[:-3].replace(os.sep, "/").split("/")
             if parts[-1] == "__init__":
                 parts = parts[:-1]
@@ -133,16 +126,6 @@ class ModuleGraph:
         return os.path.basename(info.path) == "__init__.py"
 
     # -- lookups ----------------------------------------------------------
-
-    def resolve(self, dotted: str) -> Optional[str]:
-        """Normalize *dotted* to ``module.qualname`` if it names
-        something in the package: longest module-name prefix wins."""
-        parts = dotted.split(".")
-        for i in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:i])
-            if candidate in self.modules:
-                return dotted
-        return None
 
     def split(self, dotted: str):
         """Split *dotted* into ``(module_name, remainder)`` using the

@@ -5,13 +5,12 @@ graph and call graph once, computes the set of functions reachable
 from the record/replay entry points, and then
 
 1. runs the **per-file** checker families over every module with
-   strict scoping *computed* from reachability: rules in
-   :data:`~repro.lint.determinism.STRICT_ONLY_RULES` keep only the
-   findings that fall inside a replay-reachable function's line span.
-   This replaces the hardcoded ``REPLAY_PATH_SUFFIXES`` allowlist —
-   a helper module three imports away from the engine gets exactly
-   the same strict treatment as the engine itself, and module-level
-   code that never runs during replay gets none;
+   the strict scope (:func:`~repro.lint.determinism.in_strict_scope`)
+   *computed* from reachability: the line spans of the
+   replay-reachable functions. A helper module three imports away
+   from the engine gets exactly the same strict treatment as the
+   engine itself, and module-level code that never runs during replay
+   gets none;
 2. runs every registered **project** checker family
    (:data:`~repro.lint.registry.PROJECT_CHECKERS`: taint, effects,
    codegen contracts) over the session.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.lint.determinism import STRICT_ONLY_RULES
+from repro.lint.determinism import in_strict_scope
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.effects import EffectTable
@@ -54,12 +53,10 @@ class FlowSession:
     """Whole-program analysis state for one package."""
 
     def __init__(self, root: str, package: Optional[str] = None,
-                 paths: Optional[List[str]] = None,
                  entries: Sequence[str] = REPLAY_ENTRY_SUFFIXES):
         self.root = root
         self.entries = tuple(entries)
-        self.modgraph = ModuleGraph.build(root, package=package,
-                                          paths=paths)
+        self.modgraph = ModuleGraph.build(root, package=package)
         self.callgraph = CallGraph(self.modgraph)
         self._reachable: Optional[FrozenSet[str]] = None
         self._effects: Optional[EffectTable] = None
@@ -122,20 +119,16 @@ class FlowSession:
     # -- running checkers -------------------------------------------------
 
     def per_file_findings(self) -> List[Finding]:
-        """Per-file families over every module, with strict-only rules
-        scoped to replay-reachable function spans (unsuppressed)."""
+        """Per-file families over every module, with the strict scope
+        set to the replay-reachable function spans (unsuppressed)."""
         spans = self.reachable_spans()
         findings: List[Finding] = []
         for name in sorted(self.modgraph.modules):
             info = self.modgraph.modules[name]
             context = LintContext(path=info.path, source=info.source,
-                                  tree=info.tree, strict=True)
-            module_spans = spans.get(info.path, [])
-            for finding in run_checkers(context):
-                if finding.rule in STRICT_ONLY_RULES and not _in_spans(
-                        finding.line, module_spans):
-                    continue
-                findings.append(finding)
+                                  tree=info.tree)
+            findings.extend(in_strict_scope(
+                run_checkers(context), spans.get(info.path, ())))
         return findings
 
     def project_findings(self) -> List[Finding]:
@@ -145,23 +138,8 @@ class FlowSession:
             findings.extend(checker_class().check(self))
         return sorted(findings)
 
-    def run(self, per_file: bool = True) -> List[Finding]:
+    def run(self) -> List[Finding]:
         """The full session: per-file (strict-scoped) + project
         families, sorted, unsuppressed."""
-        findings = self.per_file_findings() if per_file else []
-        findings.extend(self.project_findings())
-        return sorted(findings)
+        return sorted(self.per_file_findings() + self.project_findings())
 
-
-def _in_spans(line: int, spans: List[Tuple[int, int]]) -> bool:
-    return any(start <= line <= end for start, end in spans)
-
-
-def run_flow_checkers(root: str, package: Optional[str] = None,
-                      paths: Optional[List[str]] = None,
-                      entries: Sequence[str] = REPLAY_ENTRY_SUFFIXES,
-                      per_file: bool = True) -> List[Finding]:
-    """Convenience wrapper: build a session and run it."""
-    session = FlowSession(root, package=package, paths=paths,
-                          entries=entries)
-    return session.run(per_file=per_file)

@@ -1,10 +1,9 @@
 """Replay-reachability nondeterminism taint (flow family 1).
 
 The per-file determinism checker flags nondeterminism *sources* at
-their call sites, but only inside modules on the hardcoded
-record/replay allowlist — it cannot see a clock read hiding two calls
-away in a helper module. This family closes that hole
-interprocedurally:
+their call sites, one module at a time — it cannot see a clock read
+hiding two calls away in a helper module reach the replay path. This
+family closes that hole interprocedurally:
 
 ``flow/tainted-call`` (error)
     A replay-reachable function calls a function whose **return
@@ -24,7 +23,9 @@ interprocedurally:
 
 Taint here is *return-value* taint: a function is tainted when some
 ``return`` expression contains a source call, a name assigned from
-one, or a call to an already-tainted function. Source uses whose value
+one anywhere earlier in the function (statements are read in source
+order, and a clean rebind does not clear the name), or a call to an
+already-tainted function. Source uses whose value
 never escapes the function (e.g. a timestamp only logged) are the
 per-file checker's business — in ``--flow`` runs the strict
 determinism rules fire inside exactly the reachable functions, so the
@@ -43,7 +44,11 @@ from repro.lint.determinism import (
     identity_key_uses,
 )
 from repro.lint.findings import Finding, Severity
-from repro.lint.flow.callgraph import CallGraph, FunctionInfo
+from repro.lint.flow.callgraph import (
+    CallGraph,
+    FunctionInfo,
+    statements,
+)
 from repro.lint.flow.modgraph import ModuleInfo
 from repro.lint.registry import ProjectChecker, register_project
 
@@ -135,15 +140,14 @@ class _ReturnTaint:
 
     def _scan(self, fn: FunctionInfo) -> Optional[str]:
         local_taint: Dict[str, str] = {}
-        for statement in fn.cfg.statements():
+        for statement in statements(fn.node):
             if isinstance(statement, ast.Assign):
                 label = self._expr_taint(fn, local_taint, statement.value)
+                # May-taint: a clean rebind (possibly on a sibling
+                # branch) never launders a name.
                 for target in statement.targets:
-                    if isinstance(target, ast.Name):
-                        if label is not None:
-                            local_taint[target.id] = label
-                        else:
-                            local_taint.pop(target.id, None)
+                    if isinstance(target, ast.Name) and label is not None:
+                        local_taint[target.id] = label
             elif (isinstance(statement, ast.AnnAssign)
                     and statement.value is not None
                     and isinstance(statement.target, ast.Name)):
@@ -202,7 +206,9 @@ class ReplayTaintChecker(ProjectChecker):
 
     def _check_function(self, fn: FunctionInfo,
                         taint: _ReturnTaint) -> Iterator[Finding]:
-        for statement in fn.cfg.statements():
+        # Top-level statements only: walking a nested statement again
+        # would report its call sites twice.
+        for statement in fn.node.body:
             for node in ast.walk(statement):
                 if not isinstance(node, ast.Call):
                     continue

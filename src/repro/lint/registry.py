@@ -11,31 +11,10 @@ no changes.
 from __future__ import annotations
 
 import ast
-import posixpath
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Type
 
 from repro.lint.findings import Finding
-
-#: Module paths forming the record/replay core, where iteration-order
-#: and identity hazards would leak into recorded action chains and
-#: break bit-identical replay. In **per-file** mode, determinism rules
-#: marked *strict-only* fire only here; the ``--flow`` session ignores
-#: this list and scopes those rules to the *computed* set of functions
-#: reachable from the record/replay entry points instead (see
-#: docs/lint.md).
-REPLAY_PATH_SUFFIXES = (
-    "repro/memo/engine.py",
-    "repro/memo/actions.py",
-    "repro/uarch/detailed.py",
-    "repro/sim/world.py",
-)
-
-
-def is_replay_path(path: str) -> bool:
-    """True when *path* is one of the record/replay core modules."""
-    normalized = posixpath.normpath(path.replace("\\", "/"))
-    return normalized.endswith(REPLAY_PATH_SUFFIXES)
 
 
 @dataclass
@@ -45,20 +24,13 @@ class LintContext:
     path: str  #: path as reported in findings
     source: str  #: full source text
     tree: ast.Module  #: parsed AST
-    strict: bool  #: True on record/replay-path modules
 
     @classmethod
-    def for_source(cls, source: str, path: str = "<string>",
-                   strict: bool = None) -> "LintContext":
-        """Parse *source* and build a context.
-
-        *strict* defaults to whether *path* lies on the record/replay
-        path; tests and the CLI's ``--strict`` flag can force it.
-        """
-        if strict is None:
-            strict = is_replay_path(path)
+    def for_source(cls, source: str,
+                   path: str = "<string>") -> "LintContext":
+        """Parse *source* and build a context."""
         tree = ast.parse(source, filename=path)
-        return cls(path=path, source=source, tree=tree, strict=strict)
+        return cls(path=path, source=source, tree=tree)
 
 
 class Checker:
@@ -129,8 +101,9 @@ def run_checkers(context: LintContext,
                  checkers: Iterable[Type[Checker]] = None) -> List[Finding]:
     """Run checker families over one module; findings come back sorted.
 
-    Suppression comments are **not** applied here — the runner does
-    that, so unit tests can see raw checker output.
+    Neither the strict scope nor suppression comments are applied
+    here — the runner does both, so unit tests can see raw checker
+    output.
     """
     findings: List[Finding] = []
     for checker_class in (CHECKERS if checkers is None else checkers):

@@ -1,4 +1,4 @@
-"""Finding reporters: text for humans, JSON and SARIF for CI tooling.
+"""Finding reporters: text for humans, JSON for CI tooling.
 
 The JSON document shape is stable (see docs/lint.md)::
 
@@ -8,35 +8,17 @@ The JSON document shape is stable (see docs/lint.md)::
                     "message"}, ...],
       "counts": {"error": E, "warning": W, "total": N}
     }
-
-The SARIF reporter emits a minimal-but-valid SARIF 2.1.0 log (one run,
-one ``results`` array, rules declared in the tool component) so GitHub
-code scanning and other SARIF consumers can ingest lint output
-directly. :func:`validate_sarif` structurally checks a document
-against the parts of the 2.1.0 schema we rely on — CI runs it on the
-uploaded artifact, so a reporter regression fails the gate instead of
-silently producing an artifact no consumer accepts.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.lint.findings import Finding, Severity
 
 #: Schema version of the JSON report.
 JSON_VERSION = 1
-
-#: SARIF constants (2.1.0 is the only published version).
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-#: Finding severity -> SARIF result level.
-_SARIF_LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 
 
 def count_by_severity(findings: List[Finding]) -> Dict[str, int]:
@@ -68,125 +50,3 @@ def render_json(findings: List[Finding]) -> str:
         "counts": count_by_severity(findings),
     }
     return json.dumps(document, indent=2, sort_keys=True)
-
-
-def sarif_document(findings: List[Finding],
-                   rule_ids: Optional[Sequence[str]] = None) -> Dict:
-    """SARIF 2.1.0 log for *findings* as a plain dict.
-
-    *rule_ids* declares the tool's full rule set in the driver (so
-    consumers can show rules that produced no results); it defaults to
-    the rules appearing in *findings*.
-    """
-    if rule_ids is None:
-        rule_ids = sorted({finding.rule for finding in findings})
-    results = []
-    for finding in findings:
-        results.append({
-            "ruleId": finding.rule,
-            "level": _SARIF_LEVELS[finding.severity],
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {
-                        "startLine": finding.line,
-                        "startColumn": finding.col,
-                    },
-                },
-            }],
-        })
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "fastsim-lint",
-                    "informationUri": (
-                        "https://example.invalid/fastsim-repro/"
-                        "docs/lint.md"
-                    ),
-                    "rules": [{"id": rule} for rule in rule_ids],
-                },
-            },
-            "results": results,
-        }],
-    }
-
-
-def render_sarif(findings: List[Finding],
-                 rule_ids: Optional[Sequence[str]] = None) -> str:
-    """SARIF 2.1.0 log for *findings*, serialized."""
-    return json.dumps(sarif_document(findings, rule_ids), indent=2,
-                      sort_keys=True)
-
-
-def validate_sarif(document: Dict) -> List[str]:
-    """Structural SARIF 2.1.0 validation; returns problems (empty =
-    valid). Checks the required properties and types the 2.1.0 schema
-    mandates for the subset of SARIF this reporter emits."""
-    problems: List[str] = []
-
-    def expect(condition: bool, message: str) -> bool:
-        if not condition:
-            problems.append(message)
-        return condition
-
-    if not expect(isinstance(document, dict), "document must be an object"):
-        return problems
-    expect(document.get("version") == SARIF_VERSION,
-           f"version must be '{SARIF_VERSION}'")
-    runs = document.get("runs")
-    if not expect(isinstance(runs, list) and runs,
-                  "runs must be a non-empty array"):
-        return problems
-    for i, run in enumerate(runs):
-        where = f"runs[{i}]"
-        if not expect(isinstance(run, dict), f"{where} must be an object"):
-            continue
-        driver = run.get("tool", {}).get("driver") \
-            if isinstance(run.get("tool"), dict) else None
-        if expect(isinstance(driver, dict),
-                  f"{where}.tool.driver is required"):
-            expect(isinstance(driver.get("name"), str) and driver["name"],
-                   f"{where}.tool.driver.name must be a non-empty string")
-            for j, rule in enumerate(driver.get("rules", [])):
-                expect(isinstance(rule, dict)
-                       and isinstance(rule.get("id"), str),
-                       f"{where}.tool.driver.rules[{j}].id is required")
-        results = run.get("results", [])
-        if not expect(isinstance(results, list),
-                      f"{where}.results must be an array"):
-            continue
-        for j, result in enumerate(results):
-            spot = f"{where}.results[{j}]"
-            if not expect(isinstance(result, dict),
-                          f"{spot} must be an object"):
-                continue
-            message = result.get("message")
-            expect(isinstance(message, dict)
-                   and isinstance(message.get("text"), str),
-                   f"{spot}.message.text is required")
-            expect(result.get("level") in
-                   ("none", "note", "warning", "error"),
-                   f"{spot}.level must be a SARIF level")
-            for k, location in enumerate(result.get("locations", [])):
-                physical = location.get("physicalLocation") \
-                    if isinstance(location, dict) else None
-                if not expect(isinstance(physical, dict),
-                              f"{spot}.locations[{k}].physicalLocation "
-                              "is required"):
-                    continue
-                artifact = physical.get("artifactLocation")
-                expect(isinstance(artifact, dict)
-                       and isinstance(artifact.get("uri"), str),
-                       f"{spot}.locations[{k}]...artifactLocation.uri "
-                       "is required")
-                region = physical.get("region")
-                if isinstance(region, dict):
-                    start = region.get("startLine")
-                    expect(isinstance(start, int) and start >= 1,
-                           f"{spot}.locations[{k}]...region.startLine "
-                           "must be a positive integer")
-    return problems

@@ -1,46 +1,50 @@
-"""Lint driver: file discovery, suppression, reporting, exit codes.
+"""Lint driver: file discovery, scope, suppression, reporting, exit
+codes.
 
-This is both the engine behind ``fastsim-repro lint`` / ``lint-asm``
-and a standalone console script (``fastsim-lint``). Exit codes follow
-CI convention:
+The one driver behind every front door: ``fastsim-lint``,
+``python -m repro.lint`` and ``fastsim-repro lint`` declare their flags
+with :func:`add_arguments` and execute them with :func:`run`. Exit
+codes follow CI convention:
 
 ====  ============================================================
 code  meaning
 ====  ============================================================
-0     no findings survived suppression (and the baseline, if any)
+0     no findings survived suppression
 1     at least one finding (any severity — see docs/lint.md)
-2     usage or I/O error (unreadable path, no inputs, bad baseline)
+2     usage or I/O error (unreadable path)
 ====  ============================================================
 
 Two analysis modes share this driver:
 
-**per-file** (default)
-    Every registered :class:`~repro.lint.registry.Checker` family runs
-    over each file independently; strict-only rules scope to the
-    ``REPLAY_PATH_SUFFIXES`` allowlist (or everywhere with
-    ``--strict``). ``--jobs N`` fans the files out over a process
-    pool — results are merged in deterministic sorted order, so the
-    report is byte-identical at any job count.
-
-**flow** (``--flow``)
+**flow** (``--flow``, and the default when no path is given)
     Directory arguments become whole-program
     :class:`~repro.lint.flow.FlowSession`\\ s: the package is parsed
     once, replay reachability is *computed* from the call graph, and
     the project checker families (taint, effects, codegen contracts)
-    run on top of reachability-scoped per-file findings. The flow
-    session is single-process by design — it is one analysis, not a
-    file loop.
+    run on top of the per-file findings. With no paths the session
+    covers the installed ``repro`` package — the tier-1 gate, whatever
+    the working directory.
+
+**per-file**
+    Every registered :class:`~repro.lint.registry.Checker` family runs
+    over each file independently; ``.s`` files get the assembly family.
+
+Checker families emit every rule everywhere. Where the strict-only
+determinism rules *count* is one decision
+(:func:`~repro.lint.determinism.in_strict_scope`): inside the
+replay-reachable function spans of a flow session, everywhere on loose
+files under ``--strict``, nowhere otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import multiprocessing
+import itertools
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+import repro
 # Importing the checker modules registers their families.
 from repro.lint import (  # noqa: F401
     asmlint,
@@ -50,19 +54,14 @@ from repro.lint import (  # noqa: F401
     obschecks,
 )
 from repro.lint.asmlint import ASM_RULES, lint_asm_source
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
+from repro.lint.determinism import EVERYWHERE, in_strict_scope
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import LintContext, all_rules, run_checkers
-from repro.lint.reporters import (
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.lint.reporters import render_json, render_text
 from repro.lint.suppress import apply_suppressions
+
+#: The installed package — what the command lints when given no path.
+PACKAGE_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
 #: Directory names never descended into during discovery.
 _SKIP_DIRS = frozenset({
@@ -72,20 +71,23 @@ _SKIP_DIRS = frozenset({
 
 
 def lint_source(source: str, path: str = "<string>",
-                strict: Optional[bool] = None) -> List[Finding]:
-    """Lint Python *source*; suppression comments are honoured."""
+                strict: bool = False) -> List[Finding]:
+    """Lint Python *source*; suppression comments are honoured.
+    *strict* puts the whole file in the strict scope."""
     try:
-        context = LintContext.for_source(source, path=path, strict=strict)
+        context = LintContext.for_source(source, path=path)
     except SyntaxError as exc:
         return [Finding(
             path=path, line=exc.lineno or 1, col=(exc.offset or 0) + 1,
             rule="lint/syntax-error", severity=Severity.ERROR,
             message=f"cannot parse file: {exc.msg}",
         )]
-    return apply_suppressions(run_checkers(context), source)
+    findings = in_strict_scope(run_checkers(context),
+                               EVERYWHERE if strict else ())
+    return apply_suppressions(findings, source)
 
 
-def lint_file(path: str, strict: Optional[bool] = None) -> List[Finding]:
+def lint_file(path: str, strict: bool = False) -> List[Finding]:
     """Lint one Python file."""
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
@@ -138,52 +140,41 @@ def discover(paths: Sequence[str]) -> Tuple[List[str], List[str]]:
     return python_files, asm_files
 
 
-def _python_job(args: Tuple[str, Optional[bool]]) -> List[Finding]:
-    """Process-pool worker: lint one Python file."""
-    path, strict = args
-    return lint_file(path, strict=strict)
-
-
-def _asm_job(path: str) -> List[Finding]:
-    """Process-pool worker: lint one assembly file."""
-    return lint_asm_file(path)
-
-
-def lint_paths(paths: Sequence[str], strict: Optional[bool] = None,
-               jobs: int = 1) -> List[Finding]:
-    """Lint every ``.py`` and ``.s`` file under *paths*.
-
-    *jobs* > 1 distributes files over a process pool. Findings are
-    sorted before returning, so the merged report is deterministic and
-    identical at any job count.
-    """
+def lint_paths(paths: Sequence[str],
+               strict: bool = False) -> List[Finding]:
+    """Lint every ``.py`` and ``.s`` file under *paths*, sorted."""
     python_files, asm_files = discover(paths)
     findings: List[Finding] = []
-    if jobs > 1 and len(python_files) + len(asm_files) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            for result in pool.map(
-                    _python_job,
-                    [(path, strict) for path in python_files]):
-                findings.extend(result)
-            for result in pool.map(_asm_job, asm_files):
-                findings.extend(result)
-    else:
-        for file_path in python_files:
-            findings.extend(lint_file(file_path, strict=strict))
-        for file_path in asm_files:
-            findings.extend(lint_asm_file(file_path))
+    for file_path in python_files:
+        findings.extend(lint_file(file_path, strict=strict))
+    for file_path in asm_files:
+        findings.extend(lint_asm_file(file_path))
     return sorted(findings)
 
 
-def lint_flow(paths: Sequence[str], jobs: int = 1) -> List[Finding]:
+def session_findings(session) -> List[Finding]:
+    """Run *session* and apply each module's suppression comments to
+    the findings that point into it."""
+    findings: List[Finding] = []
+    # ``run()`` comes back sorted, path first.
+    for path, group in itertools.groupby(session.run(),
+                                         key=lambda f: f.path):
+        info = session.modgraph.by_path.get(path)
+        if info is not None:
+            findings.extend(apply_suppressions(list(group), info.source))
+        else:
+            findings.extend(group)
+    return findings
+
+
+def lint_flow(paths: Sequence[str]) -> List[Finding]:
     """Whole-program flow analysis over *paths*.
 
     Each directory argument becomes one
     :class:`~repro.lint.flow.FlowSession` (package root = the
     directory). Loose ``.py`` file arguments fall back to per-file
     lint; ``.s`` files run the assembly checker as usual. Suppression
-    comments are honoured everywhere. *jobs* accelerates the non-flow
-    remainder; the session itself is single-process.
+    comments are honoured everywhere.
     """
     from repro.lint.flow import FlowSession
 
@@ -193,34 +184,21 @@ def lint_flow(paths: Sequence[str], jobs: int = 1) -> List[Finding]:
         if not os.path.isdir(path):
             loose.append(path)
             continue
-        session = FlowSession(path)
-        by_path: Dict[str, List[Finding]] = {}
-        for finding in session.run():
-            by_path.setdefault(finding.path, []).append(finding)
-        for finding_path in sorted(by_path):
-            info = session.modgraph.by_path.get(finding_path)
-            if info is not None:
-                findings.extend(apply_suppressions(
-                    by_path[finding_path], info.source))
-            else:
-                findings.extend(by_path[finding_path])
+        findings.extend(session_findings(FlowSession(path)))
         # The session covers ``.py`` only; assembly under the same
         # tree still goes through the per-file assembly family.
         _, asm_files = discover([path])
         for file_path in asm_files:
             findings.extend(lint_asm_file(file_path))
     if loose:
-        findings.extend(lint_paths(loose, jobs=jobs))
+        findings.extend(lint_paths(loose))
     return sorted(findings)
 
 
 def report(findings: List[Finding], fmt: str = "text") -> str:
-    """Render findings in ``text``, ``json`` or ``sarif`` format."""
+    """Render findings in ``text`` or ``json`` format."""
     if fmt == "json":
         return render_json(findings)
-    if fmt == "sarif":
-        return render_sarif(
-            findings, rule_ids=sorted(set(all_rules()) | set(ASM_RULES)))
     return render_text(findings)
 
 
@@ -229,21 +207,16 @@ def exit_code(findings: List[Finding]) -> int:
     return 1 if findings else 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Console entry point (``fastsim-lint``)."""
-    parser = argparse.ArgumentParser(
-        prog="fastsim-lint",
-        description=(
-            "Determinism & memo-safety lint for the FastSim "
-            "reproduction (see docs/lint.md)."
-        ),
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the lint flags on *parser* — the one declaration every
+    front door shares; :func:`run` executes what they parse to."""
+    parser.add_argument(
+        "paths", nargs="*",
+        help="files or directories to lint (default: the gate — a "
+             "flow session over the installed repro package)",
     )
     parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
     # The two ways to scope the record/replay-path rules — everywhere,
@@ -255,73 +228,53 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     scope.add_argument(
         "--flow", action="store_true",
-        help=(
-            "whole-program analysis: build a flow session per "
-            "directory (call-graph reachability scopes the strict "
-            "rules; taint/effects/codegen families run on top)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="lint files on N worker processes (per-file mode)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="subtract findings accepted by this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="accept the current findings into FILE and exit 0",
+        help="whole-program analysis: build a flow session per "
+             "directory (call-graph reachability scopes the strict "
+             "rules; taint/effects/codegen families run on top)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print every rule id and exit",
     )
-    options = parser.parse_args(argv)
 
+
+def run(options: argparse.Namespace) -> int:
+    """Execute a parsed lint command line; returns the exit code."""
     if options.list_rules:
         # Project (flow) families register on import.
         import repro.lint.flow  # noqa: F401
         for rule in sorted(set(all_rules()) | set(ASM_RULES)):
             print(rule)
         return 0
-    if options.jobs < 1:
-        print("fastsim-lint: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
+    # No path is the gate itself, from any working directory.
+    paths = options.paths or [PACKAGE_ROOT]
+    flow = options.flow or not (options.paths or options.strict)
     try:
-        if options.flow:
-            findings = lint_flow(options.paths, jobs=options.jobs)
+        if flow:
+            findings = lint_flow(paths)
         else:
-            findings = lint_paths(
-                options.paths, strict=True if options.strict else None,
-                jobs=options.jobs,
-            )
+            findings = lint_paths(paths, strict=options.strict)
     except FileNotFoundError as exc:
-        print(f"fastsim-lint: no such path: {exc}", file=sys.stderr)
+        print(f"lint: no such path: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"fastsim-lint: {exc}", file=sys.stderr)
+        print(f"lint: {exc}", file=sys.stderr)
         return 2
-
-    if options.write_baseline:
-        save_baseline(options.write_baseline, findings)
-        print(f"baseline: accepted {len(findings)} finding(s) into "
-              f"{options.write_baseline}")
-        return 0
-    if options.baseline:
-        try:
-            baseline = load_baseline(options.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"fastsim-lint: {exc}", file=sys.stderr)
-            return 2
-        findings, absorbed = apply_baseline(findings, baseline)
-        if absorbed:
-            print(f"baseline: {absorbed} accepted finding(s) hidden",
-                  file=sys.stderr)
-
     print(report(findings, options.format))
     return exit_code(findings)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Console entry point (``fastsim-lint``)."""
+    parser = argparse.ArgumentParser(
+        prog="fastsim-lint",
+        description=(
+            "Determinism & memo-safety lint for the FastSim "
+            "reproduction (see docs/lint.md)."
+        ),
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,8 +21,8 @@ marker appears in the first :data:`FILE_MARKER_WINDOW` lines::
 
 Per-line markers compose with findings that point at one statement;
 the file form exists for findings that describe a module-level
-property and for adopting the flow session on legacy modules without
-a baseline. The head-of-file window keeps the waiver where a reader
+property and for adopting the flow session on legacy modules. The
+head-of-file window keeps the waiver where a reader
 looking at the module sees it immediately.
 """
 

@@ -81,3 +81,53 @@ class TestTraceProfile:
         assert main(["mix", "--workloads", "compress", "--scale",
                      "tiny"]) == 0
         assert "compress" in capsys.readouterr().out
+
+
+UNDEFINED_SYMBOL = "main:\n    ba nowhere\n    nop\n    halt\n"
+
+
+class TestNamesThatResolveToNothing:
+    """An unknown workload or an unreadable / malformed program file is
+    a usage error — one ``error:`` line, exit 2, no traceback — not a
+    ``WorkloadError`` / ``FileNotFoundError`` / ``EncodingError`` /
+    ``AssemblerError`` stack (or, for ``--workloads``, exit 1)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "NOSUCH"],
+        ["trace", "NOSUCH"],
+        ["profile", "NOSUCH"],
+        ["mix", "--workloads", "quake"],
+        ["asm", "{tmp}/missing.s"],
+        ["disasm", "{tmp}/missing.fsx"],
+        ["run-binary", "{tmp}/missing.fsx"],
+        ["run-binary", "{tmp}/garbage.fsx"],
+        ["asm", "{tmp}/undefined.s"],
+    ], ids=lambda argv: "-".join(argv).replace("{tmp}/", ""))
+    def test_is_one_error_line_and_exit_2(self, argv, tmp_path, capsys):
+        (tmp_path / "garbage.fsx").write_bytes(b"garbage")
+        (tmp_path / "undefined.s").write_text(UNDEFINED_SYMBOL)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+
+    def test_a_failure_while_simulating_still_propagates(
+            self, source_file, tmp_path, monkeypatch, capsys):
+        """Only load / assemble are guarded: what a running simulation
+        raises is not folded into a usage error."""
+        import repro.api
+        from repro.errors import EncodingError
+
+        binary = tmp_path / "prog.fsx"
+        main(["asm", str(source_file), "-o", str(binary)])
+
+        def broken(*args, **kwargs):
+            raise EncodingError("raised mid-simulation")
+
+        monkeypatch.setattr(repro.api, "simulate", broken)
+        with pytest.raises(EncodingError, match="mid-simulation"):
+            main(["run-binary", str(binary)])
+        with pytest.raises(EncodingError, match="mid-simulation"):
+            main(["run", "compress", "--scale", "tiny"])

@@ -39,10 +39,10 @@ class TestRunner:
         assert first is second
 
     def test_policy_runs_not_cached(self, runner):
-        from repro.memo.policies import FlushOnFullPolicy
+        from repro.campaign.jobs import PolicySpec
 
-        first = runner.run("mgrid", "fast", policy=FlushOnFullPolicy(4096))
-        second = runner.run("mgrid", "fast", policy=FlushOnFullPolicy(4096))
+        first = runner.run("mgrid", "fast", policy=PolicySpec("flush", 4096))
+        second = runner.run("mgrid", "fast", policy=PolicySpec("flush", 4096))
         assert first is not second
 
     def test_native_measures_functional_execution(self, runner):

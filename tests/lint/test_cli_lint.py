@@ -1,7 +1,9 @@
-"""CLI integration: ``fastsim-repro lint`` / ``lint-asm`` and the
-``fastsim-lint`` console entry point (exit codes, formats)."""
+"""CLI integration: ``fastsim-repro lint`` and the ``fastsim-lint``
+console entry point — two doors onto one driver (exit codes, formats,
+the same flags behind both)."""
 
 import json
+import re
 import textwrap
 
 import pytest
@@ -79,37 +81,70 @@ class TestCliLint:
         assert entry(["--strict", str(hazards)]) == 1
 
     def test_missing_path_is_usage_error(self, tree, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["lint", str(tree / "does-not-exist.py")])
-        assert exc.value.code == 2
+        assert cli_main(["lint", str(tree / "does-not-exist.py")]) == 2
         assert "no such path" in capsys.readouterr().err
 
 
 class TestCliLintAsm:
+    """``lint FILE.s`` runs the assembly family (the ``lint-asm`` alias
+    is gone)."""
+
     def test_clean_program_exits_zero(self, tree):
-        assert cli_main(["lint-asm", str(tree / "clean.s")]) == 0
+        assert cli_main(["lint", str(tree / "clean.s")]) == 0
 
     def test_broken_program_exits_one(self, tree, capsys):
-        assert cli_main(["lint-asm", str(tree / "dirty.s")]) == 1
+        assert cli_main(["lint", str(tree / "dirty.s")]) == 1
         assert "asm/undefined-label" in capsys.readouterr().out
 
     def test_requires_a_file(self, capsys):
+        """...under the old name, which is no longer a command."""
         with pytest.raises(SystemExit) as exc:
             cli_main(["lint-asm"])
         assert exc.value.code == 2
-        capsys.readouterr()
-
-    def test_rejects_non_asm_input(self, tree, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["lint-asm", str(tree / "clean.py")])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        assert "invalid choice: 'lint-asm'" in capsys.readouterr().err
 
     def test_multiple_files(self, tree, capsys):
-        code = cli_main(["lint-asm", str(tree / "clean.s"),
+        code = cli_main(["lint", str(tree / "clean.s"),
                          str(tree / "dirty.s")])
         assert code == 1
         assert "nowhere" in capsys.readouterr().out
+
+
+DOORS = pytest.mark.parametrize("entry", [
+    lambda argv: cli_main(["lint"] + argv), lint_main,
+], ids=["fastsim-repro", "fastsim-lint"])
+
+
+class TestOneDriverTwoDoors:
+    """The flags are declared once (``runner.add_arguments``), so the
+    doors cannot drift: ``fastsim-repro lint`` had no ``--list-rules``
+    while the two parsers were hand-copied."""
+
+    @staticmethod
+    def _out(entry, argv, capsys):
+        try:
+            entry(argv)
+        except SystemExit as exc:  # --help exits through argparse
+            assert exc.code == 0
+        return capsys.readouterr().out
+
+    @DOORS
+    def test_help_lists_the_same_options(self, entry, capsys):
+        """...and exactly these: ``--jobs``, ``--baseline``,
+        ``--write-baseline`` and ``--format sarif`` are gone (``--quiet``
+        is ``fastsim-repro``'s own, accepted by every subcommand)."""
+        text = self._out(entry, ["--help"], capsys)
+        options = set(re.findall(r"--[a-z][a-z-]*", text)) - {"--quiet"}
+        assert options == {"--help", "--format", "--strict", "--flow",
+                           "--list-rules"}
+        assert "{text,json}" in text
+
+    @DOORS
+    def test_list_rules_prints_the_same_lines(self, entry, capsys):
+        lines = self._out(entry, ["--list-rules"], capsys).splitlines()
+        assert lines == self._out(
+            lint_main, ["--list-rules"], capsys).splitlines()
+        assert "flow/tainted-call" in lines and "asm/undefined-label" in lines
 
 
 class TestConsoleScript:

@@ -3,14 +3,17 @@
 import textwrap
 
 from repro.lint import LintContext, run_checkers
-from repro.lint.determinism import DeterminismChecker
+from repro.lint.determinism import (
+    EVERYWHERE,
+    DeterminismChecker,
+    in_strict_scope,
+)
 
 
 def lint(code, strict=True):
-    context = LintContext.for_source(
-        textwrap.dedent(code), path="<test>", strict=strict
-    )
-    return run_checkers(context, [DeterminismChecker])
+    context = LintContext.for_source(textwrap.dedent(code), path="<test>")
+    return in_strict_scope(run_checkers(context, [DeterminismChecker]),
+                           EVERYWHERE if strict else ())
 
 
 def rules(code, strict=True):
@@ -181,19 +184,25 @@ class TestDictValueIteration:
         """, strict=False) == []
 
 
-class TestStrictDefaultsFromPath:
-    def test_replay_path_modules_are_strict(self):
-        source = "for v in t.values():\n    use(v)\n"
-        context = LintContext.for_source(
-            source, path="src/repro/memo/engine.py"
-        )
-        assert context.strict
-        assert run_checkers(context, [DeterminismChecker])
+class TestStrictScopeIsLineSpans:
+    """The checker emits every rule everywhere; the scope decides what
+    counts (docs/lint.md, "One scope rule")."""
 
-    def test_other_modules_are_not(self):
-        source = "for v in t.values():\n    use(v)\n"
-        context = LintContext.for_source(
-            source, path="src/repro/analysis/tables.py"
-        )
-        assert not context.strict
-        assert run_checkers(context, [DeterminismChecker]) == []
+    SOURCE = ("import random\n"                 # 1
+              "for v in t.values():\n"          # 2  strict-only
+              "    use(v)\n"                    # 3
+              "x = random.random()\n"           # 4  counts everywhere
+              "for k in t.keys():\n"            # 5  strict-only
+              "    use(k)\n")                   # 6
+
+    def _lines(self, spans):
+        context = LintContext.for_source(self.SOURCE, path="<test>")
+        raw = run_checkers(context, [DeterminismChecker])
+        assert [f.line for f in raw] == [2, 4, 5]  # emitted regardless
+        return [f.line for f in in_strict_scope(raw, spans)]
+
+    def test_nothing_everything_and_a_span(self):
+        assert self._lines(()) == [4]
+        assert self._lines(EVERYWHERE) == [2, 4, 5]
+        assert self._lines([(5, 6)]) == [4, 5]
+        assert self._lines([(1, 2), (6, 9)]) == [2, 4]

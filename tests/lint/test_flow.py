@@ -1,9 +1,10 @@
 """Flow-session tests: computed reachability, interprocedural taint,
 effect inference, and the turbo codegen contracts.
 
-The fixture package under ``fixtures/flowpkg`` seeds exactly one
-violation per flow rule in places no path-based allowlist would ever
-scope (see its ``__init__`` docstring); the real tree must come back
+The fixture package under ``fixtures/flowpkg`` seeds violations of
+each flow rule in places no per-file view would ever scope — the
+tainted call in every statement shape the taint walk must see through
+(see its ``__init__`` docstring); the real tree must come back
 self-clean; and the codegen family must demonstrably catch injected
 emitter mutations — a patched template or bindings table (of the turbo
 segment emitter or of the frontend's block emitter) produces exactly
@@ -32,7 +33,7 @@ from repro.lint.flow.codegen import (
 )
 from repro.emulator import threaded
 from repro.isa.opcodes import opcode_info
-from repro.lint.runner import lint_flow
+from repro.lint.runner import session_findings
 from repro.memo import compile as compiler
 
 SRC_ROOT = os.path.dirname(repro.__file__)
@@ -64,6 +65,11 @@ class TestCallGraph:
         assert fixture_session.reachable() == frozenset({
             "flowpkg.engine.FastForwardEngine._replay",
             "flowpkg.clockio.read_clock",
+            "flowpkg.clockio.clock_in_if_else",
+            "flowpkg.clockio.clock_in_if",
+            "flowpkg.clockio.clock_in_try",
+            "flowpkg.clockio.clock_in_with",
+            "flowpkg.clockio.clock_in_for",
             "flowpkg.pipeline.poke_warmup",
         })
 
@@ -81,10 +87,26 @@ class TestFixtureFindings:
     """Each seeded violation fires exactly once, nothing else does."""
 
     def test_exactly_the_seeded_violations(self, fixture_session):
+        """The clock read assigned inside ``if``/``else``, ``if`` and
+        ``try`` and returned after the statement used to be missed
+        (the statement after a compound one was read before its body,
+        and a clean rebind cleared the name); the call site nested in
+        an ``if`` used to be reported twice."""
         keys = sorted(_key(f) for f in fixture_session.run())
         assert keys == [
-            ("clockio.py", 9, "det/time-dependent"),
-            ("engine.py", 15, "flow/tainted-call"),
+            ("clockio.py", 9, "det/time-dependent"),    # read_clock
+            ("clockio.py", 24, "det/time-dependent"),   # ..._if_else
+            ("clockio.py", 33, "det/time-dependent"),   # ..._if
+            ("clockio.py", 39, "det/time-dependent"),   # ..._try
+            ("clockio.py", 47, "det/time-dependent"),   # ..._with
+            ("clockio.py", 54, "det/time-dependent"),   # ..._for
+            ("engine.py", 23, "flow/tainted-call"),     # read_clock
+            ("engine.py", 25, "flow/tainted-call"),     # clock_in_if_else
+            ("engine.py", 26, "flow/tainted-call"),     # clock_in_if
+            ("engine.py", 27, "flow/tainted-call"),     # clock_in_try
+            ("engine.py", 28, "flow/tainted-call"),     # clock_in_with
+            ("engine.py", 29, "flow/tainted-call"),     # clock_in_for
+            ("engine.py", 33, "flow/tainted-call"),     # nested call site
             ("pipeline.py", 22, "flow/unmanifested-write"),
         ]
 
@@ -93,17 +115,19 @@ class TestFixtureFindings:
         strict-flagged purely because reachability says replay runs it."""
         clock = [f for f in fixture_session.run()
                  if f.rule == "det/time-dependent"]
-        assert len(clock) == 1
-        assert os.path.basename(clock[0].path) == "clockio.py"
+        assert len(clock) == 6
+        assert {os.path.basename(f.path) for f in clock} == {"clockio.py"}
 
     def test_unreachable_bystander_is_exempt(self, fixture_session):
         """``bystander`` calls the tainted helper too, but is not
         reachable from the entry points — no finding may point into it."""
         engine = fixture_session.modgraph.modules["flowpkg.engine"]
         assert "flowpkg.engine.bystander" not in fixture_session.reachable()
+        first, last = fixture_session.callgraph.functions[
+            "flowpkg.engine.bystander"].span
         bystander_lines = [
             finding.line for finding in fixture_session.run()
-            if finding.path == engine.path and finding.line >= 20
+            if finding.path == engine.path and first <= finding.line <= last
         ]
         assert bystander_lines == []
 
@@ -138,10 +162,11 @@ class TestRealTree:
         assert ("repro.guard.engine.GuardedEngine._replay"
                 in repro_session.reachable())
 
-    def test_flow_session_is_self_clean(self):
+    def test_flow_session_is_self_clean(self, repro_session):
         """The tier-1 flow gate: zero unsuppressed findings on the
-        whole tree, with every waiver sitting on its flagged line."""
-        findings = lint_flow([SRC_ROOT])
+        whole tree, with every waiver sitting on its flagged line —
+        the step ``lint_flow`` applies to each session it builds."""
+        findings = session_findings(repro_session)
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_suppressions_are_not_vacuous(self, repro_session):

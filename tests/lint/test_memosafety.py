@@ -8,9 +8,7 @@ from repro.uarch.config_codec import CONFIG_FIELD_MANIFEST
 
 
 def lint(code):
-    context = LintContext.for_source(
-        textwrap.dedent(code), path="<test>", strict=False
-    )
+    context = LintContext.for_source(textwrap.dedent(code), path="<test>")
     return run_checkers(context, [MemoSafetyChecker])
 
 

@@ -7,9 +7,7 @@ from repro.lint.nodes import ActionNodeChecker
 
 
 def lint(code):
-    context = LintContext.for_source(
-        textwrap.dedent(code), path="<test>", strict=False
-    )
+    context = LintContext.for_source(textwrap.dedent(code), path="<test>")
     return run_checkers(context, [ActionNodeChecker])
 
 

@@ -8,9 +8,7 @@ from repro.lint.runner import lint_source
 
 
 def lint(code):
-    context = LintContext.for_source(
-        textwrap.dedent(code), path="<test>", strict=False
-    )
+    context = LintContext.for_source(textwrap.dedent(code), path="<test>")
     return run_checkers(context, [ObsSafetyChecker])
 
 

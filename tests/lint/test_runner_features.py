@@ -1,32 +1,13 @@
-"""Runner-layer features: input dedupe, the ``--jobs`` process pool,
-file-level suppressions, the SARIF reporter, and the baseline ratchet.
+"""Runner-layer features: input dedupe, file-level suppressions, the
+default (no-path) gate, and the flow mode at the console entry point.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.lint.baseline import (
-    BASELINE_VERSION,
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    make_baseline,
-    save_baseline,
-)
-from repro.lint.reporters import (
-    SARIF_VERSION,
-    render_sarif,
-    validate_sarif,
-)
-from repro.lint.runner import (
-    discover,
-    lint_paths,
-    lint_source,
-    main,
-    report,
-)
+from repro.lint import runner
+from repro.lint.runner import discover, lint_source, main
 from repro.lint.suppress import (
     FILE_MARKER_WINDOW,
     apply_suppressions,
@@ -66,18 +47,6 @@ class TestDiscoverDedupe:
         assert twice == once
 
 
-class TestJobsPool:
-    def test_parallel_report_is_identical_to_serial(self, rng_tree):
-        serial = lint_paths([str(rng_tree)], jobs=1)
-        parallel = lint_paths([str(rng_tree)], jobs=2)
-        assert serial  # three seeded findings — not a vacuous equality
-        assert parallel == serial
-
-    def test_jobs_below_one_is_a_usage_error(self, rng_tree, capsys):
-        assert main(["--jobs", "0", str(rng_tree)]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
-
 class TestFileSuppressions:
     def test_head_of_file_marker_disables_rule_module_wide(self):
         source = ("# repro-lint: disable-file=det/unseeded-random\n"
@@ -108,103 +77,29 @@ class TestFileSuppressions:
         assert [f.rule for f in findings] == ["det/unseeded-random"]
 
 
-class TestSarifReporter:
-    def _findings(self):
-        return lint_source(RNG_SOURCE, path="pkg/mod.py")
-
-    def test_document_shape(self):
-        document = json.loads(render_sarif(self._findings()))
-        assert document["version"] == SARIF_VERSION
-        run = document["runs"][0]
-        declared = {rule["id"]
-                    for rule in run["tool"]["driver"]["rules"]}
-        result = run["results"][0]
-        assert result["ruleId"] == "det/unseeded-random"
-        assert result["ruleId"] in declared
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "pkg/mod.py"
-        assert location["region"]["startLine"] == 5
-
-    def test_report_format_sarif_validates(self):
-        document = json.loads(report(self._findings(), "sarif"))
-        assert validate_sarif(document) == []
-
-    def test_empty_run_still_validates(self):
-        assert validate_sarif(json.loads(render_sarif([]))) == []
-
-    def test_validator_rejects_structural_damage(self):
-        document = json.loads(render_sarif(self._findings()))
-        document["runs"][0]["results"][0].pop("message")
-        assert validate_sarif(document)
-        assert validate_sarif({"version": SARIF_VERSION, "runs": []})
-        assert validate_sarif({"runs": [{}]})
-
-
-class TestBaselineRatchet:
-    def _findings(self, path="pkg/mod.py"):
-        return lint_source(RNG_SOURCE, path=path)
-
-    def test_roundtrip_absorbs_accepted_findings(self, tmp_path):
-        findings = self._findings()
-        baseline_path = str(tmp_path / "baseline.json")
-        save_baseline(baseline_path, findings)
-        baseline = load_baseline(baseline_path)
-        kept, absorbed = apply_baseline(findings, baseline)
-        assert kept == []
-        assert absorbed == len(findings)
-
-    def test_fingerprint_ignores_line_numbers(self):
-        shifted = lint_source("\n\n" + RNG_SOURCE, path="pkg/mod.py")
-        baseline = make_baseline(self._findings())
-        kept, _ = apply_baseline(shifted, baseline)
-        assert kept == []
-
-    def test_new_findings_stay_on_the_gate(self):
-        baseline = make_baseline(self._findings(path="pkg/old.py"))
-        kept, absorbed = apply_baseline(
-            self._findings(path="pkg/new.py"), baseline)
-        assert absorbed == 0
-        assert [f.rule for f in kept] == ["det/unseeded-random"]
-
-    def test_count_budget_catches_a_second_identical_hazard(self):
-        baseline = make_baseline(self._findings())
-        doubled = lint_source(
-            RNG_SOURCE + "\n\ndef again():\n    return random.random()\n",
-            path="pkg/mod.py")
-        assert len(doubled) == 2
-        assert fingerprint(doubled[0]) == fingerprint(doubled[1])
-        kept, absorbed = apply_baseline(doubled, baseline)
-        assert absorbed == 1
-        assert len(kept) == 1
-
-    def test_load_rejects_foreign_documents(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"hello": 1}')
-        with pytest.raises(ValueError):
-            load_baseline(str(bad))
-        versioned = tmp_path / "versioned.json"
-        versioned.write_text(json.dumps(
-            {"version": BASELINE_VERSION + 1, "fingerprints": {}}))
-        with pytest.raises(ValueError):
-            load_baseline(str(versioned))
-
-
 class TestCliIntegration:
-    def test_write_then_gate_with_baseline(self, rng_tree, capsys):
-        baseline_path = str(rng_tree / "baseline.json")
-        assert main(["--write-baseline", baseline_path,
-                     str(rng_tree)]) == 0
-        capsys.readouterr()
-        assert main(["--baseline", baseline_path, str(rng_tree)]) == 0
-        out = capsys.readouterr()
-        assert "clean" in out.out
-        assert "hidden" in out.err
+    def test_no_paths_is_the_gate_from_any_directory(
+            self, tmp_path, monkeypatch, capsys):
+        """The default used to be the cwd-relative ``src/repro`` — a
+        usage error from anywhere but the checkout root. (The session
+        itself is ``test_flow.py``'s business; only the resolution and
+        the branch taken are checked here.)"""
+        import repro
 
-    def test_bad_baseline_is_a_usage_error(self, rng_tree, capsys):
-        bad = rng_tree / "bad.json"
-        bad.write_text("{}")
-        assert main(["--baseline", str(bad), str(rng_tree)]) == 2
-        capsys.readouterr()
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        calls = []
+        monkeypatch.setattr(
+            runner, "lint_flow",
+            lambda paths: calls.append(("flow", list(paths))) or [])
+        monkeypatch.setattr(
+            runner, "lint_paths", lambda paths, strict:
+            calls.append(("per-file", list(paths), strict)) or [])
+        monkeypatch.chdir(tmp_path)
+        assert main([]) == 0
+        assert "clean: no findings" in capsys.readouterr().out
+        assert main(["--strict"]) == 0
+        assert calls == [("flow", [root]), ("per-file", [root], True)]
+        assert os.path.isfile(os.path.join(root, "lint", "runner.py"))
 
     def test_flow_mode_gates_on_the_fixture_package(self, capsys):
         assert main(["--flow", FIXTURE_ROOT]) == 1

@@ -2,11 +2,15 @@
 
 This is the point of the whole subsystem: every determinism and
 memo-safety rule holds over ``src/repro`` right now, so any future
-violation is a regression the CI gate catches. The workload generators
-are held to the same standard through the asm rules.
+violation is a regression the CI gate catches. The whole-program form
+of the gate is ``test_flow.py::TestRealTree``; here the tree is linted
+file by file, once. The workload generators are held to the same
+standard through the asm rules.
 """
 
 import os
+
+import pytest
 
 import repro
 from repro.lint import exit_code, lint_asm_source, lint_paths
@@ -16,23 +20,18 @@ from repro.lint.registry import CHECKERS, all_rules
 SRC_ROOT = os.path.dirname(repro.__file__)
 
 
+@pytest.fixture(scope="module")
+def tree_findings():
+    return lint_paths([SRC_ROOT])
+
+
 class TestSourceTreeIsClean:
-    def test_src_repro_lints_clean(self):
-        findings = lint_paths([SRC_ROOT])
-        assert findings == [], "\n".join(f.render() for f in findings)
+    def test_src_repro_lints_clean(self, tree_findings):
+        assert tree_findings == [], "\n".join(
+            f.render() for f in tree_findings)
 
-    def test_exit_code_for_the_tree_is_zero(self):
-        assert exit_code(lint_paths([SRC_ROOT])) == 0
-
-    def test_replay_path_modules_were_actually_strict(self):
-        """Guard against the strict-path matcher silently rotting: the
-        four record/replay modules must exist and classify as strict."""
-        from repro.lint.registry import REPLAY_PATH_SUFFIXES, is_replay_path
-
-        for suffix in REPLAY_PATH_SUFFIXES:
-            path = os.path.join(os.path.dirname(SRC_ROOT), suffix)
-            assert os.path.isfile(path), suffix
-            assert is_replay_path(path), suffix
+    def test_exit_code_for_the_tree_is_zero(self, tree_findings):
+        assert exit_code(tree_findings) == 0
 
 
 class TestWorkloadProgramsAreClean:
