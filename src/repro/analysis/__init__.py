@@ -1,6 +1,13 @@
-"""Experiment regeneration: the paper's tables and figures."""
+"""Experiment regeneration: the paper's tables and figures.
 
-from repro.analysis.export import export_all, export_json, save_json
+Every table, figure and sweep is a function of a
+:func:`repro.api.run_campaign` result: pass the one you have as
+``result=``, or pass ``run_campaign``'s pool options (``workers``,
+``backend``, ``cache_dir``, ``timeout``, ``retries``, ``progress``,
+``obs``) and the function runs the jobs it needs. Rows come back as
+dataclasses; the ``render_*`` functions turn them into text.
+"""
+
 from repro.analysis.figures import (
     DEFAULT_FRACTIONS,
     Figure7Point,
@@ -28,7 +35,6 @@ from repro.analysis.mixes import (
     render_mix_table,
     workload_mix,
 )
-from repro.analysis.runner import NativeRun, SuiteRunner
 from repro.analysis.sweeps import (
     SweepPoint,
     best_variant,
@@ -47,8 +53,6 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
-    "SuiteRunner",
-    "NativeRun",
     "SweepPoint",
     "sweep_parameters",
     "render_sweep",
@@ -60,9 +64,6 @@ __all__ = [
     "instruction_mix",
     "workload_mix",
     "render_mix_table",
-    "export_all",
-    "export_json",
-    "save_json",
     "table2",
     "table3",
     "table4",

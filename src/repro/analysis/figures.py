@@ -11,11 +11,18 @@ fraction of each workload's natural cache size up past all of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.analysis.runner import SuiteRunner
-from repro.campaign.jobs import Job, JobResult, PolicySpec
-from repro.workloads.suite import WORKLOAD_ORDER
+from repro.analysis.tables import measure, suite_names, suite_runs
+from repro.campaign.jobs import Job, PolicySpec
 
 #: Default relative cache limits (fraction of the workload's unbounded
 #: p-action cache size). Spans "an order-of-magnitude reduction" and
@@ -48,46 +55,59 @@ class PolicyStudyRow:
     survival_rate: Optional[float] = None  #: mean bytes surviving a GC
 
 
-def _policy_batch(runner: SuiteRunner,
-                  wanted: List[Job]) -> Dict[str, JobResult]:
-    """Run policy jobs, deduplicated by key (two sweep fractions can
-    clamp to the same byte limit and therefore the same job)."""
-    unique = {job.key: job for job in wanted}
-    return runner.run_batch(list(unique.values()))
+def _bounded_runs(
+    names: Sequence[str], policies: Sequence[Tuple[str, float]],
+    scale: str, result, pool: dict,
+) -> Iterator[tuple]:
+    """The two campaigns behind Figure 7 and the GC study.
+
+    The unbounded ``slow`` + ``fast`` pass (out of *result* when the
+    caller has it) sizes each workload's limits; then every (policy
+    kind, fraction of the natural cache size) in *policies* runs as one
+    campaign, deduplicated by key — two fractions can clamp to the same
+    byte limit and therefore the same job. Yields ``(name, fraction,
+    SlowSim result, bounded JobResult)`` per grid cell; the policy that
+    ran is ``outcome.job.policy``.
+    """
+    unbounded = suite_runs(names, ("slow", "fast"), scale, result,
+                           **pool)
+    grid = []
+    for name in names:
+        natural = unbounded[name, "fast"].result.memo.peak_cache_bytes
+        for kind, fraction in policies:
+            limit = max(int(natural * fraction), 512)
+            grid.append((name, fraction, Job(
+                workload=name, simulator="fast", scale=scale,
+                policy=PolicySpec(kind, limit))))
+    bounded = measure({job.key: job for _, _, job in grid}.values(),
+                      **pool)
+    for name, fraction, job in grid:
+        slow = unbounded[name, "slow"].result
+        outcome = bounded[job.key]
+        assert outcome.result.cycles == slow.cycles, (
+            f"policy changed results for {name}")
+        yield name, fraction, slow, outcome
 
 
 def figure7(
-    runner: SuiteRunner,
     workloads: Optional[Iterable[str]] = None,
     fractions: Iterable[float] = DEFAULT_FRACTIONS,
+    *, scale: str = "test", result=None, **pool,
 ) -> List[Figure7Point]:
-    """Speedup vs. p-action cache limit, flush-on-full policy."""
-    names = list(workloads) if workloads is not None else list(WORKLOAD_ORDER)
-    fractions = list(fractions)
-    # The unbounded fast runs size each workload's sweep; run them (and
-    # the SlowSim baselines) first, then the whole policy grid as one
-    # campaign batch.
-    runner.prefetch(names, ("slow", "fast"))
-    grid: List[tuple] = []
-    wanted: List[Job] = []
-    for name in names:
-        natural = max(runner.run(name, "fast").memo.peak_cache_bytes, 1)
-        for fraction in fractions:
-            limit = max(int(natural * fraction), 512)
-            job = runner.job(name, "fast", PolicySpec("flush", limit))
-            grid.append((name, fraction, limit, job.key))
-            wanted.append(job)
-    outcomes = _policy_batch(runner, wanted)
+    """Speedup vs. p-action cache limit, flush-on-full policy.
+
+    *result* may supply the unbounded ``slow`` and ``fast`` runs; the
+    bounded grid always runs, as one campaign with *pool* as
+    :func:`repro.api.run_campaign`'s options.
+    """
     points = []
-    for name, fraction, limit, key in grid:
-        slow = runner.run(name, "slow")
-        fast = outcomes[key].result
-        assert fast.cycles == slow.cycles, (
-            f"policy changed results for {name}"
-        )
+    for name, fraction, slow, outcome in _bounded_runs(
+            suite_names(workloads), [("flush", f) for f in fractions],
+            scale, result, pool):
+        fast = outcome.result
         points.append(Figure7Point(
             benchmark=name,
-            limit_bytes=limit,
+            limit_bytes=outcome.job.policy.limit_bytes,
             limit_fraction=fraction,
             speedup=slow.host_seconds / fast.host_seconds,
             flushes=fast.memo.evictions,
@@ -97,45 +117,33 @@ def figure7(
 
 
 def gc_policy_study(
-    runner: SuiteRunner,
     workloads: Optional[Iterable[str]] = None,
     fraction: float = 0.35,
+    *, scale: str = "test", result=None, **pool,
 ) -> List[PolicyStudyRow]:
     """Flush vs. copying GC vs. generational GC at one cache limit.
 
     Reproduces §5's negative result: the collectors are no better than
     flushing, and little of the cache survives each collection.
+    *result* and *pool* are as for :func:`figure7`.
     """
-    names = list(workloads) if workloads is not None else list(WORKLOAD_ORDER)
-    runner.prefetch(names, ("slow", "fast"))
-    grid: List[tuple] = []
-    wanted: List[Job] = []
-    for name in names:
-        unbounded = runner.run(name, "fast")
-        limit = max(int(unbounded.memo.peak_cache_bytes * fraction), 512)
-        for kind in ("flush", "copying-gc", "generational-gc"):
-            job = runner.job(name, "fast", PolicySpec(kind, limit))
-            grid.append((name, kind, limit, job.key))
-            wanted.append(job)
-    outcomes = _policy_batch(runner, wanted)
     rows = []
-    for name, kind, limit, key in grid:
-        slow = runner.run(name, "slow")
-        outcome = outcomes[key]
+    for name, _, slow, outcome in _bounded_runs(
+            suite_names(workloads),
+            [(kind, fraction)
+             for kind in ("flush", "copying-gc", "generational-gc")],
+            scale, result, pool):
         fast = outcome.result
-        assert fast.cycles == slow.cycles
-        survival = None
+        policy = outcome.job.policy
         rates = outcome.metrics.get("survival_rates")
-        if rates:
-            survival = sum(rates) / len(rates)
         rows.append(PolicyStudyRow(
             benchmark=name,
-            policy=kind,
-            limit_bytes=limit,
+            policy=policy.kind,
+            limit_bytes=policy.limit_bytes,
             speedup=slow.host_seconds / fast.host_seconds,
             collections=fast.memo.evictions,
             detailed_fraction=fast.memo.detailed_fraction,
-            survival_rate=survival,
+            survival_rate=sum(rates) / len(rates) if rates else None,
         ))
     return rows
 

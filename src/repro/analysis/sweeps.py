@@ -29,11 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.campaign.engine import run_jobs
+from repro.analysis.tables import measure, suite_names
 from repro.campaign.jobs import Job
-from repro.campaign.progress import ProgressSink
 from repro.uarch.params import ProcessorParams
-from repro.workloads.suite import WORKLOAD_ORDER
 
 
 @dataclass(frozen=True)
@@ -54,38 +52,28 @@ def sweep_parameters(
     variants: Dict[str, ProcessorParams],
     workloads: Optional[Iterable[str]] = None,
     scale: str = "test",
-    workers: int = 0,
-    cache_dir: Optional[str] = None,
-    sink: Optional[ProgressSink] = None,
+    **pool,
 ) -> List[SweepPoint]:
     """Simulate every workload under every parameter variant.
 
-    Design points are independent, so the sweep is one campaign:
+    Design points are independent, so the sweep is one campaign, run
+    with *pool* as :func:`repro.api.run_campaign`'s options:
     ``workers >= 1`` shards it across a process pool, and ``cache_dir``
     warm-starts each variant's p-action cache from previous sweeps (the
     cache store keys on (binary, parameters), so variants never share
     recorded timing).
     """
-    names = list(workloads) if workloads is not None else list(WORKLOAD_ORDER)
+    names = suite_names(workloads)
     jobs = [
         Job(workload=name, simulator="fast", scale=scale,
             params=params, variant=label)
         for label, params in variants.items()
         for name in names
     ]
-    outcome = run_jobs(
-        jobs, workers=workers, cache_dir=cache_dir, sink=sink,
-        name=f"sweep-{scale}",
-    )
-    failures = outcome.failed
-    if failures:
-        raise RuntimeError(
-            f"{len(failures)} sweep job(s) failed: "
-            + "; ".join(f"{r.key}: {r.error}" for r in failures[:5])
-        )
+    outcome = measure(jobs, **pool)
     points: List[SweepPoint] = []
-    for job, job_result in zip(jobs, outcome.results):
-        result = job_result.result
+    for job in jobs:
+        result = outcome[job.key].result
         cache = result.cache_stats
         accesses = cache.l1_load_hits + cache.l1_load_misses
         miss_rate = cache.l1_load_misses / accesses if accesses else 0.0

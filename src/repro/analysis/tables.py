@@ -6,6 +6,14 @@ dataclasses carrying exactly the columns the paper reports, plus a
 can be produced mechanically. Rendering to text lives in
 :mod:`repro.analysis.report`.
 
+A table is a function of a campaign result: it names the jobs it
+reads, gets them through :func:`measure` — out of the ``result=`` the
+caller already holds (one :func:`repro.api.run_campaign` over the suite
+with ``include_native=True`` feeds all four tables), or by running them
+as one campaign with the remaining keywords as ``run_campaign``'s pool
+options — and computes its rows from the job results, looked up by
+:attr:`Job.key <repro.campaign.jobs.Job.key>`.
+
 Slowdowns are measured against plain functional execution — the
 reproduction's stand-in for "time to execute the original,
 uninstrumented executables" (see DESIGN.md, Substitutions): every
@@ -16,9 +24,10 @@ which survives the Python-for-hardware substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.runner import SuiteRunner
+from repro import api
+from repro.campaign.jobs import Job, JobResult
 from repro.workloads.suite import WORKLOAD_ORDER, WORKLOADS
 
 
@@ -75,20 +84,55 @@ class Table5Row:
     max_chain: int  #: longest replayed chain
 
 
-def _names(workloads: Optional[Iterable[str]]) -> List[str]:
+def suite_names(workloads: Optional[Iterable[str]]) -> List[str]:
     return list(workloads) if workloads is not None else list(WORKLOAD_ORDER)
 
 
-def table2(runner: SuiteRunner,
-           workloads: Optional[Iterable[str]] = None) -> List[Table2Row]:
+def measure(jobs: Iterable[Job], result=None, **pool):
+    """The campaign result holding *jobs*, every one of them ok.
+
+    *result* is a :class:`~repro.campaign.engine.CampaignResult` the
+    caller already has; without one the jobs run as one campaign,
+    ``run_campaign(jobs=jobs, **pool)``. The one place in
+    :mod:`repro.analysis` where a failed job becomes an exception.
+    """
+    jobs = list(jobs)
+    if result is None:
+        result = api.run_campaign(jobs=jobs, **pool)
+    failed = [outcome for outcome in (result[job.key] for job in jobs)
+              if not outcome.ok]
+    if failed:
+        raise RuntimeError(
+            f"{len(failed)} job(s) failed: "
+            + "; ".join(f"{r.key}: {r.error}" for r in failed[:5]))
+    return result
+
+
+def suite_runs(names: Sequence[str], simulators: Sequence[str],
+               scale: str, result=None,
+               **pool) -> Dict[Tuple[str, str], JobResult]:
+    """The *names* × *simulators* measurements at *scale*, keyed by
+    ``(name, simulator)`` (``"native"`` is functional execution)."""
+    jobs = {
+        (name, simulator): Job(workload=name, simulator=simulator,
+                               scale=scale)
+        for name in names for simulator in simulators
+    }
+    result = measure(jobs.values(), result, **pool)
+    return {coords: result[job.key] for coords, job in jobs.items()}
+
+
+def table2(workloads: Optional[Iterable[str]] = None, *,
+           scale: str = "test", result=None, **pool) -> List[Table2Row]:
     """Slowdowns of SlowSim and FastSim, and the memoization speedup."""
+    names = suite_names(workloads)
+    runs = suite_runs(names, ("native", "slow", "fast"), scale, result,
+                      **pool)
     rows = []
-    runner.prefetch(_names(workloads), ("slow", "fast"),
-                    include_native=True)
-    for name in _names(workloads):
-        native = runner.native(name)
-        slow = runner.run(name, "slow")
-        fast = runner.run(name, "fast")
+    for name in names:
+        native = runs[name, "native"].native
+        slow = runs[name, "slow"].result
+        fast = runs[name, "fast"].result
         rows.append(Table2Row(
             benchmark=name,
             spec_name=WORKLOADS[name].spec_name,
@@ -100,16 +144,18 @@ def table2(runner: SuiteRunner,
     return rows
 
 
-def table3(runner: SuiteRunner,
-           workloads: Optional[Iterable[str]] = None) -> List[Table3Row]:
+def table3(workloads: Optional[Iterable[str]] = None, *,
+           scale: str = "test", result=None, **pool) -> List[Table3Row]:
     """Simulation rates against the integrated (SimpleScalar-role)
     baseline."""
+    names = suite_names(workloads)
+    runs = suite_runs(names, ("slow", "fast", "baseline"), scale, result,
+                      **pool)
     rows = []
-    runner.prefetch(_names(workloads), ("slow", "fast", "baseline"))
-    for name in _names(workloads):
-        slow = runner.run(name, "slow")
-        fast = runner.run(name, "fast")
-        base = runner.run(name, "baseline")
+    for name in names:
+        slow = runs[name, "slow"].result
+        fast = runs[name, "fast"].result
+        base = runs[name, "baseline"].result
         rows.append(Table3Row(
             benchmark=name,
             spec_name=WORKLOADS[name].spec_name,
@@ -124,14 +170,14 @@ def table3(runner: SuiteRunner,
     return rows
 
 
-def table4(runner: SuiteRunner,
-           workloads: Optional[Iterable[str]] = None) -> List[Table4Row]:
+def table4(workloads: Optional[Iterable[str]] = None, *,
+           scale: str = "test", result=None, **pool) -> List[Table4Row]:
     """Fraction of instructions simulated in detail vs. replayed."""
+    names = suite_names(workloads)
+    runs = suite_runs(names, ("fast",), scale, result, **pool)
     rows = []
-    runner.prefetch(_names(workloads), ("fast",))
-    for name in _names(workloads):
-        fast = runner.run(name, "fast")
-        memo = fast.memo
+    for name in names:
+        memo = runs[name, "fast"].result.memo
         rows.append(Table4Row(
             benchmark=name,
             spec_name=WORKLOADS[name].spec_name,
@@ -142,14 +188,14 @@ def table4(runner: SuiteRunner,
     return rows
 
 
-def table5(runner: SuiteRunner,
-           workloads: Optional[Iterable[str]] = None) -> List[Table5Row]:
+def table5(workloads: Optional[Iterable[str]] = None, *,
+           scale: str = "test", result=None, **pool) -> List[Table5Row]:
     """P-action cache contents and chain statistics."""
+    names = suite_names(workloads)
+    runs = suite_runs(names, ("fast",), scale, result, **pool)
     rows = []
-    runner.prefetch(_names(workloads), ("fast",))
-    for name in _names(workloads):
-        fast = runner.run(name, "fast")
-        memo = fast.memo
+    for name in names:
+        memo = runs[name, "fast"].result.memo
         rows.append(Table5Row(
             benchmark=name,
             spec_name=WORKLOADS[name].spec_name,

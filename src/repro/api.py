@@ -24,9 +24,9 @@ Host-side speed and audit knobs travel as one value,
 time only, never a job key, a cache signature or canonical output.
 
 Everything here is re-exported lazily from the top-level ``repro``
-namespace (``repro.simulate``, ``repro.run_campaign``).
-:func:`suite_runner` builds the memoizing table/figure facade
-(:class:`repro.analysis.SuiteRunner`).
+namespace (``repro.simulate``, ``repro.run_campaign``). These are the
+two entry points: the tables, figures and sweeps of
+:mod:`repro.analysis` are functions of a ``run_campaign`` result.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "HostOptions",
     "simulate",
     "run_campaign",
-    "suite_runner",
 ]
 
 
@@ -128,22 +127,18 @@ def _build_campaign(
     include_native: bool,
     jobs: Optional[Sequence[Job]],
     name: str,
-    backend: Optional[str],
     host: Optional[HostOptions],
 ) -> Campaign:
     """The campaign :func:`run_campaign` runs — grid or explicit jobs,
     with *host* (when given) imposed on the ``fast`` simulate jobs."""
-    campaign_backend = backend if backend is not None else "fork"
     if jobs is not None:
-        campaign = Campaign(jobs=tuple(jobs), name=name,
-                            backend=campaign_backend)
+        campaign = Campaign(jobs=tuple(jobs), name=name)
     else:
         names = (list(workloads) if workloads is not None
                  else list(WORKLOAD_ORDER))
         campaign = Campaign.grid(
             names, simulators, scale=scale, params=params,
             include_native=include_native, name=name,
-            backend=campaign_backend,
         )
     if host is not None:
         campaign = replace(campaign, jobs=tuple(
@@ -207,7 +202,7 @@ def run_campaign(
     try:
         campaign = _build_campaign(
             workloads, simulators, scale, params, include_native, jobs,
-            name, backend, host,
+            name, host,
         )
         sink = (make_sink(progress) if isinstance(progress, str)
                 else progress)
@@ -219,11 +214,3 @@ def run_campaign(
     except ValueError as exc:
         raise CampaignUsageError(str(exc)) from exc
     return runner.run(campaign)
-
-
-def suite_runner(scale: str = "test", **kwargs):
-    """Build the memoizing table/figure runner (accepts the same
-    keywords as :class:`repro.analysis.SuiteRunner`)."""
-    from repro.analysis.runner import SuiteRunner
-
-    return SuiteRunner(scale=scale, **kwargs)

@@ -7,10 +7,10 @@ object:
 
 * :class:`Job` / :class:`PolicySpec` — declarative work units;
 * :class:`Campaign` — an ordered, unique-keyed set of jobs;
-* :class:`CampaignRunner` — pool execution over a pluggable
-  :class:`ExecutorBackend` (``fork`` / ``subprocess`` / ``queue``)
-  with per-job timeout, bounded retry + backoff, and crash isolation
-  on the process-based backends;
+* :class:`CampaignRunner` — pool execution over the pluggable
+  :class:`ExecutorBackend` it was built with (``fork`` /
+  ``subprocess`` / ``queue``) with per-job timeout, bounded retry +
+  backoff, and crash isolation on the process-based backends;
 * :class:`CampaignResult` — deterministically merged results
   (byte-identical across worker counts, backends, and cache
   temperatures) plus JSON-lines metrics;
@@ -18,7 +18,7 @@ object:
   content-addressed by binding signature, so repeated campaigns start
   warm on every backend;
 * :class:`ProgressSink` — one progress protocol (text / JSON-lines /
-  silent) shared with the suite runner;
+  silent);
 * :class:`CampaignJournal` / :func:`read_journal` /
   :func:`verify_resume` — the durable crash journal
   (``repro.campaign/journal/v1``) behind
@@ -26,8 +26,10 @@ object:
   with completed jobs skipped and the merged payload byte-identical
   to an uninterrupted run (see docs/robustness.md).
 
-See ``docs/campaign.md`` for the engine's semantics and the cache
-directory layout, and ``docs/distributed.md`` for the backend
+:func:`repro.api.run_campaign` is the front door: it builds the
+:class:`Campaign` and the :class:`CampaignRunner` and runs one on the
+other. See ``docs/campaign.md`` for the engine's semantics and the
+cache directory layout, and ``docs/distributed.md`` for the backend
 capability matrix.
 """
 
@@ -47,7 +49,6 @@ from repro.campaign.engine import (
     Campaign,
     CampaignResult,
     CampaignRunner,
-    run_jobs,
 )
 from repro.campaign.jobs import (
     Job,
@@ -71,7 +72,7 @@ from repro.campaign.supervise import (
     retry_delay,
     verify_resume,
 )
-from repro.campaign.worker import execute_job, job_kinds, register_job_kind
+from repro.campaign.worker import execute_job, register_job_kind
 
 __all__ = [
     "SIMULATORS",
@@ -82,7 +83,6 @@ __all__ = [
     "Campaign",
     "CampaignResult",
     "CampaignRunner",
-    "run_jobs",
     "CacheStore",
     "StoreSpec",
     "make_store",
@@ -104,5 +104,4 @@ __all__ = [
     "make_sink",
     "execute_job",
     "register_job_kind",
-    "job_kinds",
 ]

@@ -11,7 +11,7 @@ capability matrix and when to pick which):
 * ``queue`` — in-process work-stealing threads with per-worker deques
   and steal-on-idle.
 
-Selection is campaign-level only (``Campaign.backend``,
+Selection is runner-level only (``CampaignRunner(backend=…)``,
 ``repro.api.run_campaign(backend=…)``, CLI ``--backend``); a job has
 no backend of its own, and the backend — like ``turbo`` — is
 excluded from every cache key, because it must never change canonical
@@ -21,7 +21,7 @@ are identical across backends, worker counts, and cache temperatures.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.campaign.backends.base import (
     Attempt,
@@ -72,11 +72,8 @@ def validate_backend(name: str) -> str:
     return name
 
 
-def make_backend(backend: Optional[str]) -> ExecutorBackend:
-    """Build an executor backend from its registered name. ``None``
-    selects :data:`DEFAULT_BACKEND`."""
-    if backend is None:
-        backend = DEFAULT_BACKEND
+def make_backend(backend: str) -> ExecutorBackend:
+    """Build an executor backend from its registered name."""
     backend_class = _LOADERS[validate_backend(backend)]()
     return backend_class()
 

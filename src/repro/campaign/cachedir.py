@@ -217,13 +217,6 @@ class CacheStore:
                 found.append(name[: -len(_SUFFIX)])
         return sorted(found)
 
-    def total_bytes(self) -> int:
-        """On-disk footprint of all persisted caches."""
-        return sum(
-            os.path.getsize(os.path.join(self.root, hexsig + _SUFFIX))
-            for hexsig in self.entries()
-        )
-
 
 @dataclass(frozen=True)
 class StoreSpec:

@@ -1,11 +1,11 @@
 """The campaign engine — parallel, fault-tolerant job execution.
 
-A :class:`Campaign` is a declarative, ordered set of unique jobs plus
-the executor backend that should place them. A :class:`CampaignRunner`
-executes one:
+A :class:`Campaign` is a declarative, ordered set of unique jobs. A
+:class:`CampaignRunner` executes one, on the executor backend the
+runner was built with:
 
 * ``workers=0`` — serially, in-process (no backend, no timeout
-  enforcement; what the suite runner uses for incremental calls);
+  enforcement);
 * ``workers>=1`` — sharded across an
   :class:`~repro.campaign.backends.ExecutorBackend` (``fork`` —
   per-job forked processes, the default; ``subprocess`` —
@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.backends import (
+    DEFAULT_BACKEND,
     BackendContext,
     ExecutorBackend,
     make_backend,
@@ -60,7 +61,6 @@ from repro.campaign.jobs import Job, JobResult
 from repro.campaign.progress import NullSink, ObsSink, ProgressSink, TeeSink
 from repro.campaign.supervise import (
     CampaignJournal,
-    classify_failure,
     read_journal,
     retry_delay,
     verify_resume,
@@ -77,22 +77,18 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class Campaign:
-    """An ordered set of jobs with unique keys, plus their placement.
+    """An ordered set of jobs with unique keys.
 
-    ``backend`` names the executor backend the campaign should run on
-    (``fork`` / ``subprocess`` / ``queue``). It is campaign-level by
-    design — a :class:`~repro.campaign.jobs.Job` has no backend field —
-    and is excluded from job cache keys because, like ``turbo``, it
-    must never change canonical results.
+    Placement is not part of a campaign: the executor backend belongs
+    to the :class:`CampaignRunner` that runs it and, like ``turbo``,
+    never changes canonical results.
     """
 
     jobs: Tuple[Job, ...]
     name: str = "campaign"
-    backend: str = "fork"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        validate_backend(self.backend)
         seen = {}
         for job in self.jobs:
             if job.key in seen:
@@ -114,7 +110,6 @@ class Campaign:
         params=None,
         include_native: bool = False,
         name: str = "campaign",
-        backend: str = "fork",
     ) -> "Campaign":
         """The common workload × simulator cross-product campaign."""
         jobs = []
@@ -125,7 +120,7 @@ class Campaign:
             for simulator in simulators:
                 jobs.append(Job(workload=workload, simulator=simulator,
                                 scale=scale, params=params))
-        return cls(jobs=tuple(jobs), name=name, backend=backend)
+        return cls(jobs=tuple(jobs), name=name)
 
 
 @dataclass
@@ -284,10 +279,9 @@ class CampaignRunner:
         self._crash_counts: Dict[str, int] = {}
         self._durable_outcomes = 0
         self.obs = ensure_observer(obs)
-        #: Backend override; None defers to ``Campaign.backend``.
-        self.backend = backend
-        if backend is not None:
-            validate_backend(backend)
+        #: Executor backend of the pool path (``workers >= 1``).
+        self.backend = validate_backend(
+            backend if backend is not None else DEFAULT_BACKEND)
         self.sink = sink if sink is not None else NullSink()
         if self.obs.enabled:
             # Telemetry rides the same event stream the progress sinks
@@ -313,8 +307,6 @@ class CampaignRunner:
         run. With ``journal=`` set, every attempt and outcome boundary
         appends a durable record for a later resume.
         """
-        backend_name = (self.backend if self.backend is not None
-                        else campaign.backend)
         self.backend_metrics = {}
         self._telemetry = []
         self._crash_counts = {}
@@ -328,7 +320,7 @@ class CampaignRunner:
                 if self._journal.records_written == 0:
                     self._journal.append(
                         "campaign-open", name=campaign.name,
-                        backend=backend_name,
+                        backend=self.backend,
                         jobs=[job.key for job in campaign.jobs],
                     )
                 else:
@@ -338,7 +330,7 @@ class CampaignRunner:
             self.sink.emit(
                 "campaign-start", name=campaign.name, jobs=len(campaign),
                 workers=self.workers, cache_dir=self.store_spec.cache_dir,
-                backend=backend_name,
+                backend=self.backend,
             )
             for index in sorted(resumed):
                 replayed = resumed[index]
@@ -352,8 +344,7 @@ class CampaignRunner:
                 if self.workers == 0:
                     results = self._run_inline(campaign, resumed)
                 else:
-                    results = self._run_backend(campaign, backend_name,
-                                                resumed)
+                    results = self._run_backend(campaign, resumed)
             if self._telemetry:
                 # Shipped worker blobs → one campaign-wide registry and a
                 # multi-lane trace, in deterministic (job_key, attempt)
@@ -445,11 +436,11 @@ class CampaignRunner:
 
     # -- backend pool path ----------------------------------------------
 
-    def _run_backend(self, campaign: Campaign, backend_name: str,
+    def _run_backend(self, campaign: Campaign,
                      resumed: Optional[Dict[int, JobResult]] = None,
                      ) -> List[JobResult]:
         resumed = resumed or {}
-        backend = make_backend(backend_name)
+        backend = make_backend(self.backend)
         backend.start(BackendContext(
             workers=self.workers, store_spec=self.store_spec,
             timeout=self.timeout, obs=self.obs, sink=self.sink,
@@ -563,7 +554,7 @@ class CampaignRunner:
             # Infrastructure failure: quarantine a poison job, else
             # retry with jittered backoff, else fail.
             failure = outcome.failure or "worker lost"
-            kind = outcome.failure_kind or classify_failure(failure)
+            kind = outcome.failure_kind or "crash"
             if kind == "crash":
                 key = attempt.job.key
                 crashes = self._crash_counts.get(key, 0) + 1
@@ -623,26 +614,3 @@ class CampaignRunner:
         if outcome.error is not None:
             fields["error"] = outcome.error
         self.sink.emit(kind, **fields)
-
-
-def run_jobs(
-    jobs: Sequence[Job],
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    sink: Optional[ProgressSink] = None,
-    name: str = "campaign",
-    backend: str = "fork",
-    journal: Optional[str] = None,
-    resume: Optional[str] = None,
-    hang_after: Optional[float] = None,
-) -> CampaignResult:
-    """One-call convenience over Campaign + CampaignRunner."""
-    runner = CampaignRunner(
-        workers=workers, cache_dir=cache_dir, timeout=timeout,
-        retries=retries, sink=sink,
-        journal=journal, resume=resume, hang_after=hang_after,
-    )
-    return runner.run(Campaign(jobs=tuple(jobs), name=name,
-                               backend=backend))

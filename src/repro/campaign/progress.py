@@ -1,9 +1,7 @@
-"""Progress reporting — one sink protocol for every runner.
+"""Progress reporting — the campaign engine's one sink protocol.
 
-The suite runner used to split progress between a ``verbose`` print and
-an optional callback; the campaign engine needs structured events
-(job started / finished / retried) as well as plain log lines. Both now
-speak to a single :class:`ProgressSink`:
+The engine reports structured events (job started / finished /
+retried) as well as plain log lines to a single :class:`ProgressSink`:
 
 * :class:`TextSink` — human-readable one-liners to a stream;
 * :class:`JsonlSink` — one JSON object per event (machine-readable,
@@ -145,15 +143,19 @@ class TeeSink(ProgressSink):
             sink.emit(kind, **fields)
 
 
+#: CLI-style mode name -> sink factory taking the output stream.
+SINK_MODES = {
+    "text": TextSink,
+    "jsonl": JsonlSink,
+    "silent": lambda stream: NullSink(),
+}
+
+
 def make_sink(
     mode: str = "text",
     stream: Optional[TextIO] = None,
 ) -> ProgressSink:
     """Build a sink from a CLI-style mode name."""
-    if mode == "text":
-        return TextSink(stream)
-    if mode in ("jsonl", "json"):
-        return JsonlSink(stream)
-    if mode in ("silent", "null", "none"):
-        return NullSink()
-    raise ValueError(f"unknown progress mode {mode!r}")
+    if mode not in SINK_MODES:
+        raise ValueError(f"unknown progress mode {mode!r}")
+    return SINK_MODES[mode](stream)

@@ -46,7 +46,6 @@ __all__ = [
     "Heartbeat",
     "JOURNAL_MAGIC",
     "JournalReplay",
-    "classify_failure",
     "heartbeat_interval",
     "read_journal",
     "retry_delay",
@@ -58,8 +57,7 @@ _JOURNAL_VERSION = 1
 _HEADER = framing.preamble(JOURNAL_MAGIC, _JOURNAL_VERSION)
 
 #: Outcome statuses that are terminal for a job and safe to skip on
-#: resume; any other status in a journal (e.g. "cancelled", which
-#: records that the job never ran) re-runs.
+#: resume; a job recorded with any other status re-runs.
 TERMINAL_STATUSES = ("ok", "failed", "poisoned")
 
 
@@ -96,19 +94,6 @@ def retry_delay(backoff: float, job_key: str, attempt: int) -> float:
         f"{job_key}#{attempt}".encode("utf-8")).digest()
     fraction = int.from_bytes(digest[:8], "big") / float(1 << 64)
     return base * (1.0 + 0.5 * fraction)
-
-
-def classify_failure(failure: str) -> str:
-    """Bucket an infrastructure-failure message: crash/timeout/hang.
-
-    Backends label outcomes explicitly (``AttemptOutcome.failure_kind``);
-    this is the fallback for older call sites and tests.
-    """
-    if "hung" in failure:
-        return "hang"
-    if "timed out" in failure:
-        return "timeout"
-    return "crash"
 
 
 class CampaignJournal:
@@ -182,8 +167,8 @@ class JournalReplay:
     #: Damaged/torn tail frames dropped by the reader (0 or 1: the
     #: reader stops at the first bad frame).
     torn_records: int = 0
-    #: ``campaign-end`` / ``campaign-cancelled`` when the run closed
-    #: cleanly; None for a journal cut short by a crash.
+    #: ``campaign-end`` when the run closed cleanly; None for a
+    #: journal cut short by a crash.
     terminal: Optional[str] = None
 
     @property
@@ -230,7 +215,7 @@ def read_journal(path: str) -> JournalReplay:
             status = getattr(result, "status", None)
             if status in TERMINAL_STATUSES:
                 replay.outcomes[record.get("key")] = result
-        elif kind in ("campaign-end", "campaign-cancelled"):
+        elif kind == "campaign-end":
             replay.terminal = kind
     return replay
 

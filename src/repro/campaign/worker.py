@@ -1,9 +1,10 @@
-"""Job execution — the one code path every runner drives.
+"""Job execution — the one code path every backend drives.
 
 :func:`execute_job` turns a :class:`~repro.campaign.jobs.Job` into a
-:class:`~repro.campaign.jobs.JobResult`. The serial suite runner calls
-it in-process; the parallel :class:`~repro.campaign.engine.CampaignRunner`
-calls it inside a worker subprocess via :func:`child_main`. Keeping one
+:class:`~repro.campaign.jobs.JobResult`. The
+:class:`~repro.campaign.engine.CampaignRunner` calls it in-process on
+the serial path and inside a worker via :func:`execute_attempt` /
+:func:`child_main` on the pool path. Keeping one
 executor is what makes "bit-identical under any worker count" a
 structural property rather than a test-enforced accident.
 
@@ -36,7 +37,8 @@ from repro.sim.fastsim import FastSim
 from repro.uarch.params import ProcessorParams
 from repro.workloads.suite import load_workload
 
-JobExecutor = Callable[[Job, Optional[CacheStore]], JobResult]
+#: A kind's executor: ``(job, store, obs=None) -> JobResult``.
+JobExecutor = Callable[..., JobResult]
 
 _JOB_KINDS: Dict[str, JobExecutor] = {}
 
@@ -44,11 +46,6 @@ _JOB_KINDS: Dict[str, JobExecutor] = {}
 def register_job_kind(name: str, executor: JobExecutor) -> None:
     """Register an executor for ``Job.kind == name``."""
     _JOB_KINDS[name] = executor
-
-
-def job_kinds() -> list:
-    """Registered kind names, sorted."""
-    return sorted(_JOB_KINDS)
 
 
 def _effective_params(job: Job) -> ProcessorParams:
@@ -195,21 +192,6 @@ def _simulate(job: Job, store: Optional[CacheStore],
 register_job_kind("simulate", _simulate)
 
 
-def _accepts_obs(executor: JobExecutor) -> bool:
-    """Whether *executor* takes the optional third ``obs`` argument.
-
-    Older/test-registered kinds keep the two-argument signature; they
-    simply never see the observer.
-    """
-    import inspect
-
-    try:
-        parameters = inspect.signature(executor).parameters
-    except (TypeError, ValueError):  # builtins, odd callables
-        return False
-    return "obs" in parameters
-
-
 def execute_job(job: Job, store: Optional[CacheStore] = None,
                 obs=None) -> JobResult:
     """Run one job to a JobResult; never raises.
@@ -235,10 +217,7 @@ def execute_job(job: Job, store: Optional[CacheStore] = None,
         )
     else:
         try:
-            if obs is not None and obs.enabled and _accepts_obs(executor):
-                outcome = executor(job, store, obs=obs)
-            else:
-                outcome = executor(job, store)
+            outcome = executor(job, store, obs=obs)
         except Exception as exc:
             outcome = JobResult(
                 job=job, status="failed",

@@ -28,9 +28,16 @@ import sys
 from dataclasses import fields, replace
 from typing import List, Optional
 
+from repro.campaign.backends import BACKEND_NAMES, DEFAULT_BACKEND
+from repro.campaign.progress import SINK_MODES
 from repro.lint import runner as lint_runner
 from repro.options import HostOptions
-from repro.workloads.suite import WORKLOAD_ORDER, WORKLOADS, load_workload
+from repro.workloads.suite import (
+    SCALES,
+    WORKLOAD_ORDER,
+    WORKLOADS,
+    load_workload,
+)
 
 #: Paper table / figure commands: name -> (help text, the
 #: :mod:`repro.analysis` function that measures it, its renderer).
@@ -56,8 +63,7 @@ _TABLES = {
 
 def _scale_options() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--scale", default="test",
-                        choices=["tiny", "test", "train"])
+    parent.add_argument("--scale", default="test", choices=SCALES)
     return parent
 
 
@@ -145,8 +151,8 @@ def _pool_options() -> argparse.ArgumentParser:
     parent.add_argument("--retries", type=int, default=2,
                         help="retry budget per job after worker "
                              "crashes/timeouts (default 2)")
-    parent.add_argument("--backend", default="fork",
-                        choices=["fork", "subprocess", "queue"],
+    parent.add_argument("--backend", default=DEFAULT_BACKEND,
+                        choices=BACKEND_NAMES,
                         help="executor backend for parallel runs: fork "
                              "(per-job forked workers, default), "
                              "subprocess (spawn-isolated stdio "
@@ -191,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated simulators "
              "(fast, slow, baseline, native)")
     campaign.add_argument(
-        "--progress", default="text",
-        choices=["text", "jsonl", "silent"],
+        "--progress", default="text", choices=list(SINK_MODES),
         help="progress event format (default text)")
     campaign.add_argument(
         "--out", help="write the merged canonical JSON document here "
@@ -223,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workers", type=int, default=2,
                        help="worker processes for the chaotic run "
                             "(default 2; must be >= 1)")
-    chaos.add_argument("--backend", default="fork",
-                       choices=["fork", "subprocess", "queue"],
+    chaos.add_argument("--backend", default=DEFAULT_BACKEND,
+                       choices=BACKEND_NAMES,
                        help="executor backend for the chaotic run "
                             "(queue refuses the crash injection: no "
                             "process isolation)")
@@ -676,23 +681,28 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     from repro import analysis
-    from repro.api import suite_runner
+    from repro.campaign.progress import TextSink
+    from repro.errors import CampaignUsageError
 
-    names = _selected(args)
     obs = _make_obs(args)
-    runner = suite_runner(
-        scale=args.scale,
-        verbose=not args.quiet,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        timeout=args.timeout,
-        retries=args.retries,
-        obs=obs,
-        backend=args.backend,
-    )
     _, measure, render = _TABLES[args.command]
-    print(getattr(analysis, render)(
-        getattr(analysis, measure)(runner, names)))
+    try:
+        rows = getattr(analysis, measure)(
+            _selected(args),
+            scale=args.scale,
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            timeout=args.timeout,
+            retries=args.retries,
+            backend=args.backend,
+            # stdout carries the table and nothing else.
+            progress=None if args.quiet else TextSink(sys.stderr),
+            obs=obs,
+        )
+    except CampaignUsageError as exc:
+        # As for `campaign`: refused before any job ran.
+        args.usage_error(str(exc))
+    print(getattr(analysis, render)(rows))
     _finish_obs(obs, args)
     return 0
 

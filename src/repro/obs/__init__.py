@@ -51,7 +51,6 @@ from repro.obs.metrics import (
 from repro.obs.schema import (
     CAMPAIGN_METRICS_SCHEMA,
     JOB_METRICS_SCHEMA,
-    JOB_METRICS_SCHEMA_V2,
     METRIC_SCHEMA,
     TRACE_SCHEMA,
     WORKER_TELEMETRY_SCHEMA,
@@ -81,7 +80,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JOB_METRICS_SCHEMA",
-    "JOB_METRICS_SCHEMA_V2",
     "JsonlTraceSink",
     "METRIC_SCHEMA",
     "MetricsRegistry",

@@ -32,14 +32,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.schema import (
     CAMPAIGN_METRICS_SCHEMA,
     JOB_METRICS_SCHEMA,
-    JOB_METRICS_SCHEMA_V2,
     METRIC_SCHEMA,
     SCHEMA_KEY,
     TRACE_SCHEMA,
 )
-
-_JOB_SCHEMAS = (JOB_METRICS_SCHEMA, JOB_METRICS_SCHEMA_V2)
-
 
 class ReportData:
     """Everything :func:`render` needs, accumulated over input files."""
@@ -75,7 +71,7 @@ class ReportData:
                 samples = record.get("samples") or []
                 if samples:
                     self.series_last[name] = samples[-1][1]
-        elif schema in _JOB_SCHEMAS:
+        elif schema == JOB_METRICS_SCHEMA:
             self.jobs.append(record)
         elif schema == CAMPAIGN_METRICS_SCHEMA:
             self.campaigns.append(record)

@@ -34,13 +34,9 @@ TRACE_SCHEMA = "repro.obs/trace-event/v1"
 #: events), carried inside the backend result channel and merged by
 #: the engine — see :mod:`repro.obs.worker`.
 WORKER_TELEMETRY_SCHEMA = "repro.obs/worker-telemetry/v1"
-#: One campaign per-job metrics record. v3 adds the ``worker`` lane
-#: label and the ``cancelled`` status (both shipped since the backends
-#: PR); documented in docs/campaign.md.
+#: One campaign per-job metrics record (v3 added the ``worker`` lane
+#: label); documented in docs/campaign.md.
 JOB_METRICS_SCHEMA = "repro.campaign/job-metrics/v3"
-#: The v2 shape (pre-distributed-telemetry) stays valid for archived
-#: streams.
-JOB_METRICS_SCHEMA_V2 = "repro.campaign/job-metrics/v2"
 #: One campaign-level summary record closing a metrics stream:
 #: wall time, worker count, and the executor backend's mechanism
 #: counters (forks/steals/respawns) under ``"backend"``.
@@ -80,13 +76,6 @@ _REQUIRED: Dict[str, Dict[str, tuple]] = {
         "retries": (int,),
         "host_seconds": _NUMBER,
     },
-    JOB_METRICS_SCHEMA_V2: {
-        "key": (str,),
-        "status": (str,),
-        "attempts": (int,),
-        "retries": (int,),
-        "host_seconds": _NUMBER,
-    },
     CAMPAIGN_METRICS_SCHEMA: {
         "name": (str,),
         "jobs": (int,),
@@ -106,12 +95,9 @@ _ENUMS: Dict[Tuple[str, str], tuple] = {
     (METRIC_SCHEMA, "kind"): ("counter", "gauge", "histogram", "series"),
     (TRACE_SCHEMA, "ph"): ("X", "i", "C"),
     (TRACE_SCHEMA, "clock"): ("host", "sim"),
-    (JOB_METRICS_SCHEMA, "status"): ("ok", "failed", "cancelled",
-                                     "poisoned"),
-    (JOB_METRICS_SCHEMA_V2, "status"): ("ok", "failed"),
+    (JOB_METRICS_SCHEMA, "status"): ("ok", "failed", "poisoned"),
     (JOURNAL_SCHEMA, "kind"): ("campaign-open", "campaign-resume",
-                               "attempt", "outcome", "campaign-end",
-                               "campaign-cancelled"),
+                               "attempt", "outcome", "campaign-end"),
 }
 
 #: Chrome trace_event phases the exporter may emit ("M" = metadata).

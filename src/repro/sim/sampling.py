@@ -7,9 +7,9 @@ problem. This module implements that alternative so the trade-off can
 be measured: alternate fast functional skipping with detailed
 measurement windows, then extrapolate the cycle count.
 
-The comparison the benchmark draws (``bench_sampling_accuracy.py``):
-sampling gains speed by *estimating* — its error grows as windows
-shrink — while fast-forwarding gains more speed with **zero** error.
+The comparison ``examples/accuracy_tradeoff.py`` draws: sampling
+gains speed by *estimating* — its error grows as windows shrink —
+while fast-forwarding gains more speed with **zero** error.
 
 Mechanics per window:
 

@@ -333,7 +333,7 @@ def build_fpppp(n: int) -> str:
     b = AsmBuilder()
     b.label("main")
     # %f5 feeds the k=0 fsub below before any unrolled step writes it,
-    # so zero it explicitly (caught by `fastsim-repro lint-asm`).
+    # so zero it explicitly (caught by `fastsim-repro lint FILE.s`).
     b.emit("set coeffs, %i0", "fsub %f7, %f7, %f7",
            "fsub %f5, %f5, %f5")
     for k in range(4):

@@ -42,7 +42,7 @@ def random_program(seed: int, iterations: int = 25,
         "main:",
         "    set buf, %i0",
         # Define every work register before the random blocks read
-        # them, so generated programs pass `fastsim-repro lint-asm`
+        # them, so generated programs pass `fastsim-repro lint FILE.s`
         # (asm/read-before-write) like the hand-written workloads.
         *[f"    clr {reg}" for reg in WORK_REGS],
         f"    mov {iterations}, %i1",

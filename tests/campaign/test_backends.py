@@ -11,14 +11,15 @@ import os
 
 import pytest
 
+from repro.api import run_campaign
 from repro.campaign import (
     BACKEND_NAMES,
+    DEFAULT_BACKEND,
     Campaign,
     CampaignRunner,
     Job,
     JobResult,
     register_job_kind,
-    run_jobs,
 )
 from repro.guard.faults import FaultPlan, clear_plan, install_plan
 
@@ -38,13 +39,13 @@ class TestByteIdentityMatrix:
     def test_all_backends_all_tiers_cold_and_warm(self, tmp_path):
         """fork/subprocess/queue × cold/warm all merge
         byte-identically to a serial cold run."""
-        baseline = run_jobs(JOBS, workers=0, name="matrix")
+        baseline = run_campaign(jobs=JOBS, workers=0, name="matrix")
         expected = baseline.canonical_json()
         for backend in BACKEND_NAMES:
             cache_dir = str(tmp_path / backend)
             for temperature in ("cold", "warm"):
-                outcome = run_jobs(
-                    JOBS, workers=2, cache_dir=cache_dir,
+                outcome = run_campaign(
+                    jobs=JOBS, workers=2, cache_dir=cache_dir,
                     backend=backend, name="matrix",
                 )
                 assert outcome.ok, (
@@ -58,12 +59,12 @@ class TestByteIdentityMatrix:
                 assert warm == [temperature == "warm"] * len(JOBS)
 
     def test_backend_not_in_canonical_output(self):
-        outcome = run_jobs(JOBS[:1], workers=1, backend="queue",
-                           name="hidden")
+        outcome = run_campaign(jobs=JOBS[:1], workers=1, backend="queue",
+                               name="hidden")
         assert "queue" not in outcome.canonical_json()
 
 
-def _nap(job, store):
+def _nap(job, store, obs=None):
     import time
 
     time.sleep(float(job.scale))
@@ -149,7 +150,7 @@ class TestSubprocessIsolation:
         assert outcome.results[0].attempts == 2
         assert runner.backend_metrics["crashes"] == 1
         # The crash must match the clean run byte-for-byte.
-        clean = run_jobs((job,), workers=0, name="spawn-crash")
+        clean = run_campaign(jobs=(job,), workers=0, name="spawn-crash")
         assert outcome.canonical_json() == clean.canonical_json()
 
     def test_runtime_registered_kinds_fail_deterministically(self):
@@ -174,30 +175,28 @@ class TestBackendSelection:
 
     def test_unknown_backend_rejected_everywhere(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
-            Campaign(jobs=JOBS[:1], backend="bogus")
-        with pytest.raises(ValueError, match="unknown executor backend"):
             CampaignRunner(backend="bogus")
+        with pytest.raises(ValueError, match="unknown executor backend"):
+            run_campaign(jobs=JOBS[:1], backend="bogus")
+        # A campaign is (jobs, name): placement is the runner's alone.
+        with pytest.raises(TypeError, match="backend"):
+            Campaign(jobs=JOBS[:1], backend="queue")
 
     def test_runner_backend_overrides_campaign(self):
-        campaign = Campaign(jobs=JOBS[:1], name="override",
-                            backend="fork")
+        """The runner's backend is the one that runs; left unset it is
+        the default."""
+        campaign = Campaign(jobs=JOBS[:1], name="override")
         runner = CampaignRunner(workers=1, backend="queue")
         outcome = runner.run(campaign)
         assert outcome.ok
         assert runner.backend_metrics["backend"] == "queue"
-
-    def test_campaign_backend_used_by_default(self):
-        campaign = Campaign(jobs=JOBS[:1], name="default",
-                            backend="queue")
-        runner = CampaignRunner(workers=1)
-        outcome = runner.run(campaign)
-        assert outcome.ok
-        assert runner.backend_metrics["backend"] == "queue"
+        default = CampaignRunner(workers=1)
+        assert default.run(campaign).ok
+        assert default.backend_metrics["backend"] == DEFAULT_BACKEND
 
     def test_serial_path_ignores_backend(self):
-        campaign = Campaign(jobs=JOBS[:1], name="serial",
-                            backend="subprocess")
-        runner = CampaignRunner(workers=0)
+        campaign = Campaign(jobs=JOBS[:1], name="serial")
+        runner = CampaignRunner(workers=0, backend="subprocess")
         outcome = runner.run(campaign)
         assert outcome.ok
         assert runner.backend_metrics == {}

@@ -22,7 +22,6 @@ from repro.campaign import (
     JobResult,
     read_journal,
     register_job_kind,
-    run_jobs,
 )
 from repro.campaign.progress import ProgressSink
 
@@ -39,23 +38,24 @@ class TestDeterministicMerge:
         byte-identically."""
         documents = []
         for workers in (0, 1, 4):
-            outcome = run_jobs(JOBS, workers=workers, name="det")
+            outcome = run_campaign(jobs=JOBS, workers=workers,
+                                   name="det")
             documents.append(outcome.canonical_json())
         assert documents[0] == documents[1] == documents[2]
 
     def test_results_in_campaign_order(self):
-        outcome = run_jobs(JOBS, workers=4, name="order")
+        outcome = run_campaign(jobs=JOBS, workers=4, name="order")
         assert [r.key for r in outcome.results] == [j.key for j in JOBS]
 
     def test_lookup_and_status(self):
-        outcome = run_jobs(JOBS[:2], workers=2, name="lookup")
+        outcome = run_campaign(jobs=JOBS[:2], workers=2, name="lookup")
         assert "compress:fast:tiny" in outcome
         assert outcome["compress:fast:tiny"].ok
         assert outcome.ok and outcome.failed == []
         assert len(outcome) == 2
 
     def test_metrics_jsonl_one_line_per_job(self):
-        outcome = run_jobs(JOBS[:2], workers=2, name="metrics")
+        outcome = run_campaign(jobs=JOBS[:2], workers=2, name="metrics")
         lines = outcome.metrics_jsonl().splitlines()
         # One record per job plus the closing campaign-metrics record.
         assert len(lines) == 3
@@ -79,7 +79,7 @@ class TestDeterministicMerge:
             validate_lines,
         )
 
-        outcome = run_jobs(JOBS[:2], workers=0, name="schema")
+        outcome = run_campaign(jobs=JOBS[:2], workers=0, name="schema")
         lines = outcome.metrics_jsonl().splitlines()
         assert validate_lines(lines) == []
         for line in lines[:-1]:
@@ -91,7 +91,7 @@ class TestDeterministicMerge:
         assert closing["name"] == "schema"
 
 
-def _crash_once(job, store):
+def _crash_once(job, store, obs=None):
     marker = os.path.join(job.workload, "crashed-once")
     if not os.path.exists(marker):
         with open(marker, "w") as handle:
@@ -100,17 +100,17 @@ def _crash_once(job, store):
     return JobResult(job=job, status="ok", metrics={"attempt2": True})
 
 
-def _always_crash(job, store):
+def _always_crash(job, store, obs=None):
     os._exit(9)
 
 
-def _sleep_forever(job, store):
+def _sleep_forever(job, store, obs=None):
     import time
 
     time.sleep(60)
 
 
-def _raise_value_error(job, store):
+def _raise_value_error(job, store, obs=None):
     raise ValueError("deterministic boom")
 
 
@@ -165,8 +165,9 @@ class TestFaultTolerance:
         assert "ValueError: deterministic boom" in outcome.results[0].error
 
     def test_unknown_kind_fails_cleanly(self):
-        outcome = run_jobs([Job(workload="x", kind="no-such-kind")],
-                           workers=0, name="unknown")
+        outcome = run_campaign(
+            jobs=[Job(workload="x", kind="no-such-kind")],
+            workers=0, name="unknown")
         assert not outcome.ok
         assert "unknown job kind" in outcome.results[0].error
 
@@ -184,7 +185,7 @@ class TestRunnerValidation:
 _JOB_THREADS = []
 
 
-def _record_thread(job, store):
+def _record_thread(job, store, obs=None):
     _JOB_THREADS.append(threading.current_thread())
     return JobResult(job=job, status="ok")
 
@@ -259,6 +260,6 @@ class TestBlockingCaller:
         resumed = run_campaign(jobs=JOBS, workers=1, resume=journal,
                                progress=resumed_sink, name="interrupt")
         assert resumed_sink.kinds.count("job-resumed") == 1
-        clean = run_jobs(JOBS, workers=0, name="interrupt")
+        clean = run_campaign(jobs=JOBS, workers=0, name="interrupt")
         assert resumed.canonical_json() == clean.canonical_json()
         assert read_journal(journal).terminal == "campaign-end"

@@ -20,7 +20,8 @@ import os
 
 import pytest
 
-from repro.campaign import Job, run_jobs
+from repro.api import run_campaign
+from repro.campaign import Job
 from repro.options import HostOptions
 
 THRESHOLD = 2  # compile on the second traversal: tiny runs still fire
@@ -41,9 +42,9 @@ def _jobs(turbo: bool, l1_filter: bool, threaded_frontend: bool = True):
 
 @pytest.fixture(scope="module")
 def reference():
-    outcome = run_jobs(_jobs(turbo=False, l1_filter=False,
-                             threaded_frontend=False),
-                       workers=0, name="matrix")
+    outcome = run_campaign(
+        jobs=_jobs(turbo=False, l1_filter=False, threaded_frontend=False),
+        workers=0, name="matrix")
     assert outcome.ok
     return outcome.canonical_json()
 
@@ -52,8 +53,9 @@ def reference():
 def seeded_cache(tmp_path_factory):
     """A cache dir holding both the .fspc and its .fsseg sibling."""
     cache_dir = str(tmp_path_factory.mktemp("matrix-cache"))
-    outcome = run_jobs(_jobs(turbo=True, l1_filter=True), workers=0,
-                       cache_dir=cache_dir, name="matrix-seed")
+    outcome = run_campaign(jobs=_jobs(turbo=True, l1_filter=True),
+                           workers=0, cache_dir=cache_dir,
+                           name="matrix-seed")
     assert outcome.ok
     names = os.listdir(cache_dir)
     assert any(name.endswith(".fspc") for name in names)
@@ -75,8 +77,8 @@ def test_matrix_cell_byte_identical(mode, l1_filter, backend,
     else:  # persisted-warm: reuse the seeded .fspc + .fsseg pair
         jobs = _jobs(turbo=True, l1_filter=l1_filter)
         cache_dir = seeded_cache
-    outcome = run_jobs(jobs, workers=2, backend=backend,
-                       cache_dir=cache_dir, name="matrix")
+    outcome = run_campaign(jobs=jobs, workers=2, backend=backend,
+                           cache_dir=cache_dir, name="matrix")
     assert outcome.ok
     assert outcome.canonical_json() == reference
 
@@ -84,8 +86,9 @@ def test_matrix_cell_byte_identical(mode, l1_filter, backend,
 def test_persisted_warm_actually_installed(seeded_cache):
     """Identity must not be vacuous: the warm cell really installs
     persisted segments (visible in per-job metrics)."""
-    outcome = run_jobs(_jobs(turbo=True, l1_filter=True), workers=0,
-                       cache_dir=seeded_cache, name="matrix-check")
+    outcome = run_campaign(jobs=_jobs(turbo=True, l1_filter=True),
+                           workers=0, cache_dir=seeded_cache,
+                           name="matrix-check")
     assert outcome.ok
     for result in outcome.results:
         assert result.metrics.get("warm_start") is True

@@ -1,5 +1,5 @@
-"""ProgressSink tests — one protocol for text and JSON-lines progress,
-shared by the campaign engine and the suite runner."""
+"""ProgressSink tests — one protocol for text and JSON-lines
+progress."""
 
 import io
 import json
@@ -12,9 +12,9 @@ from repro.campaign import (
     NullSink,
     TextSink,
     make_sink,
-    run_jobs,
 )
-from repro.campaign.progress import ObsSink, ProgressSink, TeeSink
+from repro.api import run_campaign
+from repro.campaign.progress import ObsSink, TeeSink
 from repro.obs.core import NULL_OBS, make_observer
 
 
@@ -104,8 +104,8 @@ class TestTeeSink:
 class TestEngineEvents:
     def test_campaign_event_stream(self):
         stream = io.StringIO()
-        run_jobs([Job("compress", "fast", "tiny")], workers=1,
-                 sink=JsonlSink(stream), name="events")
+        run_campaign(jobs=[Job("compress", "fast", "tiny")], workers=1,
+                     progress=JsonlSink(stream), name="events")
         events = [json.loads(line)
                   for line in stream.getvalue().splitlines()]
         kinds = [event["event"] for event in events]
@@ -116,30 +116,3 @@ class TestEngineEvents:
         assert events[2]["key"] == "compress:fast:tiny"
         assert events[3]["failed"] == 0
 
-
-class TestSuiteRunnerRouting:
-    def test_runner_log_lines_reach_a_custom_sink(self):
-        from repro.api import suite_runner
-
-        class Collector(ProgressSink):
-            def emit(self, kind, **fields):
-                lines.append(fields.get("message", kind))
-
-        lines = []
-        runner = suite_runner(scale="tiny", sink=Collector())
-        runner.run("compress", "fast")
-        assert any("compress" in line for line in lines)
-
-    def test_quiet_runner_prints_nothing(self, capsys):
-        from repro.api import suite_runner
-
-        runner = suite_runner(scale="tiny", verbose=False)
-        runner.run("compress", "fast")
-        assert capsys.readouterr().out == ""
-
-    def test_verbose_runner_prints_progress(self, capsys):
-        from repro.api import suite_runner
-
-        runner = suite_runner(scale="tiny", verbose=True)
-        runner.run("compress", "fast")
-        assert "compress" in capsys.readouterr().out

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.api import run_campaign
 from repro.branch import NotTakenPredictor
 from repro.campaign.cachedir import (
     QUARANTINE_SUFFIX,
@@ -15,7 +16,7 @@ from repro.campaign.cachedir import (
     StoreSpec,
     make_store,
 )
-from repro.campaign.engine import Campaign, CampaignRunner, run_jobs
+from repro.campaign.engine import Campaign, CampaignRunner
 from repro.campaign.jobs import Job
 from repro.campaign.progress import TextSink
 from repro.guard.faults import FaultPlan, inject_disk_faults
@@ -128,16 +129,17 @@ class TestCampaignWithQuarantine:
         matches a clean serial run."""
         jobs = tuple(Job(w, "fast", "tiny")
                      for w in ("compress", "li", "go"))
-        baseline = run_jobs(jobs, workers=0, name="cw")
+        baseline = run_campaign(jobs=jobs, workers=0, name="cw")
         cache_dir = str(tmp_path / "store")
-        run_jobs(jobs, workers=0, cache_dir=cache_dir, name="seed")
+        run_campaign(jobs=jobs, workers=0, cache_dir=cache_dir,
+                     name="seed")
         entries = CacheStore(cache_dir).entries()
         assert len(entries) == len(jobs)
         faults = inject_disk_faults(
             cache_dir, FaultPlan(seed=7, disk_bit_flips=len(entries)))
         assert len(faults) == len(entries)
-        outcome = run_jobs(jobs, workers=2, cache_dir=cache_dir,
-                           name="cw")
+        outcome = run_campaign(jobs=jobs, workers=2, cache_dir=cache_dir,
+                               name="cw")
         assert outcome.ok
         assert outcome.canonical_json() == baseline.canonical_json()
         bagged = sorted(name for name in os.listdir(cache_dir)
@@ -150,7 +152,8 @@ class TestCampaignWithQuarantine:
         # Every slot was re-recorded: the next run starts warm.
         repopulated = CacheStore(cache_dir)
         assert repopulated.entries() == entries
-        rerun = run_jobs(jobs, workers=2, cache_dir=cache_dir, name="cw")
+        rerun = run_campaign(jobs=jobs, workers=2, cache_dir=cache_dir,
+                             name="cw")
         assert all(r.metrics.get("warm_start") for r in rerun.results)
         assert repopulated.quarantined == []
 

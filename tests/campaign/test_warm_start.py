@@ -9,7 +9,8 @@ simulated in detail.
 import os
 import pickle
 
-from repro.campaign import CacheStore, Job, run_jobs
+from repro.api import run_campaign
+from repro.campaign import CacheStore, Job
 from repro.campaign.worker import simulate_executable
 from repro.memo.engine import run_signature
 from repro.uarch.params import ProcessorParams
@@ -22,10 +23,10 @@ class TestWarmStart:
     def test_warm_run_is_bit_identical_and_replays_everything(
             self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        cold = run_jobs([JOB], workers=1, cache_dir=cache_dir,
-                        name="warm")
-        warm = run_jobs([JOB], workers=1, cache_dir=cache_dir,
-                        name="warm")
+        cold = run_campaign(jobs=[JOB], workers=1,
+                            cache_dir=cache_dir, name="warm")
+        warm = run_campaign(jobs=[JOB], workers=1,
+                            cache_dir=cache_dir, name="warm")
         # Simulated timing is part of the canonical payload, so this
         # asserts cycles/instructions/output equality in one shot.
         assert cold.canonical_json() == warm.canonical_json()
@@ -38,13 +39,13 @@ class TestWarmStart:
 
     def test_store_file_keyed_by_run_signature(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        run_jobs([JOB], workers=1, cache_dir=cache_dir, name="sig")
+        run_campaign(jobs=[JOB], workers=1, cache_dir=cache_dir,
+                     name="sig")
         signature = run_signature(load_workload("compress", "tiny"),
                                   ProcessorParams.r10k())
         store = CacheStore(cache_dir)
         assert os.path.exists(store.path_for(signature))
         assert store.load(signature) is not None
-        assert store.total_bytes() > 0
 
     def test_unrelated_signature_misses(self, tmp_path):
         store = CacheStore(str(tmp_path))
@@ -54,7 +55,8 @@ class TestWarmStart:
 
     def test_corrupt_cache_file_treated_as_miss(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        run_jobs([JOB], workers=1, cache_dir=cache_dir, name="corrupt")
+        run_campaign(jobs=[JOB], workers=1, cache_dir=cache_dir,
+                     name="corrupt")
         signature = run_signature(load_workload("compress", "tiny"),
                                   ProcessorParams.r10k())
         store = CacheStore(cache_dir)
@@ -62,16 +64,16 @@ class TestWarmStart:
             handle.write(b"not a cache file")
         assert store.load(signature) is None
         # And the engine still completes (falls back to a cold run).
-        outcome = run_jobs([JOB], workers=1, cache_dir=cache_dir,
-                           name="corrupt")
+        outcome = run_campaign(jobs=[JOB], workers=1,
+                               cache_dir=cache_dir, name="corrupt")
         assert outcome.ok
 
     def test_store_skips_rewrite_when_nothing_new(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        cold = run_jobs([JOB], workers=1, cache_dir=cache_dir,
-                        name="skip")
-        warm = run_jobs([JOB], workers=1, cache_dir=cache_dir,
-                        name="skip")
+        cold = run_campaign(jobs=[JOB], workers=1,
+                            cache_dir=cache_dir, name="skip")
+        warm = run_campaign(jobs=[JOB], workers=1,
+                            cache_dir=cache_dir, name="skip")
         assert cold.results[0].metrics["cache_saved"] is True
         assert warm.results[0].metrics["cache_saved"] is False
 
@@ -83,8 +85,8 @@ class TestWarmStart:
         cache_dir = str(tmp_path / "cache")
         job = Job("compress", "fast", "tiny",
                   policy=PolicySpec("flush", 4096))
-        outcome = run_jobs([job], workers=1, cache_dir=cache_dir,
-                           name="bounded")
+        outcome = run_campaign(jobs=[job], workers=1,
+                               cache_dir=cache_dir, name="bounded")
         assert outcome.ok
         assert "warm_start" not in outcome.results[0].metrics
         assert CacheStore(cache_dir).entries() == []
@@ -105,14 +107,15 @@ class TestWarmStart:
 class TestCacheStorePersistence:
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        run_jobs([JOB], workers=2, cache_dir=cache_dir, name="atomic")
+        run_campaign(jobs=[JOB], workers=2, cache_dir=cache_dir,
+                     name="atomic")
         store = CacheStore(cache_dir)
         leftovers = [name for name in os.listdir(store.root)
                      if not name.endswith((".fspc", ".fsseg"))]
         assert leftovers == []
 
     def test_pickleable_job_results(self):
-        outcome = run_jobs([JOB], workers=1, name="pickle")
+        outcome = run_campaign(jobs=[JOB], workers=1, name="pickle")
         clone = pickle.loads(pickle.dumps(outcome.results[0]))
         assert clone.key == JOB.key
         assert clone.result.cycles == outcome.results[0].result.cycles

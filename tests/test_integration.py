@@ -9,7 +9,7 @@ import pytest
 
 from repro import assemble
 from repro.analysis import table2, table4
-from repro.api import suite_runner
+from repro.api import run_campaign
 from repro.branch import BimodalPredictor
 from repro.emulator.functional import run_program
 from repro.memo.dump import cache_summary, dump_chain
@@ -92,15 +92,16 @@ loop:
 
 class TestAnalysisPipeline:
     def test_tables_from_shared_runner(self):
-        runner = suite_runner(scale="tiny")
-        rows2 = table2(runner, ["perl"])
-        rows4 = table4(runner, ["perl"])
+        shared = run_campaign(["perl"], ("fast", "slow"), scale="tiny",
+                              include_native=True, workers=0)
+        rows2 = table2(["perl"], scale="tiny", result=shared)
+        rows4 = table4(["perl"], scale="tiny", result=shared)
         assert rows2[0].speedup > 0.0  # a ratio of two measured times
         assert (rows4[0].replayed_instructions
                 > rows4[0].detailed_instructions)
         total = (rows4[0].detailed_instructions
                  + rows4[0].replayed_instructions)
-        assert total == runner.run("perl", "fast").instructions
+        assert total == shared["perl:fast:tiny"].result.instructions
 
 
 class TestCrossConfigurationMatrix:

@@ -260,7 +260,7 @@ class TestResumeRefusal:
                                                       capsys):
         """Serial campaigns run job code on the calling thread: its
         ``ValueError`` is that job's failure (exit 1), not exit 2."""
-        def broken(job, store):
+        def broken(job, store, obs=None):
             raise ValueError("boom inside the job")
 
         monkeypatch.setitem(worker._JOB_KINDS, "simulate", broken)

@@ -77,17 +77,17 @@ class TestSubpackageSurfaces:
 
 
 class TestOneHostOneBlockingCaller:
-    """The campaign layer has one store and one (blocking) caller; the
-    shared cache tier, the submit/await handle and the per-simulation
-    backend are gone from every signature and export list."""
+    """The campaign layer has one store, one (blocking) caller and one
+    front door; the shared cache tier, the submit/await handle, the
+    per-simulation backend and the second and third ways to run a job
+    list are gone from every signature and export list."""
 
     def test_entry_points_lost_the_parked_parameters(self):
         import dataclasses
         import inspect
 
         import repro.api as api
-        from repro.analysis import SuiteRunner
-        from repro.campaign import CampaignRunner, run_jobs
+        from repro.campaign import Campaign, CampaignRunner
 
         signatures = {
             "simulate": set(inspect.signature(api.simulate).parameters),
@@ -95,16 +95,17 @@ class TestOneHostOneBlockingCaller:
                 set(inspect.signature(api.run_campaign).parameters),
             "CampaignRunner":
                 set(inspect.signature(CampaignRunner).parameters),
-            "run_jobs": set(inspect.signature(run_jobs).parameters),
-            "SuiteRunner":
-                {field.name for field in dataclasses.fields(SuiteRunner)},
         }
         for name, parameters in signatures.items():
             assert not parameters & {"shared_cache_dir", "mp_context"}, name
         assert "backend" not in signatures["simulate"]
         assert "backend" in signatures["run_campaign"]
+        # Placement is the runner's alone.
+        assert [field.name for field in dataclasses.fields(Campaign)] == [
+            "jobs", "name"]
 
     def test_deleted_names_are_not_exported(self):
+        import repro.analysis
         import repro.api
         import repro.campaign
         import repro.obs
@@ -113,9 +114,11 @@ class TestOneHostOneBlockingCaller:
             "submit_campaign", "CampaignHandle", "EventStream",
             "ProgressCounter", "EVENT_SCHEMA", "TieredCacheStore",
             "CircuitBreaker", "shared_tier_breaker", "reset_breakers",
-            "CampaignCancelled",
+            "CampaignCancelled", "suite_runner", "SuiteRunner",
+            "run_jobs", "export_all", "export_json",
         }
-        for module in (repro, repro.api, repro.campaign, repro.obs):
+        for module in (repro, repro.api, repro.campaign, repro.obs,
+                       repro.analysis):
             assert not deleted & set(module.__all__), module.__name__
             for name in deleted:
                 assert not hasattr(module, name), (module.__name__, name)
