@@ -6,8 +6,9 @@ capability matrix and when to pick which):
 
 * ``fork`` — today's default: one forked child per job attempt, full
   crash isolation, inherits test-registered kinds and fault plans;
-* ``subprocess`` — persistent spawn-isolated workers driven over a
-  stdio job protocol;
+* ``subprocess`` — persistent spawn-isolated workers, the same
+  supervised-child mechanism as ``fork`` with a different launch step
+  (both live in :mod:`repro.campaign.backends.process`);
 * ``queue`` — in-process work-stealing threads with per-worker deques
   and steal-on-idle.
 
@@ -31,29 +32,18 @@ from repro.campaign.backends.base import (
 )
 
 
-def _load_fork() -> type:
-    from repro.campaign.backends.fork import ForkBackend
+def _load(name: str) -> type:
+    # Imports stay lazy: listing workloads or running one simulation
+    # must not pay for multiprocessing / subprocess.
+    if name == "queue":
+        from repro.campaign.backends.queue import QueueBackend
 
-    return ForkBackend
+        return QueueBackend
+    from repro.campaign.backends import process
 
+    return {"fork": process.ForkBackend,
+            "subprocess": process.SubprocessBackend}[name]
 
-def _load_subprocess() -> type:
-    from repro.campaign.backends.stdio import SubprocessBackend
-
-    return SubprocessBackend
-
-
-def _load_queue() -> type:
-    from repro.campaign.backends.queue import QueueBackend
-
-    return QueueBackend
-
-
-_LOADERS = {
-    "fork": _load_fork,
-    "subprocess": _load_subprocess,
-    "queue": _load_queue,
-}
 
 #: Registered backend names, in documentation order.
 BACKEND_NAMES: Tuple[str, ...] = ("fork", "subprocess", "queue")
@@ -64,7 +54,7 @@ DEFAULT_BACKEND = "fork"
 
 def validate_backend(name: str) -> str:
     """Return *name* if registered, else raise the canonical error."""
-    if name not in _LOADERS:
+    if name not in BACKEND_NAMES:
         raise ValueError(
             f"unknown executor backend {name!r}; "
             f"choose from {list(BACKEND_NAMES)}"
@@ -74,8 +64,7 @@ def validate_backend(name: str) -> str:
 
 def make_backend(backend: str) -> ExecutorBackend:
     """Build an executor backend from its registered name."""
-    backend_class = _LOADERS[validate_backend(backend)]()
-    return backend_class()
+    return _load(validate_backend(backend))()
 
 
 __all__ = [

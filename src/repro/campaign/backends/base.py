@@ -3,8 +3,10 @@
 The :class:`~repro.campaign.engine.CampaignRunner` owns *policy*:
 campaign order, retry budgets, backoff, deadline arithmetic, result
 merging, progress events. An :class:`ExecutorBackend` owns *mechanism*:
-where an attempt physically runs (a forked child, a spawn-isolated
-stdio worker, a work-stealing thread) and how its outcome gets back.
+where an attempt physically runs (a supervised child process — forked
+per attempt or spawned once and reused, one mechanism in
+:mod:`~repro.campaign.backends.process` — or a work-stealing thread)
+and how its outcome gets back.
 Keeping the split here is what lets one declarative
 :class:`~repro.campaign.engine.Campaign` fan out over any placement
 while the merged canonical output stays byte-identical — the backend
@@ -47,8 +49,8 @@ class Attempt:
     job: Job
     attempt: int  #: 1-based attempt number (retries increment it).
     #: Absolute ``time.monotonic()`` deadline, or None for no timeout.
-    #: Process-based backends enforce it preemptively (terminate /
-    #: kill); the ``queue`` backend enforces it cooperatively —
+    #: The process backends enforce it preemptively (SIGKILL, then
+    #: reap); the ``queue`` backend enforces it cooperatively —
     #: expired queued attempts are failed without running, expired
     #: running attempts are abandoned and their worker replaced (see
     #: docs/distributed.md's capability matrix).
@@ -85,8 +87,6 @@ class BackendContext:
     #: The engine's per-job timeout (seconds) — backends that enforce
     #: deadlines use it to phrase the failure; None means no timeout.
     timeout: Optional[float] = None
-    obs: object = None
-    sink: object = None
     #: Worker-side telemetry recipe
     #: (:class:`~repro.obs.worker.TelemetrySpec`) the backend ships to
     #: each attempt, or None when observability is off — the

@@ -222,8 +222,8 @@ class CacheStore:
 class StoreSpec:
     """A picklable recipe for a cache store.
 
-    Jobs cross process boundaries (fork pipes, the subprocess stdio
-    protocol), so workers receive the *description* of the store and
+    Jobs cross process boundaries (a forked child's arguments, a
+    spawned worker's envelope), so workers receive the *description* of the store and
     build their own instance — exactly like :class:`PolicySpec` for
     replacement policies. ``cache_dir`` None means no store
     (always-cold runs).

@@ -443,7 +443,7 @@ class CampaignRunner:
         backend = make_backend(self.backend)
         backend.start(BackendContext(
             workers=self.workers, store_spec=self.store_spec,
-            timeout=self.timeout, obs=self.obs, sink=self.sink,
+            timeout=self.timeout,
             telemetry=TelemetrySpec.from_observer(self.obs),
             hang_after=self.hang_after,
         ))

@@ -19,7 +19,7 @@ This module provides the pieces the engine composes into crash-safety
   round-trip losslessly.
 
 * **Heartbeats** — the :data:`HEARTBEAT` sentinel workers interleave
-  with results on the existing channels (fork pipe / stdio frames) so
+  with results on the one connection each child process already has so
   the engine can tell a *hung* worker (silent beyond ``hang_after``)
   from a merely *slow* one, distinctly from deadline expiry.
 

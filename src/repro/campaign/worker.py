@@ -3,10 +3,12 @@
 :func:`execute_job` turns a :class:`~repro.campaign.jobs.Job` into a
 :class:`~repro.campaign.jobs.JobResult`. The
 :class:`~repro.campaign.engine.CampaignRunner` calls it in-process on
-the serial path and inside a worker via :func:`execute_attempt` /
-:func:`child_main` on the pool path. Keeping one
-executor is what makes "bit-identical under any worker count" a
-structural property rather than a test-enforced accident.
+the serial path and inside a worker via :func:`execute_attempt` on
+the pool path — in a child process under :func:`serve_attempt`, the
+one worker-side harness (heartbeat thread, send lock, "a result always
+crosses the pipe") of both process backends. Keeping one executor is
+what makes "bit-identical under any worker count" a structural
+property rather than a test-enforced accident.
 
 Job *kinds* are pluggable: ``simulate`` (the default) runs a workload
 under one of the four simulators with optional warm-start through a
@@ -24,11 +26,14 @@ engine.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from typing import Callable, Dict, Optional
 
 from repro.campaign.cachedir import CacheStore, StoreSpec
 from repro.campaign.jobs import Job, JobResult, NativeRun
+from repro.campaign.supervise import HEARTBEAT
 from repro.emulator.functional import Interpreter
 from repro.guard import faults
 from repro.memo.engine import run_signature
@@ -256,38 +261,40 @@ def execute_attempt(job: Job, store_spec: StoreSpec, telemetry=None,
     return result
 
 
-def child_main(connection, job: Job, store_spec: StoreSpec,
-               telemetry=None, attempt: int = 1, heartbeat=None) -> None:
-    """Worker-process entry: execute one job, send the result back.
+def serve_attempt(connection, label: str, job: Job,
+                  store_spec: StoreSpec, telemetry=None,
+                  attempt: int = 1, heartbeat=None) -> None:
+    """The worker-side harness: run one attempt, send one result home.
 
-    *store_spec* is a :class:`~repro.campaign.cachedir.StoreSpec` (the
-    fork backend ships the recipe; the child builds its own store
-    handles). *telemetry* (a :class:`~repro.obs.worker.TelemetrySpec`,
-    shipped only when the parent observer is live) makes the child
-    collect its own deep telemetry and attach the blob to the result
-    crossing the pipe.
-    *heartbeat* (seconds, or None) makes a daemon thread interleave
-    :data:`~repro.campaign.supervise.HEARTBEAT` sentinels with the
-    result on the same pipe, under a send lock, so the parent's
-    supervisor can tell hung from slow; the thread consults
-    :func:`~repro.guard.faults.hang_active` so an injected hang
-    silences the beats too.
+    Both process backends end here — the forked child calls it once as
+    its process target, the stdio worker once per envelope — over the
+    same kind of *connection* (a ``multiprocessing`` ``Connection``).
+    Exactly one :class:`JobResult` crosses the pipe whatever the job
+    does: anything that escapes :func:`execute_attempt` (a job kind
+    raising ``SystemExit`` / ``KeyboardInterrupt``, a result that will
+    not pickle) becomes a ``failed`` result ``worker error: …``,
+    because a worker that sends nothing is a crash to its parent.
+    *label* (``fork`` / ``spawn``) prefixes the worker's pid in
+    telemetry. *heartbeat* (seconds, or None) makes a daemon thread
+    interleave :data:`~repro.campaign.supervise.HEARTBEAT` sentinels
+    with the result, under a send lock, so the supervisor can tell
+    hung from slow; the beats stop before the result is sent, and
+    :func:`~repro.guard.faults.hang_active` silences them so an
+    injected hang looks hung.
     """
-    import os
-    import threading
-
-    from repro.campaign.supervise import HEARTBEAT
-
     send_lock = threading.Lock()
     stop = threading.Event()
+
+    def _send(message: object) -> None:
+        with send_lock:
+            connection.send(message)
 
     def _beat() -> None:
         while not stop.wait(heartbeat):
             if faults.hang_active():
-                continue  # an injected hang must look hung
+                continue
             try:
-                with send_lock:
-                    connection.send(HEARTBEAT)
+                _send(HEARTBEAT)
             except (OSError, ValueError):  # parent gone
                 return
 
@@ -296,26 +303,21 @@ def child_main(connection, job: Job, store_spec: StoreSpec,
         beater = threading.Thread(target=_beat, daemon=True)
         beater.start()
     try:
-        result = execute_attempt(
-            job, store_spec, telemetry=telemetry,
-            worker=f"fork-{os.getpid()}", attempt=attempt,
-        )
-        stop.set()
-        if beater is not None:
-            beater.join(timeout=1.0)
-        with send_lock:
-            connection.send(result)
-    except BaseException as exc:  # result must cross the pipe or the
-        # parent treats this worker as crashed — report what we can.
-        stop.set()
         try:
-            with send_lock:
-                connection.send(JobResult(
-                    job=job, status="failed",
-                    error=f"worker error: {type(exc).__name__}: {exc}",
-                ))
-        except Exception:
+            result = execute_attempt(
+                job, store_spec, telemetry=telemetry,
+                worker=f"{label}-{os.getpid()}", attempt=attempt,
+            )
+        finally:
+            stop.set()
+            if beater is not None:
+                beater.join(timeout=1.0)
+        _send(result)
+    except BaseException as exc:
+        try:
+            _send(JobResult(
+                job=job, status="failed",
+                error=f"worker error: {type(exc).__name__}: {exc}",
+            ))
+        except Exception:  # parent gone: nobody left to tell
             pass
-    finally:
-        stop.set()
-        connection.close()

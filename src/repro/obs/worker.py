@@ -14,9 +14,9 @@ module closes that gap with a collect → ship → merge pipeline:
   compact, schema-stamped blob
   (``repro.obs/worker-telemetry/v1``: registry snapshot + ring events
   + drop count) that rides back on the *existing* result channel —
-  the fork result pipe, the stdio protocol envelope, the queue
-  in-process handoff — as :attr:`JobResult.telemetry`. No second
-  socket, no shared files.
+  a child process's connection to the engine (``fork`` and
+  ``subprocess`` alike), the queue in-process handoff — as
+  :attr:`JobResult.telemetry`. No second socket, no shared files.
 * **merge** — the engine strips the blob off the result (it must
   never reach canonical output) and, after the run, calls
   :func:`merge_telemetry`: blobs are ordered by

@@ -1,6 +1,8 @@
 """Crash-safe campaign tests: the durable journal, resume skipping,
 kill→resume byte-identity on every backend, hang detection, poison
-quarantine, cooperative queue deadlines, and seeded retry jitter.
+quarantine, cooperative queue deadlines, seeded retry jitter — and the
+one supervised-worker mechanism under ``fork`` and ``subprocess``: the
+reap ladder as one table, the stop primitive, the worker harness.
 
 The tentpole assertion is the resume drill matrix: a SIGKILL'd
 journaled engine, resumed from its journal, merges bytes identical to
@@ -8,7 +10,11 @@ an uninterrupted cold run — per backend, with the journal's skip count
 asserted exactly.
 """
 
+import multiprocessing
 import os
+import pickle
+import signal
+import time
 
 import pytest
 
@@ -24,8 +30,19 @@ from repro.campaign import (
     retry_delay,
     verify_resume,
 )
+from repro.campaign.backends import (
+    Attempt,
+    BackendContext,
+    make_backend,
+)
+from repro.campaign.cachedir import StoreSpec
 from repro.campaign.progress import NullSink, ProgressSink
-from repro.campaign.supervise import JournalReplay, heartbeat_interval
+from repro.campaign.supervise import (
+    Heartbeat,
+    JournalReplay,
+    heartbeat_interval,
+)
+from repro.campaign.worker import serve_attempt
 from repro.errors import CampaignError, PoisonedJobError
 from repro.guard.faults import (
     CRASH_EXIT_CODE,
@@ -52,14 +69,27 @@ def _crash_always(job, store, obs=None):
 
 
 def _nap_supervised(job, store, obs=None):
-    import time
-
     time.sleep(float(job.scale))
     return JobResult(job=job, status="ok")
 
 
+def _nap_deaf_to_sigterm(job, store, obs=None):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    return _nap_supervised(job, store)
+
+
+def _raise_base_exception(job, store, obs=None):
+    raise {"SystemExit": SystemExit,
+           "KeyboardInterrupt": KeyboardInterrupt}[job.scale]("stop")
+
+
 register_job_kind("test-crash-always", _crash_always)
 register_job_kind("test-nap-supervised", _nap_supervised)
+register_job_kind("test-nap-deaf-to-sigterm", _nap_deaf_to_sigterm)
+register_job_kind("test-raise-base-exception", _raise_base_exception)
+
+#: The two backends that are one supervised-child mechanism.
+PROCESS_BACKENDS = ("fork", "subprocess")
 
 
 class _RecordingSink(ProgressSink):
@@ -259,24 +289,45 @@ class TestPoisonQuarantine:
         assert outcome.results[0].status == "failed"
 
 
+def _hang_detected_and_retried(tmp_path, backend, hang_after):
+    """An injected hang (worker stops heartbeating, sleeps far past
+    the budget) must be detected as *hung* — not timed out — the
+    worker replaced, and the retry succeed."""
+    job = JOBS[0]
+    install_plan(FaultPlan(hang_job=job.key, hang_seconds=30.0,
+                           scratch=str(tmp_path)))
+    runner = CampaignRunner(workers=1, retries=2, backoff=0.01,
+                            backend=backend, hang_after=hang_after,
+                            sink=NullSink())
+    outcome = runner.run(Campaign(jobs=(job,), name="hang"))
+    clear_plan()
+    assert outcome.ok
+    assert outcome.results[0].attempts == 2
+    assert runner.backend_metrics["hangs"] == 1
+    clean = run_campaign(jobs=(job,), workers=0, name="hang")
+    assert outcome.canonical_json() == clean.canonical_json()
+
+
+def _slow_job_is_not_a_hang(backend, job, hang_after):
+    """A heartbeating slow job outlives the hang budget."""
+    runner = CampaignRunner(workers=1, backend=backend,
+                            hang_after=hang_after, sink=NullSink())
+    outcome = runner.run(Campaign(jobs=(job,), name="slow"))
+    assert outcome.ok
+    assert runner.backend_metrics["hangs"] == 0
+    return outcome.results[0]
+
+
 class TestHangDetection:
+    # One drill, backend as an input. The two fork cases keep the ids
+    # they have always had; a spawned worker's budget also has to cover
+    # its interpreter start-up, hence the longer one there (the chaos
+    # drill's 1.5 s).
     def test_fork_worker_hang_detected_and_retried(self, tmp_path):
-        """An injected hang (worker stops heartbeating, sleeps far past
-        the budget) must be detected as *hung* — not timed out — the
-        worker replaced, and the retry succeed."""
-        job = JOBS[0]
-        install_plan(FaultPlan(hang_job=job.key, hang_seconds=30.0,
-                               scratch=str(tmp_path)))
-        runner = CampaignRunner(workers=1, retries=2, backoff=0.01,
-                                backend="fork", hang_after=0.6,
-                                sink=NullSink())
-        outcome = runner.run(Campaign(jobs=(job,), name="hang"))
-        clear_plan()
-        assert outcome.ok
-        assert outcome.results[0].attempts == 2
-        assert runner.backend_metrics["hangs"] == 1
-        clean = run_campaign(jobs=(job,), workers=0, name="hang")
-        assert outcome.canonical_json() == clean.canonical_json()
+        _hang_detected_and_retried(tmp_path, "fork", hang_after=0.6)
+
+    def test_subprocess_worker_hang_detected_and_retried(self, tmp_path):
+        _hang_detected_and_retried(tmp_path, "subprocess", hang_after=1.5)
 
     def test_heartbeat_interval_scales_with_budget(self):
         assert heartbeat_interval(None) is None
@@ -285,14 +336,174 @@ class TestHangDetection:
         assert heartbeat_interval(0.04) == 0.02  # floored
 
     def test_slow_job_is_not_a_hang(self):
-        """A heartbeating slow job outlives the hang budget."""
+        _slow_job_is_not_a_hang(
+            "fork", Job(workload="slow", kind="test-nap-supervised",
+                        scale="0.8"), hang_after=0.3)
+
+    def test_slow_job_is_not_a_hang_under_subprocess(self):
+        # A spawned worker cannot see test-registered kinds, so the
+        # slow job is a real simulation (about 2 s on the reference
+        # host against a 1 s budget).
+        result = _slow_job_is_not_a_hang(
+            "subprocess", Job("tomcatv", "baseline", "train"),
+            hang_after=1.0)
+        if result.host_seconds <= 1.0:
+            pytest.skip("host too fast: the job fit inside the budget")
+
+
+def _drive(backend, attempt):
+    """What the engine does for one attempt: submit, wait, reap."""
+    backend.submit(attempt)
+    give_up = time.monotonic() + 60.0
+    while time.monotonic() < give_up:
+        backend.wait(0.05)
+        outcomes = backend.reap(time.monotonic())
+        if outcomes:
+            return outcomes[0]
+    raise AssertionError(f"no outcome for {attempt.job.key} in 60 s")
+
+
+class _BrokenConnection:
+    """A receive end on which a result never arrives whole."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def poll(self):
+        return True
+
+    def recv(self):
+        raise self.error
+
+    def close(self):
+        pass
+
+
+class TestReapLadder:
+    """The ladder is one table: every failure kind is the same
+    ``(failure_kind, message, counter)`` on both process backends —
+    the test that fails if a second ladder ever comes back."""
+
+    LADDER = {
+        # kind: (FaultPlan injection, timeout, hang_after, message, counter)
+        "crash": ("crash_job", None, None,
+                  f"worker crashed (exit code {CRASH_EXIT_CODE})",
+                  "crashes"),
+        "timeout": ("hang_job", 1.5, None,
+                    "timed out after 1.5s", "timeouts"),
+        "hang": ("hang_job", None, 1.5,
+                 "worker hung (no heartbeat for 1.5s)", "hangs"),
+    }
+
+    @pytest.mark.parametrize("backend", PROCESS_BACKENDS)
+    @pytest.mark.parametrize("kind", sorted(LADDER))
+    def test_same_triple_on_both_backends(self, tmp_path, backend, kind):
+        injection, timeout, hang_after, message, counter = self.LADDER[kind]
+        job = JOBS[0]
+        install_plan(FaultPlan(scratch=str(tmp_path), hang_seconds=30.0,
+                               **{injection: job.key}))
+        executor = make_backend(backend)
+        executor.start(BackendContext(workers=1, timeout=timeout,
+                                      hang_after=hang_after))
+        try:
+            deadline = (time.monotonic() + timeout
+                        if timeout is not None else None)
+            outcome = _drive(executor, Attempt(
+                index=0, job=job, attempt=1, deadline=deadline))
+            assert (outcome.failure_kind, outcome.failure) == (
+                kind, message)
+            assert outcome.result is None
+            counters = executor.metrics()
+            assert [(name, counters[name])
+                    for name in ("crashes", "timeouts", "hangs")
+                    if counters[name]] == [(counter, 1)]
+            # The injection was once-only: the same backend runs the
+            # retry to a result.
+            retry = _drive(executor, Attempt(index=0, job=job, attempt=2))
+            assert retry.failure is None and retry.result.ok
+        finally:
+            executor.shutdown()
+
+    @pytest.mark.parametrize("backend", PROCESS_BACKENDS)
+    @pytest.mark.parametrize("error", (
+        EOFError(), OSError("broken pipe"),
+        pickle.UnpicklingError("truncated")), ids=lambda e: type(e).__name__)
+    def test_result_that_does_not_arrive_whole_is_one_crash(
+            self, backend, error):
+        """EOF, an OS error and an undecodable pickle while receiving
+        are all one retried ``crash`` — never an exception out of
+        ``reap`` — and the worker is SIGKILLed and reaped."""
+        from repro.campaign.backends.process import _Slot
+
+        executor = make_backend(backend)
+        executor.start(BackendContext(workers=1))
+        sleeper = multiprocessing.get_context("fork").Process(
+            target=time.sleep, args=(30,))
+        sleeper.start()
+        attempt = Attempt(index=0, job=JOBS[0], attempt=1)
+        executor._slots.append(_Slot(sleeper, _BrokenConnection(error),
+                                     attempt=attempt))
+        (outcome,) = executor.reap(time.monotonic())
+        assert outcome.attempt is attempt and outcome.result is None
+        assert outcome.failure_kind == "crash"
+        assert outcome.failure == (
+            f"worker crashed (exit code {-signal.SIGKILL})")
+        assert executor.metrics()["crashes"] == 1
+        assert executor.active() == 0 and not sleeper.is_alive()
+        assert executor.reap(time.monotonic()) == []
+
+    def test_deadline_holds_against_a_child_deaf_to_sigterm(self):
+        """The stop primitive is SIGKILL: a job that ignores SIGTERM
+        and sleeps 8 s is back as timed out well inside 3 s."""
+        job = Job(workload="deaf", kind="test-nap-deaf-to-sigterm",
+                  scale="8")
+        started = time.monotonic()
+        outcome = run_campaign(jobs=(job,), workers=1, timeout=0.5,
+                               retries=0, backend="fork", name="deaf")
+        elapsed = time.monotonic() - started
+        assert outcome.results[0].status == "failed"
+        assert outcome.results[0].error == "timed out after 0.5s"
+        assert elapsed < 3.0, elapsed
+
+
+class TestWorkerHarness:
+    """``serve_attempt`` over an in-process pipe, called the way the
+    forked child and the stdio worker's loop both call it."""
+
+    @staticmethod
+    def _serve(job, heartbeat=None):
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        serve_attempt(sender, "test", job=job, store_spec=StoreSpec(),
+                      heartbeat=heartbeat)
+        time.sleep(0.1)  # a beat after the result would land by now
+        messages = []
+        while receiver.poll():
+            messages.append(receiver.recv())
+        return messages
+
+    @pytest.mark.parametrize("name", ("SystemExit", "KeyboardInterrupt"))
+    def test_base_exception_still_sends_one_failed_result(self, name):
+        job = Job(workload="boom", kind="test-raise-base-exception",
+                  scale=name)
+        (result,) = self._serve(job)
+        assert result.status == "failed" and result.job == job
+        assert result.error == f"worker error: {name}: stop"
+
+    def test_heartbeats_come_first_and_stop_before_the_result(self):
         job = Job(workload="slow", kind="test-nap-supervised",
-                  scale="0.8")
-        runner = CampaignRunner(workers=1, backend="fork",
-                                hang_after=0.3, sink=NullSink())
-        outcome = runner.run(Campaign(jobs=(job,), name="slow"))
-        assert outcome.ok
-        assert runner.backend_metrics["hangs"] == 0
+                  scale="0.3")
+        *beats, result = self._serve(job, heartbeat=0.02)
+        assert beats and all(isinstance(b, Heartbeat) for b in beats)
+        assert result.ok
+
+    def test_injected_hang_silences_the_heartbeats(self, monkeypatch):
+        from repro.guard import faults
+
+        monkeypatch.setattr(faults, "_HANG_ACTIVE", True)
+        job = Job(workload="slow", kind="test-nap-supervised",
+                  scale="0.3")
+        (result,) = self._serve(job, heartbeat=0.02)
+        assert result.ok
 
 
 class TestRetryJitter:
