@@ -72,12 +72,7 @@ from repro.memo.actions import (
 from repro.memo.engine import _REQUEST_FOR_NODE, FastForwardEngine
 from repro.uarch.config_codec import decode_config, encode_config
 from repro.uarch.detailed import DetailedSimulator
-from repro.uarch.interactions import (
-    CycleBoundary,
-    Finished,
-    Retire,
-    Rollback,
-)
+from repro.uarch.interactions import CycleBoundary, Finished
 
 
 @dataclass(frozen=True)
@@ -471,9 +466,8 @@ class GuardedEngine(FastForwardEngine):
                                pending_request=request)
 
             if kind is RetireNode:
-                world.retire(Retire(node.count, node.loads, node.stores,
-                                    node.controls, node.branches))
-                memo.replayed_instructions += node.count
+                world.retire(node.request)
+                memo.replayed_instructions += node.request.count
                 memo.actions_replayed += 1
                 chain_length += 1
                 segment_actions += 1
@@ -482,10 +476,7 @@ class GuardedEngine(FastForwardEngine):
                 continue
 
             if kind is RollbackNode:
-                world.rollback(Rollback(node.control_ordinal,
-                                        node.squashed_loads,
-                                        node.squashed_stores,
-                                        node.squashed_controls))
+                world.rollback(node.request)
                 memo.actions_replayed += 1
                 chain_length += 1
                 segment_actions += 1
@@ -533,17 +524,8 @@ class GuardedEngine(FastForwardEngine):
 def _payload_mismatch(node: Node, request) -> bool:
     """Same request kind — do the recorded parameters match?"""
     kind = type(node)
-    if kind is RetireNode:
-        return (request.count != node.count
-                or request.loads != node.loads
-                or request.stores != node.stores
-                or request.controls != node.controls
-                or request.branches != node.branches)
-    if kind is RollbackNode:
-        return (request.control_ordinal != node.control_ordinal
-                or request.squashed_loads != node.squashed_loads
-                or request.squashed_stores != node.squashed_stores
-                or request.squashed_controls != node.squashed_controls)
+    if kind is RetireNode or kind is RollbackNode:
+        return request != node.request
     if kind in (LoadIssueNode, LoadPollNode, StoreIssueNode):
         return request.ordinal != node.ordinal
     return False  # ControlNode / GetControl carry no payload

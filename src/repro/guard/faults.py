@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.memo.actions import (
@@ -187,7 +187,9 @@ def inject_disk_faults(cache_root: str,
 def _corrupt_node(node, rng: random.Random) -> Optional[str]:
     """Flip one bit in a node's recorded payload; returns a label."""
     if isinstance(node, RetireNode):
-        node.count ^= 1 << rng.randrange(4)
+        request = node.request
+        node.request = replace(
+            request, count=request.count ^ 1 << rng.randrange(4))
         return "retire-count"
     if isinstance(node, AdvanceNode):
         node.delta ^= 1 << rng.randrange(4)
@@ -221,7 +223,8 @@ def force_chain_divergence(cache: PActionCache) -> Optional[str]:
         node = config.next
         while node is not None and not node.is_outcome:
             if isinstance(node, RetireNode):
-                node.count += 1
+                request = node.request
+                node.request = replace(request, count=request.count + 1)
                 return "forced:retire-count"
             if isinstance(node, AdvanceNode):
                 node.delta += 3

@@ -125,14 +125,15 @@ def build_audit_chains():
         RollbackNode,
         StoreIssueNode,
     )
+    from repro.uarch.interactions import Retire, Rollback
 
     chains = []
 
     # 1. Linear folding: advances and retires emit nothing; the
     #    rollback's control ordinal absorbs the retired controls.
     a1, a2 = AdvanceNode(3), AdvanceNode(2)
-    retire = RetireNode(4, 1, 1, 1, 1)
-    rollback = RollbackNode(2, 1, 0, 0)
+    retire = RetireNode(Retire(4, 1, 1, 1, 1))
+    rollback = RollbackNode(Rollback(2, 1, 0, 0))
     end = EndNode(0)
     a1.next, a2.next, retire.next, rollback.next = a2, retire, rollback, end
     chains.append(("linear", a1, 4))

@@ -35,7 +35,9 @@ Table 5 and Figure 7 accounting is comparable with the paper's.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
+
+from repro.uarch.interactions import Retire, Rollback
 
 #: Modelled bytes for one action node (first edge included).
 ACTION_BYTES = 16
@@ -44,22 +46,28 @@ EDGE_BYTES = 8
 
 
 class Node:
-    """Base class: every node knows its successor(s) and GC metadata."""
+    """Base class: every node knows its successor(s) and GC metadata.
+
+    ``next``
+        the single successor (outcome nodes use ``edges`` instead);
+    ``touch_gen``
+        GC clock value when last traversed (for copying collection);
+    ``generation``
+        0 = young, 1 = old (for the generational collector);
+    ``seg``
+        compiled replay segment headed at this node
+        (:mod:`repro.memo.compile`); derived state — never persisted,
+        rebuilt on demand;
+    ``seg_hits``
+        replay traversals of this node as a segment head, counted up
+        to the compile threshold.
+
+    There is no shared constructor: recording builds one node per
+    action, so each concrete class sets these five slots itself — one
+    Python frame per node instead of a ``super().__init__()`` chain.
+    """
 
     __slots__ = ("next", "touch_gen", "generation", "seg", "seg_hits")
-
-    def __init__(self) -> None:
-        self.next: Optional[Node] = None
-        #: GC clock value when last traversed (for copying collection).
-        self.touch_gen = 0
-        #: 0 = young, 1 = old (for the generational collector).
-        self.generation = 0
-        #: Compiled replay segment headed at this node (repro.memo.compile);
-        #: derived state — never persisted, rebuilt on demand.
-        self.seg = None
-        #: Replay traversals of this node as a segment head, counted up
-        #: to the compile threshold.
-        self.seg_hits = 0
 
     is_config = False
     is_outcome = False
@@ -83,7 +91,8 @@ class ConfigNode(Node):
     is_config = True
 
     def __init__(self, blob: bytes, size: int):
-        super().__init__()
+        self.next = self.seg = None
+        self.touch_gen = self.generation = self.seg_hits = 0
         self.blob = blob
         self.size = size
 
@@ -102,66 +111,65 @@ class AdvanceNode(Node):
     can_head = True
 
     def __init__(self, delta: int):
-        super().__init__()
+        self.next = self.seg = None
+        self.touch_gen = self.generation = self.seg_hits = 0
         self.delta = delta
 
     def __repr__(self) -> str:
         return f"<Advance +{self.delta}>"
 
 
-class RetireNode(Node):
+class RequestNode(Node):
+    """Base for the two deterministic actions. Each keeps the frozen
+    :mod:`~repro.uarch.interactions` request it was recorded from, and
+    interpreted replay hands the world that very object."""
+
+    __slots__ = ("request",)
+    is_linear = True
+    can_head = True
+
+    def __init__(self, request: Union[Retire, Rollback]):
+        self.next = self.seg = None
+        self.touch_gen = self.generation = self.seg_hits = 0
+        self.request = request
+
+
+class RetireNode(RequestNode):
     """Retire instructions; advances statistics and queue cursors."""
 
-    __slots__ = ("count", "loads", "stores", "controls", "branches")
-    is_linear = True
-    can_head = True
-
-    def __init__(self, count: int, loads: int, stores: int, controls: int,
-                 branches: int):
-        super().__init__()
-        self.count = count
-        self.loads = loads
-        self.stores = stores
-        self.controls = controls
-        self.branches = branches
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"<Retire {self.count}>"
+        return f"<Retire {self.request.count}>"
 
 
-class RollbackNode(Node):
+class RollbackNode(RequestNode):
     """Roll direct execution back past a mispredicted branch."""
 
-    __slots__ = ("control_ordinal", "squashed_loads", "squashed_stores",
-                 "squashed_controls")
-    is_linear = True
-    can_head = True
-
-    def __init__(self, control_ordinal: int, squashed_loads: int,
-                 squashed_stores: int, squashed_controls: int):
-        super().__init__()
-        self.control_ordinal = control_ordinal
-        self.squashed_loads = squashed_loads
-        self.squashed_stores = squashed_stores
-        self.squashed_controls = squashed_controls
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"<Rollback ord={self.control_ordinal}>"
+        return f"<Rollback ord={self.request.control_ordinal}>"
 
 
 class OutcomeNode(Node):
     """Base for nodes whose successor depends on the world's reply.
 
-    ``next`` is unused; successors live in ``edges``.
+    ``next`` is unused; successors live in ``edges``. *ordinal* is the
+    iQ ordinal of the load or store the action addresses (None for a
+    :class:`ControlNode`); it lives here so the four concrete classes
+    share this one flat constructor.
     """
 
-    __slots__ = ("edges",)
+    __slots__ = ("edges", "ordinal")
     is_outcome = True
     can_head = True
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, ordinal: Optional[int] = None) -> None:
+        self.next = self.seg = None
+        self.touch_gen = self.generation = self.seg_hits = 0
         self.edges: Dict[object, Node] = {}
+        self.ordinal = ordinal
 
     def size_bytes(self) -> int:
         return ACTION_BYTES + EDGE_BYTES * max(0, len(self.edges) - 1)
@@ -179,11 +187,7 @@ class ControlNode(OutcomeNode):
 class LoadIssueNode(OutcomeNode):
     """Issue the load with iQ ordinal *ordinal* to the cache simulator."""
 
-    __slots__ = ("ordinal",)
-
-    def __init__(self, ordinal: int):
-        super().__init__()
-        self.ordinal = ordinal
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"<IssueLoad #{self.ordinal} {len(self.edges)} outcomes>"
@@ -192,11 +196,7 @@ class LoadIssueNode(OutcomeNode):
 class LoadPollNode(OutcomeNode):
     """Poll a previously issued load."""
 
-    __slots__ = ("ordinal",)
-
-    def __init__(self, ordinal: int):
-        super().__init__()
-        self.ordinal = ordinal
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"<PollLoad #{self.ordinal} {len(self.edges)} outcomes>"
@@ -205,11 +205,7 @@ class LoadPollNode(OutcomeNode):
 class StoreIssueNode(OutcomeNode):
     """Issue the store with iQ ordinal *ordinal* to the cache simulator."""
 
-    __slots__ = ("ordinal",)
-
-    def __init__(self, ordinal: int):
-        super().__init__()
-        self.ordinal = ordinal
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"<IssueStore #{self.ordinal} {len(self.edges)} outcomes>"
@@ -221,7 +217,8 @@ class EndNode(Node):
     __slots__ = ("delta",)
 
     def __init__(self, delta: int):
-        super().__init__()
+        self.next = self.seg = None
+        self.touch_gen = self.generation = self.seg_hits = 0
         self.delta = delta
 
     def __repr__(self) -> str:

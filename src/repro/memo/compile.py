@@ -395,21 +395,23 @@ def compile_segment(head: Node, generation: int,
             cycles += node.delta
             trailing += node.delta
         elif kind is RetireNode:
-            retired = Retire(retired.count + node.count,
-                             retired.loads + node.loads,
-                             retired.stores + node.stores,
-                             retired.controls + node.controls,
-                             retired.branches + node.branches)
+            request = node.request
+            retired = Retire(retired.count + request.count,
+                             retired.loads + request.loads,
+                             retired.stores + request.stores,
+                             retired.controls + request.controls,
+                             retired.branches + request.branches)
             log_since.append((node, None))
             sets_anchor = True
             trailing = 0
         elif kind is RollbackNode:
             # The world's cf_base is still its segment-entry value:
             # fold in the controls retired since.
+            request = node.request
             requests.append(Rollback(
-                node.control_ordinal + retired.controls,
-                node.squashed_loads, node.squashed_stores,
-                node.squashed_controls))
+                request.control_ordinal + retired.controls,
+                request.squashed_loads, request.squashed_stores,
+                request.squashed_controls))
             lines.append(SEG_TEMPLATES["rollback"].format(
                 index=len(requests) - 1))
             log_since.append((node, None))
@@ -520,13 +522,15 @@ def segment_digest(segment: CompiledSegment) -> bytes:
             upd(node.delta.to_bytes(4, "big"))
         elif kind is RetireNode:
             upd(b"R")
-            upd(bytes((node.count, node.loads, node.stores,
-                       node.controls, node.branches)))
+            request = node.request
+            upd(bytes((request.count, request.loads, request.stores,
+                       request.controls, request.branches)))
         elif kind is RollbackNode:
             upd(b"B")
-            upd(node.control_ordinal.to_bytes(4, "big"))
-            upd(bytes((node.squashed_loads, node.squashed_stores,
-                       node.squashed_controls)))
+            request = node.request
+            upd(request.control_ordinal.to_bytes(4, "big"))
+            upd(bytes((request.squashed_loads, request.squashed_stores,
+                       request.squashed_controls)))
         elif node.is_config:
             upd(b"C")
             upd(len(node.blob).to_bytes(4, "big"))
@@ -535,9 +539,8 @@ def segment_digest(segment: CompiledSegment) -> bytes:
             terminal = segment.has_terminal and i + 1 == count
             upd(b"T" if terminal else b"G")
             upd(kind.__name__.encode("ascii"))
-            ordinal = getattr(node, "ordinal", None)
-            if ordinal is not None:
-                upd(ordinal.to_bytes(4, "big"))
+            if node.ordinal is not None:  # a ControlNode has none
+                upd(node.ordinal.to_bytes(4, "big"))
             if not terminal:
                 upd(repr(guard_keys[j]).encode("ascii"))
                 j += 1

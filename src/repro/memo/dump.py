@@ -46,18 +46,19 @@ def describe_node(node: Node) -> str:
     if kind is AdvanceNode:
         return f"+{node.delta} cycles"
     if kind is RetireNode:
-        parts = [f"Retire {node.count}"]
-        if node.loads:
-            parts.append(f"{node.loads} loads")
-        if node.stores:
-            parts.append(f"{node.stores} stores")
-        if node.branches:
-            parts.append(f"{node.branches} branches")
+        request = node.request
+        parts = [f"Retire {request.count}"]
+        if request.loads:
+            parts.append(f"{request.loads} loads")
+        if request.stores:
+            parts.append(f"{request.stores} stores")
+        if request.branches:
+            parts.append(f"{request.branches} branches")
         return parts[0] + (
             f" ({', '.join(parts[1:])})" if len(parts) > 1 else ""
         )
     if kind is RollbackNode:
-        return f"Rollback branch#{node.control_ordinal}"
+        return f"Rollback branch#{node.request.control_ordinal}"
     if kind is ControlNode:
         return "ReturnToDirectExec"
     if kind is LoadIssueNode:

@@ -244,32 +244,28 @@ class FastForwardEngine:
 
         Returns the next mode tuple: ``("replay", node)`` when a known
         configuration is reached, or ``("finished",)``.
+
+        One step per request and no helper frame of its own: a first
+        visit pays for the pipeline, ``encode_config`` and the three
+        ``PActionCache`` methods that grow the graph
+        (docs/performance.md, "The record path").
         """
         world = self.world
         cache = self.cache
         memo = self.memo
         obs = self.obs
         obs_on = self._obs_on
+        max_cycles = self.max_cycles
+        step = generator.send
+        alloc_action = cache.alloc_action
+        link = cache.attach
+        advance_cycles = world.advance_cycles
+        maybe_collect = self.policy.maybe_collect
         actions_pending = attach is None  # force re-anchor after eviction
-
-        def record_node(node: Node):
-            nonlocal attach, anchor, actions_since_config
-            cycle = world.cycle
-            if cycle != anchor:
-                if attach is not None:
-                    advance = AdvanceNode(cycle - anchor)
-                    cache.alloc_action(advance)
-                    cache.attach(attach, advance)
-                    attach = (advance, None)
-                anchor = cycle
-            if attach is not None:
-                cache.alloc_action(node)
-                cache.attach(attach, node)
-            actions_since_config = True
 
         while True:
             try:
-                request = generator.send(send)
+                request = step(send)
             except StopIteration:  # pragma: no cover - protocol violation
                 raise SimulationError("detailed simulator ended unexpectedly")
             send = None
@@ -280,18 +276,22 @@ class FastForwardEngine:
                 # clock is in sync with the simulator's cycle (not while
                 # swallowing cycles the replayer already advanced).
                 if (actions_since_config or actions_pending) and cycle_debt == 0:
-                    blob = self._encode(simulator)
+                    blob = (self._encode(simulator) if obs_on
+                            else encode_config(simulator.iq.entries,
+                                               simulator.fetch_pc,
+                                               simulator.fetch_stalled,
+                                               simulator.fetch_halted))
                     existing = cache.lookup(blob)
                     if existing is not None:
-                        cache.attach(attach, existing)
+                        link(attach, existing)
                         return ("replay", existing)
                     config = cache.alloc_config(blob)
-                    cache.attach(attach, config)
+                    link(attach, config)
                     attach = (config, None)
                     anchor = world.cycle
                     actions_since_config = False
                     actions_pending = False
-                    if self.policy.maybe_collect(cache):
+                    if maybe_collect(cache):
                         # Node identities are stale: re-anchor at the
                         # next configuration boundary.
                         attach = None
@@ -299,69 +299,62 @@ class FastForwardEngine:
                 if cycle_debt > 0:
                     cycle_debt -= 1  # replay already advanced this cycle
                 else:
-                    world.advance_cycles(1)
+                    advance_cycles(1)
                     memo.detailed_cycles += 1
                 if obs_on:
                     obs.sample_cycle(world.cycle, self,
                                      simulator.occupancy)
-                if world.cycle > self.max_cycles:
+                if world.cycle > max_cycles:
                     raise SimulationError(
-                        f"exceeded {self.max_cycles} simulated cycles"
+                        f"exceeded {max_cycles} simulated cycles"
                     )
-            elif kind is GetControl:
-                node = ControlNode()
-                record_node(node)
-                record = world.get_control()
-                send = record
-                if attach is not None:
-                    attach = (node, record.outcome_key)
-            elif kind is IssueLoad:
-                node = LoadIssueNode(request.ordinal)
-                record_node(node)
-                interval = world.issue_load(request.ordinal)
-                send = interval
-                if attach is not None:
-                    attach = (node, interval)
-            elif kind is PollLoad:
-                node = LoadPollNode(request.ordinal)
-                record_node(node)
-                reply = world.poll_load(request.ordinal)
-                send = reply
-                if attach is not None:
-                    attach = (node, reply)
-            elif kind is IssueStore:
-                node = StoreIssueNode(request.ordinal)
-                record_node(node)
-                interval = world.issue_store(request.ordinal)
-                send = interval
-                if attach is not None:
-                    attach = (node, interval)
-            elif kind is Retire:
-                node = RetireNode(request.count, request.loads,
-                                  request.stores, request.controls,
-                                  request.branches)
-                record_node(node)
+                continue
+
+            # An action: the world performs it, then the graph grows by
+            # its node under ``key`` — after an advance when the acting
+            # cycle moved. Retire is the commonest, so it goes first.
+            if kind is Retire:
+                node = RetireNode(request)
                 world.retire(request)
                 memo.detailed_instructions += request.count
-                if attach is not None:
-                    attach = (node, None)
+                key = None
+            elif kind is GetControl:
+                node = ControlNode()
+                send = world.get_control()
+                key = send.outcome_key
+            elif kind is IssueLoad:
+                node = LoadIssueNode(request.ordinal)
+                key = send = world.issue_load(request.ordinal)
+            elif kind is PollLoad:
+                node = LoadPollNode(request.ordinal)
+                key = send = world.poll_load(request.ordinal)
+            elif kind is IssueStore:
+                node = StoreIssueNode(request.ordinal)
+                key = send = world.issue_store(request.ordinal)
             elif kind is Rollback:
-                node = RollbackNode(request.control_ordinal,
-                                    request.squashed_loads,
-                                    request.squashed_stores,
-                                    request.squashed_controls)
-                record_node(node)
+                node = RollbackNode(request)
                 world.rollback(request)
-                if attach is not None:
-                    attach = (node, None)
+                key = None
             elif kind is Finished:
-                end = EndNode(world.cycle - anchor)
                 if attach is not None:
-                    cache.alloc_action(end)
-                    cache.attach(attach, end)
+                    end = EndNode(world.cycle - anchor)
+                    alloc_action(end)
+                    link(attach, end)
                 return ("finished",)
             else:  # pragma: no cover - protocol violation
                 raise SimulationError(f"unknown request {request!r}")
+            cycle = world.cycle
+            if attach is not None:
+                if cycle != anchor:
+                    advance = AdvanceNode(cycle - anchor)
+                    alloc_action(advance)
+                    link(attach, advance)
+                    attach = (advance, None)
+                alloc_action(node)
+                link(attach, node)
+                attach = (node, key)
+            anchor = cycle
+            actions_since_config = True
 
     # ------------------------------------------------------------------
     # Replay (fast-forward) mode
@@ -582,9 +575,8 @@ class FastForwardEngine:
                 continue
 
             if kind is RetireNode:
-                world.retire(Retire(node.count, node.loads, node.stores,
-                                    node.controls, node.branches))
-                instructions += node.count
+                world.retire(node.request)
+                instructions += node.request.count
                 actions += 1
                 chain_log.append((node, None))
                 log_anchor = world.cycle
@@ -593,10 +585,7 @@ class FastForwardEngine:
                 continue
 
             if kind is RollbackNode:
-                world.rollback(Rollback(node.control_ordinal,
-                                        node.squashed_loads,
-                                        node.squashed_stores,
-                                        node.squashed_controls))
+                world.rollback(node.request)
                 actions += 1
                 chain_log.append((node, None))
                 log_anchor = world.cycle

@@ -11,12 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.errors import MemoizationError
-from repro.memo.actions import (
-    ConfigNode,
-    EDGE_BYTES,
-    Node,
-    OutcomeNode,
-)
+from repro.memo.actions import ACTION_BYTES, ConfigNode, EDGE_BYTES, Node
 from repro.uarch.config_codec import config_size_bytes
 
 #: An attachment point: (node, edge_key). ``edge_key`` is None for
@@ -102,7 +97,7 @@ class PActionCache:
         """Find the configuration node for *blob*, touching it."""
         node = self.index.get(blob)
         if node is not None:
-            self.touch(node)
+            self.touch_clock = node.touch_gen = self.touch_clock + 1
             self.last_lookup_blob = blob
         return node
 
@@ -142,34 +137,36 @@ class PActionCache:
         node.touch_gen = self.touch_clock
 
     # -- allocation ----------------------------------------------------------
-
-    def _account(self, nbytes: int) -> None:
-        self.bytes_used += nbytes
-        if self.bytes_used > self.peak_bytes:
-            self.peak_bytes = self.bytes_used
+    #
+    # Growing the graph is a leaf: the three methods below run once per
+    # recorded action and make no Python-level call of their own — size
+    # accounting, the peak and the touch stamp are inline
+    # (``tests/test_call_budget.py`` holds the helper composition they
+    # replaced as the reference; docs/performance.md, "The record path").
 
     def alloc_config(self, blob: bytes) -> ConfigNode:
         """Allocate (and index) a new configuration node."""
-        if blob in self.index:
+        index = self.index
+        if blob in index:
             raise MemoizationError("configuration already allocated")
-        node = ConfigNode(blob, config_size_bytes(blob))
-        self.index[blob] = node
+        size = config_size_bytes(blob)
+        index[blob] = node = ConfigNode(blob, size)
         self.configs_allocated += 1
-        self._account(node.size_bytes())
-        self.touch(node)
+        self.bytes_used = used = self.bytes_used + size
+        if used > self.peak_bytes:
+            self.peak_bytes = used
+        self.touch_clock = node.touch_gen = self.touch_clock + 1
         return node
 
     def alloc_action(self, node: Node) -> Node:
-        """Account for a freshly created action node."""
+        """Account for a freshly created action node (no edge yet, so
+        its modelled size is ``ACTION_BYTES``)."""
         self.actions_allocated += 1
-        self._account(node.size_bytes())
-        self.touch(node)
+        self.bytes_used = used = self.bytes_used + ACTION_BYTES
+        if used > self.peak_bytes:
+            self.peak_bytes = used
+        self.touch_clock = node.touch_gen = self.touch_clock + 1
         return node
-
-    def account_edge(self, node: OutcomeNode) -> None:
-        """Account for an extra outcome edge added to *node*."""
-        if len(node.edges) > 1:
-            self._account(EDGE_BYTES)
 
     def attach(self, point: Optional[AttachPoint], node: Node) -> None:
         """Link *node* as the successor at *point* (no-op when None)."""
@@ -187,8 +184,12 @@ class PActionCache:
                 raise MemoizationError(
                     f"{parent!r} cannot hold outcome edges"
                 )
-            parent.edges[key] = node
-            self.account_edge(parent)
+            edges = parent.edges
+            edges[key] = node
+            if len(edges) > 1:  # the first edge is in ACTION_BYTES
+                self.bytes_used = used = self.bytes_used + EDGE_BYTES
+                if used > self.peak_bytes:
+                    self.peak_bytes = used
         self.graph_generation += 1
 
     # -- wholesale replacement support ----------------------------------------

@@ -53,6 +53,7 @@ from repro.memo.actions import (
 )
 from repro.memo.pcache import PActionCache
 from repro.uarch.config_codec import config_size_bytes
+from repro.uarch.interactions import Retire, Rollback
 
 MAGIC = b"FSPC"
 #: Current on-disk format version (version 1, un-framed and
@@ -125,14 +126,14 @@ def _encode_record(node: Node, index_of: Dict[int, int]) -> bytes:
     elif kind is AdvanceNode or kind is EndNode:
         _write_u32(stream, node.delta)
     elif kind is RetireNode:
-        for field in (node.count, node.loads, node.stores,
-                      node.controls, node.branches):
-            stream.write(bytes([field]))
+        request = node.request
+        stream.write(bytes((request.count, request.loads, request.stores,
+                            request.controls, request.branches)))
     elif kind is RollbackNode:
-        _write_u32(stream, node.control_ordinal)
-        for field in (node.squashed_loads, node.squashed_stores,
-                      node.squashed_controls):
-            stream.write(bytes([field]))
+        request = node.request
+        _write_u32(stream, request.control_ordinal)
+        stream.write(bytes((request.squashed_loads, request.squashed_stores,
+                            request.squashed_controls)))
     elif kind in (LoadIssueNode, LoadPollNode, StoreIssueNode):
         _write_u32(stream, node.ordinal)
     # ControlNode has no payload.
@@ -235,12 +236,10 @@ def _parse_record(reader: Reader) -> Tuple[Node, _Link]:
     elif kind is EndNode:
         node = EndNode(reader.u32())
     elif kind is RetireNode:
-        fields = reader.read(5)
-        node = RetireNode(*fields)
+        node = RetireNode(Retire(*reader.read(5)))
     elif kind is RollbackNode:
         ordinal = reader.u32()
-        fields = reader.read(3)
-        node = RollbackNode(ordinal, *fields)
+        node = RollbackNode(Rollback(ordinal, *reader.read(3)))
     elif kind is ControlNode:
         node = ControlNode()
     else:  # load issue / poll, store issue

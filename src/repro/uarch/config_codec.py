@@ -89,15 +89,20 @@ CONFIG_FIELD_MANIFEST: Dict[str, FrozenSet[str]] = {
 
 def encode_config(entries: List[IQEntry], fetch_pc: Optional[int],
                   fetch_stalled: bool, fetch_halted: bool) -> bytes:
-    """Encode an iQ snapshot into its compressed byte form."""
-    if len(entries) > 255:
-        raise ConfigCodecError(f"too many iQ entries: {len(entries)}")
-    flags = (1 if fetch_stalled else 0) | (2 if fetch_halted else 0)
-    start = entries[0].instr.address if entries else 0
-    out = bytearray(
-        _HEADER.pack(flags, len(entries), fetch_pc or 0, start)
-    )
-    indirect_targets: List[int] = []
+    """Encode an iQ snapshot into its compressed byte form.
+
+    One walk over the entries and one ``struct.pack``: a first visit to
+    a configuration runs this once per recorded cycle, so it makes no
+    Python-level call per entry (docs/performance.md, "The record
+    path"; the per-field reference is the oracle in
+    ``tests/uarch/test_codec_properties.py``).
+    """
+    count = len(entries)
+    if count > 255:
+        raise ConfigCodecError(f"too many iQ entries: {count}")
+    words: List[int] = []
+    add_word = words.append
+    targets: List[int] = []
     for entry in entries:
         timer = entry.timer
         if not 0 <= timer <= MAX_TIMER:
@@ -105,23 +110,26 @@ def encode_config(entries: List[IQEntry], fetch_pc: Optional[int],
                 f"timer {timer} out of encodable range at "
                 f"0x{entry.instr.address:x}"
             )
-        packed = (
-            (int(entry.stage) << 13)
-            | ((1 if entry.pred_taken else 0) << 12)
-            | ((1 if entry.mispredicted else 0) << 11)
+        add_word(
+            entry.stage << 13
+            | (4096 if entry.pred_taken else 0)
+            | (2048 if entry.mispredicted else 0)
             | timer
         )
-        out += packed.to_bytes(2, "big")
-        if entry.is_indirect:
-            if entry.jump_target is None:
+        if entry.instr.static.is_indirect:
+            target = entry.jump_target
+            if target is None:
                 raise ConfigCodecError(
                     f"indirect jump at 0x{entry.instr.address:x} has no "
                     "recorded target"
                 )
-            indirect_targets.append(entry.jump_target)
-    for target in indirect_targets:
-        out += target.to_bytes(4, "big")
-    return bytes(out)
+            targets.append(target)
+    return struct.pack(
+        ">BBII%dH%dI" % (count, len(targets)),
+        (1 if fetch_stalled else 0) | (2 if fetch_halted else 0),
+        count, fetch_pc or 0, entries[0].instr.address if entries else 0,
+        *words, *targets,
+    )
 
 
 def decode_config(

@@ -12,6 +12,8 @@ Two properties, both load-bearing:
    the run completes with correct timing anyway.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.branch import NotTakenPredictor
@@ -89,7 +91,8 @@ def _corrupt(cache, kind):
         if node.is_outcome:
             break  # stay in the unconditionally-replayed prefix
         if kind == "retire-count" and isinstance(node, RetireNode):
-            node.count += 1
+            node.request = replace(node.request,
+                                   count=node.request.count + 1)
             return
         if kind == "advance-delta" and isinstance(node, AdvanceNode):
             node.delta += 3

@@ -87,8 +87,10 @@ class TestDescribeNode:
 
     def test_retire_description(self):
         from repro.memo.actions import RetireNode
+        from repro.uarch.interactions import Retire
 
-        node = RetireNode(4, loads=1, stores=2, controls=1, branches=1)
+        node = RetireNode(Retire(4, loads=1, stores=2, controls=1,
+                                 branches=1))
         text = describe_node(node)
         assert "Retire 4" in text
         assert "1 loads" in text

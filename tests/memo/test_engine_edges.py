@@ -5,10 +5,14 @@ import pytest
 from repro.branch import AlwaysTakenPredictor, NotTakenPredictor
 from repro.errors import MemoizationError, SimulationError
 from repro.isa import assemble
+from repro.memo.actions import RetireNode, RollbackNode
 from repro.memo.pcache import PActionCache
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
+from repro.sim.world import World
+from repro.uarch.interactions import Retire, Rollback
 from repro.uarch.params import ProcessorParams
+from repro.workloads.suite import load_workload
 
 TINY = "main: mov 3, %l0\nloop: subcc %l0, 1, %l0\nbne loop\nout %l0\nhalt"
 OTHER = "main: mov 5, %l1\nout %l1\nhalt"
@@ -168,3 +172,37 @@ class TestSharedCacheTiming:
         sim.run()
         assert isinstance(sim.pcache, PActionCache)
         assert len(sim.pcache) > 0
+
+
+class TestReplayHandsOverTheRecordedRequest:
+    def test_interpreted_replay_passes_the_nodes_own_request(
+            self, monkeypatch):
+        """A retire / rollback node keeps the frozen request it was
+        recorded from and replay hands the world that very object —
+        nothing is rebuilt per visit."""
+        exe = load_workload("go", "tiny")
+        cold = FastSim(exe, turbo=False)
+        reference = cold.run()
+        kept = {id(node.request): node
+                for node in cold.pcache.reachable_nodes()
+                if isinstance(node, (RetireNode, RollbackNode))}
+        seen = {"retire": [], "rollback": []}
+        for method in seen:
+            def spy(world, request, method=method,
+                    real=getattr(World, method)):
+                seen[method].append(request)
+                real(world, request)
+            monkeypatch.setattr(World, method, spy)
+
+        warm = FastSim(exe, turbo=False, pcache=cold.pcache).run()
+
+        assert warm.memo.detailed_instructions == 0
+        assert warm.timing_equal(reference)
+        assert seen["retire"] and seen["rollback"]
+        for method, node_type, request_type in (
+                ("retire", RetireNode, Retire),
+                ("rollback", RollbackNode, Rollback)):
+            for request in seen[method]:
+                assert type(request) is request_type
+                assert type(kept[id(request)]) is node_type
+                assert kept[id(request)].request is request

@@ -14,6 +14,7 @@ from repro.memo.actions import (
     RetireNode,
 )
 from repro.memo.pcache import PActionCache
+from repro.uarch.interactions import Retire
 
 
 def make_blob(tag: int) -> bytes:
@@ -57,7 +58,7 @@ class TestAttachment:
         cache = PActionCache()
         config = cache.alloc_config(make_blob(1))
         advance = cache.alloc_action(AdvanceNode(2))
-        retire = cache.alloc_action(RetireNode(1, 0, 0, 0, 0))
+        retire = cache.alloc_action(RetireNode(Retire(1, 0, 0, 0, 0)))
         cache.attach((config, None), advance)
         cache.attach((advance, None), retire)
         assert config.next is advance

@@ -7,6 +7,8 @@ policies and guard audits. Plus unit tests of the compiler itself via
 a recording stub world.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.memo.actions import (
@@ -32,7 +34,7 @@ from repro.memo.pcache import PActionCache
 from repro.memo.policies import make_policy
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
-from repro.uarch.interactions import Retire
+from repro.uarch.interactions import Retire, Rollback
 from repro.workloads.suite import WORKLOAD_ORDER, load_workload
 
 #: Compile on the first traversal — tests want segments engaged
@@ -167,7 +169,7 @@ class TestGuardInteraction:
         while node is not None and not isinstance(node, RetireNode):
             node = node.next
         assert node is not None
-        node.count += 1
+        node.request = replace(node.request, count=node.request.count + 1)
         generation_before = cache.graph_generation
         guarded = FastSim(executable, pcache=cache, turbo=EAGER,
                           audit_every=1)
@@ -271,7 +273,7 @@ class FakeWorld:
 
 def linear_chain():
     """advance(2) → retire(3) → advance(1) → load#0{5:…} → advance(4) → End."""
-    a1, retire = AdvanceNode(2), RetireNode(3, 1, 0, 0, 1)
+    a1, retire = AdvanceNode(2), RetireNode(Retire(3, 1, 0, 0, 1))
     a2, load = AdvanceNode(1), LoadIssueNode(0)
     a3, end = AdvanceNode(4), EndNode(1)
     a1.next, retire.next, a2.next, a3.next = retire, a2, load, end
@@ -329,10 +331,10 @@ class TestCompileSegment:
         """Each reader sees entry value + everything folded before it:
         loads/stores by their own retire field, the rollback's control
         ordinal by the retired controls."""
-        a1, r1 = AdvanceNode(2), RetireNode(5, 2, 1, 1, 0)
+        a1, r1 = AdvanceNode(2), RetireNode(Retire(5, 2, 1, 1, 0))
         poll, a2 = LoadPollNode(1), AdvanceNode(3)
-        r2, store = RetireNode(2, 0, 2, 1, 1), StoreIssueNode(0)
-        rollback, end = RollbackNode(1, 0, 0, 0), EndNode(1)
+        r2, store = RetireNode(Retire(2, 0, 2, 1, 1)), StoreIssueNode(0)
+        rollback, end = RollbackNode(Rollback(1, 0, 0, 0)), EndNode(1)
         a1.next, r1.next, a2.next, r2.next = r1, poll, r2, store
         poll.edges[0] = a2
         store.edges[1] = rollback
@@ -400,7 +402,7 @@ class TestCompileSegment:
         assert seg.exit_meta[0][4:6] == (0, Retire(0, 0, 0, 0, 0))
 
     def test_loop_closes_at_revisit(self):
-        a1, retire = AdvanceNode(1), RetireNode(1, 0, 0, 0, 0)
+        a1, retire = AdvanceNode(1), RetireNode(Retire(1, 0, 0, 0, 0))
         a1.next, retire.next = retire, a1  # steady-state loop
         seg = compile_segment(a1, 0)
         assert seg.n_actions == 2

@@ -3,7 +3,7 @@
 Python-level calls are what the replay path pays for in fixed costs,
 and under ``sys.setprofile`` they are a count that repeats exactly from
 run to run (CPython 3.11 counts a comprehension as a frame, which is
-the point: a list rebuilt per store shows). Two budgets:
+the point: a list rebuilt per store shows). Three budgets:
 
 * **the ports** — on its common path a ``MemorySystem`` port is a leaf:
   a filter-hit load and its poll, a store that finds a free slot and an
@@ -14,7 +14,14 @@ the point: a list rebuilt per store shows). Two budgets:
   (``tests/cache/test_flat_ports.py``);
 * **the whole run** — a warm replay builds its chain log only for the
   interpreter, and its calls per retired instruction stay within 5 % of
-  what the change that introduced this file measured.
+  what the change that introduced this file measured;
+* **the record path** — growing the graph is a leaf too:
+  ``PActionCache.alloc_action`` / ``attach`` / a ``lookup`` hit make
+  zero nested calls and ``alloc_config`` only builds its node, all four
+  leaving the cache's counters where the helper composition they
+  replaced (:class:`ReferenceCache`, kept here) leaves them; and a run
+  whose cache keeps being flushed stays under 0.70 × the frames per
+  detailed cycle it cost before.
 
 Run with ``-s`` to see the per-layer call table.
 """
@@ -27,12 +34,25 @@ import pytest
 
 import repro
 from repro.cache.hierarchy import MemorySystem
+from repro.errors import MemoizationError
+from repro.memo.actions import (
+    EDGE_BYTES,
+    AdvanceNode,
+    ConfigNode,
+    ControlNode,
+    LoadIssueNode,
+    RetireNode,
+)
 from repro.memo.compile import TurboConfig
 from repro.memo.pcache import PActionCache
+from repro.memo.policies import FlushOnFullPolicy
 from repro.sim.fastsim import FastSim
+from repro.uarch.config_codec import config_size_bytes
+from repro.uarch.interactions import Retire
 from repro.workloads.suite import load_workload
 from tests.cache.test_flat_ports import ReferencePort
 from tests.memo.test_fold import patch_log_calls, touched_nodes
+from tests.memo.test_pcache import make_blob
 
 ROOT = os.path.dirname(repro.__file__) + os.sep
 
@@ -190,3 +210,176 @@ def test_warm_run_call_budget(name, monkeypatch):
     for layer, count in counter.by_layer.most_common(12):
         print(f"  {layer:28s} {count:8d}")
     assert per_instruction <= 1.05 * MEASURED[name]
+
+
+# -- the record path -----------------------------------------------------
+
+class ReferenceCache(PActionCache):
+    """``PActionCache``'s graph-growth methods as the composition of
+    helpers they were before they became leaves — the specification the
+    flat methods are compared with."""
+
+    def _account(self, nbytes):
+        self.bytes_used += nbytes
+        if self.bytes_used > self.peak_bytes:
+            self.peak_bytes = self.bytes_used
+
+    def account_edge(self, node):
+        if len(node.edges) > 1:
+            self._account(EDGE_BYTES)
+
+    def lookup(self, blob):
+        node = self.index.get(blob)
+        if node is not None:
+            self.touch(node)
+            self.last_lookup_blob = blob
+        return node
+
+    def alloc_config(self, blob):
+        if blob in self.index:
+            raise MemoizationError("configuration already allocated")
+        node = ConfigNode(blob, config_size_bytes(blob))
+        self.index[blob] = node
+        self.configs_allocated += 1
+        self._account(node.size_bytes())
+        self.touch(node)
+        return node
+
+    def alloc_action(self, node):
+        self.actions_allocated += 1
+        self._account(node.size_bytes())
+        self.touch(node)
+        return node
+
+    def attach(self, point, node):
+        if point is None:
+            return
+        parent, key = point
+        if key is None:
+            if parent.is_outcome:
+                raise MemoizationError("needs an edge key")
+            parent.next = node
+        else:
+            if not parent.is_outcome:
+                raise MemoizationError("cannot hold outcome edges")
+            parent.edges[key] = node
+            self.account_edge(parent)
+        self.graph_generation += 1
+
+
+class ForgetsThePeak(ReferenceCache):
+    def _account(self, nbytes):
+        self.bytes_used += nbytes
+
+
+class ChargesTheFirstEdge(ReferenceCache):
+    def account_edge(self, node):
+        self._account(EDGE_BYTES)
+
+
+class SkipsTheTouch(ReferenceCache):
+    def alloc_action(self, node):
+        self.actions_allocated += 1
+        self._account(node.size_bytes())
+        return node
+
+
+COUNTERS = ("bytes_used", "peak_bytes", "touch_clock", "graph_generation",
+            "actions_allocated", "configs_allocated")
+
+
+def growth(cache):
+    """One recording's worth of graph growth on *cache* — two
+    configurations with a flush between them (bytes fall below the
+    peak), plain and keyed attaches, a first, a second and an
+    overwritten edge, a lookup hit and a miss. Returns, per cache call,
+    ``(method, nested Python-level calls, counters after)`` and, last,
+    every node's touch stamp."""
+    steps = []
+
+    def call(method, *args):
+        with CallCounter() as counter:
+            reply = getattr(cache, method)(*args)
+        steps.append((method, counter.total - 1,  # the method's own frame
+                      [getattr(cache, name) for name in COUNTERS]))
+        return reply
+
+    first = call("alloc_config", make_blob(1))
+    chain = [first]
+    for delta in (1, 2, 3):
+        node = call("alloc_action", AdvanceNode(delta))
+        call("attach", (chain[-1], None), node)
+        chain.append(node)
+    retire = call("alloc_action", RetireNode(Retire(2, 1, 0, 0, 1)))
+    load = call("alloc_action", LoadIssueNode(0))
+    call("attach", (chain[-1], None), load)
+    call("attach", (load, 3), chain[1])
+    call("attach", (load, 7), chain[2])
+    call("attach", (load, 7), chain[3])
+    cache.bytes_used = 0  # what a flush does to the accounting
+    second = call("alloc_config", make_blob(2))
+    control = call("alloc_action", ControlNode())
+    call("attach", (control, ("taken", 4)), second)
+    assert call("lookup", make_blob(2)) is second
+    assert cache.last_lookup_blob == make_blob(2)
+    assert call("lookup", make_blob(9)) is None
+    call("attach", None, first)
+    steps.append([node.touch_gen
+                  for node in chain + [retire, load, second, control]])
+    return steps
+
+
+class TestGrowingTheGraphIsALeaf:
+    def test_flat_methods_match_the_helper_composition(self):
+        flat = growth(PActionCache())
+        reference = growth(ReferenceCache())
+        assert flat[-1] == reference[-1]
+        assert any(peak > used for _, _, (used, peak, *_) in flat[:-1])
+        for (method, nested, counters), (_, _, want) in zip(flat[:-1],
+                                                            reference):
+            assert counters == want, method
+            # A configuration builds its node at the model's size;
+            # nothing else calls anything.
+            assert nested == (2 if method == "alloc_config" else 0), method
+
+    @pytest.mark.parametrize("mutant", [ForgetsThePeak, ChargesTheFirstEdge,
+                                        SkipsTheTouch])
+    def test_a_broken_reference_is_noticed(self, mutant):
+        assert growth(mutant()) != growth(ReferenceCache())
+
+    def test_checks_are_still_made(self):
+        cache = PActionCache()
+        config = cache.alloc_config(make_blob(1))
+        load = cache.alloc_action(LoadIssueNode(0))
+        with pytest.raises(MemoizationError):
+            cache.alloc_config(make_blob(1))
+        with pytest.raises(MemoizationError):
+            cache.attach((load, None), config)
+        with pytest.raises(MemoizationError):
+            cache.attach((config, 3), load)
+
+
+#: Python-level frames per detailed cycle of one run whose cache is
+#: flushed at 0.35 x its natural size, ``test`` scale, before recording
+#: stopped costing as much as simulating (495 757 / 422 392 / 365 718
+#: frames over 6 621 / 4 877 / 6 295 detailed cycles); the change that
+#: set this budget reads 40.8 / 46.6 / 34.2.
+RECORD_BEFORE = {"gcc": 74.88, "compress": 86.61, "tomcatv": 58.10}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_BEFORE))
+def test_bounded_run_frames_per_detailed_cycle(name):
+    executable = load_workload(name, "test")
+    natural = FastSim(executable).run().memo.peak_cache_bytes
+    sim = FastSim(executable, policy=FlushOnFullPolicy(
+        max(int(0.35 * natural), 512)))
+    with CallCounter() as counter:
+        result = sim.run()
+    assert result.memo.evictions > 0
+    per_cycle = counter.total / result.memo.detailed_cycles
+    print(f"\n{name}: {counter.total} frames / "
+          f"{result.memo.detailed_cycles} detailed cycles = "
+          f"{per_cycle:.2f} (budget {0.70 * RECORD_BEFORE[name]:.2f})")
+    for layer, count in counter.by_layer.most_common(8):
+        print(f"  {layer:28s} {count:8d}")
+    assert per_cycle <= 0.70 * RECORD_BEFORE[name]

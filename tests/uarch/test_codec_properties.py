@@ -6,9 +6,14 @@ probe the encoding's bit-level limits — the 3-bit stage field, the
 11-bit timer, the branch/mispredict bits, indirect-target records —
 and with assertions that :data:`CONFIG_FIELD_MANIFEST` is exactly what
 :func:`encode_config` serializes (the memo-safety lint trusts it).
+
+:func:`reference_encode_config` is the per-field encoder
+``encode_config`` was before it became one walk and one
+``struct.pack``; it lives here as the oracle, not as a second path.
 """
 
 import inspect
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +162,141 @@ class TestGeneratedStatesRoundTrip:
         for stage in Stage:
             entries = [_mk_entry(_STRAIGHT[0], (stage, 0, False, False))]
             _assert_round_trip(entries, _STRAIGHT[1], False, False)
+
+
+def reference_encode_config(entries, fetch_pc, fetch_stalled, fetch_halted):
+    """The encoder as the format table in ``config_codec`` reads: a
+    header, then one ``to_bytes`` per entry, then one per target."""
+    if len(entries) > 255:
+        raise ConfigCodecError(f"too many iQ entries: {len(entries)}")
+    flags = (1 if fetch_stalled else 0) | (2 if fetch_halted else 0)
+    start = entries[0].instr.address if entries else 0
+    out = bytearray(
+        struct.pack(">BBII", flags, len(entries), fetch_pc or 0, start)
+    )
+    indirect_targets = []
+    for entry in entries:
+        timer = entry.timer
+        if not 0 <= timer <= MAX_TIMER:
+            raise ConfigCodecError(
+                f"timer {timer} out of encodable range at "
+                f"0x{entry.instr.address:x}"
+            )
+        packed = (
+            (int(entry.stage) << 13)
+            | ((1 if entry.pred_taken else 0) << 12)
+            | ((1 if entry.mispredicted else 0) << 11)
+            | timer
+        )
+        out += packed.to_bytes(2, "big")
+        if entry.is_indirect:
+            if entry.jump_target is None:
+                raise ConfigCodecError(
+                    f"indirect jump at 0x{entry.instr.address:x} has no "
+                    "recorded target"
+                )
+            indirect_targets.append(entry.jump_target)
+    for target in indirect_targets:
+        out += target.to_bytes(4, "big")
+    return bytes(out)
+
+
+# Straight-line code, a conditional branch and an indirect jump: the
+# encoder reads entry fields and never walks, so any mix is an input.
+_MIXED = assemble("""
+main:
+    add %l0, 1, %l0
+    cmp %l0, 9
+    be main
+    nop
+    jmpl [%ra], %g0
+    nop
+    halt
+""")
+_ADDRESSES = [_MIXED.text_base + 4 * i for i in range(7)]
+
+any_entry = st.builds(
+    IQEntry,
+    st.sampled_from(_ADDRESSES).map(_MIXED.instruction_at),
+    stage=st.sampled_from(list(Stage)),
+    # 0..MAX_TIMER, weighted toward the ends and one past either end.
+    timer=st.one_of(st.integers(min_value=0, max_value=MAX_TIMER),
+                    st.sampled_from([-1, 0, MAX_TIMER, MAX_TIMER + 1])),
+    pred_taken=st.booleans(),
+    mispredicted=st.booleans(),
+    jump_target=st.one_of(st.none(), st.sampled_from(_ADDRESSES)),
+)
+#: Mostly encodable entries, so long lists get past the first check.
+sound_entry = st.builds(
+    IQEntry,
+    st.sampled_from(_ADDRESSES).map(_MIXED.instruction_at),
+    stage=st.sampled_from(list(Stage)),
+    timer=st.integers(min_value=0, max_value=MAX_TIMER),
+    pred_taken=st.booleans(),
+    mispredicted=st.booleans(),
+    jump_target=st.sampled_from(_ADDRESSES),
+)
+
+
+def _outcome(encoder, *args):
+    try:
+        return encoder(*args)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+class TestOneWalkEncoderMatchesTheReference:
+    """Equal bytes, or the same exception type, for any entry list."""
+
+    def _assert_same(self, entries, fetch_pc, stalled, halted):
+        want = _outcome(reference_encode_config, entries, fetch_pc,
+                        stalled, halted)
+        assert _outcome(encode_config, entries, fetch_pc, stalled,
+                        halted) == want
+        return want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.one_of(st.lists(any_entry, max_size=12),
+                          st.lists(sound_entry, max_size=40)),
+        fetch_pc=st.one_of(st.none(), st.sampled_from(_ADDRESSES)),
+        stalled=st.booleans(),
+        halted=st.booleans(),
+    )
+    def test_arbitrary_entry_lists(self, entries, fetch_pc, stalled,
+                                   halted):
+        self._assert_same(entries, fetch_pc, stalled, halted)
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_entry_count_limits(self, count, data):
+        entries = data.draw(st.lists(sound_entry, min_size=count,
+                                     max_size=count))
+        want = self._assert_same(entries, _ADDRESSES[0], False, False)
+        assert (want is ConfigCodecError) == (count == 256)
+
+    @pytest.mark.parametrize("stalled", [False, True])
+    @pytest.mark.parametrize("halted", [False, True])
+    def test_each_check_raises_for_the_same_inputs(self, stalled, halted):
+        jump = _MIXED.instruction_at(_ADDRESSES[4])
+        assert jump.is_indirect_jump
+        plain = _MIXED.instruction_at(_ADDRESSES[0])
+        cases = {
+            "timer-below": [IQEntry(plain, timer=-1)],
+            "timer-above": [IQEntry(plain, timer=MAX_TIMER + 1)],
+            "no-target": [IQEntry(jump, stage=Stage.DONE)],
+            # The walk reports whichever comes first in queue order.
+            "target-then-timer": [IQEntry(jump),
+                                  IQEntry(plain, timer=-1)],
+        }
+        for label, entries in cases.items():
+            assert self._assert_same(entries, None, stalled, halted) \
+                is ConfigCodecError, label
+        with_target = [IQEntry(jump, stage=Stage.DONE,
+                               jump_target=_ADDRESSES[6])]
+        blob = self._assert_same(with_target, None, stalled, halted)
+        assert blob[-4:] == _ADDRESSES[6].to_bytes(4, "big")
 
 
 class TestManifestMatchesCodec:
