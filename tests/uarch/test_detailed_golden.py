@@ -1,12 +1,12 @@
 """Golden pin of the detailed pipeline model and its request protocol.
 
 ``golden_detailed.json`` holds, for all 18 suite programs at ``tiny``
-scale under four processor configurations, the results of a detailed
+scale under five processor configurations, the results of a detailed
 run *and* a sha256 over the ``repr`` of every request the simulator
 yielded, in order — the protocol the p-action cache records. Any change
 to :class:`DetailedSimulator` must reproduce both exactly. The
 ``baseline/*`` rows pin :class:`IntegratedSimulator`, which shares the
-issue/dispatch scan, the same way.
+per-cycle pipeline walk, the same way under the same configurations.
 
 Regenerate (only when the *model* is meant to change)::
 
@@ -39,13 +39,19 @@ from repro.workloads import WORKLOAD_ORDER, load_workload
 
 GOLDEN_PATH = Path(__file__).with_name("golden_detailed.json")
 
-#: r10k, the narrow config of test_detailed.py, and two of the
-#: campaign-small-jobs design-space points (bench/workloads.py).
+#: r10k, the narrow config of test_detailed.py, two of the
+#: campaign-small-jobs design-space points (bench/workloads.py), and
+#: ``tight``: 8 renames per file and 4-entry queues, so rename and
+#: queue-full stalls happen thousands of times at ``tiny`` (the other
+#: four never stall on a rename register).
 CONFIGS = {
     "r10k": ProcessorParams.r10k(),
     "narrow": ProcessorParams.narrow(),
     "iq16": replace(ProcessorParams.r10k(), iq_capacity=16),
     "bht128": replace(ProcessorParams.r10k(), bht_entries=128),
+    "tight": replace(ProcessorParams.r10k(), phys_int_regs=40,
+                     phys_fp_regs=40, int_queue=4, fp_queue=4,
+                     addr_queue=4),
 }
 
 
@@ -115,8 +121,14 @@ def golden_row(name, config):
     }
 
 
-def baseline_row(name):
-    result = IntegratedSimulator(load_workload(name, "tiny")).run()
+def baseline_key(name, config):
+    return (f"baseline/{name}" if config == "r10k"
+            else f"baseline/{name}/{config}")
+
+
+def baseline_row(name, config="r10k"):
+    result = IntegratedSimulator(load_workload(name, "tiny"),
+                                 CONFIGS[config]).run()
     return {
         "cycles": result.cycles,
         "instructions": result.instructions,
@@ -142,6 +154,13 @@ def test_results_and_request_stream_match_golden(golden, name, config):
 @pytest.mark.parametrize("name", WORKLOAD_ORDER)
 def test_integrated_baseline_matches_golden(golden, name):
     assert baseline_row(name) == golden[f"baseline/{name}"]
+
+
+@pytest.mark.parametrize("config", [c for c in CONFIGS if c != "r10k"])
+@pytest.mark.parametrize("name", WORKLOAD_ORDER)
+def test_integrated_baseline_matches_golden_under_config(golden, name,
+                                                         config):
+    assert baseline_row(name, config) == golden[baseline_key(name, config)]
 
 
 @pytest.mark.parametrize("fraction", [0.25, 0.6])
@@ -173,8 +192,8 @@ def test_restored_configuration_continues_identically(golden, name, config,
 if __name__ == "__main__":
     rows = {f"{name}/{config}": golden_row(name, config)
             for name in WORKLOAD_ORDER for config in CONFIGS}
-    rows.update((f"baseline/{name}", baseline_row(name))
-                for name in WORKLOAD_ORDER)
+    rows.update((baseline_key(name, config), baseline_row(name, config))
+                for name in WORKLOAD_ORDER for config in CONFIGS)
     GOLDEN_PATH.write_text("{\n" + ",\n".join(
         f"{json.dumps(key)}: {json.dumps(rows[key], sort_keys=True)}"
         for key in sorted(rows)) + "\n}\n")
