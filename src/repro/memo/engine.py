@@ -98,8 +98,12 @@ def run_signature(executable: Executable, params) -> bytes:
     Recorded actions encode the *timing* of one pipeline on one binary:
     replaying them for a different text image or different processor
     parameters would be silently wrong, so the cache is bound to both.
-    (Predictor and cache-simulator state need no binding — their
-    influence flows through outcome edges, which replay checks.)
+    The binding is conservative: it hashes ``repr(params)`` whole,
+    ``memory`` and ``bht_entries`` included, so a p-action cache is
+    never reused across L1 / L2 geometries or BHT sizes — even though
+    replay checks every cache and predictor reply as an outcome edge
+    and nothing the pipeline reads depends on them. Narrowing the
+    binding to the pipeline's own fields is ROADMAP item 5(b).
 
     This is also the key under which campaign cache directories store
     persisted p-action caches (see :mod:`repro.campaign.cachedir`).

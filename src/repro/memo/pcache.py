@@ -8,7 +8,7 @@ reports. Replacement decisions are delegated to a
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import MemoizationError
 from repro.memo.actions import ACTION_BYTES, ConfigNode, EDGE_BYTES, Node
@@ -17,6 +17,28 @@ from repro.uarch.config_codec import config_size_bytes
 #: An attachment point: (node, edge_key). ``edge_key`` is None for
 #: single-successor nodes, else the outcome value whose edge to set.
 AttachPoint = Tuple[Node, Optional[object]]
+
+
+def reachable(roots: Iterable[Node]) -> Iterator[Node]:
+    """Every node reachable from *roots*, each once, depth first.
+
+    The one graph walk: a node is yielded, then its outcome edges (in
+    insertion order) or its ``next`` are pushed, and the stack pops the
+    last pushed first. The order is therefore a function of the root
+    order and the graph alone, which the persistent formats rely on.
+    """
+    seen = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        if node.is_outcome:
+            stack.extend(node.edges.values())
+        elif node.next is not None:
+            stack.append(node.next)
 
 
 class PActionCache:
@@ -228,17 +250,6 @@ class PActionCache:
     def _measure(self) -> int:
         return sum(node.size_bytes() for node in self.reachable_nodes())
 
-    def reachable_nodes(self):
+    def reachable_nodes(self) -> Iterator[Node]:
         """Iterate every node reachable from the configuration index."""
-        seen = set()
-        stack = list(self.index.values())
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            yield node
-            if node.is_outcome:
-                stack.extend(node.edges.values())
-            elif node.next is not None:
-                stack.append(node.next)
+        return reachable(self.index.values())

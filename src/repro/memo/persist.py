@@ -51,7 +51,7 @@ from repro.memo.actions import (
     RollbackNode,
     StoreIssueNode,
 )
-from repro.memo.pcache import PActionCache
+from repro.memo.pcache import PActionCache, reachable
 from repro.uarch.config_codec import config_size_bytes
 from repro.uarch.interactions import Retire, Rollback
 
@@ -160,21 +160,7 @@ def _collect_nodes(cache: PActionCache) -> List[Node]:
     function of graph structure. The persistent segment store relies on
     this: it names segment heads by their index in this list.
     """
-    ordered: List[Node] = []
-    seen = set()
-    stack: List[Node] = [cache.index[blob]
-                         for blob in sorted(cache.index)]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        ordered.append(node)
-        if node.is_outcome:
-            stack.extend(node.edges.values())
-        elif node.next is not None:
-            stack.append(node.next)
-    return ordered
+    return list(reachable(cache.index[blob] for blob in sorted(cache.index)))
 
 
 # ---------------------------------------------------------------------------

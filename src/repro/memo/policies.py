@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.memo.actions import ConfigNode, Node
-from repro.memo.pcache import PActionCache
+from repro.memo.pcache import PActionCache, reachable
 
 
 class ReplacementPolicy:
@@ -108,7 +108,7 @@ class CopyingGCPolicy(ReplacementPolicy):
         for blob, node in cache.index.items():  # repro-lint: disable=det/dict-value-iteration
             if node.touch_gen > threshold:
                 kept[blob] = node
-        for node in list(_walk(kept)):
+        for node in list(reachable(kept.values())):
             _prune_dead_successors(node, threshold)
         cache.rebuild(kept)
         self._last_collection_clock = cache.touch_clock
@@ -154,11 +154,11 @@ class GenerationalGCPolicy(ReplacementPolicy):
             )
             if survive:
                 kept[blob] = node
-        for node in list(_walk(kept)):
+        for node in list(reachable(kept.values())):
             _prune_dead_successors(
                 node, threshold, keep_old=not major
             )
-        for node in _walk(kept):
+        for node in reachable(kept.values()):
             node.generation = 1  # survivors are promoted
         cache.rebuild(kept)
         self._last_collection_clock = cache.touch_clock
@@ -169,22 +169,6 @@ class GenerationalGCPolicy(ReplacementPolicy):
 
     def describe(self) -> str:
         return f"generational-gc@{self.limit_bytes}"
-
-
-def _walk(index: Dict[bytes, ConfigNode]):
-    """Iterate every node reachable from *index* (deduplicated)."""
-    seen = set()
-    stack = list(index.values())
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        if node.is_outcome:
-            stack.extend(node.edges.values())
-        elif node.next is not None:
-            stack.append(node.next)
 
 
 def _alive(node: Node, threshold: int, keep_old: bool) -> bool:

@@ -20,7 +20,13 @@ Mechanics per window:
 2. run a fresh detailed pipeline over the live architectural state
    until ``window`` instructions retire, discarding the first
    ``warmup`` instructions' cycles from the measurement (pipeline
-   state loss is mitigated by warmup; cache state carries over);
+   state loss is mitigated by warmup; cache state carries over). The
+   window answers each request through
+   :meth:`~repro.sim.world.World.answer` from its own loop rather than
+   iterating :meth:`SlowSim.cycles <repro.sim.slowsim.SlowSim.cycles>`:
+   it stops right after the ``Retire`` that fills it, because running
+   on to the cycle boundary would issue the rest of that cycle's loads
+   to the shared memory system and move every later window;
 3. roll back any outstanding wrong-path speculation so the
    architectural stream stays exact, and continue.
 
@@ -41,16 +47,7 @@ from repro.errors import SimulationError
 from repro.isa.program import Executable
 from repro.sim.world import World
 from repro.uarch.detailed import DetailedSimulator
-from repro.uarch.interactions import (
-    CycleBoundary,
-    Finished,
-    GetControl,
-    IssueLoad,
-    IssueStore,
-    PollLoad,
-    Retire,
-    Rollback,
-)
+from repro.uarch.interactions import CycleBoundary, Finished, Retire
 from repro.uarch.params import ProcessorParams
 
 
@@ -197,7 +194,7 @@ class SamplingSimulator:
                       state=state, memory_system=self.memory_system,
                       frontend_max_instructions=budget)
         generator = simulator.run()
-        outcome = None
+        reply = None
         warmup_cycles: Optional[int] = None
         retired = 0
         cycle_guard = self.window * 1000 + 100_000
@@ -205,30 +202,21 @@ class SamplingSimulator:
             if world.cycle > cycle_guard:  # pragma: no cover - safety net
                 raise SimulationError("sample window made no progress")
             try:
-                request = generator.send(outcome)
-            except StopIteration:  # pragma: no cover - ends via Finished
-                break
-            outcome = None
+                request = generator.send(reply)
+            except StopIteration:
+                raise SimulationError("detailed simulator ended unexpectedly")
             kind = type(request)
             if kind is CycleBoundary:
                 world.advance_cycles(1)
-            elif kind is GetControl:
-                outcome = world.get_control()
-            elif kind is IssueLoad:
-                outcome = world.issue_load(request.ordinal)
-            elif kind is PollLoad:
-                outcome = world.poll_load(request.ordinal)
-            elif kind is IssueStore:
-                outcome = world.issue_store(request.ordinal)
-            elif kind is Retire:
-                world.retire(request)
-                retired += request.count
-                if warmup_cycles is None and retired >= self.warmup:
-                    warmup_cycles = world.cycle
-            elif kind is Rollback:
-                world.rollback(request)
+                reply = None
             elif kind is Finished:
                 break
+            else:
+                reply = world.answer(request)
+                if kind is Retire:
+                    retired += request.count
+                    if warmup_cycles is None and retired >= self.warmup:
+                        warmup_cycles = world.cycle
         generator.close()
         self._unwind_speculation(world)
         if warmup_cycles is None:

@@ -6,12 +6,17 @@ the p-action cache."* It still uses speculative direct-execution, so
 SlowSim / FastSim is exactly the speedup attributable to memoization
 (Table 2), and SlowSim / SimpleScalar-surrogate is the speedup from
 direct-execution alone (Table 3).
+
+:meth:`SlowSim.cycles` is the one unmemoized cycle loop: :meth:`run`
+and :class:`~repro.uarch.trace.PipelineTracer` (and so the profile)
+iterate it, and every request it hands on goes through
+:meth:`~repro.sim.world.World.answer`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.branch.predictor import BranchPredictor
 from repro.errors import SimulationError
@@ -20,16 +25,7 @@ from repro.obs.core import ensure_observer
 from repro.sim.results import SimulationResult
 from repro.sim.world import World
 from repro.uarch.detailed import DetailedSimulator
-from repro.uarch.interactions import (
-    CycleBoundary,
-    Finished,
-    GetControl,
-    IssueLoad,
-    IssueStore,
-    PollLoad,
-    Retire,
-    Rollback,
-)
+from repro.uarch.interactions import CycleBoundary, Finished
 from repro.uarch.params import ProcessorParams
 
 
@@ -51,48 +47,50 @@ class SlowSim:
         self.world = World(executable, self.params, predictor)
         self.simulator = DetailedSimulator(executable, self.params)
 
+    def cycles(self) -> Iterator[None]:
+        """The unmemoized cycle loop, one yield per simulated cycle.
+
+        Pumps :meth:`DetailedSimulator.run`, handing every request but
+        the boundary and the end to :meth:`World.answer`. At each
+        ``CycleBoundary`` it advances the clock and yields right after,
+        so the cycle that just ended is ``world.cycle - 1`` and the iQ
+        is still the boundary's. Returns at ``Finished``; a model that
+        stops without it raises :class:`SimulationError`.
+        """
+        world = self.world
+        answer = world.answer
+        advance_cycles = world.advance_cycles
+        step = self.simulator.run().send
+        reply = None
+        while True:
+            try:
+                request = step(reply)
+            except StopIteration:
+                raise SimulationError("detailed simulator ended unexpectedly")
+            kind = type(request)
+            if kind is CycleBoundary:
+                advance_cycles(1)
+                reply = None
+                yield
+            elif kind is Finished:
+                return
+            else:
+                reply = answer(request)
+
     def run(self, max_cycles: int = 50_000_000) -> SimulationResult:
         """Simulate to completion; returns the result record."""
         world = self.world
-        generator = self.simulator.run()
         obs = self.obs
         obs_on = obs.enabled
         started = time.perf_counter()
-        outcome = None
-        finished = False
         with obs.span("sim.run", cat="sim", simulator=self.name):
-            while not finished:
-                try:
-                    request = generator.send(outcome)
-                except StopIteration:
-                    break
-                outcome = None
-                if type(request) is CycleBoundary:
-                    world.advance_cycles(1)
-                    if world.cycle > max_cycles:
-                        raise SimulationError(
-                            f"exceeded {max_cycles} simulated cycles"
-                        )
-                    if obs_on:
-                        obs.sample_pipeline(
-                            world.cycle, self.simulator.occupancy
-                        )
-                elif type(request) is GetControl:
-                    outcome = world.get_control()
-                elif type(request) is IssueLoad:
-                    outcome = world.issue_load(request.ordinal)
-                elif type(request) is PollLoad:
-                    outcome = world.poll_load(request.ordinal)
-                elif type(request) is IssueStore:
-                    outcome = world.issue_store(request.ordinal)
-                elif type(request) is Retire:
-                    world.retire(request)
-                elif type(request) is Rollback:
-                    world.rollback(request)
-                elif type(request) is Finished:
-                    finished = True
-                else:  # pragma: no cover - protocol violation
-                    raise SimulationError(f"unknown request {request!r}")
+            for _ in self.cycles():
+                if world.cycle > max_cycles:
+                    raise SimulationError(
+                        f"exceeded {max_cycles} simulated cycles"
+                    )
+                if obs_on:
+                    obs.sample_pipeline(world.cycle, self.simulator.occupancy)
         elapsed = time.perf_counter() - started
         if obs_on:
             obs.gauge("sim.cycles", world.stats.cycles)

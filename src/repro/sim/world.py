@@ -8,6 +8,13 @@ recorder and the fast-forwarding replayer drive the *same* world
 methods in the same order, which is why replay "produces exactly the
 same results as the detailed simulation".
 
+Every request the detailed model yields, other than the cycle
+boundary and the end of the run, is answered by one method,
+:meth:`World.answer`. SlowSim's cycle loop, the pipeline tracer that
+rides on it and the sampling simulator's windows all call it; only the
+memo engine's record loop dispatches inline, because it builds a node
+per request kind in the same branch.
+
 The world also owns the **queue cursors** that turn the
 position-independent ordinals inside recorded actions into absolute
 frontend-queue indices:
@@ -31,7 +38,14 @@ from repro.emulator.frontend import SpeculativeFrontend
 from repro.emulator.queues import ControlRecord
 from repro.errors import SimulationError
 from repro.isa.program import Executable
-from repro.uarch.interactions import Retire, Rollback
+from repro.uarch.interactions import (
+    GetControl,
+    IssueLoad,
+    IssueStore,
+    PollLoad,
+    Retire,
+    Rollback,
+)
 from repro.uarch.params import ProcessorParams
 
 
@@ -196,6 +210,35 @@ class World:
             request.squashed_loads + request.squashed_stores
             + request.squashed_controls
         )
+
+    # -- the one dispatch ----------------------------------------------------
+
+    def answer(self, request):
+        """Perform the world call *request* asks for; return its reply
+        (None for :class:`Retire` and :class:`Rollback`).
+
+        Kinds are tested in measured frequency order (go + fpppp at
+        ``test``: Retire 56 %, PollLoad and IssueLoad 16 % each,
+        GetControl 11 %, IssueStore 2 %, Rollback rare). A
+        ``CycleBoundary`` or ``Finished`` is the caller's to handle, so
+        it raises :class:`SimulationError` like any other object.
+        """
+        kind = type(request)
+        if kind is Retire:
+            self.retire(request)
+            return None
+        if kind is PollLoad:
+            return self.poll_load(request.ordinal)
+        if kind is IssueLoad:
+            return self.issue_load(request.ordinal)
+        if kind is GetControl:
+            return self.get_control()
+        if kind is IssueStore:
+            return self.issue_store(request.ordinal)
+        if kind is Rollback:
+            self.rollback(request)
+            return None
+        raise SimulationError(f"no world call answers {request!r}")
 
     # ------------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Pipeline tracing — human-readable per-cycle iQ dumps for debugging.
 
-A simulator library needs a way to *see* the pipeline. The tracer runs
-the detailed simulator (no memoization — traces want every cycle) and
-renders each cycle's iQ as one line per in-flight instruction::
+A simulator library needs a way to *see* the pipeline. The tracer
+iterates :meth:`SlowSim.cycles <repro.sim.slowsim.SlowSim.cycles>` (no
+memoization — traces want every cycle; one loop, so a complete trace
+has SlowSim's cycle count) and renders each cycle's iQ as one line per
+in-flight instruction::
 
     cycle 14
       [ 0] 0x00010010  add %l1, %l0, %l1      EXEC   t=1
@@ -31,17 +33,6 @@ from repro.branch.predictor import BranchPredictor
 from repro.isa.disasm import format_instruction
 from repro.isa.program import Executable
 from repro.obs.spans import CLOCK_SIM, TraceEvent, TraceSink
-from repro.uarch.detailed import DetailedSimulator
-from repro.uarch.interactions import (
-    CycleBoundary,
-    Finished,
-    GetControl,
-    IssueLoad,
-    IssueStore,
-    PollLoad,
-    Retire,
-    Rollback,
-)
 from repro.uarch.iq import IQEntry, Stage
 from repro.uarch.params import ProcessorParams
 
@@ -78,13 +69,15 @@ def snapshot_event(snapshot: CycleSnapshot) -> TraceEvent:
                       cat="pipeline", clock=CLOCK_SIM, args=values)
 
 
-def _copy_entry(entry: IQEntry) -> IQEntry:
+def copy_entry(entry: IQEntry) -> IQEntry:
+    """An independent copy of *entry* (snapshots must not alias the
+    live iQ)."""
     return IQEntry(entry.instr, entry.stage, entry.timer, entry.pred_taken,
                    entry.mispredicted, entry.jump_target)
 
 
 class PipelineTracer:
-    """Drives a detailed simulation, invoking a callback every cycle."""
+    """Drives :meth:`SlowSim.cycles`, invoking a callback every cycle."""
 
     def __init__(
         self,
@@ -93,14 +86,11 @@ class PipelineTracer:
         predictor: Optional[BranchPredictor] = None,
         sink: Optional[TraceSink] = None,
     ):
-        # Imported here: repro.sim.world imports repro.uarch submodules,
-        # so a module-level import would be circular via the package
-        # __init__.
-        from repro.sim.world import World
+        # Imported here: repro.sim imports repro.uarch submodules, so a
+        # module-level import would be circular via the package __init__.
+        from repro.sim.slowsim import SlowSim
 
-        self.params = params if params is not None else ProcessorParams.r10k()
-        self.simulator = DetailedSimulator(executable, self.params)
-        self.world = World(executable, self.params, predictor)
+        self.slowsim = SlowSim(executable, params, predictor)
         self.sink = sink
 
     def run(self, on_cycle: Optional[Callable[[CycleSnapshot], None]] = None,
@@ -108,48 +98,26 @@ class PipelineTracer:
         """Simulate, calling *on_cycle* at every boundary.
 
         Returns the final cycle count. Stops at *max_cycles* without
-        error (traces are usually of prefixes). When the tracer was
+        error (traces are usually of prefixes); a model that stops
+        without finishing raises, as in SlowSim. When the tracer was
         built with a ``sink``, every cycle is also emitted to it as a
         :func:`snapshot_event`; *on_cycle* may then be omitted.
         """
-        world = self.world
-        simulator = self.simulator
+        slowsim = self.slowsim
+        world = slowsim.world
+        simulator = slowsim.simulator
         sink = self.sink
-        generator = simulator.run()
-        outcome = None
-        while True:
-            try:
-                request = generator.send(outcome)
-            except StopIteration:
-                break
-            outcome = None
-            kind = type(request)
-            if kind is CycleBoundary:
-                snapshot = CycleSnapshot(
-                    cycle=world.cycle,
-                    entries=[_copy_entry(e) for e in simulator.iq.entries],
-                    retired_so_far=world.stats.retired_instructions,
-                )
-                if on_cycle is not None:
-                    on_cycle(snapshot)
-                if sink is not None:
-                    sink.emit(snapshot_event(snapshot))
-                world.advance_cycles(1)
-                if world.cycle >= max_cycles:
-                    break
-            elif kind is GetControl:
-                outcome = world.get_control()
-            elif kind is IssueLoad:
-                outcome = world.issue_load(request.ordinal)
-            elif kind is PollLoad:
-                outcome = world.poll_load(request.ordinal)
-            elif kind is IssueStore:
-                outcome = world.issue_store(request.ordinal)
-            elif kind is Retire:
-                world.retire(request)
-            elif kind is Rollback:
-                world.rollback(request)
-            elif kind is Finished:
+        for _ in slowsim.cycles():
+            snapshot = CycleSnapshot(
+                cycle=world.cycle - 1,
+                entries=[copy_entry(e) for e in simulator.iq.entries],
+                retired_so_far=world.stats.retired_instructions,
+            )
+            if on_cycle is not None:
+                on_cycle(snapshot)
+            if sink is not None:
+                sink.emit(snapshot_event(snapshot))
+            if world.cycle >= max_cycles:
                 break
         return world.stats.cycles
 

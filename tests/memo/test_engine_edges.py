@@ -1,11 +1,14 @@
 """Edge-case tests for the fast-forwarding engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.branch import AlwaysTakenPredictor, NotTakenPredictor
 from repro.errors import MemoizationError, SimulationError
 from repro.isa import assemble
 from repro.memo.actions import RetireNode, RollbackNode
+from repro.memo.engine import run_signature
 from repro.memo.pcache import PActionCache
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
@@ -206,3 +209,15 @@ class TestReplayHandsOverTheRecordedRequest:
                 assert type(request) is request_type
                 assert type(kept[id(request)]) is node_type
                 assert kept[id(request)].request is request
+
+
+
+def test_run_signature_binds_memory_and_bht_size():
+    """Conservative on purpose: the cache and predictor replies are
+    checked as outcome edges, yet both are hashed with the pipeline."""
+    exe, base = assemble(TINY), ProcessorParams.r10k()
+    half_l1 = replace(base.memory, l1=replace(base.memory.l1, size_bytes=8192))
+    signature = run_signature(exe, base)
+    assert run_signature(exe, ProcessorParams.r10k()) == signature
+    assert run_signature(exe, replace(base, bht_entries=128)) != signature
+    assert run_signature(exe, replace(base, memory=half_l1)) != signature

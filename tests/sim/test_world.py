@@ -6,7 +6,17 @@ from repro.branch import AlwaysTakenPredictor
 from repro.errors import SimulationError
 from repro.isa import assemble
 from repro.sim.world import World
-from repro.uarch.interactions import Retire, Rollback
+from repro.uarch.detailed import DetailedSimulator
+from repro.uarch.interactions import (
+    CYCLE_BOUNDARY,
+    FINISHED,
+    GetControl,
+    IssueLoad,
+    IssueStore,
+    PollLoad,
+    Retire,
+    Rollback,
+)
 
 PROGRAM = """
 main:
@@ -115,3 +125,46 @@ class TestProgramOutput:
     def test_output_proxy(self):
         world = make_world()
         assert world.program_output == world.frontend.state.output
+
+
+#: Each kind's world call, as the chains World.answer replaced made it.
+DIRECT = {
+    GetControl: lambda world, request: world.get_control(),
+    IssueLoad: lambda world, request: world.issue_load(request.ordinal),
+    PollLoad: lambda world, request: world.poll_load(request.ordinal),
+    IssueStore: lambda world, request: world.issue_store(request.ordinal),
+    Retire: World.retire,
+    Rollback: World.rollback,
+}
+
+
+def world_state(world, reply):
+    return (world.cycle, world.lq_base, world.sq_base, world.cf_base,
+            world.cf_fetched, world.stats.as_dict(),
+            world.cache.stats.as_dict(), world.frontend.rollbacks,
+            getattr(reply, "outcome_key", reply))
+
+
+class TestAnswer:
+    def test_every_kind_matches_its_world_call(self):
+        """Two worlds in lockstep under one detailed run: one answered,
+        one called directly. Every request leaves both equal."""
+        answered, direct = make_world(), make_world()
+        generator = DetailedSimulator(assemble(PROGRAM)).run()
+        seen, reply = set(), None
+        while (request := generator.send(reply)) is not FINISHED:
+            reply = want = None
+            if request is CYCLE_BOUNDARY:
+                answered.advance_cycles(1)
+                direct.advance_cycles(1)
+            else:
+                reply = answered.answer(request)
+                want = DIRECT[type(request)](direct, request)
+                seen.add(type(request))
+            assert world_state(answered, reply) == world_state(direct, want)
+        assert seen == set(DIRECT)
+
+    @pytest.mark.parametrize("request_", [CYCLE_BOUNDARY, FINISHED, object()])
+    def test_boundary_end_and_strangers_raise(self, request_):
+        with pytest.raises(SimulationError, match="no world call answers"):
+            make_world().answer(request_)

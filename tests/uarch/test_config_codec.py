@@ -6,30 +6,22 @@ from fast-forwarding to detailed simulation reconstructs the pipeline
 from nothing but the encoded bytes.
 """
 
+import itertools
+
 import pytest
 
 from repro.branch import NotTakenPredictor
 from repro.errors import ConfigCodecError
 from repro.isa import assemble
-from repro.sim.world import World
+from repro.sim.slowsim import SlowSim
 from repro.uarch.config_codec import (
     config_size_bytes,
     decode_config,
     encode_config,
 )
-from repro.uarch.detailed import DetailedSimulator
-from repro.uarch.interactions import (
-    CycleBoundary,
-    Finished,
-    GetControl,
-    IssueLoad,
-    IssueStore,
-    PollLoad,
-    Retire,
-    Rollback,
-)
 from repro.uarch.iq import IQEntry, Stage
 from repro.uarch.params import ProcessorParams
+from repro.uarch.trace import copy_entry
 
 PROGRAM = """
 main:
@@ -61,51 +53,17 @@ buf: .space 64
 
 
 def harvest_configs(src, predictor=None, limit=3000):
-    """Run the detailed simulator, encoding the state at every cycle
-    boundary; returns (executable, list of (blob, snapshot))."""
+    """Run SlowSim for at most *limit* cycles, encoding the state at
+    every cycle boundary; returns (executable, list of (blob, snapshot))."""
     exe = assemble(src)
-    params = ProcessorParams.r10k()
-    sim = DetailedSimulator(exe, params)
-    world = World(exe, params, predictor)
+    slowsim = SlowSim(exe, ProcessorParams.r10k(), predictor)
+    sim = slowsim.simulator
     configs = []
-    generator = sim.run()
-    outcome = None
-    for _ in range(limit):
-        try:
-            request = generator.send(outcome)
-        except StopIteration:
-            break
-        outcome = None
-        kind = type(request)
-        if kind is CycleBoundary:
-            blob = encode_config(sim.iq.entries, sim.fetch_pc,
-                                 sim.fetch_stalled, sim.fetch_halted)
-            snapshot = (
-                [_copy_entry(e) for e in sim.iq.entries],
-                sim.fetch_pc, sim.fetch_stalled, sim.fetch_halted,
-            )
-            configs.append((blob, snapshot))
-            world.advance_cycles(1)
-        elif kind is GetControl:
-            outcome = world.get_control()
-        elif kind is IssueLoad:
-            outcome = world.issue_load(request.ordinal)
-        elif kind is PollLoad:
-            outcome = world.poll_load(request.ordinal)
-        elif kind is IssueStore:
-            outcome = world.issue_store(request.ordinal)
-        elif kind is Retire:
-            world.retire(request)
-        elif kind is Rollback:
-            world.rollback(request)
-        elif kind is Finished:
-            break
+    for _ in itertools.islice(slowsim.cycles(), limit):
+        state = ([copy_entry(e) for e in sim.iq.entries], sim.fetch_pc,
+                 sim.fetch_stalled, sim.fetch_halted)
+        configs.append((encode_config(*state), state))
     return exe, configs
-
-
-def _copy_entry(entry):
-    return IQEntry(entry.instr, entry.stage, entry.timer,
-                   entry.pred_taken, entry.mispredicted, entry.jump_target)
 
 
 class TestRoundTripOnRealStates:
@@ -115,14 +73,8 @@ class TestRoundTripOnRealStates:
         predictor = predictor_factory() if predictor_factory else None
         exe, configs = harvest_configs(PROGRAM, predictor)
         assert len(configs) > 20
-        for blob, (entries, fetch_pc, stalled, halted) in configs:
-            decoded_entries, d_pc, d_stalled, d_halted = decode_config(
-                blob, exe
-            )
-            assert decoded_entries == entries
-            assert d_pc == fetch_pc
-            assert d_stalled == stalled
-            assert d_halted == halted
+        for blob, state in configs:
+            assert decode_config(blob, exe) == state
 
     def test_reencode_is_identity(self):
         exe, configs = harvest_configs(PROGRAM)
@@ -162,12 +114,10 @@ def test_round_trip_on_fuzzed_programs(seed):
     from repro.workloads.fuzz import random_program
 
     source = random_program(seed, iterations=8)
-    exe, configs = harvest_configs(source, limit=6000)
+    exe, configs = harvest_configs(source)
     assert configs
-    for blob, (entries, fetch_pc, stalled, halted) in configs:
-        decoded_entries, d_pc, d_stalled, d_halted = decode_config(blob, exe)
-        assert decoded_entries == entries
-        assert (d_pc, d_stalled, d_halted) == (fetch_pc, stalled, halted)
+    for blob, state in configs:
+        assert decode_config(blob, exe) == state
 
 
 class TestEncodedSize:

@@ -24,20 +24,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.instruction import QUEUE_ADDR
-from repro.sim.world import World
+from repro.sim.slowsim import SlowSim
 from repro.uarch import detailed
 from repro.uarch.detailed import DetailedSimulator, _tally, cycle_walk
-from repro.uarch.interactions import (
-    CycleBoundary,
-    Finished,
-    IssueLoad,
-    IssueStore,
-    PollLoad,
-    Rollback,
-)
+from repro.uarch.interactions import IssueLoad, IssueStore, PollLoad, Rollback
 from repro.uarch.iq import CACHE, DONE, EXEC, FETCHED, QUEUE, STWAIT, IQEntry
+from repro.uarch.trace import copy_entry
 from repro.workloads import WORKLOAD_ORDER, load_workload
-from tests.uarch.test_detailed_golden import CONFIGS, answer
+from tests.uarch.test_detailed_golden import CONFIGS
 
 WALK_CONFIGS = ("r10k", "tight")
 
@@ -202,11 +196,6 @@ def run_cycle(cycle, state, config, replies):
             sim.fetch_halted, requests, unresolved)
 
 
-def copy_entry(entry):
-    return IQEntry(entry.instr, entry.stage, entry.timer, entry.pred_taken,
-                   entry.mispredicted, entry.jump_target)
-
-
 def assert_same_cycle(state, config, replies=(0, 2, 1, 3)):
     assert run_cycle(fused_cycle, state, config, replies) == \
         run_cycle(reference_cycle, state, config, replies)
@@ -289,21 +278,11 @@ def test_fused_cycle_matches_the_two_walk_cycle(config, state, replies):
 
 def harvest(name, config):
     """The iQ state at every cycle boundary of a ``tiny`` run."""
-    executable = load_workload(name, "tiny")
-    world = World(executable, CONFIGS[config])
-    sim = DetailedSimulator(executable, CONFIGS[config])
-    generator = sim.run()
-    states = []
-    outcome = None
-    while True:
-        request = generator.send(outcome)
-        outcome = answer(world, request)
-        if type(request) is Finished:
-            return states
-        if type(request) is CycleBoundary:
-            states.append(([copy_entry(entry) for entry in sim.iq.entries],
-                           sim.fetch_pc, sim.fetch_stalled,
-                           sim.fetch_halted))
+    slowsim = SlowSim(load_workload(name, "tiny"), CONFIGS[config])
+    sim = slowsim.simulator
+    return [([copy_entry(entry) for entry in sim.iq.entries],
+             sim.fetch_pc, sim.fetch_stalled, sim.fetch_halted)
+            for _ in slowsim.cycles()]
 
 
 @pytest.fixture(scope="module")

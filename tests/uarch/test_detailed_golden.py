@@ -24,16 +24,7 @@ from repro.sim.baseline import IntegratedSimulator
 from repro.sim.world import World
 from repro.uarch.config_codec import decode_config, encode_config
 from repro.uarch.detailed import DetailedSimulator
-from repro.uarch.interactions import (
-    CycleBoundary,
-    Finished,
-    GetControl,
-    IssueLoad,
-    IssueStore,
-    PollLoad,
-    Retire,
-    Rollback,
-)
+from repro.uarch.interactions import CycleBoundary, Finished
 from repro.uarch.params import ProcessorParams
 from repro.workloads import WORKLOAD_ORDER, load_workload
 
@@ -55,28 +46,11 @@ CONFIGS = {
 }
 
 
-def answer(world, request):
-    """The world's reply to *request* (None for outcome-less ones)."""
-    kind = type(request)
-    if kind is CycleBoundary:
-        world.advance_cycles(1)
-    elif kind is GetControl:
-        return world.get_control()
-    elif kind is IssueLoad:
-        return world.issue_load(request.ordinal)
-    elif kind is PollLoad:
-        return world.poll_load(request.ordinal)
-    elif kind is IssueStore:
-        return world.issue_store(request.ordinal)
-    elif kind is Retire:
-        world.retire(request)
-    elif kind is Rollback:
-        world.rollback(request)
-    return None
-
-
 def drive(executable, params, snapshot_cycle=None):
     """Run the detailed model to completion against a fresh world.
+
+    Its own loop over :meth:`World.answer`, not ``SlowSim.cycles``:
+    the golden digests every request, not every cycle.
 
     Returns ``(world, stream, snapshot)``: *stream* is every
     ``(repr(request), outcome)`` pair in order; *snapshot* is
@@ -92,12 +66,16 @@ def drive(executable, params, snapshot_cycle=None):
     outcome = None
     while True:
         request = generator.send(outcome)
-        outcome = answer(world, request)
+        kind = type(request)
+        outcome = None
+        if kind is CycleBoundary:
+            world.advance_cycles(1)
+        elif kind is not Finished:
+            outcome = world.answer(request)
         stream.append((repr(request), outcome))
-        if type(request) is Finished:
+        if kind is Finished:
             return world, stream, snapshot
-        if (type(request) is CycleBoundary
-                and world.cycle == snapshot_cycle):
+        if kind is CycleBoundary and world.cycle == snapshot_cycle:
             blob = encode_config(simulator.iq.entries, simulator.fetch_pc,
                                  simulator.fetch_stalled,
                                  simulator.fetch_halted)

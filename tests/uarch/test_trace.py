@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.isa import assemble
 from repro.obs.spans import CLOCK_SIM, RingBufferSink
+from repro.sim.sampling import SamplingSimulator
+from repro.sim.slowsim import SlowSim
+from repro.uarch.detailed import DetailedSimulator
+from repro.uarch.interactions import CYCLE_BOUNDARY
 from repro.uarch.iq import Stage
 from repro.uarch.trace import (
     CycleSnapshot,
@@ -12,6 +17,8 @@ from repro.uarch.trace import (
     snapshot_event,
     trace_pipeline,
 )
+from repro.workloads import WORKLOAD_ORDER, load_workload
+from tests.uarch.test_detailed_golden import CONFIGS
 
 PROGRAM = """
 main:
@@ -54,31 +61,24 @@ class TestTracePipeline:
         assert "retired 7" in text
 
 
+@pytest.fixture(scope="module")
+def snapshots():
+    """Every cycle of PROGRAM, traced to completion."""
+    collected = []
+    PipelineTracer(assemble(PROGRAM)).run(collected.append, max_cycles=2000)
+    return collected
+
+
 class TestProgrammaticObservation:
-    def test_occupancy_callback(self):
-        occupancies = []
-        tracer = PipelineTracer(assemble(PROGRAM))
-        total = tracer.run(
-            lambda snap: occupancies.append(snap.occupancy()),
-            max_cycles=2000,
-        )
-        assert total > 0
+    def test_occupancy_callback(self, snapshots):
+        occupancies = [snapshot.occupancy() for snapshot in snapshots]
         assert max(occupancies) > 4  # the loop fills the window
         assert occupancies[-1] <= 4  # drained at halt
 
-    def test_stage_counting(self):
-        seen_exec = []
-        tracer = PipelineTracer(assemble(PROGRAM))
-        tracer.run(
-            lambda snap: seen_exec.append(snap.count_stage(Stage.EXEC)),
-            max_cycles=2000,
-        )
-        assert max(seen_exec) >= 1
+    def test_stage_counting(self, snapshots):
+        assert max(s.count_stage(Stage.EXEC) for s in snapshots) >= 1
 
-    def test_snapshots_are_copies(self):
-        snapshots = []
-        tracer = PipelineTracer(assemble(PROGRAM))
-        tracer.run(snapshots.append, max_cycles=2000)
+    def test_snapshots_are_copies(self, snapshots):
         # Late snapshots must not alias early ones' entries.
         for snapshot in snapshots:
             for entry in snapshot.entries:
@@ -133,3 +133,27 @@ class TestSpanSinkIntegration:
         assert cycles[0].startswith("cycle 0")
 
 
+class TestSharedLoop:
+    """The tracer iterates ``SlowSim.cycles``: same cycles, same contract."""
+
+    @pytest.mark.parametrize("config", ["r10k", "tight"])
+    @pytest.mark.parametrize("name", WORKLOAD_ORDER)
+    def test_complete_trace_reports_slowsims_cycles(self, name, config):
+        executable, params = load_workload(name, "tiny"), CONFIGS[config]
+        expected = SlowSim(executable, params).run().cycles
+        snapshots = []
+        traced = PipelineTracer(executable, params).run(
+            snapshots.append, max_cycles=10 * expected)
+        assert traced == len(snapshots) == expected
+
+    def test_a_model_that_stops_early_raises_everywhere(self, monkeypatch):
+        def stops_early(simulator):
+            yield CYCLE_BOUNDARY  # and returns without Finished
+
+        monkeypatch.setattr(DetailedSimulator, "run", stops_early)
+        exe = assemble(PROGRAM)
+        for run in (lambda: SlowSim(exe).run(),
+                    lambda: trace_pipeline(exe, max_cycles=1000),
+                    lambda: SamplingSimulator(exe, period=4, window=2).run()):
+            with pytest.raises(SimulationError, match="ended unexpectedly"):
+                run()
