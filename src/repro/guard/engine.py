@@ -35,6 +35,11 @@ entry node's ``blob`` attribute, which is itself one of the fields a
 bit-flip can corrupt. A mismatch between the two is the first thing an
 audit checks.
 
+The shadow comes from ``FastForwardEngine._restore`` and a hand-off
+enters record mode through ``_enter_record``, like every other way back
+into detailed simulation. The terminal configuration is no special
+case: restored there, the shadow yields ``Finished`` at once.
+
 Clock bookkeeping: ``shadow_cycle`` is the cycle whose requests the
 shadow generator produces next; consuming a ``CycleBoundary`` ends that
 cycle. A chain action is validated by ``world.cycle + pending_delta ==
@@ -42,12 +47,13 @@ shadow_cycle`` where ``pending_delta`` sums the not-yet-applied
 ``AdvanceNode`` deltas — i.e. the chain's claimed clock must meet the
 shadow's actual clock. Entry states are boundary snapshots, so a fresh
 shadow's first requests belong to ``world.cycle + 1``; the one
-exception is the program's *root* configuration (empty iQ at the entry
-PC with the world at cycle 0), whose chain was recorded from a cold
-start and begins at cycle 0. A boundary-snapped state that happens to
-encode identically to the root at world cycle 0 would be
-misclassified, but such a state would require the whole cycle-0 fetch
-group to vanish within its own cycle, which the pipeline cannot do.
+exception is the program's *root* configuration — the blob ``run()``
+encoded at cold start (``root_blob``), met with the world at cycle 0 —
+whose chain was recorded from a cold start and begins at cycle 0. A
+boundary-snapped state that happens to encode identically to the root
+at world cycle 0 would be misclassified, but such a state would
+require the whole cycle-0 fetch group to vanish within its own cycle,
+which the pipeline cannot do.
 """
 
 from __future__ import annotations
@@ -70,8 +76,7 @@ from repro.memo.actions import (
     StoreIssueNode,
 )
 from repro.memo.engine import _REQUEST_FOR_NODE, FastForwardEngine
-from repro.uarch.config_codec import decode_config, encode_config
-from repro.uarch.detailed import DetailedSimulator
+from repro.uarch.config_codec import encode_config
 from repro.uarch.interactions import CycleBoundary, Finished
 
 
@@ -154,80 +159,14 @@ class GuardedEngine(FastForwardEngine):
         self.audits = 0
         self.divergences = 0
         self.reports: List[DivergenceReport] = []
-        self._root: Optional[bytes] = None
 
     # ------------------------------------------------------------------
-
-    def _root_blob(self) -> bytes:
-        """Encoding of the cold-start state (see module docstring)."""
-        if self._root is None:
-            sim = DetailedSimulator(self.executable, self.params)
-            self._root = encode_config(sim.iq.entries, sim.fetch_pc,
-                                       sim.fetch_stalled, sim.fetch_halted)
-        return self._root
 
     def _replay(self, entry: ConfigNode):
         ordinal = self.memo.replay_episodes
         if (ordinal + self._audit_phase) % self.audit_every == 0:
             return self._replay_audited(entry, ordinal)
         return super()._replay(entry)
-
-    def _replay_terminal(self, entry: ConfigNode, ordinal: int,
-                         true_blob: bytes):
-        """Audit an episode entering at the terminal configuration.
-
-        The recorder snapshots the finishing cycle's boundary like any
-        other, so the graph holds one post-halt configuration whose
-        only legal chain is ``EndNode(delta=1)``: the recording always
-        advanced exactly one cycle between that snapshot and
-        ``Finished``. Anything else is corruption (or a pruned chain),
-        and either way the known-true ending is applied so the run
-        still completes with correct cycle counts.
-        """
-        world = self.world
-        memo = self.memo
-        cache = self.cache
-        node = entry.next
-        if (entry.blob == true_blob and type(node) is EndNode
-                and node.delta == 1):
-            cache.touch(entry)
-            cache.touch(node)
-            memo.configs_replayed += 1
-            world.advance_cycles(1)
-            memo.replayed_cycles += 1
-            memo.actions_replayed += 1
-            self._end_chain(1)
-            return ("finished",)
-        if node is None and entry.blob == true_blob:
-            # Pruned by a replacement policy — not corruption. Repair:
-            # re-record the ending a fresh resync could never reach (a
-            # restored terminal simulator yields no events at all).
-            end = EndNode(1)
-            cache.alloc_action(end)
-            cache.attach((entry, None), end)
-        else:
-            label = ("entry-blob" if entry.blob != true_blob
-                     else "end-mismatch")
-            report = DivergenceReport(
-                kind=label,
-                episode=ordinal,
-                chain_index=0,
-                world_cycle=world.cycle,
-                shadow_cycle=world.cycle + 1,
-                expected=repr(node) if node is not None else "<chain end>",
-                actual="<Finished at terminal configuration>",
-            )
-            self.reports.append(report)
-            self.divergences += 1
-            if self._obs_on:
-                self.obs.counter("guard.divergences")
-                self.obs.event("guard.divergence", cat="guard",
-                               **report.as_dict())
-            cache.invalidate(entry)
-        world.advance_cycles(1)
-        memo.detailed_cycles += 1
-        self._end_chain(0)
-        return ("finished",)
 
     # ------------------------------------------------------------------
     # Audited replay: lockstep chain-vs-shadow verification
@@ -251,21 +190,9 @@ class GuardedEngine(FastForwardEngine):
         if obs_on:
             obs.counter("guard.audits")
 
-        entries, fetch_pc, stalled, halted = decode_config(
-            true_blob, self.executable
-        )
-        if not entries and halted:
-            # Terminal configuration: the halt has retired and the iQ
-            # drained. A simulator restored from this state can never
-            # produce another event, so no shadow can run — but the
-            # true continuation is fully determined (one drain
-            # boundary, then Finished), so verify the chain against
-            # that directly.
-            return self._replay_terminal(entry, ordinal, true_blob)
-        shadow = DetailedSimulator(self.executable, self.params)
-        shadow.restore(entries, fetch_pc, stalled, halted)
+        shadow = self._restore(true_blob)
         gen = shadow.run()
-        is_root = world.cycle == 0 and true_blob == self._root_blob()
+        is_root = world.cycle == 0 and true_blob == self.root_blob
         shadow_cycle = world.cycle if is_root else world.cycle + 1
 
         chain_length = 0
@@ -327,21 +254,16 @@ class GuardedEngine(FastForwardEngine):
 
             The shadow doubles as the resync simulator: it is already
             synchronised through the last verified action, so no
-            outcome re-feed is needed. ``b0`` — the cycle the shadow's
-            next boundary ends — equals ``shadow_cycle`` by the clock
-            convention, so the world is advanced to it (detailed
-            cycles) when behind, mirroring ``_resync``.
+            outcome re-feed is needed. Its next boundary ends
+            ``shadow_cycle`` by the clock convention, which is what
+            ``_enter_record`` aligns the world to.
             """
-            anchor = world.cycle
-            if world.cycle < shadow_cycle:
-                memo.detailed_cycles += shadow_cycle - world.cycle
-                world.advance_cycles(shadow_cycle - world.cycle)
-            debt = max(0, anchor - shadow_cycle)
             generator = gen
             if pending_request is not None:
                 generator = _replay_pending(pending_request, gen)
-            return ("record", shadow, generator, attach, anchor,
-                    send, debt, segment_actions > 0)
+            return self._enter_record(shadow, generator, attach,
+                                      shadow_cycle, send,
+                                      segment_actions > 0)
 
         def corrupt(label, node, request, attach, pending_request=None,
                     invalidated=None):

@@ -178,6 +178,8 @@ class FastForwardEngine:
             self.cache.turbo = SegmentTable(self.turbo.threshold)
         self.memo = MemoStats()
         self.max_cycles = 0
+        #: The cold-start configuration :meth:`run` encoded.
+        self.root_blob: Optional[bytes] = None
         # Observability hooks. ``obs`` resolves to the module-level
         # null object when disabled; ``_obs_on`` guards per-cycle
         # sampling so the off path costs one attribute test. Observers
@@ -193,14 +195,15 @@ class FastForwardEngine:
         self.max_cycles = max_cycles
         self.cache.bind_program(run_signature(self.executable, self.params))
         simulator = DetailedSimulator(self.executable, self.params)
-        blob = self._encode(simulator)
+        self.root_blob = blob = self._encode(simulator)
         node = self.cache.lookup(blob)
         if node is not None:
             mode = ("replay", node)
         else:
             root = self.cache.alloc_config(blob)
-            mode = ("record", simulator, simulator.run(), (root, None),
-                    self.world.cycle, None, 0, False)
+            mode = self._enter_record(simulator, simulator.run(),
+                                      (root, None), self.world.cycle,
+                                      None, False)
 
         while True:
             if mode[0] == "record":
@@ -230,6 +233,47 @@ class FastForwardEngine:
             self.obs.counter("memo.encodes")
             self.obs.observe("memo.config_bytes", len(blob))
         return blob
+
+    def _restore(self, blob: bytes) -> DetailedSimulator:
+        """A detailed simulator resumed from configuration *blob*.
+
+        A blob that cannot decode is corrupt in-memory state: no
+        simulator can resume from it, and silently proceeding would
+        emit wrong numbers. It surfaces as the memoization failure it
+        is (docs/robustness.md).
+        """
+        try:
+            state = decode_config(blob, self.executable)
+        except MemoizationError:
+            raise
+        except (ValueError, IndexError, struct.error) as exc:
+            raise MemoizationError(
+                f"cannot resynchronize: undecodable configuration "
+                f"snapshot ({type(exc).__name__}: {exc})"
+            ) from exc
+        simulator = DetailedSimulator(self.executable, self.params)
+        simulator.restore(*state)
+        return simulator
+
+    def _enter_record(self, simulator, generator,
+                      attach: Optional[AttachPoint], first_boundary: int,
+                      send, since: bool):
+        """The record-mode tuple for *generator*, whose requests up to
+        its first ``CycleBoundary`` belong to cycle *first_boundary*.
+
+        The one clock alignment: a world behind that cycle is advanced
+        to it and the cycles count as detailed; a world ahead has
+        already advanced past boundaries the generator will still
+        yield, and that lead becomes cycle debt for ``_record`` to
+        swallow.
+        """
+        world = self.world
+        anchor = world.cycle  # cycle of the last action on the branch
+        if anchor < first_boundary:
+            world.advance_cycles(first_boundary - anchor)
+            self.memo.detailed_cycles += first_boundary - anchor
+        return ("record", simulator, generator, attach, anchor, send,
+                max(0, anchor - first_boundary), since)
 
     def _end_chain(self, length: int) -> None:
         """Close one replay chain (statistics + event metrics)."""
@@ -655,23 +699,7 @@ class FastForwardEngine:
             self.obs.counter("memo.resyncs")
             self.obs.observe("memo.resync_log_length", len(chain_log))
         with self.obs.span("memo.resync", cat="memo"):
-            try:
-                entries, fetch_pc, stalled, halted = decode_config(
-                    blob, self.executable
-                )
-            except MemoizationError:
-                raise
-            except (ValueError, IndexError, struct.error) as exc:
-                # A blob that cannot decode is corrupt in-memory state:
-                # the engine cannot resynchronize from it, and silently
-                # proceeding would emit wrong numbers. Surface it as
-                # the memoization failure it is (docs/robustness.md).
-                raise MemoizationError(
-                    f"cannot resynchronize: undecodable configuration "
-                    f"snapshot ({type(exc).__name__}: {exc})"
-                ) from exc
-            simulator = DetailedSimulator(self.executable, self.params)
-            simulator.restore(entries, fetch_pc, stalled, halted)
+            simulator = self._restore(blob)
             generator = simulator.run()
 
             send = None
@@ -690,21 +718,10 @@ class FastForwardEngine:
                     )
                 if node.is_outcome:
                     send = value
-            # Align the world clock with the resumed simulator. The
-            # resumed generator's first cycle boundary ends cycle
-            # ``b0``: ``log_anchor`` when the prefix left the simulator
+            # The resumed generator's first boundary ends cycle
+            # ``log_anchor`` when the prefix left the simulator
             # mid-cycle (non-empty log), else the cycle after the
-            # owning configuration. Boundaries whose cycles the
-            # replayer already advanced past are "debt" and must be
-            # swallowed instead of advancing the clock; conversely,
-            # resuming exactly at a configuration owes the one advance
-            # the skipped record-mode boundary would have done.
-            world_cycle = self.world.cycle
-            anchor = world_cycle  # cycle of the last action on branch
+            # owning configuration.
             b0 = log_anchor if chain_log else log_anchor + 1
-            if world_cycle < b0:
-                self.world.advance_cycles(b0 - world_cycle)
-                self.memo.detailed_cycles += b0 - world_cycle
-            cycle_debt = max(0, world_cycle - b0)
-            return ("record", simulator, generator, attach, anchor,
-                    send, cycle_debt, bool(chain_log))
+            return self._enter_record(simulator, generator, attach, b0,
+                                      send, bool(chain_log))

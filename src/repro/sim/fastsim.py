@@ -39,7 +39,7 @@ from repro.memo.engine import FastForwardEngine
 from repro.memo.pcache import PActionCache
 from repro.memo.policies import ReplacementPolicy
 from repro.obs.core import ensure_observer
-from repro.sim.results import SimulationResult
+from repro.sim.results import SimulationResult, world_result
 from repro.sim.world import World
 from repro.uarch.params import ProcessorParams
 
@@ -113,12 +113,8 @@ class FastSim:
         elapsed = time.perf_counter() - started  # repro-lint: disable=det/time-dependent
         world = self.world
         frontend = world.frontend
+        result = world_result(self.name, world, elapsed, self.obs, memo)
         if self.obs.enabled:
-            self.obs.gauge("sim.cycles", world.stats.cycles)
-            self.obs.gauge(
-                "sim.instructions", world.stats.retired_instructions
-            )
-            self.obs.gauge("frontend.rollbacks", frontend.rollbacks)
             self.obs.gauge("memo.pcache_peak_bytes", self.pcache.peak_bytes)
             for name, value in sorted(frontend.frontend_stats().items()):
                 self.obs.gauge(f"frontend.{name}", value)
@@ -127,15 +123,4 @@ class FastSim:
             if self.segstore_stats is not None:
                 for name, value in sorted(self.segstore_stats.items()):
                     self.obs.gauge(f"turbo.segstore.{name}", value)
-        return SimulationResult(
-            name=self.name,
-            cycles=world.stats.cycles,
-            instructions=world.stats.retired_instructions,
-            output=list(world.program_output),
-            sim_stats=world.stats,
-            cache_stats=world.cache.stats,
-            host_seconds=elapsed,
-            frontend_instructions=frontend.executed_instructions,
-            rollbacks=frontend.rollbacks,
-            memo=memo,
-        )
+        return result

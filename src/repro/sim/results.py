@@ -167,3 +167,27 @@ class SimulationResult:
             "output": list(self.output),
             "sim_stats": self.sim_stats.as_dict(),
         }
+
+
+def world_result(name: str, world, host_seconds: float, obs,
+                 memo: Optional[MemoStats] = None) -> SimulationResult:
+    """The result record of a run driven through *world* (a
+    :class:`~repro.sim.world.World`), emitting the run's cycle,
+    instruction and rollback gauges when *obs* is enabled."""
+    frontend = world.frontend
+    if obs.enabled:
+        obs.gauge("sim.cycles", world.stats.cycles)
+        obs.gauge("sim.instructions", world.stats.retired_instructions)
+        obs.gauge("frontend.rollbacks", frontend.rollbacks)
+    return SimulationResult(
+        name=name,
+        cycles=world.stats.cycles,
+        instructions=world.stats.retired_instructions,
+        output=list(world.program_output),
+        sim_stats=world.stats,
+        cache_stats=world.cache.stats,
+        host_seconds=host_seconds,
+        frontend_instructions=frontend.executed_instructions,
+        rollbacks=frontend.rollbacks,
+        memo=memo if memo is not None else MemoStats(),
+    )

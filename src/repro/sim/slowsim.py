@@ -22,7 +22,7 @@ from repro.branch.predictor import BranchPredictor
 from repro.errors import SimulationError
 from repro.isa.program import Executable
 from repro.obs.core import ensure_observer
-from repro.sim.results import SimulationResult
+from repro.sim.results import SimulationResult, world_result
 from repro.sim.world import World
 from repro.uarch.detailed import DetailedSimulator
 from repro.uarch.interactions import CycleBoundary, Finished
@@ -92,23 +92,4 @@ class SlowSim:
                 if obs_on:
                     obs.sample_pipeline(world.cycle, self.simulator.occupancy)
         elapsed = time.perf_counter() - started
-        if obs_on:
-            obs.gauge("sim.cycles", world.stats.cycles)
-            obs.gauge("sim.instructions", world.stats.retired_instructions)
-            obs.gauge("frontend.rollbacks", world.frontend.rollbacks)
-        return self._result(elapsed)
-
-    def _result(self, elapsed: float) -> SimulationResult:
-        world = self.world
-        frontend = world.frontend
-        return SimulationResult(
-            name=self.name,
-            cycles=world.stats.cycles,
-            instructions=world.stats.retired_instructions,
-            output=list(world.program_output),
-            sim_stats=world.stats,
-            cache_stats=world.cache.stats,
-            host_seconds=elapsed,
-            frontend_instructions=frontend.executed_instructions,
-            rollbacks=frontend.rollbacks,
-        )
+        return world_result(self.name, world, elapsed, obs)

@@ -264,6 +264,11 @@ class DetailedSimulator:
         fetch_width = params.fetch_width
         max_spec_branches = params.max_spec_branches
         capacity = params.iq_capacity
+        if self.fetch_halted and not self.iq.entries:
+            # Restored at the terminal configuration: the boundary that
+            # took the snapshot is spent, so only the end remains.
+            yield FINISHED
+            return
         while True:
             entries = self.iq.entries
 

@@ -160,8 +160,10 @@ def _terminal_entry(cache):
 
 
 class TestTerminalConfiguration:
-    """The finishing boundary's snapshot has no live simulator to
-    shadow (post-halt, drained queue); it gets a structural check."""
+    """The finishing boundary's snapshot (post-halt, drained queue) is
+    audited like any other entry: its shadow yields ``Finished`` at
+    once, so a pruned ending is re-recorded through the hand-off and a
+    wrong delta is an ``end-mismatch``."""
 
     def test_pruned_terminal_repaired(self):
         recorder, reference = _run("compress")

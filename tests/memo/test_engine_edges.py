@@ -7,7 +7,7 @@ import pytest
 from repro.branch import AlwaysTakenPredictor, NotTakenPredictor
 from repro.errors import MemoizationError, SimulationError
 from repro.isa import assemble
-from repro.memo.actions import RetireNode, RollbackNode
+from repro.memo.actions import EndNode, RetireNode, RollbackNode
 from repro.memo.engine import run_signature
 from repro.memo.pcache import PActionCache
 from repro.sim.fastsim import FastSim
@@ -153,6 +153,24 @@ inner:
         fast = FastSim(assemble(self.PHASED),
                        policy=FlushOnFullPolicy(2048)).run()
         assert fast.timing_equal(slow)
+
+    def test_fallback_at_pruned_terminal_configuration(self):
+        """The terminal configuration (drained, halted) with its EndNode
+        pruned: the restored simulator finishes at once, and the ending
+        is recorded again for the next run."""
+        exe = load_workload("compress", "tiny")
+        slow = SlowSim(exe).run()
+        recorder = FastSim(exe)
+        recorder.run()
+        terminal = [entry for entry in recorder.pcache.index.values()
+                    if isinstance(entry.next, EndNode)]
+        assert len(terminal) == 1
+        terminal[0].next = None
+        warm = FastSim(exe, pcache=recorder.pcache).run(
+            max_cycles=20 * slow.cycles)
+        assert warm.timing_equal(slow)
+        assert warm.memo.detailed_cycles == 1
+        assert isinstance(terminal[0].next, EndNode)
 
 
 class TestSharedCacheTiming:

@@ -20,6 +20,7 @@ from repro.memo.policies import (
 )
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
+from repro.workloads import load_workload
 
 WORKLOAD = """
 main:
@@ -230,3 +231,19 @@ class TestRepeatedRunsUnderPressure:
                          policy=policy, pcache=first.pcache)
         result2 = second.run()
         assert result2.timing_equal(result1)
+
+    def test_reuse_after_collection_at_the_terminal_configuration(self):
+        """wave5 under generational GC at 0.2x its natural peak collects
+        right after allocating the terminal configuration, so that
+        configuration stays in the index with no EndNode. Runs reusing
+        the cache, once unbounded and once bounded, replay onto it and
+        must fall back and finish like SlowSim."""
+        exe = load_workload("wave5", "tiny")
+        slow = SlowSim(exe).run()
+        limit = int(0.2 * FastSim(exe).run().memo.peak_cache_bytes)
+        first = FastSim(exe, policy=GenerationalGCPolicy(limit))
+        assert first.run().timing_equal(slow)
+        for policy in (None, GenerationalGCPolicy(limit)):
+            reuse = FastSim(exe, policy=policy, pcache=first.pcache)
+            result = reuse.run(max_cycles=20 * slow.cycles)
+            assert result.timing_equal(slow)

@@ -24,7 +24,7 @@ from repro.sim.baseline import IntegratedSimulator
 from repro.sim.world import World
 from repro.uarch.config_codec import decode_config, encode_config
 from repro.uarch.detailed import DetailedSimulator
-from repro.uarch.interactions import CycleBoundary, Finished
+from repro.uarch.interactions import FINISHED, CycleBoundary, Finished
 from repro.uarch.params import ProcessorParams
 from repro.workloads import WORKLOAD_ORDER, load_workload
 
@@ -141,22 +141,28 @@ def test_integrated_baseline_matches_golden_under_config(golden, name,
     assert baseline_row(name, config) == golden[baseline_key(name, config)]
 
 
-@pytest.mark.parametrize("fraction", [0.25, 0.6])
+@pytest.mark.parametrize("fraction", [0.25, 0.6, 1.0])
 @pytest.mark.parametrize("name,config", [
     ("go", "r10k"), ("li", "narrow"), ("tomcatv", "iq16"),
     ("fpppp", "bht128"),
 ])
 def test_restored_configuration_continues_identically(golden, name, config,
                                                       fraction):
-    """encode → decode → restore at a mid-run boundary, then re-feed the
-    original outcomes: the request-stream suffix must be identical."""
+    """encode → decode → restore at a boundary, then re-feed the
+    original outcomes: the request-stream suffix must be identical and
+    end where the original ended. Fraction 1.0 is the finishing
+    boundary — the terminal configuration, drained and halted — whose
+    suffix is just ``Finished``."""
     executable = load_workload(name, "tiny")
     params = CONFIGS[config]
     cycle = int(golden[f"{name}/{config}"]["cycles"] * fraction)
     _, stream, snapshot = drive(executable, params, snapshot_cycle=cycle)
     blob, position = snapshot
     suffix = stream[position:]
-    assert len(suffix) > 100
+    if fraction == 1.0:
+        assert suffix == [(repr(FINISHED), None)]
+    else:
+        assert len(suffix) > 100
 
     resumed = DetailedSimulator(executable, params)
     resumed.restore(*decode_config(blob, executable))
@@ -165,6 +171,8 @@ def test_restored_configuration_continues_identically(golden, name, config,
     for expected, recorded_outcome in suffix:
         assert repr(generator.send(outcome)) == expected
         outcome = recorded_outcome
+    with pytest.raises(StopIteration):
+        generator.send(outcome)
 
 
 if __name__ == "__main__":
