@@ -61,7 +61,3 @@ class MemorySystemParams:
     bus_width: int = 8
     #: Store buffer entries between the pipeline and the L1/L2.
     store_buffer: int = 8
-
-    def bus_cycles_for(self, nbytes: int) -> int:
-        """Bus occupancy (in cycles) to move *nbytes*."""
-        return max(1, (nbytes + self.bus_width - 1) // self.bus_width)

@@ -53,10 +53,6 @@ def register_job_kind(name: str, executor: JobExecutor) -> None:
     _JOB_KINDS[name] = executor
 
 
-def _effective_params(job: Job) -> ProcessorParams:
-    return job.params if job.params is not None else ProcessorParams.r10k()
-
-
 def native_run(executable) -> NativeRun:
     """Time plain functional execution of *executable*."""
     interpreter = Interpreter(executable)
@@ -130,9 +126,10 @@ def simulate_executable(
                       **host.fastsim_kwargs())
         result = sim.run()
         table = sim.pcache.turbo
-        if sim.engine.turbo.enabled and table is not None:
+        if sim.engine.turbo and table is not None:
             # Host-side diagnostics (metrics, not canonical output).
-            metrics["turbo"] = table.snapshot()
+            metrics["turbo"] = dict(table.snapshot(),
+                                    threshold=sim.engine.turbo_threshold)
         if sim.segstore_stats is not None:
             metrics["segstore"] = dict(sim.segstore_stats)
         if host.audit_every is not None:
@@ -148,7 +145,7 @@ def simulate_executable(
             )
             if obs is not None and metrics["cache_saved"]:
                 obs.counter("campaign.cache_saves")
-            if sim.engine.turbo.enabled and table is not None:
+            if sim.engine.turbo and table is not None:
                 from repro.memo.segstore import capture
 
                 metrics["segments_saved"] = store.store_segments(

@@ -38,11 +38,6 @@ def to_signed(value: int) -> int:
     return value - 0x1_0000_0000 if value & 0x8000_0000 else value
 
 
-def to_unsigned(value: int) -> int:
-    """Truncate a Python int to an unsigned 32-bit value."""
-    return value & 0xFFFF_FFFF
-
-
 class ArchState:
     """Complete architectural state of the simulated machine."""
 

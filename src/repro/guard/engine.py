@@ -23,10 +23,11 @@ clean at the last verified action and the engine can
    mode, exactly like the engine's normal fall-back path —
 
 degrading to detailed simulation instead of crashing or emitting wrong
-numbers. Because the verified prefix performs the same world calls in
-the same order at the same cycles as unguarded replay (cycle advances
-are deferred until validated, then applied node-by-node), an audited
-run of an *uncorrupted* cache is ``timing_equal`` to an unguarded run.
+numbers. Each verified request is performed through ``World.answer``,
+so the verified prefix performs the same world calls in the same order
+at the same cycles as unguarded replay (cycle advances are deferred
+until validated, then applied node-by-node), and an audited run of an
+*uncorrupted* cache is ``timing_equal`` to an unguarded run.
 
 Trust anchor: the shadow is decoded from
 ``PActionCache.last_lookup_blob`` — the dict *key* that produced the
@@ -148,9 +149,10 @@ class GuardedEngine(FastForwardEngine):
 
     def __init__(self, executable, world, pcache=None, policy=None,
                  obs=None, audit_every: int = 1, audit_seed: int = 0,
-                 turbo=None):
+                 turbo: bool = True, turbo_threshold: Optional[int] = None):
         super().__init__(executable, world, pcache=pcache, policy=policy,
-                         obs=obs, turbo=turbo)
+                         obs=obs, turbo=turbo,
+                         turbo_threshold=turbo_threshold)
         if audit_every < 1:
             raise ValueError("audit_every must be >= 1")
         self.audit_every = audit_every
@@ -387,59 +389,26 @@ class GuardedEngine(FastForwardEngine):
                 return corrupt("action-payload", node, request, came_from,
                                pending_request=request)
 
+            reply = world.answer(request)  # == the recorded request
             if kind is RetireNode:
-                world.retire(node.request)
-                memo.replayed_instructions += node.request.count
-                memo.actions_replayed += 1
-                chain_length += 1
-                segment_actions += 1
-                came_from = (node, None)
-                position = node.next
-                continue
-
-            if kind is RollbackNode:
-                world.rollback(node.request)
-                memo.actions_replayed += 1
-                chain_length += 1
-                segment_actions += 1
-                came_from = (node, None)
-                position = node.next
-                continue
-
-            if kind is ControlNode:
-                record = world.get_control()
-                outcome_key = record.outcome_key
-                memo.actions_replayed += 1
-                chain_length += 1
-                segment_actions += 1
-                send = record
-                successor = node.edges.get(outcome_key)
-                if successor is None:
-                    # Outcome not yet memoized — the engine's normal
-                    # fall-back, not corruption. The shadow is already
-                    # at the divergence point.
-                    self._end_chain(chain_length)
-                    return handoff((node, outcome_key))
-                came_from = (node, outcome_key)
-                position = successor
-                continue
-
-            # LoadIssueNode / LoadPollNode / StoreIssueNode
-            if kind is LoadIssueNode:
-                reply = world.issue_load(node.ordinal)
-            elif kind is LoadPollNode:
-                reply = world.poll_load(node.ordinal)
-            else:
-                reply = world.issue_store(node.ordinal)
+                memo.replayed_instructions += request.count
             memo.actions_replayed += 1
             chain_length += 1
             segment_actions += 1
+            if not node.is_outcome:
+                came_from = (node, None)
+                position = node.next
+                continue
             send = reply
-            successor = node.edges.get(reply)
+            key = reply.outcome_key if kind is ControlNode else reply
+            successor = node.edges.get(key)
             if successor is None:
+                # Outcome not yet memoized — the engine's normal
+                # fall-back, not corruption. The shadow is already
+                # at the divergence point.
                 self._end_chain(chain_length)
-                return handoff((node, reply))
-            came_from = (node, reply)
+                return handoff((node, key))
+            came_from = (node, key)
             position = successor
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AssemblerError
@@ -74,18 +74,6 @@ class _Statement:
     mnemonic: str
     operands: List[str]
     address: int = 0
-
-
-@dataclass
-class _Section:
-    """Accumulates one output segment during assembly."""
-
-    base: int
-    chunks: bytearray = field(default_factory=bytearray)
-
-    @property
-    def position(self) -> int:
-        return self.base + len(self.chunks)
 
 
 class Assembler:
@@ -349,9 +337,6 @@ class Assembler:
 
     def _is_int_reg(self, text: str) -> bool:
         return text.startswith("%") and text[1:].lower() in INT_REG_NAMES
-
-    def _is_fp_reg(self, text: str) -> bool:
-        return bool(re.fullmatch(r"%[fF]\d+", text))
 
     def _parse_mem(
         self,

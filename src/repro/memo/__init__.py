@@ -5,7 +5,7 @@
 * replacement policies — unbounded, flush-on-full, copying GC,
   generational GC (§4.3)
 * chain compilation — hot replay paths compiled to flat segments
-  (:class:`TurboConfig`, :mod:`repro.memo.compile`)
+  (:mod:`repro.memo.compile`)
 """
 
 from repro.memo.actions import (
@@ -27,7 +27,6 @@ from repro.memo.compile import (
     CompiledSegment,
     DEFAULT_COMPILE_THRESHOLD,
     SegmentTable,
-    TurboConfig,
     compile_segment,
     patch_log,
     revalidate,
@@ -67,7 +66,6 @@ __all__ = [
     "PActionCache",
     "FastForwardEngine",
     "run_signature",
-    "TurboConfig",
     "SegmentTable",
     "CompiledSegment",
     "DEFAULT_COMPILE_THRESHOLD",

@@ -121,7 +121,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro import codecache
@@ -184,27 +183,6 @@ SEG_TEMPLATES = {
 }
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
-
-
-@dataclass(frozen=True)
-class TurboConfig:
-    """Chain-compilation knobs (``--turbo`` / ``--turbo-threshold``)."""
-
-    enabled: bool = True
-    threshold: int = DEFAULT_COMPILE_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ValueError("turbo threshold must be >= 1")
-
-    @staticmethod
-    def resolve(value) -> "TurboConfig":
-        """Coerce ``None`` / bool / TurboConfig to a TurboConfig."""
-        if value is None:
-            return TurboConfig()
-        if isinstance(value, TurboConfig):
-            return value
-        return TurboConfig(enabled=bool(value))
 
 
 class _CtlSlot:
@@ -591,10 +569,7 @@ class SegmentTable:
     to make survival decisions.
     """
 
-    def __init__(self, threshold: int = DEFAULT_COMPILE_THRESHOLD):
-        if threshold < 1:
-            raise ValueError("turbo threshold must be >= 1")
-        self.threshold = threshold
+    def __init__(self):
         self.segments: List[CompiledSegment] = []
         #: Segments ever compiled / full fast-path replays / guard
         #: side exits / stale segments discarded at use (obs mirrors
@@ -649,5 +624,4 @@ class SegmentTable:
             "segments_installed": self.segments_installed,
             "segments_live": len(self.segments),
             "side_exits": self.side_exits,
-            "threshold": self.threshold,
         }

@@ -67,8 +67,8 @@ from repro.memo.actions import (
     StoreIssueNode,
 )
 from repro.memo.compile import (
+    DEFAULT_COMPILE_THRESHOLD,
     SegmentTable,
-    TurboConfig,
     compile_segment,
     patch_log,
     revalidate,
@@ -161,21 +161,28 @@ class FastForwardEngine:
         pcache: Optional[PActionCache] = None,
         policy: Optional[ReplacementPolicy] = None,
         obs=None,
-        turbo=None,
+        turbo: bool = True,
+        turbo_threshold: Optional[int] = None,
     ):
         self.executable = executable
         self.world = world
         self.params = world.params
         self.cache = pcache if pcache is not None else PActionCache()
         self.policy = policy if policy is not None else UnboundedPolicy()
-        # Chain compilation (repro.turbo): accepts None (defaults),
-        # a bool, or a TurboConfig. The segment table lives on the
-        # cache so compiled segments stay warm across engines sharing
-        # a pcache, and so replacement policies can flush deferred
-        # touches before collecting (docs/performance.md).
-        self.turbo = TurboConfig.resolve(turbo)
-        if self.turbo.enabled and self.cache.turbo is None:
-            self.cache.turbo = SegmentTable(self.turbo.threshold)
+        # Chain compilation (repro.turbo), one to one with
+        # ``HostOptions.turbo`` / ``turbo_threshold``. The segment table
+        # lives on the cache so compiled segments stay warm across
+        # engines sharing a pcache, and so replacement policies can
+        # flush deferred touches before collecting; each engine compiles
+        # at its own threshold (docs/performance.md).
+        if turbo_threshold is None:
+            turbo_threshold = DEFAULT_COMPILE_THRESHOLD
+        if turbo_threshold < 1:
+            raise ValueError("turbo threshold must be >= 1")
+        self.turbo = turbo
+        self.turbo_threshold = turbo_threshold
+        if turbo and self.cache.turbo is None:
+            self.cache.turbo = SegmentTable()
         self.memo = MemoStats()
         self.max_cycles = 0
         #: The cold-start configuration :meth:`run` encoded.
@@ -452,13 +459,13 @@ class FastForwardEngine:
         came_from: Optional[AttachPoint] = None
         finished = False
 
-        table = cache.turbo if self.turbo.enabled else None
+        table = cache.turbo if self.turbo else None
         turbo_on = table is not None
         fast = False
         replays = 0
         if turbo_on:
             graph_gen = cache.graph_generation
-            threshold = table.threshold
+            threshold = self.turbo_threshold
             max_cycles = self.max_cycles
             replays = table.segment_replays
 

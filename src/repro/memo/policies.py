@@ -8,7 +8,9 @@ The paper investigates four ways of bounding the p-action cache:
   limit the p-action cache to any size");
 * **copying GC** — keep only actions *used since the last collection*;
 * **generational GC** — ditto, but nodes that survive a collection are
-  promoted and minor collections only sweep the young generation.
+  promoted and minor collections only sweep the young generation
+  (one implementation: copying GC is generational GC with every
+  collection major).
 
 The paper's finding — reproduced by ``fastsim-repro gc-study``
 — is that the collectors are "almost always worse than simply
@@ -72,24 +74,27 @@ class FlushOnFullPolicy(ReplacementPolicy):
         return f"flush@{self.limit_bytes}"
 
 
-class CopyingGCPolicy(ReplacementPolicy):
-    """Keep only nodes used since the last collection.
+class GenerationalGCPolicy(ReplacementPolicy):
+    """Two-generation collector: survivors are promoted and minor
+    collections sweep only the young generation.
 
-    A node was "used" when its ``touch_gen`` is newer than the previous
-    collection's clock. Untouched successors are unlinked, so replay
-    hitting a pruned branch falls back to detailed simulation and
-    re-records — exactly the cost the paper measured against flushing
-    (plus, in the real implementation, the copying cost; our model
-    counts surviving bytes identically).
+    A node is alive when its ``touch_gen`` is newer than the previous
+    collection's clock or, on a minor collection, when it is promoted.
+    Dead successors are unlinked, so replay hitting a pruned branch
+    falls back to detailed simulation and re-records.
     """
 
-    name = "copying-gc"
+    name = "generational-gc"
+
+    #: Run a full (major) collection every this many collections.
+    MAJOR_EVERY = 4
 
     def __init__(self, limit_bytes: int):
         if limit_bytes <= 0:
             raise ValueError("limit must be positive")
         self.limit_bytes = limit_bytes
         self._last_collection_clock = 0
+        self._minor_count = 0
         #: Fraction of bytes surviving each collection (paper: ~18%).
         self.survival_rates = []
 
@@ -101,65 +106,36 @@ class CopyingGCPolicy(ReplacementPolicy):
         cache.prepare_collection()
         before = cache.bytes_used
         threshold = self._last_collection_clock
-        kept: Dict[bytes, ConfigNode] = {}
+        self._minor_count += 1
+        keep_old = self._minor_count % self.MAJOR_EVERY != 0
+
+        def alive(node: Node) -> bool:
+            return node.touch_gen > threshold or (keep_old
+                                                  and node.generation > 0)
+
         # Per-node survival filter: insertion order of ``index`` is the
         # (deterministic) recording order, and the decision for each
         # node is independent of visit order.
-        for blob, node in cache.index.items():  # repro-lint: disable=det/dict-value-iteration
-            if node.touch_gen > threshold:
-                kept[blob] = node
-        for node in list(reachable(kept.values())):
-            _prune_dead_successors(node, threshold)
-        cache.rebuild(kept)
-        self._last_collection_clock = cache.touch_clock
-        self.survival_rates.append(
-            cache.bytes_used / before if before else 0.0
-        )
-        return True
-
-    def describe(self) -> str:
-        return f"copying-gc@{self.limit_bytes}"
-
-
-class GenerationalGCPolicy(ReplacementPolicy):
-    """Two-generation collector: survivors are promoted and minor
-    collections sweep only the young generation."""
-
-    name = "generational-gc"
-
-    #: Run a full (major) collection every this many minor ones.
-    MAJOR_EVERY = 4
-
-    def __init__(self, limit_bytes: int):
-        if limit_bytes <= 0:
-            raise ValueError("limit must be positive")
-        self.limit_bytes = limit_bytes
-        self._last_collection_clock = 0
-        self._minor_count = 0
-        self.survival_rates = []
-
-    def maybe_collect(self, cache: PActionCache) -> bool:
-        if cache.bytes_used <= self.limit_bytes:
-            return False
-        cache.prepare_collection()
-        before = cache.bytes_used
-        threshold = self._last_collection_clock
-        self._minor_count += 1
-        major = self._minor_count % self.MAJOR_EVERY == 0
         kept: Dict[bytes, ConfigNode] = {}
-        # Same order-insensitive survival filter as SizeLimitPolicy.
         for blob, node in cache.index.items():  # repro-lint: disable=det/dict-value-iteration
-            survive = node.touch_gen > threshold or (
-                not major and node.generation > 0
-            )
-            if survive:
+            if alive(node):
                 kept[blob] = node
         for node in list(reachable(kept.values())):
-            _prune_dead_successors(
-                node, threshold, keep_old=not major
-            )
-        for node in reachable(kept.values()):
-            node.generation = 1  # survivors are promoted
+            if node.is_outcome:
+                # Order-insensitive: selects the *set* of dead edges.
+                dead = [
+                    key for key, succ in node.edges.items()  # repro-lint: disable=det/dict-value-iteration
+                    if not alive(succ)
+                ]
+                for key in dead:
+                    del node.edges[key]
+            elif node.next is not None and not alive(node.next):
+                node.next = None
+        # Promote after pruning: promoting inside the prune would let a
+        # young successor already promoted pass as old.
+        if self.MAJOR_EVERY > 1:
+            for node in reachable(kept.values()):
+                node.generation = 1
         cache.rebuild(kept)
         self._last_collection_clock = cache.touch_clock
         self.survival_rates.append(
@@ -168,26 +144,17 @@ class GenerationalGCPolicy(ReplacementPolicy):
         return True
 
     def describe(self) -> str:
-        return f"generational-gc@{self.limit_bytes}"
+        return f"{self.name}@{self.limit_bytes}"
 
 
-def _alive(node: Node, threshold: int, keep_old: bool) -> bool:
-    return node.touch_gen > threshold or (keep_old and node.generation > 0)
+class CopyingGCPolicy(GenerationalGCPolicy):
+    """Keep only nodes used since the last collection: every collection
+    major. Re-recording pruned branches is exactly the cost the paper
+    measured against flushing (plus, in the real implementation, the
+    copying cost; our model counts surviving bytes identically)."""
 
-
-def _prune_dead_successors(node: Node, threshold: int,
-                           keep_old: bool = False) -> None:
-    """Unlink successors that were not used since the last collection."""
-    if node.is_outcome:
-        # Order-insensitive: selects the *set* of dead edges to unlink.
-        dead = [
-            key for key, succ in node.edges.items()  # repro-lint: disable=det/dict-value-iteration
-            if not _alive(succ, threshold, keep_old)
-        ]
-        for key in dead:
-            del node.edges[key]
-    elif node.next is not None and not _alive(node.next, threshold, keep_old):
-        node.next = None
+    name = "copying-gc"
+    MAJOR_EVERY = 1
 
 
 def make_policy(name: str, limit_bytes: Optional[int] = None,

@@ -122,7 +122,6 @@ class Observer:
         sample_every: int = DEFAULT_SAMPLE_EVERY,
         ring_capacity: int = 4096,
         trace_stream: Optional[TextIO] = None,
-        extra_sinks: Optional[List[TraceSink]] = None,
     ):
         if sample_every <= 0:
             raise ValueError("sample_every must be positive")
@@ -131,8 +130,6 @@ class Observer:
         sinks: List[TraceSink] = [self.ring]
         if trace_stream is not None:
             sinks.append(JsonlTraceSink(trace_stream))
-        if extra_sinks:
-            sinks.extend(extra_sinks)
         self.tracer = SpanTracer(*sinks)
         self.sample_every = sample_every
         self._last_stripe: Optional[int] = None

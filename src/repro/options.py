@@ -50,13 +50,6 @@ class HostOptions:
 
     def fastsim_kwargs(self) -> Dict[str, object]:
         """The keywords :class:`~repro.sim.fastsim.FastSim` takes: one
-        per field, with the compile threshold folded into ``turbo``."""
-        kwargs = {knob.name: getattr(self, knob.name)
-                  for knob in fields(self)}
-        threshold = kwargs.pop("turbo_threshold")
-        if threshold is not None:
-            from repro.memo.compile import TurboConfig
-
-            kwargs["turbo"] = TurboConfig(enabled=self.turbo,
-                                          threshold=threshold)
-        return kwargs
+        per field."""
+        return {knob.name: getattr(self, knob.name)
+                for knob in fields(self)}

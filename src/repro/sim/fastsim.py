@@ -24,8 +24,9 @@ chains instead of replaying them (see docs/robustness.md).
 
 Chain compilation of hot replay paths (:mod:`repro.memo.compile`) is
 on by default; pass ``turbo=False`` to force the interpreted replay
-loop, or a :class:`~repro.memo.TurboConfig` to tune the compile
-threshold (see docs/performance.md). Both modes are bit-identical.
+loop, or ``turbo_threshold=N`` to tune the compile threshold (the
+keywords of ``HostOptions.turbo`` / ``turbo_threshold``; see
+docs/performance.md). Both modes are bit-identical.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class FastSim:
         obs=None,
         audit_every: Optional[int] = None,
         audit_seed: int = 0,
-        turbo=None,
+        turbo: bool = True,
+        turbo_threshold: Optional[int] = None,
         threaded_frontend: bool = True,
         l1_filter: bool = True,
         segstore=None,
@@ -87,11 +89,12 @@ class FastSim:
                 executable, self.world, pcache=pcache, policy=policy,
                 obs=self.obs, audit_every=audit_every,
                 audit_seed=audit_seed, turbo=turbo,
+                turbo_threshold=turbo_threshold,
             )
         else:
             self.engine = FastForwardEngine(
                 executable, self.world, pcache=pcache, policy=policy,
-                obs=self.obs, turbo=turbo,
+                obs=self.obs, turbo=turbo, turbo_threshold=turbo_threshold,
             )
 
     @property

@@ -18,7 +18,16 @@ import pytest
 
 from repro.branch import NotTakenPredictor
 from repro.guard.engine import GuardedEngine
-from repro.memo.actions import AdvanceNode, ConfigNode, EndNode, RetireNode
+from repro.memo.actions import (
+    AdvanceNode,
+    ConfigNode,
+    EndNode,
+    LoadIssueNode,
+    LoadPollNode,
+    RetireNode,
+    StoreIssueNode,
+)
+from repro.memo.pcache import reachable
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
 from repro.workloads import load_workload
@@ -32,6 +41,27 @@ def _run(name, pcache=None, audit_every=None, audit_seed=0):
                   audit_every=audit_every, audit_seed=audit_seed)
     result = sim.run()
     return sim, result
+
+
+WORLD_CALLS = ("advance_cycles", "retire", "rollback", "get_control",
+               "issue_load", "poll_load", "issue_store")
+
+
+def _world_calls(sim):
+    """Run *sim*; its world calls as (method, arguments, world.cycle)."""
+    world = sim.world
+    log = []
+
+    def logged(method, call):
+        def wrapper(*args):
+            log.append((method, args, world.cycle))
+            return call(*args)
+        return wrapper
+
+    for method in WORLD_CALLS:
+        setattr(world, method, logged(method, getattr(world, method)))
+    sim.run()
+    return log
 
 
 class TestTransparency:
@@ -53,6 +83,23 @@ class TestTransparency:
         assert guarded.timing_equal(plain)
         assert guarded_sim.engine.divergences == 0
         assert guarded_sim.engine.audits > 0
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_warm_audited_world_calls_match_interpreted_replay(self, name):
+        """Audits never perturb, call by call: every world call of a
+        warm ``audit_every=1`` run — method, arguments and the clock it
+        lands on — is the one interpreted replay makes."""
+        recorders = [_run(name)[0] for _ in range(2)]
+        guarded = FastSim(load_workload(name, "tiny"),
+                          predictor=NotTakenPredictor(),
+                          pcache=recorders[0].pcache, audit_every=1)
+        plain = FastSim(load_workload(name, "tiny"),
+                        predictor=NotTakenPredictor(),
+                        pcache=recorders[1].pcache, turbo=False)
+        calls = _world_calls(guarded)
+        assert guarded.engine.audits > 0
+        assert len(calls) > 500
+        assert calls == _world_calls(plain)
 
     def test_sampling_audits_subset(self):
         # tomcatv's cold run has many replay episodes (each record →
@@ -87,6 +134,15 @@ def _corrupt(cache, kind):
         blob[-1] ^= 0x01
         entry.blob = bytes(blob)
         return
+    if kind == "ordinal":
+        # Every load/store queue ordinal: the root chain's prefix ends
+        # at its first outcome, so whichever load or store an audit
+        # meets first carries the wrong one.
+        for node in reachable(cache.index.values()):
+            if isinstance(node, (LoadIssueNode, LoadPollNode,
+                                 StoreIssueNode)):
+                node.ordinal ^= 1
+        return
     for node in nodes:
         if node.is_outcome:
             break  # stay in the unconditionally-replayed prefix
@@ -108,6 +164,7 @@ def _corrupt(cache, kind):
 # Which DivergenceReport.kind each corruption class must produce.
 EXPECTED_KIND = {
     "retire-count": "action-payload",
+    "ordinal": "action-payload",
     "advance-delta": "clock-skew",
     "config-blob": "config-blob",
     "entry-blob": "entry-blob",

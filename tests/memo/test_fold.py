@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from repro.branch import BimodalPredictor, NotTakenPredictor
 from repro.isa import assemble
 from repro.memo import engine as engine_module
-from repro.memo.compile import TurboConfig
 from repro.memo.engine import FastForwardEngine
 from repro.memo.pcache import PActionCache
 from repro.memo.persist import _collect_nodes
@@ -39,8 +38,9 @@ from repro.workloads.fuzz import random_program
 from repro.workloads.suite import WORKLOAD_ORDER, load_workload
 from tests.cache.recording import RecordingMemorySystem
 
-EAGER = TurboConfig(threshold=1)
-NO_TURBO = TurboConfig(enabled=False)
+#: Engine keywords: compile on first traversal / interpret only.
+EAGER = {"turbo": True, "turbo_threshold": 1}
+NO_TURBO = {"turbo": False}
 
 
 def port_streams(executable, turbo, predictor_cls=BimodalPredictor, runs=2):
@@ -54,7 +54,7 @@ def port_streams(executable, turbo, predictor_cls=BimodalPredictor, runs=2):
         world = World(executable, params, predictor_cls(),
                       memory_system=memory)
         FastForwardEngine(executable, world, pcache=pcache,
-                          turbo=turbo).run()
+                          **turbo).run()
         streams.append((memory.stream, world.cycle, world.stats.as_dict(),
                         memory.stats.as_dict()))
     return streams, pcache
@@ -109,8 +109,8 @@ def stop_state(executable, pcache, turbo, engine_cls=_StopAtResync,
     stops (the first fall-back); everything observable at that point."""
     params = ProcessorParams.r10k()
     world = World(executable, params, BimodalPredictor())
-    engine = engine_cls(executable, world, pcache=pcache, turbo=turbo,
-                        policy=policy)
+    engine = engine_cls(executable, world, pcache=pcache, policy=policy,
+                        **turbo)
     with pytest.raises(_Stopped):
         engine.run()
     memo = dataclasses.asdict(engine.memo)
@@ -210,7 +210,7 @@ class TestForcedExits:
         for _ in range(2):  # record, then compile along a full replay
             FastForwardEngine(executable,
                               World(executable, params, BimodalPredictor()),
-                              pcache=pcache, turbo=EAGER).run()
+                              pcache=pcache, **EAGER).run()
         exits = segment_exits(pcache)
         assert len(exits) > 20
         spans = build_log_spans(monkeypatch)
@@ -314,11 +314,11 @@ class TestLazyExit:
             policy = make_policy(kind, limit_bytes=limit)
             FastForwardEngine(
                 executable, World(executable, params, BimodalPredictor()),
-                pcache=pcache, policy=policy, turbo=turbo).run()
+                pcache=pcache, policy=policy, **turbo).run()
             assert pcache.collections > 0  # the bound bit
-            states[turbo.enabled] = stop_state(
+            states[turbo["turbo"]] = stop_state(
                 executable, pcache, turbo, engine_cls, policy)
-            states[turbo.enabled]["collections"] = pcache.collections
+            states[turbo["turbo"]]["collections"] = pcache.collections
         assert states[True] == states[False]
         assert states[True]["memo"]["replay_episodes"] >= stop_at
         assert spans and all(spans)  # compiled replay handed logs over
@@ -340,10 +340,10 @@ class TestLazyExit:
                 engine = FastForwardEngine(
                     executable,
                     World(executable, params, BimodalPredictor()),
-                    pcache=pcache, turbo=turbo, obs=observer)
+                    pcache=pcache, obs=observer, **turbo)
                 engine.run()
-            sampled[turbo.enabled] = observer.samples
-            finals[turbo.enabled] = dataclasses.asdict(engine.memo)
+            sampled[turbo["turbo"]] = observer.samples
+            finals[turbo["turbo"]] = dataclasses.asdict(engine.memo)
             for cycle, world_cycle, memo in observer.samples:
                 assert cycle == world_cycle
                 assert (memo["replayed_cycles"] + memo["detailed_cycles"]
@@ -379,7 +379,7 @@ class TestLazyExit:
         params = ProcessorParams.r10k()
         engine = FastForwardEngine(
             executable, World(executable, params, BimodalPredictor()),
-            pcache=pcache, turbo=EAGER)
+            pcache=pcache, **EAGER)
         memo = engine.run()
         assert pcache.turbo.segments_compiled == compiled
         assert memo.detailed_cycles == 0 and memo.replay_episodes == 1

@@ -247,3 +247,46 @@ class TestRepeatedRunsUnderPressure:
             reuse = FastSim(exe, policy=policy, pcache=first.pcache)
             result = reuse.run(max_cycles=20 * slow.cycles)
             assert result.timing_equal(slow)
+
+
+#: §4.3 golden: (program at ``tiny``, collector) -> (limit in bytes,
+#: survival rate of every collection), as the two collectors measured
+#: them when they were still two classes. Each limit is 0.35x the
+#: program's natural peak; generational GC collects twice as often
+#: because its minor collections keep the promoted generation.
+SURVIVAL_GOLDEN = {
+    ("gcc", "copying-gc"): (10292, [
+        1.0, 0.005407493240633449, 0.9946091644204852,
+        0.005582290664100096, 0.9944058641975309, 0.004057187017001545,
+        0.9959349593495935, 0.005220417633410673]),
+    ("gcc", "generational-gc"): (10292, [
+        1.0, 1.0, 1.0, 0.005536464299350897, 1.0, 1.0, 1.0,
+        0.004955212502382313, 1.0, 1.0, 1.0, 0.005339435545385202,
+        1.0, 1.0, 1.0, 0.005515405096995055]),
+    ("compress", "copying-gc"): (6407, [
+        1.0, 0.01212856276531231, 1.0, 0.012254901960784314,
+        0.987673343605547, 0.45706371191135736]),
+    ("compress", "generational-gc"): (6407, [
+        1.0, 1.0, 1.0, 0.011841326228537596, 1.0, 1.0, 1.0,
+        0.011961722488038277, 1.0, 1.0, 1.0, 0.011901219875037191]),
+    ("tomcatv", "copying-gc"): (5434, [
+        1.0, 0.014311270125223614, 0.9853264856933236,
+        0.014673514306676448, 0.9853103195005508, 0.014689680499449137,
+        0.9853372434017595, 0.01466275659824047, 0.9853264856933236,
+        0.014673514306676448, 1.0, 0.014336917562724014]),
+    ("tomcatv", "generational-gc"): (5434, [
+        1.0, 1.0, 1.0, 0.01391304347826087, 1.0, 1.0, 1.0,
+        0.014054813773717497, 1.0, 1.0, 1.0, 0.014084507042253521,
+        1.0, 1.0, 1.0, 0.014044943820224719, 1.0, 1.0, 1.0,
+        0.9139486467730743, 1.0, 1.0, 1.0, 0.01401541695865452]),
+}
+
+
+class TestCollectorGolden:
+    @pytest.mark.parametrize("name,kind", sorted(SURVIVAL_GOLDEN))
+    def test_collections_and_survival_rates(self, name, kind):
+        limit, rates = SURVIVAL_GOLDEN[name, kind]
+        policy = make_policy(kind, limit)
+        result = FastSim(load_workload(name, "tiny"), policy=policy).run()
+        assert result.memo.evictions == len(rates)
+        assert policy.survival_rates == rates

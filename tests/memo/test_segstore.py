@@ -9,7 +9,6 @@ the worst possible outcome of bad input is a skipped install.
 
 import io
 
-from repro.memo import TurboConfig
 from repro.memo.persist import read_pcache, write_pcache
 from repro.memo.segstore import (
     SegmentArchive,
@@ -21,8 +20,6 @@ from repro.memo.segstore import (
 from repro.sim.fastsim import FastSim
 from repro.workloads import load_workload
 
-TURBO = TurboConfig(threshold=2)
-
 
 def _canonical(result):
     data = result.as_dict()
@@ -32,7 +29,7 @@ def _canonical(result):
 
 def _cold_run(workload="compress"):
     exe = load_workload(workload, "tiny")
-    sim = FastSim(exe, turbo=TURBO)
+    sim = FastSim(exe, turbo_threshold=2)
     result = sim.run()
     return exe, sim, result
 
@@ -49,7 +46,7 @@ class TestRoundTrip:
         exe, sim, cold = _cold_run()
         archive = loads(dumps(capture(sim.pcache)))
         assert len(archive) > 0
-        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo=TURBO,
+        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo_threshold=2,
                        segstore=archive)
         result = warm.run()
         assert warm.segstore_stats["installed"] == len(archive)
@@ -60,7 +57,7 @@ class TestRoundTrip:
         """Installed heads replay compiled from their first traversal."""
         exe, sim, _ = _cold_run()
         archive = capture(sim.pcache)
-        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo=TURBO,
+        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo_threshold=2,
                        segstore=archive)
         warm.run()
         snapshot = warm.pcache.turbo.snapshot()
@@ -84,7 +81,7 @@ class TestInstallSafety:
         archive = capture(sim.pcache)
         wrong = SegmentArchive(archive.node_count + 1,
                                list(archive.records))
-        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo=TURBO,
+        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo_threshold=2,
                        segstore=wrong)
         result = warm.run()
         assert warm.segstore_stats == {
@@ -98,7 +95,7 @@ class TestInstallSafety:
         bad = bytes([digest[0] ^ 0x01]) + digest[1:]
         tampered = SegmentArchive(
             archive.node_count, [(index, bad)] + archive.records[1:])
-        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo=TURBO,
+        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo_threshold=2,
                        segstore=tampered)
         result = warm.run()
         assert warm.segstore_stats["mismatched"] == 1
@@ -112,7 +109,7 @@ class TestInstallSafety:
             archive.node_count,
             [(archive.node_count + 7, b"\x00" * 32)]
             + archive.records[1:])
-        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo=TURBO,
+        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo_threshold=2,
                        segstore=hostile)
         warm.run()
         assert warm.segstore_stats["stale"] == 1
@@ -122,7 +119,7 @@ class TestInstallSafety:
         _, other_sim, _ = _cold_run("li")
         other = capture(other_sim.pcache)
         exe, sim, cold = _cold_run("compress")
-        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo=TURBO,
+        warm = FastSim(exe, pcache=_save_load(sim.pcache), turbo_threshold=2,
                        segstore=other)
         result = warm.run()
         assert warm.segstore_stats["installed"] == 0

@@ -18,21 +18,19 @@ import pytest
 
 from repro.campaign.cachedir import CacheStore
 from repro.errors import SegStoreCorruptError
-from repro.memo import TurboConfig
 from repro.memo.persist import read_pcache, write_pcache
 from repro.memo.segstore import capture, dumps, loads
 from repro.sim.fastsim import FastSim
 from repro.workloads import load_workload
 
 FUZZ_SEED = 0x5EED
-TURBO = TurboConfig(threshold=2)
 
 
 @pytest.fixture(scope="module")
 def run():
     """One real turbo run: (executable, sim, canonical result)."""
     exe = load_workload("compress", "tiny")
-    sim = FastSim(exe, turbo=TURBO)
+    sim = FastSim(exe, turbo_threshold=2)
     result = sim.run()
     data = result.as_dict()
     data.pop("host_seconds", None)
@@ -73,7 +71,7 @@ class TestTruncation:
                 archive = loads(blob[:cut], strict=False)
             except SegStoreCorruptError:
                 archive = None
-            warm = FastSim(exe, pcache=_warm_pcache(sim), turbo=TURBO,
+            warm = FastSim(exe, pcache=_warm_pcache(sim), turbo_threshold=2,
                            segstore=archive)
             assert _canonical(warm.run()) == reference
 
@@ -90,7 +88,7 @@ class TestBitFlips:
             mutated = bytearray(blob)
             mutated[offset] ^= 1 << bit
             archive = loads(bytes(mutated), strict=False)
-            warm = FastSim(exe, pcache=_warm_pcache(sim), turbo=TURBO,
+            warm = FastSim(exe, pcache=_warm_pcache(sim), turbo_threshold=2,
                            segstore=archive)
             assert _canonical(warm.run()) == reference
 
@@ -119,7 +117,7 @@ class TestStoreFallback:
         import os
         assert not os.path.exists(path)
         # The run carries on cold-compiled and byte-identical.
-        warm = FastSim(exe, pcache=store.load(signature), turbo=TURBO)
+        warm = FastSim(exe, pcache=store.load(signature), turbo_threshold=2)
         assert _canonical(warm.run()) == reference
 
     def test_truncated_archive_quarantines(self, run, tmp_path):

@@ -25,7 +25,6 @@ from repro.memo.actions import (
 from repro.memo.compile import (
     DEFAULT_COMPILE_THRESHOLD,
     SegmentTable,
-    TurboConfig,
     compile_segment,
     patch_log,
     revalidate,
@@ -39,8 +38,8 @@ from repro.workloads.suite import WORKLOAD_ORDER, load_workload
 
 #: Compile on the first traversal — tests want segments engaged
 #: immediately, not after the production warm-up.
-EAGER = TurboConfig(threshold=1)
-NO_TURBO = TurboConfig(enabled=False)
+EAGER = {"turbo": True, "turbo_threshold": 1}
+NO_TURBO = {"turbo": False}
 
 
 def canonical(result, cross_simulator=False):
@@ -56,8 +55,7 @@ def run_pair(executable, turbo, runs=2, policy=None):
     cache = PActionCache()
     out = []
     for _ in range(runs):
-        sim = FastSim(executable, pcache=cache, turbo=turbo,
-                      policy=policy)
+        sim = FastSim(executable, pcache=cache, policy=policy, **turbo)
         out.append(canonical(sim.run()))
     return out, cache
 
@@ -83,14 +81,30 @@ class TestSuiteBitIdentity:
 class TestTurboIntegration:
     def test_default_on_with_production_threshold(self):
         sim = FastSim(load_workload("compress", "tiny"))
-        assert sim.engine.turbo.enabled
-        assert sim.engine.turbo.threshold == DEFAULT_COMPILE_THRESHOLD
+        assert sim.engine.turbo
+        assert sim.engine.turbo_threshold == DEFAULT_COMPILE_THRESHOLD
         assert sim.pcache.turbo is not None
 
     def test_disabled_installs_no_table(self):
         sim = FastSim(load_workload("compress", "tiny"), turbo=False)
-        assert not sim.engine.turbo.enabled
+        assert not sim.engine.turbo
         assert sim.pcache.turbo is None
+
+    def test_engine_threshold_governs_shared_pcache(self):
+        """A second engine over a p-cache whose segment table another
+        engine installed compiles at its own threshold."""
+        executable = load_workload("go", "tiny")
+        compiled = {}
+        for threshold in (DEFAULT_COMPILE_THRESHOLD, 1):
+            cache = PActionCache()
+            FastSim(executable, pcache=cache).run()
+            before = cache.turbo.segments_compiled
+            sim = FastSim(executable, pcache=cache,
+                          turbo_threshold=threshold)
+            sim.run()
+            assert sim.engine.turbo_threshold == threshold
+            compiled[threshold] = cache.turbo.segments_compiled - before
+        assert compiled[1] > compiled[DEFAULT_COMPILE_THRESHOLD]
 
     def test_lifecycle_counters_all_exercised(self):
         # compress at threshold 1 naturally drives every code path:
@@ -128,7 +142,7 @@ class TestTurboIntegration:
             policy = make_policy(kind, limit_bytes=limit)
             results, cache = run_pair(executable, turbo, runs=3,
                                       policy=policy)
-            outcomes[turbo.enabled] = (results, cache.collections)
+            outcomes[turbo["turbo"]] = (results, cache.collections)
         assert outcomes[True] == outcomes[False]
         assert outcomes[True][1] > 0  # the limit actually bit
 
@@ -136,8 +150,8 @@ class TestTurboIntegration:
 class TestGuardInteraction:
     def _warm_turbo_cache(self, executable):
         cache = PActionCache()
-        FastSim(executable, pcache=cache, turbo=EAGER).run()
-        FastSim(executable, pcache=cache, turbo=EAGER).run()
+        FastSim(executable, pcache=cache, turbo_threshold=1).run()
+        FastSim(executable, pcache=cache, turbo_threshold=1).run()
         return cache
 
     def test_audited_turbo_run_matches_unguarded(self):
@@ -145,9 +159,9 @@ class TestGuardInteraction:
         cache = self._warm_turbo_cache(executable)
         reference = canonical(
             FastSim(executable, pcache=self._warm_turbo_cache(executable),
-                    turbo=EAGER).run()
+                    turbo_threshold=1).run()
         )
-        guarded = FastSim(executable, pcache=cache, turbo=EAGER,
+        guarded = FastSim(executable, pcache=cache, turbo_threshold=1,
                           audit_every=1)
         assert canonical(guarded.run()) == reference
         assert guarded.engine.audits > 0
@@ -158,7 +172,7 @@ class TestGuardInteraction:
         reference = canonical(
             FastSim(executable,
                     pcache=self._warm_turbo_cache(executable),
-                    turbo=EAGER).run()
+                    turbo_threshold=1).run()
         )
         cache = self._warm_turbo_cache(executable)
         # Corrupt a retire payload in the first chain replayed on a
@@ -171,7 +185,7 @@ class TestGuardInteraction:
         assert node is not None
         node.request = replace(node.request, count=node.request.count + 1)
         generation_before = cache.graph_generation
-        guarded = FastSim(executable, pcache=cache, turbo=EAGER,
+        guarded = FastSim(executable, pcache=cache, turbo_threshold=1,
                           audit_every=1)
         assert canonical(guarded.run()) == reference
         assert guarded.engine.divergences > 0
@@ -200,7 +214,7 @@ class TestGraphGeneration:
 
     def test_clear_bumps_and_drops_segments(self):
         cache = PActionCache()
-        cache.turbo = SegmentTable(1)
+        cache.turbo = SegmentTable()
         head = AdvanceNode(1)
         head.next = EndNode(1)
         cache.turbo.register(compile_segment(head, 0))
@@ -426,7 +440,7 @@ class TestCompileSegment:
 class TestSegmentTable:
     def test_flush_touches_stamps_and_prunes(self):
         head, _, _, _ = linear_chain()
-        table = SegmentTable(1)
+        table = SegmentTable()
         seg = table.register(compile_segment(head, 0))
         head.seg = seg
         seg.touched_at = 42
@@ -438,13 +452,6 @@ class TestSegmentTable:
         assert table.segments == []
 
     def test_threshold_validated(self):
+        # The table keeps no threshold; the engine owns and checks it.
         with pytest.raises(ValueError):
-            SegmentTable(0)
-        with pytest.raises(ValueError):
-            TurboConfig(threshold=0)
-
-    def test_turbo_config_resolve(self):
-        assert TurboConfig.resolve(None) == TurboConfig()
-        assert not TurboConfig.resolve(False).enabled
-        explicit = TurboConfig(enabled=True, threshold=3)
-        assert TurboConfig.resolve(explicit) is explicit
+            FastSim(load_workload("compress", "tiny"), turbo_threshold=0)

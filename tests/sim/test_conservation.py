@@ -24,7 +24,6 @@ import pytest
 from repro.branch import NotTakenPredictor
 from repro.emulator.queues import ControlKind
 from repro.isa import assemble
-from repro.memo.compile import TurboConfig
 from repro.memo.pcache import PActionCache
 from repro.memo.persist import read_pcache, write_pcache
 from repro.memo.policies import make_policy
@@ -33,8 +32,6 @@ from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
 from repro.workloads.fuzz import random_program
 from repro.workloads.suite import WORKLOAD_ORDER, load_workload
-
-EAGER = TurboConfig(threshold=1)
 
 
 def run_slow(executable, **kwargs):
@@ -49,7 +46,7 @@ def run_interpreted(executable, **kwargs):
 
 def run_compiled(executable, **kwargs):
     cache = PActionCache()
-    return [FastSim(executable, pcache=cache, turbo=EAGER, **kwargs)
+    return [FastSim(executable, pcache=cache, turbo_threshold=1, **kwargs)
             for _ in range(2)]
 
 
@@ -57,7 +54,7 @@ def run_audited(executable, **kwargs):
     """Every third episode replays under the guard's lockstep audit,
     the others through compiled segments: both settle one ``memo``."""
     cache = PActionCache()
-    return [FastSim(executable, pcache=cache, turbo=EAGER, audit_every=3,
+    return [FastSim(executable, pcache=cache, turbo_threshold=1, audit_every=3,
                     **kwargs) for _ in range(3)]
 
 
@@ -65,7 +62,7 @@ def run_bounded(executable, **kwargs):
     probe = FastSim(executable, **kwargs)
     probe.run()
     limit = max(int(probe.pcache.peak_bytes * 0.35), 512)
-    return [FastSim(executable, turbo=EAGER,
+    return [FastSim(executable, turbo_threshold=1,
                     policy=make_policy("flush", limit_bytes=limit),
                     **kwargs)]
 
@@ -75,7 +72,7 @@ def run_persisted_warm(executable, **kwargs):
     campaign job starts from its cache directory."""
     cache = PActionCache()
     for _ in range(2):  # record, then compile along a full replay
-        FastSim(executable, pcache=cache, turbo=EAGER, **kwargs).run()
+        FastSim(executable, pcache=cache, turbo_threshold=1, **kwargs).run()
     stream = io.BytesIO()
     write_pcache(cache, stream)
     stream.seek(0)

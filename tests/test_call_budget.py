@@ -48,7 +48,6 @@ from repro.memo.actions import (
     LoadIssueNode,
     RetireNode,
 )
-from repro.memo.compile import TurboConfig
 from repro.memo.pcache import PActionCache
 from repro.memo.policies import FlushOnFullPolicy
 from repro.sim.fastsim import FastSim
@@ -186,7 +185,6 @@ class TestPortsAreLeaves:
 #: ``test`` scale and compile threshold 1, as measured when the budget
 #: was set (the commit before: compress 3.0368, tomcatv 3.3476).
 MEASURED = {"compress": 2.3015, "tomcatv": 2.1417}
-EAGER = TurboConfig(threshold=1)
 
 
 @pytest.mark.parametrize("name", sorted(MEASURED))
@@ -194,13 +192,13 @@ def test_warm_run_call_budget(name, monkeypatch):
     executable = load_workload(name, "test")
     pcache = PActionCache()
     for _ in range(2):  # record, then compile along a full replay
-        FastSim(executable, pcache=pcache, turbo=EAGER).run()
+        FastSim(executable, pcache=pcache, turbo_threshold=1).run()
     compiled = pcache.turbo.segments_compiled
 
     # Each counting wrapper is one extra frame per call it wraps.
     built = patch_log_calls(monkeypatch)
     touched = touched_nodes(monkeypatch)
-    sim = FastSim(executable, pcache=pcache, turbo=EAGER)
+    sim = FastSim(executable, pcache=pcache, turbo_threshold=1)
     with CallCounter() as counter:
         result = sim.run()
     monkeypatch.undo()

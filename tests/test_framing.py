@@ -35,7 +35,7 @@ from repro.errors import (
     SegStoreCorruptError,
 )
 from repro.isa import assemble
-from repro.memo import TurboConfig, segstore
+from repro.memo import segstore
 from repro.memo.persist import read_pcache, write_pcache
 from repro.sim.fastsim import FastSim
 from repro.workloads import load_workload
@@ -105,7 +105,7 @@ def _fspc() -> Format:
 
 def _fssg() -> Format:
     sim = FastSim(load_workload("perl", "tiny"),
-                  turbo=TurboConfig(threshold=2))
+                  turbo_threshold=2)
     sim.run()
     blob = segstore.dumps(segstore.capture(sim.pcache))
     return Format(blob, True, SegStoreCorruptError, 10 + 4 + 4 + 4,

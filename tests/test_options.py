@@ -18,7 +18,6 @@ from repro.api import run_campaign
 from repro.campaign import Job, worker
 from repro.cli import _host_from_args, build_parser, main
 from repro.errors import CampaignUsageError
-from repro.memo.compile import TurboConfig
 from repro.options import HostOptions
 from repro.sim.fastsim import FastSim
 
@@ -81,11 +80,11 @@ class TestOneConsumer:
         assert (_variant(knob).fastsim_kwargs()
                 != HostOptions().fastsim_kwargs())
 
-    def test_threshold_folds_into_turbo(self):
+    def test_threshold_is_its_own_keyword(self):
         kwargs = HostOptions(turbo=False,
                              turbo_threshold=3).fastsim_kwargs()
-        assert kwargs["turbo"] == TurboConfig(enabled=False, threshold=3)
-        assert HostOptions(turbo=False).fastsim_kwargs()["turbo"] is False
+        assert kwargs["turbo"] is False
+        assert kwargs["turbo_threshold"] == 3
 
     def test_frozen_and_picklable(self):
         host = HostOptions(audit_every=4, l1_filter=False)
