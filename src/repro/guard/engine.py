@@ -198,7 +198,7 @@ class GuardedEngine(FastForwardEngine):
         shadow_cycle = world.cycle if is_root else world.cycle + 1
 
         chain_length = 0
-        segment_actions = 0     # chain-log-equivalent actions this segment
+        segment_outcome = False  # an outcome verified since the last config
         pending: List[AdvanceNode] = []  # unapplied, not-yet-validated
         pending_delta = 0
         send = None             # outcome owed to the shadow on next pull
@@ -265,7 +265,7 @@ class GuardedEngine(FastForwardEngine):
                 generator = _replay_pending(pending_request, gen)
             return self._enter_record(shadow, generator, attach,
                                       shadow_cycle, send,
-                                      segment_actions > 0)
+                                      segment_outcome)
 
         def corrupt(label, node, request, attach, pending_request=None,
                     invalidated=None):
@@ -341,7 +341,7 @@ class GuardedEngine(FastForwardEngine):
                         return corrupt("config-blob", node, None,
                                        came_from, invalidated=node)
                 memo.configs_replayed += 1
-                segment_actions = 0
+                segment_outcome = False
                 came_from = (node, None)
                 position = node.next
                 continue
@@ -394,11 +394,11 @@ class GuardedEngine(FastForwardEngine):
                 memo.replayed_instructions += request.count
             memo.actions_replayed += 1
             chain_length += 1
-            segment_actions += 1
             if not node.is_outcome:
                 came_from = (node, None)
                 position = node.next
                 continue
+            segment_outcome = True
             send = reply
             key = reply.outcome_key if kind is ControlNode else reply
             successor = node.edges.get(key)

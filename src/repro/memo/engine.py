@@ -7,10 +7,13 @@ in two alternating modes:
 generator exactly like SlowSim, but additionally writes every
 interaction into the p-action cache: an :class:`AdvanceNode` whenever
 the acting cycle moved, then the interaction's node, with outcome-bearing
-interactions growing an edge per distinct result. At the end of any
-cycle that produced actions it snapshots the iQ into a configuration;
-if that configuration is already in the cache the chain is linked into
-the existing graph and the engine switches to —
+interactions growing an edge per distinct result. At the end of a cycle
+it snapshots the iQ into a configuration if an outcome-bearing action
+was recorded since the last one — replay can leave a chain only at an
+outcome, so a configuration reached through advances, retires and
+rollbacks alone would be a key nothing resumes from (docs/memoization.md,
+step 3). If that configuration is already in the cache the chain is
+linked into the existing graph and the engine switches to —
 
 **Replay (fast-forward) mode**, which walks the recorded graph and
 executes the actions directly against the world — no iQ, no pipeline
@@ -214,10 +217,10 @@ class FastForwardEngine:
 
         while True:
             if mode[0] == "record":
-                _, sim, generator, attach, anchor, send, debt, since = mode
+                _, sim, generator, attach, anchor, send, debt, outcome = mode
                 with self.obs.span("memo.record", cat="memo"):
                     mode = self._record(sim, generator, attach, anchor,
-                                        send, debt, since)
+                                        send, debt, outcome)
             elif mode[0] == "replay":
                 with self.obs.span("memo.replay", cat="memo"):
                     mode = self._replay(mode[1])
@@ -264,7 +267,7 @@ class FastForwardEngine:
 
     def _enter_record(self, simulator, generator,
                       attach: Optional[AttachPoint], first_boundary: int,
-                      send, since: bool):
+                      send, outcome: bool):
         """The record-mode tuple for *generator*, whose requests up to
         its first ``CycleBoundary`` belong to cycle *first_boundary*.
 
@@ -272,7 +275,9 @@ class FastForwardEngine:
         to it and the cycles count as detailed; a world ahead has
         already advanced past boundaries the generator will still
         yield, and that lead becomes cycle debt for ``_record`` to
-        swallow.
+        swallow. *outcome* is ``_record``'s cut flag: whether the chain
+        since the last configuration holds an outcome node — never at a
+        cold start; what the resync re-fed or the audit verified.
         """
         world = self.world
         anchor = world.cycle  # cycle of the last action on the branch
@@ -280,7 +285,7 @@ class FastForwardEngine:
             world.advance_cycles(first_boundary - anchor)
             self.memo.detailed_cycles += first_boundary - anchor
         return ("record", simulator, generator, attach, anchor, send,
-                max(0, anchor - first_boundary), since)
+                max(0, anchor - first_boundary), outcome)
 
     def _end_chain(self, length: int) -> None:
         """Close one replay chain (statistics + event metrics)."""
@@ -293,12 +298,13 @@ class FastForwardEngine:
     # ------------------------------------------------------------------
 
     def _record(self, simulator, generator, attach: Optional[AttachPoint],
-                anchor: int, send, cycle_debt: int,
-                actions_since_config: bool):
+                anchor: int, send, cycle_debt: int, outcome: bool):
         """Run the detailed simulator, recording its actions.
 
         Returns the next mode tuple: ``("replay", node)`` when a known
-        configuration is reached, or ``("finished",)``.
+        configuration is reached, or ``("finished",)``. *outcome* says
+        whether the chain since the last configuration already holds an
+        outcome node, so the next boundary is a cut point.
 
         One step per request and no helper frame of its own: a first
         visit pays for the pipeline, ``encode_config`` and the three
@@ -327,10 +333,12 @@ class FastForwardEngine:
             kind = type(request)
 
             if kind is CycleBoundary:
-                # Configurations may only be snapshotted when the world
-                # clock is in sync with the simulator's cycle (not while
-                # swallowing cycles the replayer already advanced).
-                if (actions_since_config or actions_pending) and cycle_debt == 0:
+                # A configuration is cut where a chain can diverge: after
+                # an outcome (or to re-anchor after an eviction), and
+                # only when the world clock is in sync with the
+                # simulator's cycle (not while swallowing cycles the
+                # replayer already advanced).
+                if (outcome or actions_pending) and cycle_debt == 0:
                     blob = (self._encode(simulator) if obs_on
                             else encode_config(simulator.iq.entries,
                                                simulator.fetch_pc,
@@ -344,7 +352,7 @@ class FastForwardEngine:
                     link(attach, config)
                     attach = (config, None)
                     anchor = world.cycle
-                    actions_since_config = False
+                    outcome = False
                     actions_pending = False
                     if maybe_collect(cache):
                         # Node identities are stale: re-anchor at the
@@ -409,7 +417,8 @@ class FastForwardEngine:
                 link(attach, node)
                 attach = (node, key)
             anchor = cycle
-            actions_since_config = True
+            if key is not None:  # a reply is never None: an outcome
+                outcome = True
 
     # ------------------------------------------------------------------
     # Replay (fast-forward) mode
@@ -710,6 +719,7 @@ class FastForwardEngine:
             generator = simulator.run()
 
             send = None
+            outcome = False
             for node, value in chain_log:
                 expected = _REQUEST_FOR_NODE[type(node)]
                 while True:
@@ -725,10 +735,11 @@ class FastForwardEngine:
                     )
                 if node.is_outcome:
                     send = value
+                    outcome = True
             # The resumed generator's first boundary ends cycle
             # ``log_anchor`` when the prefix left the simulator
             # mid-cycle (non-empty log), else the cycle after the
             # owning configuration.
             b0 = log_anchor if chain_log else log_anchor + 1
             return self._enter_record(simulator, generator, attach, b0,
-                                      send, bool(chain_log))
+                                      send, outcome)

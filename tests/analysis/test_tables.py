@@ -155,8 +155,10 @@ class TestTable5:
         for row in table5(SUBSET, scale="tiny", result=suite):
             assert row.static_configs > 0
             assert row.static_actions > row.static_configs
-            assert 1.0 <= row.actions_per_config <= 10.0
-            assert 0.5 <= row.cycles_per_config <= 4.0
+            # Every configuration visit is followed by an advance and
+            # an outcome (configurations are cut only after one).
+            assert 2.0 <= row.actions_per_config <= 10.0
+            assert row.cycles_per_config >= 1.0
             assert row.max_chain >= row.avg_chain
 
     def test_render(self, suite):

@@ -365,13 +365,17 @@ class TestLazyExit:
                             "replayed_instructions"):
                 assert low[counter] <= compiled[counter] <= high[counter]
 
-    @pytest.mark.parametrize("name", ["compress", "tomcatv"])
-    def test_log_is_built_only_for_the_interpreter(self, name,
+    @pytest.mark.parametrize("name,scale", [
+        # compress at ``tiny`` replays fewer than 100 segments.
+        pytest.param("compress", "test", id="compress"),
+        pytest.param("tomcatv", "tiny", id="tomcatv"),
+    ])
+    def test_log_is_built_only_for_the_interpreter(self, name, scale,
                                                    monkeypatch):
         """Third pass over one p-cache at threshold 1: nothing compiles,
         nothing falls back — so the only reader of a chain log is the
         interpreter, entering a node a segment exit led to."""
-        executable = load_workload(name, "tiny")
+        executable = load_workload(name, scale)
         _, pcache = port_streams(executable, EAGER)
         compiled = pcache.turbo.segments_compiled
         built = patch_log_calls(monkeypatch)

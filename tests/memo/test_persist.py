@@ -1,12 +1,16 @@
 """Tests for p-action cache persistence."""
 
+import hashlib
 import io
 import os
+import shutil
 
 import pytest
 
+from repro import api
 from repro.branch import NotTakenPredictor
 from repro.errors import MemoizationError
+from repro.memo.engine import run_signature
 from repro.memo.persist import (
     load_pcache,
     read_pcache,
@@ -14,7 +18,13 @@ from repro.memo.persist import (
     write_pcache,
 )
 from repro.sim.fastsim import FastSim
+from repro.sim.slowsim import SlowSim
+from repro.uarch.params import ProcessorParams
 from repro.workloads import load_workload
+from tests.memo.fixtures import (
+    CUT_EVERY_ACTION_FSPC,
+    CUT_EVERY_ACTION_SHA256,
+)
 
 WORKLOAD = "compress"
 
@@ -81,6 +91,26 @@ class TestBindingEnforced:
         restored = round_trip(cache)
         with pytest.raises(MemoizationError, match="different program"):
             FastSim(load_workload("go", "tiny"), pcache=restored).run()
+
+
+class TestFileFromEarlierRecorder:
+    """A cache written when every acting cycle cut a configuration holds
+    a superset of today's keys, so a warm start over it is a hit."""
+
+    def test_fixture_is_the_pinned_file(self):
+        with open(CUT_EVERY_ACTION_FSPC, "rb") as stream:
+            digest = hashlib.sha256(stream.read()).hexdigest()
+        assert digest == CUT_EVERY_ACTION_SHA256
+
+    def test_warm_start_replays_everything(self, tmp_path):
+        executable = load_workload(WORKLOAD, "tiny")
+        signature = run_signature(executable, ProcessorParams.r10k())
+        shutil.copy(CUT_EVERY_ACTION_FSPC,
+                    tmp_path / (signature.hex() + ".fspc"))
+        result = api.simulate(executable, engine="fast",
+                              cache_dir=str(tmp_path))
+        assert result.memo.detailed_instructions == 0
+        assert result.timing_equal(SlowSim(executable).run())
 
 
 class TestErrors:
