@@ -28,9 +28,11 @@ from repro.memo.actions import (
     StoreIssueNode,
 )
 from repro.memo.pcache import reachable
+from repro.memo.persist import load_pcache
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
 from repro.workloads import load_workload
+from tests.memo.fixtures import CUT_EVERY_ACTION_FSPC
 
 WORKLOADS = ["compress", "go", "tomcatv"]
 
@@ -127,6 +129,21 @@ def _root_chain(cache):
     return entry, nodes
 
 
+def _first_crossed_config(entry):
+    """The first configuration past *entry* on the path a warm run of
+    the same program retraces: linear successors, and at an outcome the
+    one edge the cold run recorded. None if an outcome has several."""
+    node = entry.next
+    while node is not None and not isinstance(node, ConfigNode):
+        if not node.is_outcome:
+            node = node.next
+        elif len(node.edges) == 1:
+            node = next(iter(node.edges.values()))
+        else:
+            return None
+    return node
+
+
 def _corrupt(cache, kind):
     entry, nodes = _root_chain(cache)
     if kind == "entry-blob":
@@ -143,6 +160,15 @@ def _corrupt(cache, kind):
                                  StoreIssueNode)):
                 node.ordinal ^= 1
         return
+    if kind == "config-blob":
+        # Configurations are cut only after an outcome, so the first
+        # one the root episode crosses lies past the chain's prefix.
+        node = _first_crossed_config(entry)
+        if node is not None:
+            blob = bytearray(node.blob)
+            blob[0] ^= 0x80
+            node.blob = bytes(blob)
+            return
     for node in nodes:
         if node.is_outcome:
             break  # stay in the unconditionally-replayed prefix
@@ -152,11 +178,6 @@ def _corrupt(cache, kind):
             return
         if kind == "advance-delta" and isinstance(node, AdvanceNode):
             node.delta += 3
-            return
-        if kind == "config-blob" and isinstance(node, ConfigNode):
-            blob = bytearray(node.blob)
-            blob[0] ^= 0x80
-            node.blob = bytes(blob)
             return
     pytest.skip(f"no {kind} target in the root chain prefix")
 
@@ -216,28 +237,38 @@ def _terminal_entry(cache):
     pytest.skip("no terminal configuration recorded")
 
 
+def _run_bimodal(pcache=None, audit_every=None):
+    """compress at ``tiny`` with the default (bimodal) predictor, the
+    one the earlier recorder's cache file was written with."""
+    sim = FastSim(load_workload("compress", "tiny"), pcache=pcache,
+                  audit_every=audit_every)
+    result = sim.run()
+    return sim, result
+
+
 class TestTerminalConfiguration:
     """The finishing boundary's snapshot (post-halt, drained queue) is
     audited like any other entry: its shadow yields ``Finished`` at
     once, so a pruned ending is re-recorded through the hand-off and a
-    wrong delta is an ``end-mismatch``."""
+    wrong delta is an ``end-mismatch``. Today's recorder does not cut
+    that configuration (the halting cycle only retires), so the cache
+    comes from a file the earlier recorder wrote."""
 
     def test_pruned_terminal_repaired(self):
-        recorder, reference = _run("compress")
-        _terminal_entry(recorder.pcache).next = None
-        guarded_sim, guarded = _run("compress", pcache=recorder.pcache,
-                                    audit_every=1)
+        _, reference = _run_bimodal()
+        pcache = load_pcache(CUT_EVERY_ACTION_FSPC)
+        _terminal_entry(pcache).next = None
+        guarded_sim, guarded = _run_bimodal(pcache=pcache, audit_every=1)
         assert guarded.timing_equal(reference)
         assert guarded_sim.engine.divergences == 0
         # The repair re-attached the EndNode for the next run.
-        assert isinstance(
-            _terminal_entry(recorder.pcache).next, EndNode)
+        assert isinstance(_terminal_entry(pcache).next, EndNode)
 
     def test_corrupt_terminal_delta_detected(self):
-        recorder, reference = _run("compress")
-        _terminal_entry(recorder.pcache).next.delta = 9
-        guarded_sim, guarded = _run("compress", pcache=recorder.pcache,
-                                    audit_every=1)
+        _, reference = _run_bimodal()
+        pcache = load_pcache(CUT_EVERY_ACTION_FSPC)
+        _terminal_entry(pcache).next.delta = 9
+        guarded_sim, guarded = _run_bimodal(pcache=pcache, audit_every=1)
         assert guarded.timing_equal(reference)
         kinds = [report.kind for report in guarded_sim.engine.reports]
         assert "end-mismatch" in kinds
