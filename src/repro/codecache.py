@@ -28,6 +28,12 @@ MAX_ENTRIES = 2048
 _CODE_CACHE: dict = {}
 
 
+def holds(source: str) -> bool:
+    """True when *source* is compiled already, so :func:`load` costs
+    one ``exec`` of a code object and no ``compile()``."""
+    return source in _CODE_CACHE
+
+
 def load(source: str, filename: str, name: str,
          namespace: Optional[dict] = None):
     """Compile *source* (once per process) and return the function

@@ -18,7 +18,10 @@ and the PC/instret commit are one call that returns the record.
 instruction), so a block earns it: until its :data:`COMPILE_AFTER`-th
 run its body steps the reference interpreter instead
 (:meth:`BlockCache._cold`) and its terminator goes through the
-frontend's ordinary ``step()`` path.
+frontend's ordinary ``step()`` path. A block whose source this process
+has compiled before (a second run, an in-process sweep, a persistent
+worker) has nothing left to earn and runs generated code from its
+first decode.
 
 What is folded at decode time: register indices, ``%g0`` (reads are the
 literal ``0``, writes are dropped), immediates (masked or
@@ -129,7 +132,10 @@ _Block = Tuple[Optional[Callable[[], object]], int, int, bool]
 #: body pays for it within a few dozen iterations; at most the cost of
 #: one compile is lost either way. (Summed over 18 fork-per-job ``tiny``
 #: runs: 728 ms compiling at first sight, 695-706 ms for 16-40, 715 ms
-#: never compiling; at ``test`` scale 1545 / 1578-1604 / n.a.)
+#: never compiling; at ``test`` scale 1545 / 1578-1604 / n.a.) The same
+#: model sets the threshold to zero for a source already in
+#: :mod:`repro.codecache`: there the compile costs nothing, so
+#: :meth:`BlockCache.decode` loads it at once.
 COMPILE_AFTER = 26
 
 #: First line of every generated block function.
@@ -576,15 +582,31 @@ class BlockCache:
             count += 1
             pc += 4
         # An event block always gets an op — a bare branch has no body
-        # line, but its run counter is what earns the compile.
-        fn = (self._cold(start_pc, count, pc, lines, tail)
-              if lines or tail else None)
-        block = self.blocks[start_pc] = (fn, count, pc, False)
+        # line, but its run counter is what earns the compile. Code this
+        # process already compiled costs nothing to load, so such a
+        # block skips the cold runs (see COMPILE_AFTER).
+        if not (lines or tail):
+            block = (None, count, pc, False)
+        else:
+            source = block_source(lines + tail)
+            if codecache.holds(source):
+                block = self._compiled(source, count, pc, bool(tail))
+            else:
+                block = (self._cold(start_pc, count, pc, source, bool(tail)),
+                         count, pc, False)
+        self.blocks[start_pc] = block
         self.blocks_decoded += 1
         return block
 
-    def _cold(self, start_pc: int, count: int, end_pc: int,
-              lines: List[str], tail: List[str]) -> Callable[[], bool]:
+    def _compiled(self, source: str, count: int, end_pc: int,
+                  fused: bool) -> _Block:
+        """The cache entry running *source*'s generated function."""
+        return (codecache.load(source, "<repro.threaded block>", "_blk",
+                               self._namespace),
+                count, end_pc, fused)
+
+    def _cold(self, start_pc: int, count: int, end_pc: int, source: str,
+              fused: bool) -> Callable[[], bool]:
         """The block's op until it has earned its ``compile()``.
 
         Runs the body as *count* calls of the reference
@@ -594,8 +616,9 @@ class BlockCache:
         batch, and a mid-block fault leaves them uncommitted, exactly
         as for a generated function. The event in *tail* is left to
         the frontend's step path. The :data:`COMPILE_AFTER`-th run
-        executes nothing: it compiles body and tail into one function,
-        replaces this cache entry and returns True.
+        executes nothing: it compiles *source* (body and tail, an event
+        function when *fused*), replaces this cache entry and returns
+        True.
         """
         interpreter = self._interpreter
         state = interpreter.state
@@ -607,11 +630,8 @@ class BlockCache:
             nonlocal runs
             runs += 1
             if runs >= COMPILE_AFTER:
-                self.blocks[start_pc] = (
-                    codecache.load(block_source(lines + tail),
-                                   "<repro.threaded block>", "_blk",
-                                   self._namespace),
-                    count, end_pc, bool(tail))
+                self.blocks[start_pc] = self._compiled(source, count,
+                                                       end_pc, fused)
                 return True
             instret = state.instret
             try:

@@ -231,7 +231,7 @@ class Instruction:
         """Memory access width in bytes (loads/stores only)."""
         return ACCESS_WIDTH[self.opcode]
 
-    @property
+    @cached_property
     def fall_through(self) -> int:
         """Address of the next sequential instruction."""
         return self.address + 4

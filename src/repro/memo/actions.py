@@ -120,9 +120,10 @@ class AdvanceNode(Node):
 
 
 class RequestNode(Node):
-    """Base for the two deterministic actions. Each keeps the frozen
-    :mod:`~repro.uarch.interactions` request it was recorded from, and
-    interpreted replay hands the world that very object."""
+    """Base for the two deterministic actions. Each keeps the
+    :mod:`~repro.uarch.interactions` request it was recorded from
+    (never mutated once yielded), and interpreted replay hands the
+    world that very object."""
 
     __slots__ = ("request",)
     is_linear = True

@@ -307,8 +307,8 @@ class FastForwardEngine:
         outcome node, so the next boundary is a cut point.
 
         One step per request and no helper frame of its own: a first
-        visit pays for the pipeline, ``encode_config`` and the three
-        ``PActionCache`` methods that grow the graph
+        visit pays for the pipeline, ``encode_config`` and one
+        ``PActionCache`` call per node that grows the graph
         (docs/performance.md, "The record path").
         """
         world = self.world
@@ -318,7 +318,7 @@ class FastForwardEngine:
         obs_on = self._obs_on
         max_cycles = self.max_cycles
         step = generator.send
-        alloc_action = cache.alloc_action
+        grow = cache.alloc_action
         link = cache.attach
         advance_cycles = world.advance_cycles
         maybe_collect = self.policy.maybe_collect
@@ -400,22 +400,16 @@ class FastForwardEngine:
                 key = None
             elif kind is Finished:
                 if attach is not None:
-                    end = EndNode(world.cycle - anchor)
-                    alloc_action(end)
-                    link(attach, end)
+                    grow(EndNode(world.cycle - anchor), attach)
                 return ("finished",)
             else:  # pragma: no cover - protocol violation
                 raise SimulationError(f"unknown request {request!r}")
             cycle = world.cycle
             if attach is not None:
                 if cycle != anchor:
-                    advance = AdvanceNode(cycle - anchor)
-                    alloc_action(advance)
-                    link(attach, advance)
-                    attach = (advance, None)
-                alloc_action(node)
-                link(attach, node)
-                attach = (node, key)
+                    attach = (grow(AdvanceNode(cycle - anchor), attach),
+                              None)
+                attach = (grow(node, attach), key)
             anchor = cycle
             if key is not None:  # a reply is never None: an outcome
                 outcome = True

@@ -160,11 +160,12 @@ class PActionCache:
 
     # -- allocation ----------------------------------------------------------
     #
-    # Growing the graph is a leaf: the three methods below run once per
-    # recorded action and make no Python-level call of their own — size
-    # accounting, the peak and the touch stamp are inline
-    # (``tests/test_call_budget.py`` holds the helper composition they
-    # replaced as the reference; docs/performance.md, "The record path").
+    # Growing the graph is a leaf: the three methods below make no
+    # Python-level call of their own — size accounting, the peak and the
+    # touch stamp are inline — and a recorded action is one call,
+    # ``alloc_action(node, point)`` (``tests/test_call_budget.py`` holds
+    # the helper composition they replaced as the reference;
+    # docs/performance.md, "The record path").
 
     def alloc_config(self, blob: bytes) -> ConfigNode:
         """Allocate (and index) a new configuration node."""
@@ -180,18 +181,46 @@ class PActionCache:
         self.touch_clock = node.touch_gen = self.touch_clock + 1
         return node
 
-    def alloc_action(self, node: Node) -> Node:
+    def alloc_action(self, node: Node,
+                     point: Optional[AttachPoint] = None) -> Node:
         """Account for a freshly created action node (no edge yet, so
-        its modelled size is ``ACTION_BYTES``)."""
+        its modelled size is ``ACTION_BYTES``) and, when *point* is
+        given, link it there: exactly ``alloc_action(node)`` followed by
+        ``attach(point, node)``, in one call."""
         self.actions_allocated += 1
         self.bytes_used = used = self.bytes_used + ACTION_BYTES
         if used > self.peak_bytes:
             self.peak_bytes = used
         self.touch_clock = node.touch_gen = self.touch_clock + 1
+        if point is None:
+            return node
+        parent, key = point
+        if key is None:
+            if parent.is_outcome:
+                raise MemoizationError(
+                    f"outcome node {parent!r} needs an edge key"
+                )
+            parent.next = node
+        else:
+            if not parent.is_outcome:
+                raise MemoizationError(
+                    f"{parent!r} cannot hold outcome edges"
+                )
+            edges = parent.edges
+            edges[key] = node
+            if len(edges) > 1:  # the first edge is in ACTION_BYTES
+                self.bytes_used = used = used + EDGE_BYTES
+                if used > self.peak_bytes:
+                    self.peak_bytes = used
+        self.graph_generation += 1
         return node
 
     def attach(self, point: Optional[AttachPoint], node: Node) -> None:
-        """Link *node* as the successor at *point* (no-op when None)."""
+        """Link *node* as the successor at *point* (no-op when None).
+
+        The same steps as the link in :meth:`alloc_action`, which keeps
+        its own copy so that a recorded action stays one call; this one
+        links configurations onto the chain."""
         if point is None:
             return
         parent, key = point

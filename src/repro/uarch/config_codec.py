@@ -46,6 +46,10 @@ from repro.uarch.iq import IQEntry, MAX_TIMER, Stage
 
 _HEADER = struct.Struct(">BBII")
 
+#: Stage by its 3-bit encoded value: one index per decoded entry, in
+#: place of an enum call.
+_STAGES = tuple(Stage)
+
 #: Extra bytes the paper's encoding would add on top of ours, used by
 #: the size-accounting model (paper header is 16 bytes).
 PAPER_HEADER_BYTES = 16
@@ -105,17 +109,14 @@ def encode_config(entries: List[IQEntry], fetch_pc: Optional[int],
     targets: List[int] = []
     for entry in entries:
         timer = entry.timer
-        if not 0 <= timer <= MAX_TIMER:
+        if timer >> 11:  # negative, or above MAX_TIMER
             raise ConfigCodecError(
                 f"timer {timer} out of encodable range at "
                 f"0x{entry.instr.address:x}"
             )
-        add_word(
-            entry.stage << 13
-            | (4096 if entry.pred_taken else 0)
-            | (2048 if entry.mispredicted else 0)
-            | timer
-        )
+        # ``pred_taken`` and ``mispredicted`` are bools: a shift is 0/1.
+        add_word(entry.stage << 13 | entry.pred_taken << 12
+                 | entry.mispredicted << 11 | timer)
         if entry.instr.static.is_indirect:
             target = entry.jump_target
             if target is None:
@@ -146,40 +147,31 @@ def decode_config(
     if offset + 2 * count > len(blob):
         raise ConfigCodecError("truncated per-entry state")
     packed_states = struct.unpack_from(f">{count}H", blob, offset)
-    offset += 2 * count
-
-    # First pass over the packed states to know how many indirect
-    # targets to read is impossible without the instructions, so decode
-    # the walk and pull targets lazily.
-    targets_offset = offset
-
-    def next_target() -> int:
-        nonlocal targets_offset
-        if targets_offset + 4 > len(blob):
-            raise ConfigCodecError("truncated indirect-jump target")
-        value = int.from_bytes(blob[targets_offset:targets_offset + 4], "big")
-        targets_offset += 4
-        return value
-
+    # Indirect targets follow in walk order; how many there are is known
+    # only from the instructions, so they are read as the walk meets
+    # them.
+    targets_offset = offset + 2 * count
+    stages = _STAGES
+    instruction_at = executable.instruction_at
     entries: List[IQEntry] = []
+    append = entries.append
     address = start
+    last = count - 1
     for position, packed in enumerate(packed_states):
-        instr = executable.instruction_at(address)
-        stage = Stage((packed >> 13) & 0x7)
-        pred_taken = bool(packed & (1 << 12))
-        mispredicted = bool(packed & (1 << 11))
-        timer = packed & MAX_TIMER
-        jump_target = next_target() if instr.is_indirect_jump else None
-        entry = IQEntry(
-            instr,
-            stage=stage,
-            timer=timer,
-            pred_taken=pred_taken,
-            mispredicted=mispredicted,
-            jump_target=jump_target,
-        )
-        entries.append(entry)
-        if position == len(packed_states) - 1:
+        instr = instruction_at(address)
+        jump_target = None
+        if instr.static.is_indirect:
+            if targets_offset + 4 > len(blob):
+                raise ConfigCodecError("truncated indirect-jump target")
+            jump_target = int.from_bytes(
+                blob[targets_offset:targets_offset + 4], "big")
+            targets_offset += 4
+        # A stage field of 6 or 7 (a corrupt blob) raises IndexError.
+        entry = IQEntry(instr, stages[packed >> 13], packed & MAX_TIMER,
+                        packed & 4096 != 0, packed & 2048 != 0,
+                        jump_target)
+        append(entry)
+        if position == last:
             break
         next_address = entry.next_fetch_address()
         if next_address is None:

@@ -21,6 +21,17 @@ memoized chain replays correctly at any point in the program.
 Outcome-bearing requests (:class:`GetControl`, :class:`IssueLoad`,
 :class:`PollLoad`, :class:`IssueStore`) become multi-way edges in the
 p-action cache; the others are deterministic and replay blindly.
+
+The five requests that carry fields are built once per yield — a
+``Retire`` on most detailed cycles — so they are plain-assignment
+dataclasses (``unsafe_hash=True``), not frozen ones, which pay one
+``object.__setattr__`` per field (the
+:class:`~repro.emulator.queues.ControlRecord` precedent). They keep
+``__slots__``, field equality, hashing and ``dataclasses.replace``;
+nothing mutates a request once it is yielded, and a node that keeps
+one (:class:`~repro.memo.actions.RequestNode`) hands the world that
+very object on every replay. The field-less three stay frozen shared
+instances.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ class GetControl(Request):
     has_outcome = True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IssueLoad(Request):
     """Issue the load with iQ load-ordinal *ordinal* to the cache
     simulator. Outcome: the interval (cycles) before data could arrive.
@@ -61,7 +72,7 @@ class IssueLoad(Request):
     has_outcome = True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PollLoad(Request):
     """Re-poll a previously issued load. Outcome: 0 when the data is
     ready, else a further interval to wait."""
@@ -71,7 +82,7 @@ class PollLoad(Request):
     has_outcome = True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IssueStore(Request):
     """Issue the store with iQ store-ordinal *ordinal*. Outcome: the
     interval until the store buffer accepts it."""
@@ -81,7 +92,7 @@ class IssueStore(Request):
     has_outcome = True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Rollback(Request):
     """A mispredicted branch resolved: roll direct execution back.
 
@@ -100,7 +111,7 @@ class Rollback(Request):
     squashed_controls: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Retire(Request):
     """Retire *count* instructions from the head of the iQ.
 

@@ -21,6 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache.params import MemorySystemParams
+from repro.uarch.iq import MAX_TIMER
+
+#: Memory-system latencies a pipeline timer counts down from: each must
+#: fit the configuration codec's 11-bit timer field.
+TIMED_LATENCIES = ("l1_hit_latency", "l2_hit_latency", "memory_latency")
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,15 @@ class ProcessorParams:
             raise ValueError("fewer physical than architectural fp registers")
         if self.iq_capacity < self.fetch_width:
             raise ValueError("iQ must hold at least one fetch group")
+        # Rejected here rather than by the codec partway through a
+        # FastSim run. The codec keeps its own check: a reply can still
+        # add up several latencies past the field.
+        for name in TIMED_LATENCIES:
+            value = getattr(self.memory, name)
+            if value > MAX_TIMER:
+                raise ValueError(
+                    f"memory.{name} = {value} exceeds {MAX_TIMER}, the "
+                    "largest timer a configuration can encode")
 
     @property
     def int_renames(self) -> int:

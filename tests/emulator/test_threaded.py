@@ -11,11 +11,13 @@ predictor's tables, the ``bQ`` checkpoints and the new
 compile thresholds (see ``compile_after``).
 """
 
+import collections
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import codecache
 from repro.branch import (
     AlwaysTakenPredictor,
     BimodalPredictor,
@@ -42,8 +44,15 @@ def compile_after(request, monkeypatch):
     code only), on their third run (the step-path cold op, the
     promotion and the generated function all inside the programs'
     three-iteration loops, wrong paths included) and at the shipped
-    threshold."""
+    threshold.
+
+    The two higher thresholds start from an empty code cache: a block
+    whose source this process compiled before skips its cold runs, so
+    once an earlier test had compiled the same blocks they would
+    quietly test generated code only."""
     monkeypatch.setattr(threaded, "COMPILE_AFTER", request.param)
+    if request.param > 1:
+        monkeypatch.setattr(codecache, "_CODE_CACHE", {})
     return request.param
 
 
@@ -912,3 +921,70 @@ def test_record_built_before_the_body_fails_lockstep(monkeypatch):
                         _record_built_before_the_body)
     with pytest.raises(AssertionError):
         lockstep(assemble(EVENT_LOOP), BimodalPredictor, 1)
+
+
+# ---------------------------------------------------------------------------
+# The cold path and its skip
+# ---------------------------------------------------------------------------
+
+COUNTDOWN = """
+main:
+    mov 30, %l0
+    clr %l1
+loop:
+    add %l1, %l0, %l1
+    subcc %l0, 1, %l0
+    bne loop
+    out %l1
+    halt
+"""
+
+
+def cold_runs(monkeypatch):
+    """Per block start PC, the runs its cold op stepped through
+    ``Interpreter.step`` (the run that compiles steps nothing)."""
+    runs = collections.Counter()
+    real = threaded.BlockCache._cold
+
+    def counting(self, start_pc, *args):
+        op = real(self, start_pc, *args)
+
+        def run():
+            compiled = op()
+            if not compiled:
+                runs[start_pc] += 1
+            return compiled
+        return run
+
+    monkeypatch.setattr(threaded.BlockCache, "_cold", counting)
+    return runs
+
+
+def run_to_halt(exe):
+    frontend = SpeculativeFrontend(exe, AlwaysTakenPredictor())
+    while frontend.run_one_event().kind is not ControlKind.HALT:
+        if frontend.bq.outstanding():  # the mispredicted loop exit
+            frontend.rollback_to(frontend.bq.outstanding()[0])
+    return frontend
+
+
+def test_a_block_steps_until_its_threshold_unless_already_compiled(
+        compile_after, monkeypatch):
+    """From an empty code cache the loop block is stepped
+    ``COMPILE_AFTER - 1`` times before it compiles; a second frontend in
+    the same process decodes it straight to generated code and steps it
+    no more."""
+    exe = assemble(COUNTDOWN)
+    loop = exe.symbol("loop")
+    runs = cold_runs(monkeypatch)
+    first = run_to_halt(exe)
+    assert runs[loop] == compile_after - 1
+    fn, _count, _end, fused = first._blocks.blocks[loop]
+    assert fused and fn.__name__ == "_blk"
+
+    runs.clear()
+    second = run_to_halt(exe)
+    assert runs[loop] == 0
+    assert second._blocks.blocks[loop][3]
+    assert second.state.output == first.state.output == [465]
+    assert _records(second, (0, 0, 0)) == _records(first, (0, 0, 0))

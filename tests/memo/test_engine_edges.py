@@ -201,9 +201,9 @@ class TestSharedCacheTiming:
 class TestReplayHandsOverTheRecordedRequest:
     def test_interpreted_replay_passes_the_nodes_own_request(
             self, monkeypatch):
-        """A retire / rollback node keeps the frozen request it was
-        recorded from and replay hands the world that very object —
-        nothing is rebuilt per visit."""
+        """A retire / rollback node keeps the request it was recorded
+        from and replay hands the world that very object — nothing is
+        rebuilt per visit."""
         exe = load_workload("go", "tiny")
         cold = FastSim(exe, turbo=False)
         reference = cold.run()

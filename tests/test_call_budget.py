@@ -16,12 +16,13 @@ the point: a list rebuilt per store shows). Four budgets:
   interpreter, and its calls per retired instruction stay within 5 % of
   what the change that introduced this file measured;
 * **the record path** — growing the graph is a leaf too:
-  ``PActionCache.alloc_action`` / ``attach`` / a ``lookup`` hit make
-  zero nested calls and ``alloc_config`` only builds its node, all four
-  leaving the cache's counters where the helper composition they
-  replaced (:class:`ReferenceCache`, kept here) leaves them; and a run
-  whose cache keeps being flushed stays under 0.70 × the frames per
-  detailed cycle it cost before;
+  ``PActionCache.alloc_action`` (with or without the link it folds in)
+  / ``attach`` / a ``lookup`` hit make zero nested calls and
+  ``alloc_config`` only builds its node, all of them leaving the
+  cache's counters where the helper composition they replaced
+  (:class:`ReferenceCache`, kept here) leaves them; and a run whose
+  cache keeps being flushed stays within 1.05 × the frames per detailed
+  cycle it cost when that budget was set;
 * **the detailed pipeline** — one walk over the iQ per cycle: the
   bytecodes ``uarch/detailed.py`` executes per simulated cycle of a
   SlowSim run stay under 0.75 × what the two-walk cycle cost. Bytecodes,
@@ -38,6 +39,7 @@ import sys
 import pytest
 
 import repro
+from repro import codecache
 from repro.cache.hierarchy import MemorySystem
 from repro.errors import MemoizationError
 from repro.memo.actions import (
@@ -250,10 +252,11 @@ class ReferenceCache(PActionCache):
         self.touch(node)
         return node
 
-    def alloc_action(self, node):
+    def alloc_action(self, node, point=None):
         self.actions_allocated += 1
         self._account(node.size_bytes())
         self.touch(node)
+        self.attach(point, node)
         return node
 
     def attach(self, point, node):
@@ -283,10 +286,16 @@ class ChargesTheFirstEdge(ReferenceCache):
 
 
 class SkipsTheTouch(ReferenceCache):
-    def alloc_action(self, node):
+    def alloc_action(self, node, point=None):
         self.actions_allocated += 1
         self._account(node.size_bytes())
+        self.attach(point, node)
         return node
+
+
+class DropsTheFoldedLink(ReferenceCache):
+    def alloc_action(self, node, point=None):
+        return super().alloc_action(node)
 
 
 COUNTERS = ("bytes_used", "peak_bytes", "touch_clock", "graph_generation",
@@ -325,12 +334,19 @@ def growth(cache):
     second = call("alloc_config", make_blob(2))
     control = call("alloc_action", ControlNode())
     call("attach", (control, ("taken", 4)), second)
+    # The recorder's one call per action: allocated and linked at once,
+    # plain, as a first edge and as a charged second edge.
+    folded = [call("alloc_action", AdvanceNode(5), (second, None))]
+    folded.append(call("alloc_action", LoadIssueNode(1),
+                       (folded[-1], None)))
+    folded.append(call("alloc_action", AdvanceNode(6), (folded[1], 2)))
+    folded.append(call("alloc_action", AdvanceNode(7), (folded[1], 9)))
     assert call("lookup", make_blob(2)) is second
     assert cache.last_lookup_blob == make_blob(2)
     assert call("lookup", make_blob(9)) is None
     call("attach", None, first)
-    steps.append([node.touch_gen
-                  for node in chain + [retire, load, second, control]])
+    steps.append([node.touch_gen for node in
+                  chain + [retire, load, second, control] + folded])
     return steps
 
 
@@ -348,7 +364,8 @@ class TestGrowingTheGraphIsALeaf:
             assert nested == (2 if method == "alloc_config" else 0), method
 
     @pytest.mark.parametrize("mutant", [ForgetsThePeak, ChargesTheFirstEdge,
-                                        SkipsTheTouch])
+                                        SkipsTheTouch,
+                                        DropsTheFoldedLink])
     def test_a_broken_reference_is_noticed(self, mutant):
         assert growth(mutant()) != growth(ReferenceCache())
 
@@ -362,18 +379,29 @@ class TestGrowingTheGraphIsALeaf:
             cache.attach((load, None), config)
         with pytest.raises(MemoizationError):
             cache.attach((config, 3), load)
+        with pytest.raises(MemoizationError):
+            cache.alloc_action(AdvanceNode(1), (load, None))
+        with pytest.raises(MemoizationError):
+            cache.alloc_action(AdvanceNode(1), (config, 3))
 
 
 #: Python-level frames per detailed cycle of one run whose cache is
-#: flushed at 0.35 x its natural size, ``test`` scale, before recording
-#: stopped costing as much as simulating (495 757 / 422 392 / 365 718
-#: frames over 6 621 / 4 877 / 6 295 detailed cycles); the change that
-#: set this budget reads 40.8 / 46.6 / 34.2.
-RECORD_BEFORE = {"gcc": 74.88, "compress": 86.61, "tomcatv": 58.10}
+#: flushed at 0.35 x its natural size, ``test`` scale, after an
+#: unbounded run of the same program in the same process (so blocks it
+#: compiled start compiled), as measured when the budget was set
+#: (193 235 / 171 443 / 172 793 frames over 6 744 / 4 882 / 6 945
+#: detailed cycles; they repeat exactly). The commit before read
+#: 39.29 / 43.37 / 30.02, against a budget of 0.70 x the frames
+#: recording cost when it still cost more than simulating (74.88 /
+#: 86.61 / 58.10, that is 52.42 / 60.63 / 40.67).
+RECORD_MEASURED = {"gcc": 28.65, "compress": 35.12, "tomcatv": 24.88}
 
 
-@pytest.mark.parametrize("name", sorted(RECORD_BEFORE))
-def test_bounded_run_frames_per_detailed_cycle(name):
+@pytest.mark.parametrize("name", sorted(RECORD_MEASURED))
+def test_bounded_run_frames_per_detailed_cycle(name, monkeypatch):
+    # The count depends on which blocks start compiled: start from an
+    # empty code cache, so that it is what the unbounded run compiled.
+    monkeypatch.setattr(codecache, "_CODE_CACHE", {})
     executable = load_workload(name, "test")
     natural = FastSim(executable).run().memo.peak_cache_bytes
     sim = FastSim(executable, policy=FlushOnFullPolicy(
@@ -382,12 +410,13 @@ def test_bounded_run_frames_per_detailed_cycle(name):
         result = sim.run()
     assert result.memo.evictions > 0
     per_cycle = counter.total / result.memo.detailed_cycles
+    budget = 1.05 * RECORD_MEASURED[name]
     print(f"\n{name}: {counter.total} frames / "
           f"{result.memo.detailed_cycles} detailed cycles = "
-          f"{per_cycle:.2f} (budget {0.70 * RECORD_BEFORE[name]:.2f})")
+          f"{per_cycle:.2f} (budget {budget:.2f})")
     for layer, count in counter.by_layer.most_common(8):
         print(f"  {layer:28s} {count:8d}")
-    assert per_cycle <= 0.70 * RECORD_BEFORE[name]
+    assert per_cycle <= budget
 
 
 # -- the detailed pipeline -----------------------------------------------

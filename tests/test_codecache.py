@@ -1,4 +1,6 @@
-"""The process-wide generated-source cache is bounded."""
+"""The process-wide generated-source cache is bounded, and a block
+whose source it already holds runs generated code from its first
+decode."""
 
 from repro import codecache
 from repro.branch import AlwaysTakenPredictor
@@ -7,6 +9,9 @@ from repro.emulator.frontend import SpeculativeFrontend
 from repro.emulator.functional import run_program
 from repro.emulator.queues import ControlKind
 from repro.isa import assemble
+from repro.sim.fastsim import FastSim
+from repro.workloads.suite import load_workload
+from tests.emulator.test_threaded import cold_runs
 
 LOOP = """
 main:
@@ -71,3 +76,36 @@ def test_same_source_compiles_once():
     assert first is not second            # a namespace each...
     assert first.__code__ is second.__code__    # ...one code object
     assert first() == second() == 42
+
+
+def _controls(sim):
+    return [(r.outcome_key, r.lq_len, r.sq_len)
+            for r in sim.world.frontend.queues.controls]
+
+
+def _generated(sim):
+    return {pc for pc, (fn, *_rest) in sim.world.frontend._blocks.blocks
+            .items() if fn is not None and fn.__name__ == "_blk"}
+
+
+def test_a_second_run_starts_every_hot_block_compiled(monkeypatch):
+    """In one process the second FastSim run of a program decodes each
+    block the first run compiled straight to its generated function —
+    no cold run — and gives the same results and control records."""
+    monkeypatch.setattr(codecache, "_CODE_CACHE", {})
+    runs = cold_runs(monkeypatch)
+    exe = load_workload("perl", "tiny")
+    first = FastSim(exe)
+    reference = first.run()
+    hot = _generated(first)
+    assert hot
+    assert all(runs[pc] == threaded.COMPILE_AFTER - 1 for pc in hot)
+
+    runs.clear()
+    second = FastSim(exe)
+    result = second.run()
+    assert hot <= _generated(second)
+    assert not any(runs[pc] for pc in hot)
+    assert result.timing_equal(reference)
+    assert result.as_dict()["output"] == reference.as_dict()["output"]
+    assert _controls(second) == _controls(first)

@@ -25,7 +25,10 @@ from repro.uarch.config_codec import (
     decode_config,
     encode_config,
 )
+from repro.sim.slowsim import SlowSim
 from repro.uarch.iq import IQEntry, InstructionQueue, MAX_TIMER, Stage
+from repro.workloads.suite import load_workload
+from tests.uarch.test_detailed_golden import CONFIGS
 
 # A program with a straight-line run, a conditional branch (both arms
 # valid), and an indirect jump — every control shape the walk handles.
@@ -297,6 +300,25 @@ class TestOneWalkEncoderMatchesTheReference:
                                jump_target=_ADDRESSES[6])]
         blob = self._assert_same(with_target, None, stalled, halted)
         assert blob[-4:] == _ADDRESSES[6].to_bytes(4, "big")
+
+
+class TestEveryCycleOfRealRuns:
+    """The reference encoder and ``encode_config`` agree on the iQ of
+    every simulated cycle of real programs, under ``r10k`` and under
+    ``tight`` (rename and queue-full stalls)."""
+
+    @pytest.mark.parametrize("config", ["r10k", "tight"])
+    @pytest.mark.parametrize("name", ["compress", "go", "tomcatv", "li"])
+    def test_reference_matches_on_every_cycle(self, name, config):
+        sim = SlowSim(load_workload(name, "tiny"), CONFIGS[config])
+        detailed = sim.simulator
+        cycles = 0
+        for _ in sim.cycles():
+            state = (detailed.iq.entries, detailed.fetch_pc,
+                     detailed.fetch_stalled, detailed.fetch_halted)
+            assert encode_config(*state) == reference_encode_config(*state)
+            cycles += 1
+        assert cycles == sim.world.cycle > 0
 
 
 class TestManifestMatchesCodec:

@@ -1,8 +1,15 @@
 """Tests for processor parameters (paper Table 1)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.uarch.params import ProcessorParams
+from repro.cache.params import MemorySystemParams
+from repro.sim.fastsim import FastSim
+from repro.sim.slowsim import SlowSim
+from repro.uarch.iq import MAX_TIMER
+from repro.uarch.params import TIMED_LATENCIES, ProcessorParams
+from repro.workloads.suite import load_workload
 
 
 class TestR10kDefaults:
@@ -69,6 +76,23 @@ class TestValidation:
         narrow = ProcessorParams.narrow()
         assert narrow.decode_width == 2
         assert narrow.int_alus == 1
+
+    @pytest.mark.parametrize("name", TIMED_LATENCIES)
+    def test_a_latency_the_codec_cannot_encode_is_rejected(self, name):
+        """Caught when the params are built, naming the field — not by
+        the configuration codec partway through a FastSim run."""
+        memory = replace(MemorySystemParams(), **{name: MAX_TIMER + 1})
+        with pytest.raises(ValueError, match=f"memory.{name} = 2048"):
+            replace(ProcessorParams.r10k(), memory=memory)
+        ok = replace(MemorySystemParams(), **{name: MAX_TIMER})
+        assert replace(ProcessorParams.r10k(), memory=ok).memory == ok
+
+    def test_a_long_memory_latency_runs_under_fastsim(self):
+        params = replace(ProcessorParams.r10k(), memory=replace(
+            MemorySystemParams(), memory_latency=MAX_TIMER // 2))
+        exe = load_workload("compress", "tiny")
+        fast = FastSim(exe, params=params).run()
+        assert fast.timing_equal(SlowSim(exe, params=params).run())
 
     def test_frozen(self):
         with pytest.raises(Exception):
