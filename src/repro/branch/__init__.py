@@ -7,7 +7,6 @@ from repro.branch.predictor import (
     GsharePredictor,
     NotTakenPredictor,
     StaticBTFNPredictor,
-    make_predictor,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "AlwaysTakenPredictor",
     "NotTakenPredictor",
     "StaticBTFNPredictor",
-    "make_predictor",
 ]

@@ -198,20 +198,3 @@ class StaticBTFNPredictor(BranchPredictor):
     def reset(self) -> None:
         self._mispredictions = 0
         self._predictions = 0
-
-
-def make_predictor(name: str, **kwargs) -> BranchPredictor:
-    """Factory: ``bimodal`` (default), ``taken``, ``not-taken``, ``btfn``."""
-    factories = {
-        "bimodal": BimodalPredictor,
-        "gshare": GsharePredictor,
-        "taken": AlwaysTakenPredictor,
-        "not-taken": NotTakenPredictor,
-        "btfn": StaticBTFNPredictor,
-    }
-    try:
-        return factories[name](**kwargs)
-    except KeyError:
-        raise ValueError(
-            f"unknown predictor {name!r}; choose from {sorted(factories)}"
-        ) from None

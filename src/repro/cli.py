@@ -399,8 +399,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     exact = "yes" if fast.timing_equal(slow) else "NO (bug!)"
     print(f"  FastSim == SlowSim cycle-exact: {exact}")
     if host.audit_every is not None:
-        print(f"  replay audits: every {host.audit_every} episode(s), "
-              f"seed {host.audit_seed}")
+        print(f"  replay audits: every {host.audit_every} episode(s)")
     print(f"  memoization speedup: "
           f"{slow.host_seconds / fast.host_seconds:.1f}x "
           f"(detailed fraction "

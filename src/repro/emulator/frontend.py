@@ -131,14 +131,19 @@ class SpeculativeFrontend:
                                 executed += 1
                                 cache.fused_branches += 1
                                 return record
-                        elif fn is not None and fn():
-                            continue  # just compiled: dispatch again
-                        elif count:
-                            state.pc = end_pc
-                            state.instret += count
-                            executed += count
-                            cache.block_runs += 1
-                            cache.threaded_instructions += count
+                        else:
+                            # None: generated code ran the body; False:
+                            # a cold op stepped it; True: just compiled.
+                            ran = fn() if fn is not None else False
+                            if ran:
+                                continue  # dispatch again
+                            if count:
+                                state.pc = end_pc
+                                state.instret += count
+                                executed += count
+                                if ran is None:
+                                    cache.block_runs += 1
+                                    cache.threaded_instructions += count
                 if executed >= limit:
                     raise SimulationError(
                         f"frontend exceeded {limit} instructions"

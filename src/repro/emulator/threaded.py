@@ -114,8 +114,9 @@ MAX_BLOCK = 256
 
 #: ``(fn, n_instructions, end_pc, fused)``. Not *fused*: *fn* runs the
 #: body only (None: nothing to run) and the caller commits PC/instret;
-#: a true return value means *fn* ran nothing but replaced this entry
-#: with compiled code — look the block up again. *fused*: *fn* is an
+#: generated code returns None, a cold op that stepped the body False,
+#: and a true return value means *fn* ran nothing but replaced this
+#: entry with compiled code — look the block up again. *fused*: *fn* is an
 #: event function — body, the control event at *end_pc*, both commits —
 #: returning the event's :class:`ControlRecord` (None: a misaligned
 #: ``jmpl`` target; the body is committed and the step path raises).
@@ -506,7 +507,8 @@ def emit_event(instr, count: int, lines: List[str]) -> bool:
 class BlockCache:
     """Decoded-block cache + executor for one speculative frontend."""
 
-    #: Host-side effectiveness counters (never canonical).
+    #: Host-side effectiveness counters (never canonical); runs and
+    #: instructions count generated code only.
     STATS = ("blocks_decoded", "block_runs", "threaded_instructions",
              "fused_branches")
 

@@ -148,7 +148,6 @@ def run_chaos(
     force_divergence: bool = True,
     crash: bool = True,
     audit_every: int = 1,
-    audit_seed: int = 0,
     work_dir: Optional[str] = None,
     sink: Optional[ProgressSink] = None,
     obs=None,
@@ -203,8 +202,7 @@ def run_chaos(
                                  scale=scale, name=f"chaos-{scale}")
         if not audited:
             return campaign
-        host = HostOptions(audit_every=audit_every,
-                           audit_seed=audit_seed)
+        host = HostOptions(audit_every=audit_every)
         return replace(campaign, jobs=tuple(
             replace(job, host=host) for job in campaign.jobs))
 

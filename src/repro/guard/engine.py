@@ -59,7 +59,6 @@ which the pipeline cannot do.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -140,15 +139,13 @@ def _replay_pending(request, generator):
 class GuardedEngine(FastForwardEngine):
     """A :class:`FastForwardEngine` that audits sampled replay episodes.
 
-    ``audit_every=N`` audits every Nth replay episode (1 = all);
-    ``audit_seed`` deterministically phases which residue class is
-    sampled, so two guarded runs with the same seed audit the same
-    episodes (and different seeds spread audit cost across a campaign
-    without losing reproducibility).
+    ``audit_every=N`` audits every Nth replay episode (1 = all): the
+    episodes whose ordinal is a multiple of N, so two guarded runs
+    audit the same episodes.
     """
 
     def __init__(self, executable, world, pcache=None, policy=None,
-                 obs=None, audit_every: int = 1, audit_seed: int = 0,
+                 obs=None, audit_every: int = 1,
                  turbo: bool = True, turbo_threshold: Optional[int] = None):
         super().__init__(executable, world, pcache=pcache, policy=policy,
                          obs=obs, turbo=turbo,
@@ -156,8 +153,6 @@ class GuardedEngine(FastForwardEngine):
         if audit_every < 1:
             raise ValueError("audit_every must be >= 1")
         self.audit_every = audit_every
-        self.audit_seed = audit_seed
-        self._audit_phase = random.Random(audit_seed).randrange(audit_every)
         self.audits = 0
         self.divergences = 0
         self.reports: List[DivergenceReport] = []
@@ -166,7 +161,7 @@ class GuardedEngine(FastForwardEngine):
 
     def _replay(self, entry: ConfigNode):
         ordinal = self.memo.replay_episodes
-        if (ordinal + self._audit_phase) % self.audit_every == 0:
+        if ordinal % self.audit_every == 0:
             return self._replay_audited(entry, ordinal)
         return super()._replay(entry)
 

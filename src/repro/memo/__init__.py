@@ -31,7 +31,7 @@ from repro.memo.compile import (
     patch_log,
     revalidate,
 )
-from repro.memo.dump import cache_summary, dump_chain
+from repro.memo.dump import cache_summary
 from repro.memo.engine import FastForwardEngine, run_signature
 from repro.memo.pcache import PActionCache
 from repro.memo.persist import (
@@ -79,7 +79,6 @@ __all__ = [
     "GenerationalGCPolicy",
     "make_policy",
     "cache_summary",
-    "dump_chain",
     "save_pcache",
     "load_pcache",
     "write_pcache",

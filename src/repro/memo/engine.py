@@ -322,7 +322,6 @@ class FastForwardEngine:
         link = cache.attach
         advance_cycles = world.advance_cycles
         maybe_collect = self.policy.maybe_collect
-        actions_pending = attach is None  # force re-anchor after eviction
 
         while True:
             try:
@@ -334,11 +333,11 @@ class FastForwardEngine:
 
             if kind is CycleBoundary:
                 # A configuration is cut where a chain can diverge: after
-                # an outcome (or to re-anchor after an eviction), and
-                # only when the world clock is in sync with the
-                # simulator's cycle (not while swallowing cycles the
-                # replayer already advanced).
-                if (outcome or actions_pending) and cycle_debt == 0:
+                # an outcome (or to re-anchor when there is no attach
+                # point, as after an eviction), and only when the world
+                # clock is in sync with the simulator's cycle (not while
+                # swallowing cycles the replayer already advanced).
+                if (outcome or attach is None) and cycle_debt == 0:
                     blob = (self._encode(simulator) if obs_on
                             else encode_config(simulator.iq.entries,
                                                simulator.fetch_pc,
@@ -353,12 +352,10 @@ class FastForwardEngine:
                     attach = (config, None)
                     anchor = world.cycle
                     outcome = False
-                    actions_pending = False
                     if maybe_collect(cache):
                         # Node identities are stale: re-anchor at the
                         # next configuration boundary.
                         attach = None
-                        actions_pending = True
                 if cycle_debt > 0:
                     cycle_debt -= 1  # replay already advanced this cycle
                 else:

@@ -40,7 +40,6 @@ class HostOptions:
         None, "audit every Nth replay episode against detailed "
               "re-execution (deterministically sampled; see "
               "docs/robustness.md)")
-    audit_seed: int = _knob(0, "seed for the audit sampling phase")
 
     def __post_init__(self) -> None:
         if self.turbo_threshold is not None and self.turbo_threshold < 1:

@@ -95,6 +95,7 @@ class IntegratedSimulator:
         self.interpreter = Interpreter(executable, self.state)
         self.cache = MemorySystem(self.params.memory)
         self._next_token = 0  #: cache key of the next issued load
+        #: Its ``cycles`` is copied from :attr:`cycle` when the run ends.
         self.stats = SimStats()
         self.rob: List[_RobEntry] = []
         self.fetch_pc: Optional[int] = executable.entry
@@ -117,21 +118,21 @@ class IntegratedSimulator:
                     break
                 self._fetch(self._walk(limits))
                 self.cycle += 1
-                self.stats.cycles += 1
                 if self.cycle > max_cycles:
                     raise SimulationError(f"exceeded {max_cycles} cycles")
                 if obs_on:
                     obs.sample_pipeline(self.cycle, len(self.rob))
         elapsed = time.perf_counter() - started
+        self.stats.cycles = self.cycle
         if obs_on:
-            obs.gauge("sim.cycles", self.stats.cycles)
+            obs.gauge("sim.cycles", self.cycle)
             obs.gauge(
                 "sim.instructions", self.stats.retired_instructions
             )
             obs.gauge("frontend.rollbacks", self.rollbacks)
         return SimulationResult(
             name=self.name,
-            cycles=self.stats.cycles,
+            cycles=self.cycle,
             instructions=self.stats.retired_instructions,
             output=list(self.state.output),
             sim_stats=self.stats,

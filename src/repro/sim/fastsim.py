@@ -17,7 +17,7 @@ its memory (paper §4.3)::
     exe = assemble(source)
     result = FastSim(exe, policy=FlushOnFullPolicy(1 << 20)).run()
 
-Pass ``audit_every=N`` (optionally with ``audit_seed``) to run under
+Pass ``audit_every=N`` to run under
 the :class:`~repro.guard.GuardedEngine`, which audits sampled replay
 episodes against detailed re-execution and quarantines corrupted
 chains instead of replaying them (see docs/robustness.md).
@@ -59,7 +59,6 @@ class FastSim:
         pcache: Optional[PActionCache] = None,
         obs=None,
         audit_every: Optional[int] = None,
-        audit_seed: int = 0,
         turbo: bool = True,
         turbo_threshold: Optional[int] = None,
         threaded_frontend: bool = True,
@@ -87,8 +86,7 @@ class FastSim:
 
             self.engine = GuardedEngine(
                 executable, self.world, pcache=pcache, policy=policy,
-                obs=self.obs, audit_every=audit_every,
-                audit_seed=audit_seed, turbo=turbo,
+                obs=self.obs, audit_every=audit_every, turbo=turbo,
                 turbo_threshold=turbo_threshold,
             )
         else:

@@ -176,13 +176,13 @@ def world_result(name: str, world, host_seconds: float, obs,
     instruction and rollback gauges when *obs* is enabled."""
     frontend = world.frontend
     if obs.enabled:
-        obs.gauge("sim.cycles", world.stats.cycles)
-        obs.gauge("sim.instructions", world.stats.retired_instructions)
+        obs.gauge("sim.cycles", world.cycle)
+        obs.gauge("sim.instructions", world.retired_instructions)
         obs.gauge("frontend.rollbacks", frontend.rollbacks)
     return SimulationResult(
         name=name,
-        cycles=world.stats.cycles,
-        instructions=world.stats.retired_instructions,
+        cycles=world.cycle,
+        instructions=world.retired_instructions,
         output=list(world.program_output),
         sim_stats=world.stats,
         cache_stats=world.cache.stats,

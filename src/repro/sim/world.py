@@ -20,7 +20,9 @@ position-independent ordinals inside recorded actions into absolute
 frontend-queue indices:
 
 * ``lq_base`` / ``sq_base`` / ``cf_base`` count retired loads / stores /
-  control instructions — an ordinal is relative to these;
+  control instructions — an ordinal is relative to these. With the
+  clock, they are also four of the statistics, so each figure has one
+  live counter and :attr:`World.stats` builds the record on read;
 * ``cf_fetched`` is the index of the next control record fetch will
   consume. The frontend is kept exactly **one control event ahead** of
   fetch (it runs when a consume leaves it level), which guarantees every
@@ -50,7 +52,7 @@ from repro.uarch.params import ProcessorParams
 
 
 class SimStats:
-    """Processor statistics, updated identically by record and replay."""
+    """Processor statistics, as :attr:`World.stats` reads them."""
 
     __slots__ = (
         "cycles", "retired_instructions", "retired_loads", "retired_stores",
@@ -117,12 +119,15 @@ class World:
         self.cache = (memory_system if memory_system is not None
                       else MemorySystem(self.params.memory,
                                         l1_filter=l1_filter))
-        self.stats = SimStats()
         self.cycle = 0
         self.lq_base = 0
         self.sq_base = 0
         self.cf_base = 0
         self.cf_fetched = 0
+        self.retired_instructions = 0
+        self.retired_branches = 0
+        self.mispredictions = 0
+        self.squashed_entries = 0
         # Hot-path aliases: the frontend queues are append-only lists
         # truncated in place (``del list[n:]``), so their identities are
         # stable for the lifetime of the world.
@@ -144,7 +149,6 @@ class World:
     def advance_cycles(self, count: int) -> None:
         """Advance simulated time (cycle boundaries / AdvanceCycles)."""
         self.cycle += count
-        self.stats.cycles += count
 
     # -- control flow ----------------------------------------------------
 
@@ -188,12 +192,8 @@ class World:
         self.lq_base += request.loads
         self.sq_base += request.stores
         self.cf_base += request.controls
-        stats = self.stats
-        stats.retired_instructions += request.count
-        stats.retired_loads += request.loads
-        stats.retired_stores += request.stores
-        stats.retired_branches += request.branches
-        stats.retired_controls += request.controls
+        self.retired_instructions += request.count
+        self.retired_branches += request.branches
 
     def rollback(self, request: Rollback) -> None:
         """A mispredicted branch resolved: roll the frontend back."""
@@ -204,9 +204,8 @@ class World:
         self.frontend.rollback_to(control_index)
         self.cf_fetched = control_index + 1
         self._ensure_frontend_ahead()
-        stats = self.stats
-        stats.mispredictions += 1
-        stats.squashed_entries += (
+        self.mispredictions += 1
+        self.squashed_entries += (
             request.squashed_loads + request.squashed_stores
             + request.squashed_controls
         )
@@ -241,6 +240,20 @@ class World:
         raise SimulationError(f"no world call answers {request!r}")
 
     # ------------------------------------------------------------------
+
+    @property
+    def stats(self) -> SimStats:
+        """The statistics so far, as a record of their own."""
+        stats = SimStats()
+        stats.cycles = self.cycle
+        stats.retired_instructions = self.retired_instructions
+        stats.retired_loads = self.lq_base
+        stats.retired_stores = self.sq_base
+        stats.retired_branches = self.retired_branches
+        stats.retired_controls = self.cf_base
+        stats.mispredictions = self.mispredictions
+        stats.squashed_entries = self.squashed_entries
+        return stats
 
     @property
     def program_output(self):

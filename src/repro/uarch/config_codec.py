@@ -42,7 +42,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ConfigCodecError
 from repro.isa.program import Executable
-from repro.uarch.iq import IQEntry, MAX_TIMER, Stage
+from repro.uarch.iq import IQEntry, MAX_IQ_ENTRIES, MAX_TIMER, Stage
 
 _HEADER = struct.Struct(">BBII")
 
@@ -102,7 +102,7 @@ def encode_config(entries: List[IQEntry], fetch_pc: Optional[int],
     ``tests/uarch/test_codec_properties.py``).
     """
     count = len(entries)
-    if count > 255:
+    if count > MAX_IQ_ENTRIES:
         raise ConfigCodecError(f"too many iQ entries: {count}")
     words: List[int] = []
     add_word = words.append

@@ -48,6 +48,9 @@ FETCHED, QUEUE, EXEC, CACHE, STWAIT, DONE = Stage
 #: Largest timer value the 11-bit encoded form can hold.
 MAX_TIMER = (1 << 11) - 1
 
+#: Most iQ entries a configuration can hold: its count is one byte.
+MAX_IQ_ENTRIES = 255
+
 
 class IQEntry:
     """One in-flight instruction."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache.params import MemorySystemParams
-from repro.uarch.iq import MAX_TIMER
+from repro.uarch.iq import MAX_IQ_ENTRIES, MAX_TIMER
 
 #: Memory-system latencies a pipeline timer counts down from: each must
 #: fit the configuration codec's 11-bit timer field.
@@ -61,6 +61,11 @@ class ProcessorParams:
         # Rejected here rather than by the codec partway through a
         # FastSim run. The codec keeps its own check: a reply can still
         # add up several latencies past the field.
+        if self.iq_capacity > MAX_IQ_ENTRIES:
+            raise ValueError(
+                f"iq_capacity = {self.iq_capacity} exceeds "
+                f"{MAX_IQ_ENTRIES}, the most iQ entries a configuration "
+                "can encode")
         for name in TIMED_LATENCIES:
             value = getattr(self.memory, name)
             if value > MAX_TIMER:

@@ -13,15 +13,9 @@ in-flight instruction::
 
 Use :func:`trace_pipeline` for a list of rendered cycles, or
 :class:`PipelineTracer` to observe cycles programmatically (e.g. to
-assert on occupancy in tests).
-
-The tracer is built on the :mod:`repro.obs` span-sink protocol: pass
-``sink=`` any :class:`~repro.obs.spans.TraceSink` (a ring buffer, a
-JSON-lines stream, or an :class:`~repro.obs.Observer`'s ring) and every
-cycle is also emitted as a simulated-clock counter event, so a pipeline
-trace lands on the same timeline as the memo-engine spans in a Chrome
-trace export. :func:`trace_pipeline` remains the thin
-render-to-strings wrapper it always was.
+assert on occupancy in tests). An observed run's pipeline occupancy is
+on the simulated-clock track already (``pipeline.iq_occupancy``, see
+docs/observability.md), so the tracer emits no events of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from typing import Callable, List, Optional
 from repro.branch.predictor import BranchPredictor
 from repro.isa.disasm import format_instruction
 from repro.isa.program import Executable
-from repro.obs.spans import CLOCK_SIM, TraceEvent, TraceSink
 from repro.uarch.iq import IQEntry, Stage
 from repro.uarch.params import ProcessorParams
 
@@ -52,23 +45,6 @@ class CycleSnapshot:
         return sum(1 for e in self.entries if e.stage is stage)
 
 
-def snapshot_event(snapshot: CycleSnapshot) -> TraceEvent:
-    """One simulated-clock counter event for a cycle snapshot.
-
-    The counter tracks (occupancy plus per-stage breakdown) render as
-    stacked series on the sim-clock timeline in Perfetto, next to the
-    memo-engine sample track.
-    """
-    values = {"occupancy": snapshot.occupancy(),
-              "retired": snapshot.retired_so_far}
-    for stage in Stage:
-        count = snapshot.count_stage(stage)
-        if count:
-            values[stage.name.lower()] = count
-    return TraceEvent("pipeline.cycle", "C", snapshot.cycle,
-                      cat="pipeline", clock=CLOCK_SIM, args=values)
-
-
 def copy_entry(entry: IQEntry) -> IQEntry:
     """An independent copy of *entry* (snapshots must not alias the
     live iQ)."""
@@ -84,42 +60,34 @@ class PipelineTracer:
         executable: Executable,
         params: Optional[ProcessorParams] = None,
         predictor: Optional[BranchPredictor] = None,
-        sink: Optional[TraceSink] = None,
     ):
         # Imported here: repro.sim imports repro.uarch submodules, so a
         # module-level import would be circular via the package __init__.
         from repro.sim.slowsim import SlowSim
 
         self.slowsim = SlowSim(executable, params, predictor)
-        self.sink = sink
 
-    def run(self, on_cycle: Optional[Callable[[CycleSnapshot], None]] = None,
+    def run(self, on_cycle: Callable[[CycleSnapshot], None],
             max_cycles: int = 10_000) -> int:
         """Simulate, calling *on_cycle* at every boundary.
 
         Returns the final cycle count. Stops at *max_cycles* without
         error (traces are usually of prefixes); a model that stops
-        without finishing raises, as in SlowSim. When the tracer was
-        built with a ``sink``, every cycle is also emitted to it as a
-        :func:`snapshot_event`; *on_cycle* may then be omitted.
+        without finishing raises, as in SlowSim.
         """
         slowsim = self.slowsim
         world = slowsim.world
         simulator = slowsim.simulator
-        sink = self.sink
         for _ in slowsim.cycles():
             snapshot = CycleSnapshot(
                 cycle=world.cycle - 1,
                 entries=[copy_entry(e) for e in simulator.iq.entries],
-                retired_so_far=world.stats.retired_instructions,
+                retired_so_far=world.retired_instructions,
             )
-            if on_cycle is not None:
-                on_cycle(snapshot)
-            if sink is not None:
-                sink.emit(snapshot_event(snapshot))
+            on_cycle(snapshot)
             if world.cycle >= max_cycles:
                 break
-        return world.stats.cycles
+        return world.cycle
 
 
 def format_snapshot(snapshot: CycleSnapshot) -> str:

@@ -15,7 +15,7 @@ plain functional execution so simulators can self-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from repro.emulator.functional import run_program
@@ -37,6 +37,9 @@ class Workload:
     description: str
     builder: Callable[[int], str]
     scale_n: Dict[str, int]
+    #: Scale -> the program assembled at it (see :meth:`executable`).
+    _assembled: Dict[str, Executable] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def source(self, scale: str = "test") -> str:
         """Generate the assembly source at *scale*."""
@@ -48,8 +51,14 @@ class Workload:
         return self.builder(self.scale_n[scale])
 
     def executable(self, scale: str = "test") -> Executable:
-        """Assemble the workload at *scale*."""
-        return assemble(self.source(scale), name=f"{self.name}-{scale}")
+        """The workload assembled at *scale*, once per process: callers
+        share it, and only its lazily filled decode cache is written."""
+        executable = self._assembled.get(scale)
+        if executable is None:
+            executable = assemble(self.source(scale),
+                                  name=f"{self.name}-{scale}")
+            self._assembled[scale] = executable
+        return executable
 
 
 def _scales(tiny: int, test: int, train: int) -> Dict[str, int]:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.branch import BimodalPredictor, GsharePredictor, make_predictor
+from repro.branch import BimodalPredictor, GsharePredictor
 from repro.isa import assemble
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
@@ -47,11 +47,6 @@ class TestGshareBasics:
             GsharePredictor(entries=500)
         with pytest.raises(ValueError):
             GsharePredictor(history_bits=0)
-
-    def test_factory(self):
-        predictor = make_predictor("gshare", entries=256, history_bits=4)
-        assert predictor.entries == 256
-        assert predictor.history_bits == 4
 
 
 def _mispredicts(predictor, outcomes, pc=0x10000):

@@ -8,7 +8,6 @@ from repro.branch import (
     BimodalPredictor,
     NotTakenPredictor,
     StaticBTFNPredictor,
-    make_predictor,
 )
 
 
@@ -97,20 +96,6 @@ class TestStaticPredictors:
         predictor = StaticBTFNPredictor(lambda pc: targets[pc])
         assert predictor.predict_and_update(0x100, True) is True  # backward
         assert predictor.predict_and_update(0x200, True) is False  # forward
-
-
-class TestFactory:
-    def test_known_names(self):
-        for name in ("bimodal", "taken", "not-taken", "btfn"):
-            assert make_predictor(name) is not None
-
-    def test_kwargs_forwarded(self):
-        predictor = make_predictor("bimodal", entries=64)
-        assert predictor.entries == 64
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown predictor"):
-            make_predictor("neural")
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=200))

@@ -156,7 +156,7 @@ def lockstep(exe, predictor_cls=BimodalPredictor, rollback_delay=1,
                 compare()
                 continue
         if at_halt:
-            assert fronts[0].frontend_stats()["block_runs"] > 0
+            assert fronts[0].frontend_stats()["blocks_decoded"] > 0
             return fronts
     raise AssertionError("program did not halt")
 

@@ -12,7 +12,7 @@ from repro.analysis import table2, table4
 from repro.api import run_campaign
 from repro.branch import BimodalPredictor
 from repro.emulator.functional import run_program
-from repro.memo.dump import cache_summary, dump_chain
+from repro.memo.dump import cache_summary
 from repro.memo.policies import FlushOnFullPolicy
 from repro.sim.baseline import IntegratedSimulator
 from repro.sim.fastsim import FastSim
@@ -55,8 +55,6 @@ class TestEndToEndWorkload:
         sim.run()
         summary = cache_summary(sim.pcache)
         assert "configurations indexed" in summary
-        root = next(iter(sim.pcache.index.values()))
-        assert dump_chain(root, exe)
 
     def test_traceable(self):
         cycles = trace_pipeline(load_workload(self.NAME, "tiny"),

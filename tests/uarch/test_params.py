@@ -7,7 +7,7 @@ import pytest
 from repro.cache.params import MemorySystemParams
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
-from repro.uarch.iq import MAX_TIMER
+from repro.uarch.iq import MAX_IQ_ENTRIES, MAX_TIMER
 from repro.uarch.params import TIMED_LATENCIES, ProcessorParams
 from repro.workloads.suite import load_workload
 
@@ -63,6 +63,16 @@ class TestR10kDefaults:
         assert "8 byte wide, split transaction bus" in text
 
 
+def _wide(iq_capacity):
+    """An 8-wide machine with *iq_capacity* iQ entries and enough
+    queues and registers that the iQ is what fills."""
+    return replace(ProcessorParams.r10k(), iq_capacity=iq_capacity,
+                   int_queue=iq_capacity, fp_queue=iq_capacity,
+                   addr_queue=iq_capacity, phys_int_regs=400,
+                   phys_fp_regs=400, fetch_width=8, decode_width=8,
+                   retire_width=8)
+
+
 class TestValidation:
     def test_too_few_physical_registers(self):
         with pytest.raises(ValueError):
@@ -91,6 +101,18 @@ class TestValidation:
         params = replace(ProcessorParams.r10k(), memory=replace(
             MemorySystemParams(), memory_latency=MAX_TIMER // 2))
         exe = load_workload("compress", "tiny")
+        fast = FastSim(exe, params=params).run()
+        assert fast.timing_equal(SlowSim(exe, params=params).run())
+
+    def test_an_iq_the_codec_cannot_encode_is_rejected(self):
+        """A configuration counts its iQ entries in one byte: 256 is
+        refused when the params are built, naming the field."""
+        with pytest.raises(ValueError, match="iq_capacity = 256"):
+            _wide(MAX_IQ_ENTRIES + 1)
+
+    def test_the_widest_encodable_iq_runs_under_fastsim(self):
+        params = _wide(MAX_IQ_ENTRIES)
+        exe = load_workload("fpppp", "tiny")
         fast = FastSim(exe, params=params).run()
         assert fast.timing_equal(SlowSim(exe, params=params).run())
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.isa import assemble
-from repro.obs.spans import CLOCK_SIM, RingBufferSink
 from repro.sim.sampling import SamplingSimulator
 from repro.sim.slowsim import SlowSim
 from repro.uarch.detailed import DetailedSimulator
@@ -14,7 +13,6 @@ from repro.uarch.trace import (
     CycleSnapshot,
     PipelineTracer,
     format_snapshot,
-    snapshot_event,
     trace_pipeline,
 )
 from repro.workloads import WORKLOAD_ORDER, load_workload
@@ -88,44 +86,8 @@ class TestProgrammaticObservation:
 
 
 class TestSpanSinkIntegration:
-    """Satellite: PipelineTracer rides the repro.obs span-sink protocol."""
-
-    def test_sink_receives_one_counter_event_per_cycle(self):
-        sink = RingBufferSink()
-        tracer = PipelineTracer(assemble(PROGRAM), sink=sink)
-        total = tracer.run(max_cycles=2000)  # callback omitted entirely
-        assert total > 0
-        events = sink.events
-        assert len(events) == total
-        assert all(event.name == "pipeline.cycle" for event in events)
-        assert all(event.ph == "C" for event in events)
-        assert all(event.clock == CLOCK_SIM for event in events)
-        # Sim-clock timestamps are the cycle numbers, in order.
-        assert [event.ts for event in events] == list(range(total))
-
-    def test_event_args_carry_occupancy_and_stages(self):
-        sink = RingBufferSink()
-        PipelineTracer(assemble(PROGRAM), sink=sink).run(max_cycles=2000)
-        busiest = max(sink.events, key=lambda e: e.args["occupancy"])
-        assert busiest.args["occupancy"] > 4
-        # Per-stage breakdown only lists non-empty stages.
-        assert all(count > 0 for key, count in busiest.args.items()
-                   if key not in ("occupancy", "retired"))
-
-    def test_callback_and_sink_compose(self):
-        sink = RingBufferSink()
-        occupancies = []
-        tracer = PipelineTracer(assemble(PROGRAM), sink=sink)
-        tracer.run(lambda snap: occupancies.append(snap.occupancy()),
-                   max_cycles=2000)
-        assert [e.args["occupancy"] for e in sink.events] == occupancies
-
-    def test_snapshot_event_rendering(self):
-        snapshot = CycleSnapshot(cycle=7, entries=[], retired_so_far=3)
-        event = snapshot_event(snapshot)
-        assert event.ts == 7
-        assert event.cat == "pipeline"
-        assert event.args == {"occupancy": 0, "retired": 3}
+    """``trace_pipeline`` stays the thin render-to-strings wrapper; the
+    observed pipeline track is ``pipeline.iq_occupancy``."""
 
     def test_trace_pipeline_unchanged_by_sink_feature(self):
         cycles = trace_pipeline(assemble(PROGRAM), max_cycles=5)
