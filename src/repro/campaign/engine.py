@@ -74,6 +74,14 @@ from repro.obs.worker import TelemetrySpec, merge_telemetry
 
 FORMAT_VERSION = 1
 
+#: Base delay (seconds) before an infrastructure failure's retry,
+#: doubled per attempt and jittered by
+#: :func:`~repro.campaign.supervise.retry_delay`.
+RETRY_BACKOFF = 0.25
+#: Worker crashes per job key before the job is quarantined as poison
+#: (``status="poisoned"``) instead of retried further.
+POISON_THRESHOLD = 3
+
 
 @dataclass(frozen=True)
 class Campaign:
@@ -233,21 +241,17 @@ class CampaignRunner:
         cache_dir: Optional[str] = None,
         timeout: Optional[float] = None,
         retries: int = 2,
-        backoff: float = 0.25,
         sink: Optional[ProgressSink] = None,
         obs=None,
         backend: Optional[str] = None,
         journal: Optional[str] = None,
         resume: Optional[str] = None,
         hang_after: Optional[float] = None,
-        poison_threshold: int = 3,
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if poison_threshold < 1:
-            raise ValueError("poison_threshold must be >= 1")
         if hang_after is not None and hang_after <= 0:
             raise ValueError("hang_after must be > 0")
         if (journal is not None and resume is not None
@@ -259,7 +263,6 @@ class CampaignRunner:
         self.store_spec = StoreSpec(cache_dir=cache_dir)
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
         #: Durable journal path (``--journal``); every submit/outcome
         #: boundary appends a fsync'd record here. ``resume`` implies
         #: journalling to the same file.
@@ -270,9 +273,6 @@ class CampaignRunner:
         #: Supervisor hang budget (seconds): workers silent longer are
         #: presumed hung and replaced; None disables (the default).
         self.hang_after = hang_after
-        #: Worker crashes per job key before the job is quarantined as
-        #: poison (``status="poisoned"``) instead of retried further.
-        self.poison_threshold = poison_threshold
         #: Jobs skipped via journal replay on the last :meth:`run`.
         self.resumed = 0
         self._journal: Optional[CampaignJournal] = None
@@ -559,7 +559,7 @@ class CampaignRunner:
                 key = attempt.job.key
                 crashes = self._crash_counts.get(key, 0) + 1
                 self._crash_counts[key] = crashes
-                if crashes >= self.poison_threshold:
+                if crashes >= POISON_THRESHOLD:
                     # A job that keeps killing workers is isolated
                     # instead of burning the retry budget (and more
                     # workers) on it; sibling jobs keep running.
@@ -573,7 +573,7 @@ class CampaignRunner:
                     self._journal_outcome(result)
                     continue
             if attempt.attempt <= self.retries:
-                delay = retry_delay(self.backoff, attempt.job.key,
+                delay = retry_delay(RETRY_BACKOFF, attempt.job.key,
                                     attempt.attempt)
                 self.sink.emit(
                     "job-retry", key=attempt.job.key,

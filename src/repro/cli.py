@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_runner.add_arguments(command(
         "lint", lint_runner.run, [],
-        "determinism & memo-safety lint (no paths: the whole-program "
+        "determinism lint (no paths: the whole-program "
         "gate; FILE.s: the assembly checks)"))
 
     obs_cmd = command(

@@ -128,7 +128,7 @@ class PoisonedJobError(CampaignError):
     """A job was quarantined after crashing its workers repeatedly.
 
     The campaign engine isolates a job whose attempts keep killing
-    worker processes (``crashes >= poison_threshold``) instead of
+    worker processes (``crashes >= POISON_THRESHOLD``) instead of
     burning the whole campaign's retry budget on it. The merged
     :class:`~repro.campaign.jobs.JobResult` carries
     ``status="poisoned"`` and this error's message; sibling jobs are

@@ -3,19 +3,21 @@
 FastSim's headline claim — memoized fast-forwarding produces exactly
 the simulation the detailed model would have produced — only survives
 contact with new code if that code stays deterministic and keeps all
-pipeline state inside the configuration key. ``repro.lint`` enforces
-both properties statically, plus structural discipline on p-action
-cache nodes and correctness lint for assembly workloads:
+pipeline state inside the configuration key. The second property holds
+by construction: the pipeline-state classes and the p-action cache
+nodes are slotted, and tier-1 tests pin the slots to the codec's
+manifest (docs/lint.md, "Enforced by construction"). ``repro.lint``
+enforces the first statically, plus safety of the observability hooks
+and correctness lint for assembly workloads:
 
 ========================  ===========================================
 checker family            module
 ========================  ===========================================
 determinism               :mod:`repro.lint.determinism`
-memo-safety               :mod:`repro.lint.memosafety`
-action-node discipline    :mod:`repro.lint.nodes`
+observability safety      :mod:`repro.lint.obschecks`
 ISA program lint          :mod:`repro.lint.asmlint`
-flow session (project)    :mod:`repro.lint.flow` (taint, effects,
-                          codegen contracts — ``--flow``)
+flow session (project)    :mod:`repro.lint.flow` (taint, codegen
+                          contracts — ``--flow``)
 ========================  ===========================================
 
 The per-file families above see one module at a time; the flow session

@@ -1,7 +1,7 @@
 """Whole-program dataflow analysis (the flow session).
 
 The per-file checker families (:mod:`repro.lint.determinism`,
-:mod:`repro.lint.memosafety`, …) see one module at a time, so they can
+:mod:`repro.lint.obschecks`) see one module at a time, so they can
 only guard the record/replay invariant where a hazard and its
 consequence sit in the same file. The flow session parses the whole
 package once and layers interprocedural analyses on top:
@@ -13,7 +13,6 @@ module          builds
 ``callgraph``   project-wide call graph (type-informed dispatch),
                 function spans, source-order statement walk
 ``taint``       replay reachability + nondeterminism taint
-``effects``     attribute writes on the replay path vs the manifest
 ``codegen``     turbo emitter contract audit (generated-source lint)
 ``session``     orchestration: :class:`FlowSession`
 ==============  ======================================================
@@ -24,7 +23,7 @@ functions reachable from the record/replay entry points, repo-wide
 """
 
 # Importing the checker modules registers the project families.
-from repro.lint.flow import codegen, effects, taint  # noqa: F401
+from repro.lint.flow import codegen, taint  # noqa: F401
 from repro.lint.flow.session import FlowSession, REPLAY_ENTRY_SUFFIXES
 
 __all__ = ["FlowSession", "REPLAY_ENTRY_SUFFIXES"]

@@ -12,8 +12,8 @@ from the record/replay entry points, and then
    engine itself, and module-level code that never runs during replay
    gets none;
 2. runs every registered **project** checker family
-   (:data:`~repro.lint.registry.PROJECT_CHECKERS`: taint, effects,
-   codegen contracts) over the session.
+   (:data:`~repro.lint.registry.PROJECT_CHECKERS`: taint, codegen
+   contracts) over the session.
 
 Findings come back unsuppressed — the runner owns suppression, so
 tests can see raw checker output (same contract as ``run_checkers``).
@@ -26,7 +26,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.lint.determinism import in_strict_scope
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph
-from repro.lint.flow.effects import EffectTable
 from repro.lint.flow.modgraph import ModuleGraph, ModuleInfo
 from repro.lint.registry import (
     PROJECT_CHECKERS,
@@ -59,7 +58,6 @@ class FlowSession:
         self.modgraph = ModuleGraph.build(root, package=package)
         self.callgraph = CallGraph(self.modgraph)
         self._reachable: Optional[FrozenSet[str]] = None
-        self._effects: Optional[EffectTable] = None
 
     # -- derived state ----------------------------------------------------
 
@@ -100,12 +98,6 @@ class FlowSession:
         for path in spans:
             spans[path].sort()
         return spans
-
-    def effects(self) -> EffectTable:
-        """Lazily-built attribute effect table (shared by checkers)."""
-        if self._effects is None:
-            self._effects = EffectTable(self.callgraph)
-        return self._effects
 
     def emitter_module(self, suffix: str) -> Optional[ModuleInfo]:
         """The package's code-emitting module named ``*suffix`` (the

@@ -20,8 +20,8 @@ Two analysis modes share this driver:
     Directory arguments become whole-program
     :class:`~repro.lint.flow.FlowSession`\\ s: the package is parsed
     once, replay reachability is *computed* from the call graph, and
-    the project checker families (taint, effects, codegen contracts)
-    run on top of the per-file findings. With no paths the session
+    the project checker families (taint, codegen contracts) run on
+    top of the per-file findings. With no paths the session
     covers the installed ``repro`` package — the tier-1 gate, whatever
     the working directory.
 
@@ -46,13 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import repro
 # Importing the checker modules registers their families.
-from repro.lint import (  # noqa: F401
-    asmlint,
-    determinism,
-    memosafety,
-    nodes,
-    obschecks,
-)
+from repro.lint import asmlint, determinism, obschecks  # noqa: F401
 from repro.lint.asmlint import ASM_RULES, lint_asm_source
 from repro.lint.determinism import EVERYWHERE, in_strict_scope
 from repro.lint.findings import Finding, Severity
@@ -230,7 +224,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--flow", action="store_true",
         help="whole-program analysis: build a flow session per "
              "directory (call-graph reachability scopes the strict "
-             "rules; taint/effects/codegen families run on top)",
+             "rules; taint/codegen families run on top)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -269,8 +263,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fastsim-lint",
         description=(
-            "Determinism & memo-safety lint for the FastSim "
-            "reproduction (see docs/lint.md)."
+            "Determinism lint for the FastSim reproduction (see "
+            "docs/lint.md)."
         ),
     )
     add_arguments(parser)

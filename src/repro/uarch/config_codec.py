@@ -60,10 +60,12 @@ PAPER_HEADER_BYTES = 16
 #: states that encode to the same blob share one recorded action chain.
 #: Any attribute of the iQ or the detailed simulator that carries state
 #: between cycles but is *not* listed here would let two distinct
-#: states collide on one key — the classic stale-memoization bug. The
-#: ``repro.lint`` memo-safety checker cross-checks the simulator
-#: sources against this manifest, and the codec test suite asserts the
-#: manifest matches what :func:`encode_config` actually serializes.
+#: states collide on one key — the classic stale-memoization bug. So
+#: :class:`IQEntry`, :class:`~repro.uarch.iq.InstructionQueue` and
+#: :class:`~repro.uarch.detailed.DetailedSimulator` are slotted to
+#: exactly their groups (storing any other field raises
+#: ``AttributeError``), and the codec test suite asserts the slots and
+#: what :func:`encode_config` actually serializes match the manifest.
 #:
 #: ``entry``
 #:     Per-:class:`IQEntry` state, serialized per entry (``instr`` is

@@ -213,7 +213,16 @@ def cycle_walk(entries, limits: Tuple) -> Generator[int, None, int]:
 
 
 class DetailedSimulator:
-    """Cycle-by-cycle out-of-order pipeline model (a generator)."""
+    """Cycle-by-cycle out-of-order pipeline model (a generator).
+
+    Slotted to exactly the ``pipeline`` and ``signature`` groups of
+    :data:`~repro.uarch.config_codec.CONFIG_FIELD_MANIFEST`, as
+    :class:`IQEntry` and :class:`InstructionQueue` are to theirs: a
+    field the configuration key does not capture cannot be stored on
+    an instance (``AttributeError``)."""
+
+    __slots__ = ("executable", "params", "iq", "fetch_pc", "fetch_stalled",
+                 "fetch_halted")
 
     def __init__(self, executable: Executable,
                  params: Optional[ProcessorParams] = None):

@@ -135,14 +135,15 @@ class TestWorkStealing:
 
 
 class TestSubprocessIsolation:
-    def test_crash_once_is_retried_via_envelope_plan(self, tmp_path):
+    def test_crash_once_is_retried_via_envelope_plan(self, tmp_path,
+                                                     quick_retries):
         """Spawn-isolated workers inherit nothing — the fault plan
         arrives in the job envelope, the injected crash kills one
         worker, and the engine retries on a fresh one."""
         job = JOBS[0]
         install_plan(FaultPlan(seed=0, crash_job=job.key,
                                scratch=str(tmp_path)))
-        runner = CampaignRunner(workers=1, retries=2, backoff=0.01,
+        runner = CampaignRunner(workers=1, retries=2,
                                 backend="subprocess")
         outcome = runner.run(Campaign(jobs=(job,), name="spawn-crash"))
         clear_plan()
@@ -153,12 +154,13 @@ class TestSubprocessIsolation:
         clean = run_campaign(jobs=(job,), workers=0, name="spawn-crash")
         assert outcome.canonical_json() == clean.canonical_json()
 
-    def test_runtime_registered_kinds_fail_deterministically(self):
+    def test_runtime_registered_kinds_fail_deterministically(
+            self, quick_retries):
         """Test-registered kinds exist only in this process; a spawned
         worker reports them as unknown — a deterministic failure, not
         a retry loop."""
         job = Job(workload="ghost", kind="test-nap", scale="0.0")
-        runner = CampaignRunner(workers=1, retries=3, backoff=0.01,
+        runner = CampaignRunner(workers=1, retries=3,
                                 backend="subprocess")
         outcome = runner.run(Campaign(jobs=(job,), name="spawn-kind"))
         assert not outcome.ok

@@ -121,21 +121,21 @@ register_job_kind("test-raise", _raise_value_error)
 
 
 class TestFaultTolerance:
-    def test_crash_is_retried_and_recovers(self, tmp_path):
+    def test_crash_is_retried_and_recovers(self, tmp_path, quick_retries):
         # job.workload carries the scratch directory for the marker.
         job = Job(workload=str(tmp_path), kind="test-crash-once")
-        runner = CampaignRunner(workers=2, retries=2, backoff=0.01)
+        runner = CampaignRunner(workers=2, retries=2)
         outcome = runner.run(Campaign(jobs=(job,), name="crash"))
         assert outcome.ok
         assert outcome.results[0].attempts == 2
         assert outcome.results[0].metrics["attempt2"] is True
 
-    def test_crash_budget_exhausted_fails_run_survives(self):
+    def test_crash_budget_exhausted_fails_run_survives(self, quick_retries):
         jobs = (
             Job(workload="doomed", kind="test-always-crash"),
             Job("compress", "fast", "tiny"),
         )
-        runner = CampaignRunner(workers=2, retries=1, backoff=0.01)
+        runner = CampaignRunner(workers=2, retries=1)
         outcome = runner.run(Campaign(jobs=jobs, name="budget"))
         doomed = outcome["doomed:fast:test"]
         assert not doomed.ok
@@ -147,18 +147,18 @@ class TestFaultTolerance:
         assert outcome["compress:fast:tiny"].ok
         assert not outcome.ok and len(outcome.failed) == 1
 
-    def test_timeout_kills_and_reports(self):
+    def test_timeout_kills_and_reports(self, quick_retries):
         job = Job(workload="sleepy", kind="test-sleep")
-        runner = CampaignRunner(workers=1, timeout=0.3, retries=1,
-                                backoff=0.01)
+        runner = CampaignRunner(workers=1, timeout=0.3, retries=1)
         outcome = runner.run(Campaign(jobs=(job,), name="timeout"))
         assert not outcome.ok
         assert outcome.results[0].attempts == 2
         assert "timed out after 0.3s" in outcome.results[0].error
 
-    def test_exception_is_deterministic_failure_no_retry(self):
+    def test_exception_is_deterministic_failure_no_retry(
+            self, quick_retries):
         job = Job(workload="raiser", kind="test-raise")
-        runner = CampaignRunner(workers=1, retries=3, backoff=0.01)
+        runner = CampaignRunner(workers=1, retries=3)
         outcome = runner.run(Campaign(jobs=(job,), name="raise"))
         assert not outcome.ok
         assert outcome.results[0].attempts == 1

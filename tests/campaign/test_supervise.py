@@ -30,6 +30,7 @@ from repro.campaign import (
     retry_delay,
     verify_resume,
 )
+from repro.campaign import engine
 from repro.campaign.backends import (
     Attempt,
     BackendContext,
@@ -259,14 +260,15 @@ class TestResumeDrill:
 
 
 class TestPoisonQuarantine:
-    def test_repeated_crasher_is_quarantined(self, tmp_path):
+    def test_repeated_crasher_is_quarantined(self, tmp_path,
+                                             quick_retries, monkeypatch):
         """A job that crashes its worker on every attempt must be
         isolated as ``poisoned`` at the threshold — without burning
         the full retry budget or harming its siblings."""
         poison = Job(workload="bomb", kind="test-crash-always")
         good = JOBS[0]
-        runner = CampaignRunner(workers=2, retries=5, backoff=0.01,
-                                backend="fork", poison_threshold=2,
+        monkeypatch.setattr(engine, "POISON_THRESHOLD", 2)
+        runner = CampaignRunner(workers=2, retries=5, backend="fork",
                                 sink=NullSink())
         outcome = runner.run(Campaign(jobs=(poison, good),
                                       name="poison"))
@@ -296,8 +298,7 @@ def _hang_detected_and_retried(tmp_path, backend, hang_after):
     job = JOBS[0]
     install_plan(FaultPlan(hang_job=job.key, hang_seconds=30.0,
                            scratch=str(tmp_path)))
-    runner = CampaignRunner(workers=1, retries=2, backoff=0.01,
-                            backend=backend, hang_after=hang_after,
+    runner = CampaignRunner(workers=1, retries=2, backend=backend, hang_after=hang_after,
                             sink=NullSink())
     outcome = runner.run(Campaign(jobs=(job,), name="hang"))
     clear_plan()
@@ -323,10 +324,12 @@ class TestHangDetection:
     # they have always had; a spawned worker's budget also has to cover
     # its interpreter start-up, hence the longer one there (the chaos
     # drill's 1.5 s).
-    def test_fork_worker_hang_detected_and_retried(self, tmp_path):
+    def test_fork_worker_hang_detected_and_retried(self, tmp_path,
+                                                   quick_retries):
         _hang_detected_and_retried(tmp_path, "fork", hang_after=0.6)
 
-    def test_subprocess_worker_hang_detected_and_retried(self, tmp_path):
+    def test_subprocess_worker_hang_detected_and_retried(
+            self, tmp_path, quick_retries):
         _hang_detected_and_retried(tmp_path, "subprocess", hang_after=1.5)
 
     def test_heartbeat_interval_scales_with_budget(self):

@@ -37,14 +37,20 @@ from repro.workloads import WORKLOAD_ORDER, load_workload
 from repro.workloads.fuzz import random_program
 
 
-@pytest.fixture(autouse=True, params=[1, 3, threaded.COMPILE_AFTER],
+#: The shipped threshold, read before ``compile_after`` patches it.
+SHIPPED_COMPILE_AFTER = threaded.COMPILE_AFTER
+
+
+@pytest.fixture(autouse=True, params=[1, 2, SHIPPED_COMPILE_AFTER],
                 ids=["hot", "warming", "default"])
 def compile_after(request, monkeypatch):
     """Every test runs with blocks compiled at first sight (generated
-    code only), on their third run (the step-path cold op, the
+    code only), on their second run (the step-path cold op, the
     promotion and the generated function all inside the programs'
-    three-iteration loops, wrong paths included) and at the shipped
-    threshold.
+    loops, wrong paths included — a loop whose first iteration runs
+    inside the entry block runs its own block only twice) and at the
+    shipped threshold. Below the shipped threshold ``lockstep`` asserts
+    that a generated block ran.
 
     The two higher thresholds start from an empty code cache: a block
     whose source this process compiled before skips its cold runs, so
@@ -156,7 +162,10 @@ def lockstep(exe, predictor_cls=BimodalPredictor, rollback_delay=1,
                 compare()
                 continue
         if at_halt:
-            assert fronts[0].frontend_stats()["blocks_decoded"] > 0
+            stats = fronts[0].frontend_stats()
+            assert stats["blocks_decoded"] > 0
+            if threaded.COMPILE_AFTER < SHIPPED_COMPILE_AFTER:
+                assert stats["block_runs"] > 0
             return fronts
     raise AssertionError("program did not halt")
 

@@ -9,7 +9,7 @@ from flowpkg.clockio import (
     harmless,
     read_clock,
 )
-from flowpkg.pipeline import DetailedSimulator, poke_warmup
+from flowpkg.pipeline import DetailedSimulator, redirect_fetch
 
 
 class FastForwardEngine:
@@ -21,7 +21,7 @@ class FastForwardEngine:
 
     def _replay(self, entry):
         skew = read_clock()  # seeded flow/tainted-call
-        poke_warmup(self.sim)
+        redirect_fetch(self.sim)
         skew += clock_in_if_else(entry)  # seeded flow/tainted-call
         skew += clock_in_if(entry)  # seeded flow/tainted-call
         skew += clock_in_try()  # seeded flow/tainted-call

@@ -1,11 +1,9 @@
-"""Pipeline state classes + an outside writer the per-file memo-safety
-checker cannot see (it only inspects ``self.<attr>`` inside the class
-bodies)."""
+"""Pipeline state class + a helper in another module that replay
+reaches (the call graph's cross-module edge)."""
 
 
 class DetailedSimulator:
-    """Manifest class: allowed pipeline fields only, written via self
-    (the per-file checker's domain — must stay quiet)."""
+    """Pipeline state, written via self."""
 
     def __init__(self):
         self.iq = None
@@ -14,9 +12,6 @@ class DetailedSimulator:
         self.fetch_halted = False
 
 
-def poke_warmup(sim: DetailedSimulator) -> None:
-    """Writes state onto the simulator from *outside* the class: the
-    codec never serializes ``warmup_flag``, so two pipeline states
-    differing only in it would collide on one configuration key."""
-    sim.fetch_pc = 0          # manifest field: allowed
-    sim.warmup_flag = True    # seeded flow/unmanifested-write
+def redirect_fetch(sim: DetailedSimulator) -> None:
+    """Writes the fetch PC from *outside* the class; clean."""
+    sim.fetch_pc = 0

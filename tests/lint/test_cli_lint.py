@@ -152,9 +152,11 @@ class TestConsoleScript:
         assert lint_main(["--list-rules"]) == 0
         listed = set(capsys.readouterr().out.split())
         assert {"det/unseeded-random", "det/set-iteration",
-                "memo/hidden-state", "memo/missing-slots",
+                "obs/result-used", "flow/tainted-call",
                 "asm/read-before-write",
                 "asm/delay-slot-hazard"} <= listed
+        assert {rule.partition("/")[0] for rule in listed} == {
+            "asm", "det", "flow", "obs"}
 
     def test_exit_codes_match_cli(self, tree, capsys):
         assert lint_main([str(tree / "clean.py")]) == 0

@@ -1,5 +1,5 @@
 """Flow-session tests: computed reachability, interprocedural taint,
-effect inference, and the turbo codegen contracts.
+and the turbo codegen contracts.
 
 The fixture package under ``fixtures/flowpkg`` seeds violations of
 each flow rule in places no per-file view would ever scope — the
@@ -70,7 +70,7 @@ class TestCallGraph:
             "flowpkg.clockio.clock_in_try",
             "flowpkg.clockio.clock_in_with",
             "flowpkg.clockio.clock_in_for",
-            "flowpkg.pipeline.poke_warmup",
+            "flowpkg.pipeline.redirect_fetch",
         })
 
     def test_from_import_binding_resolves_to_qualname(self, fixture_session):
@@ -107,7 +107,6 @@ class TestFixtureFindings:
             ("engine.py", 28, "flow/tainted-call"),     # clock_in_with
             ("engine.py", 29, "flow/tainted-call"),     # clock_in_for
             ("engine.py", 33, "flow/tainted-call"),     # nested call site
-            ("pipeline.py", 22, "flow/unmanifested-write"),
         ]
 
     def test_strict_rule_scoped_by_computed_reachability(self, fixture_session):

@@ -105,13 +105,12 @@ class TestCliIntegration:
         assert main(["--flow", FIXTURE_ROOT]) == 1
         out = capsys.readouterr().out
         assert "flow/tainted-call" in out
-        assert "flow/unmanifested-write" in out
 
     def test_list_rules_includes_flow_family(self, capsys):
         assert main(["--list-rules"]) == 0
         rules = capsys.readouterr().out.split()
         for rule in ("flow/tainted-call", "flow/missing-entry",
-                     "flow/unmanifested-write", "flow/codegen-name",
+                     "flow/codegen-name",
                      "flow/codegen-attr", "flow/codegen-shape",
                      "flow/codegen-drift"):
             assert rule in rules

@@ -1,7 +1,7 @@
 """The repository lints itself clean — the tier-1 gate.
 
 This is the point of the whole subsystem: every determinism and
-memo-safety rule holds over ``src/repro`` right now, so any future
+observability rule holds over ``src/repro`` right now, so any future
 violation is a regression the CI gate catches. The whole-program form
 of the gate is ``test_flow.py::TestRealTree``; here the tree is linted
 file by file, once. The workload generators are held to the same
@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.lint import exit_code, lint_asm_source, lint_paths
 from repro.lint.asmlint import ASM_RULES
-from repro.lint.registry import CHECKERS, all_rules
+from repro.lint.registry import CHECKERS, PROJECT_CHECKERS, all_rules
 
 SRC_ROOT = os.path.dirname(repro.__file__)
 
@@ -49,8 +49,15 @@ class TestWorkloadProgramsAreClean:
 
 class TestRegistryShape:
     def test_all_four_checker_families_registered(self):
-        names = {checker.name for checker in CHECKERS}
-        assert {"determinism", "memo-safety", "action-nodes"} <= names
+        """Two per-file families and two flow families, no more: the
+        pipeline-state and node-class discipline is enforced by slots
+        and tier-1 tests, not by lint."""
+        import repro.lint.flow  # noqa: F401  (registers the flow families)
+
+        assert {checker.name for checker in CHECKERS} == {
+            "determinism", "obs-safety"}
+        assert {checker.name for checker in PROJECT_CHECKERS} == {
+            "flow-taint", "flow-codegen"}
 
     def test_rule_ids_are_namespaced_and_unique(self):
         rules = all_rules() + list(ASM_RULES)

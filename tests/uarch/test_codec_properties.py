@@ -5,7 +5,8 @@ harvested from real simulation) with hypothesis-generated states that
 probe the encoding's bit-level limits — the 3-bit stage field, the
 11-bit timer, the branch/mispredict bits, indirect-target records —
 and with assertions that :data:`CONFIG_FIELD_MANIFEST` is exactly what
-:func:`encode_config` serializes (the memo-safety lint trusts it).
+:func:`encode_config` serializes and that the three state classes are
+slotted to exactly it.
 
 :func:`reference_encode_config` is the per-field encoder
 ``encode_config`` was before it became one walk and one
@@ -26,6 +27,7 @@ from repro.uarch.config_codec import (
     encode_config,
 )
 from repro.sim.slowsim import SlowSim
+from repro.uarch.detailed import DetailedSimulator
 from repro.uarch.iq import IQEntry, InstructionQueue, MAX_TIMER, Stage
 from repro.workloads.suite import load_workload
 from tests.uarch.test_detailed_golden import CONFIGS
@@ -321,10 +323,22 @@ class TestEveryCycleOfRealRuns:
         assert cycles == sim.world.cycle > 0
 
 
+#: Each manifest class, the groups its slots must equal, and a
+#: factory for an instance.
+MANIFEST_CLASSES = [
+    (IQEntry, ("entry",),
+     lambda: IQEntry(EXE.instruction_at(EXE.entry))),
+    (InstructionQueue, ("queue",), lambda: InstructionQueue(4)),
+    (DetailedSimulator, ("pipeline", "signature"),
+     lambda: DetailedSimulator(EXE)),
+]
+
+
 class TestManifestMatchesCodec:
-    """CONFIG_FIELD_MANIFEST is the contract the memo-safety lint
-    enforces against the simulator sources; these tests pin it to what
-    the codec actually does."""
+    """CONFIG_FIELD_MANIFEST is the configuration key's contract: the
+    three classes holding pipeline state are slotted to exactly its
+    groups, so no instance can carry a field the key does not capture,
+    and these tests pin the manifest to what the codec actually does."""
 
     def test_entry_manifest_is_exactly_iqentry_slots(self):
         assert CONFIG_FIELD_MANIFEST["entry"] == frozenset(
@@ -335,6 +349,22 @@ class TestManifestMatchesCodec:
         assert CONFIG_FIELD_MANIFEST["queue"] == frozenset(
             InstructionQueue.__slots__
         )
+
+    @pytest.mark.parametrize(
+        "cls, groups, make", MANIFEST_CLASSES,
+        ids=[cls.__name__ for cls, _groups, _make in MANIFEST_CLASSES])
+    def test_instances_hold_only_manifest_fields(self, cls, groups, make):
+        """Slots equal the groups, every class in the MRO is slotted
+        (one unslotted base would bring back an instance dict), and a
+        write of a field the codec does not encode raises."""
+        assert frozenset(cls.__slots__) == frozenset().union(
+            *(CONFIG_FIELD_MANIFEST[group] for group in groups))
+        assert all("__slots__" in vars(klass) for klass in cls.__mro__
+                   if klass is not object)
+        instance = make()
+        assert not hasattr(instance, "__dict__")
+        with pytest.raises(AttributeError):
+            instance.warmup_flag = True
 
     def test_pipeline_manifest_matches_encode_signature(self):
         """encode_config's parameters are the pipeline group (the iQ
