@@ -77,6 +77,18 @@ class ControlRecord:
                 outcome_key = (int(kind), pc)
         self.outcome_key = outcome_key
 
+    @classmethod
+    def from_key(cls, key) -> "ControlRecord":
+        """A record of outcome key *key*: equal to every such record in
+        all the detailed simulator reads (the queue lengths, which only
+        the world reads, are 0) — how a resync re-feeds a control."""
+        kind = ControlKind(key[0])
+        if kind is ControlKind.COND:
+            return cls(kind, key[1], key[2], key[3], outcome_key=key)
+        if kind is ControlKind.INDIRECT:
+            return cls(kind, key[1], True, target=key[2], outcome_key=key)
+        return cls(kind, key[1], outcome_key=key)
+
     def __repr__(self) -> str:
         return (f"ControlRecord(kind={self.kind!r}, pc={self.pc:#x}, "
                 f"taken={self.taken}, "

@@ -15,7 +15,7 @@ identical to ``Interpreter.step()``:
 
 ``flow/codegen-name`` (error)
     Generated code references a name outside the whitelist. Segments:
-    the parameters (``world``/``R``/``K``/``ctl_a``), the entry
+    the parameters (``world``/``R``/``K``), the entry
     bindings (``WORLD_BINDINGS``) and three temporaries
     (``i``/``r``/``rec``). Blocks: the emitter's namespace table
     (``BLOCK_BINDINGS`` + ``BLOCK_HELPERS``) and its temporaries
@@ -81,7 +81,7 @@ RULE_SHAPE = "flow/codegen-shape"
 RULE_DRIFT = "flow/codegen-drift"
 
 #: Parameters of every generated segment function.
-SEG_PARAMS = ("world", "R", "K", "ctl_a")
+SEG_PARAMS = ("world", "R", "K")
 
 #: Temporaries generated code may bind beside the WORLD_BINDINGS
 #: aliases: absolute queue index and the two reply captures.
@@ -365,7 +365,7 @@ class _GeneratedSourceAuditor:
                 return  # binding, index/record temporary, reply call
         elif isinstance(statement, ast.Expr):
             if isinstance(statement.value, ast.Call):
-                return  # effect call (w_rb/ctl_a)
+                return  # effect call (w_rb)
         elif isinstance(statement, ast.If):
             test = statement.test
             if (isinstance(test, ast.Compare)

@@ -28,7 +28,6 @@ from repro.memo.compile import (
     DEFAULT_COMPILE_THRESHOLD,
     SegmentTable,
     compile_segment,
-    patch_log,
     revalidate,
 )
 from repro.memo.dump import cache_summary
@@ -70,7 +69,6 @@ __all__ = [
     "CompiledSegment",
     "DEFAULT_COMPILE_THRESHOLD",
     "compile_segment",
-    "patch_log",
     "revalidate",
     "ReplacementPolicy",
     "UnboundedPolicy",

@@ -2,10 +2,9 @@
 
 The fast-forward loop in :mod:`repro.memo.engine` is a node-at-a-time
 interpreter: every replayed action pays a ``type()`` dispatch, a
-``cache.touch``, a handful of per-field statistics increments, a
-``chain_log.append`` and an attribute chase — and every configuration
-node pays a fresh-list allocation and five bookkeeping stores. This
-module compiles a hot region of the recorded graph — after
+``cache.touch``, a handful of per-field statistics increments and an
+attribute chase. This module compiles a hot region of the recorded
+graph — after
 :data:`DEFAULT_COMPILE_THRESHOLD` traversals of its head — into one
 :class:`CompiledSegment`: a straight-line Python function (generated
 source, compiled once, replayed thousands of times) plus the metadata
@@ -19,17 +18,17 @@ statically known:
 
 * **linear actions** (:class:`~repro.memo.actions.AdvanceNode` /
   ``RetireNode`` / ``RollbackNode``) always have one successor;
-* **configuration nodes** are pure replay bookkeeping (log reset, new
-  anchor) with one successor — the segment passes straight through and
-  the bookkeeping is reconstructed from compile-time metadata;
+* **configuration nodes** are pure replay bookkeeping with one
+  successor — the segment passes straight through and the bookkeeping
+  is reconstructed from compile-time metadata;
 * **outcome nodes with exactly one edge** become *guarded* calls: the
   world is asked exactly as the interpreter would, and the reply is
   compared against the single recorded edge key. Equal → the successor
   is the compiled continuation. Different → the generated function
   returns a side-exit token and the engine reconstructs the exact
-  interpreter state (statistics, chain log, anchor) from the per-guard
-  exit table, then falls back to resync — precisely what interpreted
-  replay would have done, since within one graph generation a reply
+  interpreter state (statistics, last configuration, attach point)
+  from the per-guard exit table, then falls back to resync — precisely
+  what interpreted replay would have done, since within one graph generation a reply
   that differs from the only edge key cannot have an edge.
 
 The walk stops at multi-edge outcome nodes, :class:`EndNode`, pruned
@@ -66,10 +65,10 @@ replay against the world's *state*, not through its methods:
   and the engine's one settle block applies them with one
   ``world.advance_cycles`` + one ``world.retire`` *before* it reads
   ``world.cycle``: interpreter-identical world state at every exit;
-* per-node statistics, touches, configuration bookkeeping and static
-  chain-log entries collapse into per-segment constants; only control
-  records are captured at runtime (:class:`_CtlSlot`), and the log is
-  patched together (:func:`patch_log`) only if something reads it;
+* per-node statistics, touches and configuration bookkeeping collapse
+  into per-segment constants; a segment keeps no log — its exit record
+  names the last covered configuration, and a resync reads the path
+  from there off the graph;
 * the ``max_cycles`` abort check runs once per segment — a segment
   whose total could cross the limit is interpreted instead, so the
   abort raises at the exact same advance.
@@ -108,7 +107,7 @@ exists: adding an edge bumps the generation first.
 
 Because a valid segment hands the cache port and the frontend exactly
 the interpreter's requests in the same order at the same cycles, and
-reconstructs the same statistics, chain log and resync inputs,
+reconstructs the same statistics and resync inputs,
 simulated results are bit-identical with compilation on or off —
 asserted for every suite workload by ``tests/memo/test_turbo.py`` and
 ``tests/memo/test_fold.py``, and measured by
@@ -126,6 +125,7 @@ from typing import List, Optional, Tuple
 from repro import codecache
 from repro.memo.actions import (
     AdvanceNode,
+    ConfigNode,
     ControlNode,
     LoadIssueNode,
     LoadPollNode,
@@ -146,8 +146,8 @@ MAX_SEGMENT_NODES = 512
 
 #: Signature of every generated segment function. ``world`` is the
 #: live world adapter, ``R`` the pre-built ``Rollback`` tuple, ``K`` the
-#: non-inlinable key tuple, ``ctl_a`` the control-record collector.
-SEG_HEADER = "def _seg(world, R, K, ctl_a):\n"
+#: non-inlinable key tuple.
+SEG_HEADER = "def _seg(world, R, K):\n"
 
 #: Local -> world expression each generated entry line reads, once per
 #: segment call: the clock, cursors and queues every folded constant is
@@ -172,7 +172,6 @@ SEG_TEMPLATES = {
     "bind": "    {name} = {target}\n",
     "rollback": "    w_rb(R[{index}])",
     "control_call": "    rec = w_get()",
-    "control_log": "    ctl_a(rec)",
     "load_issue": "    i = lb + {index}; r = c_il(i, lq[i], c + {cycles})",
     "load_poll": "    r = c_pl(lb + {index}, c + {cycles})",
     "store_issue": ("    i = sb + {index}; "
@@ -185,25 +184,16 @@ SEG_TEMPLATES = {
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
 
-class _CtlSlot:
-    """Placeholder in a log template for a runtime control record."""
-
-    __slots__ = ("i",)
-
-    def __init__(self, i: int):
-        self.i = i
-
-
 #: One guard's side-exit reconstruction record:
 #: (node, is_control, actions_incl, visited_nodes, cycles_before,
-#:  retired_before, configs_before, last_blob_or_None,
-#:  log_template). ``actions_incl`` and ``visited_nodes`` count the
-#: failing node itself — the interpreter books an outcome before
-#: checking its edge table. ``cycles_before`` and ``retired_before``
-#: (the fused ``Retire`` of every covered RetireNode up to here) are
-#: what the engine still owes the world at this exit.
+#:  retired_before, configs_before, last_config_or_None).
+#: ``actions_incl`` and ``visited_nodes`` count the failing node itself
+#: — the interpreter books an outcome before checking its edge table.
+#: ``cycles_before`` and ``retired_before`` (the fused ``Retire`` of
+#: every covered RetireNode up to here) are what the engine still owes
+#: the world at this exit.
 ExitMeta = Tuple[Node, bool, int, int, int, Retire, int,
-                 Optional[bytes], Tuple]
+                 Optional[ConfigNode]]
 
 
 class CompiledSegment:
@@ -222,13 +212,9 @@ class CompiledSegment:
         "keys",         #: tuple of non-inlinable expected edge keys
         "n_actions",    #: covered action-node count (excl. configs)
         "n_configs",    #: covered configuration-node count
-        "n_ctl",        #: control records captured per full replay
         "cycles",       #: total advance delta, owed at a full replay
         "retired",      #: fused Retire totals, owed likewise
-        "last_blob",    #: blob of the last covered config (or None)
-        "log_tail",     #: log entries after the last covered config
-        "sets_anchor",  #: segment contains an anchor-setting node
-        "trailing_delta",  #: advance cycles after the last anchor
+        "last_config",  #: last covered configuration node (or None)
         "last_attach",  #: (last covered node, edge key or None)
         "end",          #: successor of the segment at compile time
         "exit_meta",    #: per-guard/terminal ExitMeta tuple
@@ -240,8 +226,7 @@ class CompiledSegment:
     )
 
     def __init__(self, fn, nodes, requests, keys, n_actions, n_configs,
-                 n_ctl, cycles, retired, last_blob, log_tail,
-                 sets_anchor, trailing_delta, last_attach, end,
+                 cycles, retired, last_config, last_attach, end,
                  exit_meta, guard_keys, has_terminal, generation,
                  source=None):
         self.fn = fn
@@ -251,18 +236,14 @@ class CompiledSegment:
         self.keys = keys
         self.n_actions = n_actions
         self.n_configs = n_configs
-        self.n_ctl = n_ctl
         self.cycles = cycles
         self.retired = retired
-        self.last_blob = last_blob
-        self.log_tail = log_tail
-        self.sets_anchor = sets_anchor
-        self.trailing_delta = trailing_delta
+        self.last_config = last_config
         self.last_attach = last_attach
         self.end = end
         self.exit_meta = exit_meta
         self.full_exit = (None, False, n_actions, len(nodes), cycles,
-                          retired, n_configs, last_blob, log_tail)
+                          retired, n_configs, last_config)
         self.guard_keys = guard_keys
         self.has_terminal = has_terminal
         self.generation = generation
@@ -287,14 +268,6 @@ def _literal(value) -> Optional[str]:
         inner = ", ".join(parts)
         return f"({inner},)" if len(parts) == 1 else f"({inner})"
     return None
-
-
-def patch_log(template: Tuple, ctl: List) -> List[Tuple[Node, object]]:
-    """Materialize a log template, filling control-record slots."""
-    return [
-        (node, ctl[value.i] if value.__class__ is _CtlSlot else value)
-        for node, value in template
-    ]
 
 
 def compile_segment(head: Node, generation: int,
@@ -324,11 +297,7 @@ def compile_segment(head: Node, generation: int,
     retired = Retire(0, 0, 0, 0, 0)
     n_actions = 0
     n_configs = 0
-    n_ctl = 0
-    last_blob: Optional[bytes] = None
-    log_since: List[Tuple[Node, object]] = []
-    sets_anchor = False
-    trailing = 0
+    last_config: Optional[ConfigNode] = None
     last_key = None      # edge key that reached the *next* node
 
     def key_expr(key) -> str:
@@ -343,14 +312,14 @@ def compile_segment(head: Node, generation: int,
         # so the exiting node counts.
         exit_meta.append((
             node, is_control, n_actions + 1, len(nodes) + 1, cycles,
-            retired, n_configs, last_blob, tuple(log_since),
+            retired, n_configs, last_config,
         ))
         return len(exit_meta) - 1
 
     def outcome_call(kind, node) -> Tuple[str, str]:
         """Emit the call for an outcome node; return (test expr, ret):
-        controls hand back the record (the log value, from which the
-        engine recomputes the edge key), loads/stores the raw reply."""
+        controls hand back the record (the engine reads its edge key
+        off it), loads/stores the raw reply."""
         if kind is ControlNode:
             lines.append(SEG_TEMPLATES["control_call"])
             return "rec.outcome_key", "rec"
@@ -371,7 +340,6 @@ def compile_segment(head: Node, generation: int,
         kind = node.__class__
         if kind is AdvanceNode:
             cycles += node.delta
-            trailing += node.delta
         elif kind is RetireNode:
             request = node.request
             retired = Retire(retired.count + request.count,
@@ -379,9 +347,6 @@ def compile_segment(head: Node, generation: int,
                              retired.stores + request.stores,
                              retired.controls + request.controls,
                              retired.branches + request.branches)
-            log_since.append((node, None))
-            sets_anchor = True
-            trailing = 0
         elif kind is RollbackNode:
             # The world's cf_base is still its segment-entry value:
             # fold in the controls retired since.
@@ -392,40 +357,25 @@ def compile_segment(head: Node, generation: int,
                 request.squashed_controls))
             lines.append(SEG_TEMPLATES["rollback"].format(
                 index=len(requests) - 1))
-            log_since.append((node, None))
-            sets_anchor = True
-            trailing = 0
         elif node.is_config:
             seen.add(node)
             nodes.append(node)
             n_configs += 1
-            last_blob = node.blob
-            log_since = []
-            sets_anchor = True
-            trailing = 0
+            last_config = node
             last_key = None
             node = node.next
             continue
         elif node.is_outcome and len(node.edges) == 1:
             ((key, successor),) = node.edges.items()
             test, ret = outcome_call(kind, node)
-            is_control = kind is ControlNode
             guard_keys.append(key)
             lines.append(SEG_TEMPLATES["guard"].format(
                 test=test, key=key_expr(key),
-                index=exit_record(node, is_control), ret=ret,
+                index=exit_record(node, kind is ControlNode), ret=ret,
             ))
-            if is_control:
-                lines.append(SEG_TEMPLATES["control_log"])
-                log_since.append((node, _CtlSlot(n_ctl)))
-                n_ctl += 1
-            else:
-                log_since.append((node, key))
             seen.add(node)
             nodes.append(node)
             n_actions += 1
-            sets_anchor = True
-            trailing = 0
             last_key = key
             node = successor
             continue
@@ -463,8 +413,7 @@ def compile_segment(head: Node, generation: int,
 
     return CompiledSegment(
         fn, tuple(nodes), tuple(requests), tuple(keys),
-        n_actions, n_configs, n_ctl, cycles, retired, last_blob,
-        tuple(log_since), sets_anchor, trailing,
+        n_actions, n_configs, cycles, retired, last_config,
         (nodes[-1], last_key), node, tuple(exit_meta),
         tuple(guard_keys), has_terminal, generation,
         source=source if capture_source else None,

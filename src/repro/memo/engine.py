@@ -24,29 +24,28 @@ fast-forwarding.
 
 **Fall-back/resync**: on termination the engine decodes the owning
 configuration back into a pipeline state, restarts a fresh detailed
-simulator from it, and silently re-feeds the outcomes logged since that
-configuration (no world side effects are repeated — the replayer
-already performed them). The simulator is deterministic given
-(configuration, outcome sequence), so after the last logged outcome it
-stands exactly at the divergence point, and recording continues along a
-new branch of the action chain — Figure 6's picture.
+simulator from it, and silently re-feeds the outcomes on the graph's
+path since that configuration (no world side effects are repeated —
+the replayer already performed them). The simulator is deterministic
+given (configuration, outcome sequence), so after the last re-fed
+outcome it stands exactly at the divergence point, and recording
+continues along a new branch of the action chain — Figure 6's picture.
 
 Because record and replay drive the same world methods in the same
 order at the same cycle numbers, all simulated statistics are
 bit-identical with and without memoization; the test suite asserts this
 for every workload.
 
-**What replay does not do.** A warm run leaves almost every compiled
-segment through its dynamic terminal onto a configuration, so that path
-builds only what is read: pure-sum statistics ride in locals and reach
+**What replay does not do.** It keeps no log: ``_resync`` reads the
+path off the graph. A warm run leaves almost every compiled segment
+through its dynamic terminal onto a configuration, so that path builds
+only what is read: pure-sum statistics ride in locals and reach
 ``memo`` before an observer samples, before a fall-back and at the end;
-a segment exit hands its chain-log share over unbuilt and
-``patch_log`` runs only for a reader (resync, or the interpreter about
-to append node-at-a-time) — a configuration drops it; the configuration
-an exit lands on is stepped in the exit path. What later steps compare
-stays eager and exact: the world's clock and cursors, touch stamps,
-``log_anchor``, ``came_from`` (docs/performance.md, tier 2a). An
-exception leaves the locals unsettled; the run is over.
+the configuration an exit lands on is stepped in the exit path. What
+later steps compare stays eager and exact: the world's clock and
+cursors, touch stamps, the last configuration, ``came_from``
+(docs/performance.md, tier 2a). An exception leaves the locals
+unsettled; the run is over.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ import hashlib
 import struct
 from typing import List, Optional, Tuple
 
+from repro.emulator.queues import ControlRecord
 from repro.errors import MemoizationError, SimulationError
 from repro.isa.program import Executable
 from repro.memo.actions import (
@@ -73,7 +73,6 @@ from repro.memo.compile import (
     DEFAULT_COMPILE_THRESHOLD,
     SegmentTable,
     compile_segment,
-    patch_log,
     revalidate,
 )
 from repro.memo.pcache import AttachPoint, PActionCache
@@ -129,17 +128,42 @@ _REQUEST_FOR_NODE = {
 }
 
 
-def _build_log(chain_log: List[Tuple[Node, object]],
-               parts: List[Tuple]) -> None:
-    """Append to *chain_log* what the segment exits in *parts* logged,
-    then empty *parts*: per exit, its template with the control records
-    captured on that call patched in, then the exit node's own reply
-    (a full replay has no exit node)."""
-    for template, ctl, xnode, actual in parts:
-        chain_log.extend(patch_log(template, ctl))
-        if xnode is not None:
-            chain_log.append((xnode, actual))
-    parts.clear()
+def _refeed(config: ConfigNode, attach: AttachPoint):
+    """The path replay took from *config* to *attach*, read off the
+    graph: its non-advance nodes, each with the reply replay got (the
+    key of the edge it left by; *attach*'s key at the last node), and
+    the cycles the advances after the last of them added.
+
+    Every action node has one parent, so a depth-first search that
+    crosses no configuration finds the one path there is.
+    """
+    target, key = attach
+    path: Tuple = ()
+    if target is not config:
+        stack = [(config.next, ())]
+        while True:
+            if not stack:
+                raise MemoizationError(
+                    f"cannot resynchronize: {target!r} is not on a path "
+                    "from its configuration")
+            node, path = stack.pop()
+            if node is target:
+                break
+            if node.is_outcome:
+                # The path is unique: search order cannot change it.
+                for edge, child in node.edges.items():  # repro-lint: disable=det/dict-value-iteration
+                    if not child.is_config:
+                        stack.append((child, path + ((node, edge),)))
+            elif node.next is not None and not node.next.is_config:
+                stack.append((node.next, path + ((node, None),)))
+        path += ((target, key),)
+    trailing = 0
+    for node, _ in reversed(path):
+        if node.__class__ is not AdvanceNode:
+            break
+        trailing += node.delta
+    return ([step for step in path if step[0].__class__ is not AdvanceNode],
+            trailing)
 
 
 def _settle(memo: MemoStats, table: Optional[SegmentTable], actions: int,
@@ -437,9 +461,8 @@ class FastForwardEngine:
         The loop materialises nothing it will not read (module
         docstring): the four replay counters and ``segment_replays``
         live in locals until an observer samples or the loop ends — its
-        only way out — and ``parts`` holds the chain log segment exits
-        left unbuilt; it is non-empty only between a segment exit and
-        the next dispatch.
+        only way out. A fall-back needs only the last configuration
+        crossed and ``came_from``.
         """
         world = self.world
         cache = self.cache
@@ -451,10 +474,7 @@ class FastForwardEngine:
         configs = memo.configs_replayed
         cycles = memo.replayed_cycles
         instructions = memo.replayed_instructions
-        chain_log: List[Tuple[Node, object]] = []
-        parts: List[Tuple] = []
-        last_blob: Optional[bytes] = None
-        log_anchor = world.cycle
+        config: Optional[ConfigNode] = None
         position: Optional[Node] = entry
         came_from: Optional[AttachPoint] = None
         finished = False
@@ -509,9 +529,7 @@ class FastForwardEngine:
                 # the exact advance the interpreter would have raised.
                 if (seg is not None
                         and world.cycle + seg.cycles <= max_cycles):
-                    ctl: List = []
-                    result = seg.fn(world, seg.requests, seg.keys,
-                                    ctl.append)
+                    result = seg.fn(world, seg.requests, seg.keys)
                     # Every way out settles through this one block. A
                     # full replay is the exit record without an exit
                     # node; the others are the segment's dynamic
@@ -528,7 +546,7 @@ class FastForwardEngine:
                         gid, actual = result
                         meta = seg.exit_meta[gid]
                     (xnode, is_control, n_act, visited, cyc, retired,
-                     n_cfg, xblob, template) = meta
+                     n_cfg, xconfig) = meta
                     # What was folded up to this exit: the world first.
                     if cyc:
                         world.advance_cycles(cyc)
@@ -568,46 +586,30 @@ class FastForwardEngine:
                     if successor.__class__ is ConfigNode:
                         # The configuration the exit lands on, stepped
                         # here: one iteration of the interpreter's
-                        # ConfigNode branch. Nothing will read the log
-                        # this exit closes, so it is never built.
+                        # ConfigNode branch.
                         cache.touch_clock = clock = cache.touch_clock + 1
                         successor.touch_gen = clock
                         configs += 1
-                        if chain_log:
-                            chain_log = []
-                        if parts:
-                            parts = []
-                        last_blob = successor.blob
-                        log_anchor = world.cycle
+                        config = successor
                         came_from = (successor, None)
                         position = successor.next
                         continue
-                    if xblob is not None:
-                        last_blob = xblob
-                        chain_log = []
-                        parts = []
-                    parts.append((template, ctl, xnode, actual))
+                    if xconfig is not None:
+                        config = xconfig
                     if xnode is not None:
-                        log_anchor = world.cycle
                         came_from = (xnode, edge_key)
                     else:
-                        if seg.sets_anchor:
-                            log_anchor = world.cycle - seg.trailing_delta
                         came_from = seg.last_attach
                     position = successor
                     continue
                 fast = False  # interpret the rest of this cold region
-                if parts:
-                    _build_log(chain_log, parts)
 
             cache.touch(node)
             kind = type(node)
 
             if kind is ConfigNode:
                 configs += 1
-                chain_log = []
-                last_blob = node.blob
-                log_anchor = world.cycle
+                config = node
                 came_from = (node, None)
                 position = node.next
                 fast = turbo_on
@@ -633,8 +635,6 @@ class FastForwardEngine:
                 world.retire(node.request)
                 instructions += node.request.count
                 actions += 1
-                chain_log.append((node, None))
-                log_anchor = world.cycle
                 came_from = (node, None)
                 position = node.next
                 continue
@@ -642,21 +642,18 @@ class FastForwardEngine:
             if kind is RollbackNode:
                 world.rollback(node.request)
                 actions += 1
-                chain_log.append((node, None))
-                log_anchor = world.cycle
                 came_from = (node, None)
                 position = node.next
                 continue
 
             if kind is ControlNode:
-                reply = world.get_control()
-                edge_key = reply.outcome_key
+                edge_key = world.get_control().outcome_key
             elif kind is LoadIssueNode:
-                edge_key = reply = world.issue_load(node.ordinal)
+                edge_key = world.issue_load(node.ordinal)
             elif kind is LoadPollNode:
-                edge_key = reply = world.poll_load(node.ordinal)
+                edge_key = world.poll_load(node.ordinal)
             elif kind is StoreIssueNode:
-                edge_key = reply = world.issue_store(node.ordinal)
+                edge_key = world.issue_store(node.ordinal)
             elif kind is EndNode:
                 world.advance_cycles(node.delta)
                 cycles += node.delta
@@ -667,11 +664,9 @@ class FastForwardEngine:
                 raise SimulationError(
                     f"unknown node {node!r} in p-action cache"
                 )
-            # An outcome: booked, logged, then its edge followed — a
-            # reply without one ends fast-forwarding at the loop top.
+            # An outcome: booked, then its edge followed — a reply
+            # without one ends fast-forwarding at the loop top.
             actions += 1
-            chain_log.append((node, reply))
-            log_anchor = world.cycle
             came_from = (node, edge_key)
             position = node.edges.get(edge_key)
             fast = turbo_on
@@ -681,37 +676,36 @@ class FastForwardEngine:
         self._end_chain(actions - entry_actions)
         if finished:
             return ("finished",)
-        if parts:
-            _build_log(chain_log, parts)
-        return self._resync(last_blob, chain_log, came_from, log_anchor)
+        return self._resync(config, came_from)
 
     # ------------------------------------------------------------------
     # Fall-back: resynchronise a fresh detailed simulator
     # ------------------------------------------------------------------
 
-    def _resync(self, blob: Optional[bytes],
-                chain_log: List[Tuple[Node, object]],
-                attach: Optional[AttachPoint], log_anchor: int):
+    def _resync(self, config: Optional[ConfigNode],
+                attach: Optional[AttachPoint]):
         """Reconstruct detailed state at the divergence point.
 
-        Decodes the owning configuration, restarts a detailed simulator
-        from it, and re-feeds the logged outcomes **without** touching
-        the world (the replayer already performed those interactions).
-        Returns the record-mode tuple positioned exactly at the
-        divergence.
+        Decodes *config*, the last configuration replay crossed,
+        restarts a detailed simulator from it, and re-feeds the path
+        from it to *attach* (:func:`_refeed`) **without** touching the
+        world (the replayer already performed those interactions); a
+        control reply is the record its edge key describes. Returns the
+        record-mode tuple positioned exactly at the divergence.
         """
-        if blob is None:
+        if config is None:
             raise SimulationError("fall-back before any configuration")
+        refed, trailing = _refeed(config, attach)
         if self._obs_on:
             self.obs.counter("memo.resyncs")
-            self.obs.observe("memo.resync_log_length", len(chain_log))
+            self.obs.observe("memo.resync_log_length", len(refed))
         with self.obs.span("memo.resync", cat="memo"):
-            simulator = self._restore(blob)
+            simulator = self._restore(config.blob)
             generator = simulator.run()
 
             send = None
             outcome = False
-            for node, value in chain_log:
+            for node, value in refed:
                 expected = _REQUEST_FOR_NODE[type(node)]
                 while True:
                     request = generator.send(send)
@@ -722,15 +716,17 @@ class FastForwardEngine:
                 if type(request) is not expected:
                     raise SimulationError(
                         f"resync desync: simulator yielded {request!r}, "
-                        f"log has {node!r}"
+                        f"path has {node!r}"
                     )
                 if node.is_outcome:
-                    send = value
+                    send = (ControlRecord.from_key(value)
+                            if node.__class__ is ControlNode else value)
                     outcome = True
             # The resumed generator's first boundary ends cycle
-            # ``log_anchor`` when the prefix left the simulator
-            # mid-cycle (non-empty log), else the cycle after the
+            # ``log_anchor`` (the last re-fed action's) when the prefix
+            # left the simulator mid-cycle, else the cycle after the
             # owning configuration.
-            b0 = log_anchor if chain_log else log_anchor + 1
+            log_anchor = self.world.cycle - trailing
+            b0 = log_anchor if refed else log_anchor + 1
             return self._enter_record(simulator, generator, attach, b0,
                                       send, outcome)

@@ -38,8 +38,9 @@ class HostOptions:
         True, "use the direct-mapped L1 filter in the memory hierarchy")
     audit_every: Optional[int] = _knob(
         None, "audit every Nth replay episode against detailed "
-              "re-execution (deterministically sampled; see "
-              "docs/robustness.md)")
+              "re-execution (deterministically sampled; episode 0 is "
+              "audited at every rate, so a persisted-warm run, often one "
+              "episode, is audited whole; see docs/robustness.md)")
 
     def __post_init__(self) -> None:
         if self.turbo_threshold is not None and self.turbo_threshold < 1:

@@ -20,7 +20,10 @@ its memory (paper §4.3)::
 Pass ``audit_every=N`` to run under
 the :class:`~repro.guard.GuardedEngine`, which audits sampled replay
 episodes against detailed re-execution and quarantines corrupted
-chains instead of replaying them (see docs/robustness.md).
+chains instead of replaying them (see docs/robustness.md). Episodes
+are sampled by ordinal and episode 0 is audited at every rate: it is
+where a corrupt persisted cache is first replayed, and a persisted-warm
+run is often that one episode, so at any N it is audited whole.
 
 Chain compilation of hot replay paths (:mod:`repro.memo.compile`) is
 on by default; pass ``turbo=False`` to force the interpreted replay

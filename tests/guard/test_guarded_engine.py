@@ -12,6 +12,7 @@ Two properties, both load-bearing:
    the run completes with correct timing anyway.
 """
 
+import io
 from dataclasses import replace
 
 import pytest
@@ -28,7 +29,7 @@ from repro.memo.actions import (
     StoreIssueNode,
 )
 from repro.memo.pcache import reachable
-from repro.memo.persist import load_pcache
+from repro.memo.persist import load_pcache, read_pcache, write_pcache
 from repro.sim.fastsim import FastSim
 from repro.sim.slowsim import SlowSim
 from repro.workloads import load_workload
@@ -111,6 +112,20 @@ class TestTransparency:
         some_sim, sampled = _run("tomcatv", audit_every=3)
         assert 0 < some_sim.engine.audits < every_sim.engine.audits
         assert sampled.timing_equal(_run("tomcatv")[1])
+
+    def test_persisted_warm_episode_is_audited_at_any_rate(self):
+        """Episode 0 is audited at every rate, and a persisted-warm run
+        is usually that one episode: audited whole at ``audit_every=50``."""
+        recorder, plain = _run("compress")
+        stream = io.BytesIO()
+        write_pcache(recorder.pcache, stream)
+        stream.seek(0)
+        warm_sim, warm = _run("compress", pcache=read_pcache(stream),
+                              audit_every=50)
+        assert warm.memo.replay_episodes == 1
+        assert warm.memo.detailed_instructions == 0
+        assert warm_sim.engine.audits == 1
+        assert warm.timing_equal(plain)
 
     def test_audit_every_validated(self):
         with pytest.raises(ValueError):

@@ -245,7 +245,8 @@ class TestCodegenContracts:
     def test_template_writing_the_world_clock_is_caught(self, repro_session):
         """The fold's first law: a segment never assigns world state."""
         with mock.patch.dict(compiler.SEG_TEMPLATES, {
-                "control_log": "    ctl_a(rec); world.cycle = c"}):
+                "store_issue": (compiler.SEG_TEMPLATES["store_issue"]
+                                + "; world.cycle = c")}):
             findings = self._codegen_findings(repro_session)
         assert [f.rule for f in findings] == [RULE_ATTR]
         assert "assigns world.cycle" in findings[0].message

@@ -9,14 +9,12 @@ constant`` cycles and leave settling the world to the engine
 * :class:`TestPortStream` — a recording ``MemorySystem`` must see the
   identical request stream with compilation on and off;
 * :class:`TestForcedExits` — every way out of a compiled segment is
-  forced in turn and the whole world, plus everything the engine hands
-  to resync, is compared with interpreted replay stopped at the same
-  node;
-* :class:`TestLazyExit` — the exit path builds the chain log only where
-  it is read and keeps its counters in locals: the n-th fall-back of a
-  bounded run, every observer sample, and the number of ``patch_log``
-  calls say it hands over exactly what the interpreter would, and no
-  more often.
+  forced in turn and the whole world, plus what the engine hands to
+  resync (the last configuration and the attach point), is compared
+  with interpreted replay stopped at the same node;
+* :class:`TestLazyExit` — the exit path keeps its counters in locals:
+  the n-th fall-back of a bounded run and every observer sample say it
+  hands over exactly what the interpreter would.
 """
 
 import dataclasses
@@ -26,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.branch import BimodalPredictor, NotTakenPredictor
 from repro.isa import assemble
-from repro.memo import engine as engine_module
 from repro.memo.engine import FastForwardEngine
 from repro.memo.pcache import PActionCache
 from repro.memo.persist import _collect_nodes
@@ -94,12 +91,8 @@ class _Stopped(Exception):
 class _StopAtResync(FastForwardEngine):
     """Captures what replay hands to its first fall-back, then stops."""
 
-    def _resync(self, blob, chain_log, attach, log_anchor):
-        # Control records come from each run's own frontend: by value.
-        self.handed = (blob,
-                       [(id(node), repr(value)) for node, value in chain_log],
-                       None if attach is None else (id(attach[0]), attach[1]),
-                       log_anchor)
+    def _resync(self, config, attach):
+        self.handed = (id(config), (id(attach[0]), attach[1]))
         raise _Stopped
 
 
@@ -129,58 +122,16 @@ def stop_state(executable, pcache, turbo, engine_cls=_StopAtResync,
     }
 
 
-def patch_log_calls(monkeypatch):
-    """Count the engine's ``patch_log`` calls from here on: the list
-    grows by one template per call."""
-    calls = []
-    real = engine_module.patch_log
-
-    def counted(template, ctl):
-        calls.append(template)
-        return real(template, ctl)
-
-    monkeypatch.setattr(engine_module, "patch_log", counted)
-    return calls
-
-
-def touched_nodes(monkeypatch):
-    """Every node handed to ``PActionCache.touch`` from here on — the
-    interpreter touches each node it enters; compiled segments stamp
-    theirs in bulk."""
-    touched = []
-    real = PActionCache.touch
-
-    def counted(self, node):
-        touched.append(node)
-        real(self, node)
-
-    monkeypatch.setattr(PActionCache, "touch", counted)
-    return touched
-
-
-def build_log_spans(monkeypatch):
-    """Record how many segment exits each built log spans (the number
-    of unbuilt parts ``_build_log`` is handed), from here on."""
-    spans = []
-    real = engine_module._build_log
-
-    def counted(chain_log, parts):
-        spans.append(len(parts))
-        real(chain_log, parts)
-
-    monkeypatch.setattr(engine_module, "_build_log", counted)
-    return spans
-
-
 def segment_exits(pcache):
     """Every distinct exit node (guard or dynamic terminal) of the
-    segments compiled so far, in a deterministic order."""
+    segments compiled so far, in a deterministic order, each with
+    whether its segment covers a configuration before it."""
     exits, seen = [], set()
     for segment in pcache.turbo.segments:
         for meta in segment.exit_meta:
             if id(meta[0]) not in seen:
                 seen.add(id(meta[0]))
-                exits.append(meta[0])
+                exits.append((meta[0], meta[7] is not None))
     return exits
 
 
@@ -202,8 +153,7 @@ class TestForcedExits:
     world reply. Every exit of every compiled segment takes its turn."""
 
     @pytest.mark.parametrize("name", ["compress", "li", "mgrid", "perl"])
-    def test_every_exit_matches_interpreted_replay(self, name,
-                                                   monkeypatch):
+    def test_every_exit_matches_interpreted_replay(self, name):
         executable = load_workload(name, "tiny")
         params = ProcessorParams.r10k()
         pcache = PActionCache()
@@ -213,9 +163,8 @@ class TestForcedExits:
                               pcache=pcache, **EAGER).run()
         exits = segment_exits(pcache)
         assert len(exits) > 20
-        spans = build_log_spans(monkeypatch)
         kinds = set()
-        for node in exits:
+        for node, _ in exits:
             saved = node.edges
             node.edges = {("no reply is this", index): successor
                           for index, successor in
@@ -225,26 +174,23 @@ class TestForcedExits:
                 table = pcache.turbo
                 side_exits = table.side_exits
                 touch_clock = pcache.touch_clock
-                built = patch_log_calls(monkeypatch)
                 compiled = stop_state(executable, pcache, EAGER)
-                # The stop really was a compiled segment's exit, and
-                # the log it handed to resync was built for it.
+                # The stop really was a compiled segment's exit.
                 assert table.side_exits == side_exits + 1
-                assert len(built) >= 1
                 pcache.touch_clock = touch_clock
                 interpreted = stop_state(executable, pcache, NO_TURBO)
             finally:
                 node.edges = saved
                 drop_segments(pcache)
             assert compiled == interpreted, (name, node)
-            assert compiled["handed"][2][0] == id(node)
+            assert compiled["handed"][1][0] == id(node)
             kinds.add(type(node).__name__)
         assert kinds == {"ControlNode", "LoadIssueNode", "LoadPollNode",
                          "StoreIssueNode"}
-        # Not every exit carries a configuration: some of these logs
-        # grew by one unbuilt part per segment exit and were built in
-        # one go at the fall-back.
-        assert max(spans) >= (2 if name in ("compress", "li") else 1)
+        # Both kinds of exit were forced: those whose own segment
+        # covers the configuration a resync starts at, and those whose
+        # configuration was crossed before the segment.
+        assert {covers for _, covers in exits} == {True, False}
 
 
 class _StopAtNthResync(_StopAtResync):
@@ -256,18 +202,13 @@ class _StopAtNthResync(_StopAtResync):
     stop_at = 1
     fallbacks = 0
 
-    def _resync(self, blob, chain_log, attach, log_anchor):
+    def _resync(self, config, attach):
         self.fallbacks += 1
         if self.fallbacks < self.stop_at:
-            return FastForwardEngine._resync(self, blob, chain_log,
-                                             attach, log_anchor)
+            return FastForwardEngine._resync(self, config, attach)
         place = {id(node): index for index, node
                  in enumerate(_collect_nodes(self.cache))}
-        self.handed = (
-            blob,
-            [(place[id(node)], repr(value)) for node, value in chain_log],
-            None if attach is None else (place[id(attach[0])], attach[1]),
-            log_anchor)
+        self.handed = (place[id(config)], (place[id(attach[0])], attach[1]))
         raise _Stopped
 
 
@@ -291,11 +232,10 @@ class TestLazyExit:
     @pytest.mark.parametrize("stop_at", [2, 5])
     @pytest.mark.parametrize("kind", ["flush", "copying-gc"])
     @pytest.mark.parametrize("name", ["compress", "li"])
-    def test_nth_fallback_of_a_bounded_run(self, name, kind, stop_at,
-                                           monkeypatch):
+    def test_nth_fallback_of_a_bounded_run(self, name, kind, stop_at):
         """Under a 0.35x bound a warm run is many short episodes:
         collections drop segments between them, regions recompile, and
-        a log can span several segment exits without a configuration.
+        a path can span several segment exits without a configuration.
         At the n-th fall-back compiled and interpreted replay — each
         over its own, identically grown p-cache — agree on everything."""
         executable = load_workload(name, "tiny")
@@ -305,7 +245,6 @@ class TestLazyExit:
                           World(executable, params, BimodalPredictor()),
                           pcache=probe).run()
         limit = max(int(probe.peak_bytes * 0.35), 512)
-        spans = build_log_spans(monkeypatch)
         engine_cls = type("Stop", (_StopAtNthResync,),
                           {"stop_at": stop_at})
         states = {}
@@ -321,7 +260,6 @@ class TestLazyExit:
             states[turbo["turbo"]]["collections"] = pcache.collections
         assert states[True] == states[False]
         assert states[True]["memo"]["replay_episodes"] >= stop_at
-        assert spans and all(spans)  # compiled replay handed logs over
 
     @pytest.mark.parametrize("name", ["compress", "mgrid"])
     def test_observer_sees_settled_counters(self, name):
@@ -364,28 +302,3 @@ class TestLazyExit:
             for counter in ("actions_replayed", "configs_replayed",
                             "replayed_instructions"):
                 assert low[counter] <= compiled[counter] <= high[counter]
-
-    @pytest.mark.parametrize("name,scale", [
-        # compress at ``tiny`` replays fewer than 100 segments.
-        pytest.param("compress", "test", id="compress"),
-        pytest.param("tomcatv", "tiny", id="tomcatv"),
-    ])
-    def test_log_is_built_only_for_the_interpreter(self, name, scale,
-                                                   monkeypatch):
-        """Third pass over one p-cache at threshold 1: nothing compiles,
-        nothing falls back — so the only reader of a chain log is the
-        interpreter, entering a node a segment exit led to."""
-        executable = load_workload(name, scale)
-        _, pcache = port_streams(executable, EAGER)
-        compiled = pcache.turbo.segments_compiled
-        built = patch_log_calls(monkeypatch)
-        touched = touched_nodes(monkeypatch)
-        params = ProcessorParams.r10k()
-        engine = FastForwardEngine(
-            executable, World(executable, params, BimodalPredictor()),
-            pcache=pcache, **EAGER)
-        memo = engine.run()
-        assert pcache.turbo.segments_compiled == compiled
-        assert memo.detailed_cycles == 0 and memo.replay_episodes == 1
-        assert pcache.turbo.segment_replays > 100
-        assert len(built) <= sum(not node.is_config for node in touched)

@@ -26,7 +26,6 @@ from repro.memo.compile import (
     DEFAULT_COMPILE_THRESHOLD,
     SegmentTable,
     compile_segment,
-    patch_log,
     revalidate,
 )
 from repro.memo.pcache import PActionCache
@@ -300,8 +299,7 @@ class TestCompileSegment:
         head, retire, load, end = linear_chain()
         seg = compile_segment(head, 7, capture_source=True)
         world = FakeWorld(replies=[5])
-        ctl = []
-        assert seg.fn(world, seg.requests, seg.keys, ctl.append) is None
+        assert seg.fn(world, seg.requests, seg.keys) is None
         # Advances and the retire emitted nothing: the load is the only
         # call, keyed by entry cursor + the one load retired before it,
         # at entry clock + the three cycles advanced before it.
@@ -317,29 +315,27 @@ class TestCompileSegment:
         assert seg.n_configs == 0
         assert seg.end is end
         assert seg.generation == 7
-        assert seg.trailing_delta == 4 and seg.sets_anchor
-        assert patch_log(seg.log_tail, ctl) == [(retire, None), (load, 5)]
+        assert seg.last_config is None
         assert not seg.has_terminal
 
     def test_guard_miss_side_exit(self):
         head, _, load, _ = linear_chain()
         seg = compile_segment(head, 0)
         world = FakeWorld(replies=[9])
-        gid, actual = seg.fn(world, seg.requests, seg.keys, [].append)
+        gid, actual = seg.fn(world, seg.requests, seg.keys)
         assert actual == 9
         # Nothing past the failing guard executed.
         assert world.calls == [("issue_load", 11, 0x1000 + 8 * 11, 103)]
         assert world.untouched()
-        (node, is_control, n_act, visited, cyc, retired, n_cfg, blob,
-         template) = seg.exit_meta[gid]
+        (node, is_control, n_act, visited, cyc, retired, n_cfg,
+         config) = seg.exit_meta[gid]
         assert node is load and not is_control
         assert n_act == 4 and visited == 4  # failing node included
         # Owed at this exit: the cycles and retires *before* the guard.
         assert cyc == 3 and retired == Retire(3, 1, 0, 0, 1)
-        assert n_cfg == 0 and blob is None
-        # The log template ends *before* the failing outcome — the
-        # engine appends (node, actual) itself.
-        assert [entry[0] for entry in template] == [head.next]
+        # No configuration covered: resync starts at the one replay
+        # crossed before the segment.
+        assert n_cfg == 0 and config is None
 
     def test_cursor_and_clock_offsets_accumulate(self):
         """Each reader sees entry value + everything folded before it:
@@ -355,7 +351,7 @@ class TestCompileSegment:
         rollback.next = end
         seg = compile_segment(a1, 0)
         world = FakeWorld(replies=[0, 1])
-        assert seg.fn(world, seg.requests, seg.keys, [].append) is None
+        assert seg.fn(world, seg.requests, seg.keys) is None
         assert world.calls == [
             ("poll_load", 10 + 2 + 1, 102),
             ("issue_store", 0x2000 + 8 * (20 + 3 + 0), 1 + 23 % 8, 105),
@@ -373,18 +369,16 @@ class TestCompileSegment:
         a1.next, config.next, a2.next = config, a2, end
         seg = compile_segment(a1, 0, capture_source=True)
         world = FakeWorld()
-        assert seg.fn(world, seg.requests, seg.keys, [].append) is None
+        assert seg.fn(world, seg.requests, seg.keys) is None
         # Advances fold straight through the configuration: the
         # function body is empty and reads nothing of the world…
         assert world.calls == [] and "world." not in seg.source
         assert seg.cycles == 3 and seg.retired == Retire(0, 0, 0, 0, 0)
-        # …and the anchor is reconstructed from the trailing delta:
-        # log_anchor = world.cycle - trailing == the cycle at the config.
-        assert seg.n_configs == 1 and seg.last_blob == bytes(12)
-        assert seg.trailing_delta == 1 and seg.sets_anchor
-        assert seg.log_tail == ()
+        # …and a resync after it starts at the covered configuration.
+        assert seg.n_configs == 1 and seg.last_config is config
+        assert seg.full_exit[7] is config
 
-    def test_control_records_captured_at_runtime(self):
+    def test_control_guard_reads_the_key(self):
         class Record:
             def __init__(self, key):
                 self.outcome_key = key
@@ -396,12 +390,13 @@ class TestCompileSegment:
         seg = compile_segment(control, 0)
         record = Record(("taken", 4))
         world = FakeWorld(controls=[record])
-        ctl = []
-        assert seg.fn(world, seg.requests, seg.keys, ctl.append) is None
-        assert ctl == [record]
-        # The template slot patches to the runtime record, not the key
-        # (advances are never logged, so the trailing one is absent).
-        assert patch_log(seg.log_tail, ctl) == [(control, record)]
+        assert seg.fn(world, seg.requests, seg.keys) is None
+        assert world.calls == [("get_control",)]
+        # A miss hands the record back; the engine reads its key.
+        miss = FakeWorld(controls=[Record(("taken", 8))])
+        gid, actual = seg.fn(miss, seg.requests, seg.keys)
+        assert seg.exit_meta[gid][:2] == (control, True)
+        assert actual.outcome_key == ("taken", 8)
 
     def test_multi_edge_outcome_is_dynamic_terminal(self):
         load = LoadIssueNode(2)
@@ -410,7 +405,7 @@ class TestCompileSegment:
         seg = compile_segment(load, 0)
         assert seg.has_terminal and seg.nodes == (load,)
         world = FakeWorld(replies=[6])
-        gid, actual = seg.fn(world, seg.requests, seg.keys, [].append)
+        gid, actual = seg.fn(world, seg.requests, seg.keys)
         assert (gid, actual) == (0, 6)
         assert world.calls == [("issue_load", 12, 0x1000 + 8 * 12, 100)]
         assert seg.exit_meta[0][4:6] == (0, Retire(0, 0, 0, 0, 0))
